@@ -13,7 +13,7 @@ import sys
 from . import dsl, kan, laws, spanfin, tab, zoo
 from .fincat import NoLimit, comma_category, find_isomorphism, validate_category
 from .prof import compose_prof, validate_cell, validate_profunctor
-from .kan import OracleDisagreement
+from .kan import InvariantViolation
 
 
 class Verdict(Exception):
@@ -24,6 +24,15 @@ class Verdict(Exception):
         self.report = report
 
 
+def probe_bound(text):
+    """Parse --probe-max-objects: a bound below 1 leaves no probe, and a
+    verdict over no probes would carry no evidence."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _common_options(suppress):
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument("--format", choices=["text", "json"],
@@ -31,9 +40,10 @@ def _common_options(suppress):
     parent.add_argument("--quiet", action="store_true",
                         default=argparse.SUPPRESS if suppress else False,
                         help="print verdict lines only")
-    parent.add_argument("--probe-max-objects", type=int, metavar="N",
+    parent.add_argument("--probe-max-objects", type=probe_bound, metavar="N",
                         default=argparse.SUPPRESS if suppress else 2,
-                        help="bound on probe category size (default 2)")
+                        help="bound on probe category size, at least 1 "
+                             "(default 2)")
     return parent
 
 
@@ -323,7 +333,7 @@ def main(argv=None):
         return 1
     except SystemExit:
         raise
-    except (OracleDisagreement, AssertionError) as exc:
+    except InvariantViolation as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
         return 3
     emit(args, payload)

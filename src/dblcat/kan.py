@@ -24,7 +24,11 @@ from .prof import (Cell, Profunctor, cartesian_cell, cells_between,
 from . import zoo
 
 
-class OracleDisagreement(Exception):
+class InvariantViolation(Exception):
+    """A computed construction lacks a property it has by theory."""
+
+
+class OracleDisagreement(InvariantViolation):
     """Two independent decision procedures returned different verdicts."""
 
 
@@ -93,6 +97,16 @@ def elements_category(j, a):
     return cat, proj, oid
 
 
+def _unique_mediator(lim, cone, where):
+    """The morphism from the cone's apex through which the cone factors
+    over the limit cone lim, which exists and is unique by theory."""
+    med = mediating_morphisms(lim, cone)
+    if len(med) != 1:
+        raise InvariantViolation(f"limit universal property violated {where}: "
+                                 f"{len(med)} mediating morphisms")
+    return med[0]
+
+
 def pointwise_ran(j, d):
     """Compute the pointwise right extension of d along J objectwise as a
     limit over the category of elements; raises NoLimit naming the object
@@ -119,9 +133,7 @@ def pointwise_ran(j, d):
             pulled = j.act_left(u, a2, b, x2)
             legs[key] = terminal_cones[a].legs[keys[a][(b, pulled)]]
         cone = Cone(terminal_cones[a2].diagram, r_obj[a], legs)
-        med = mediating_morphisms(terminal_cones[a2], cone)
-        assert len(med) == 1, f"limit universal property violated at {u}"
-        r_mor[u] = med[0]
+        r_mor[u] = _unique_mediator(terminal_cones[a2], cone, f"at {u}")
     r = Functor(f"ran({d.name},{j.name})", ac, mc, r_obj, r_mor)
     comp = {}
     for a, b, x in j.elements():
@@ -311,8 +323,9 @@ def is_right_exact(cell, mode="pointwise", probe_cats=None):
     exhibit r . f as a (pointwise) right extension of d . g along J.
 
     Quantifying over all targets is impossible, so the verdict is relative
-    to the probe set; the default probes every category with at most two
-    objects and four morphisms plus the parallel pair.
+    to the probe set; the default is zoo.probe_categories(): the terminal
+    category, the walking arrow, the discrete category on two objects and
+    the parallel pair.
     """
     if probe_cats is None:
         probe_cats = zoo.probe_categories()
@@ -371,8 +384,7 @@ def initial_mediating_iso(g, d):
     # the d-limit restricts to a cone over d . g
     cone_r = Cone(restricted, lim_d.apex,
                   {b: lim_d.legs[g.obj[b]] for b in g.source.objects})
-    fwd = mediating_morphisms(lim_r, cone_r)
-    assert len(fwd) == 1
+    fwd = _unique_mediator(lim_r, cone_r, f"into lim {restricted.name}")
     # initiality: the restricted limit carries a unique cone over d
     legs = {}
     for x in d.source.objects:
@@ -383,7 +395,9 @@ def initial_mediating_iso(g, d):
         u = comma.components[cobj]
         legs[x] = mc.compose(d.mor[u], lim_r.legs[b])
     cone_d = Cone(d, lim_r.apex, legs)
-    assert not cone_d.validate()
-    bwd = mediating_morphisms(lim_d, cone_d)
-    assert len(bwd) == 1
-    return fwd[0], bwd[0]
+    problems = cone_d.validate()
+    if problems:
+        raise InvariantViolation(
+            f"restricted limit gives no cone over {d.name}: {problems}")
+    bwd = _unique_mediator(lim_d, cone_d, f"into lim {d.name}")
+    return fwd, bwd

@@ -10,7 +10,6 @@ explicitly and every universal property is replayed by enumeration.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from .fincat import FinCategory, all_functors
@@ -408,12 +407,42 @@ def validate_internal_transformation(t):
 
 
 def all_internal_transformations(j, k, f, g):
+    """Every transformation J -> K over (f, g), named t0, t1, ... in the
+    lexicographic order of their images listed along j.het.
+
+    A backtracking search with forward checking: the elements of j.het are
+    bound in order, each to an element of its fiber of k.het in k.het
+    order, and each naturality equation is tested as soon as both of its
+    elements are bound."""
+    pos = {x: i for i, x in enumerate(j.het)}
+    by_ends = {}
+    for y in k.het:
+        by_ends.setdefault((k.d0[y], k.d1[y]), []).append(y)
+    fibers = [by_ends.get((f.obj_map[j.d0[x]], g.obj_map[j.d1[x]]), [])
+              for x in j.het]
+    # t(v) == u . t(x) for left actions, t(v) == t(x) . w for right ones,
+    # filed under the later of x and v
+    lefts = [[] for _ in j.het]
+    rights = [[] for _ in j.het]
+    for (u, x), v in j.l.items():
+        lefts[max(pos[x], pos[v])].append((v, f.arr_map[u], x))
+    for (x, w), v in j.r.items():
+        rights[max(pos[x], pos[v])].append((v, x, g.arr_map[w]))
     out = []
-    for pick in itertools.product(k.het, repeat=len(j.het)):
-        cand = InternalTransformation(f"t{len(out)}", j, k, f, g,
-                                      dict(zip(j.het, pick)))
-        if not validate_internal_transformation(cand):
-            out.append(cand)
+    t = {}
+
+    def extend(i):
+        if i == len(j.het):
+            out.append(InternalTransformation(f"t{len(out)}", j, k, f, g,
+                                              dict(t)))
+            return
+        for y in fibers[i]:
+            t[j.het[i]] = y
+            if all(t[v] == k.l[(fu, t[x])] for v, fu, x in lefts[i]) and \
+                    all(t[v] == k.r[(t[x], gw)] for v, x, gw in rights[i]):
+                extend(i + 1)
+
+    extend(0)
     return out
 
 
@@ -545,15 +574,18 @@ def verify_internal_tabulation(t, probes=None):
         probes = default_internal_probes()
     j = t.j
     a, b = j.source, j.target
+    ua, ub = unit_internal_prof(a), unit_internal_prof(b)
+    ut = unit_internal_prof(t.category)
     checked = {"one_dimensional": 0, "two_dimensional": 0, "opcartesian": 0}
 
     factored = {}
     for x in probes:
         ux = unit_internal_prof(x)
+        into_t = all_internal_functors(x, t.category)
         for phi_a in all_internal_functors(x, a):
             for phi_b in all_internal_functors(x, b):
                 for phi in all_internal_transformations(ux, j, phi_a, phi_b):
-                    hits = [f for f in all_internal_functors(x, t.category)
+                    hits = [f for f in into_t
                             if internal_compose(t.proj_left, f) == phi_a
                             and internal_compose(t.proj_right, f) == phi_b
                             and paste_onto_cell(t.cell, f).map == phi.map]
@@ -571,40 +603,41 @@ def verify_internal_tabulation(t, probes=None):
 
     for x in probes:
         ux = unit_internal_prof(x)
-        ua, ub = unit_internal_prof(a), unit_internal_prof(b)
-        ut = unit_internal_prof(t.category)
         pairs = [(k[1], k[2], k[3], v) for k, v in factored.items()
                  if k[0] == id(x)]
         for (phi_a, phi_b, phi, fac1) in pairs:
             phi0 = transf_object_part(phi)
             for (psi_a, psi_b, psi, fac2) in pairs:
                 psi0 = transf_object_part(psi)
-                for xi_a in all_internal_transformations(ux, ua, phi_a, psi_a):
-                    for xi_b in all_internal_transformations(ux, ub, phi_b, psi_b):
-                        if any(j.l[(xi_a.map[h], psi0[x.d1[h]])] !=
-                               j.r[(phi0[x.d0[h]], xi_b.map[h])]
-                               for h in x.arr):
-                            continue
-                        hits = [xi for xi in all_internal_transformations(
-                                    ux, ut, fac1, fac2)
-                                if whisker_projection(t.proj_left, xi).map == xi_a.map
-                                and whisker_projection(t.proj_right, xi).map == xi_b.map]
-                        if len(hits) != 1:
-                            return False, {"stage": "two-dimensional",
-                                           "probe": x.name, "count": len(hits)}
-                        checked["two_dimensional"] += 1
+                squares = [
+                    (xi_a, xi_b)
+                    for xi_a in all_internal_transformations(ux, ua, phi_a, psi_a)
+                    for xi_b in all_internal_transformations(ux, ub, phi_b, psi_b)
+                    if all(j.l[(xi_a.map[h], psi0[x.d1[h]])] ==
+                           j.r[(phi0[x.d0[h]], xi_b.map[h])] for h in x.arr)]
+                lifts = (all_internal_transformations(ux, ut, fac1, fac2)
+                         if squares else [])
+                for xi_a, xi_b in squares:
+                    hits = [xi for xi in lifts
+                            if whisker_projection(t.proj_left, xi).map == xi_a.map
+                            and whisker_projection(t.proj_right, xi).map == xi_b.map]
+                    if len(hits) != 1:
+                        return False, {"stage": "two-dimensional",
+                                       "probe": x.name, "count": len(hits)}
+                    checked["two_dimensional"] += 1
 
     # opcartesianness of the defining transformation: cells out of unit(T)
     # over factored boundaries correspond to cells out of J
-    ut = unit_internal_prof(t.category)
     for c in probes:
         k = unit_internal_prof(c)
         for f in all_internal_functors(a, c):
             for g in all_internal_functors(b, c):
                 fa = internal_compose(f, t.proj_left)
                 gb = internal_compose(g, t.proj_right)
-                for chi in all_internal_transformations(ut, k, fa, gb):
-                    hits = [cp for cp in all_internal_transformations(j, k, f, g)
+                chis = all_internal_transformations(ut, k, fa, gb)
+                cells = all_internal_transformations(j, k, f, g) if chis else []
+                for chi in chis:
+                    hits = [cp for cp in cells
                             if all(cp.map[t.cell.map[w]] == chi.map[w]
                                    for w in t.category.arr)]
                     if len(hits) != 1:

@@ -73,8 +73,8 @@ def bang(cat, name=None):
 
 
 def probe_categories():
-    """Default probe set: every stock category with at most 2 objects and
-    4 morphisms, plus the parallel pair."""
+    """Default probe set: the terminal category, the walking arrow, the
+    discrete category on two objects and the parallel pair."""
     return [terminal_category(), walking_arrow(), discrete(2), parallel_pair()]
 
 

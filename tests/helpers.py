@@ -2,11 +2,11 @@
 
 import itertools
 
-from dblcat.fincat import all_functors, identity_functor
+from dblcat.fincat import all_functors, identity_functor, make_category
 from dblcat.prof import (Cell, cells_between, companion, compose_prof,
                          conjoint, family_id, pair_id, restrict, rhom,
                          unit_prof)
-from dblcat import zoo
+from dblcat import spanfin, zoo
 
 
 def profunctor_corpus():
@@ -20,6 +20,37 @@ def profunctor_corpus():
     out += [companion(f) for f in all_functors(pp, two)]
     out += [conjoint(f) for f in all_functors(two, two)]
     return out
+
+
+def internal_profunctor_corpus():
+    """The bridged profunctor corpus plus the unit internal profunctor of
+    every corpus category."""
+    return ([spanfin.prof_bridge(p) for p in profunctor_corpus()] +
+            [spanfin.unit_internal_prof(spanfin.from_fincat(c))
+             for c in zoo.corpus_categories()])
+
+
+def internal_transformations_oracle(j, k, f, g):
+    """Every transformation J -> K over (f, g) by validating the whole
+    product of k.het over j.het, in product order."""
+    out = []
+    for pick in itertools.product(k.het, repeat=len(j.het)):
+        cand = spanfin.InternalTransformation(f"t{len(out)}", j, k, f, g,
+                                              dict(zip(j.het, pick)))
+        if not spanfin.validate_internal_transformation(cand):
+            out.append(cand)
+    return out
+
+
+def chain(n):
+    """The ordinal [n]: objects 0 < 1 < ... < n-1, one arrow a<i>_<j> for
+    each i < j."""
+    return make_category(
+        f"Ord{n}", tuple(str(i) for i in range(n)),
+        {f"a{i}_{j}": (str(i), str(j))
+         for i in range(n) for j in range(i + 1, n)},
+        {(f"a{j}_{k}", f"a{i}_{j}"): f"a{i}_{k}"
+         for i in range(n) for j in range(i + 1, n) for k in range(j + 1, n)})
 
 
 def composable_pairs(limit=40):

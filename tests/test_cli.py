@@ -152,3 +152,26 @@ def test_mismatched_boundaries_are_usage_errors(capsys):
     code, _, err = run(capsys, "comma", FIXTURE, "Emb", "IdTwo")
     assert code == 2
     assert "share a target" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["internal-tabulate", FIXTURE, "HomTwo", "--probe-max-objects", "0"],
+    ["tabulate", FIXTURE, "HomTwo", "--probe-max-objects", "0"],
+    ["exact", FIXTURE, "collapse", "--probe-max-objects", "-1"],
+    ["--probe-max-objects", "0", "exact", FIXTURE, "collapse"],
+])
+def test_probe_bound_below_one_is_usage_error(capsys, argv):
+    # no probe category has fewer than one object, so such a run would
+    # report a verdict resting on no evidence
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "at least 1" in err
+
+
+def test_invariant_violation_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(cli.kan, "mediating_morphisms", lambda lim, cone: [])
+    code, out, err = run(capsys, "ran", FIXTURE, "HomTwo", "Collapse")
+    assert code == 3
+    assert out == ""
+    assert "limit universal property violated" in err

@@ -181,3 +181,15 @@ def test_initial_mediating_iso_for_picks():
         apex = d.obj["0"]
         assert three.compose(bwd, fwd) == three.identity(apex)
         assert three.compose(fwd, bwd) == three.identity(apex)
+
+
+def test_violated_limit_property_raises(monkeypatch):
+    # the checks survive python -O, unlike the asserts they replace
+    two, three = zoo.walking_arrow(), zoo.composable_pair()
+    emb = next(g for g in all_functors(two, three)
+               if g.obj == {"0": "0", "1": "1"})
+    monkeypatch.setattr(kan, "mediating_morphisms", lambda lim, cone: [])
+    with pytest.raises(kan.InvariantViolation):
+        kan.pointwise_ran(unit_prof(two), emb)
+    with pytest.raises(kan.InvariantViolation):
+        kan.initial_mediating_iso(emb, identity_functor(three))

@@ -1,3 +1,7 @@
+import itertools
+
+import pytest
+
 import helpers
 from dblcat import spanfin, tab, zoo
 from dblcat.fincat import (all_functors, find_isomorphism, identity_functor,
@@ -135,3 +139,41 @@ def test_incompatible_object_part_is_rejected():
     phi0 = {"0": "(0|1_0|0)", "1": "(1|1_1|1)"}
     assert spanfin.transf_from_object_part(x, k, f, g, phi0) is None
     assert spanfin.transf_from_object_part(x, k, f, f, phi0) is not None
+
+
+def test_transformation_search_matches_product_oracle():
+    # every boundary pair whose product has at most 216 candidates, since
+    # the product loop validates each of them; the bound keeps 5,889 of the
+    # corpus's 9,813 boundary pairs
+    compared = 0
+    corpus = helpers.internal_profunctor_corpus()
+    for j in corpus:
+        for k in corpus:
+            if len(k.het) ** len(j.het) > 216:
+                continue
+            for f in spanfin.all_internal_functors(j.source, k.source):
+                for g in spanfin.all_internal_functors(j.target, k.target):
+                    got = spanfin.all_internal_transformations(j, k, f, g)
+                    want = helpers.internal_transformations_oracle(j, k, f, g)
+                    assert [(t.name, t.map) for t in got] == \
+                        [(t.name, t.map) for t in want]
+                    compared += 1
+    assert compared > 5000
+
+
+@pytest.mark.parametrize("n, one_dimensional", [(2, 15), (3, 46)])
+def test_verify_internal_tabulation_of_chains(n, one_dimensional):
+    # each one-dimensional check is one functor X -> T from a probe X into
+    # the poset T of pairs i <= j: one per object of T from the terminal
+    # category, one per arrow of T (identities included) from the walking
+    # arrow and from the parallel pair alike
+    arrows = sum(1 for i, j, i2, j2 in itertools.product(range(n), repeat=4)
+                 if i <= j and i <= i2 and j <= j2 and i2 <= j2)
+    assert n * (n + 1) // 2 + 2 * arrows == one_dimensional
+    t = spanfin.internal_tabulate(
+        spanfin.prof_bridge(unit_prof(helpers.chain(n))))
+    ok, checked = spanfin.verify_internal_tabulation(t)
+    assert ok, checked
+    assert checked["one_dimensional"] == one_dimensional
+    assert checked["two_dimensional"] > 0
+    assert checked["opcartesian"] > 0
