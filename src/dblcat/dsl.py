@@ -392,12 +392,8 @@ class Parser:
                         changed = True
         action = {}
         for j, (a, b) in home.items():
-            for u in src.morphisms:
-                if src.tgt[u] != a:
-                    continue
-                for v in tgt.morphisms:
-                    if tgt.src[v] != b:
-                        continue
+            for u in src.into(a):
+                for v in tgt.out_of(b):
                     out = table.get((u, j, v))
                     if out is None:
                         self.error(
@@ -493,13 +489,13 @@ def serialize(ws):
         for a, b, j in prof.elements():
             out.append(f"  elt {j} : {a} -/-> {b};")
         for a, b, j in prof.elements():
-            for u in prof.source.morphisms:
-                if prof.source.tgt[u] != a or prof.source.is_identity(u):
+            for u in prof.source.into(a):
+                if prof.source.is_identity(u):
                     continue
                 out.append(f"  act 1_{b} . {j} . {u} = "
                            f"{prof.act_left(u, a, b, j)};")
-            for v in prof.target.morphisms:
-                if prof.target.src[v] != b or prof.target.is_identity(v):
+            for v in prof.target.out_of(b):
+                if prof.target.is_identity(v):
                     continue
                 out.append(f"  act {v} . {j} . 1_{a} = "
                            f"{prof.act_right(a, b, j, v)};")

@@ -5,6 +5,12 @@ enumeration.
 Objects and morphisms are interned string identifiers.  The order in which
 they are listed is a total order that every enumeration below respects, so
 all constructions are deterministic.
+
+Every FinCategory indexes its morphisms once, when it is built: by both
+endpoints (``hom``), by target (``into``) and by source (``out_of``).  Each
+index lists morphisms in the interned order, so iterating an index visits
+exactly the morphisms, and in the order, that a filtered scan of
+``morphisms`` would.
 """
 
 from __future__ import annotations
@@ -24,6 +30,12 @@ class FinCategory:
     ``src``/``tgt`` assign endpoints to morphisms, ``identities`` maps each
     object to its identity morphism and ``table[(g, f)]`` is the composite
     ``g . f`` (``f`` first), defined exactly when ``tgt[f] == src[g]``.
+
+    ``hom(a, b)``, ``into(b)`` and ``out_of(a)`` read indexes built once by
+    ``__post_init__`` from ``src`` and ``tgt``, which must not change
+    afterwards.  Each lists morphisms in the interned order of
+    ``morphisms``.  The indexes are derived data: they take no part in
+    equality, hashing or repr.
     """
 
     name: str = field(compare=False)
@@ -33,6 +45,21 @@ class FinCategory:
     tgt: dict
     identities: dict
     table: dict
+    _hom: dict = field(init=False, compare=False, repr=False)
+    _into: dict = field(init=False, compare=False, repr=False)
+    _out_of: dict = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        hom, into, out_of = {}, {}, {}
+        for m in self.morphisms:
+            # .get: validate_category reports endpoints that are missing
+            a, b = self.src.get(m), self.tgt.get(m)
+            hom.setdefault((a, b), []).append(m)
+            into.setdefault(b, []).append(m)
+            out_of.setdefault(a, []).append(m)
+        for attr, index in (("_hom", hom), ("_into", into), ("_out_of", out_of)):
+            object.__setattr__(self, attr,
+                               {k: tuple(v) for k, v in index.items()})
 
     def __hash__(self):
         return hash((self.objects, self.morphisms))
@@ -51,12 +78,20 @@ class FinCategory:
 
     def hom(self, a, b):
         """Morphisms a -> b, in the interned order."""
-        return tuple(m for m in self.morphisms
-                     if self.src[m] == a and self.tgt[m] == b)
+        return self._hom.get((a, b), ())
+
+    def into(self, b):
+        """Morphisms with target b, in the interned order."""
+        return self._into.get(b, ())
+
+    def out_of(self, a):
+        """Morphisms with source a, in the interned order."""
+        return self._out_of.get(a, ())
 
     def composable_pairs(self):
-        return [(g, f) for g in self.morphisms for f in self.morphisms
-                if self.tgt[f] == self.src[g]]
+        """Every pair (g, f) with ``tgt[f] == src[g]``: g in the interned
+        order, then f in the interned order."""
+        return [(g, f) for g in self.morphisms for f in self.into(self.src[g])]
 
 
 def validate_category(cat):
@@ -96,12 +131,8 @@ def validate_category(cat):
             if cat.table.get((i, f)) != f:
                 problems.append(f"left unit law fails for {f}")
     for h in cat.morphisms:
-        for g in cat.morphisms:
-            if cat.tgt.get(g) != cat.src.get(h):
-                continue
-            for f in cat.morphisms:
-                if cat.tgt.get(f) != cat.src.get(g):
-                    continue
+        for g in cat.into(cat.src.get(h)):
+            for f in cat.into(cat.src.get(g)):
                 try:
                     left = cat.table[(cat.table[(h, g)], f)]
                     right = cat.table[(h, cat.table[(g, f)])]
@@ -335,19 +366,17 @@ def comma_category(f, g):
                     pair_of[mid] = (p, q, oid, oid2)
     composites = {}
     cat_stub = make_category(f"{f.name}/{g.name}", obj_ids, arrows)
-    for m2 in arrows:
-        for m1 in arrows:
-            p1, q1, s1, t1 = pair_of[m1]
-            p2, q2, s2, t2 = pair_of[m2]
-            if t1 != s2:
-                continue
-            p = ccat.compose(p2, p1)
-            q = dcat.compose(q2, q1)
-            if ccat.is_identity(p) and dcat.is_identity(q) and s1 == t2:
-                comp = cat_stub.identity(s1)
-            else:
-                comp = f"[{p},{q}]:{s1}->{t2}"
-            composites[(m2, m1)] = comp
+    for m2, m1 in cat_stub.composable_pairs():
+        if m2 not in pair_of or m1 not in pair_of:
+            continue  # composites with identities are implicit
+        p1, q1, s1, _ = pair_of[m1]
+        p2, q2, _, t2 = pair_of[m2]
+        p = ccat.compose(p2, p1)
+        q = dcat.compose(q2, q1)
+        if ccat.is_identity(p) and dcat.is_identity(q) and s1 == t2:
+            composites[(m2, m1)] = cat_stub.identity(s1)
+        else:
+            composites[(m2, m1)] = f"[{p},{q}]:{s1}->{t2}"
     cat = make_category(f"{f.name}/{g.name}", obj_ids, arrows, composites)
     proj_l_obj = {oid: by_id[oid][0] for oid in obj_ids}
     proj_r_obj = {oid: by_id[oid][2] for oid in obj_ids}
@@ -376,11 +405,12 @@ def is_connected(cat):
     frontier = [cat.objects[0]]
     while frontier:
         o = frontier.pop()
-        for m in cat.morphisms:
-            for a, b in ((cat.src[m], cat.tgt[m]), (cat.tgt[m], cat.src[m])):
-                if a == o and b not in seen:
-                    seen.add(b)
-                    frontier.append(b)
+        neighbours = [cat.tgt[m] for m in cat.out_of(o)] + \
+            [cat.src[m] for m in cat.into(o)]
+        for b in neighbours:
+            if b not in seen:
+                seen.add(b)
+                frontier.append(b)
     return len(seen) == len(cat.objects)
 
 

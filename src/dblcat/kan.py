@@ -19,7 +19,7 @@ from .fincat import (FinCategory, Functor, NatTransf, NoLimit, all_functors,
                      make_category, mediating_morphisms, Cone)
 from .prof import (Cell, Profunctor, cartesian_cell, cells_between,
                    componentwise_bijective, compose_prof, conjoint,
-                   family_id, lower_star, pair_id, rhom, unit_prof,
+                   family_id, lower_star, rhom, unit_prof,
                    validate_cell, vcompose)
 from . import zoo
 
@@ -65,8 +65,8 @@ def elements_category(j, a):
     arrows = {}
     data = {}
     for (b, x) in objs:
-        for v in bc.morphisms:
-            if bc.src[v] != b or bc.is_identity(v):
+        for v in bc.out_of(b):
+            if bc.is_identity(v):
                 continue
             b2 = bc.tgt[v]
             x2 = j.act_right(a, b, x, v)
@@ -75,15 +75,16 @@ def elements_category(j, a):
             data[mid] = (v, (b, x), (b2, x2))
     stub = make_category(f"el({j.name},{a})", [oid[o] for o in objs], arrows)
     composites = {}
-    for m2, (v2, s2, t2) in data.items():
-        for m1, (v1, s1, t1) in data.items():
-            if t1 != s2:
-                continue
-            v = bc.compose(v2, v1)
-            if bc.is_identity(v) and s1 == t2:
-                composites[(m2, m1)] = stub.identity(oid[s1])
-            else:
-                composites[(m2, m1)] = f"[{v}]@{oid[s1]}"
+    for m2, m1 in stub.composable_pairs():
+        if m2 not in data or m1 not in data:
+            continue  # composites with identities are implicit
+        v1, s1, _ = data[m1]
+        v2, _, t2 = data[m2]
+        v = bc.compose(v2, v1)
+        if bc.is_identity(v) and s1 == t2:
+            composites[(m2, m1)] = stub.identity(oid[s1])
+        else:
+            composites[(m2, m1)] = f"[{v}]@{oid[s1]}"
     cat = make_category(f"el({j.name},{a})", [oid[o] for o in objs],
                         arrows, composites)
     proj_obj = {oid[o]: o[0] for o in objs}
@@ -264,11 +265,9 @@ def composite_candidate(gamma, cand):
     j, h = gamma.hsrc, cand.j
     mc = cand.d.target
     jh, wit = compose_prof(j, h)
-    by_id = {key: {pair_id(*r): r for r in set(cls.values())}
-             for key, cls in wit.classes.items()}
     comp = {}
     for a, b, cid in jh.elements():
-        mid, x, y = by_id[(a, b)][cid]
+        mid, x, y = wit.least(a, b, cid)
         comp[(a, b, cid)] = mc.compose(cand.eps.comp[(mid, b, y)],
                                        gamma.comp[(a, mid, x)])
     eps = Cell(f"({gamma.name};{cand.eps.name})", jh, unit_prof(mc),
@@ -376,7 +375,9 @@ def is_initial_functor(g):
 def initial_mediating_iso(g, d):
     """For initial g and a diagram d : D -> M whose restriction along g has
     a limit, return the pair of mediating morphisms comparing the two
-    limits; both composites are identities when both limits exist."""
+    limits; both composites are identities when both limits exist.  Raises
+    ValueError when g is visibly not initial: some comma category g / x is
+    empty."""
     mc = d.target
     restricted = compose_functors(d, g)
     lim_d = limit(d)
@@ -389,6 +390,9 @@ def initial_mediating_iso(g, d):
     legs = {}
     for x in d.source.objects:
         comma = comma_category(g, zoo.pick(g.target, x))
+        if not comma.category.objects:
+            raise ValueError(f"{g.name} is not initial: its comma category "
+                             f"over the object {x} is empty")
         # any comma object (b, u, *) induces the same leg d(u) . leg_b
         cobj = comma.category.objects[0]
         b = comma.proj_left.obj[cobj]

@@ -63,12 +63,8 @@ def validate_profunctor(p):
         if a not in ac.objects or b not in bc.objects:
             problems.append(f"fiber at ({a}, {b}) outside the boundary categories")
     for a, b, j in p.elements():
-        for u in ac.morphisms:
-            if ac.tgt[u] != a:
-                continue
-            for v in bc.morphisms:
-                if bc.src[v] != b:
-                    continue
+        for u in ac.into(a):
+            for v in bc.out_of(b):
                 out = p.action.get((u, a, b, j, v))
                 if out is None:
                     problems.append(f"action missing on ({u}, {j}, {v})")
@@ -77,23 +73,15 @@ def validate_profunctor(p):
         if p.action.get((ac.identity(a), a, b, j, bc.identity(b))) != j:
             problems.append(f"identity action moves {j}")
     for a, b, j in p.elements():
-        for u1 in ac.morphisms:
-            if ac.tgt[u1] != a:
-                continue
+        for u1 in ac.into(a):
             a1 = ac.src[u1]
-            for v1 in bc.morphisms:
-                if bc.src[v1] != b:
-                    continue
+            for v1 in bc.out_of(b):
                 b1 = bc.tgt[v1]
                 mid = p.action.get((u1, a, b, j, v1))
                 if mid is None:
                     continue
-                for u2 in ac.morphisms:
-                    if ac.tgt[u2] != a1:
-                        continue
-                    for v2 in bc.morphisms:
-                        if bc.src[v2] != b1:
-                            continue
+                for u2 in ac.into(a1):
+                    for v2 in bc.out_of(b1):
                         two_step = p.action.get((u2, a1, b1, mid, v2))
                         one_step = p.action.get((ac.compose(u1, u2), a, b, j,
                                                  bc.compose(v2, v1)))
@@ -112,14 +100,10 @@ def build_action(source, target, fibers, left, right):
     action = {}
     for (a, b), elems in fibers.items():
         for j in elems:
-            for u in source.morphisms:
-                if source.tgt[u] != a:
-                    continue
+            for u in source.into(a):
                 ju = left[(u, a, b, j)]
                 a2 = source.src[u]
-                for v in target.morphisms:
-                    if target.src[v] != b:
-                        continue
+                for v in target.out_of(b):
                     action[(u, a, b, j, v)] = right[(a2, b, ju, v)]
     return action
 
@@ -128,17 +112,14 @@ def unit_prof(cat):
     """The unit (hom) profunctor of a category."""
     fibers = {(a, b): cat.hom(a, b) for a in cat.objects for b in cat.objects
               if cat.hom(a, b)}
+    table = cat.table     # every pair below is composable by construction
     action = {}
     for (a, b), elems in fibers.items():
         for j in elems:
-            for u in cat.morphisms:
-                if cat.tgt[u] != a:
-                    continue
-                ju = cat.compose(j, u)
-                for v in cat.morphisms:
-                    if cat.src[v] != b:
-                        continue
-                    action[(u, a, b, j, v)] = cat.compose(v, ju)
+            for u in cat.into(a):
+                ju = table[(j, u)]
+                for v in cat.out_of(b):
+                    action[(u, a, b, j, v)] = table[(v, ju)]
     return Profunctor(f"1_{cat.name}", cat, cat, fibers, action)
 
 
@@ -154,13 +135,9 @@ def companion(f):
     action = {}
     for (a, c), elems in fibers.items():
         for j in elems:
-            for u in ac.morphisms:
-                if ac.tgt[u] != a:
-                    continue
+            for u in ac.into(a):
                 ju = cc.compose(j, f.mor[u])
-                for v in cc.morphisms:
-                    if cc.src[v] != c:
-                        continue
+                for v in cc.out_of(c):
                     action[(u, a, c, j, v)] = cc.compose(v, ju)
     return Profunctor(f"{f.name}_*", ac, cc, fibers, action)
 
@@ -173,13 +150,9 @@ def conjoint(f):
     action = {}
     for (c, a), elems in fibers.items():
         for j in elems:
-            for u in cc.morphisms:
-                if cc.tgt[u] != c:
-                    continue
+            for u in cc.into(c):
                 ju = cc.compose(j, u)
-                for v in ac.morphisms:
-                    if ac.src[v] != a:
-                        continue
+                for v in ac.out_of(a):
                     action[(u, c, a, j, v)] = cc.compose(f.mor[v], ju)
     return Profunctor(f"{f.name}^*", cc, ac, fibers, action)
 
@@ -238,12 +211,8 @@ def validate_cell(c):
     if problems:
         return problems
     for a, b, x in j.elements():
-        for u in j.source.morphisms:
-            if j.source.tgt[u] != a:
-                continue
-            for v in j.target.morphisms:
-                if j.target.src[v] != b:
-                    continue
+        for u in j.source.into(a):
+            for v in j.target.out_of(b):
                 a2, b2 = j.source.src[u], j.target.tgt[v]
                 lhs = c.comp[(a2, b2, j.act(u, a, b, x, v))]
                 rhs = k.act(f.mor[u], f.obj[a], g.obj[b], c.comp[(a, b, x)], g.mor[v])
@@ -320,12 +289,18 @@ def pair_id(b, j, h):
 @dataclass(frozen=True, eq=True)
 class CoendWitness:
     """Quotient data of a composite: for every boundary pair (a, e), the map
-    from raw pairs (b, j, h) to the least member of their class."""
+    from raw pairs (b, j, h) to the least member of their class, and the
+    inverse of the naming ``pair_id`` on those least members."""
 
     left: Profunctor
     right: Profunctor
     composite: Profunctor
     classes: dict          # (a, e) -> {(b, j, h): (b0, j0, h0)}
+    named: dict = field(compare=False, repr=False)  # (a, e) -> {id: (b0, j0, h0)}
+
+    def least(self, a, e, cls_id):
+        """The least pair (b, j, h) of the class named cls_id at (a, e)."""
+        return self.named[(a, e)][cls_id]
 
     def rep(self, a, e, b, j, h):
         return self.classes[(a, e)][(b, j, h)]
@@ -358,6 +333,7 @@ def compose_prof(j, h):
         return k
 
     classes = {}
+    named = {}
     fibers = {}
     for a in ac.objects:
         for e in ec.objects:
@@ -385,28 +361,23 @@ def compose_prof(j, h):
                     cls[p] = least
             classes[(a, e)] = cls
             fiber = sorted({least for least in cls.values()}, key=kf)
+            named[(a, e)] = {pair_id(*p): p for p in fiber}
             if fiber:
-                fibers[(a, e)] = tuple(pair_id(*p) for p in fiber)
-    by_id = {(a, e): {pair_id(*r): r for r in set(cls.values())}
-             for (a, e), cls in classes.items()}
+                fibers[(a, e)] = tuple(named[(a, e)])
     action = {}
     for (a, e), elems in fibers.items():
         for cid in elems:
-            b, x, y = by_id[(a, e)][cid]
-            for u in ac.morphisms:
-                if ac.tgt[u] != a:
-                    continue
+            b, x, y = named[(a, e)][cid]
+            for u in ac.into(a):
                 a2 = ac.src[u]
                 xu = j.act_left(u, a, b, x)
-                for w in ec.morphisms:
-                    if ec.src[w] != e:
-                        continue
+                for w in ec.out_of(e):
                     e2 = ec.tgt[w]
                     yw = h.act_right(b, e, y, w)
                     rep = classes[(a2, e2)][(b, xu, yw)]
                     action[(u, a, e, cid, w)] = pair_id(*rep)
     composite = Profunctor(f"({j.name}*{h.name})", ac, ec, fibers, action)
-    return composite, CoendWitness(j, h, composite, classes)
+    return composite, CoendWitness(j, h, composite, classes, named)
 
 
 def coend_classes_oracle(j, h, a, e):
@@ -451,12 +422,9 @@ def hcompose(left, right, src_witness=None, tgt_witness=None):
         _, tgt_witness = compose_prof(left.htgt, right.htgt)
     f, g, h = left.vsrc, left.vtgt, right.vtgt
     jh, kl = src_witness.composite, tgt_witness.composite
-    by_id = {}
-    for (a, e), cls in src_witness.classes.items():
-        by_id[(a, e)] = {pair_id(*r): r for r in set(cls.values())}
     comp = {}
     for a, e, cid in jh.elements():
-        b, x, y = by_id[(a, e)][cid]
+        b, x, y = src_witness.least(a, e, cid)
         comp[(a, e, cid)] = tgt_witness.class_id(
             f.obj[a], h.obj[e], g.obj[b],
             left.comp[(a, b, x)], right.comp[(b, e, y)])
@@ -531,11 +499,9 @@ def left_unitor(p, witness=None):
     if witness is None:
         _, witness = compose_prof(unit_prof(p.source), p)
     up = witness.composite
-    by_id = {(a, b): {pair_id(*r): r for r in set(cls.values())}
-             for (a, b), cls in witness.classes.items()}
     comp = {}
     for a, b, cid in up.elements():
-        mid, u, x = by_id[(a, b)][cid]
+        mid, u, x = witness.least(a, b, cid)
         comp[(a, b, cid)] = p.act_left(u, mid, b, x)
     return Cell(f"lu_{p.name}", up, p,
                 identity_functor(p.source), identity_functor(p.target), comp)
@@ -546,11 +512,9 @@ def right_unitor(p, witness=None):
     if witness is None:
         _, witness = compose_prof(p, unit_prof(p.target))
     pu = witness.composite
-    by_id = {(a, b): {pair_id(*r): r for r in set(cls.values())}
-             for (a, b), cls in witness.classes.items()}
     comp = {}
     for a, b, cid in pu.elements():
-        mid, x, v = by_id[(a, b)][cid]
+        mid, x, v = witness.least(a, b, cid)
         comp[(a, b, cid)] = p.act_right(a, mid, x, v)
     return Cell(f"ru_{p.name}", pu, p,
                 identity_functor(p.source), identity_functor(p.target), comp)
@@ -562,14 +526,10 @@ def associator(j, h, k):
     jh_k, w_left = compose_prof(jh, k)
     hk, whk = compose_prof(h, k)
     j_hk, w_right = compose_prof(j, hk)
-    left_ids = {(a, z): {pair_id(*r): r for r in set(cls.values())}
-                for (a, z), cls in w_left.classes.items()}
-    jh_ids = {(a, e): {pair_id(*r): r for r in set(cls.values())}
-              for (a, e), cls in wjh.classes.items()}
     comp = {}
     for a, z, cid in jh_k.elements():
-        e, xy, y2 = left_ids[(a, z)][cid]          # xy in (J*H)(a, e), y2 in K(e, z)
-        b, x, y = jh_ids[(a, e)][xy]               # x in J(a, b), y in H(b, e)
+        e, xy, y2 = w_left.least(a, z, cid)        # xy in (J*H)(a, e), y2 in K(e, z)
+        b, x, y = wjh.least(a, e, xy)              # x in J(a, b), y in H(b, e)
         inner = whk.class_id(b, z, e, y, y2)       # class of (y, y2) in (H*K)(b, z)
         comp[(a, z, cid)] = w_right.class_id(a, z, b, x, inner)
     return Cell(f"assoc_{j.name}_{h.name}_{k.name}", jh_k, j_hk,
@@ -593,12 +553,8 @@ def restrict(k, f, g):
     action = {}
     for (a, b), elems in fibers.items():
         for x in elems:
-            for u in ac.morphisms:
-                if ac.tgt[u] != a:
-                    continue
-                for v in bc.morphisms:
-                    if bc.src[v] != b:
-                        continue
+            for u in ac.into(a):
+                for v in bc.out_of(b):
                     action[(u, a, b, x, v)] = k.act(
                         f.mor[u], f.obj[a], g.obj[b], x, g.mor[v])
     return Profunctor(f"{k.name}({f.name},{g.name})", ac, bc, fibers, action)
@@ -635,14 +591,7 @@ def opcartesian_cell(j, f, g):
 def is_cartesian(c):
     """A cell is cartesian iff its comparison with the canonical restriction
     cell is a componentwise bijection."""
-    f, g = c.vsrc, c.vtgt
-    for a in c.hsrc.source.objects:
-        for b in c.hsrc.target.objects:
-            imgs = [c.comp[(a, b, x)] for x in c.hsrc.fiber(a, b)]
-            tgt = c.htgt.fiber(f.obj[a], g.obj[b])
-            if len(set(imgs)) != len(imgs) or set(imgs) != set(tgt):
-                return False
-    return True
+    return componentwise_bijective(c)
 
 
 def is_opcartesian(c):
@@ -651,16 +600,12 @@ def is_opcartesian(c):
     f, g = c.vsrc, c.vtgt
     j, k = c.hsrc, c.htgt
     ext, w_inner, w_outer = extend(j, f, g)
-    outer_ids = {key: {pair_id(*r): r for r in set(cls.values())}
-                 for key, cls in w_outer.classes.items()}
-    inner_ids = {key: {pair_id(*r): r for r in set(cls.values())}
-                 for key, cls in w_inner.classes.items()}
     for cobj in f.target.objects:
         for dobj in g.target.objects:
             imgs = []
             for cid in ext.fiber(cobj, dobj):
-                a, p, inner = outer_ids[(cobj, dobj)][cid]     # p : c -> f a
-                b, x, q = inner_ids[(a, dobj)][inner]          # q : g b -> d
+                a, p, inner = w_outer.least(cobj, dobj, cid)   # p : c -> f a
+                b, x, q = w_inner.least(a, dobj, inner)        # q : g b -> d
                 val = k.act(p, f.obj[a], g.obj[b], c.comp[(a, b, x)], q)
                 imgs.append(val)
             tgt = k.fiber(cobj, dobj)
@@ -710,11 +655,9 @@ def lower_star(c):
     jg, w_src = compose_prof(j, companion(g))
     fk, w_tgt = compose_prof(companion(f), k)
     cc, dc = f.target, g.target
-    src_ids = {key: {pair_id(*r): r for r in set(cls.values())}
-               for key, cls in w_src.classes.items()}
     comp = {}
     for a, d, cid in jg.elements():
-        b, x, q = src_ids[(a, d)][cid]             # x in J(a, b), q : g b -> d
+        b, x, q = w_src.least(a, d, cid)           # x in J(a, b), q : g b -> d
         fa, gb = f.obj[a], g.obj[b]
         val = k.act(cc.identity(fa), fa, gb, c.comp[(a, b, x)], q)
         comp[(a, d, cid)] = w_tgt.class_id(a, d, fa, cc.identity(fa), val)
@@ -729,11 +672,9 @@ def upper_star(c):
     fj, w_src = compose_prof(conjoint(f), j)
     kg, w_tgt = compose_prof(k, conjoint(g))
     cc, dc = f.target, g.target
-    src_ids = {key: {pair_id(*r): r for r in set(cls.values())}
-               for key, cls in w_src.classes.items()}
     comp = {}
     for cobj, b, cid in fj.elements():
-        a, p, x = src_ids[(cobj, b)][cid]          # p : c -> f a, x in J(a, b)
+        a, p, x = w_src.least(cobj, b, cid)        # p : c -> f a, x in J(a, b)
         fa, gb = f.obj[a], g.obj[b]
         val = k.act(p, fa, gb, c.comp[(a, b, x)], dc.identity(gb))
         comp[(cobj, b, cid)] = w_tgt.class_id(cobj, b, gb, val, dc.identity(gb))
@@ -777,9 +718,7 @@ def rhom(k, h):
 
     def natural(a, b, fam):
         for e in ec.objects:
-            for w in ec.morphisms:
-                if ec.src[w] != e:
-                    continue
+            for w in ec.out_of(e):
                 e2 = ec.tgt[w]
                 for x in h.fiber(b, e):
                     moved = h.act_right(b, e, x, w)
@@ -811,13 +750,9 @@ def rhom(k, h):
     for (a, b), elems in fibers.items():
         for fid in elems:
             fam = families[(a, b)][fid]
-            for u in ac.morphisms:
-                if ac.tgt[u] != a:
-                    continue
+            for u in ac.into(a):
                 a2 = ac.src[u]
-                for v in bc.morphisms:
-                    if bc.src[v] != b:
-                        continue
+                for v in bc.out_of(b):
                     b2 = bc.tgt[v]
                     new = {}
                     for e in ec.objects:

@@ -313,13 +313,9 @@ def prof_bridge(p):
     l, r = {}, {}
     for e in het:
         x, y, j = locate[e]
-        for u in a.arr:
-            if a.d1[u] != x:
-                continue
+        for u in p.source.into(x):
             l[(u, e)] = f"({a.d0[u]}|{p.act_left(u, x, y, j)}|{y})"
-        for v in b.arr:
-            if b.d0[v] != y:
-                continue
+        for v in p.target.out_of(y):
             r[(e, v)] = f"({x}|{p.act_right(x, y, j, v)}|{b.d1[v]})"
     return InternalProfunctor(f"br_{p.name}", a, b, tuple(het), d0, d1, l, r)
 
@@ -527,12 +523,13 @@ def internal_tabulate(j):
     return InternalTabulation(j, cat, pl, pr, cell)
 
 
-def whisker_projection(p, xi):
+def whisker_projection(p, xi, unit):
     """Post-compose a transformation into a unit profunctor with an
-    internal functor out of that category."""
+    internal functor out of that category; ``unit`` is
+    ``unit_internal_prof(p.target)``, which callers build once."""
     src = xi.hsrc
     return InternalTransformation(
-        f"({p.name}.{xi.name})", src, unit_internal_prof(p.target),
+        f"({p.name}.{xi.name})", src, unit,
         internal_compose(p, xi.vsrc), internal_compose(p, xi.vtgt),
         {x: p.arr_map[xi.map[x]] for x in src.het})
 
@@ -619,8 +616,8 @@ def verify_internal_tabulation(t, probes=None):
                          if squares else [])
                 for xi_a, xi_b in squares:
                     hits = [xi for xi in lifts
-                            if whisker_projection(t.proj_left, xi).map == xi_a.map
-                            and whisker_projection(t.proj_right, xi).map == xi_b.map]
+                            if whisker_projection(t.proj_left, xi, ua).map == xi_a.map
+                            and whisker_projection(t.proj_right, xi, ub).map == xi_b.map]
                     if len(hits) != 1:
                         return False, {"stage": "two-dimensional",
                                        "probe": x.name, "count": len(hits)}

@@ -58,16 +58,17 @@ def tabulate(j):
                     data[mid] = (u, v, t1, t2)
     stub = make_category(f"<{j.name}>", [oid[t] for t in triples], arrows)
     composites = {}
-    for m2, (u2, v2, s2, t2) in data.items():
-        for m1, (u1, v1, s1, t1) in data.items():
-            if t1 != s2:
-                continue
-            u = ac.compose(u2, u1)
-            v = bc.compose(v2, v1)
-            if ac.is_identity(u) and bc.is_identity(v) and s1 == t2:
-                composites[(m2, m1)] = stub.identity(oid[s1])
-            else:
-                composites[(m2, m1)] = f"[{u},{v}]:{oid[s1]}->{oid[t2]}"
+    for m2, m1 in stub.composable_pairs():
+        if m2 not in data or m1 not in data:
+            continue  # composites with identities are implicit
+        u1, v1, s1, _ = data[m1]
+        u2, v2, _, t2 = data[m2]
+        u = ac.compose(u2, u1)
+        v = bc.compose(v2, v1)
+        if ac.is_identity(u) and bc.is_identity(v) and s1 == t2:
+            composites[(m2, m1)] = stub.identity(oid[s1])
+        else:
+            composites[(m2, m1)] = f"[{u},{v}]:{oid[s1]}->{oid[t2]}"
     cat = make_category(f"<{j.name}>", [oid[t] for t in triples],
                         arrows, composites)
     pl_obj = {oid[t]: t[0] for t in triples}
@@ -224,7 +225,6 @@ def ran_via_tabulation(cand):
         w = comma.category
         diagram = compose_functors(diagram_f, comma.proj_right)
         legs = {}
-        ok = True
         for wobj in w.objects:
             tobj = comma.proj_right.obj[wobj]
             kappa = comma.components[wobj]          # x -> pl(tobj) in A

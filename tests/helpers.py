@@ -4,8 +4,7 @@ import itertools
 
 from dblcat.fincat import all_functors, identity_functor, make_category
 from dblcat.prof import (Cell, cells_between, companion, compose_prof,
-                         conjoint, family_id, pair_id, restrict, rhom,
-                         unit_prof)
+                         conjoint, family_id, restrict, rhom, unit_prof)
 from dblcat import spanfin, zoo
 
 
@@ -42,6 +41,62 @@ def internal_transformations_oracle(j, k, f, g):
     return out
 
 
+def hom_scan(cat, a, b):
+    """Morphisms a -> b by scanning every morphism."""
+    return tuple(m for m in cat.morphisms
+                 if cat.src[m] == a and cat.tgt[m] == b)
+
+
+def into_scan(cat, b):
+    """Morphisms with target b by scanning every morphism."""
+    return tuple(m for m in cat.morphisms if cat.tgt[m] == b)
+
+
+def out_of_scan(cat, a):
+    """Morphisms with source a by scanning every morphism."""
+    return tuple(m for m in cat.morphisms if cat.src[m] == a)
+
+
+def composable_pairs_scan(cat):
+    """Every composable pair (g, f) by testing all pairs of morphisms."""
+    return [(g, f) for g in cat.morphisms for f in cat.morphisms
+            if cat.tgt[f] == cat.src[g]]
+
+
+def indexes_agree_with_scans(cat):
+    """Whether hom, into, out_of and composable_pairs of cat give what the
+    scans above give, in the same order."""
+    return (all(cat.hom(a, b) == hom_scan(cat, a, b)
+                for a in cat.objects for b in cat.objects)
+            and all(cat.into(o) == into_scan(cat, o) and
+                    cat.out_of(o) == out_of_scan(cat, o) for o in cat.objects)
+            and cat.composable_pairs() == composable_pairs_scan(cat))
+
+
+def pair_composites_oracle(cat, proj_left, proj_right):
+    """The composites of non-identity arrows of a tabulation or comma
+    category, recomputed from every pair of arrows and the projections.
+
+    An arrow named ``[u,v]:s->t`` composes componentwise; a composite of
+    identity components on one object is that object's identity.  Entries
+    come in the order (g over arrows, then f over arrows)."""
+    ac, bc = proj_left.target, proj_right.target
+    arrows = [m for m in cat.morphisms if not cat.is_identity(m)]
+    out = []
+    for g in arrows:
+        for f in arrows:
+            if cat.tgt[f] != cat.src[g]:
+                continue
+            u = ac.compose(proj_left.mor[g], proj_left.mor[f])
+            v = bc.compose(proj_right.mor[g], proj_right.mor[f])
+            s, t = cat.src[f], cat.tgt[g]
+            if ac.is_identity(u) and bc.is_identity(v) and s == t:
+                out.append(((g, f), cat.identity(s)))
+            else:
+                out.append(((g, f), f"[{u},{v}]:{s}->{t}"))
+    return out
+
+
 def chain(n):
     """The ordinal [n]: objects 0 < 1 < ... < n-1, one arrow a<i>_<j> for
     each i < j."""
@@ -75,14 +130,10 @@ def restriction_iso_cell(k, f, g):
     inner, w_inner = compose_prof(k, conjoint(g))
     triple, w_outer = compose_prof(companion(f), inner)
     r = restrict(k, f, g)
-    outer_ids = {key: {pair_id(*rep): rep for rep in set(cls.values())}
-                 for key, cls in w_outer.classes.items()}
-    inner_ids = {key: {pair_id(*rep): rep for rep in set(cls.values())}
-                 for key, cls in w_inner.classes.items()}
     comp = {}
     for a, b, cid in triple.elements():
-        c, p, mid = outer_ids[(a, b)][cid]
-        d, x, q = inner_ids[(c, b)][mid]
+        c, p, mid = w_outer.least(a, b, cid)
+        d, x, q = w_inner.least(c, b, mid)
         comp[(a, b, cid)] = k.act(p, c, d, x, q)
     return Cell(f"rcomp_{k.name}", triple, r,
                 identity_functor(f.source), identity_functor(g.source), comp)
@@ -106,11 +157,9 @@ def rhom_transpose(phi, w_jh, rh_prof, j):
 def rhom_untranspose(psi, w_jh, rh_witness, k):
     """The inverse passage, J -> K <| H back to J * H -> K."""
     jh = w_jh.composite
-    ids = {key: {pair_id(*rep): rep for rep in set(cls.values())}
-           for key, cls in w_jh.classes.items()}
     comp = {}
     for a, e, cid in jh.elements():
-        b, x, y = ids[(a, e)][cid]
+        b, x, y = w_jh.least(a, e, cid)
         fam = rh_witness.family(a, b, psi.comp[(a, b, x)])
         comp[(a, e, cid)] = fam[e][y]
     return Cell(f"un_{psi.name}", jh, k,

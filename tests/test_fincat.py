@@ -1,5 +1,8 @@
+import copy
+
 import pytest
 
+import helpers
 from dblcat.fincat import (Cone, Functor, all_cones, all_functors,
                            all_natural_transformations, comma_category,
                            compose_functors, find_isomorphism,
@@ -153,6 +156,24 @@ def test_comma_category_canonical_square_commutes():
         left = e.compose(comma.components[y], f.mor[comma.proj_left.mor[m]])
         right = e.compose(g.mor[comma.proj_right.mor[m]], comma.components[x])
         assert left == right
+
+
+def test_indexes_match_scans():
+    for cat in zoo.corpus_categories() + [helpers.chain(n) for n in range(6)]:
+        assert helpers.indexes_agree_with_scans(cat), cat.name
+        assert cat.hom("nowhere", "nowhere") == ()
+        assert cat.into("nowhere") == cat.out_of("nowhere") == ()
+
+
+def test_indexes_take_no_part_in_equality():
+    cat = helpers.chain(3)
+    bare = copy.copy(cat)
+    for attr in ("_hom", "_into", "_out_of"):
+        object.__setattr__(bare, attr, {})
+    assert bare.hom("0", "1") == ()
+    assert bare == cat
+    assert hash(bare) == hash(cat)
+    assert repr(bare) == repr(cat)
 
 
 def test_connectivity():

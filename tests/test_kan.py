@@ -183,6 +183,14 @@ def test_initial_mediating_iso_for_picks():
         assert three.compose(fwd, bwd) == three.identity(apex)
 
 
+def test_initial_mediating_iso_rejects_non_initial_functor():
+    two = zoo.walking_arrow()
+    g = zoo.pick(two, "1")
+    assert not kan.is_initial_functor(g)
+    with pytest.raises(ValueError, match=r"pick_1 .*object 0"):
+        kan.initial_mediating_iso(g, identity_functor(two))
+
+
 def test_violated_limit_property_raises(monkeypatch):
     # the checks survive python -O, unlike the asserts they replace
     two, three = zoo.walking_arrow(), zoo.composable_pair()

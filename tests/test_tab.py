@@ -43,6 +43,35 @@ def test_tabulation_over_corpus_is_well_formed():
         assert validate_cell(t.cell) == []
 
 
+def non_identity_composites(cat):
+    return [(k, v) for k, v in cat.table.items()
+            if not cat.is_identity(k[0]) and not cat.is_identity(k[1])]
+
+
+def test_tabulation_indexes_and_composites_match_scans():
+    corpus = helpers.profunctor_corpus() + [unit_prof(helpers.chain(n))
+                                            for n in range(1, 5)]
+    for j in corpus:
+        t = tab.tabulate(j)
+        assert helpers.indexes_agree_with_scans(t.category), j.name
+        assert non_identity_composites(t.category) == \
+            helpers.pair_composites_oracle(t.category, t.proj_left,
+                                           t.proj_right), j.name
+
+
+def test_comma_category_composites_match_all_pairs_oracle():
+    cats = [zoo.walking_arrow(), zoo.composable_pair(), helpers.chain(4)]
+    for f in zoo.corpus_functors(cats, limit_per_pair=3):
+        for g in zoo.corpus_functors(cats, limit_per_pair=3):
+            if f.target != g.target:
+                continue
+            cc = comma_category(f, g)
+            assert helpers.indexes_agree_with_scans(cc.category)
+            assert non_identity_composites(cc.category) == \
+                helpers.pair_composites_oracle(cc.category, cc.proj_left,
+                                               cc.proj_right)
+
+
 def test_comma_object_matches_comma_category():
     two, three = zoo.walking_arrow(), zoo.composable_pair()
     configs = [
