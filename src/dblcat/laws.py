@@ -2,7 +2,9 @@
 and associator coherence, and the companion/conjoint bending identities.
 
 Configurations are drawn deterministically from the stock corpus, so a
-run with the same caps always checks the same cases.
+run with the same caps always checks the same cases.  Each suite makes
+one ``memo_compose()`` and builds every cell through it: it composes each
+distinct pair once, and both sides of a law share their composites.
 """
 
 from __future__ import annotations
@@ -10,9 +12,9 @@ from __future__ import annotations
 import itertools
 
 from .fincat import all_functors, all_natural_transformations, identity_functor
-from .prof import (companion, companion_cells, compose_prof, conjoint,
-                   conjoint_cells, associator, hcompose, identity_cell,
-                   left_unitor, right_unitor, invert_horizontal_cell,
+from .prof import (companion, companion_cells, conjoint, conjoint_cells,
+                   associator, hcompose, identity_cell, left_unitor,
+                   right_unitor, invert_horizontal_cell, memo_compose,
                    nat_transf_as_cell, unit_cell, unit_prof, vcompose,
                    componentwise_bijective)
 from . import zoo
@@ -45,10 +47,11 @@ def interchange_configs():
 
 
 def check_interchange(max_configs=120):
+    compose = memo_compose()
     count = 0
     for phi, chi, psi, xi in interchange_configs():
-        lhs = hcompose(vcompose(psi, phi), vcompose(xi, chi))
-        rhs = vcompose(hcompose(psi, xi), hcompose(phi, chi))
+        lhs = hcompose(vcompose(psi, phi), vcompose(xi, chi), compose)
+        rhs = vcompose(hcompose(psi, xi, compose), hcompose(phi, chi, compose))
         if lhs != rhs:
             return False, count
         count += 1
@@ -59,6 +62,7 @@ def check_interchange(max_configs=120):
 
 def check_unitors_and_triangle(max_configs=40):
     """Unitors are invertible and satisfy the triangle coherence."""
+    compose = memo_compose()
     one = zoo.terminal_category()
     two = zoo.walking_arrow()
     three = zoo.composable_pair()
@@ -69,8 +73,8 @@ def check_unitors_and_triangle(max_configs=40):
     profs += [companion(f) for f in all_functors(pp, two)[:4]]
     count = 0
     for p in profs:
-        lu = left_unitor(p)
-        ru = right_unitor(p)
+        lu = left_unitor(p, compose)
+        ru = right_unitor(p, compose)
         if not componentwise_bijective(lu) or not componentwise_bijective(ru):
             return False, count
         invert_horizontal_cell(lu)
@@ -87,9 +91,10 @@ def check_unitors_and_triangle(max_configs=40):
             pairs.append((companion(f), companion(g)))
     for j, h in pairs:
         mid = j.target
-        lhs = vcompose(hcompose(identity_cell(j), left_unitor(h)),
-                       associator(j, unit_prof(mid), h))
-        rhs = hcompose(right_unitor(j), identity_cell(h))
+        lhs = vcompose(hcompose(identity_cell(j), left_unitor(h, compose),
+                                compose),
+                       associator(j, unit_prof(mid), h, compose))
+        rhs = hcompose(right_unitor(j, compose), identity_cell(h), compose)
         if lhs != rhs:
             return False, count
         count += 1
@@ -99,6 +104,7 @@ def check_unitors_and_triangle(max_configs=40):
 
 
 def check_pentagon(max_configs=8):
+    compose = memo_compose()
     one = zoo.terminal_category()
     two = zoo.walking_arrow()
     three = zoo.composable_pair()
@@ -111,13 +117,16 @@ def check_pentagon(max_configs=8):
                                conjoint(g), companion(h)))
     count = 0
     for j, h, k, l in chains:
-        kl, _ = compose_prof(k, l)
-        jh, _ = compose_prof(j, h)
-        hk, _ = compose_prof(h, k)
-        lhs = vcompose(associator(j, h, kl), associator(jh, k, l))
-        rhs = vcompose(hcompose(identity_cell(j), associator(h, k, l)),
-                       vcompose(associator(j, hk, l),
-                                hcompose(associator(j, h, k), identity_cell(l))))
+        kl, _ = compose(k, l)
+        jh, _ = compose(j, h)
+        hk, _ = compose(h, k)
+        lhs = vcompose(associator(j, h, kl, compose),
+                       associator(jh, k, l, compose))
+        rhs = vcompose(hcompose(identity_cell(j), associator(h, k, l, compose),
+                                compose),
+                       vcompose(associator(j, hk, l, compose),
+                                hcompose(associator(j, h, k, compose),
+                                         identity_cell(l), compose)))
         if lhs != rhs:
             return False, count
         count += 1
@@ -127,6 +136,7 @@ def check_pentagon(max_configs=8):
 
 
 def check_companion_identities(max_configs=30):
+    compose = memo_compose()
     one = zoo.terminal_category()
     two = zoo.walking_arrow()
     three = zoo.composable_pair()
@@ -139,13 +149,15 @@ def check_companion_identities(max_configs=30):
         if vcompose(eps, eta) != unit_cell(f):
             return False, count
         fs = companion(f)
-        if vcompose(right_unitor(fs), hcompose(eta, eps)) != left_unitor(fs):
+        if vcompose(right_unitor(fs, compose), hcompose(eta, eps, compose)) \
+                != left_unitor(fs, compose):
             return False, count
         ceps, ceta = conjoint_cells(f)
         if vcompose(ceps, ceta) != unit_cell(f):
             return False, count
         cs = conjoint(f)
-        if vcompose(left_unitor(cs), hcompose(ceps, ceta)) != right_unitor(cs):
+        if vcompose(left_unitor(cs, compose), hcompose(ceps, ceta, compose)) \
+                != right_unitor(cs, compose):
             return False, count
         count += 1
         if count >= max_configs:

@@ -9,9 +9,12 @@ J(a', b').  All data is tabulated; every universal property below is
 decided by finite enumeration.
 
 Elements of a composite J * H are equivalence classes of pairs (j, h)
-under sliding middle morphisms across the pair; each class is named after
-its least member in the interned order, so recomputing a composite always
-yields the same tables.
+under sliding middle morphisms across the pair.  Pairs are enumerated in
+naming order (middle object, left fiber position, right fiber position) and
+each class is named after its least member in that order, so recomputing a
+composite always yields the same tables.  ``hcompose``, the unitors and
+``associator`` take a ``compose=`` argument; passing them one
+``memo_compose()`` lets a computation compose each distinct pair once.
 """
 
 from __future__ import annotations
@@ -31,8 +34,11 @@ class Profunctor:
     action: dict          # (u, a, b, j, v) -> element id
 
     def __hash__(self):
-        return hash((self.source, self.target,
-                     tuple(sorted((k, tuple(v)) for k, v in self.fibers.items()))))
+        # computed once, kept in the instance __dict__ rather than a field
+        if "_hash" not in self.__dict__:
+            fibers = tuple(sorted((k, tuple(v)) for k, v in self.fibers.items()))
+            object.__setattr__(self, "_hash", hash((self.source, self.target, fibers)))
+        return self.__dict__["_hash"]
 
     def fiber(self, a, b):
         return self.fibers.get((a, b), ())
@@ -89,23 +95,6 @@ def validate_profunctor(p):
                             problems.append(
                                 f"action not functorial on ({u2};{u1}, {j}, {v1};{v2})")
     return problems
-
-
-def build_action(source, target, fibers, left, right):
-    """Assemble a total action table from one-sided action tables.
-
-    ``left[(u, a, b, j)]`` acts by u : a' -> a, ``right[(a, b, j, v)]`` by
-    v : b -> b'; the two must commute (checked by validate_profunctor).
-    """
-    action = {}
-    for (a, b), elems in fibers.items():
-        for j in elems:
-            for u in source.into(a):
-                ju = left[(u, a, b, j)]
-                a2 = source.src[u]
-                for v in target.out_of(b):
-                    action[(u, a, b, j, v)] = right[(a2, b, ju, v)]
-    return action
 
 
 def unit_prof(cat):
@@ -308,76 +297,96 @@ class CoendWitness:
     def class_id(self, a, e, b, j, h):
         return pair_id(*self.rep(a, e, b, j, h))
 
-    def members(self, a, e, cls_id):
-        return sorted(p for p, r in self.classes[(a, e)].items()
-                      if pair_id(*r) == cls_id)
-
 
 def compose_prof(j, h):
     """The composite J * H with its coend witness.
 
     Pairs (j, h) sharing a middle object are identified under sliding a
-    middle morphism v across: (v . j, h) ~ (j, h . v).  Classes are built
-    with a union-find and named by their least member in the order
-    (middle object, left fiber position, right fiber position).
+    middle morphism v across: (v . j, h) ~ (j, h . v).  The pairs at each
+    boundary (a, e) are enumerated in naming order (middle object, left
+    fiber position, right fiber position).  A union-find over positions
+    keeps the smaller root, so each root is the least member of its class;
+    classes are named after it and listed in that order.  ``memo_compose()``
+    gives a version that composes each distinct pair once.
     """
     if j.target != h.source:
         raise ValueError("profunctors not composable")
     ac, bc, ec = j.source, j.target, h.target
+    jact, hact = j.action, h.action
+    slides = [(v, bc.src[v], bc.tgt[v]) for v in bc.morphisms]
+    # act once per (v, e, y) here and per (a, v, x) below, not once per pair
+    pulled = {(v, e): [(y, hact[(v, b2, e, y, ec.identity(e))])
+                       for y in h.fiber(b2, e)]
+              for v, b1, b2 in slides for e in ec.objects}
 
-    def key(a, e):
-        def k(pair):
-            b, x, y = pair
-            return (bc.objects.index(b), j.fiber(a, b).index(x),
-                    h.fiber(b, e).index(y))
-        return k
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
 
-    classes = {}
-    named = {}
-    fibers = {}
+    classes, named, fibers = {}, {}, {}
     for a in ac.objects:
+        ida = ac.identity(a)
+        pushed = [(v, b1, b2, [(x, jact[(ida, a, b1, x, v)])
+                               for x in j.fiber(a, b1)])
+                  for v, b1, b2 in slides]
         for e in ec.objects:
-            uf = UnionFind()
             pairs = [(b, x, y) for b in bc.objects
                      for x in j.fiber(a, b) for y in h.fiber(b, e)]
-            for p in pairs:
-                uf.add(p)
-            for v in bc.morphisms:
-                b1, b2 = bc.src[v], bc.tgt[v]
-                for x in j.fiber(a, b1):
-                    xv = j.act_right(a, b1, x, v)
-                    for y in h.fiber(b2, e):
-                        vy = h.act_left(v, b2, e, y)
-                        uf.union((b2, xv, y), (b1, x, vy))
-            reps = {}
-            for p in pairs:
-                root = uf.find(p)
-                reps.setdefault(root, []).append(p)
-            cls = {}
-            kf = key(a, e)
-            for members in reps.values():
-                least = min(members, key=kf)
-                for p in members:
-                    cls[p] = least
-            classes[(a, e)] = cls
-            fiber = sorted({least for least in cls.values()}, key=kf)
-            named[(a, e)] = {pair_id(*p): p for p in fiber}
-            if fiber:
+            pos = {p: i for i, p in enumerate(pairs)}
+            parent = list(range(len(pairs)))
+            for v, b1, b2, xs in pushed:
+                ys = pulled[(v, e)]
+                for x, xv in xs:
+                    for y, vy in ys:
+                        r1, r2 = find(pos[(b2, xv, y)]), find(pos[(b1, x, vy)])
+                        if r1 < r2:
+                            r1, r2 = r2, r1
+                        parent[r1] = r2       # the smaller root survives
+            groups = {}       # root -> members; roots come first, in order
+            for i in range(len(pairs)):
+                groups.setdefault(find(i), []).append(i)
+            classes[(a, e)] = {pairs[i]: pairs[r]
+                               for r, members in groups.items() for i in members}
+            named[(a, e)] = {pair_id(*pairs[r]): pairs[r] for r in groups}
+            if groups:
                 fibers[(a, e)] = tuple(named[(a, e)])
     action = {}
     for (a, e), elems in fibers.items():
+        into_a = [(u, ac.src[u]) for u in ac.into(a)]
+        out_e = [(w, ec.tgt[w]) for w in ec.out_of(e)]
         for cid in elems:
             b, x, y = named[(a, e)][cid]
-            for u in ac.into(a):
-                a2 = ac.src[u]
-                xu = j.act_left(u, a, b, x)
-                for w in ec.out_of(e):
-                    e2 = ec.tgt[w]
-                    yw = h.act_right(b, e, y, w)
-                    rep = classes[(a2, e2)][(b, xu, yw)]
-                    action[(u, a, e, cid, w)] = pair_id(*rep)
+            idb = bc.identity(b)
+            yws = [(w, e2, hact[(idb, b, e, y, w)]) for w, e2 in out_e]
+            for u, a2 in into_a:
+                xu = jact[(u, a, b, x, idb)]
+                for w, e2, yw in yws:
+                    action[(u, a, e, cid, w)] = pair_id(
+                        *classes[(a2, e2)][(b, xu, yw)])
     composite = Profunctor(f"({j.name}*{h.name})", ac, ec, fibers, action)
     return composite, CoendWitness(j, h, composite, classes, named)
+
+
+def memo_compose():
+    """A ``compose_prof`` that remembers its results while it is alive.
+
+    Keys are ``(j.name, h.name, j, h)``: equal profunctors built separately
+    share one composite, and the composite's name stays exact.  Every hit
+    returns the same objects, which callers must not mutate.  Make one per
+    computation and pass it as ``compose=``; nothing outlives it.
+    """
+    memo = {}
+
+    def compose(j, h):
+        key = (j.name, h.name, j, h)
+        hit = memo.get(key)
+        if hit is None:
+            hit = memo[key] = compose_prof(j, h)
+        return hit
+
+    return compose
 
 
 def coend_classes_oracle(j, h, a, e):
@@ -411,15 +420,14 @@ def coend_classes_oracle(j, h, a, e):
     return {frozenset(b) for b in blocks.values()}
 
 
-def hcompose(left, right, src_witness=None, tgt_witness=None):
+def hcompose(left, right, compose=compose_prof):
     """Horizontal composite of cells: left : J -> K over (f, g) beside
-    right : H -> L over (g, h) gives J*H -> K*L over (f, h)."""
+    right : H -> L over (g, h) gives J*H -> K*L over (f, h).  ``compose``
+    builds J*H and K*L; pass a ``memo_compose()`` to share them."""
     if left.vtgt != right.vsrc:
         raise ValueError("cells do not share their middle boundary")
-    if src_witness is None:
-        _, src_witness = compose_prof(left.hsrc, right.hsrc)
-    if tgt_witness is None:
-        _, tgt_witness = compose_prof(left.htgt, right.htgt)
+    _, src_witness = compose(left.hsrc, right.hsrc)
+    _, tgt_witness = compose(left.htgt, right.htgt)
     f, g, h = left.vsrc, left.vtgt, right.vtgt
     jh, kl = src_witness.composite, tgt_witness.composite
     comp = {}
@@ -494,10 +502,9 @@ def is_invertible_cell(c):
         functor_inverse(c.vtgt) is not None and componentwise_bijective(c)
 
 
-def left_unitor(p, witness=None):
+def left_unitor(p, compose=compose_prof):
     """The invertible horizontal cell 1_A * P -> P."""
-    if witness is None:
-        _, witness = compose_prof(unit_prof(p.source), p)
+    _, witness = compose(unit_prof(p.source), p)
     up = witness.composite
     comp = {}
     for a, b, cid in up.elements():
@@ -507,10 +514,9 @@ def left_unitor(p, witness=None):
                 identity_functor(p.source), identity_functor(p.target), comp)
 
 
-def right_unitor(p, witness=None):
+def right_unitor(p, compose=compose_prof):
     """The invertible horizontal cell P * 1_B -> P."""
-    if witness is None:
-        _, witness = compose_prof(p, unit_prof(p.target))
+    _, witness = compose(p, unit_prof(p.target))
     pu = witness.composite
     comp = {}
     for a, b, cid in pu.elements():
@@ -520,12 +526,12 @@ def right_unitor(p, witness=None):
                 identity_functor(p.source), identity_functor(p.target), comp)
 
 
-def associator(j, h, k):
+def associator(j, h, k, compose=compose_prof):
     """The invertible horizontal cell (J*H)*K -> J*(H*K)."""
-    jh, wjh = compose_prof(j, h)
-    jh_k, w_left = compose_prof(jh, k)
-    hk, whk = compose_prof(h, k)
-    j_hk, w_right = compose_prof(j, hk)
+    jh, wjh = compose(j, h)
+    jh_k, w_left = compose(jh, k)
+    hk, whk = compose(h, k)
+    j_hk, w_right = compose(j, hk)
     comp = {}
     for a, z, cid in jh_k.elements():
         e, xy, y2 = w_left.least(a, z, cid)        # xy in (J*H)(a, e), y2 in K(e, z)

@@ -3,8 +3,9 @@
 import itertools
 
 from dblcat.fincat import all_functors, identity_functor, make_category
-from dblcat.prof import (Cell, cells_between, companion, compose_prof,
-                         conjoint, family_id, restrict, rhom, unit_prof)
+from dblcat.prof import (Cell, CoendWitness, Profunctor, UnionFind,
+                         cells_between, companion, compose_prof, conjoint,
+                         family_id, pair_id, restrict, rhom, unit_prof)
 from dblcat import spanfin, zoo
 
 
@@ -97,15 +98,94 @@ def pair_composites_oracle(cat, proj_left, proj_right):
     return out
 
 
-def chain(n):
+def chain(n, rng=None):
     """The ordinal [n]: objects 0 < 1 < ... < n-1, one arrow a<i>_<j> for
-    each i < j."""
+    each i < j.  Given a ``random.Random``, objects and arrows are listed
+    in a shuffled order instead."""
+    objects = [str(i) for i in range(n)]
+    arrows = [(f"a{i}_{j}", (str(i), str(j)))
+              for i in range(n) for j in range(i + 1, n)]
+    if rng is not None:
+        rng.shuffle(objects)
+        rng.shuffle(arrows)
     return make_category(
-        f"Ord{n}", tuple(str(i) for i in range(n)),
-        {f"a{i}_{j}": (str(i), str(j))
-         for i in range(n) for j in range(i + 1, n)},
+        f"Ord{n}", tuple(objects), dict(arrows),
         {(f"a{j}_{k}", f"a{i}_{j}"): f"a{i}_{k}"
          for i in range(n) for j in range(i + 1, n) for k in range(j + 1, n)})
+
+
+def compose_prof_oracle(j, h):
+    """compose_prof as it was before its position-ordered kernel: a
+    tuple-keyed union-find, each class's least member found with ``min``
+    over a key of ``tuple.index`` calls, and the fiber sorted by that key.
+    Every action is read through ``act_left``/``act_right`` once per pair."""
+    if j.target != h.source:
+        raise ValueError("profunctors not composable")
+    ac, bc, ec = j.source, j.target, h.target
+
+    def key(a, e):
+        def k(pair):
+            b, x, y = pair
+            return (bc.objects.index(b), j.fiber(a, b).index(x),
+                    h.fiber(b, e).index(y))
+        return k
+
+    classes = {}
+    named = {}
+    fibers = {}
+    for a in ac.objects:
+        for e in ec.objects:
+            uf = UnionFind()
+            pairs = [(b, x, y) for b in bc.objects
+                     for x in j.fiber(a, b) for y in h.fiber(b, e)]
+            for p in pairs:
+                uf.add(p)
+            for v in bc.morphisms:
+                b1, b2 = bc.src[v], bc.tgt[v]
+                for x in j.fiber(a, b1):
+                    xv = j.act_right(a, b1, x, v)
+                    for y in h.fiber(b2, e):
+                        vy = h.act_left(v, b2, e, y)
+                        uf.union((b2, xv, y), (b1, x, vy))
+            reps = {}
+            for p in pairs:
+                root = uf.find(p)
+                reps.setdefault(root, []).append(p)
+            cls = {}
+            kf = key(a, e)
+            for members in reps.values():
+                least = min(members, key=kf)
+                for p in members:
+                    cls[p] = least
+            classes[(a, e)] = cls
+            fiber = sorted({least for least in cls.values()}, key=kf)
+            named[(a, e)] = {pair_id(*p): p for p in fiber}
+            if fiber:
+                fibers[(a, e)] = tuple(named[(a, e)])
+    action = {}
+    for (a, e), elems in fibers.items():
+        for cid in elems:
+            b, x, y = named[(a, e)][cid]
+            for u in ac.into(a):
+                a2 = ac.src[u]
+                xu = j.act_left(u, a, b, x)
+                for w in ec.out_of(e):
+                    e2 = ec.tgt[w]
+                    yw = h.act_right(b, e, y, w)
+                    rep = classes[(a2, e2)][(b, xu, yw)]
+                    action[(u, a, e, cid, w)] = pair_id(*rep)
+    composite = Profunctor(f"({j.name}*{h.name})", ac, ec, fibers, action)
+    return composite, CoendWitness(j, h, composite, classes, named)
+
+
+def composite_tables(composite, witness):
+    """Name, fibers, action, classes and named of a composite as nested
+    lists of items, so that comparing two of them compares insertion order
+    as well as values."""
+    return (composite.name, list(composite.fibers.items()),
+            list(composite.action.items()),
+            [(k, list(v.items())) for k, v in witness.classes.items()],
+            [(k, list(v.items())) for k, v in witness.named.items()])
 
 
 def composable_pairs(limit=40):

@@ -1,4 +1,8 @@
-from dblcat import laws
+import dataclasses
+
+import pytest
+
+from dblcat import laws, prof
 
 
 def test_interchange():
@@ -27,3 +31,64 @@ def test_run_all_report_shape():
     assert set(report) == {"interchange", "unitors_triangle", "pentagon",
                            "companion_conjoint"}
     assert all(r["ok"] for r in report.values())
+
+
+def test_each_run_composes_afresh(monkeypatch):
+    calls = []
+    real = prof.compose_prof
+
+    def counting(j, h):
+        calls.append((j.name, h.name))
+        return real(j, h)
+
+    monkeypatch.setattr(prof, "compose_prof", counting)
+    assert laws.run_all()[0]
+    first = len(calls)
+    assert laws.run_all()[0]
+    assert len(calls) - first == first
+    # one call per distinct pair and suite; 1,258 calls without the memo
+    assert first == 205
+
+
+def moved(cell, within_fiber):
+    """``cell`` with its first movable component moved to another element
+    of its fiber, or, if not ``within_fiber``, to another element of the
+    bottom profunctor.  The interchange suite needs the latter: its cells
+    land in composites of hom profunctors whose fibers all have one
+    element."""
+    f, g = cell.vsrc, cell.vtgt
+    everywhere = [x for _, _, x in cell.htgt.elements()]
+    for (a, b, x), img in cell.comp.items():
+        fib = cell.htgt.fiber(f.obj[a], g.obj[b]) if within_fiber else everywhere
+        others = [y for y in fib if y != img]
+        if others:
+            return dataclasses.replace(cell,
+                                       comp={**cell.comp, (a, b, x): others[0]})
+    return cell
+
+
+@pytest.mark.parametrize("name, check, within_fiber", [
+    ("associator", laws.check_pentagon, True),
+    ("left_unitor", laws.check_unitors_and_triangle, True),
+    ("hcompose", laws.check_interchange, False),
+])
+def test_suites_fail_when_a_cell_is_broken(monkeypatch, name, check,
+                                           within_fiber):
+    real = getattr(laws, name)
+    broken = []
+
+    def breaking(*args, **kwargs):
+        # break one call only: breaking every call alike can keep a law
+        cell = real(*args, **kwargs)
+        out = cell if broken else moved(cell, within_fiber)
+        if out is not cell:
+            broken.append((cell, out))
+        return out
+
+    monkeypatch.setattr(laws, name, breaking)
+    ok, _ = check()
+    assert len(broken) == 1 and not ok
+    (cell, out), = broken
+    (a, b, x), = [k for k in cell.comp if cell.comp[k] != out.comp[k]]
+    fib = cell.htgt.fiber(cell.vsrc.obj[a], cell.vtgt.obj[b])
+    assert (out.comp[(a, b, x)] in fib) == within_fiber

@@ -1,3 +1,7 @@
+import dataclasses
+import itertools
+import random
+
 import pytest
 
 import helpers
@@ -7,7 +11,8 @@ from dblcat.prof import (Cell, cells_between, coend_classes_oracle, companion,
                          conjoint_cells, componentwise_bijective, empty_prof,
                          hcompose, identity_cell, invert_horizontal_cell,
                          is_cartesian, is_invertible_cell, is_opcartesian,
-                         left_unitor, lower_star, nat_transf_as_cell,
+                         left_unitor, lower_star, memo_compose,
+                         nat_transf_as_cell, Profunctor,
                          opcartesian_cell, cartesian_cell, restrict, rhom,
                          right_unitor, unit_cell, unit_prof, upper_star,
                          validate_cell, validate_profunctor, vcompose)
@@ -53,6 +58,47 @@ def test_composites_validate_and_match_oracle():
                 assert {frozenset(v) for v in ours.values()} == blocks
 
 
+def test_compose_prof_matches_slow_twin():
+    corpus = helpers.profunctor_corpus()
+    pairs = helpers.composable_pairs()
+    pairs += [(j, h) for j, h in itertools.product(corpus, repeat=2)
+              if j.target == h.source]
+    for n in range(6):
+        for seed in (0, 1):
+            u = unit_prof(helpers.chain(n, random.Random(seed)))
+            pairs.append((u, u))
+    assert len(pairs) == 154
+    for j, h in pairs:
+        assert helpers.composite_tables(*compose_prof(j, h)) == \
+            helpers.composite_tables(*helpers.compose_prof_oracle(j, h))
+
+
+def test_memo_compose_shares_equal_inputs_and_keeps_names():
+    two = zoo.walking_arrow()
+    compose = memo_compose()
+    first = compose(unit_prof(two), unit_prof(two))
+    assert compose(unit_prof(two), unit_prof(two)) is first
+    renamed = dataclasses.replace(unit_prof(two), name="Hom")
+    assert renamed == unit_prof(two)
+    other = compose(renamed, unit_prof(two))
+    assert other is not first
+    assert (first[0].name, other[0].name) == ("(1_Two*1_Two)", "(Hom*1_Two)")
+    assert other[0] == first[0]
+    assert memo_compose()(unit_prof(two), unit_prof(two)) is not first
+
+
+def test_profunctor_hash_is_computed_once_and_stays_out_of_the_fields():
+    f = all_functors(zoo.walking_arrow(), zoo.composable_pair())[2]
+    p, q = companion(f), companion(f)
+    before = repr(p)
+    assert hash(p) == hash(q) == hash(companion(f))
+    assert repr(p) == before and p == q and p is not q
+    assert [fl.name for fl in dataclasses.fields(Profunctor)] == \
+        ["name", "source", "target", "fibers", "action"]
+    assert {p, q} == {p} and {p: 1}[q] == 1
+    assert p != unit_prof(zoo.walking_arrow())
+
+
 def test_witness_class_lookup():
     two = zoo.walking_arrow()
     p = unit_prof(two)
@@ -60,7 +106,8 @@ def test_witness_class_lookup():
     # (1_0, a) and (a, 1_1) slide to the same class over (0, 1)
     assert wit.class_id("0", "1", "0", "1_0", "a") == \
         wit.class_id("0", "1", "1", "a", "1_1")
-    assert len(wit.members("0", "1", wit.class_id("0", "1", "0", "1_0", "a"))) == 2
+    rep = wit.rep("0", "1", "0", "1_0", "a")
+    assert sum(r == rep for r in wit.classes[("0", "1")].values()) == 2
 
 
 def test_unitors_are_inverses():
