@@ -415,45 +415,63 @@ def is_connected(cat):
 
 
 def all_functors(a, m):
-    """Every functor a -> m, duplicate-free and deterministically ordered."""
+    """Every functor a -> m, named F0, F1, ... in a fixed order.
+
+    The order is lexicographic: first in the object map, listed along
+    ``a.objects`` with values in ``m.objects`` order, then in the images of
+    the non-identity arrows, listed along ``a.morphisms`` with values in
+    hom order.  Witness names such as ``F3`` depend on it.  ``obj`` and
+    ``mor`` are keyed in that listing order, identities first in ``mor``.
+
+    A backtracking search with forward checking: objects are bound in
+    order, and an object map is dropped as soon as some arrow between two
+    bound objects has an empty hom-set in m; arrows are then bound in
+    order, each within its hom-set, and each composite g . f = h of
+    non-identity arrows is tested as soon as the last of g, f and h is
+    bound.  Composites with an identity hold by the unit laws.
+    """
+    objs = a.objects
     nonids = [x for x in a.morphisms if not a.is_identity(x)]
+    opos = {o: i for i, o in enumerate(objs)}
+    apos = {x: i for i, x in enumerate(nonids)}
+    # endpoint pairs of arrows, and composites, filed under their last-bound
+    # object or arrow
+    ends = [[] for _ in objs]
+    for x in nonids:
+        s, t = a.src[x], a.tgt[x]
+        ends[max(opos[s], opos[t])].append((s, t))
+    comps = [[] for _ in nonids]
+    for g, f in a.composable_pairs():
+        if g in apos and f in apos:
+            h = a.table[(g, f)]
+            comps[max(apos[g], apos[f], apos.get(h, -1))].append((g, f, h))
     out = []
-    for objs in itertools.product(m.objects, repeat=len(a.objects)):
-        obj_map = dict(zip(a.objects, objs))
-        choices = [m.hom(obj_map[a.src[x]], obj_map[a.tgt[x]]) for x in nonids]
-        for mors in itertools.product(*choices):
-            mor_map = {a.identity(o): m.identity(obj_map[o]) for o in a.objects}
-            mor_map.update(dict(zip(nonids, mors)))
-            cand = Functor(f"F{len(out)}", a, m, obj_map, mor_map)
-            if not cand.validate():
-                out.append(cand)
-    return out
+    obj = {}
 
+    def bind_object(i):
+        if i == len(objs):
+            obj_map = dict(obj)
+            mor = {a.identity(o): m.identity(obj_map[o]) for o in objs}
+            homs = [m.hom(obj_map[a.src[x]], obj_map[a.tgt[x]]) for x in nonids]
+            bind_arrow(0, obj_map, mor, homs)
+            return
+        for v in m.objects:
+            obj[objs[i]] = v
+            if all(m.hom(obj[s], obj[t]) for s, t in ends[i]):
+                bind_object(i + 1)
 
-def functor_count_oracle(a, m):
-    """Independent backtracking count of functors a -> m."""
-    nonids = [x for x in a.morphisms if not a.is_identity(x)]
-
-    def extend_arrows(obj_map, picked, k):
+    def bind_arrow(k, obj_map, mor, homs):
         if k == len(nonids):
-            mor_map = {a.identity(o): m.identity(obj_map[o]) for o in a.objects}
-            mor_map.update(picked)
-            for g, f in a.composable_pairs():
-                if mor_map[a.table[(g, f)]] != m.table[(mor_map[g], mor_map[f])]:
-                    return 0
-            return 1
+            out.append(Functor(f"F{len(out)}", a, m, obj_map, dict(mor)))
+            return
         x = nonids[k]
-        total = 0
-        for img in m.hom(obj_map[a.src[x]], obj_map[a.tgt[x]]):
-            picked[x] = img
-            total += extend_arrows(obj_map, picked, k + 1)
-            del picked[x]
-        return total
+        for v in homs[k]:
+            mor[x] = v
+            if all(mor[h] == m.table[(mor[g], mor[f])] for g, f, h in comps[k]):
+                bind_arrow(k + 1, obj_map, mor, homs)
 
-    total = 0
-    for objs in itertools.product(m.objects, repeat=len(a.objects)):
-        total += extend_arrows(dict(zip(a.objects, objs)), {}, 0)
-    return total
+    bind_object(0)
+    return out
 
 
 def all_natural_transformations(f, g):

@@ -7,11 +7,21 @@ m -> r(a) correspond to natural families J(a, b) -> M(m, d b).  Both
 properties are decided exactly on the given finite data; the pointwise
 check runs two independent procedures and refuses to answer if they ever
 disagree.
+
+The quantifiers range over ``all_functors`` and ``cells_between``, whose
+orders fix the witness names (``F3``, ``c0``) that ``is_right_exact``
+reports; both are forward-checked searches that test each functoriality or
+naturality equation as soon as its last variable is bound.  A ``RanProblem``
+holds what one decision needs about (J, d) and computes each piece once:
+``is_ran`` and ``is_pointwise_ran`` validate their candidate and consult a
+fresh problem, and ``is_right_exact`` shares one problem per (J, d) among
+all its candidates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .fincat import (FinCategory, Functor, NatTransf, NoLimit, all_functors,
                      all_natural_transformations, comma_category,
@@ -19,7 +29,7 @@ from .fincat import (FinCategory, Functor, NatTransf, NoLimit, all_functors,
                      make_category, mediating_morphisms, Cone)
 from .prof import (Cell, Profunctor, cartesian_cell, cells_between,
                    componentwise_bijective, compose_prof, conjoint,
-                   family_id, lower_star, rhom, unit_prof,
+                   family_id, lower_star, naturality_plan, rhom, unit_prof,
                    validate_cell, vcompose)
 from . import zoo
 
@@ -143,33 +153,125 @@ def pointwise_ran(j, d):
     return RanCandidate(j, d, r, eps)
 
 
+class RanProblem:
+    """The right extension of d : B -> M along J : A -/-> B, as the data
+    that every candidate (r, eps) is judged against.
+
+    Each piece is computed on first use and then kept: the functors
+    A -> M; for each of them, s, the competitor cells J -> 1_M over (s, d)
+    as component tuples along ``plan.elems``; Nat(s, r) for each candidate
+    side r met; the right hom of d^* and J; and the limit over the category
+    of elements at each object of A.  A problem lives for one decision and
+    is shared by the candidates of that decision, never across calls.
+    Candidates reach it already validated.
+    """
+
+    def __init__(self, j, d):
+        self.j, self.d = j, d
+        self.mc = d.target
+        self._competitors = {}
+        self._nat = {}
+        self._limits = {}
+
+    @cached_property
+    def plan(self):
+        return naturality_plan(self.j)
+
+    @cached_property
+    def um(self):
+        return unit_prof(self.mc)
+
+    @cached_property
+    def functors(self):
+        return all_functors(self.j.source, self.mc)
+
+    def competitors(self, i):
+        """The cells J -> 1_M over (s, d) for s = functors[i], as
+        component tuples in cells_between order."""
+        if i not in self._competitors:
+            cells = cells_between(self.j, self.um, self.functors[i], self.d,
+                                  self.plan)
+            self._competitors[i] = [tuple(c.comp.values()) for c in cells]
+        return self._competitors[i]
+
+    def nat(self, i, r):
+        """Nat(s, r) for s = functors[i]."""
+        per_s = self._nat.setdefault(r, {})
+        if i not in per_s:
+            per_s[i] = all_natural_transformations(self.functors[i], r)
+        return per_s[i]
+
+    @cached_property
+    def rhom(self):
+        """The right hom d^* <| J : M -/-> A with its witness."""
+        return rhom(conjoint(self.d), self.j)
+
+    def limit_at(self, a):
+        """(oid, diagram, terminal cone) of d over the category of elements
+        of J(a, -); the terminal cone is None where M has no limit."""
+        if a not in self._limits:
+            cat, proj, oid = elements_category(self.j, a)
+            diagram = compose_functors(self.d, proj)
+            try:
+                term = limit(diagram)
+            except NoLimit:
+                term = None
+            self._limits[a] = (oid, diagram, term)
+        return self._limits[a]
+
+    def is_ran(self, r, eps):
+        """Every competitor over (s, d) is eps . alpha for exactly one
+        alpha in Nat(s, r): the images eps . alpha are hashed and counted,
+        and each competitor must be hit once."""
+        mc = self.mc
+        eps_at = [(eps.comp[e], e[0]) for e in self.plan.elems]
+        for i in range(len(self.functors)):
+            cells = self.competitors(i)
+            if not cells:
+                continue
+            hits = {}
+            for alpha in self.nat(i, r):
+                c = alpha.components
+                img = tuple(mc.compose(x, c[a]) for x, a in eps_at)
+                hits[img] = hits.get(img, 0) + 1
+            if any(hits.get(cell) != 1 for cell in cells):
+                return False
+        return True
+
+    def is_pointwise_ran(self, r, eps):
+        """Pointwise property by two independent procedures, which must
+        agree."""
+        one = _pointwise_by_hom_bijection(self, r, eps)
+        two = _pointwise_by_limits(self, r, eps)
+        if one != two:
+            raise OracleDisagreement(
+                f"pointwise procedures disagree on {eps.name}: "
+                f"hom-bijection={one}, limit-comparison={two}")
+        return one
+
+
+def _checked(cand):
+    """The problem of a candidate from outside, after validating it."""
+    problems = cand.validate()
+    if problems:
+        raise ValueError(f"{cand.eps.name} is not a candidate cell J -> 1_M "
+                         f"over (r, d): {problems[0]}")
+    return RanProblem(cand.j, cand.d)
+
+
 def is_ran(cand):
     """Exact decision of the right-extension property: every cell
     J -> 1_M over (s, d) must factor through eps by exactly one natural
-    transformation s => r."""
-    j, d, r, eps = cand.j, cand.d, cand.r, cand.eps
-    ac, mc = j.source, d.target
-    um = unit_prof(mc)
-    for s in all_functors(ac, mc):
-        alphas = all_natural_transformations(s, r)
-        for phi in cells_between(j, um, s, d):
-            hits = 0
-            for alpha in alphas:
-                if all(phi.comp[(a, b, x)] ==
-                       mc.compose(eps.comp[(a, b, x)], alpha.components[a])
-                       for a, b, x in j.elements()):
-                    hits += 1
-            if hits != 1:
-                return False
-    return True
+    transformation s => r.  Raises ValueError on a malformed candidate."""
+    return _checked(cand).is_ran(cand.r, cand.eps)
 
 
-def _pointwise_by_hom_bijection(cand):
+def _pointwise_by_hom_bijection(problem, r, eps):
     """Pointwise test, procedure one: m -> r(a) must correspond bijectively
     to natural families J(a, b) -> M(m, d b)."""
-    j, d, r, eps = cand.j, cand.d, cand.r, cand.eps
-    ac, bc, mc = j.source, j.target, d.target
-    rh, wit = rhom(conjoint(d), j)
+    j, mc = problem.j, problem.mc
+    ac, bc = j.source, j.target
+    rh, wit = problem.rhom
     for m in mc.objects:
         for a in ac.objects:
             imgs = []
@@ -185,17 +287,13 @@ def _pointwise_by_hom_bijection(cand):
     return True
 
 
-def _pointwise_by_limits(cand):
+def _pointwise_by_limits(problem, r, eps):
     """Pointwise test, procedure two: compare with the objectwise limit
     computation through the mediating morphism."""
-    j, d, r, eps = cand.j, cand.d, cand.r, cand.eps
-    ac, mc = j.source, d.target
-    for a in ac.objects:
-        cat, proj, oid = elements_category(j, a)
-        diagram = compose_functors(d, proj)
-        try:
-            term = limit(diagram)
-        except NoLimit:
+    mc = problem.mc
+    for a in problem.j.source.objects:
+        oid, diagram, term = problem.limit_at(a)
+        if term is None:
             return False
         legs = {oid[(b, x)]: eps.comp[(a, b, x)]
                 for (b, x) in oid}
@@ -216,14 +314,9 @@ def _pointwise_by_limits(cand):
 
 def is_pointwise_ran(cand):
     """Pointwise right-extension property, decided by two independent
-    procedures which must agree."""
-    one = _pointwise_by_hom_bijection(cand)
-    two = _pointwise_by_limits(cand)
-    if one != two:
-        raise OracleDisagreement(
-            f"pointwise procedures disagree on {cand.eps.name}: "
-            f"hom-bijection={one}, limit-comparison={two}")
-    return one
+    procedures which must agree.  Raises ValueError on a malformed
+    candidate."""
+    return _checked(cand).is_pointwise_ran(cand.r, cand.eps)
 
 
 def restrict_candidate(cand, f):
@@ -320,29 +413,42 @@ def is_right_exact(cell, mode="pointwise", probe_cats=None):
     over a probe set of target categories: whenever eps exhibits a
     (pointwise) right extension of d along K, the pasted composite must
     exhibit r . f as a (pointwise) right extension of d . g along J.
+    ``mode`` is "pointwise" or "ordinary"; any other value is a ValueError.
 
     Quantifying over all targets is impossible, so the verdict is relative
     to the probe set; the default is zoo.probe_categories(): the terminal
     category, the walking arrow, the discrete category on two objects and
-    the parallel pair.
+    the parallel pair.  Candidates come in the order probe, d, r, eps of
+    all_functors and cells_between, and the first failure is the returned
+    witness.  Within the call, the RanProblem of each (K, d) and (J, d . g)
+    is built once and shared by every candidate; equal problems are one.
     """
+    if mode not in ("pointwise", "ordinary"):
+        raise ValueError(f"unknown mode {mode!r}: expected 'pointwise' or "
+                         "'ordinary'")
     if probe_cats is None:
         probe_cats = zoo.probe_categories()
     f, g = cell.vsrc, cell.vtgt
     j, k = cell.hsrc, cell.htgt
-    check = is_pointwise_ran if mode == "pointwise" else is_ran
+    problems = {}      # (profunctor, d) -> RanProblem, for this call only
+
+    def check(prob, r, eps):
+        if mode == "pointwise":
+            return prob.is_pointwise_ran(r, eps)
+        return prob.is_ran(r, eps)
+
     for mc in probe_cats:
-        um = unit_prof(mc)
         for d in all_functors(g.target, mc):
-            for r in all_functors(f.target, mc):
-                for eps in cells_between(k, um, r, d):
-                    cand = RanCandidate(k, d, r, eps)
-                    if not check(cand):
-                        continue
-                    pasted = vcompose(eps, cell)
-                    sub = RanCandidate(j, compose_functors(d, g),
-                                       compose_functors(r, f), pasted)
-                    if not check(sub):
+            top = problems.setdefault((k, d), RanProblem(k, d))
+            dg = compose_functors(d, g)
+            sub = problems.setdefault((j, dg), RanProblem(j, dg))
+            for i, r in enumerate(top.functors):
+                rf = compose_functors(r, f)
+                for n, comps in enumerate(top.competitors(i)):
+                    eps = Cell(f"c{n}", k, top.um, r, d,
+                               dict(zip(top.plan.elems, comps)))
+                    if check(top, r, eps) and \
+                            not check(sub, rf, vcompose(eps, cell)):
                         return False, {"target": mc.name, "d": d.name,
                                        "r": r.name, "eps": eps.name}
     return True, None

@@ -389,37 +389,6 @@ def memo_compose():
     return compose
 
 
-def coend_classes_oracle(j, h, a, e):
-    """Independent computation of the quotient at (a, e): the finest
-    partition closed under the sliding relation, by naive fixed-point
-    refinement instead of union-find."""
-    bc = j.target
-    pairs = [(b, x, y) for b in bc.objects
-             for x in j.fiber(a, b) for y in h.fiber(b, e)]
-    blocks = {p: frozenset([p]) for p in pairs}
-
-    def merge(p, q):
-        if blocks[p] is blocks[q] or blocks[p] == blocks[q]:
-            return False
-        new = blocks[p] | blocks[q]
-        for r in new:
-            blocks[r] = new
-        return True
-
-    changed = True
-    while changed:
-        changed = False
-        for v in bc.morphisms:
-            b1, b2 = bc.src[v], bc.tgt[v]
-            for x in j.fiber(a, b1):
-                for y in h.fiber(b2, e):
-                    p = (b2, j.act_right(a, b1, x, v), y)
-                    q = (b1, x, h.act_left(v, b2, e, y))
-                    if merge(p, q):
-                        changed = True
-    return {frozenset(b) for b in blocks.values()}
-
-
 def hcompose(left, right, compose=compose_prof):
     """Horizontal composite of cells: left : J -> K over (f, g) beside
     right : H -> L over (g, h) gives J*H -> K*L over (f, h).  ``compose``
@@ -439,16 +408,86 @@ def hcompose(left, right, compose=compose_prof):
     return Cell(f"({left.name}|{right.name})", jh, kl, f, h, comp)
 
 
-def cells_between(j, k, f, g):
-    """Every cell J -> K with vertical boundary (f, g), by enumeration."""
-    elems = list(j.elements())
-    choices = [k.fiber(f.obj[a], g.obj[b]) for a, b, _ in elems]
+@dataclass(frozen=True, eq=False)
+class NaturalityPlan:
+    """The order in which ``cells_between`` binds the components of a cell
+    out of J, and when it tests each naturality square.
+
+    ``elems`` lists J's elements in ``j.elements()`` order.  A square
+    (i, u, v, i2) says that a cell over (f, g) sends ``elems[i2]``, which is
+    u . elems[i] . v, to f(u) . c . g(v), where c is its component at
+    ``elems[i]``; ``squares[n]`` holds the squares whose later position
+    max(i, i2) is n.  A plan depends on J alone, so a caller that searches
+    several boundaries out of one J builds it once.
+    """
+
+    j: Profunctor
+    elems: tuple
+    squares: tuple
+
+
+def naturality_plan(j):
+    """The NaturalityPlan of cells out of J."""
+    elems = tuple(j.elements())
+    pos = {e: n for n, e in enumerate(elems)}
+    squares = [[] for _ in elems]
+    ac, bc = j.source, j.target
+    for i, (a, b, x) in enumerate(elems):
+        for u in ac.into(a):
+            for v in bc.out_of(b):
+                i2 = pos[(ac.src[u], bc.tgt[v], j.act(u, a, b, x, v))]
+                squares[max(i, i2)].append((i, u, v, i2))
+    return NaturalityPlan(j, elems, tuple(map(tuple, squares)))
+
+
+def cells_between(j, k, f, g, plan=None):
+    """Every cell J -> K with vertical boundary (f, g), named c0, c1, ...
+
+    The order is lexicographic in the components listed along
+    ``j.elements()``, each ranging over its fiber of K in fiber order;
+    witness names such as ``c2`` depend on it, and ``comp`` is keyed in
+    that listing order.  A backtracking search with forward checking:
+    components are bound in order and each naturality square is tested as
+    soon as both of its components are bound.  ``plan`` is
+    ``naturality_plan(j)``, built here when not given.
+    """
+    if plan is None:
+        plan = naturality_plan(j)
+    elif plan.j is not j and plan.j != j:
+        raise ValueError("naturality plan was built for another profunctor")
+    # a tuple compares its items by identity first, then by equality
+    if (f.source, g.source, f.target, g.target) != \
+            (j.source, j.target, k.source, k.target):
+        return []
+    elems = plan.elems
+    kact = k.action
+    # (fiber, squares) per position, made on the first visit: most searches
+    # are cut off long before their last position
+    levels = [None] * len(elems)
+
+    def level(n):
+        a, b, _ = elems[n]
+        # per square: the component at i2 must be kact[(fu, fa, gb, comp[i], gv)]
+        checks = [(i, f.mor[u], f.obj[elems[i][0]], g.obj[elems[i][1]],
+                   g.mor[v], i2) for i, u, v, i2 in plan.squares[n]]
+        levels[n] = (k.fiber(f.obj[a], g.obj[b]), checks)
+        return levels[n]
+
     out = []
-    for pick in itertools.product(*choices):
-        cand = Cell(f"c{len(out)}", j, k, f, g,
-                    {key: val for key, val in zip(elems, pick)})
-        if not validate_cell(cand):
-            out.append(cand)
+    pick = [None] * len(elems)
+
+    def extend(n):
+        if n == len(elems):
+            out.append(Cell(f"c{len(out)}", j, k, f, g, dict(zip(elems, pick))))
+            return
+        fiber, checks = levels[n] or level(n)
+        for y in fiber:
+            pick[n] = y
+            if all(pick[i2] == kact[(fu, fa, gb, pick[i], gv)]
+                   for i, fu, fa, gb, gv, i2 in checks):
+                extend(n + 1)
+
+    extend(0)
     return out
 
 

@@ -57,27 +57,6 @@ def coequalizer(xs, p, q, ys):
     return reps, proj
 
 
-@dataclass(frozen=True, eq=True)
-class Span:
-    """A span tgt <- apex -> src of finite sets."""
-
-    name: str = field(compare=False)
-    apex: tuple
-    left: dict
-    right: dict
-
-    def __hash__(self):
-        return hash(self.apex)
-
-
-def span_compose(s1, s2):
-    """Composite span: pairs of apex elements whose inner legs agree."""
-    apex, p1, p2 = pullback(s1.apex, s1.right, s2.apex, s2.left)
-    left = {e: s1.left[p1[e]] for e in apex}
-    right = {e: s2.right[p2[e]] for e in apex}
-    return Span(f"({s1.name};{s2.name})", apex, left, right)
-
-
 # ---------------------------------------------------------------------------
 # internal categories
 

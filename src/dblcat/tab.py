@@ -15,8 +15,8 @@ from .fincat import (Cone, Functor, all_cones, all_functors, comma_category,
                      compose_functors, identity_functor, make_category,
                      mediating_morphisms)
 from .prof import (Cell, Profunctor, cartesian_cell, cells_between,
-                   is_opcartesian, restrict, unit_cell, unit_prof,
-                   validate_cell, vcompose)
+                   is_opcartesian, naturality_plan, restrict, unit_cell,
+                   unit_prof, vcompose)
 from . import zoo
 
 
@@ -128,9 +128,10 @@ def verify_tabulation(t, probes=None):
     factored = {}
     for x_cat in probes:
         ux = unit_prof(x_cat)
+        plan = naturality_plan(ux)
         for phi_a in all_functors(x_cat, ac):
             for phi_b in all_functors(x_cat, bc):
-                for phi in cells_between(ux, j, phi_a, phi_b):
+                for phi in cells_between(ux, j, phi_a, phi_b, plan):
                     found = _factorizations(t, x_cat, phi_a, phi_b, phi)
                     if len(found) != 1:
                         return False, {"stage": "one-dimensional",
@@ -142,19 +143,21 @@ def verify_tabulation(t, probes=None):
     checked_2d = 0
     for x_cat in probes:
         ux = unit_prof(x_cat)
+        plan = naturality_plan(ux)
         pairs = [(k[1], k[2], k[3], v) for k, v in factored.items()
                  if k[0] == id(x_cat)]
         ua, ub = unit_prof(ac), unit_prof(bc)
         ut = unit_prof(t.category)
         for (phi_a, phi_b, phi, fac1) in pairs:
             for (psi_a, psi_b, psi, fac2) in pairs:
-                for xi_a in cells_between(ux, ua, phi_a, psi_a):
-                    for xi_b in cells_between(ux, ub, phi_b, psi_b):
+                for xi_a in cells_between(ux, ua, phi_a, psi_a, plan):
+                    for xi_b in cells_between(ux, ub, phi_b, psi_b, plan):
                         if not _two_dim_compatible(j, x_cat, phi_a, phi_b, phi,
                                                    psi_a, psi_b, psi,
                                                    xi_a, xi_b):
                             continue
-                        hits = [xi for xi in cells_between(ux, ut, fac1, fac2)
+                        hits = [xi for xi in cells_between(ux, ut, fac1, fac2,
+                                                           plan)
                                 if vcompose(unit_cell(t.proj_left), xi) == xi_a
                                 and vcompose(unit_cell(t.proj_right), xi) == xi_b]
                         if len(hits) != 1:

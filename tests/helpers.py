@@ -2,11 +2,14 @@
 
 import itertools
 
-from dblcat.fincat import all_functors, identity_functor, make_category
+from dblcat.fincat import (Functor, all_functors,
+                           all_natural_transformations, compose_functors,
+                           identity_functor, make_category)
 from dblcat.prof import (Cell, CoendWitness, Profunctor, UnionFind,
                          cells_between, companion, compose_prof, conjoint,
-                         family_id, pair_id, restrict, rhom, unit_prof)
-from dblcat import spanfin, zoo
+                         family_id, pair_id, restrict, rhom, unit_prof,
+                         validate_cell, vcompose)
+from dblcat import kan, spanfin, zoo
 
 
 def profunctor_corpus():
@@ -40,6 +43,150 @@ def internal_transformations_oracle(j, k, f, g):
         if not spanfin.validate_internal_transformation(cand):
             out.append(cand)
     return out
+
+
+def all_functors_oracle(a, m):
+    """all_functors by validating every object map and, for each, every
+    choice of arrow images in itertools.product order."""
+    nonids = [x for x in a.morphisms if not a.is_identity(x)]
+    out = []
+    for objs in itertools.product(m.objects, repeat=len(a.objects)):
+        obj_map = dict(zip(a.objects, objs))
+        choices = [m.hom(obj_map[a.src[x]], obj_map[a.tgt[x]]) for x in nonids]
+        for mors in itertools.product(*choices):
+            mor_map = {a.identity(o): m.identity(obj_map[o]) for o in a.objects}
+            mor_map.update(dict(zip(nonids, mors)))
+            cand = Functor(f"F{len(out)}", a, m, obj_map, mor_map)
+            if not cand.validate():
+                out.append(cand)
+    return out
+
+
+def functor_count_oracle(a, m):
+    """Independent backtracking count of functors a -> m, testing every
+    composable pair only once all arrows are bound."""
+    nonids = [x for x in a.morphisms if not a.is_identity(x)]
+
+    def extend_arrows(obj_map, picked, k):
+        if k == len(nonids):
+            mor_map = {a.identity(o): m.identity(obj_map[o]) for o in a.objects}
+            mor_map.update(picked)
+            for g, f in a.composable_pairs():
+                if mor_map[a.table[(g, f)]] != m.table[(mor_map[g], mor_map[f])]:
+                    return 0
+            return 1
+        x = nonids[k]
+        total = 0
+        for img in m.hom(obj_map[a.src[x]], obj_map[a.tgt[x]]):
+            picked[x] = img
+            total += extend_arrows(obj_map, picked, k + 1)
+            del picked[x]
+        return total
+
+    total = 0
+    for objs in itertools.product(m.objects, repeat=len(a.objects)):
+        total += extend_arrows(dict(zip(a.objects, objs)), {}, 0)
+    return total
+
+
+def cells_between_oracle(j, k, f, g):
+    """cells_between by validating every choice of components in
+    itertools.product order."""
+    elems = list(j.elements())
+    choices = [k.fiber(f.obj[a], g.obj[b]) for a, b, _ in elems]
+    out = []
+    for pick in itertools.product(*choices):
+        cand = Cell(f"c{len(out)}", j, k, f, g,
+                    {key: val for key, val in zip(elems, pick)})
+        if not validate_cell(cand):
+            out.append(cand)
+    return out
+
+
+def functor_tables(fs):
+    """Name, object map and arrow map of each functor as lists of items,
+    so that comparing two lists compares insertion order as well."""
+    return [(f.name, list(f.obj.items()), list(f.mor.items())) for f in fs]
+
+
+def cell_tables(cells):
+    """Name and components of each cell as lists of items."""
+    return [(c.name, list(c.comp.items())) for c in cells]
+
+
+def is_ran_oracle(cand):
+    """is_ran by comparing every competitor cell with every eps . alpha,
+    alpha in Nat(s, r), over the slow enumerators."""
+    j, d, r, eps = cand.j, cand.d, cand.r, cand.eps
+    ac, mc = j.source, d.target
+    um = unit_prof(mc)
+    for s in all_functors_oracle(ac, mc):
+        alphas = all_natural_transformations(s, r)
+        for phi in cells_between_oracle(j, um, s, d):
+            hits = 0
+            for alpha in alphas:
+                if all(phi.comp[(a, b, x)] ==
+                       mc.compose(eps.comp[(a, b, x)], alpha.components[a])
+                       for a, b, x in j.elements()):
+                    hits += 1
+            if hits != 1:
+                return False
+    return True
+
+
+def right_exact_oracle(cell, mode, probe_cats):
+    """is_right_exact as a loop over every (d, r, eps) of the slow
+    enumerators, deciding each candidate afresh: ordinary candidates by
+    is_ran_oracle, pointwise ones by kan.is_pointwise_ran."""
+    check = kan.is_pointwise_ran if mode == "pointwise" else is_ran_oracle
+    f, g = cell.vsrc, cell.vtgt
+    j, k = cell.hsrc, cell.htgt
+    for mc in probe_cats:
+        um = unit_prof(mc)
+        for d in all_functors_oracle(g.target, mc):
+            for r in all_functors_oracle(f.target, mc):
+                for eps in cells_between_oracle(k, um, r, d):
+                    if not check(kan.RanCandidate(k, d, r, eps)):
+                        continue
+                    sub = kan.RanCandidate(j, compose_functors(d, g),
+                                           compose_functors(r, f),
+                                           vcompose(eps, cell))
+                    if not check(sub):
+                        return False, {"target": mc.name, "d": d.name,
+                                       "r": r.name, "eps": eps.name}
+    return True, None
+
+
+
+def coend_classes_oracle(j, h, a, e):
+    """Independent computation of the quotient at (a, e): the finest
+    partition closed under the sliding relation, by naive fixed-point
+    refinement instead of union-find."""
+    bc = j.target
+    pairs = [(b, x, y) for b in bc.objects
+             for x in j.fiber(a, b) for y in h.fiber(b, e)]
+    blocks = {p: frozenset([p]) for p in pairs}
+
+    def merge(p, q):
+        if blocks[p] is blocks[q] or blocks[p] == blocks[q]:
+            return False
+        new = blocks[p] | blocks[q]
+        for r in new:
+            blocks[r] = new
+        return True
+
+    changed = True
+    while changed:
+        changed = False
+        for v in bc.morphisms:
+            b1, b2 = bc.src[v], bc.tgt[v]
+            for x in j.fiber(a, b1):
+                for y in h.fiber(b2, e):
+                    p = (b2, j.act_right(a, b1, x, v), y)
+                    q = (b1, x, h.act_left(v, b2, e, y))
+                    if merge(p, q):
+                        changed = True
+    return {frozenset(b) for b in blocks.values()}
 
 
 def hom_scan(cat, a, b):

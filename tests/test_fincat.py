@@ -1,4 +1,6 @@
 import copy
+import itertools
+import random
 
 import pytest
 
@@ -6,7 +8,7 @@ import helpers
 from dblcat.fincat import (Cone, Functor, all_cones, all_functors,
                            all_natural_transformations, comma_category,
                            compose_functors, find_isomorphism,
-                           functor_count_oracle, identity_functor,
+                           identity_functor,
                            is_connected, limit, make_category,
                            mediating_morphisms, validate_category, NoLimit)
 from dblcat import zoo
@@ -61,9 +63,21 @@ def test_functor_enumeration_matches_oracle():
     for (a, m), expected in FUNCTOR_COUNTS.items():
         fs = all_functors(cats[a], cats[m])
         assert len(fs) == expected
-        assert functor_count_oracle(cats[a], cats[m]) == expected
+        assert helpers.functor_count_oracle(cats[a], cats[m]) == expected
         for f in fs:
             assert f.validate() == []
+
+
+def test_functor_search_matches_slow_twin():
+    # names, order and dict insertion order, over listings shuffled two ways
+    cats = zoo.corpus_categories() + [helpers.chain(n, random.Random(seed))
+                                      for seed in (1, 2) for n in range(5)]
+    found = 0
+    for a, m in itertools.product(cats, repeat=2):
+        got = helpers.functor_tables(all_functors(a, m))
+        assert got == helpers.functor_tables(helpers.all_functors_oracle(a, m))
+        found += len(got)
+    assert found == 1111
 
 
 def test_functor_enumeration_is_deterministic():

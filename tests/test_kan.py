@@ -1,10 +1,14 @@
+import dataclasses
+import itertools
+
 import pytest
 
+import helpers
 from dblcat import kan, zoo
 from dblcat.fincat import (Functor, all_functors, compose_functors,
                            identity_functor, validate_category, NoLimit)
 from dblcat.prof import (Cell, cells_between, companion, conjoint,
-                         empty_prof, unit_prof, validate_cell)
+                         empty_prof, identity_cell, unit_prof, validate_cell)
 
 
 def test_elements_category_shapes():
@@ -54,20 +58,146 @@ def test_ran_can_fail_to_exist():
         kan.pointwise_ran(j, d)
 
 
-def test_non_extensions_are_rejected():
+def non_extension_candidates():
+    """Every cell J -> 1_[3] over (s, id) along a companion J, as a
+    candidate extension of the identity."""
     two, three = zoo.walking_arrow(), zoo.composable_pair()
     d = identity_functor(three)
     j = companion(all_functors(two, three)[2])
-    good = kan.pointwise_ran(j, d)
     um = unit_prof(three)
+    return [kan.RanCandidate(j, d, s, eps) for s in all_functors(two, three)
+            for eps in cells_between(j, um, s, d)]
+
+
+def limit_poor_candidates():
+    """Every candidate along a corpus profunctor into the parallel pair, the
+    discrete pair or the iso pair, targets that lack some limits."""
+    out = []
+    for mc in (zoo.parallel_pair(), zoo.discrete(2), zoo.iso_pair()):
+        um = unit_prof(mc)
+        for j in helpers.profunctor_corpus():
+            for d in all_functors(j.target, mc):
+                for s in all_functors(j.source, mc):
+                    out += [kan.RanCandidate(j, d, s, eps)
+                            for eps in cells_between(j, um, s, d)]
+    return out
+
+
+def test_non_extensions_are_rejected():
     verdicts = []
-    for s in all_functors(two, three):
-        for eps in cells_between(j, um, s, d):
-            cand = kan.RanCandidate(j, d, s, eps)
-            verdicts.append(kan.is_ran(cand))
-            assert kan.is_ran(cand) == kan.is_pointwise_ran(cand)
+    for cand in non_extension_candidates():
+        verdicts.append(kan.is_ran(cand))
+        assert kan.is_ran(cand) == kan.is_pointwise_ran(cand)
     assert any(verdicts)          # the genuine extension is among them
     assert not all(verdicts)      # and plenty of candidates are not
+
+
+def test_deciders_match_slow_twin_and_known_answers():
+    cands = non_extension_candidates()
+    assert [kan.is_ran(c) for c in cands] == [False, False, True]
+    assert [kan.is_pointwise_ran(c) for c in cands] == [False, False, True]
+    counts = [0, 0, 0]
+    for cand in cands + limit_poor_candidates():
+        ordinary = kan.is_ran(cand)
+        assert ordinary == helpers.is_ran_oracle(cand)
+        counts[0] += 1
+        counts[1] += ordinary
+        counts[2] += kan.is_pointwise_ran(cand)
+    # the verdict counts of the generate-then-test deciders; six candidates
+    # are ordinary extensions but not pointwise ones
+    assert counts == [715, 543, 537]
+    # along an empty profunctor the one competitor is hit once per element
+    # of Nat(s, r), so r must pick a terminal object
+    one = zoo.terminal_category()
+    empties = []
+    for mc in (zoo.walking_arrow(), zoo.parallel_pair(), zoo.iso_pair()):
+        d = all_functors(one, mc)[0]
+        for r in all_functors(one, mc):
+            empties.append(kan.RanCandidate(
+                empty_prof(one, one), d, r,
+                Cell("e", empty_prof(one, one), unit_prof(mc), r, d, {})))
+    want = [False, True, False, False, True, True]
+    assert [kan.is_ran(c) for c in empties] == want
+    assert [helpers.is_ran_oracle(c) for c in empties] == want
+    assert [kan.is_pointwise_ran(c) for c in empties] == want
+
+
+def test_deciders_reject_malformed_candidates():
+    pp = zoo.parallel_pair()
+    good = kan.pointwise_ran(unit_prof(pp), identity_functor(pp))
+    assert kan.is_ran(good) and kan.is_pointwise_ran(good)
+    # move one component to another element of its fiber
+    key, val = next((key, val) for key, val in good.eps.comp.items()
+                    if len(pp.hom(good.r.obj[key[0]], key[1])) > 1)
+    other = next(m for m in pp.hom(good.r.obj[key[0]], key[1]) if m != val)
+    moved = dataclasses.replace(
+        good, eps=dataclasses.replace(good.eps, comp={**good.eps.comp,
+                                                      key: other}))
+    # the candidate's side r differs from the side of its cell
+    r2 = next(r for r in all_functors(pp, pp) if r != good.r)
+    sided = dataclasses.replace(good, r=r2)
+    for bad, problem in ((moved, "naturality fails"),
+                         (sided, "boundary does not match")):
+        for decide in (kan.is_ran, kan.is_pointwise_ran):
+            with pytest.raises(ValueError, match=problem):
+                decide(bad)
+
+
+def test_is_right_exact_matches_slow_twin():
+    two, three = zoo.walking_arrow(), zoo.composable_pair()
+    probes = [zoo.terminal_category(), zoo.walking_arrow()]
+    squares = [kan.comma_square_cell(f, k)[0] for f, k in (
+        (zoo.pick(two, "0"), identity_functor(two)),
+        (zoo.pick(two, "1"), identity_functor(two)),
+        (all_functors(two, three)[2], all_functors(two, three)[3]))]
+    empty = Cell("z", empty_prof(two, two), unit_prof(two),
+                 identity_functor(two), identity_functor(two), {})
+    for mode in ("pointwise", "ordinary"):
+        for cell in squares:
+            assert kan.is_right_exact(cell, mode, probes) == (True, None)
+            assert helpers.right_exact_oracle(cell, mode, probes) == (True, None)
+        witness = {"target": "Two", "d": "F0", "r": "F0", "eps": "c0"}
+        assert kan.is_right_exact(empty, mode, [two]) == (False, witness)
+        assert helpers.right_exact_oracle(empty, mode, [two]) == (False, witness)
+    # one cell per pair of corpus profunctors, at their first boundary
+    failures = 0
+    corpus = helpers.profunctor_corpus()
+    for j, k in itertools.product(corpus, repeat=2):
+        for cell in cells_between(j, k, all_functors(j.source, k.source)[0],
+                                  all_functors(j.target, k.target)[0])[:1]:
+            for mode in ("pointwise", "ordinary"):
+                got = kan.is_right_exact(cell, mode, probes)
+                assert got == helpers.right_exact_oracle(cell, mode, probes)
+                failures += not got[0]
+    assert failures == 84
+
+
+def test_right_exactness_runs_each_competitor_search_once(monkeypatch):
+    searches = []
+    real = kan.cells_between
+
+    def counted(j, k, f, g, plan=None):
+        searches.append((j, k, f, g))
+        return real(j, k, f, g, plan)
+
+    monkeypatch.setattr(kan, "cells_between", counted)
+    cell = identity_cell(unit_prof(helpers.chain(3)))
+    for mode in ("ordinary", "pointwise"):
+        counts = []
+        for _ in range(2):
+            searches.clear()
+            assert kan.is_right_exact(cell, mode) == (True, None)
+            assert len(set(searches)) == len(searches)
+            counts.append(len(searches))
+        # nothing is kept from one call to the next
+        assert counts == [57, 57]
+
+
+def test_is_right_exact_rejects_unknown_mode():
+    two = zoo.walking_arrow()
+    cell, _ = kan.comma_square_cell(zoo.pick(two, "0"), identity_functor(two))
+    with pytest.raises(ValueError, match="pointwse"):
+        kan.is_right_exact(cell, mode="pointwse")
 
 
 def test_probe_reports_for_pointwise_candidate():

@@ -6,12 +6,13 @@ import pytest
 
 import helpers
 from dblcat.fincat import all_functors, identity_functor
-from dblcat.prof import (Cell, cells_between, coend_classes_oracle, companion,
+from dblcat.prof import (Cell, cells_between, companion,
                          companion_cells, compose_prof, conjoint,
                          conjoint_cells, componentwise_bijective, empty_prof,
                          hcompose, identity_cell, invert_horizontal_cell,
                          is_cartesian, is_invertible_cell, is_opcartesian,
                          left_unitor, lower_star, memo_compose,
+                         naturality_plan,
                          nat_transf_as_cell, Profunctor,
                          opcartesian_cell, cartesian_cell, restrict, rhom,
                          right_unitor, unit_cell, unit_prof, upper_star,
@@ -51,11 +52,44 @@ def test_composites_validate_and_match_oracle():
         assert validate_profunctor(comp) == []
         for a in j.source.objects:
             for e in h.target.objects:
-                blocks = coend_classes_oracle(j, h, a, e)
+                blocks = helpers.coend_classes_oracle(j, h, a, e)
                 ours = {}
                 for pair, rep in wit.classes[(a, e)].items():
                     ours.setdefault(rep, set()).add(pair)
                 assert {frozenset(v) for v in ours.values()} == blocks
+
+
+def test_cell_search_matches_slow_twin():
+    # every boundary between corpus profunctors and the units of the probe
+    # categories; one naturality plan per J, as callers share it
+    corpus = helpers.profunctor_corpus()
+    targets = corpus + [unit_prof(c) for c in zoo.probe_categories()]
+    boundaries = cells = 0
+    for j in corpus:
+        plan = naturality_plan(j)
+        for k in targets:
+            for f in all_functors(j.source, k.source):
+                for g in all_functors(j.target, k.target):
+                    got = helpers.cell_tables(cells_between(j, k, f, g, plan))
+                    assert got == helpers.cell_tables(
+                        helpers.cells_between_oracle(j, k, f, g))
+                    boundaries += 1
+                    cells += len(got)
+    assert (boundaries, cells) == (6224, 3821)
+
+
+def test_cell_search_checks_its_plan_and_boundary():
+    two, three = zoo.walking_arrow(), zoo.composable_pair()
+    j, k = unit_prof(two), unit_prof(three)
+    f = all_functors(two, three)[1]      # 0 -> 0, 1 -> 1
+    assert cells_between(j, k, f, f, naturality_plan(unit_prof(two))) == \
+        cells_between(j, k, f, f)
+    with pytest.raises(ValueError, match="another profunctor"):
+        cells_between(j, k, f, f, naturality_plan(k))
+    # a side that does not start at J's target admits no cell
+    wrong = identity_functor(three)
+    assert cells_between(j, k, f, wrong) == [] == \
+        helpers.cells_between_oracle(j, k, f, wrong)
 
 
 def test_compose_prof_matches_slow_twin():
