@@ -367,7 +367,8 @@ class Parser:
 
     def _complete_action(self, src, tgt, fibers, home, entries, name):
         """Close the stated actions under identities and composition; the
-        result must cover every composable triple."""
+        result must cover every composable triple.  A sweep pairs each
+        entry with the entries acting on its result, in table order."""
         table = dict(entries)
         for j, (a, b) in home.items():
             key = (src.identity(a), j, tgt.identity(b))
@@ -375,13 +376,15 @@ class Parser:
                 self.error(f"profunctor {name[1]!r} states an identity "
                            f"action moving {j!r}", name)
             table[key] = j
+        acting_on = {}
+        for key in table:
+            acting_on.setdefault(key[1], []).append(key)
         changed = True
         while changed:
             changed = False
             for (u1, j, v1), j2 in list(table.items()):
-                for (u2, jj, v2), j3 in list(table.items()):
-                    if jj != j2:
-                        continue
+                for u2, _, v2 in list(acting_on[j2]):
+                    j3 = table[(u2, j2, v2)]
                     key = (src.compose(u1, u2), j, tgt.compose(v2, v1))
                     if table.get(key) != j3:
                         if key in table:
@@ -389,6 +392,7 @@ class Parser:
                                 f"profunctor {name[1]!r} actions are "
                                 f"inconsistent at {key}", name)
                         table[key] = j3
+                        acting_on[j].append(key)
                         changed = True
         action = {}
         for j, (a, b) in home.items():

@@ -320,8 +320,60 @@ def limit(diagram):
     raise NoLimit(f"no limit of {diagram.name}")
 
 
-def comma_object_name(c, u, d):
-    return f"({c},{u},{d})"
+def category_of_elements(name, ac, bc, triples, act_right, act_left):
+    """The category ``name`` of the ``triples`` (a, x, b), in the order
+    given, with ids ``(a,x,b)``.  An arrow (u, v) : (a1, x1, b1) ->
+    (a2, x2, b2) is a pair u : a1 -> a2 in A, v : b1 -> b2 in B with
+    ``act_right(a1, b1, x1, v) == act_left(u, a2, b2, x2)``.
+
+    Arrows are named ``[u,v]:s->t`` and listed by source triple, then
+    target triple, then u and v in hom order; the targets that both
+    hom-sets reach are found once per pair of source endpoints.  Identities
+    are implicit; composites are componentwise.  Returns the category, its
+    projections ``pl_<name>`` to A and ``pr_<name>`` to B, and the triple
+    of each object id.
+    """
+    ids = {t: f"({t[0]},{t[1]},{t[2]})" for t in triples}
+    reach = {}      # (a1, b1) -> the triples both its hom-sets reach
+    arrows, pair = {}, {}
+    for t1 in triples:
+        a1, x1, b1 = t1
+        if (a1, b1) not in reach:
+            reach[(a1, b1)] = [t for t in triples
+                               if ac.hom(a1, t[0]) and bc.hom(b1, t[2])]
+        for t2 in reach[(a1, b1)]:
+            a2, x2, b2 = t2
+            for u in ac.hom(a1, a2):
+                for v in bc.hom(b1, b2):
+                    if act_right(a1, b1, x1, v) != act_left(u, a2, b2, x2):
+                        continue
+                    if t1 == t2 and ac.is_identity(u) and bc.is_identity(v):
+                        continue
+                    m = f"[{u},{v}]:{ids[t1]}->{ids[t2]}"
+                    arrows[m] = (ids[t1], ids[t2])
+                    pair[m] = (u, v)
+    cat = make_category(name, ids.values(), arrows)   # composites below
+    composites = {}
+    for m2, m1 in cat.composable_pairs():
+        if m2 not in pair or m1 not in pair:
+            continue  # composites with identities are implicit
+        u = ac.compose(pair[m2][0], pair[m1][0])
+        v = bc.compose(pair[m2][1], pair[m1][1])
+        s, t = cat.src[m1], cat.tgt[m2]
+        if s == t and ac.is_identity(u) and bc.is_identity(v):
+            composites[(m2, m1)] = cat.identity(s)
+        else:
+            composites[(m2, m1)] = f"[{u},{v}]:{s}->{t}"
+    cat.table.update(composites)   # safe: no index reads the table
+    pl_obj = {ids[t]: t[0] for t in triples}
+    pr_obj = {ids[t]: t[2] for t in triples}
+    pl_mor = {cat.identity(o): ac.identity(pl_obj[o]) for o in cat.objects}
+    pr_mor = {cat.identity(o): bc.identity(pr_obj[o]) for o in cat.objects}
+    for m, (u, v) in pair.items():
+        pl_mor[m], pr_mor[m] = u, v
+    return (cat, Functor(f"pl_{name}", cat, ac, pl_obj, pl_mor),
+            Functor(f"pr_{name}", cat, bc, pr_obj, pr_mor),
+            {i: t for t, i in ids.items()})
 
 
 @dataclass(frozen=True, eq=True)
@@ -336,65 +388,20 @@ class CommaCategory:
 def comma_category(f, g):
     """The comma category of ``f : C -> E`` and ``g : D -> E``.
 
-    Objects are triples (c, u, d) with ``u : f c -> g d``; morphisms are the
-    pairs (p, q) making the evident square commute.
+    Objects are the triples (c, u, d) with ``u : f c -> g d``, listed by c,
+    then d, then u in hom order; morphisms are the pairs (p, q) with
+    g(q) . u == u2 . f(p), listed as ``category_of_elements`` lists them.
     """
     if f.target != g.target:
         raise ValueError("comma requires a common target")
     ccat, dcat, ecat = f.source, g.source, f.target
-    objects = []
-    for c in ccat.objects:
-        for d in dcat.objects:
-            for u in ecat.hom(f.obj[c], g.obj[d]):
-                objects.append((c, u, d))
-    obj_ids = tuple(comma_object_name(*o) for o in objects)
-    by_id = dict(zip(obj_ids, objects))
-    arrows = {}
-    pair_of = {}
-    for oid in obj_ids:
-        c, u, d = by_id[oid]
-        for oid2 in obj_ids:
-            c2, u2, d2 = by_id[oid2]
-            for p in ccat.hom(c, c2):
-                for q in dcat.hom(d, d2):
-                    if ecat.compose(g.mor[q], u) != ecat.compose(u2, f.mor[p]):
-                        continue
-                    if ccat.is_identity(p) and dcat.is_identity(q) and oid == oid2:
-                        continue  # identities are implicit
-                    mid = f"[{p},{q}]:{oid}->{oid2}"
-                    arrows[mid] = (oid, oid2)
-                    pair_of[mid] = (p, q, oid, oid2)
-    composites = {}
-    cat_stub = make_category(f"{f.name}/{g.name}", obj_ids, arrows)
-    for m2, m1 in cat_stub.composable_pairs():
-        if m2 not in pair_of or m1 not in pair_of:
-            continue  # composites with identities are implicit
-        p1, q1, s1, _ = pair_of[m1]
-        p2, q2, _, t2 = pair_of[m2]
-        p = ccat.compose(p2, p1)
-        q = dcat.compose(q2, q1)
-        if ccat.is_identity(p) and dcat.is_identity(q) and s1 == t2:
-            composites[(m2, m1)] = cat_stub.identity(s1)
-        else:
-            composites[(m2, m1)] = f"[{p},{q}]:{s1}->{t2}"
-    cat = make_category(f"{f.name}/{g.name}", obj_ids, arrows, composites)
-    proj_l_obj = {oid: by_id[oid][0] for oid in obj_ids}
-    proj_r_obj = {oid: by_id[oid][2] for oid in obj_ids}
-    proj_l_mor = {}
-    proj_r_mor = {}
-    for m in cat.morphisms:
-        if cat.is_identity(m):
-            oid = cat.src[m]
-            proj_l_mor[m] = ccat.identity(proj_l_obj[oid])
-            proj_r_mor[m] = dcat.identity(proj_r_obj[oid])
-        else:
-            p, q, _, _ = pair_of[m]
-            proj_l_mor[m] = p
-            proj_r_mor[m] = q
-    proj_l = Functor(f"pl_{cat.name}", cat, ccat, proj_l_obj, proj_l_mor)
-    proj_r = Functor(f"pr_{cat.name}", cat, dcat, proj_r_obj, proj_r_mor)
-    components = {oid: by_id[oid][1] for oid in obj_ids}
-    return CommaCategory(cat, proj_l, proj_r, components)
+    triples = [(c, u, d) for c in ccat.objects for d in dcat.objects
+               for u in ecat.hom(f.obj[c], g.obj[d])]
+    cat, pl, pr, triple = category_of_elements(
+        f"{f.name}/{g.name}", ccat, dcat, triples,
+        lambda c, d, u, q: ecat.compose(g.mor[q], u),
+        lambda p, c, d, u: ecat.compose(u, f.mor[p]))
+    return CommaCategory(cat, pl, pr, {o: t[1] for o, t in triple.items()})
 
 
 def is_connected(cat):
@@ -472,6 +479,22 @@ def all_functors(a, m):
 
     bind_object(0)
     return out
+
+
+def remembering(search):
+    """``search`` with each result kept, per argument tuple, for as long as
+    the returned function lives.  Make one per computation and share it
+    within that computation; nothing outlives it."""
+    memo = {}
+
+    def remembered(*args):
+        try:
+            return memo[args]       # one lookup: keys may be slow to compare
+        except KeyError:
+            found = memo[args] = search(*args)
+            return found
+
+    return remembered
 
 
 def all_natural_transformations(f, g):

@@ -23,15 +23,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .fincat import (FinCategory, Functor, NatTransf, NoLimit, all_functors,
-                     all_natural_transformations, comma_category,
-                     compose_functors, identity_functor, is_connected, limit,
-                     make_category, mediating_morphisms, Cone)
-from .prof import (Cell, Profunctor, cartesian_cell, cells_between,
-                   componentwise_bijective, compose_prof, conjoint,
-                   family_id, lower_star, naturality_plan, rhom, unit_prof,
-                   validate_cell, vcompose)
+from .fincat import (Cone, Functor, NoLimit, all_functors,
+                     all_natural_transformations, category_of_elements,
+                     comma_category, compose_functors, identity_functor,
+                     is_connected, limit, mediating_morphisms, remembering)
+from .prof import (Cell, Profunctor, bijects_onto, cartesian_cell,
+                   cells_between, componentwise_bijective, compose_prof,
+                   conjoint, family_id, lower_star, naturality_plan, rhom,
+                   unit_prof, validate_cell, vcompose)
 from . import zoo
+
+_ONE = zoo.terminal_category()      # never mutated; built once, not per call
 
 
 class InvariantViolation(Exception):
@@ -64,48 +66,16 @@ class RanCandidate:
 
 
 def elements_category(j, a):
-    """The category of elements of J(a, -) with its projection to B.
-
-    Objects are pairs (b, x) with x in J(a, b); a morphism v : b -> b'
-    connects (b, x) to (b', v . x).
-    """
-    bc = j.target
-    objs = [(b, x) for b in bc.objects for x in j.fiber(a, b)]
-    oid = {o: f"({o[0]},{o[1]})" for o in objs}
-    arrows = {}
-    data = {}
-    for (b, x) in objs:
-        for v in bc.out_of(b):
-            if bc.is_identity(v):
-                continue
-            b2 = bc.tgt[v]
-            x2 = j.act_right(a, b, x, v)
-            mid = f"[{v}]@{oid[(b, x)]}"
-            arrows[mid] = (oid[(b, x)], oid[(b2, x2)])
-            data[mid] = (v, (b, x), (b2, x2))
-    stub = make_category(f"el({j.name},{a})", [oid[o] for o in objs], arrows)
-    composites = {}
-    for m2, m1 in stub.composable_pairs():
-        if m2 not in data or m1 not in data:
-            continue  # composites with identities are implicit
-        v1, s1, _ = data[m1]
-        v2, _, t2 = data[m2]
-        v = bc.compose(v2, v1)
-        if bc.is_identity(v) and s1 == t2:
-            composites[(m2, m1)] = stub.identity(oid[s1])
-        else:
-            composites[(m2, m1)] = f"[{v}]@{oid[s1]}"
-    cat = make_category(f"el({j.name},{a})", [oid[o] for o in objs],
-                        arrows, composites)
-    proj_obj = {oid[o]: o[0] for o in objs}
-    proj_mor = {}
-    for m in cat.morphisms:
-        if cat.is_identity(m):
-            proj_mor[m] = bc.identity(proj_obj[cat.src[m]])
-        else:
-            proj_mor[m] = data[m][0]
-    proj = Functor(f"pr_{cat.name}", cat, bc, proj_obj, proj_mor)
-    return cat, proj, oid
+    """The category of elements of J(a, -), its projection to B and the
+    object id of each (b, x): the category of the triples (*, x, b), x in
+    J(a, b), listed by b then x, over the terminal category, so that
+    v : b -> b' connects (b, x) to (b', x . v).  Arrows are listed as
+    ``category_of_elements`` lists them."""
+    triples = [("*", x, b) for b in j.target.objects for x in j.fiber(a, b)]
+    cat, _, proj, triple = category_of_elements(
+        f"el({j.name},{a})", _ONE, j.target, triples,
+        lambda _, b, x, v: j.act_right(a, b, x, v), lambda u, _, b, x: x)
+    return cat, proj, {(b, x): o for o, (_, x, b) in triple.items()}
 
 
 def _unique_mediator(lim, cone, where):
@@ -122,18 +92,13 @@ def pointwise_ran(j, d):
     """Compute the pointwise right extension of d along J objectwise as a
     limit over the category of elements; raises NoLimit naming the object
     at which the target category falls short."""
-    ac, bc, mc = j.source, j.target, d.target
-    terminal_cones = {}
-    keys = {}
+    ac, mc = j.source, d.target
+    problem = RanProblem(j, d)
+    keys, terminal_cones = {}, {}
     for a in ac.objects:
-        cat, proj, oid = elements_category(j, a)
-        diagram = compose_functors(d, proj)
-        try:
-            cone = limit(diagram)
-        except NoLimit:
+        keys[a], _, terminal_cones[a] = problem.limit_at(a)
+        if terminal_cones[a] is None:
             raise NoLimit(f"no limit at object {a}")
-        terminal_cones[a] = cone
-        keys[a] = oid
     r_obj = {a: terminal_cones[a].apex for a in ac.objects}
     r_mor = {}
     for u in ac.morphisms:
@@ -146,10 +111,9 @@ def pointwise_ran(j, d):
         cone = Cone(terminal_cones[a2].diagram, r_obj[a], legs)
         r_mor[u] = _unique_mediator(terminal_cones[a2], cone, f"at {u}")
     r = Functor(f"ran({d.name},{j.name})", ac, mc, r_obj, r_mor)
-    comp = {}
-    for a, b, x in j.elements():
-        comp[(a, b, x)] = terminal_cones[a].legs[keys[a][(b, x)]]
-    eps = Cell(f"eps_ran({d.name},{j.name})", j, unit_prof(mc), r, d, comp)
+    comp = {(a, b, x): terminal_cones[a].legs[keys[a][(b, x)]]
+            for a, b, x in j.elements()}
+    eps = Cell(f"eps_ran({d.name},{j.name})", j, problem.um, r, d, comp)
     return RanCandidate(j, d, r, eps)
 
 
@@ -161,14 +125,17 @@ class RanProblem:
     A -> M; for each of them, s, the competitor cells J -> 1_M over (s, d)
     as component tuples along ``plan.elems``; Nat(s, r) for each candidate
     side r met; the right hom of d^* and J; and the limit over the category
-    of elements at each object of A.  A problem lives for one decision and
-    is shared by the candidates of that decision, never across calls.
-    Candidates reach it already validated.
+    of elements at each object of A.  The functors come from ``search``,
+    ``all_functors`` unless a caller shares a ``remembering`` one among
+    its problems.  A problem lives for one decision and is shared by the
+    candidates of that decision, never across calls.  Candidates reach it
+    already validated.
     """
 
-    def __init__(self, j, d):
+    def __init__(self, j, d, search=None):
         self.j, self.d = j, d
         self.mc = d.target
+        self._search = search or all_functors
         self._competitors = {}
         self._nat = {}
         self._limits = {}
@@ -183,7 +150,7 @@ class RanProblem:
 
     @cached_property
     def functors(self):
-        return all_functors(self.j.source, self.mc)
+        return self._search(self.j.source, self.mc)
 
     def competitors(self, i):
         """The cells J -> 1_M over (s, d) for s = functors[i], as
@@ -270,21 +237,16 @@ def _pointwise_by_hom_bijection(problem, r, eps):
     """Pointwise test, procedure one: m -> r(a) must correspond bijectively
     to natural families J(a, b) -> M(m, d b)."""
     j, mc = problem.j, problem.mc
-    ac, bc = j.source, j.target
-    rh, wit = problem.rhom
-    for m in mc.objects:
-        for a in ac.objects:
-            imgs = []
-            for p in mc.hom(m, r.obj[a]):
-                fam = {}
-                for b in bc.objects:
-                    fam[b] = {x: mc.compose(eps.comp[(a, b, x)], p)
-                              for x in j.fiber(a, b)}
-                imgs.append(family_id(bc.objects, fam))
-            tgt = rh.fiber(m, a)
-            if len(set(imgs)) != len(imgs) or set(imgs) != set(tgt):
-                return False
-    return True
+    bobjs = j.target.objects
+    rh, _ = problem.rhom
+
+    def family(a, p):
+        return family_id(bobjs, {b: {x: mc.compose(eps.comp[(a, b, x)], p)
+                                     for x in j.fiber(a, b)} for b in bobjs})
+
+    return all(bijects_onto([family(a, p) for p in mc.hom(m, r.obj[a])],
+                            rh.fiber(m, a))
+               for m in mc.objects for a in j.source.objects)
 
 
 def _pointwise_by_limits(problem, r, eps):
@@ -375,7 +337,6 @@ def pasting_check(gamma, cand):
     verdicts must agree pairwise."""
     if not is_pointwise_ran(cand):
         raise ValueError("pasting_check requires a pointwise base candidate")
-    mc = cand.d.target
     gamma_cand = RanCandidate(gamma.hsrc, cand.r, gamma.vsrc, gamma)
     comp_cand = composite_candidate(gamma, cand)
     return {
@@ -400,11 +361,10 @@ def comma_square_cell(f, k):
     p, q = comma.proj_left, comma.proj_right
     top = conjoint(p)      # A -/-> (f/k)
     bot = conjoint(k)      # C -/-> D
-    ac, cc = f.source, f.target
-    comp = {}
-    for a, w, u in top.elements():
-        # u : a -> p(w); paste with the canonical component at w
-        comp[(a, w, u)] = cc.compose(comma.components[w], f.mor[u])
+    cc = f.target
+    # u : a -> p(w), pasted with the canonical component at w
+    comp = {(a, w, u): cc.compose(comma.components[w], f.mor[u])
+            for a, w, u in top.elements()}
     return Cell(f"comma_{f.name}_{k.name}", top, bot, f, q, comp), comma
 
 
@@ -421,7 +381,9 @@ def is_right_exact(cell, mode="pointwise", probe_cats=None):
     the parallel pair.  Candidates come in the order probe, d, r, eps of
     all_functors and cells_between, and the first failure is the returned
     witness.  Within the call, the RanProblem of each (K, d) and (J, d . g)
-    is built once and shared by every candidate; equal problems are one.
+    is built once and shared by every candidate; equal problems are one,
+    and each ``all_functors`` search runs once per distinct pair of
+    categories.
     """
     if mode not in ("pointwise", "ordinary"):
         raise ValueError(f"unknown mode {mode!r}: expected 'pointwise' or "
@@ -431,6 +393,7 @@ def is_right_exact(cell, mode="pointwise", probe_cats=None):
     f, g = cell.vsrc, cell.vtgt
     j, k = cell.hsrc, cell.htgt
     problems = {}      # (profunctor, d) -> RanProblem, for this call only
+    search = remembering(all_functors)     # shared by those problems
 
     def check(prob, r, eps):
         if mode == "pointwise":
@@ -438,10 +401,10 @@ def is_right_exact(cell, mode="pointwise", probe_cats=None):
         return prob.is_ran(r, eps)
 
     for mc in probe_cats:
-        for d in all_functors(g.target, mc):
-            top = problems.setdefault((k, d), RanProblem(k, d))
+        for d in search(g.target, mc):
+            top = problems.setdefault((k, d), RanProblem(k, d, search))
             dg = compose_functors(d, g)
-            sub = problems.setdefault((j, dg), RanProblem(j, dg))
+            sub = problems.setdefault((j, dg), RanProblem(j, dg, search))
             for i, r in enumerate(top.functors):
                 rf = compose_functors(r, f)
                 for n, comps in enumerate(top.competitors(i)):

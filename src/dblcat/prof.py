@@ -22,7 +22,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .fincat import FinCategory, Functor, identity_functor, compose_functors
+from .fincat import (FinCategory, Functor, compose_functors, identity_functor,
+                     remembering)
 
 
 @dataclass(frozen=True, eq=True)
@@ -377,16 +378,8 @@ def memo_compose():
     returns the same objects, which callers must not mutate.  Make one per
     computation and pass it as ``compose=``; nothing outlives it.
     """
-    memo = {}
-
-    def compose(j, h):
-        key = (j.name, h.name, j, h)
-        hit = memo.get(key)
-        if hit is None:
-            hit = memo[key] = compose_prof(j, h)
-        return hit
-
-    return compose
+    memo = remembering(lambda j_name, h_name, j, h: compose_prof(j, h))
+    return lambda j, h: memo(j.name, h.name, j, h)
 
 
 def hcompose(left, right, compose=compose_prof):
@@ -495,15 +488,16 @@ def cells_between(j, k, f, g, plan=None):
 # unitors, associator, inverses
 
 
+def bijects_onto(images, fiber):
+    """Whether the listed images are distinct and make up the fiber."""
+    return len(set(images)) == len(images) and set(images) == set(fiber)
+
+
 def componentwise_bijective(c):
     f, g = c.vsrc, c.vtgt
-    for a in c.hsrc.source.objects:
-        for b in c.hsrc.target.objects:
-            imgs = [c.comp[(a, b, x)] for x in c.hsrc.fiber(a, b)]
-            tgt = c.htgt.fiber(f.obj[a], g.obj[b])
-            if len(set(imgs)) != len(imgs) or set(imgs) != set(tgt):
-                return False
-    return True
+    return all(bijects_onto([c.comp[(a, b, x)] for x in c.hsrc.fiber(a, b)],
+                            c.htgt.fiber(f.obj[a], g.obj[b]))
+               for a in c.hsrc.source.objects for b in c.hsrc.target.objects)
 
 
 def invert_horizontal_cell(c):
@@ -589,12 +583,8 @@ def restrict(k, f, g):
     """The restriction K(f, g) : A -/-> B of K : C -/-> D along f : A -> C
     and g : B -> D, with fibers K(f a, g b)."""
     ac, bc = f.source, g.source
-    fibers = {}
-    for a in ac.objects:
-        for b in bc.objects:
-            fib = k.fiber(f.obj[a], g.obj[b])
-            if fib:
-                fibers[(a, b)] = fib
+    fibers = {(a, b): k.fiber(f.obj[a], g.obj[b]) for a in ac.objects
+              for b in bc.objects if k.fiber(f.obj[a], g.obj[b])}
     action = {}
     for (a, b), elems in fibers.items():
         for x in elems:
@@ -651,10 +641,8 @@ def is_opcartesian(c):
             for cid in ext.fiber(cobj, dobj):
                 a, p, inner = w_outer.least(cobj, dobj, cid)   # p : c -> f a
                 b, x, q = w_inner.least(a, dobj, inner)        # q : g b -> d
-                val = k.act(p, f.obj[a], g.obj[b], c.comp[(a, b, x)], q)
-                imgs.append(val)
-            tgt = k.fiber(cobj, dobj)
-            if len(set(imgs)) != len(imgs) or set(imgs) != set(tgt):
+                imgs.append(k.act(p, f.obj[a], g.obj[b], c.comp[(a, b, x)], q))
+            if not bijects_onto(imgs, k.fiber(cobj, dobj)):
                 return False
     return True
 

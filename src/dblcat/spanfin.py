@@ -306,40 +306,18 @@ def internal_prof_compose(j, h):
         raise ValueError("internal profunctors not composable")
     b = j.target
     pairs, p1, p2 = pullback(j.het, j.d1, h.het, h.d0)
-    uf = UnionFind()
-    for e in pairs:
-        uf.add(e)
-    for x in j.het:
-        for y in b.arr:
-            if j.d1[x] != b.d0[y]:
-                continue
-            for z in h.het:
-                if b.d1[y] != h.d0[z]:
-                    continue
-                uf.union(f"({j.r[(x, y)]},{z})", f"({x},{h.l[(y, z)]})")
-    order = {e: i for i, e in enumerate(pairs)}
-    members = {}
-    for e in pairs:
-        members.setdefault(uf.find(e), []).append(e)
-    proj = {}
-    for block in members.values():
-        rep = min(block, key=order.get)
-        for e in block:
-            proj[e] = rep
-    het = tuple(sorted(set(proj.values()), key=order.get))
+    # each (x, y, z) identifies the pair (x . y, z) with (x, y . z)
+    slides = [(x, y, z) for x in j.het for y in b.arr if j.d1[x] == b.d0[y]
+              for z in h.het if b.d1[y] == h.d0[z]]
+    het, proj = coequalizer(
+        slides, {s: f"({j.r[s[:2]]},{s[2]})" for s in slides},
+        {s: f"({s[0]},{h.l[s[1:]]})" for s in slides}, pairs)
     d0 = {e: j.d0[p1[e]] for e in het}
     d1 = {e: h.d1[p2[e]] for e in het}
-    l, r = {}, {}
-    for e in het:
-        x, z = p1[e], p2[e]
-        for u in j.source.arr:
-            if j.source.d1[u] != d0[e]:
-                continue
-            l[(u, e)] = proj[f"({j.l[(u, x)]},{z})"]
-        for v in h.target.arr:
-            if h.target.d0[v] != d1[e]:
-                continue
-            r[(e, v)] = proj[f"({x},{h.r[(z, v)]})"]
+    l = {(u, e): proj[f"({j.l[(u, p1[e])]},{p2[e]})"] for e in het
+         for u in j.source.arr if j.source.d1[u] == d0[e]}
+    r = {(e, v): proj[f"({p1[e]},{h.r[(p2[e], v)]})"] for e in het
+         for v in h.target.arr if h.target.d0[v] == d1[e]}
     return InternalProfunctor(f"({j.name}*{h.name})", j.source, h.target,
                               het, d0, d1, l, r), proj
 

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .fincat import (Cone, Functor, all_cones, all_functors, comma_category,
-                     compose_functors, identity_functor, make_category,
-                     mediating_morphisms)
+from .fincat import (Cone, Functor, all_cones, all_functors,
+                     category_of_elements, comma_category, compose_functors,
+                     mediating_morphisms, remembering)
 from .prof import (Cell, Profunctor, cartesian_cell, cells_between,
                    is_opcartesian, naturality_plan, restrict, unit_cell,
                    unit_prof, vcompose)
@@ -32,68 +32,19 @@ class Tabulation:
         return hash(self.j)
 
 
-def triple_id(a, x, b):
-    return f"({a},{x},{b})"
-
-
 def tabulate(j):
-    ac, bc = j.source, j.target
-    triples = [(a, x, b) for a in ac.objects for b in bc.objects
-               for x in j.fiber(a, b)]
-    oid = {t: triple_id(*t) for t in triples}
-    arrows = {}
-    data = {}
-    for t1 in triples:
-        a1, x1, b1 = t1
-        for t2 in triples:
-            a2, x2, b2 = t2
-            for u in ac.hom(a1, a2):
-                for v in bc.hom(b1, b2):
-                    if j.act_right(a1, b1, x1, v) != j.act_left(u, a2, b2, x2):
-                        continue
-                    if ac.is_identity(u) and bc.is_identity(v) and t1 == t2:
-                        continue
-                    mid = f"[{u},{v}]:{oid[t1]}->{oid[t2]}"
-                    arrows[mid] = (oid[t1], oid[t2])
-                    data[mid] = (u, v, t1, t2)
-    stub = make_category(f"<{j.name}>", [oid[t] for t in triples], arrows)
-    composites = {}
-    for m2, m1 in stub.composable_pairs():
-        if m2 not in data or m1 not in data:
-            continue  # composites with identities are implicit
-        u1, v1, s1, _ = data[m1]
-        u2, v2, _, t2 = data[m2]
-        u = ac.compose(u2, u1)
-        v = bc.compose(v2, v1)
-        if ac.is_identity(u) and bc.is_identity(v) and s1 == t2:
-            composites[(m2, m1)] = stub.identity(oid[s1])
-        else:
-            composites[(m2, m1)] = f"[{u},{v}]:{oid[s1]}->{oid[t2]}"
-    cat = make_category(f"<{j.name}>", [oid[t] for t in triples],
-                        arrows, composites)
-    pl_obj = {oid[t]: t[0] for t in triples}
-    pr_obj = {oid[t]: t[2] for t in triples}
-    pl_mor, pr_mor = {}, {}
-    for m in cat.morphisms:
-        if cat.is_identity(m):
-            o = cat.src[m]
-            pl_mor[m] = ac.identity(pl_obj[o])
-            pr_mor[m] = bc.identity(pr_obj[o])
-        else:
-            u, v, _, _ = data[m]
-            pl_mor[m] = u
-            pr_mor[m] = v
-    proj_left = Functor(f"pl<{j.name}>", cat, ac, pl_obj, pl_mor)
-    proj_right = Functor(f"pr<{j.name}>", cat, bc, pr_obj, pr_mor)
+    """The tabulation of J : A -/-> B.  Objects are the triples (a, x, b)
+    with x in J(a, b), named ``(a,x,b)`` and listed in ``j.elements()``
+    order; arrows are listed as ``category_of_elements`` lists them.  The
+    defining cell sends an arrow (u, v) out of (a, x, b) to x . v."""
+    triples = [(a, x, b) for a, b, x in j.elements()]
+    cat, proj_left, proj_right, triple = category_of_elements(
+        f"<{j.name}>", j.source, j.target, triples, j.act_right, j.act_left)
     ut = unit_prof(cat)
-    by_oid = {oid[t]: t for t in triples}
     comp = {}
     for o1, o2, m in ut.elements():
-        if cat.is_identity(m):
-            comp[(o1, o2, m)] = by_oid[o1][1]
-        else:
-            u, v, (a1, x1, b1), _ = data[m]
-            comp[(o1, o2, m)] = j.act_right(a1, b1, x1, v)
+        a, x, b = triple[o1]
+        comp[(o1, o2, m)] = j.act_right(a, b, x, proj_right.mor[m])
     cell = Cell(f"pi<{j.name}>", ut, j, proj_left, proj_right, comp)
     return Tabulation(j, cat, proj_left, proj_right, cell)
 
@@ -102,37 +53,35 @@ def default_probes():
     return [zoo.terminal_category(), zoo.walking_arrow(), zoo.parallel_pair()]
 
 
-def _factorizations(t, x_cat, phi_a, phi_b, phi):
-    """Functors F : X -> <J> projecting to (phi_a, phi_b) and recovering
-    phi by whiskering the defining cell."""
-    out = []
-    for f in all_functors(x_cat, t.category):
-        if compose_functors(t.proj_left, f) != phi_a:
-            continue
-        if compose_functors(t.proj_right, f) != phi_b:
-            continue
-        if vcompose(t.cell, unit_cell(f)) == phi:
-            out.append(f)
-    return out
+def _factorizations(t, candidates, phi_a, phi_b, phi):
+    """The candidates F : X -> <J> projecting to (phi_a, phi_b) and
+    recovering phi by whiskering the defining cell."""
+    return [f for f in candidates
+            if compose_functors(t.proj_left, f) == phi_a
+            and compose_functors(t.proj_right, f) == phi_b
+            and vcompose(t.cell, unit_cell(f)) == phi]
 
 
 def verify_tabulation(t, probes=None):
     """Check both universal properties over a probe set of small
     categories; returns (ok, report) where the report counts the checked
-    configurations."""
+    configurations.  Each ``all_functors`` search runs once per distinct
+    (probe, category) pair within the call."""
     if probes is None:
         probes = default_probes()
     j = t.j
     ac, bc = j.source, j.target
+    functors = remembering(all_functors)
     checked_1d = 0
     factored = {}
     for x_cat in probes:
         ux = unit_prof(x_cat)
         plan = naturality_plan(ux)
-        for phi_a in all_functors(x_cat, ac):
-            for phi_b in all_functors(x_cat, bc):
+        for phi_a in functors(x_cat, ac):
+            for phi_b in functors(x_cat, bc):
                 for phi in cells_between(ux, j, phi_a, phi_b, plan):
-                    found = _factorizations(t, x_cat, phi_a, phi_b, phi)
+                    found = _factorizations(t, functors(x_cat, t.category),
+                                            phi_a, phi_b, phi)
                     if len(found) != 1:
                         return False, {"stage": "one-dimensional",
                                        "probe": x_cat.name,
@@ -141,13 +90,12 @@ def verify_tabulation(t, probes=None):
                     checked_1d += 1
 
     checked_2d = 0
+    ua, ub, ut = unit_prof(ac), unit_prof(bc), unit_prof(t.category)
     for x_cat in probes:
         ux = unit_prof(x_cat)
         plan = naturality_plan(ux)
         pairs = [(k[1], k[2], k[3], v) for k, v in factored.items()
                  if k[0] == id(x_cat)]
-        ua, ub = unit_prof(ac), unit_prof(bc)
-        ut = unit_prof(t.category)
         for (phi_a, phi_b, phi, fac1) in pairs:
             for (psi_a, psi_b, psi, fac2) in pairs:
                 for xi_a in cells_between(ux, ua, phi_a, psi_a, plan):

@@ -1,8 +1,10 @@
 """Shared fixtures and independent check constructions for the test suite."""
 
 import itertools
+import os
+import random
 
-from dblcat.fincat import (Functor, all_functors,
+from dblcat.fincat import (CommaCategory, Functor, all_functors,
                            all_natural_transformations, compose_functors,
                            identity_functor, make_category)
 from dblcat.prof import (Cell, CoendWitness, Profunctor, UnionFind,
@@ -10,6 +12,9 @@ from dblcat.prof import (Cell, CoendWitness, Profunctor, UnionFind,
                          family_id, pair_id, restrict, rhom, unit_prof,
                          validate_cell, vcompose)
 from dblcat import kan, spanfin, zoo
+from dblcat.tab import Tabulation
+
+FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "arrows.dcat")
 
 
 def profunctor_corpus():
@@ -405,3 +410,259 @@ def adjunction_setups():
         (companion(p1), conjoint(p0), unit_prof(one)),
         (unit_prof(two), companion(emb), companion(emb)),
     ]
+
+
+def comma_category_oracle(f, g):
+    """comma_category as it was before the shared builder: every pair of
+    triples is tried, and the arrows, composites and projections are built
+    by their own loops."""
+    if f.target != g.target:
+        raise ValueError("comma requires a common target")
+    ccat, dcat, ecat = f.source, g.source, f.target
+    objects = []
+    for c in ccat.objects:
+        for d in dcat.objects:
+            for u in ecat.hom(f.obj[c], g.obj[d]):
+                objects.append((c, u, d))
+    obj_ids = tuple(f"({c},{u},{d})" for c, u, d in objects)
+    by_id = dict(zip(obj_ids, objects))
+    arrows = {}
+    pair_of = {}
+    for oid in obj_ids:
+        c, u, d = by_id[oid]
+        for oid2 in obj_ids:
+            c2, u2, d2 = by_id[oid2]
+            for p in ccat.hom(c, c2):
+                for q in dcat.hom(d, d2):
+                    if ecat.compose(g.mor[q], u) != ecat.compose(u2, f.mor[p]):
+                        continue
+                    if ccat.is_identity(p) and dcat.is_identity(q) and oid == oid2:
+                        continue
+                    mid = f"[{p},{q}]:{oid}->{oid2}"
+                    arrows[mid] = (oid, oid2)
+                    pair_of[mid] = (p, q, oid, oid2)
+    composites = {}
+    cat_stub = make_category(f"{f.name}/{g.name}", obj_ids, arrows)
+    for m2, m1 in cat_stub.composable_pairs():
+        if m2 not in pair_of or m1 not in pair_of:
+            continue
+        p1, q1, s1, _ = pair_of[m1]
+        p2, q2, _, t2 = pair_of[m2]
+        p = ccat.compose(p2, p1)
+        q = dcat.compose(q2, q1)
+        if ccat.is_identity(p) and dcat.is_identity(q) and s1 == t2:
+            composites[(m2, m1)] = cat_stub.identity(s1)
+        else:
+            composites[(m2, m1)] = f"[{p},{q}]:{s1}->{t2}"
+    cat = make_category(f"{f.name}/{g.name}", obj_ids, arrows, composites)
+    proj_l_obj = {oid: by_id[oid][0] for oid in obj_ids}
+    proj_r_obj = {oid: by_id[oid][2] for oid in obj_ids}
+    proj_l_mor = {}
+    proj_r_mor = {}
+    for m in cat.morphisms:
+        if cat.is_identity(m):
+            oid = cat.src[m]
+            proj_l_mor[m] = ccat.identity(proj_l_obj[oid])
+            proj_r_mor[m] = dcat.identity(proj_r_obj[oid])
+        else:
+            p, q, _, _ = pair_of[m]
+            proj_l_mor[m] = p
+            proj_r_mor[m] = q
+    proj_l = Functor(f"pl_{cat.name}", cat, ccat, proj_l_obj, proj_l_mor)
+    proj_r = Functor(f"pr_{cat.name}", cat, dcat, proj_r_obj, proj_r_mor)
+    components = {oid: by_id[oid][1] for oid in obj_ids}
+    return CommaCategory(cat, proj_l, proj_r, components)
+
+
+def elements_category_oracle(j, a):
+    """kan.elements_category as it was before the shared builder: objects
+    named ``(b,x)``, one arrow ``[v]@(b,x)`` per non-identity v out of b."""
+    bc = j.target
+    objs = [(b, x) for b in bc.objects for x in j.fiber(a, b)]
+    oid = {o: f"({o[0]},{o[1]})" for o in objs}
+    arrows = {}
+    data = {}
+    for (b, x) in objs:
+        for v in bc.out_of(b):
+            if bc.is_identity(v):
+                continue
+            b2 = bc.tgt[v]
+            x2 = j.act_right(a, b, x, v)
+            mid = f"[{v}]@{oid[(b, x)]}"
+            arrows[mid] = (oid[(b, x)], oid[(b2, x2)])
+            data[mid] = (v, (b, x), (b2, x2))
+    stub = make_category(f"el({j.name},{a})", [oid[o] for o in objs], arrows)
+    composites = {}
+    for m2, m1 in stub.composable_pairs():
+        if m2 not in data or m1 not in data:
+            continue
+        v1, s1, _ = data[m1]
+        v2, _, t2 = data[m2]
+        v = bc.compose(v2, v1)
+        if bc.is_identity(v) and s1 == t2:
+            composites[(m2, m1)] = stub.identity(oid[s1])
+        else:
+            composites[(m2, m1)] = f"[{v}]@{oid[s1]}"
+    cat = make_category(f"el({j.name},{a})", [oid[o] for o in objs],
+                        arrows, composites)
+    proj_obj = {oid[o]: o[0] for o in objs}
+    proj_mor = {}
+    for m in cat.morphisms:
+        if cat.is_identity(m):
+            proj_mor[m] = bc.identity(proj_obj[cat.src[m]])
+        else:
+            proj_mor[m] = data[m][0]
+    proj = Functor(f"pr_{cat.name}", cat, bc, proj_obj, proj_mor)
+    return cat, proj, oid
+
+
+def tabulate_oracle(j):
+    """tab.tabulate as it was before the shared builder."""
+    ac, bc = j.source, j.target
+    triples = [(a, x, b) for a in ac.objects for b in bc.objects
+               for x in j.fiber(a, b)]
+    oid = {t: f"({t[0]},{t[1]},{t[2]})" for t in triples}
+    arrows = {}
+    data = {}
+    for t1 in triples:
+        a1, x1, b1 = t1
+        for t2 in triples:
+            a2, x2, b2 = t2
+            for u in ac.hom(a1, a2):
+                for v in bc.hom(b1, b2):
+                    if j.act_right(a1, b1, x1, v) != j.act_left(u, a2, b2, x2):
+                        continue
+                    if ac.is_identity(u) and bc.is_identity(v) and t1 == t2:
+                        continue
+                    mid = f"[{u},{v}]:{oid[t1]}->{oid[t2]}"
+                    arrows[mid] = (oid[t1], oid[t2])
+                    data[mid] = (u, v, t1, t2)
+    stub = make_category(f"<{j.name}>", [oid[t] for t in triples], arrows)
+    composites = {}
+    for m2, m1 in stub.composable_pairs():
+        if m2 not in data or m1 not in data:
+            continue
+        u1, v1, s1, _ = data[m1]
+        u2, v2, _, t2 = data[m2]
+        u = ac.compose(u2, u1)
+        v = bc.compose(v2, v1)
+        if ac.is_identity(u) and bc.is_identity(v) and s1 == t2:
+            composites[(m2, m1)] = stub.identity(oid[s1])
+        else:
+            composites[(m2, m1)] = f"[{u},{v}]:{oid[s1]}->{oid[t2]}"
+    cat = make_category(f"<{j.name}>", [oid[t] for t in triples],
+                        arrows, composites)
+    pl_obj = {oid[t]: t[0] for t in triples}
+    pr_obj = {oid[t]: t[2] for t in triples}
+    pl_mor, pr_mor = {}, {}
+    for m in cat.morphisms:
+        if cat.is_identity(m):
+            o = cat.src[m]
+            pl_mor[m] = ac.identity(pl_obj[o])
+            pr_mor[m] = bc.identity(pr_obj[o])
+        else:
+            u, v, _, _ = data[m]
+            pl_mor[m] = u
+            pr_mor[m] = v
+    proj_left = Functor(f"pl<{j.name}>", cat, ac, pl_obj, pl_mor)
+    proj_right = Functor(f"pr<{j.name}>", cat, bc, pr_obj, pr_mor)
+    ut = unit_prof(cat)
+    by_oid = {oid[t]: t for t in triples}
+    comp = {}
+    for o1, o2, m in ut.elements():
+        if cat.is_identity(m):
+            comp[(o1, o2, m)] = by_oid[o1][1]
+        else:
+            u, v, (a1, x1, b1), _ = data[m]
+            comp[(o1, o2, m)] = j.act_right(a1, b1, x1, v)
+    cell = Cell(f"pi<{j.name}>", ut, j, proj_left, proj_right, comp)
+    return Tabulation(j, cat, proj_left, proj_right, cell)
+
+
+def tabulation_corpus():
+    """The profunctor corpus plus ``unit_prof(chain(n))`` for n = 0..4,
+    each chain listed in its own order and in two shuffled orders."""
+    rng = random.Random(11)
+    chains = [chain(n, r) for n in range(5) for r in (None, rng, rng)]
+    return profunctor_corpus() + [unit_prof(c) for c in chains]
+
+
+def category_tables(cat):
+    """A category's name, objects, morphisms and structure maps as lists of
+    items, so that comparing two of them compares order as well."""
+    return (cat.name, cat.objects, cat.morphisms, list(cat.src.items()),
+            list(cat.tgt.items()), list(cat.identities.items()),
+            list(cat.table.items()))
+
+
+def projection_tables(p):
+    """A functor's target and maps as lists of items."""
+    return p.target, list(p.obj.items()), list(p.mor.items())
+
+
+def fuzz_inputs(count):
+    """``count`` seeded DSL inputs: token soup, random characters and
+    one-character edits of the fixture."""
+    rng = random.Random(20260824)
+    with open(FIXTURE, "r", encoding="utf-8") as fh:
+        seed_doc = fh.read()
+    vocab = ["category", "functor", "profunctor", "cell", "objects", "arrow",
+             "compose", "obj", "arr", "elt", "act", "map", "left", "right",
+             "{", "}", ":", ";", ",", "=", ".", "->", "-/->", "=>", "1_x",
+             "C", "D", "f", "g", "x", "y", "j", "#", "\n", "  "]
+    for _ in range(count):
+        style = rng.random()
+        if style < 0.55:
+            yield " ".join(rng.choice(vocab)
+                           for _ in range(rng.randrange(0, 25)))
+        elif style < 0.85:
+            yield "".join(chr(rng.randrange(1, 0x2ff))
+                          for _ in range(rng.randrange(0, 60)))
+        else:
+            pos = rng.randrange(len(seed_doc))
+            edit = rng.random()
+            if edit < 0.4:
+                yield seed_doc[:pos] + seed_doc[pos + 1:]
+            elif edit < 0.8:
+                yield seed_doc[:pos] + chr(rng.randrange(32, 127)) + \
+                    seed_doc[pos:]
+            else:
+                yield seed_doc[:pos] + rng.choice(vocab) + seed_doc[pos:]
+
+
+def complete_action_oracle(parser, src, tgt, fibers, home, entries, name):
+    """dsl.Parser._complete_action as it was before its index by element:
+    every sweep tests every pair of table entries."""
+    table = dict(entries)
+    for j, (a, b) in home.items():
+        key = (src.identity(a), j, tgt.identity(b))
+        if table.get(key, j) != j:
+            parser.error(f"profunctor {name[1]!r} states an identity "
+                         f"action moving {j!r}", name)
+        table[key] = j
+    changed = True
+    while changed:
+        changed = False
+        for (u1, j, v1), j2 in list(table.items()):
+            for (u2, jj, v2), j3 in list(table.items()):
+                if jj != j2:
+                    continue
+                key = (src.compose(u1, u2), j, tgt.compose(v2, v1))
+                if table.get(key) != j3:
+                    if key in table:
+                        parser.error(
+                            f"profunctor {name[1]!r} actions are "
+                            f"inconsistent at {key}", name)
+                    table[key] = j3
+                    changed = True
+    action = {}
+    for j, (a, b) in home.items():
+        for u in src.into(a):
+            for v in tgt.out_of(b):
+                out = table.get((u, j, v))
+                if out is None:
+                    parser.error(
+                        f"profunctor {name[1]!r} does not determine "
+                        f"the action {v}.{j}.{u}", name)
+                action[(u, a, b, j, v)] = out
+    return action

@@ -2,7 +2,6 @@
 and prints as a single pass/fail line under ``pytest -v``."""
 
 import os
-import random
 
 import helpers
 from dblcat import cli, dsl, kan, laws, spanfin, tab, zoo
@@ -214,40 +213,12 @@ def test_criterion_11_vertical_correspondence():
     assert checked > 0
 
 
-def _fuzz_inputs(count):
-    rng = random.Random(20260824)
-    with open(FIXTURE, "r", encoding="utf-8") as fh:
-        seed_doc = fh.read()
-    vocab = ["category", "functor", "profunctor", "cell", "objects", "arrow",
-             "compose", "obj", "arr", "elt", "act", "map", "left", "right",
-             "{", "}", ":", ";", ",", "=", ".", "->", "-/->", "=>", "1_x",
-             "C", "D", "f", "g", "x", "y", "j", "#", "\n", "  "]
-    for _ in range(count):
-        style = rng.random()
-        if style < 0.55:
-            yield " ".join(rng.choice(vocab)
-                           for _ in range(rng.randrange(0, 25)))
-        elif style < 0.85:
-            yield "".join(chr(rng.randrange(1, 0x2ff))
-                          for _ in range(rng.randrange(0, 60)))
-        else:
-            pos = rng.randrange(len(seed_doc))
-            edit = rng.random()
-            if edit < 0.4:
-                yield seed_doc[:pos] + seed_doc[pos + 1:]
-            elif edit < 0.8:
-                yield seed_doc[:pos] + chr(rng.randrange(32, 127)) + \
-                    seed_doc[pos:]
-            else:
-                yield seed_doc[:pos] + rng.choice(vocab) + seed_doc[pos:]
-
-
 def test_criterion_12_dsl_round_trip_and_fuzz(capsys):
     with open(FIXTURE, "r", encoding="utf-8") as fh:
         ws = dsl.parse(fh.read())
     assert dsl.parse(dsl.serialize(ws)) == ws
     survived = 0
-    for text in _fuzz_inputs(100_000):
+    for text in helpers.fuzz_inputs(100_000):
         try:
             dsl.parse(text)
         except dsl.DslError:

@@ -1,8 +1,10 @@
 import os
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import helpers
 from dblcat import dsl, zoo
 from dblcat.fincat import all_functors
 from dblcat.prof import companion, unit_cell, unit_prof
@@ -105,28 +107,34 @@ def test_profunctor_underdetermined_action():
     assert "does not determine the action a.j.1_0" in str(e)
 
 
+MOVING_IDENTITY = (
+    "category Two { objects: 0, 1; arrow a: 0 -> 1; }\n"
+    "profunctor J : Two -/-> Two {\n"
+    "  elt j : 0 -/-> 0;\n  elt j2 : 0 -/-> 0;\n"
+    "  elt j3 : 0 -/-> 1;\n"
+    "  act 1_0 . j . 1_0 = j2;\n"
+    "  act a . j . 1_0 = j3;\n  act a . j2 . 1_0 = j3;\n}")
+
+
 def test_profunctor_identity_action_must_fix_elements():
-    text = ("category Two { objects: 0, 1; arrow a: 0 -> 1; }\n"
-            "profunctor J : Two -/-> Two {\n"
-            "  elt j : 0 -/-> 0;\n  elt j2 : 0 -/-> 0;\n"
-            "  elt j3 : 0 -/-> 1;\n"
-            "  act 1_0 . j . 1_0 = j2;\n"
-            "  act a . j . 1_0 = j3;\n  act a . j2 . 1_0 = j3;\n}")
-    e = err(text)
+    e = err(MOVING_IDENTITY)
     assert "identity action moving 'j'" in str(e)
 
 
+INCONSISTENT_CLOSURE = (
+    "category I { objects: s; }\n"
+    "category Three { objects: 0, 1, 2;\n"
+    "  arrow a: 0 -> 1; arrow b: 1 -> 2; arrow ba: 0 -> 2;\n"
+    "  compose b . a = ba;\n}\n"
+    "profunctor J : I -/-> Three {\n"
+    "  elt j : s -/-> 0; elt j1 : s -/-> 1;\n"
+    "  elt j2 : s -/-> 2; elt j3 : s -/-> 2;\n"
+    "  act a . j . 1_s = j1;\n  act b . j1 . 1_s = j2;\n"
+    "  act ba . j . 1_s = j3;\n}")
+
+
 def test_profunctor_inconsistent_closure():
-    text = ("category I { objects: s; }\n"
-            "category Three { objects: 0, 1, 2;\n"
-            "  arrow a: 0 -> 1; arrow b: 1 -> 2; arrow ba: 0 -> 2;\n"
-            "  compose b . a = ba;\n}\n"
-            "profunctor J : I -/-> Three {\n"
-            "  elt j : s -/-> 0; elt j1 : s -/-> 1;\n"
-            "  elt j2 : s -/-> 2; elt j3 : s -/-> 2;\n"
-            "  act a . j . 1_s = j1;\n  act b . j1 . 1_s = j2;\n"
-            "  act ba . j . 1_s = j3;\n}")
-    e = err(text)
+    e = err(INCONSISTENT_CLOSURE)
     assert "inconsistent" in str(e)
 
 
@@ -197,3 +205,58 @@ def test_parser_is_total_on_mutated_fixture(data):
         dsl.parse(text)
     except dsl.DslError:
         pass
+
+
+def closure_inputs():
+    """The fixture, the two rejected closures above and, for each corpus
+    profunctor alone in a workspace, its serialized text plus that text
+    with one act line dropped or given another result in the same fiber."""
+    texts = [fixture_text(), MOVING_IDENTITY, INCONSISTENT_CLOSURE]
+    rng = random.Random(5)
+    for i, p in enumerate(helpers.tabulation_corpus()):
+        ws = dsl.Workspace()
+        ws.categories = {c.name: c for c in (p.source, p.target)}
+        ws.profunctors = {f"P{i}": p}
+        lines = dsl.serialize(ws).split("\n")
+        texts.append("\n".join(lines))
+        fiber = {}
+        for line in lines:
+            if line.lstrip().startswith("elt "):
+                _, j, _, a, _, b = line.rstrip(";").split()
+                fiber[j] = (a, b)
+        for k, line in enumerate(lines):
+            if not line.lstrip().startswith("act "):
+                continue
+            texts.append("\n".join(lines[:k] + lines[k + 1:]))
+            head, result = line.rstrip(";").split(" = ")
+            others = [j for j in fiber
+                      if fiber[j] == fiber.get(result) and j != result]
+            if others:
+                texts.append("\n".join(
+                    lines[:k] + [f"{head} = {rng.choice(others)};"] +
+                    lines[k + 1:]))
+    return texts
+
+
+def parse_outcome(text):
+    """Each profunctor's action items, or the error message."""
+    try:
+        ws = dsl.parse(text)
+    except dsl.DslError as e:
+        return str(e)
+    return [(n, list(p.action.items())) for n, p in ws.profunctors.items()]
+
+
+def test_action_closure_matches_all_pairs_oracle(monkeypatch):
+    texts = closure_inputs() + list(helpers.fuzz_inputs(5_000))
+    new = [parse_outcome(t) for t in texts]
+    monkeypatch.setattr(dsl.Parser, "_complete_action",
+                        helpers.complete_action_oracle)
+    assert [parse_outcome(t) for t in texts] == new
+    # the inputs reach every outcome of the closure
+    assert sum(1 for o in new if isinstance(o, list) and o) > 20
+    errors = [o for o in new if isinstance(o, str)]
+    for message in ("inconsistent at", "does not determine",
+                    "identity action moving"):
+        assert any(message in e for e in errors), message
+

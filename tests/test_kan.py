@@ -331,3 +331,50 @@ def test_violated_limit_property_raises(monkeypatch):
         kan.pointwise_ran(unit_prof(two), emb)
     with pytest.raises(kan.InvariantViolation):
         kan.initial_mediating_iso(emb, identity_functor(three))
+
+
+def test_elements_category_matches_old_builder_up_to_ids():
+    checked = 0
+    for j in helpers.tabulation_corpus():
+        for a in j.source.objects:
+            cat, proj, oid = kan.elements_category(j, a)
+            cat0, proj0, oid0 = helpers.elements_category_oracle(j, a)
+            assert (cat.name, proj.name) == (cat0.name, proj0.name)
+            assert list(oid) == list(oid0)
+            ren = {oid0[k]: oid[k] for k in oid0}
+            assert cat.objects == tuple(ren[o] for o in cat0.objects)
+            # an arrow is fixed by its endpoints and its projection
+            by_key = {(cat.src[m], cat.tgt[m], proj.mor[m]): m
+                      for m in cat.morphisms}
+            mren = {m: by_key[(ren[cat0.src[m]], ren[cat0.tgt[m]],
+                               proj0.mor[m])] for m in cat0.morphisms}
+            assert sorted(mren.values()) == sorted(cat.morphisms)
+            assert {ren[o]: mren[i] for o, i in cat0.identities.items()} == \
+                cat.identities
+            assert {(mren[g], mren[f]): mren[h]
+                    for (g, f), h in cat0.table.items()} == cat.table
+            assert {ren[o]: b for o, b in proj0.obj.items()} == proj.obj
+            assert {mren[m]: v for m, v in proj0.mor.items()} == proj.mor
+            checked += 1
+    assert checked > 50
+
+
+def test_right_exactness_runs_each_functor_search_once(monkeypatch):
+    searches = []
+    real = kan.all_functors
+
+    def counted(a, m):
+        searches.append((a, m))
+        return real(a, m)
+
+    monkeypatch.setattr(kan, "all_functors", counted)
+    cell = identity_cell(unit_prof(helpers.chain(3)))
+    for mode in ("ordinary", "pointwise"):
+        counts = []
+        for _ in range(2):
+            searches.clear()
+            assert kan.is_right_exact(cell, mode) == (True, None)
+            assert len(set(searches)) == len(searches)
+            counts.append(len(searches))
+        # one search per probe category; nothing is kept between calls
+        assert counts == [4, 4]

@@ -117,3 +117,59 @@ def test_ran_via_tabulation_rejects_non_extensions():
             agree.append(
                 tab.ran_via_tabulation(cand) == kan.is_pointwise_ran(cand))
     assert agree and all(agree)
+
+
+def test_comma_category_matches_old_builder():
+    functors = zoo.corpus_functors()
+    pairs = 0
+    for f in functors:
+        for g in functors:
+            if f.target != g.target:
+                continue
+            new, old = comma_category(f, g), helpers.comma_category_oracle(f, g)
+            assert helpers.category_tables(new.category) == \
+                helpers.category_tables(old.category)
+            for p, q in ((new.proj_left, old.proj_left),
+                         (new.proj_right, old.proj_right)):
+                assert p.name == q.name
+                assert helpers.projection_tables(p) == \
+                    helpers.projection_tables(q)
+            assert list(new.components.items()) == \
+                list(old.components.items())
+            pairs += 1
+    assert pairs == 3177
+
+
+def test_tabulation_matches_old_builder():
+    for j in helpers.tabulation_corpus():
+        new, old = tab.tabulate(j), helpers.tabulate_oracle(j)
+        assert helpers.category_tables(new.category) == \
+            helpers.category_tables(old.category), j.name
+        for p, q in ((new.proj_left, old.proj_left),
+                     (new.proj_right, old.proj_right)):
+            assert helpers.projection_tables(p) == helpers.projection_tables(q)
+        assert (new.cell.name, new.cell.hsrc, new.cell.htgt) == \
+            (old.cell.name, old.cell.hsrc, old.cell.htgt)
+        assert (new.cell.vsrc, new.cell.vtgt) == (old.cell.vsrc, old.cell.vtgt)
+        assert list(new.cell.comp.items()) == list(old.cell.comp.items())
+
+
+def test_verify_tabulation_runs_each_functor_search_once(monkeypatch):
+    searches = []
+    real = tab.all_functors
+
+    def counted(a, m):
+        searches.append((a, m))
+        return real(a, m)
+
+    monkeypatch.setattr(tab, "all_functors", counted)
+    t = tab.tabulate(unit_prof(helpers.chain(2)))
+    counts = []
+    for _ in range(2):
+        searches.clear()
+        assert tab.verify_tabulation(t) == \
+            (True, {"one_dimensional": 15, "two_dimensional": 46})
+        assert len(set(searches)) == len(searches)
+        counts.append(len(searches))
+    # X -> [2] and X -> <J> per probe X; nothing is kept between calls
+    assert counts == [6, 6]
