@@ -356,9 +356,10 @@ class Parser:
                 self.error(f"action {v[1]}.{j[1]}.{u[1]} stated twice with "
                            "different results", j2)
             entries[key] = j2[1]
-        action = self._complete_action(src, tgt, fibers, home, entries, name)
+        table = self._complete_action(src, tgt, fibers, home, entries, name)
+        left, right = self._read_sides(src, tgt, home, table, name)
         prof = Profunctor(name[1], src, tgt,
-                          {k: tuple(v) for k, v in fibers.items()}, action)
+                          {k: tuple(v) for k, v in fibers.items()}, left, right)
         problems = validate_profunctor(prof)
         if problems:
             self.error(f"profunctor {name[1]!r} is inconsistent: {problems[0]}",
@@ -366,9 +367,9 @@ class Parser:
         ws.profunctors[name[1]] = prof
 
     def _complete_action(self, src, tgt, fibers, home, entries, name):
-        """Close the stated actions under identities and composition; the
-        result must cover every composable triple.  A sweep pairs each
-        entry with the entries acting on its result, in table order."""
+        """Close the stated actions under identities and composition, as a
+        table keyed (u, j, v).  A sweep pairs each entry with the entries
+        acting on its result, in table order."""
         table = dict(entries)
         for j, (a, b) in home.items():
             key = (src.identity(a), j, tgt.identity(b))
@@ -394,17 +395,26 @@ class Parser:
                         table[key] = j3
                         acting_on[j].append(key)
                         changed = True
-        action = {}
+        return table
+
+    def _read_sides(self, src, tgt, home, table, name):
+        """The left and right actions of a closed table, which must cover
+        every composable triple (u, j, v); the first triple it misses, in
+        element, u, v order, is reported."""
+        left, right = {}, {}
         for j, (a, b) in home.items():
             for u in src.into(a):
                 for v in tgt.out_of(b):
-                    out = table.get((u, j, v))
-                    if out is None:
+                    if (u, j, v) not in table:
                         self.error(
                             f"profunctor {name[1]!r} does not determine "
                             f"the action {v}.{j}.{u}", name)
-                    action[(u, a, b, j, v)] = out
-        return action
+            ida, idb = src.identity(a), tgt.identity(b)
+            for u in src.into(a):
+                left[(u, a, b, j)] = table[(u, j, idb)]
+            for v in tgt.out_of(b):
+                right[(a, b, j, v)] = table[(ida, j, v)]
+        return left, right
 
     # -- cell ----------------------------------------------------------
 

@@ -327,20 +327,24 @@ def category_of_elements(name, ac, bc, triples, act_right, act_left):
     ``act_right(a1, b1, x1, v) == act_left(u, a2, b2, x2)``.
 
     Arrows are named ``[u,v]:s->t`` and listed by source triple, then
-    target triple, then u and v in hom order; the targets that both
-    hom-sets reach are found once per pair of source endpoints.  Identities
+    target triple, then u and v in hom order; the objects reachable from
+    each endpoint are read once from ``out_of``, and the targets that both
+    endpoints reach are listed once per pair of them.  Identities
     are implicit; composites are componentwise.  Returns the category, its
     projections ``pl_<name>`` to A and ``pr_<name>`` to B, and the triple
     of each object id.
     """
     ids = {t: f"({t[0]},{t[1]},{t[2]})" for t in triples}
-    reach = {}      # (a1, b1) -> the triples both its hom-sets reach
+    from_a = {a: {ac.tgt[u] for u in ac.out_of(a)} for a in ac.objects}
+    from_b = {b: {bc.tgt[v] for v in bc.out_of(b)} for b in bc.objects}
+    reach = {}      # (a1, b1) -> the triples both endpoints reach
     arrows, pair = {}, {}
     for t1 in triples:
         a1, x1, b1 = t1
         if (a1, b1) not in reach:
+            ra, rb = from_a[a1], from_b[b1]
             reach[(a1, b1)] = [t for t in triples
-                               if ac.hom(a1, t[0]) and bc.hom(b1, t[2])]
+                               if t[0] in ra and t[2] in rb]
         for t2 in reach[(a1, b1)]:
             a2, x2, b2 = t2
             for u in ac.hom(a1, a2):

@@ -4,14 +4,17 @@ and associator coherence, and the companion/conjoint bending identities.
 Configurations are drawn deterministically from the stock corpus, so a
 run with the same caps always checks the same cases.  Each suite makes
 one ``memo_compose()`` and builds every cell through it: it composes each
-distinct pair once, and both sides of a law share their composites.
+distinct pair once, and both sides of a law share their composites.  Each
+suite also makes one ``remembering(unit_prof)``, so it builds the unit
+profunctor of each category once and its memo hits match by identity.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .fincat import all_functors, all_natural_transformations, identity_functor
+from .fincat import (all_functors, all_natural_transformations,
+                     identity_functor, remembering)
 from .prof import (companion, companion_cells, conjoint, conjoint_cells,
                    associator, hcompose, identity_cell, left_unitor,
                    right_unitor, invert_horizontal_cell, memo_compose,
@@ -20,9 +23,9 @@ from .prof import (companion, companion_cells, conjoint, conjoint_cells,
 from . import zoo
 
 
-def interchange_configs():
+def interchange_configs(units):
     """Square grids of four stacked cells built from natural
-    transformations between corpus functors."""
+    transformations between corpus functors; ``units(C)`` gives 1_C."""
     triples = [
         (zoo.walking_arrow(), zoo.composable_pair(), zoo.walking_arrow()),
         (zoo.parallel_pair(), zoo.walking_arrow(), zoo.composable_pair()),
@@ -37,19 +40,22 @@ def interchange_configs():
             betas = all_natural_transformations(f1, f2)
             if not alphas or not betas:
                 continue
+            ua, uc, ue = units(a_cat), units(c_cat), units(e_cat)
             for g, g1, g2 in itertools.product(gs, repeat=3):
                 gammas = all_natural_transformations(g, g1)
                 deltas = all_natural_transformations(g1, g2)
                 for alpha, beta, gamma, delta in itertools.product(
                         alphas[:2], betas[:2], gammas[:2], deltas[:2]):
-                    yield (nat_transf_as_cell(alpha), nat_transf_as_cell(beta),
-                           nat_transf_as_cell(gamma), nat_transf_as_cell(delta))
+                    yield (nat_transf_as_cell(alpha, ua, uc),
+                           nat_transf_as_cell(beta, ua, uc),
+                           nat_transf_as_cell(gamma, uc, ue),
+                           nat_transf_as_cell(delta, uc, ue))
 
 
 def check_interchange(max_configs=120):
     compose = memo_compose()
     count = 0
-    for phi, chi, psi, xi in interchange_configs():
+    for phi, chi, psi, xi in interchange_configs(remembering(unit_prof)):
         lhs = hcompose(vcompose(psi, phi), vcompose(xi, chi), compose)
         rhs = vcompose(hcompose(psi, xi, compose), hcompose(phi, chi, compose))
         if lhs != rhs:
@@ -63,18 +69,19 @@ def check_interchange(max_configs=120):
 def check_unitors_and_triangle(max_configs=40):
     """Unitors are invertible and satisfy the triangle coherence."""
     compose = memo_compose()
+    units = remembering(unit_prof)
     one = zoo.terminal_category()
     two = zoo.walking_arrow()
     three = zoo.composable_pair()
     pp = zoo.parallel_pair()
-    profs = [unit_prof(two), unit_prof(pp)]
+    profs = [units(two), units(pp)]
     profs += [companion(f) for f in all_functors(two, three)[:4]]
     profs += [conjoint(f) for f in all_functors(one, three)]
     profs += [companion(f) for f in all_functors(pp, two)[:4]]
     count = 0
     for p in profs:
-        lu = left_unitor(p, compose)
-        ru = right_unitor(p, compose)
+        lu = left_unitor(p, units(p.source), compose)
+        ru = right_unitor(p, units(p.target), compose)
         if not componentwise_bijective(lu) or not componentwise_bijective(ru):
             return False, count
         invert_horizontal_cell(lu)
@@ -91,10 +98,11 @@ def check_unitors_and_triangle(max_configs=40):
             pairs.append((companion(f), companion(g)))
     for j, h in pairs:
         mid = j.target
-        lhs = vcompose(hcompose(identity_cell(j), left_unitor(h, compose),
-                                compose),
-                       associator(j, unit_prof(mid), h, compose))
-        rhs = hcompose(right_unitor(j, compose), identity_cell(h), compose)
+        lhs = vcompose(hcompose(identity_cell(j),
+                                left_unitor(h, units(mid), compose), compose),
+                       associator(j, units(mid), h, compose))
+        rhs = hcompose(right_unitor(j, units(mid), compose), identity_cell(h),
+                       compose)
         if lhs != rhs:
             return False, count
         count += 1
@@ -105,6 +113,7 @@ def check_unitors_and_triangle(max_configs=40):
 
 def check_pentagon(max_configs=8):
     compose = memo_compose()
+    units = remembering(unit_prof)
     one = zoo.terminal_category()
     two = zoo.walking_arrow()
     three = zoo.composable_pair()
@@ -113,7 +122,7 @@ def check_pentagon(max_configs=8):
     for f in all_functors(two, three)[:2]:
         for g in all_functors(one, three)[:2]:
             for h in all_functors(one, pp)[:2]:
-                chains.append((unit_prof(two), companion(f),
+                chains.append((units(two), companion(f),
                                conjoint(g), companion(h)))
     count = 0
     for j, h, k, l in chains:
@@ -137,6 +146,7 @@ def check_pentagon(max_configs=8):
 
 def check_companion_identities(max_configs=30):
     compose = memo_compose()
+    units = remembering(unit_prof)
     one = zoo.terminal_category()
     two = zoo.walking_arrow()
     three = zoo.composable_pair()
@@ -145,19 +155,20 @@ def check_companion_identities(max_configs=30):
                 all_functors(pp, two)[:5] + [identity_functor(three)])
     count = 0
     for f in functors:
-        eps, eta = companion_cells(f)
-        if vcompose(eps, eta) != unit_cell(f):
+        ua, uc = units(f.source), units(f.target)
+        eps, eta = companion_cells(f, ua, uc)
+        if vcompose(eps, eta) != unit_cell(f, ua, uc):
             return False, count
         fs = companion(f)
-        if vcompose(right_unitor(fs, compose), hcompose(eta, eps, compose)) \
-                != left_unitor(fs, compose):
+        if vcompose(right_unitor(fs, uc, compose), hcompose(eta, eps, compose)) \
+                != left_unitor(fs, ua, compose):
             return False, count
-        ceps, ceta = conjoint_cells(f)
-        if vcompose(ceps, ceta) != unit_cell(f):
+        ceps, ceta = conjoint_cells(f, ua, uc)
+        if vcompose(ceps, ceta) != unit_cell(f, ua, uc):
             return False, count
         cs = conjoint(f)
-        if vcompose(left_unitor(cs, compose), hcompose(ceps, ceta, compose)) \
-                != right_unitor(cs, compose):
+        if vcompose(left_unitor(cs, uc, compose), hcompose(ceps, ceta, compose)) \
+                != right_unitor(cs, ua, compose):
             return False, count
         count += 1
         if count >= max_configs:

@@ -3,10 +3,12 @@ explicit coend quotients, companions/conjoints, restrictions/extensions and
 the right hom.
 
 A profunctor J : A -/-> B assigns to each pair of objects (a, b) a finite
-fiber of heteromorphisms and carries a two-sided action: for u : a' -> a,
-j in J(a, b) and v : b -> b' the element ``act(u, j, v)`` lives in
-J(a', b').  All data is tabulated; every universal property below is
-decided by finite enumeration.
+fiber of heteromorphisms and carries two one-sided actions: for
+u : a' -> a and j in J(a, b) the left action gives j . u in J(a', b), and
+for v : b -> b' the right action gives v . j in J(a, b').  The two commute,
+(v . j) . u = v . (j . u), so the two-sided ``act(u, j, v)`` is one lookup
+on each side.  All data is tabulated, one entry per element and acting
+morphism; every universal property below is decided by finite enumeration.
 
 Elements of a composite J * H are equivalence classes of pairs (j, h)
 under sliding middle morphisms across the pair.  Pairs are enumerated in
@@ -15,6 +17,11 @@ each class is named after its least member in that order, so recomputing a
 composite always yields the same tables.  ``hcompose``, the unitors and
 ``associator`` take a ``compose=`` argument; passing them one
 ``memo_compose()`` lets a computation compose each distinct pair once.
+
+Cells that live between unit profunctors (``unit_cell``,
+``nat_transf_as_cell``, the unitors and the bending cells) take those units
+as arguments, so that a computation builds each ``unit_prof`` once, for
+instance through one ``fincat.remembering(unit_prof)``.
 """
 
 from __future__ import annotations
@@ -28,11 +35,20 @@ from .fincat import (FinCategory, Functor, compose_functors, identity_functor,
 
 @dataclass(frozen=True, eq=True)
 class Profunctor:
+    """J : source -/-> target as its fibers and its two one-sided actions.
+
+    ``left[(u, a, b, j)]`` is j . u in J(a', b) for u : a' -> a, and
+    ``right[(a, b, j, v)]`` is v . j in J(a, b') for v : b -> b'; both hold
+    an entry for every element and every morphism acting on it, identities
+    included.  Equality compares the fibers and both tables.
+    """
+
     name: str = field(compare=False)
     source: FinCategory
     target: FinCategory
     fibers: dict          # (a, b) -> tuple of element ids
-    action: dict          # (u, a, b, j, v) -> element id
+    left: dict            # (u, a, b, j) -> element id, u : a' -> a
+    right: dict           # (a, b, j, v) -> element id, v : b -> b'
 
     def __hash__(self):
         # computed once, kept in the instance __dict__ rather than a field
@@ -46,13 +62,13 @@ class Profunctor:
 
     def act(self, u, a, b, j, v):
         """Act by u : a' -> a on the left and v : b -> b' on the right."""
-        return self.action[(u, a, b, j, v)]
+        return self.right[(self.source.src[u], b, self.left[(u, a, b, j)], v)]
 
     def act_left(self, u, a, b, j):
-        return self.act(u, a, b, j, self.target.identity(b))
+        return self.left[(u, a, b, j)]
 
     def act_right(self, a, b, j, v):
-        return self.act(self.source.identity(a), a, b, j, v)
+        return self.right[(a, b, j, v)]
 
     def elements(self):
         """All (a, b, j) triples in deterministic order."""
@@ -63,88 +79,104 @@ class Profunctor:
 
 
 def validate_profunctor(p):
-    """Exhaustively check the fiber/action axioms."""
+    """Exhaustively check the fiber/action axioms: each side is total,
+    lands in its fiber and is functorial (identities act trivially), and
+    the two sides commute."""
     problems = []
     ac, bc = p.source, p.target
+    left, right = p.left, p.right
     for (a, b) in p.fibers:
         if a not in ac.objects or b not in bc.objects:
             problems.append(f"fiber at ({a}, {b}) outside the boundary categories")
     for a, b, j in p.elements():
         for u in ac.into(a):
-            for v in bc.out_of(b):
-                out = p.action.get((u, a, b, j, v))
-                if out is None:
-                    problems.append(f"action missing on ({u}, {j}, {v})")
-                elif out not in p.fiber(ac.src[u], bc.tgt[v]):
-                    problems.append(f"action on ({u}, {j}, {v}) lands outside its fiber")
-        if p.action.get((ac.identity(a), a, b, j, bc.identity(b))) != j:
+            out = left.get((u, a, b, j))
+            if out is None:
+                problems.append(f"left action missing on ({u}, {j})")
+            elif out not in p.fiber(ac.src[u], b):
+                problems.append(f"left action on ({u}, {j}) lands outside its fiber")
+        for v in bc.out_of(b):
+            out = right.get((a, b, j, v))
+            if out is None:
+                problems.append(f"right action missing on ({j}, {v})")
+            elif out not in p.fiber(a, bc.tgt[v]):
+                problems.append(f"right action on ({j}, {v}) lands outside its fiber")
+        if left.get((ac.identity(a), a, b, j)) != j or \
+                right.get((a, b, j, bc.identity(b))) != j:
             problems.append(f"identity action moves {j}")
+    if problems:
+        return problems
     for a, b, j in p.elements():
         for u1 in ac.into(a):
-            a1 = ac.src[u1]
-            for v1 in bc.out_of(b):
-                b1 = bc.tgt[v1]
-                mid = p.action.get((u1, a, b, j, v1))
-                if mid is None:
-                    continue
-                for u2 in ac.into(a1):
-                    for v2 in bc.out_of(b1):
-                        two_step = p.action.get((u2, a1, b1, mid, v2))
-                        one_step = p.action.get((ac.compose(u1, u2), a, b, j,
-                                                 bc.compose(v2, v1)))
-                        if two_step != one_step:
-                            problems.append(
-                                f"action not functorial on ({u2};{u1}, {j}, {v1};{v2})")
+            a1, mid = ac.src[u1], left[(u1, a, b, j)]
+            for u2 in ac.into(a1):
+                if left[(u2, a1, b, mid)] != left[(ac.compose(u1, u2), a, b, j)]:
+                    problems.append(
+                        f"left action not functorial on ({u2};{u1}, {j})")
+        for v1 in bc.out_of(b):
+            b1, mid = bc.tgt[v1], right[(a, b, j, v1)]
+            for v2 in bc.out_of(b1):
+                if right[(a, b1, mid, v2)] != right[(a, b, j, bc.compose(v2, v1))]:
+                    problems.append(
+                        f"right action not functorial on ({j}, {v1};{v2})")
+        for u in ac.into(a):
+            a1, ju = ac.src[u], left[(u, a, b, j)]
+            for v in bc.out_of(b):
+                jv = right[(a, b, j, v)]
+                if right[(a1, b, ju, v)] != left[(u, a, bc.tgt[v], jv)]:
+                    problems.append(f"actions do not commute on ({u}, {j}, {v})")
     return problems
 
 
 def unit_prof(cat):
     """The unit (hom) profunctor of a category."""
-    fibers = {(a, b): cat.hom(a, b) for a in cat.objects for b in cat.objects
-              if cat.hom(a, b)}
+    fibers = {(a, b): hom for a in cat.objects for b in cat.objects
+              if (hom := cat.hom(a, b))}
     table = cat.table     # every pair below is composable by construction
-    action = {}
+    left, right = {}, {}
     for (a, b), elems in fibers.items():
+        into_a, out_b = cat.into(a), cat.out_of(b)
         for j in elems:
-            for u in cat.into(a):
-                ju = table[(j, u)]
-                for v in cat.out_of(b):
-                    action[(u, a, b, j, v)] = table[(v, ju)]
-    return Profunctor(f"1_{cat.name}", cat, cat, fibers, action)
+            for u in into_a:
+                left[(u, a, b, j)] = table[(j, u)]
+            for v in out_b:
+                right[(a, b, j, v)] = table[(v, j)]
+    return Profunctor(f"1_{cat.name}", cat, cat, fibers, left, right)
 
 
 def empty_prof(source, target):
-    return Profunctor(f"0_{source.name}_{target.name}", source, target, {}, {})
+    return Profunctor(f"0_{source.name}_{target.name}", source, target,
+                      {}, {}, {})
 
 
 def companion(f):
     """f_* : A -/-> C for f : A -> C, with f_*(a, c) = C(f a, c)."""
     ac, cc = f.source, f.target
-    fibers = {(a, c): cc.hom(f.obj[a], c) for a in ac.objects
-              for c in cc.objects if cc.hom(f.obj[a], c)}
-    action = {}
+    fibers = {(a, c): hom for a in ac.objects for c in cc.objects
+              if (hom := cc.hom(f.obj[a], c))}
+    left, right = {}, {}
     for (a, c), elems in fibers.items():
         for j in elems:
             for u in ac.into(a):
-                ju = cc.compose(j, f.mor[u])
-                for v in cc.out_of(c):
-                    action[(u, a, c, j, v)] = cc.compose(v, ju)
-    return Profunctor(f"{f.name}_*", ac, cc, fibers, action)
+                left[(u, a, c, j)] = cc.compose(j, f.mor[u])
+            for v in cc.out_of(c):
+                right[(a, c, j, v)] = cc.compose(v, j)
+    return Profunctor(f"{f.name}_*", ac, cc, fibers, left, right)
 
 
 def conjoint(f):
     """f^* : C -/-> A for f : A -> C, with f^*(c, a) = C(c, f a)."""
     ac, cc = f.source, f.target
-    fibers = {(c, a): cc.hom(c, f.obj[a]) for c in cc.objects
-              for a in ac.objects if cc.hom(c, f.obj[a])}
-    action = {}
+    fibers = {(c, a): hom for c in cc.objects for a in ac.objects
+              if (hom := cc.hom(c, f.obj[a]))}
+    left, right = {}, {}
     for (c, a), elems in fibers.items():
         for j in elems:
             for u in cc.into(c):
-                ju = cc.compose(j, u)
-                for v in ac.out_of(a):
-                    action[(u, c, a, j, v)] = cc.compose(f.mor[v], ju)
-    return Profunctor(f"{f.name}^*", cc, ac, fibers, action)
+                left[(u, c, a, j)] = cc.compose(j, u)
+            for v in ac.out_of(a):
+                right[(c, a, j, v)] = cc.compose(f.mor[v], j)
+    return Profunctor(f"{f.name}^*", cc, ac, fibers, left, right)
 
 
 # ---------------------------------------------------------------------------
@@ -200,14 +232,21 @@ def validate_cell(c):
             problems.append(f"component at ({a}, {b}, {x}) lands outside its fiber")
     if problems:
         return problems
+    # the left and the right squares; as both actions commute, every
+    # two-sided square follows from them
+    ac, bc = j.source, j.target
     for a, b, x in j.elements():
-        for u in j.source.into(a):
-            for v in j.target.out_of(b):
-                a2, b2 = j.source.src[u], j.target.tgt[v]
-                lhs = c.comp[(a2, b2, j.act(u, a, b, x, v))]
-                rhs = k.act(f.mor[u], f.obj[a], g.obj[b], c.comp[(a, b, x)], g.mor[v])
-                if lhs != rhs:
-                    problems.append(f"naturality fails at ({u}, {x}, {v})")
+        fa, gb, cx = f.obj[a], g.obj[b], c.comp[(a, b, x)]
+        for u in ac.into(a):
+            if c.comp[(ac.src[u], b, j.left[(u, a, b, x)])] != \
+                    k.left[(f.mor[u], fa, gb, cx)]:
+                problems.append(
+                    f"naturality fails at ({u}, {x}, {bc.identity(b)})")
+        for v in bc.out_of(b):
+            if c.comp[(a, bc.tgt[v], j.right[(a, b, x, v)])] != \
+                    k.right[(fa, gb, cx, g.mor[v])]:
+                problems.append(
+                    f"naturality fails at ({ac.identity(a)}, {x}, {v})")
     return problems
 
 
@@ -217,9 +256,9 @@ def identity_cell(p):
                 {(a, b, j): j for a, b, j in p.elements()})
 
 
-def unit_cell(f):
-    """The vertical cell 1_A -> 1_C over a functor f : A -> C."""
-    ua, uc = unit_prof(f.source), unit_prof(f.target)
+def unit_cell(f, ua, uc):
+    """The vertical cell 1_A -> 1_C over a functor f : A -> C; ``ua`` and
+    ``uc`` are ``unit_prof(A)`` and ``unit_prof(C)``."""
     return Cell(f"1_{f.name}", ua, uc, f, f,
                 {(a, b, m): f.mor[m] for a, b, m in ua.elements()})
 
@@ -237,10 +276,10 @@ def vcompose(bot, top):
     return Cell(f"({bot.name}.{top.name})", top.hsrc, bot.htgt, f, g, comp)
 
 
-def nat_transf_as_cell(alpha):
-    """A natural transformation s => r as a vertical cell 1_A -> 1_M."""
+def nat_transf_as_cell(alpha, ua, um):
+    """A natural transformation s => r as a vertical cell 1_A -> 1_M;
+    ``ua`` and ``um`` are ``unit_prof(A)`` and ``unit_prof(M)``."""
     s, r = alpha.source, alpha.target
-    ua, um = unit_prof(s.source), unit_prof(s.target)
     m = s.target
     comp = {}
     for a, b, x in ua.elements():
@@ -313,11 +352,10 @@ def compose_prof(j, h):
     if j.target != h.source:
         raise ValueError("profunctors not composable")
     ac, bc, ec = j.source, j.target, h.target
-    jact, hact = j.action, h.action
+    jleft, jright, hleft, hright = j.left, j.right, h.left, h.right
     slides = [(v, bc.src[v], bc.tgt[v]) for v in bc.morphisms]
     # act once per (v, e, y) here and per (a, v, x) below, not once per pair
-    pulled = {(v, e): [(y, hact[(v, b2, e, y, ec.identity(e))])
-                       for y in h.fiber(b2, e)]
+    pulled = {(v, e): [(y, hleft[(v, b2, e, y)]) for y in h.fiber(b2, e)]
               for v, b1, b2 in slides for e in ec.objects}
 
     def find(i):
@@ -328,8 +366,7 @@ def compose_prof(j, h):
 
     classes, named, fibers = {}, {}, {}
     for a in ac.objects:
-        ida = ac.identity(a)
-        pushed = [(v, b1, b2, [(x, jact[(ida, a, b1, x, v)])
+        pushed = [(v, b1, b2, [(x, jright[(a, b1, x, v)])
                                for x in j.fiber(a, b1)])
                   for v, b1, b2 in slides]
         for e in ec.objects:
@@ -353,20 +390,19 @@ def compose_prof(j, h):
             named[(a, e)] = {pair_id(*pairs[r]): pairs[r] for r in groups}
             if groups:
                 fibers[(a, e)] = tuple(named[(a, e)])
-    action = {}
+    # u : a2 -> a acts on the class of (x, y) as the class of (x . u, y),
+    # and w : e -> e2 as the class of (x, w . y)
+    left, right = {}, {}
     for (a, e), elems in fibers.items():
-        into_a = [(u, ac.src[u]) for u in ac.into(a)]
-        out_e = [(w, ec.tgt[w]) for w in ec.out_of(e)]
+        into_a = [(u, classes[(ac.src[u], e)]) for u in ac.into(a)]
+        out_e = [(w, classes[(a, ec.tgt[w])]) for w in ec.out_of(e)]
         for cid in elems:
             b, x, y = named[(a, e)][cid]
-            idb = bc.identity(b)
-            yws = [(w, e2, hact[(idb, b, e, y, w)]) for w, e2 in out_e]
-            for u, a2 in into_a:
-                xu = jact[(u, a, b, x, idb)]
-                for w, e2, yw in yws:
-                    action[(u, a, e, cid, w)] = pair_id(
-                        *classes[(a2, e2)][(b, xu, yw)])
-    composite = Profunctor(f"({j.name}*{h.name})", ac, ec, fibers, action)
+            for u, cls in into_a:
+                left[(u, a, e, cid)] = pair_id(*cls[(b, jleft[(u, a, b, x)], y)])
+            for w, cls in out_e:
+                right[(a, e, cid, w)] = pair_id(*cls[(b, x, hright[(b, e, y, w)])])
+    composite = Profunctor(f"({j.name}*{h.name})", ac, ec, fibers, left, right)
     return composite, CoendWitness(j, h, composite, classes, named)
 
 
@@ -406,31 +442,42 @@ class NaturalityPlan:
     """The order in which ``cells_between`` binds the components of a cell
     out of J, and when it tests each naturality square.
 
-    ``elems`` lists J's elements in ``j.elements()`` order.  A square
-    (i, u, v, i2) says that a cell over (f, g) sends ``elems[i2]``, which is
-    u . elems[i] . v, to f(u) . c . g(v), where c is its component at
-    ``elems[i]``; ``squares[n]`` holds the squares whose later position
-    max(i, i2) is n.  A plan depends on J alone, so a caller that searches
-    several boundaries out of one J builds it once.
+    ``elems`` lists J's elements in ``j.elements()`` order.  A left square
+    (i, u, a, b, i2) says that a cell over (f, g) sends ``elems[i2]``,
+    which is elems[i] . u, to c . f(u), where c is its component at
+    ``elems[i]`` in J(a, b); a right square (i, v, a, b, i2) says the same
+    of v . elems[i] and g(v) . c.  ``left[n]`` and ``right[n]`` hold the
+    squares whose later position max(i, i2) is n.  Squares of identities
+    hold for every choice, as identities act trivially, and are left out;
+    the two-sided squares follow from the rest, as both actions commute.  A
+    plan depends on J alone, so a caller that searches several boundaries
+    out of one J builds it once.
     """
 
     j: Profunctor
     elems: tuple
-    squares: tuple
+    left: tuple
+    right: tuple
 
 
 def naturality_plan(j):
     """The NaturalityPlan of cells out of J."""
     elems = tuple(j.elements())
     pos = {e: n for n, e in enumerate(elems)}
-    squares = [[] for _ in elems]
+    left = [[] for _ in elems]
+    right = [[] for _ in elems]
     ac, bc = j.source, j.target
     for i, (a, b, x) in enumerate(elems):
         for u in ac.into(a):
-            for v in bc.out_of(b):
-                i2 = pos[(ac.src[u], bc.tgt[v], j.act(u, a, b, x, v))]
-                squares[max(i, i2)].append((i, u, v, i2))
-    return NaturalityPlan(j, elems, tuple(map(tuple, squares)))
+            if not ac.is_identity(u):
+                i2 = pos[(ac.src[u], b, j.left[(u, a, b, x)])]
+                left[max(i, i2)].append((i, u, a, b, i2))
+        for v in bc.out_of(b):
+            if not bc.is_identity(v):
+                i2 = pos[(a, bc.tgt[v], j.right[(a, b, x, v)])]
+                right[max(i, i2)].append((i, v, a, b, i2))
+    return NaturalityPlan(j, elems, tuple(map(tuple, left)),
+                          tuple(map(tuple, right)))
 
 
 def cells_between(j, k, f, g, plan=None):
@@ -453,17 +500,21 @@ def cells_between(j, k, f, g, plan=None):
             (j.source, j.target, k.source, k.target):
         return []
     elems = plan.elems
-    kact = k.action
-    # (fiber, squares) per position, made on the first visit: most searches
-    # are cut off long before their last position
+    kleft, kright = k.left, k.right
+    # (fiber, left checks, right checks) per position, made on the first
+    # visit: most searches are cut off long before their last position
     levels = [None] * len(elems)
 
     def level(n):
         a, b, _ = elems[n]
-        # per square: the component at i2 must be kact[(fu, fa, gb, comp[i], gv)]
-        checks = [(i, f.mor[u], f.obj[elems[i][0]], g.obj[elems[i][1]],
-                   g.mor[v], i2) for i, u, v, i2 in plan.squares[n]]
-        levels[n] = (k.fiber(f.obj[a], g.obj[b]), checks)
+        fo, go = f.obj, g.obj
+        # the component at i2 must be kleft[(fu, fa, gb, comp[i])], or
+        # kright[(fa, gb, comp[i], gv)]
+        lchecks = [(i, f.mor[u], fo[ai], go[bi], i2)
+                   for i, u, ai, bi, i2 in plan.left[n]]
+        rchecks = [(i, fo[ai], go[bi], g.mor[v], i2)
+                   for i, v, ai, bi, i2 in plan.right[n]]
+        levels[n] = (k.fiber(f.obj[a], g.obj[b]), lchecks, rchecks)
         return levels[n]
 
     out = []
@@ -473,11 +524,13 @@ def cells_between(j, k, f, g, plan=None):
         if n == len(elems):
             out.append(Cell(f"c{len(out)}", j, k, f, g, dict(zip(elems, pick))))
             return
-        fiber, checks = levels[n] or level(n)
+        fiber, lchecks, rchecks = levels[n] or level(n)
         for y in fiber:
             pick[n] = y
-            if all(pick[i2] == kact[(fu, fa, gb, pick[i], gv)]
-                   for i, fu, fa, gb, gv, i2 in checks):
+            if (not lchecks or all(pick[i2] == kleft[(fu, fa, gb, pick[i])]
+                                   for i, fu, fa, gb, i2 in lchecks)) and \
+                    (not rchecks or all(pick[i2] == kright[(fa, gb, pick[i], gv)]
+                                        for i, fa, gb, gv, i2 in rchecks)):
                 extend(n + 1)
 
     extend(0)
@@ -535,9 +588,9 @@ def is_invertible_cell(c):
         functor_inverse(c.vtgt) is not None and componentwise_bijective(c)
 
 
-def left_unitor(p, compose=compose_prof):
-    """The invertible horizontal cell 1_A * P -> P."""
-    _, witness = compose(unit_prof(p.source), p)
+def left_unitor(p, unit, compose=compose_prof):
+    """The invertible horizontal cell 1_A * P -> P; ``unit`` is 1_A."""
+    _, witness = compose(unit, p)
     up = witness.composite
     comp = {}
     for a, b, cid in up.elements():
@@ -547,9 +600,9 @@ def left_unitor(p, compose=compose_prof):
                 identity_functor(p.source), identity_functor(p.target), comp)
 
 
-def right_unitor(p, compose=compose_prof):
-    """The invertible horizontal cell P * 1_B -> P."""
-    _, witness = compose(p, unit_prof(p.target))
+def right_unitor(p, unit, compose=compose_prof):
+    """The invertible horizontal cell P * 1_B -> P; ``unit`` is 1_B."""
+    _, witness = compose(p, unit)
     pu = witness.composite
     comp = {}
     for a, b, cid in pu.elements():
@@ -583,16 +636,18 @@ def restrict(k, f, g):
     """The restriction K(f, g) : A -/-> B of K : C -/-> D along f : A -> C
     and g : B -> D, with fibers K(f a, g b)."""
     ac, bc = f.source, g.source
-    fibers = {(a, b): k.fiber(f.obj[a], g.obj[b]) for a in ac.objects
-              for b in bc.objects if k.fiber(f.obj[a], g.obj[b])}
-    action = {}
+    fibers = {(a, b): fib for a in ac.objects for b in bc.objects
+              if (fib := k.fiber(f.obj[a], g.obj[b]))}
+    left, right = {}, {}
     for (a, b), elems in fibers.items():
+        fa, gb = f.obj[a], g.obj[b]
         for x in elems:
             for u in ac.into(a):
-                for v in bc.out_of(b):
-                    action[(u, a, b, x, v)] = k.act(
-                        f.mor[u], f.obj[a], g.obj[b], x, g.mor[v])
-    return Profunctor(f"{k.name}({f.name},{g.name})", ac, bc, fibers, action)
+                left[(u, a, b, x)] = k.left[(f.mor[u], fa, gb, x)]
+            for v in bc.out_of(b):
+                right[(a, b, x, v)] = k.right[(fa, gb, x, g.mor[v])]
+    return Profunctor(f"{k.name}({f.name},{g.name})", ac, bc, fibers,
+                      left, right)
 
 
 def cartesian_cell(k, f, g):
@@ -651,12 +706,11 @@ def is_opcartesian(c):
 # companion/conjoint bending cells and star factorizations
 
 
-def companion_cells(f):
+def companion_cells(f, ua, uc):
     """The pair (eps, eta) bending the companion: eps : f_* -> 1_C over
-    (f, id) and eta : 1_A -> f_* over (id, f)."""
+    (f, id) and eta : 1_A -> f_* over (id, f); ``ua`` and ``uc`` are
+    1_A and 1_C."""
     fs = companion(f)
-    uc = unit_prof(f.target)
-    ua = unit_prof(f.source)
     eps = Cell(f"eps_{f.name}*", fs, uc, f, identity_functor(f.target),
                {(a, c, x): x for a, c, x in fs.elements()})
     eta = Cell(f"eta_{f.name}*", ua, fs, identity_functor(f.source), f,
@@ -664,12 +718,11 @@ def companion_cells(f):
     return eps, eta
 
 
-def conjoint_cells(f):
+def conjoint_cells(f, ua, uc):
     """The pair (eps, eta) bending the conjoint: eps : f^* -> 1_C over
-    (id, f) and eta : 1_A -> f^* over (f, id)."""
+    (id, f) and eta : 1_A -> f^* over (f, id); ``ua`` and ``uc`` are
+    1_A and 1_C."""
     fs = conjoint(f)
-    uc = unit_prof(f.target)
-    ua = unit_prof(f.source)
     eps = Cell(f"eps_{f.name}^", fs, uc, identity_functor(f.target), f,
                {(c, a, x): x for c, a, x in fs.elements()})
     eta = Cell(f"eta_{f.name}^", ua, fs, f, identity_functor(f.source),
@@ -687,12 +740,12 @@ def lower_star(c):
     j, k = c.hsrc, c.htgt
     jg, w_src = compose_prof(j, companion(g))
     fk, w_tgt = compose_prof(companion(f), k)
-    cc, dc = f.target, g.target
+    cc = f.target
     comp = {}
     for a, d, cid in jg.elements():
         b, x, q = w_src.least(a, d, cid)           # x in J(a, b), q : g b -> d
         fa, gb = f.obj[a], g.obj[b]
-        val = k.act(cc.identity(fa), fa, gb, c.comp[(a, b, x)], q)
+        val = k.act_right(fa, gb, c.comp[(a, b, x)], q)
         comp[(a, d, cid)] = w_tgt.class_id(a, d, fa, cc.identity(fa), val)
     return Cell(f"low_{c.name}", jg, fk,
                 identity_functor(j.source), identity_functor(g.target), comp)
@@ -704,12 +757,12 @@ def upper_star(c):
     j, k = c.hsrc, c.htgt
     fj, w_src = compose_prof(conjoint(f), j)
     kg, w_tgt = compose_prof(k, conjoint(g))
-    cc, dc = f.target, g.target
+    dc = g.target
     comp = {}
     for cobj, b, cid in fj.elements():
         a, p, x = w_src.least(cobj, b, cid)        # p : c -> f a, x in J(a, b)
         fa, gb = f.obj[a], g.obj[b]
-        val = k.act(p, fa, gb, c.comp[(a, b, x)], dc.identity(gb))
+        val = k.act_left(p, fa, gb, c.comp[(a, b, x)])
         comp[(cobj, b, cid)] = w_tgt.class_id(cobj, b, gb, val, dc.identity(gb))
     return Cell(f"up_{c.name}", fj, kg,
                 identity_functor(f.target), identity_functor(j.target), comp)
@@ -743,7 +796,8 @@ def rhom(k, h):
     """The right hom K <| H : A -/-> B of K : A -/-> E and H : B -/-> E.
 
     An element over (a, b) is a family of maps H(b, e) -> K(a, e), natural
-    in e; the action whiskers a family on both sides.
+    in e.  u : a2 -> a acts by post-composing each map with K's left action
+    of u, and v : b -> b2 by pre-composing it with H's left action of v.
     """
     if k.target != h.target:
         raise ValueError("right hom needs a common target")
@@ -779,20 +833,22 @@ def rhom(k, h):
                 fibers[(a, b)] = tuple(sorted(found))
                 families[(a, b)] = {fid: found[fid] for fid in sorted(found)}
 
-    action = {}
+    # identities act trivially on K and H, hence on their families
+    left, right = {}, {}
     for (a, b), elems in fibers.items():
         for fid in elems:
             fam = families[(a, b)][fid]
             for u in ac.into(a):
-                a2 = ac.src[u]
-                for v in bc.out_of(b):
-                    b2 = bc.tgt[v]
-                    new = {}
-                    for e in ec.objects:
-                        new[e] = {}
-                        for x in h.fiber(b2, e):
-                            pulled = h.act_left(v, b2, e, x)
-                            new[e][x] = k.act_left(u, a, e, fam[e][pulled])
-                    action[(u, a, b, fid, v)] = family_id(ec.objects, new)
-    p = Profunctor(f"({k.name}<|{h.name})", ac, bc, fibers, action)
+                left[(u, a, b, fid)] = fid if ac.is_identity(u) else \
+                    family_id(ec.objects, {
+                        e: {x: k.left[(u, a, e, y)] for x, y in fam[e].items()}
+                        for e in ec.objects})
+            for v in bc.out_of(b):
+                b2 = bc.tgt[v]
+                right[(a, b, fid, v)] = fid if bc.is_identity(v) else \
+                    family_id(ec.objects, {
+                        e: {x: fam[e][h.left[(v, b2, e, x)]]
+                            for x in h.fiber(b2, e)}
+                        for e in ec.objects})
+    p = Profunctor(f"({k.name}<|{h.name})", ac, bc, fibers, left, right)
     return p, RhomWitness(p, families)

@@ -53,35 +53,40 @@ def default_probes():
     return [zoo.terminal_category(), zoo.walking_arrow(), zoo.parallel_pair()]
 
 
-def _factorizations(t, candidates, phi_a, phi_b, phi):
+def _factorizations(t, candidates, phi_a, phi_b, phi, ux, ut):
     """The candidates F : X -> <J> projecting to (phi_a, phi_b) and
-    recovering phi by whiskering the defining cell."""
+    recovering phi by whiskering the defining cell; ``ux`` and ``ut`` are
+    1_X and 1_<J>."""
     return [f for f in candidates
             if compose_functors(t.proj_left, f) == phi_a
             and compose_functors(t.proj_right, f) == phi_b
-            and vcompose(t.cell, unit_cell(f)) == phi]
+            and vcompose(t.cell, unit_cell(f, ux, ut)) == phi]
 
 
 def verify_tabulation(t, probes=None):
     """Check both universal properties over a probe set of small
     categories; returns (ok, report) where the report counts the checked
-    configurations.  Each ``all_functors`` search runs once per distinct
-    (probe, category) pair within the call."""
+    configurations.  Within one call each unit profunctor is built once,
+    and each ``all_functors`` and ``cells_between`` search runs once per
+    distinct tuple of arguments."""
     if probes is None:
         probes = default_probes()
     j = t.j
     ac, bc = j.source, j.target
     functors = remembering(all_functors)
+    cells = remembering(cells_between)
+    units = remembering(unit_prof)
+    plans = remembering(naturality_plan)
+    ut = units(t.category)
     checked_1d = 0
     factored = {}
     for x_cat in probes:
-        ux = unit_prof(x_cat)
-        plan = naturality_plan(ux)
+        ux = units(x_cat)
         for phi_a in functors(x_cat, ac):
             for phi_b in functors(x_cat, bc):
-                for phi in cells_between(ux, j, phi_a, phi_b, plan):
+                for phi in cells(ux, j, phi_a, phi_b, plans(ux)):
                     found = _factorizations(t, functors(x_cat, t.category),
-                                            phi_a, phi_b, phi)
+                                            phi_a, phi_b, phi, ux, ut)
                     if len(found) != 1:
                         return False, {"stage": "one-dimensional",
                                        "probe": x_cat.name,
@@ -90,28 +95,34 @@ def verify_tabulation(t, probes=None):
                     checked_1d += 1
 
     checked_2d = 0
-    ua, ub, ut = unit_prof(ac), unit_prof(bc), unit_prof(t.category)
+    ua, ub = units(ac), units(bc)
+    whisker_left = unit_cell(t.proj_left, ut, ua)
+    whisker_right = unit_cell(t.proj_right, ut, ub)
+
+    @remembering
+    def whiskered(ux, fac1, fac2):
+        """Both projections of each cell 1_X -> 1_<J> over (fac1, fac2)."""
+        return [(vcompose(whisker_left, xi), vcompose(whisker_right, xi))
+                for xi in cells(ux, ut, fac1, fac2, plans(ux))]
+
     for x_cat in probes:
-        ux = unit_prof(x_cat)
-        plan = naturality_plan(ux)
+        ux = units(x_cat)
+        plan = plans(ux)
         pairs = [(k[1], k[2], k[3], v) for k, v in factored.items()
                  if k[0] == id(x_cat)]
         for (phi_a, phi_b, phi, fac1) in pairs:
             for (psi_a, psi_b, psi, fac2) in pairs:
-                for xi_a in cells_between(ux, ua, phi_a, psi_a, plan):
-                    for xi_b in cells_between(ux, ub, phi_b, psi_b, plan):
+                for xi_a in cells(ux, ua, phi_a, psi_a, plan):
+                    for xi_b in cells(ux, ub, phi_b, psi_b, plan):
                         if not _two_dim_compatible(j, x_cat, phi_a, phi_b, phi,
                                                    psi_a, psi_b, psi,
                                                    xi_a, xi_b):
                             continue
-                        hits = [xi for xi in cells_between(ux, ut, fac1, fac2,
-                                                           plan)
-                                if vcompose(unit_cell(t.proj_left), xi) == xi_a
-                                and vcompose(unit_cell(t.proj_right), xi) == xi_b]
-                        if len(hits) != 1:
+                        hits = whiskered(ux, fac1, fac2).count((xi_a, xi_b))
+                        if hits != 1:
                             return False, {"stage": "two-dimensional",
                                            "probe": x_cat.name,
-                                           "count": len(hits)}
+                                           "count": hits}
                         checked_2d += 1
     return True, {"one_dimensional": checked_1d, "two_dimensional": checked_2d}
 

@@ -17,17 +17,123 @@ from dblcat.tab import Tabulation
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "arrows.dcat")
 
 
-def profunctor_corpus():
-    """Small named profunctors with varied shapes."""
+def profunctor_corpus(unit=unit_prof, comp=companion, conj=conjoint):
+    """Small named profunctors with varied shapes.  Given other builders
+    of units, companions and conjoints (such as the two-sided oracles
+    below), the same list as those builders make it."""
     one, two, three = (zoo.terminal_category(), zoo.walking_arrow(),
                        zoo.composable_pair())
     pp = zoo.parallel_pair()
-    out = [unit_prof(two), unit_prof(pp), unit_prof(three)]
-    out += [companion(f) for f in all_functors(two, three)]
-    out += [conjoint(f) for f in all_functors(one, three)]
-    out += [companion(f) for f in all_functors(pp, two)]
-    out += [conjoint(f) for f in all_functors(two, two)]
+    out = [unit(two), unit(pp), unit(three)]
+    out += [comp(f) for f in all_functors(two, three)]
+    out += [conj(f) for f in all_functors(one, three)]
+    out += [comp(f) for f in all_functors(pp, two)]
+    out += [conj(f) for f in all_functors(two, two)]
     return out
+
+
+# ---------------------------------------------------------------------------
+# two-sided actions: the builders as they were before profunctors stored
+# one-sided tables, each returning (fibers, action) with action keyed
+# (u, a, b, j, v)
+
+
+def two_sided(p):
+    """``p.act`` on every composable triple (u, j, v), keyed as the old
+    builders key it."""
+    ac, bc = p.source, p.target
+    return {(u, a, b, j, v): p.act(u, a, b, j, v) for a, b, j in p.elements()
+            for u in ac.into(a) for v in bc.out_of(b)}
+
+
+def sides_of(ac, bc, fibers, action):
+    """The left and right actions read off a two-sided table, listed by
+    fiber, element, then acting morphism."""
+    left, right = {}, {}
+    for (a, b), elems in fibers.items():
+        for j in elems:
+            for u in ac.into(a):
+                left[(u, a, b, j)] = action[(u, a, b, j, bc.identity(b))]
+            for v in bc.out_of(b):
+                right[(a, b, j, v)] = action[(ac.identity(a), a, b, j, v)]
+    return left, right
+
+
+def unit_prof_oracle(cat):
+    fibers = {(a, b): cat.hom(a, b) for a in cat.objects for b in cat.objects
+              if cat.hom(a, b)}
+    action = {}
+    for (a, b), elems in fibers.items():
+        for j in elems:
+            for u in cat.into(a):
+                ju = cat.compose(j, u)
+                for v in cat.out_of(b):
+                    action[(u, a, b, j, v)] = cat.compose(v, ju)
+    return fibers, action
+
+
+def companion_oracle(f):
+    ac, cc = f.source, f.target
+    fibers = {(a, c): cc.hom(f.obj[a], c) for a in ac.objects
+              for c in cc.objects if cc.hom(f.obj[a], c)}
+    action = {}
+    for (a, c), elems in fibers.items():
+        for j in elems:
+            for u in ac.into(a):
+                ju = cc.compose(j, f.mor[u])
+                for v in cc.out_of(c):
+                    action[(u, a, c, j, v)] = cc.compose(v, ju)
+    return fibers, action
+
+
+def conjoint_oracle(f):
+    ac, cc = f.source, f.target
+    fibers = {(c, a): cc.hom(c, f.obj[a]) for c in cc.objects
+              for a in ac.objects if cc.hom(c, f.obj[a])}
+    action = {}
+    for (c, a), elems in fibers.items():
+        for j in elems:
+            for u in cc.into(c):
+                ju = cc.compose(j, u)
+                for v in ac.out_of(a):
+                    action[(u, c, a, j, v)] = cc.compose(f.mor[v], ju)
+    return fibers, action
+
+
+def restrict_oracle(k, f, g):
+    ac, bc = f.source, g.source
+    fibers = {(a, b): k.fiber(f.obj[a], g.obj[b]) for a in ac.objects
+              for b in bc.objects if k.fiber(f.obj[a], g.obj[b])}
+    action = {}
+    for (a, b), elems in fibers.items():
+        for x in elems:
+            for u in ac.into(a):
+                for v in bc.out_of(b):
+                    action[(u, a, b, x, v)] = k.act(
+                        f.mor[u], f.obj[a], g.obj[b], x, g.mor[v])
+    return fibers, action
+
+
+def rhom_action_oracle(k, h, witness):
+    """The two-sided action of K <| H: each family whiskered by u and v
+    at once."""
+    p = witness.profunctor
+    ac, bc, ec = p.source, p.target, k.target
+    action = {}
+    for (a, b), elems in p.fibers.items():
+        for fid in elems:
+            fam = witness.family(a, b, fid)
+            for u in ac.into(a):
+                for v in bc.out_of(b):
+                    b2 = bc.tgt[v]
+                    new = {}
+                    for e in ec.objects:
+                        new[e] = {}
+                        for x in h.fiber(b2, e):
+                            pulled = h.act_left(v, b2, e, x)
+                            new[e][x] = k.act_left(u, a, e, fam[e][pulled])
+                    action[(u, a, b, fid, v)] = family_id(ec.objects, new)
+    return action
 
 
 def internal_profunctor_corpus():
@@ -314,6 +420,17 @@ def compose_prof_oracle(j, h):
             named[(a, e)] = {pair_id(*p): p for p in fiber}
             if fiber:
                 fibers[(a, e)] = tuple(named[(a, e)])
+    action = compose_action_oracle(j, h, fibers, classes, named)
+    composite = Profunctor(f"({j.name}*{h.name})", ac, ec, fibers,
+                           *sides_of(ac, ec, fibers, action))
+    return composite, CoendWitness(j, h, composite, classes, named)
+
+
+def compose_action_oracle(j, h, fibers, classes, named):
+    """The two-sided action of J * H as compose_prof built it before its
+    one-sided tables: one entry per class, u and w, the class of
+    (x . u, w . y)."""
+    ac, ec = j.source, h.target
     action = {}
     for (a, e), elems in fibers.items():
         for cid in elems:
@@ -326,16 +443,15 @@ def compose_prof_oracle(j, h):
                     yw = h.act_right(b, e, y, w)
                     rep = classes[(a2, e2)][(b, xu, yw)]
                     action[(u, a, e, cid, w)] = pair_id(*rep)
-    composite = Profunctor(f"({j.name}*{h.name})", ac, ec, fibers, action)
-    return composite, CoendWitness(j, h, composite, classes, named)
+    return action
 
 
 def composite_tables(composite, witness):
-    """Name, fibers, action, classes and named of a composite as nested
-    lists of items, so that comparing two of them compares insertion order
-    as well as values."""
+    """Name, fibers, left and right actions, classes and named of a
+    composite as nested lists of items, so that comparing two of them
+    compares insertion order as well as values."""
     return (composite.name, list(composite.fibers.items()),
-            list(composite.action.items()),
+            list(composite.left.items()), list(composite.right.items()),
             [(k, list(v.items())) for k, v in witness.classes.items()],
             [(k, list(v.items())) for k, v in witness.named.items()])
 
@@ -579,12 +695,13 @@ def tabulate_oracle(j):
     return Tabulation(j, cat, proj_left, proj_right, cell)
 
 
-def tabulation_corpus():
+def tabulation_corpus(unit=unit_prof, comp=companion, conj=conjoint):
     """The profunctor corpus plus ``unit_prof(chain(n))`` for n = 0..4,
-    each chain listed in its own order and in two shuffled orders."""
+    each chain listed in its own order and in two shuffled orders.  The
+    builders are passed on as ``profunctor_corpus`` takes them."""
     rng = random.Random(11)
     chains = [chain(n, r) for n in range(5) for r in (None, rng, rng)]
-    return profunctor_corpus() + [unit_prof(c) for c in chains]
+    return profunctor_corpus(unit, comp, conj) + [unit(c) for c in chains]
 
 
 def category_tables(cat):
@@ -632,7 +749,8 @@ def fuzz_inputs(count):
 
 def complete_action_oracle(parser, src, tgt, fibers, home, entries, name):
     """dsl.Parser._complete_action as it was before its index by element:
-    every sweep tests every pair of table entries."""
+    every sweep tests every pair of table entries.  Returns the closed
+    table keyed (u, j, v)."""
     table = dict(entries)
     for j, (a, b) in home.items():
         key = (src.identity(a), j, tgt.identity(b))
@@ -655,14 +773,4 @@ def complete_action_oracle(parser, src, tgt, fibers, home, entries, name):
                             f"inconsistent at {key}", name)
                     table[key] = j3
                     changed = True
-    action = {}
-    for j, (a, b) in home.items():
-        for u in src.into(a):
-            for v in tgt.out_of(b):
-                out = table.get((u, j, v))
-                if out is None:
-                    parser.error(
-                        f"profunctor {name[1]!r} does not determine "
-                        f"the action {v}.{j}.{u}", name)
-                action[(u, a, b, j, v)] = out
-    return action
+    return table

@@ -41,7 +41,8 @@ def test_programmatic_round_trip():
     ws.functors = {"F": f}
     ws.profunctors = {"HomTwo": unit_prof(two), "HomThree": unit_prof(three),
                       "Fstar": companion(f), "HomPair": unit_prof(zoo.parallel_pair())}
-    ws.cells = {"uf": unit_cell(f)}
+    ws.cells = {"uf": unit_cell(f, ws.profunctors["HomTwo"],
+                                ws.profunctors["HomThree"])}
     text = dsl.serialize(ws)
     again = dsl.parse(text)
     assert again == ws
@@ -239,12 +240,14 @@ def closure_inputs():
 
 
 def parse_outcome(text):
-    """Each profunctor's action items, or the error message."""
+    """Each profunctor's left and right action items, or the error
+    message."""
     try:
         ws = dsl.parse(text)
     except dsl.DslError as e:
         return str(e)
-    return [(n, list(p.action.items())) for n, p in ws.profunctors.items()]
+    return [(n, list(p.left.items()), list(p.right.items()))
+            for n, p in ws.profunctors.items()]
 
 
 def test_action_closure_matches_all_pairs_oracle(monkeypatch):

@@ -92,3 +92,22 @@ def test_suites_fail_when_a_cell_is_broken(monkeypatch, name, check,
     (a, b, x), = [k for k in cell.comp if cell.comp[k] != out.comp[k]]
     fib = cell.htgt.fiber(cell.vsrc.obj[a], cell.vtgt.obj[b])
     assert (out.comp[(a, b, x)] in fib) == within_fiber
+
+
+def test_each_suite_builds_each_unit_once(monkeypatch):
+    built = []
+    real = laws.unit_prof
+
+    def counting(cat):
+        built.append(cat)
+        return real(cat)
+
+    monkeypatch.setattr(laws, "unit_prof", counting)
+    counts = []
+    for _ in range(2):
+        built.clear()
+        assert laws.run_all()[0]
+        counts.append(len(built))
+    # interchange 2, unitors and triangle 4, pentagon 1, companion
+    # identities 4; building one per configuration made 1,189
+    assert counts == [11, 11]

@@ -5,7 +5,8 @@ import random
 import pytest
 
 import helpers
-from dblcat.fincat import all_functors, identity_functor
+from dblcat.fincat import (FinCategory, all_functors, identity_functor,
+                           make_category)
 from dblcat.prof import (Cell, cells_between, companion,
                          companion_cells, compose_prof, conjoint,
                          conjoint_cells, componentwise_bijective, empty_prof,
@@ -28,10 +29,60 @@ def test_corpus_profunctors_are_valid():
 def test_validation_catches_broken_action():
     two = zoo.walking_arrow()
     p = unit_prof(two)
-    bad = dict(p.action)
-    bad[("1_0", "0", "1", "a", "1_1")] = "1_1"
-    broken = p.__class__(p.name, p.source, p.target, p.fibers, bad)
+    bad = dict(p.left)
+    bad[("1_0", "0", "1", "a")] = "1_1"
+    broken = dataclasses.replace(p, left=bad)
     assert validate_profunctor(broken)
+
+
+def fork():
+    """0 => 1 -> 2: arrows f, g : 0 -> 1 and h : 1 -> 2, with hf != hg."""
+    return make_category("Fork", ("0", "1", "2"),
+                         {"f": ("0", "1"), "g": ("0", "1"), "h": ("1", "2"),
+                          "hf": ("0", "2"), "hg": ("0", "2")},
+                         {("h", "f"): "hf", ("h", "g"): "hg"})
+
+
+@pytest.mark.parametrize("side, build, key", [
+    # C(-, 2) : Fork -/-> One, where h . f = hf on the left
+    ("left", lambda c: conjoint(zoo.pick(c, "2")), ("f", "1", "*", "h")),
+    # C(0, -) : One -/-> Fork, where h . f = hf on the right
+    ("right", lambda c: companion(zoo.pick(c, "0")), ("*", "1", "f", "h")),
+])
+def test_validation_catches_a_broken_side(side, build, key):
+    p = build(fork())
+    assert validate_profunctor(p) == []
+    table = getattr(p, side)
+    assert table[key] == "hf"
+    # hg lies in the same fiber, so only functoriality can tell
+    broken = dataclasses.replace(p, **{side: {**table, key: "hg"}})
+    assert any(f"{side} action not functorial" in m
+               for m in validate_profunctor(broken))
+
+
+def sides_that_may_not_commute(left_p):
+    """J : [1] -/-> [1] (both the walking arrow, 0 -> 1 by a) with
+    J(1, 0) = {p}, J(0, 0) = {q1, q2}, J(1, 1) = {r} and J(0, 1) = {s1, s2};
+    a sends p to ``left_p`` and r to s1 on the left, p to r, q1 to s1 and
+    q2 to s2 on the right.  Each side is functorial whatever ``left_p``
+    is; they commute exactly when it is q1."""
+    two = zoo.walking_arrow()
+    fibers = {("0", "0"): ("q1", "q2"), ("0", "1"): ("s1", "s2"),
+              ("1", "0"): ("p",), ("1", "1"): ("r",)}
+    left = {(f"1_{a}", a, b, x): x for (a, b), xs in fibers.items()
+            for x in xs}
+    left.update({("a", "1", "0", "p"): left_p, ("a", "1", "1", "r"): "s1"})
+    right = {(a, b, x, f"1_{b}"): x for (a, b), xs in fibers.items()
+             for x in xs}
+    right.update({("1", "0", "p", "a"): "r", ("0", "0", "q1", "a"): "s1",
+                  ("0", "0", "q2", "a"): "s2"})
+    return Profunctor("J", two, two, fibers, left, right)
+
+
+def test_validation_catches_sides_that_do_not_commute():
+    assert validate_profunctor(sides_that_may_not_commute("q1")) == []
+    problems = validate_profunctor(sides_that_may_not_commute("q2"))
+    assert problems == ["actions do not commute on (a, p, a)"]
 
 
 def test_composite_fibers_frozen():
@@ -78,6 +129,36 @@ def test_cell_search_matches_slow_twin():
     assert (boundaries, cells) == (6224, 3821)
 
 
+def reversed_listing(cat):
+    """``cat`` with its objects listed in reverse order."""
+    return FinCategory(cat.name, cat.objects[::-1], cat.morphisms, cat.src,
+                       cat.tgt, cat.identities, cat.table)
+
+
+def test_cell_search_matches_slow_twin_on_reversed_listings():
+    # with objects listed against the arrows, a square can lead from a
+    # later element to an earlier one; the search must test those too
+    profs = []
+    for cat in (zoo.walking_arrow(), zoo.parallel_pair(),
+                zoo.composable_pair()):
+        for c in (cat, reversed_listing(cat)):
+            profs.append(unit_prof(c))
+            for o in c.objects:
+                profs += [companion(zoo.pick(c, o)), conjoint(zoo.pick(c, o))]
+    boundaries = cells = 0
+    for j in profs:
+        plan = naturality_plan(j)
+        for k in profs:
+            for f in all_functors(j.source, k.source):
+                for g in all_functors(j.target, k.target):
+                    got = helpers.cell_tables(cells_between(j, k, f, g, plan))
+                    assert got == helpers.cell_tables(
+                        helpers.cells_between_oracle(j, k, f, g))
+                    boundaries += 1
+                    cells += len(got)
+    assert (boundaries, cells) == (7648, 5400)
+
+
 def test_cell_search_checks_its_plan_and_boundary():
     two, three = zoo.walking_arrow(), zoo.composable_pair()
     j, k = unit_prof(two), unit_prof(three)
@@ -90,6 +171,67 @@ def test_cell_search_checks_its_plan_and_boundary():
     wrong = identity_functor(three)
     assert cells_between(j, k, f, wrong) == [] == \
         helpers.cells_between_oracle(j, k, f, wrong)
+
+
+def oracle_corpus():
+    """Pairs (profunctor, (fibers, two-sided action) of the old builder):
+    the tabulation corpus, then ``unit_prof(chain(n))`` for n = 0..5,
+    listed as given and shuffled."""
+    new = helpers.tabulation_corpus()
+    old = helpers.tabulation_corpus(helpers.unit_prof_oracle,
+                                    helpers.companion_oracle,
+                                    helpers.conjoint_oracle)
+    chains = [helpers.chain(n, rng) for n in range(6)
+              for rng in (None, random.Random(n))]
+    new += [unit_prof(c) for c in chains]
+    old += [helpers.unit_prof_oracle(c) for c in chains]
+    return list(zip(new, old))
+
+
+def test_one_sided_builders_match_two_sided_ones():
+    pairs = oracle_corpus()
+    assert len(pairs) == 45
+    for p, (fibers, action) in pairs:
+        assert list(p.fibers.items()) == list(fibers.items()), p.name
+        assert helpers.two_sided(p) == action, p.name
+        assert validate_profunctor(p) == [], p.name
+
+
+def test_restrict_matches_two_sided_builder():
+    one, two = zoo.terminal_category(), zoo.walking_arrow()
+    count = 0
+    for k, _ in oracle_corpus():
+        for x in (one, two):
+            for f in all_functors(x, k.source)[:3]:
+                for g in all_functors(two, k.target)[:3]:
+                    r = restrict(k, f, g)
+                    fibers, action = helpers.restrict_oracle(k, f, g)
+                    assert list(r.fibers.items()) == list(fibers.items())
+                    assert helpers.two_sided(r) == action
+                    count += 1
+    assert count == 547
+
+
+def test_composite_action_matches_two_sided_builder():
+    corpus = [p for p, _ in oracle_corpus()]
+    pairs = [(j, h) for j, h in itertools.product(corpus, repeat=2)
+             if j.target == h.source]
+    assert len(pairs) == 185
+    for j, h in pairs:
+        comp, wit = compose_prof(j, h)
+        assert helpers.two_sided(comp) == helpers.compose_action_oracle(
+            j, h, comp.fibers, wit.classes, wit.named)
+
+
+def test_rhom_action_matches_two_sided_builder():
+    setups = [(k, h) for _, h, k in helpers.adjunction_setups()]
+    corpus = helpers.profunctor_corpus()
+    setups += [(k, h) for k, h in itertools.product(corpus[:8], repeat=2)
+               if k.target == h.target]
+    for k, h in setups:
+        rh, wit = rhom(k, h)
+        assert validate_profunctor(rh) == []
+        assert helpers.two_sided(rh) == helpers.rhom_action_oracle(k, h, wit)
 
 
 def test_compose_prof_matches_slow_twin():
@@ -128,7 +270,7 @@ def test_profunctor_hash_is_computed_once_and_stays_out_of_the_fields():
     assert hash(p) == hash(q) == hash(companion(f))
     assert repr(p) == before and p == q and p is not q
     assert [fl.name for fl in dataclasses.fields(Profunctor)] == \
-        ["name", "source", "target", "fibers", "action"]
+        ["name", "source", "target", "fibers", "left", "right"]
     assert {p, q} == {p} and {p: 1}[q] == 1
     assert p != unit_prof(zoo.walking_arrow())
 
@@ -146,7 +288,8 @@ def test_witness_class_lookup():
 
 def test_unitors_are_inverses():
     for p in helpers.profunctor_corpus():
-        for unitor in (left_unitor(p), right_unitor(p)):
+        for unitor in (left_unitor(p, unit_prof(p.source)),
+                       right_unitor(p, unit_prof(p.target))):
             assert validate_cell(unitor) == []
             inv = invert_horizontal_cell(unitor)
             assert vcompose(unitor, inv) == identity_cell(p)
@@ -155,8 +298,9 @@ def test_unitors_are_inverses():
 
 def test_cell_vertical_identity_laws():
     two, three = zoo.walking_arrow(), zoo.composable_pair()
+    ua, uc = unit_prof(two), unit_prof(three)
     for f in all_functors(two, three):
-        c = unit_cell(f)
+        c = unit_cell(f, ua, uc)
         assert vcompose(c, identity_cell(c.hsrc)) == c
         assert vcompose(identity_cell(c.htgt), c) == c
 
@@ -168,7 +312,7 @@ def test_nat_transf_cells_compose():
     for s in fs:
         for r in fs:
             for alpha in all_natural_transformations(s, r):
-                c = nat_transf_as_cell(alpha)
+                c = nat_transf_as_cell(alpha, unit_prof(two), unit_prof(two))
                 assert validate_cell(c) == []
 
 
@@ -181,12 +325,13 @@ def test_hcompose_of_identities_is_identity_up_to_unitor():
 
 def test_companion_conjoint_zigzags():
     two, three = zoo.walking_arrow(), zoo.composable_pair()
+    ua, uc = unit_prof(two), unit_prof(three)
     for f in all_functors(two, three):
-        eps, eta = companion_cells(f)
+        eps, eta = companion_cells(f, ua, uc)
         assert validate_cell(eps) == [] and validate_cell(eta) == []
-        assert vcompose(eps, eta) == unit_cell(f)
-        ceps, ceta = conjoint_cells(f)
-        assert vcompose(ceps, ceta) == unit_cell(f)
+        assert vcompose(eps, eta) == unit_cell(f, ua, uc)
+        ceps, ceta = conjoint_cells(f, ua, uc)
+        assert vcompose(ceps, ceta) == unit_cell(f, ua, uc)
 
 
 def test_restriction_is_triple_composite():
@@ -230,7 +375,7 @@ def test_companion_is_opcartesian_extension_of_unit():
     # bending the unit into the companion is the canonical opcartesian cell
     two, three = zoo.walking_arrow(), zoo.composable_pair()
     for f in all_functors(two, three):
-        _, eta = companion_cells(f)
+        _, eta = companion_cells(f, unit_prof(two), unit_prof(three))
         assert is_opcartesian(eta)
 
 
@@ -250,9 +395,9 @@ def test_invertible_cells():
     two = zoo.walking_arrow()
     p = unit_prof(two)
     assert is_invertible_cell(identity_cell(p))
-    assert is_invertible_cell(left_unitor(p))
+    assert is_invertible_cell(left_unitor(p, p))
     f = zoo.pick(two, "0")
-    eps, _ = companion_cells(f)
+    eps, _ = companion_cells(f, unit_prof(f.source), p)
     assert not is_invertible_cell(eps)
 
 

@@ -173,3 +173,31 @@ def test_verify_tabulation_runs_each_functor_search_once(monkeypatch):
         counts.append(len(searches))
     # X -> [2] and X -> <J> per probe X; nothing is kept between calls
     assert counts == [6, 6]
+
+
+def test_verify_tabulation_runs_each_cell_search_once(monkeypatch):
+    searches, units = [], []
+    real_cells, real_unit = tab.cells_between, tab.unit_prof
+
+    def counted_cells(*args):
+        searches.append(args[:4])
+        return real_cells(*args)
+
+    def counted_unit(cat):
+        units.append(cat)
+        return real_unit(cat)
+
+    monkeypatch.setattr(tab, "cells_between", counted_cells)
+    monkeypatch.setattr(tab, "unit_prof", counted_unit)
+    t = tab.tabulate(unit_prof(helpers.chain(2)))
+    counts = []
+    for _ in range(2):
+        searches.clear()
+        units.clear()
+        assert tab.verify_tabulation(t) == \
+            (True, {"one_dimensional": 15, "two_dimensional": 46})
+        assert len(set(searches)) == len(searches)
+        assert len(set(units)) == len(units)
+        counts.append((len(searches), len(units)))
+    # the units of the three probes, of [2] and of <J>
+    assert counts == [(68, 5), (68, 5)]
