@@ -273,11 +273,11 @@ def cmd_internal_tabulate(args):
     ij = spanfin.prof_bridge(j)
     t = spanfin.internal_tabulate(ij)
     out = {"ok": True,
-           "objects": list(t.category.obj),
-           "morphism_count": len(t.category.arr)}
+           "objects": list(t.category.objects),
+           "morphism_count": len(t.category.morphisms)}
     if not args.skip_verify:
         probes = [c for c in spanfin.default_internal_probes()
-                  if len(c.obj) <= args.probe_max_objects]
+                  if len(c.objects) <= args.probe_max_objects]
         good, report = spanfin.verify_internal_tabulation(t, probes)
         out["verified"] = good
         out["report"] = report

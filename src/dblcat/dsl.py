@@ -49,18 +49,15 @@ class Workspace:
     profunctors: dict = field(default_factory=dict)
     cells: dict = field(default_factory=dict)
 
-    def __eq__(self, other):
-        return isinstance(other, Workspace) and \
-            self.categories == other.categories and \
-            self.functors == other.functors and \
-            self.profunctors == other.profunctors and \
-            self.cells == other.cells
-
 
 # ---------------------------------------------------------------------------
 # tokenizer
 
 SYMBOLS = ["-/->", "->", "=>", "{", "}", ":", ";", ",", "=", "."]
+# the symbols by first character, longest first; none starts like a name
+_SYMBOLS_AT = {c: sorted((s for s in SYMBOLS if s[0] == c), key=len,
+                         reverse=True)
+               for c in {s[0] for s in SYMBOLS}}
 
 
 def tokenize(text):
@@ -82,16 +79,6 @@ def tokenize(text):
             while i < n and text[i] != "\n":
                 i += 1
             continue
-        matched = None
-        for sym in SYMBOLS:
-            if text.startswith(sym, i):
-                matched = sym
-                break
-        if matched:
-            tokens.append(("sym", matched, line, col))
-            i += len(matched)
-            col += len(matched)
-            continue
         if c.isalnum() or c in "_'":
             j = i
             while j < n and (text[j].isalnum() or text[j] in "_'"):
@@ -100,7 +87,14 @@ def tokenize(text):
             col += j - i
             i = j
             continue
-        raise DslError(f"unexpected character {c!r}", line, col)
+        for sym in _SYMBOLS_AT.get(c, ()):
+            if text.startswith(sym, i):
+                tokens.append(("sym", sym, line, col))
+                i += len(sym)
+                col += len(sym)
+                break
+        else:
+            raise DslError(f"unexpected character {c!r}", line, col)
     tokens.append(("eof", "", line, col))
     return tokens
 
@@ -489,8 +483,9 @@ def serialize(ws):
             out.append(f"  compose {g} . {f} = {h};")
         out.append("}")
     for name, fun in ws.functors.items():
-        out.append(f"functor {name} : {_catname(ws, fun.source)} -> "
-                   f"{_catname(ws, fun.target)} {{")
+        src, tgt = (_name_of(ws.categories, c, "category")
+                    for c in (fun.source, fun.target))
+        out.append(f"functor {name} : {src} -> {tgt} {{")
         for o in fun.source.objects:
             out.append(f"  obj {o} => {fun.obj[o]};")
         for m in fun.source.morphisms:
@@ -498,8 +493,9 @@ def serialize(ws):
                 out.append(f"  arr {m} => {fun.mor[m]};")
         out.append("}")
     for name, prof in ws.profunctors.items():
-        out.append(f"profunctor {name} : {_catname(ws, prof.source)} -/-> "
-                   f"{_catname(ws, prof.target)} {{")
+        src, tgt = (_name_of(ws.categories, c, "category")
+                    for c in (prof.source, prof.target))
+        out.append(f"profunctor {name} : {src} -/-> {tgt} {{")
         for a, b, j in prof.elements():
             out.append(f"  elt {j} : {a} -/-> {b};")
         for a, b, j in prof.elements():
@@ -515,32 +511,21 @@ def serialize(ws):
                            f"{prof.act_right(a, b, j, v)};")
         out.append("}")
     for name, cell in ws.cells.items():
-        out.append(f"cell {name} : {_profname(ws, cell.hsrc)} => "
-                   f"{_profname(ws, cell.htgt)} left "
-                   f"{_funname(ws, cell.vsrc)} right "
-                   f"{_funname(ws, cell.vtgt)} {{")
+        top, bot = (_name_of(ws.profunctors, p, "profunctor")
+                    for p in (cell.hsrc, cell.htgt))
+        left, right = (_name_of(ws.functors, f, "functor")
+                       for f in (cell.vsrc, cell.vtgt))
+        out.append(f"cell {name} : {top} => {bot} left {left} right {right} {{")
         for a, b, j in cell.hsrc.elements():
             out.append(f"  map {j} => {cell.comp[(a, b, j)]};")
         out.append("}")
     return "\n".join(out) + "\n"
 
 
-def _catname(ws, cat):
-    for name, c in ws.categories.items():
-        if c == cat:
+def _name_of(table, item, what):
+    """The name under which ``item``, a ``what``, is stored in ``table``,
+    one of a workspace's tables."""
+    for name, x in table.items():
+        if x == item:
             return name
-    raise ValueError("category not in workspace")
-
-
-def _funname(ws, fun):
-    for name, f in ws.functors.items():
-        if f == fun:
-            return name
-    raise ValueError("functor not in workspace")
-
-
-def _profname(ws, prof):
-    for name, p in ws.profunctors.items():
-        if p == prof:
-            return name
-    raise ValueError("profunctor not in workspace")
+    raise ValueError(f"{what} not in workspace")

@@ -361,8 +361,9 @@ def category_of_elements(name, ac, bc, triples, act_right, act_left):
     for m2, m1 in cat.composable_pairs():
         if m2 not in pair or m1 not in pair:
             continue  # composites with identities are implicit
-        u = ac.compose(pair[m2][0], pair[m1][0])
-        v = bc.compose(pair[m2][1], pair[m1][1])
+        # composable by construction, so the tables are read unchecked
+        u = ac.table[(pair[m2][0], pair[m1][0])]
+        v = bc.table[(pair[m2][1], pair[m1][1])]
         s, t = cat.src[m1], cat.tgt[m2]
         if s == t and ac.is_identity(u) and bc.is_identity(v):
             composites[(m2, m1)] = cat.identity(s)

@@ -20,7 +20,7 @@ all its candidates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .fincat import (Cone, Functor, NoLimit, all_functors,
@@ -56,11 +56,15 @@ class RanCandidate:
     def __hash__(self):
         return hash((self.j, self.r, self.eps))
 
-    def validate(self):
+    def validate(self, um=None):
+        """The problems of eps as a cell J -> 1_M over (r, d); ``um`` is
+        ``unit_prof(M)``, built here unless the caller has it."""
         problems = validate_cell(self.eps)
         if self.eps.vsrc != self.r or self.eps.vtgt != self.d:
             problems.append("cell boundary does not match (r, d)")
-        if self.eps.hsrc != self.j or self.eps.htgt != unit_prof(self.d.target):
+        if um is None:
+            um = unit_prof(self.d.target)
+        if self.eps.hsrc != self.j or self.eps.htgt != um:
             problems.append("cell is not J -> 1_M")
         return problems
 
@@ -127,15 +131,17 @@ class RanProblem:
     side r met; the right hom of d^* and J; and the limit over the category
     of elements at each object of A.  The functors come from ``search``,
     ``all_functors`` unless a caller shares a ``remembering`` one among
-    its problems.  A problem lives for one decision and is shared by the
+    its problems, and the unit 1_M from ``units``, likewise ``unit_prof``
+    unless shared.  A problem lives for one decision and is shared by the
     candidates of that decision, never across calls.  Candidates reach it
     already validated.
     """
 
-    def __init__(self, j, d, search=None):
+    def __init__(self, j, d, search=None, units=None):
         self.j, self.d = j, d
         self.mc = d.target
         self._search = search or all_functors
+        self._units = units or unit_prof
         self._competitors = {}
         self._nat = {}
         self._limits = {}
@@ -146,7 +152,7 @@ class RanProblem:
 
     @cached_property
     def um(self):
-        return unit_prof(self.mc)
+        return self._units(self.mc)
 
     @cached_property
     def functors(self):
@@ -218,12 +224,14 @@ class RanProblem:
 
 
 def _checked(cand):
-    """The problem of a candidate from outside, after validating it."""
-    problems = cand.validate()
+    """The problem of a candidate from outside, after validating the
+    candidate against the problem's unit."""
+    problem = RanProblem(cand.j, cand.d)
+    problems = cand.validate(problem.um)
     if problems:
         raise ValueError(f"{cand.eps.name} is not a candidate cell J -> 1_M "
                          f"over (r, d): {problems[0]}")
-    return RanProblem(cand.j, cand.d)
+    return problem
 
 
 def is_ran(cand):
@@ -382,8 +390,8 @@ def is_right_exact(cell, mode="pointwise", probe_cats=None):
     all_functors and cells_between, and the first failure is the returned
     witness.  Within the call, the RanProblem of each (K, d) and (J, d . g)
     is built once and shared by every candidate; equal problems are one,
-    and each ``all_functors`` search runs once per distinct pair of
-    categories.
+    each ``all_functors`` search runs once per distinct pair of categories
+    and each probe category's unit profunctor is built once.
     """
     if mode not in ("pointwise", "ordinary"):
         raise ValueError(f"unknown mode {mode!r}: expected 'pointwise' or "
@@ -394,6 +402,7 @@ def is_right_exact(cell, mode="pointwise", probe_cats=None):
     j, k = cell.hsrc, cell.htgt
     problems = {}      # (profunctor, d) -> RanProblem, for this call only
     search = remembering(all_functors)     # shared by those problems
+    units = remembering(unit_prof)         # likewise
 
     def check(prob, r, eps):
         if mode == "pointwise":
@@ -402,9 +411,9 @@ def is_right_exact(cell, mode="pointwise", probe_cats=None):
 
     for mc in probe_cats:
         for d in search(g.target, mc):
-            top = problems.setdefault((k, d), RanProblem(k, d, search))
+            top = problems.setdefault((k, d), RanProblem(k, d, search, units))
             dg = compose_functors(d, g)
-            sub = problems.setdefault((j, dg), RanProblem(j, dg, search))
+            sub = problems.setdefault((j, dg), RanProblem(j, dg, search, units))
             for i, r in enumerate(top.functors):
                 rf = compose_functors(r, f)
                 for n, comps in enumerate(top.competitors(i)):

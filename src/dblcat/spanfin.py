@@ -1,18 +1,22 @@
-"""Internal categories, profunctors and transformations in finite sets,
-and the span-level tabulation construction.
+"""Internal profunctors and transformations in finite sets, and the
+span-level tabulation construction.
 
-A category internal to finite sets is a span obj <- arr -> obj with a
-multiplication and unit; profunctors are two-sided action spans and
-transformations are equivariant maps of apexes.  Everything is tabulated,
-so pullbacks and coequalizers of the underlying sets are computed
-explicitly and every universal property is replayed by enumeration.
+An internal category in finite sets is a ``FinCategory``: the span
+objects <- morphisms -> objects given by ``src`` and ``tgt``, with unit
+``identities`` and multiplication ``table``; an internal functor is a
+``Functor``.  Profunctors are two-sided action spans and transformations
+are equivariant maps of apexes.  Everything is tabulated, so pullbacks and
+coequalizers of the underlying sets are computed explicitly and every
+universal property is replayed by enumeration.  Profunctors, composites
+and tabulations are built here from those pullbacks and coequalizers, not
+by ``prof`` and ``tab``, so the two procedures check each other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .fincat import FinCategory, all_functors
+from .fincat import FinCategory, Functor, all_functors, compose_functors
 from .prof import UnionFind
 
 
@@ -58,129 +62,20 @@ def coequalizer(xs, p, q, ys):
 
 
 # ---------------------------------------------------------------------------
-# internal categories
-
-
-@dataclass(frozen=True, eq=True)
-class InternalCategory:
-    """obj <- arr -> obj with unit e and multiplication m; m[(a1, a2)] is
-    defined when d1[a1] == d0[a2] and composes a1 first."""
-
-    name: str = field(compare=False)
-    obj: tuple
-    arr: tuple
-    d0: dict
-    d1: dict
-    e: dict
-    m: dict
-
-    def __hash__(self):
-        return hash((self.obj, self.arr))
-
-    def compose(self, a1, a2):
-        """a1 followed by a2."""
-        return self.m[(a1, a2)]
-
-
-def validate_internal_category(c):
-    problems = []
-    for o in c.obj:
-        a = c.e.get(o)
-        if a is None or c.d0.get(a) != o or c.d1.get(a) != o:
-            problems.append(f"unit of {o} missing or not an endo-arrow")
-    for a1 in c.arr:
-        for a2 in c.arr:
-            defined = (a1, a2) in c.m
-            composable = c.d1.get(a1) == c.d0.get(a2)
-            if composable != defined:
-                problems.append(f"multiplication wrong on ({a1}, {a2})")
-            elif defined:
-                a = c.m[(a1, a2)]
-                if c.d0.get(a) != c.d0[a1] or c.d1.get(a) != c.d1[a2]:
-                    problems.append(f"multiplication ill-typed on ({a1}, {a2})")
-    for a in c.arr:
-        if c.m.get((c.e[c.d0[a]], a)) != a or c.m.get((a, c.e[c.d1[a]])) != a:
-            problems.append(f"unit law fails at {a}")
-    for a1 in c.arr:
-        for a2 in c.arr:
-            if c.d1[a1] != c.d0[a2]:
-                continue
-            for a3 in c.arr:
-                if c.d1[a2] != c.d0[a3]:
-                    continue
-                m12, m23 = c.m.get((a1, a2)), c.m.get((a2, a3))
-                if m12 is None or m23 is None:
-                    continue        # already reported above
-                left = c.m.get((m12, a3))
-                right = c.m.get((a1, m23))
-                if left is None or left != right:
-                    problems.append(f"associativity fails on ({a1}, {a2}, {a3})")
-    return problems
-
-
-def to_fincat(c):
-    """Reread an internal category as an ordinary finite category."""
-    table = {(a2, a1): v for (a1, a2), v in c.m.items()}
-    return FinCategory(c.name, c.obj, c.arr, dict(c.d0), dict(c.d1),
-                       dict(c.e), table)
+# internal categories and functors
 
 
 def from_fincat(cat):
-    """Reread a finite category as a category internal to finite sets."""
-    m = {(f, g): v for (g, f), v in cat.table.items()}
-    return InternalCategory(cat.name, cat.objects, cat.morphisms,
-                            dict(cat.src), dict(cat.tgt),
-                            dict(cat.identities), m)
-
-
-@dataclass(frozen=True, eq=True)
-class InternalFunctor:
-    name: str = field(compare=False)
-    source: InternalCategory
-    target: InternalCategory
-    obj_map: dict
-    arr_map: dict
-
-    def __hash__(self):
-        return hash((tuple(sorted(self.obj_map.items())),
-                     tuple(sorted(self.arr_map.items()))))
-
-    def validate(self):
-        problems = []
-        s, t = self.source, self.target
-        for a in s.arr:
-            fa = self.arr_map.get(a)
-            if fa not in t.arr:
-                problems.append(f"arrow {a} not mapped")
-                continue
-            if t.d0[fa] != self.obj_map[s.d0[a]] or t.d1[fa] != self.obj_map[s.d1[a]]:
-                problems.append(f"image of {a} ill-typed")
-        for o in s.obj:
-            if self.arr_map.get(s.e[o]) != t.e[self.obj_map[o]]:
-                problems.append(f"unit of {o} not preserved")
-        for (a1, a2), v in s.m.items():
-            if self.arr_map.get(v) != t.m[(self.arr_map[a1], self.arr_map[a2])]:
-                problems.append(f"multiplication not preserved on ({a1}, {a2})")
-        return problems
-
-
-def internal_identity(c):
-    return InternalFunctor(f"Id_{c.name}", c, c,
-                           {o: o for o in c.obj}, {a: a for a in c.arr})
-
-
-def internal_compose(g, f):
-    return InternalFunctor(f"{g.name}.{f.name}", f.source, g.target,
-                           {o: g.obj_map[f.obj_map[o]] for o in f.source.obj},
-                           {a: g.arr_map[f.arr_map[a]] for a in f.source.arr})
+    """A finite category is already a category internal to finite sets:
+    returns ``cat`` itself.  Kept because ``bench/workloads.py`` calls it."""
+    return cat
 
 
 def all_internal_functors(a, b):
-    """Enumerate by reusing the ordinary-functor enumeration."""
-    out = []
-    for f in all_functors(to_fincat(a), to_fincat(b)):
-        out.append(InternalFunctor(f.name, a, b, dict(f.obj), dict(f.mor)))
-    return out
+    """Every internal functor a -> b: the ordinary functors, in the order
+    and with the names of ``all_functors``.  A function of its own because
+    ``bench/layers.py`` traces the span-level searches under this name."""
+    return all_functors(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -194,8 +89,8 @@ class InternalProfunctor:
     objects), left action l[(a, j)] and right action r[(j, b)]."""
 
     name: str = field(compare=False)
-    source: InternalCategory
-    target: InternalCategory
+    source: FinCategory
+    target: FinCategory
     het: tuple
     d0: dict
     d1: dict
@@ -210,56 +105,49 @@ def validate_internal_profunctor(p):
     problems = []
     a, b = p.source, p.target
     for j in p.het:
-        if p.d0.get(j) not in a.obj or p.d1.get(j) not in b.obj:
+        if p.d0.get(j) not in a.objects or p.d1.get(j) not in b.objects:
             problems.append(f"endpoints of {j} missing")
-    for x in a.arr:
+    for x in a.morphisms:
         for j in p.het:
             defined = (x, j) in p.l
-            composable = a.d1[x] == p.d0[j]
+            composable = a.tgt[x] == p.d0[j]
             if composable != defined:
                 problems.append(f"left action wrong on ({x}, {j})")
             elif defined:
                 j2 = p.l[(x, j)]
-                if p.d0.get(j2) != a.d0[x] or p.d1.get(j2) != p.d1[j]:
+                if p.d0.get(j2) != a.src[x] or p.d1.get(j2) != p.d1[j]:
                     problems.append(f"left action ill-typed on ({x}, {j})")
     for j in p.het:
-        for y in b.arr:
+        for y in b.morphisms:
             defined = (j, y) in p.r
-            composable = p.d1[j] == b.d0[y]
+            composable = p.d1[j] == b.src[y]
             if composable != defined:
                 problems.append(f"right action wrong on ({j}, {y})")
             elif defined:
                 j2 = p.r[(j, y)]
-                if p.d0.get(j2) != p.d0[j] or p.d1.get(j2) != b.d1[y]:
+                if p.d0.get(j2) != p.d0[j] or p.d1.get(j2) != b.tgt[y]:
                     problems.append(f"right action ill-typed on ({j}, {y})")
     for j in p.het:
-        if p.l.get((a.e[p.d0[j]], j)) != j or p.r.get((j, b.e[p.d1[j]])) != j:
+        if p.l.get((a.identities[p.d0[j]], j)) != j or \
+                p.r.get((j, b.identities[p.d1[j]])) != j:
             problems.append(f"unit actions fail at {j}")
-    for x1 in a.arr:
-        for x2 in a.arr:
-            if a.d1[x1] != a.d0[x2]:
-                continue
+    for x1 in a.morphisms:
+        for x2 in a.out_of(a.tgt[x1]):
             for j in p.het:
-                if a.d1[x2] != p.d0[j]:
+                if a.tgt[x2] != p.d0[j]:
                     continue
-                if p.l[(x1, p.l[(x2, j)])] != p.l[(a.m[(x1, x2)], j)]:
+                if p.l[(x1, p.l[(x2, j)])] != p.l[(a.table[(x2, x1)], j)]:
                     problems.append(f"left action not associative on ({x1}, {x2}, {j})")
     for j in p.het:
-        for y1 in b.arr:
-            if p.d1[j] != b.d0[y1]:
-                continue
-            for y2 in b.arr:
-                if b.d1[y1] != b.d0[y2]:
-                    continue
-                if p.r[(p.r[(j, y1)], y2)] != p.r[(j, b.m[(y1, y2)])]:
+        for y1 in b.out_of(p.d1[j]):
+            for y2 in b.out_of(b.tgt[y1]):
+                if p.r[(p.r[(j, y1)], y2)] != p.r[(j, b.table[(y2, y1)])]:
                     problems.append(f"right action not associative on ({j}, {y1}, {y2})")
-    for x in a.arr:
+    for x in a.morphisms:
         for j in p.het:
-            if a.d1[x] != p.d0[j]:
+            if a.tgt[x] != p.d0[j]:
                 continue
-            for y in b.arr:
-                if p.d1[j] != b.d0[y]:
-                    continue
+            for y in b.out_of(p.d1[j]):
                 if p.r[(p.l[(x, j)], y)] != p.l[(x, p.r[(j, y)])]:
                     problems.append(f"actions do not commute on ({x}, {j}, {y})")
     return problems
@@ -267,19 +155,18 @@ def validate_internal_profunctor(p):
 
 def unit_internal_prof(c):
     """A category acting on its own arrows from both sides."""
-    l = {(x, j): c.m[(x, j)] for x in c.arr for j in c.arr
-         if c.d1[x] == c.d0[j]}
-    r = {(j, y): c.m[(j, y)] for j in c.arr for y in c.arr
-         if c.d1[j] == c.d0[y]}
-    return InternalProfunctor(f"1_{c.name}", c, c, c.arr,
-                              dict(c.d0), dict(c.d1), l, r)
+    l = {(x, j): c.table[(j, x)] for x in c.morphisms
+         for j in c.out_of(c.tgt[x])}
+    r = {(j, y): c.table[(y, j)] for j in c.morphisms
+         for y in c.out_of(c.tgt[j])}
+    return InternalProfunctor(f"1_{c.name}", c, c, c.morphisms,
+                              dict(c.src), dict(c.tgt), l, r)
 
 
 def prof_bridge(p):
     """An ordinary profunctor as an internal one: the heteromorphism set is
     the disjoint union of the fibers."""
-    a = from_fincat(p.source)
-    b = from_fincat(p.target)
+    a, b = p.source, p.target
     het = []
     d0, d1 = {}, {}
     locate = {}
@@ -292,10 +179,10 @@ def prof_bridge(p):
     l, r = {}, {}
     for e in het:
         x, y, j = locate[e]
-        for u in p.source.into(x):
-            l[(u, e)] = f"({a.d0[u]}|{p.act_left(u, x, y, j)}|{y})"
-        for v in p.target.out_of(y):
-            r[(e, v)] = f"({x}|{p.act_right(x, y, j, v)}|{b.d1[v]})"
+        for u in a.into(x):
+            l[(u, e)] = f"({a.src[u]}|{p.act_left(u, x, y, j)}|{y})"
+        for v in b.out_of(y):
+            r[(e, v)] = f"({x}|{p.act_right(x, y, j, v)}|{b.tgt[v]})"
     return InternalProfunctor(f"br_{p.name}", a, b, tuple(het), d0, d1, l, r)
 
 
@@ -307,17 +194,17 @@ def internal_prof_compose(j, h):
     b = j.target
     pairs, p1, p2 = pullback(j.het, j.d1, h.het, h.d0)
     # each (x, y, z) identifies the pair (x . y, z) with (x, y . z)
-    slides = [(x, y, z) for x in j.het for y in b.arr if j.d1[x] == b.d0[y]
-              for z in h.het if b.d1[y] == h.d0[z]]
+    slides = [(x, y, z) for x in j.het for y in b.out_of(j.d1[x])
+              for z in h.het if b.tgt[y] == h.d0[z]]
     het, proj = coequalizer(
         slides, {s: f"({j.r[s[:2]]},{s[2]})" for s in slides},
         {s: f"({s[0]},{h.l[s[1:]]})" for s in slides}, pairs)
     d0 = {e: j.d0[p1[e]] for e in het}
     d1 = {e: h.d1[p2[e]] for e in het}
     l = {(u, e): proj[f"({j.l[(u, p1[e])]},{p2[e]})"] for e in het
-         for u in j.source.arr if j.source.d1[u] == d0[e]}
+         for u in j.source.into(d0[e])}
     r = {(e, v): proj[f"({p1[e]},{h.r[(p2[e], v)]})"] for e in het
-         for v in h.target.arr if h.target.d0[v] == d1[e]}
+         for v in h.target.out_of(d1[e])}
     return InternalProfunctor(f"({j.name}*{h.name})", j.source, h.target,
                               het, d0, d1, l, r), proj
 
@@ -330,8 +217,8 @@ class InternalTransformation:
     name: str = field(compare=False)
     hsrc: InternalProfunctor
     htgt: InternalProfunctor
-    vsrc: InternalFunctor
-    vtgt: InternalFunctor
+    vsrc: Functor
+    vtgt: Functor
     map: dict
 
     def __hash__(self):
@@ -346,15 +233,15 @@ def validate_internal_transformation(t):
         if tx not in k.het:
             problems.append(f"{x} not mapped into the target")
             continue
-        if k.d0[tx] != f.obj_map[j.d0[x]] or k.d1[tx] != g.obj_map[j.d1[x]]:
+        if k.d0[tx] != f.obj[j.d0[x]] or k.d1[tx] != g.obj[j.d1[x]]:
             problems.append(f"image of {x} ill-typed")
     if problems:
         return problems
     for (u, x), v in j.l.items():
-        if t.map[v] != k.l[(f.arr_map[u], t.map[x])]:
+        if t.map[v] != k.l[(f.mor[u], t.map[x])]:
             problems.append(f"left naturality fails on ({u}, {x})")
     for (x, w), v in j.r.items():
-        if t.map[v] != k.r[(t.map[x], g.arr_map[w])]:
+        if t.map[v] != k.r[(t.map[x], g.mor[w])]:
             problems.append(f"right naturality fails on ({x}, {w})")
     return problems
 
@@ -371,16 +258,16 @@ def all_internal_transformations(j, k, f, g):
     by_ends = {}
     for y in k.het:
         by_ends.setdefault((k.d0[y], k.d1[y]), []).append(y)
-    fibers = [by_ends.get((f.obj_map[j.d0[x]], g.obj_map[j.d1[x]]), [])
+    fibers = [by_ends.get((f.obj[j.d0[x]], g.obj[j.d1[x]]), [])
               for x in j.het]
     # t(v) == u . t(x) for left actions, t(v) == t(x) . w for right ones,
     # filed under the later of x and v
     lefts = [[] for _ in j.het]
     rights = [[] for _ in j.het]
     for (u, x), v in j.l.items():
-        lefts[max(pos[x], pos[v])].append((v, f.arr_map[u], x))
+        lefts[max(pos[x], pos[v])].append((v, f.mor[u], x))
     for (x, w), v in j.r.items():
-        rights[max(pos[x], pos[v])].append((v, x, g.arr_map[w]))
+        rights[max(pos[x], pos[v])].append((v, x, g.mor[w]))
     out = []
     t = {}
 
@@ -406,16 +293,16 @@ def all_internal_transformations(j, k, f, g):
 def transf_object_part(t):
     """Restrict a transformation out of a unit profunctor to objects."""
     x = t.hsrc.source
-    return {o: t.map[x.e[o]] for o in x.obj}
+    return {o: t.map[x.identities[o]] for o in x.objects}
 
 
 def transf_from_object_part(x, k, f, g, phi0):
     """Rebuild the transformation unit(X) -> K over (f, g) whose object
     part is phi0, or None when phi0 is not compatible with the actions."""
-    for a in x.arr:
-        if k.l[(f.arr_map[a], phi0[x.d1[a]])] != k.r[(phi0[x.d0[a]], g.arr_map[a])]:
+    for a in x.morphisms:
+        if k.l[(f.mor[a], phi0[x.tgt[a]])] != k.r[(phi0[x.src[a]], g.mor[a])]:
             return None
-    m = {a: k.l[(f.arr_map[a], phi0[x.d1[a]])] for a in x.arr}
+    m = {a: k.l[(f.mor[a], phi0[x.tgt[a]])] for a in x.morphisms}
     return InternalTransformation(f"lift", unit_internal_prof(x), k, f, g, m)
 
 
@@ -426,9 +313,9 @@ def transf_from_object_part(x, k, f, g, phi0):
 @dataclass(frozen=True, eq=True)
 class InternalTabulation:
     j: InternalProfunctor
-    category: InternalCategory
-    proj_left: InternalFunctor
-    proj_right: InternalFunctor
+    category: FinCategory
+    proj_left: Functor
+    proj_right: Functor
     cell: InternalTransformation    # unit(T) -> J over the projections
 
     def __hash__(self):
@@ -441,8 +328,8 @@ def internal_tabulate(j):
     action maps, structure induced on representatives."""
     a, b = j.source, j.target
     # right-action span J x_B0 B -> J and left-action span A x_A0 J -> J
-    racts = [(x, y) for x in j.het for y in b.arr if j.d1[x] == b.d0[y]]
-    lacts = [(u, x) for u in a.arr for x in j.het if a.d1[u] == j.d0[x]]
+    racts = [(x, y) for x in j.het for y in b.out_of(j.d1[x])]
+    lacts = [(u, x) for u in a.morphisms for x in j.het if a.tgt[u] == j.d0[x]]
     arrs = []
     parts = {}
     for (x1, y) in racts:
@@ -452,27 +339,21 @@ def internal_tabulate(j):
             w = f"(({x1},{y}),({u},{x2}))"
             arrs.append(w)
             parts[w] = (x1, y, u, x2)
-    d0 = {w: parts[w][0] for w in arrs}
-    d1 = {w: parts[w][3] for w in arrs}
-    e = {}
-    for x in j.het:
-        e[x] = f"(({x},{b.e[j.d1[x]]}),({a.e[j.d0[x]]},{x}))"
-    m = {}
-    for w1 in arrs:
-        for w2 in arrs:
-            if d1[w1] != d0[w2]:
-                continue
-            x1, y1, u1, mid = parts[w1]
-            _, y2, u2, x2 = parts[w2]
-            m[(w1, w2)] = f"(({x1},{b.m[(y1, y2)]}),({a.m[(u1, u2)]},{x2}))"
-    cat = InternalCategory(f"<{j.name}>", tuple(j.het), tuple(arrs),
-                           d0, d1, e, m)
-    pl = InternalFunctor(f"pl<{j.name}>", cat, a,
-                         {x: j.d0[x] for x in j.het},
-                         {w: parts[w][2] for w in arrs})
-    pr = InternalFunctor(f"pr<{j.name}>", cat, b,
-                         {x: j.d1[x] for x in j.het},
-                         {w: parts[w][1] for w in arrs})
+    e = {x: f"(({x},{b.identities[j.d1[x]]}),({a.identities[j.d0[x]]},{x}))"
+         for x in j.het}
+    cat = FinCategory(f"<{j.name}>", tuple(j.het), tuple(arrs),
+                      {w: parts[w][0] for w in arrs},
+                      {w: parts[w][3] for w in arrs}, e, {})
+    # composites go in after construction: no index reads the table
+    for w2, w1 in cat.composable_pairs():
+        x1, y1, u1, _ = parts[w1]
+        _, y2, u2, x2 = parts[w2]
+        cat.table[(w2, w1)] = \
+            f"(({x1},{b.table[(y2, y1)]}),({a.table[(u2, u1)]},{x2}))"
+    pl = Functor(f"pl<{j.name}>", cat, a, {x: j.d0[x] for x in j.het},
+                 {w: parts[w][2] for w in arrs})
+    pr = Functor(f"pr<{j.name}>", cat, b, {x: j.d1[x] for x in j.het},
+                 {w: parts[w][1] for w in arrs})
     cell = InternalTransformation(f"pi<{j.name}>", unit_internal_prof(cat), j,
                                   pl, pr,
                                   {w: j.r[(parts[w][0], parts[w][1])]
@@ -487,8 +368,8 @@ def whisker_projection(p, xi, unit):
     src = xi.hsrc
     return InternalTransformation(
         f"({p.name}.{xi.name})", src, unit,
-        internal_compose(p, xi.vsrc), internal_compose(p, xi.vtgt),
-        {x: p.arr_map[xi.map[x]] for x in src.het})
+        compose_functors(p, xi.vsrc), compose_functors(p, xi.vtgt),
+        {x: p.mor[xi.map[x]] for x in src.het})
 
 
 def paste_onto_cell(cell, f):
@@ -496,29 +377,24 @@ def paste_onto_cell(cell, f):
     x = f.source
     return InternalTransformation(
         f"({cell.name}.{f.name})", unit_internal_prof(x), cell.htgt,
-        internal_compose(cell.vsrc, f), internal_compose(cell.vtgt, f),
-        {a: cell.map[f.arr_map[a]] for a in x.arr})
+        compose_functors(cell.vsrc, f), compose_functors(cell.vtgt, f),
+        {a: cell.map[f.mor[a]] for a in x.morphisms})
 
 
 def factor_through_tabulation(t, phi_a, phi_b, phi):
     """The explicit section: objects go to the object part of phi, arrows
     to the square assembled from the two whiskers."""
     x = phi.hsrc.source
-    j, a, b = t.j, t.j.source, t.j.target
     phi0 = transf_object_part(phi)
-    arr_map = {}
-    for h in x.arr:
-        arr_map[h] = f"(({phi0[x.d0[h]]},{phi_b.arr_map[h]})," \
-                     f"({phi_a.arr_map[h]},{phi0[x.d1[h]]}))"
-    return InternalFunctor("fac", x, t.category,
-                           {o: phi0[o] for o in x.obj}, arr_map)
+    mor = {h: f"(({phi0[x.src[h]]},{phi_b.mor[h]}),"
+              f"({phi_a.mor[h]},{phi0[x.tgt[h]]}))" for h in x.morphisms}
+    return Functor("fac", x, t.category,
+                   {o: phi0[o] for o in x.objects}, mor)
 
 
 def default_internal_probes():
     from . import zoo
-    return [from_fincat(zoo.terminal_category()),
-            from_fincat(zoo.walking_arrow()),
-            from_fincat(zoo.parallel_pair())]
+    return [zoo.terminal_category(), zoo.walking_arrow(), zoo.parallel_pair()]
 
 
 def verify_internal_tabulation(t, probes=None):
@@ -540,15 +416,15 @@ def verify_internal_tabulation(t, probes=None):
             for phi_b in all_internal_functors(x, b):
                 for phi in all_internal_transformations(ux, j, phi_a, phi_b):
                     hits = [f for f in into_t
-                            if internal_compose(t.proj_left, f) == phi_a
-                            and internal_compose(t.proj_right, f) == phi_b
+                            if compose_functors(t.proj_left, f) == phi_a
+                            and compose_functors(t.proj_right, f) == phi_b
                             and paste_onto_cell(t.cell, f).map == phi.map]
                     if len(hits) != 1:
                         return False, {"stage": "one-dimensional",
                                        "probe": x.name, "count": len(hits)}
                     explicit = factor_through_tabulation(t, phi_a, phi_b, phi)
-                    if explicit.obj_map != hits[0].obj_map or \
-                            explicit.arr_map != hits[0].arr_map:
+                    if explicit.obj != hits[0].obj or \
+                            explicit.mor != hits[0].mor:
                         return False, {"stage": "one-dimensional",
                                        "probe": x.name,
                                        "reason": "explicit section differs"}
@@ -567,8 +443,9 @@ def verify_internal_tabulation(t, probes=None):
                     (xi_a, xi_b)
                     for xi_a in all_internal_transformations(ux, ua, phi_a, psi_a)
                     for xi_b in all_internal_transformations(ux, ub, phi_b, psi_b)
-                    if all(j.l[(xi_a.map[h], psi0[x.d1[h]])] ==
-                           j.r[(phi0[x.d0[h]], xi_b.map[h])] for h in x.arr)]
+                    if all(j.l[(xi_a.map[h], psi0[x.tgt[h]])] ==
+                           j.r[(phi0[x.src[h]], xi_b.map[h])]
+                           for h in x.morphisms)]
                 lifts = (all_internal_transformations(ux, ut, fac1, fac2)
                          if squares else [])
                 for xi_a, xi_b in squares:
@@ -586,19 +463,19 @@ def verify_internal_tabulation(t, probes=None):
         k = unit_internal_prof(c)
         for f in all_internal_functors(a, c):
             for g in all_internal_functors(b, c):
-                fa = internal_compose(f, t.proj_left)
-                gb = internal_compose(g, t.proj_right)
+                fa = compose_functors(f, t.proj_left)
+                gb = compose_functors(g, t.proj_right)
                 chis = all_internal_transformations(ut, k, fa, gb)
                 cells = all_internal_transformations(j, k, f, g) if chis else []
                 for chi in chis:
                     hits = [cp for cp in cells
                             if all(cp.map[t.cell.map[w]] == chi.map[w]
-                                   for w in t.category.arr)]
+                                   for w in t.category.morphisms)]
                     if len(hits) != 1:
                         return False, {"stage": "opcartesian",
                                        "probe": c.name, "count": len(hits)}
                     # the factorization is the object part of chi
-                    if any(hits[0].map[x] != chi.map[t.category.e[x]]
+                    if any(hits[0].map[x] != chi.map[t.category.identities[x]]
                            for x in j.het):
                         return False, {"stage": "opcartesian",
                                        "probe": c.name,

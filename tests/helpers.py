@@ -11,7 +11,7 @@ from dblcat.prof import (Cell, CoendWitness, Profunctor, UnionFind,
                          cells_between, companion, compose_prof, conjoint,
                          family_id, pair_id, restrict, rhom, unit_prof,
                          validate_cell, vcompose)
-from dblcat import kan, spanfin, zoo
+from dblcat import dsl, kan, spanfin, zoo
 from dblcat.tab import Tabulation
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "arrows.dcat")
@@ -140,8 +140,7 @@ def internal_profunctor_corpus():
     """The bridged profunctor corpus plus the unit internal profunctor of
     every corpus category."""
     return ([spanfin.prof_bridge(p) for p in profunctor_corpus()] +
-            [spanfin.unit_internal_prof(spanfin.from_fincat(c))
-             for c in zoo.corpus_categories()])
+            [spanfin.unit_internal_prof(c) for c in zoo.corpus_categories()])
 
 
 def internal_transformations_oracle(j, k, f, g):
@@ -715,6 +714,50 @@ def category_tables(cat):
 def projection_tables(p):
     """A functor's target and maps as lists of items."""
     return p.target, list(p.obj.items()), list(p.mor.items())
+
+
+def tokenize_oracle(text):
+    """dsl.tokenize as it tried every entry of ``dsl.SYMBOLS`` in list
+    order at each token start, before testing for a name."""
+    tokens = []
+    i, line, col = 0, 1, 1
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if c in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if c == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        matched = None
+        for sym in dsl.SYMBOLS:
+            if text.startswith(sym, i):
+                matched = sym
+                break
+        if matched:
+            tokens.append(("sym", matched, line, col))
+            i += len(matched)
+            col += len(matched)
+            continue
+        if c.isalnum() or c in "_'":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] in "_'"):
+                j += 1
+            tokens.append(("name", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        raise dsl.DslError(f"unexpected character {c!r}", line, col)
+    tokens.append(("eof", "", line, col))
+    return tokens
 
 
 def fuzz_inputs(count):

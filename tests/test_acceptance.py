@@ -179,21 +179,21 @@ def test_criterion_10_internal_tabulation():
     two = zoo.walking_arrow()
     j = spanfin.prof_bridge(unit_prof(two))
     t = spanfin.internal_tabulate(j)
-    assert len(t.category.obj) == 3
-    assert len(t.category.arr) == 6
+    assert len(t.category.objects) == 3
+    assert len(t.category.morphisms) == 6
     ok, checked = spanfin.verify_internal_tabulation(t)
     assert ok, checked
     assert checked["one_dimensional"] > 0
     assert checked["two_dimensional"] > 0
     assert checked["opcartesian"] > 0
-    assert find_isomorphism(spanfin.to_fincat(t.category),
+    assert find_isomorphism(t.category,
                             tab.tabulate(unit_prof(two)).category) is not None
 
 
 def test_criterion_11_vertical_correspondence():
     # transformations out of a unit correspond to their object parts
     two = zoo.walking_arrow()
-    x = spanfin.from_fincat(zoo.composable_pair())
+    x = zoo.composable_pair()
     k = spanfin.prof_bridge(unit_prof(two))
     ux = spanfin.unit_internal_prof(x)
     checked = 0

@@ -263,3 +263,35 @@ def test_action_closure_matches_all_pairs_oracle(monkeypatch):
                     "identity action moving"):
         assert any(message in e for e in errors), message
 
+
+
+def token_outcome(tokenize, text):
+    """The token stream, or the error's message, line and column."""
+    try:
+        return tokenize(text)
+    except dsl.DslError as e:
+        return str(e), e.line, e.col
+
+
+def test_tokenizer_matches_symbol_first_oracle():
+    texts = [fixture_text()] + list(helpers.fuzz_inputs(5_000))
+    for text in texts:
+        assert token_outcome(dsl.tokenize, text) == \
+            token_outcome(helpers.tokenize_oracle, text), repr(text)
+    # the inputs reach both outcomes and every symbol
+    outcomes = [token_outcome(dsl.tokenize, t) for t in texts]
+    assert any(isinstance(o, tuple) for o in outcomes)
+    seen = {tok[1] for o in outcomes if isinstance(o, list) for tok in o
+            if tok[0] == "sym"}
+    assert seen == set(dsl.SYMBOLS)
+
+
+def test_serialize_rejects_items_outside_the_workspace():
+    ws = dsl.parse(fixture_text())
+    for table, message in (("categories", "category not in workspace"),
+                           ("profunctors", "profunctor not in workspace"),
+                           ("functors", "functor not in workspace")):
+        partial = dsl.Workspace(**{k: dict(v) for k, v in vars(ws).items()})
+        setattr(partial, table, {})
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            dsl.serialize(partial)

@@ -378,3 +378,28 @@ def test_right_exactness_runs_each_functor_search_once(monkeypatch):
             counts.append(len(searches))
         # one search per probe category; nothing is kept between calls
         assert counts == [4, 4]
+
+
+def test_deciders_build_each_unit_profunctor_once(monkeypatch):
+    units = []
+    real = kan.unit_prof
+
+    def counted(cat):
+        units.append(cat)
+        return real(cat)
+
+    monkeypatch.setattr(kan, "unit_prof", counted)
+    cell = identity_cell(unit_prof(helpers.chain(3)))
+    probes = zoo.probe_categories()
+    for mode in ("ordinary", "pointwise"):
+        units.clear()
+        assert kan.is_right_exact(cell, mode) == (True, None)
+        # at most one unit per probe category, and never one twice
+        assert len(units) == len(set(units)) <= len(probes)
+    two = helpers.chain(2)
+    cand = kan.pointwise_ran(unit_prof(two), identity_functor(two))
+    for decide in (kan.is_ran, kan.is_pointwise_ran):
+        units.clear()
+        assert decide(cand)
+        # one unit serves both the validation and the decision
+        assert units == [two]

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -22,28 +23,29 @@ def test_pullback_and_coequalizer():
 
 
 def test_fincat_round_trip():
+    # a finite category is its own internal category; its unit internal
+    # profunctor acts on its morphisms by composition
     for cat in zoo.corpus_categories():
         internal = spanfin.from_fincat(cat)
-        assert spanfin.validate_internal_category(internal) == []
-        back = spanfin.to_fincat(internal)
-        assert back == cat
-        assert validate_category(back) == []
+        assert internal is cat
+        assert validate_category(internal) == []
+        unit = spanfin.unit_internal_prof(internal)
+        assert spanfin.validate_internal_profunctor(unit) == []
+        assert unit.het == cat.morphisms
+        assert all(unit.l[(x, j)] == cat.table[(j, x)] for x, j in unit.l)
 
 
 def test_validation_catches_broken_multiplication():
-    two = spanfin.from_fincat(zoo.walking_arrow())
-    bad_m = dict(two.m)
-    bad_m[("1_0", "a")] = "1_0"
-    broken = spanfin.InternalCategory(two.name, two.obj, two.arr,
-                                      two.d0, two.d1, two.e, bad_m)
-    assert spanfin.validate_internal_category(broken)
+    two = zoo.walking_arrow()
+    broken = dataclasses.replace(two, table={**two.table, ("a", "1_0"): "1_0"})
+    assert "composite a . 1_0 = 1_0 ill-typed" in validate_category(broken)
 
 
 def test_internal_functor_enumeration_matches_ordinary():
     two, three = zoo.walking_arrow(), zoo.composable_pair()
-    a, b = spanfin.from_fincat(two), spanfin.from_fincat(three)
-    fs = spanfin.all_internal_functors(a, b)
-    assert len(fs) == len(all_functors(two, three))
+    fs = spanfin.all_internal_functors(two, three)
+    assert [f.name for f in fs] == [f.name for f in all_functors(two, three)]
+    assert fs == all_functors(two, three)
     for f in fs:
         assert f.validate() == []
 
@@ -51,7 +53,7 @@ def test_internal_functor_enumeration_matches_ordinary():
 def test_unit_and_bridge_profunctors_validate():
     two, three = zoo.walking_arrow(), zoo.composable_pair()
     assert spanfin.validate_internal_profunctor(
-        spanfin.unit_internal_prof(spanfin.from_fincat(two))) == []
+        spanfin.unit_internal_prof(two)) == []
     for p in helpers.profunctor_corpus()[:6]:
         assert spanfin.validate_internal_profunctor(spanfin.prof_bridge(p)) == []
 
@@ -72,7 +74,7 @@ def test_transformations_match_ordinary_cells():
     j = unit_prof(two)
     ij = spanfin.prof_bridge(j)
     a = ij.source
-    ident = spanfin.internal_identity(a)
+    ident = identity_functor(a)
     ordinary = cells_between(j, j, identity_functor(two), identity_functor(two))
     internal = spanfin.all_internal_transformations(ij, ij, ident, ident)
     assert len(ordinary) == len(internal)
@@ -83,9 +85,9 @@ def test_transformations_match_ordinary_cells():
 def test_internal_tabulation_of_walking_arrow_hom():
     j = spanfin.prof_bridge(unit_prof(zoo.walking_arrow()))
     t = spanfin.internal_tabulate(j)
-    assert len(t.category.obj) == 3
-    assert len(t.category.arr) == 6
-    assert spanfin.validate_internal_category(t.category) == []
+    assert len(t.category.objects) == 3
+    assert len(t.category.morphisms) == 6
+    assert validate_category(t.category) == []
     assert t.proj_left.validate() == []
     assert t.proj_right.validate() == []
     assert spanfin.validate_internal_transformation(t.cell) == []
@@ -96,8 +98,7 @@ def test_internal_tabulation_matches_ordinary_tabulation():
     for p in [unit_prof(two), companion(zoo.pick(two, "0"))]:
         t_int = spanfin.internal_tabulate(spanfin.prof_bridge(p))
         t_ord = tab.tabulate(p)
-        iso = find_isomorphism(spanfin.to_fincat(t_int.category),
-                               t_ord.category)
+        iso = find_isomorphism(t_int.category, t_ord.category)
         assert iso is not None
 
 
@@ -112,9 +113,24 @@ def test_verify_internal_tabulation():
         assert checked["opcartesian"] > 0
 
 
+def test_verify_internal_tabulation_takes_plain_categories_as_probes():
+    # one one-dimensional check per object of T from the terminal category
+    # and one per arrow of T from the walking arrow
+    t = spanfin.internal_tabulate(
+        spanfin.prof_bridge(unit_prof(zoo.walking_arrow())))
+    ok, checked = spanfin.verify_internal_tabulation(
+        t, [zoo.terminal_category(), zoo.walking_arrow()])
+    assert ok, checked
+    assert checked["one_dimensional"] == 3 + 6
+    assert checked["two_dimensional"] > 0
+    assert checked["opcartesian"] > 0
+    assert spanfin.default_internal_probes() == [
+        zoo.terminal_category(), zoo.walking_arrow(), zoo.parallel_pair()]
+
+
 def test_object_part_round_trip():
     two = zoo.walking_arrow()
-    x = spanfin.from_fincat(zoo.composable_pair())
+    x = zoo.composable_pair()
     k = spanfin.prof_bridge(unit_prof(two))
     for f in spanfin.all_internal_functors(x, k.source):
         for g in spanfin.all_internal_functors(x, k.target):
@@ -130,12 +146,11 @@ def test_object_part_round_trip():
 def test_incompatible_object_part_is_rejected():
     # two boundary functors into the parallel pair that disagree on the
     # arrow leave the forced object part with no compatible square
-    two, pp = zoo.walking_arrow(), zoo.parallel_pair()
-    x = spanfin.from_fincat(two)
+    x, pp = zoo.walking_arrow(), zoo.parallel_pair()
     k = spanfin.prof_bridge(unit_prof(pp))
     fs = spanfin.all_internal_functors(x, k.source)
-    f = next(h for h in fs if h.arr_map.get("a") == "s")
-    g = next(h for h in fs if h.arr_map.get("a") == "t")
+    f = next(h for h in fs if h.mor.get("a") == "s")
+    g = next(h for h in fs if h.mor.get("a") == "t")
     phi0 = {"0": "(0|1_0|0)", "1": "(1|1_1|1)"}
     assert spanfin.transf_from_object_part(x, k, f, g, phi0) is None
     assert spanfin.transf_from_object_part(x, k, f, f, phi0) is not None
