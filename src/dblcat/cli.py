@@ -7,6 +7,7 @@ Exit codes: 0 on success, 1 when a requested property fails to hold,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -47,7 +48,14 @@ def _common_options(suppress):
     return parent
 
 
+@functools.cache
 def build_parser():
+    """The ``dcat`` argument parser, built once per process and shared by
+    every ``main`` call.  This saves work only where one process calls
+    ``main`` many times (the tests, and the benchmark's in-process ``dcat``
+    calls); a shell ``dcat`` call builds it once either way.  Parsing
+    leaves it as it was: each call gets a fresh namespace, and no option
+    has a mutable default."""
     # the subcommand parsers get their own copies of the shared options with
     # suppressed defaults, so values given before the subcommand survive
     common = _common_options(suppress=True)
@@ -324,8 +332,7 @@ def emit(args, payload):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         payload = HANDLERS[args.command](args)
     except Verdict as exc:

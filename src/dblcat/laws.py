@@ -7,6 +7,10 @@ one ``memo_compose()`` and builds every cell through it: it composes each
 distinct pair once, and both sides of a law share their composites.  Each
 suite also makes one ``remembering(unit_prof)``, so it builds the unit
 profunctor of each category once and its memo hits match by identity.
+The interchange suite goes further: for each triple of categories it
+searches the transformations between each pair of functors once, and it
+evaluates each distinct vertical or horizontal composite of cells once.
+No memo outlives the suite call that made it.
 """
 
 from __future__ import annotations
@@ -33,31 +37,41 @@ def interchange_configs(units):
         (zoo.composable_pair(), zoo.walking_arrow(), zoo.parallel_pair()),
     ]
     for a_cat, c_cat, e_cat in triples:
-        fs = all_functors(a_cat, c_cat)
-        gs = all_functors(c_cat, e_cat)
-        for f, f1, f2 in itertools.product(fs, repeat=3):
-            alphas = all_natural_transformations(f, f1)
-            betas = all_natural_transformations(f1, f2)
+        ua, uc, ue = units(a_cat), units(c_cat), units(e_cat)
+        fs, gs = all_functors(a_cat, c_cat), all_functors(c_cat, e_cat)
+        top = transformation_cells(fs, ua, uc)
+        bottom = transformation_cells(gs, uc, ue)
+        for f, f1, f2 in itertools.product(range(len(fs)), repeat=3):
+            alphas, betas = top(f, f1), top(f1, f2)
             if not alphas or not betas:
                 continue
-            ua, uc, ue = units(a_cat), units(c_cat), units(e_cat)
-            for g, g1, g2 in itertools.product(gs, repeat=3):
-                gammas = all_natural_transformations(g, g1)
-                deltas = all_natural_transformations(g1, g2)
-                for alpha, beta, gamma, delta in itertools.product(
-                        alphas[:2], betas[:2], gammas[:2], deltas[:2]):
-                    yield (nat_transf_as_cell(alpha, ua, uc),
-                           nat_transf_as_cell(beta, ua, uc),
-                           nat_transf_as_cell(gamma, uc, ue),
-                           nat_transf_as_cell(delta, uc, ue))
+            for g, g1, g2 in itertools.product(range(len(gs)), repeat=3):
+                yield from itertools.product(alphas, betas, bottom(g, g1),
+                                             bottom(g1, g2))
+
+
+def transformation_cells(functors, ua, ub):
+    """For positions (i, k) into ``functors``, the cells of the first two
+    transformations ``functors[i] => functors[k]``.  Each pair is searched,
+    and its cells built, on first use only; positions keep the lookups
+    cheaper than hashing functors."""
+    return remembering(lambda i, k: [
+        nat_transf_as_cell(alpha, ua, ub) for alpha in
+        all_natural_transformations(functors[i], functors[k])[:2]])
 
 
 def check_interchange(max_configs=120):
+    """Interchange: composing a grid of four cells vertically first or
+    horizontally first gives the same cell.  Each distinct pair of cells
+    is composed once, through memos made here; they call ``vcompose`` and
+    ``hcompose`` by name, so a test can replace either."""
     compose = memo_compose()
+    vert = remembering(lambda bot, top: vcompose(bot, top))
+    horiz = remembering(lambda left, right: hcompose(left, right, compose))
     count = 0
     for phi, chi, psi, xi in interchange_configs(remembering(unit_prof)):
-        lhs = hcompose(vcompose(psi, phi), vcompose(xi, chi), compose)
-        rhs = vcompose(hcompose(psi, xi, compose), hcompose(phi, chi, compose))
+        lhs = horiz(vert(psi, phi), vert(xi, chi))
+        rhs = vert(horiz(psi, xi), horiz(phi, chi))
         if lhs != rhs:
             return False, count
         count += 1

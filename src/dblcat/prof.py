@@ -9,9 +9,12 @@ for v : b -> b' the right action gives v . j in J(a, b').  The two commute,
 (v . j) . u = v . (j . u), so the two-sided ``act(u, j, v)`` is one lookup
 on each side.  All data is tabulated, one entry per element and acting
 morphism; every universal property below is decided by finite enumeration.
+``elements()`` lists every (a, b, j) as one tuple, built on its first call
+and kept with the profunctor.
 
 Elements of a composite J * H are equivalence classes of pairs (j, h)
-under sliding middle morphisms across the pair.  Pairs are enumerated in
+under sliding non-identity middle morphisms across the pair (an identity
+slide joins a pair with itself).  Pairs are enumerated in
 naming order (middle object, left fiber position, right fiber position) and
 each class is named after its least member in that order, so recomputing a
 composite always yields the same tables.  ``hcompose``, the unitors and
@@ -71,11 +74,14 @@ class Profunctor:
         return self.right[(a, b, j, v)]
 
     def elements(self):
-        """All (a, b, j) triples in deterministic order."""
-        for a in self.source.objects:
-            for b in self.target.objects:
-                for j in self.fiber(a, b):
-                    yield a, b, j
+        """All (a, b, j) triples in deterministic order, as a tuple built on
+        the first call and kept in the instance __dict__ like the hash."""
+        if "_elements" not in self.__dict__:
+            fiber = self.fibers.get
+            object.__setattr__(self, "_elements", tuple(
+                (a, b, j) for a in self.source.objects
+                for b in self.target.objects for j in fiber((a, b), ())))
+        return self.__dict__["_elements"]
 
 
 def validate_profunctor(p):
@@ -342,18 +348,21 @@ def compose_prof(j, h):
     """The composite J * H with its coend witness.
 
     Pairs (j, h) sharing a middle object are identified under sliding a
-    middle morphism v across: (v . j, h) ~ (j, h . v).  The pairs at each
-    boundary (a, e) are enumerated in naming order (middle object, left
-    fiber position, right fiber position).  A union-find over positions
-    keeps the smaller root, so each root is the least member of its class;
-    classes are named after it and listed in that order.  ``memo_compose()``
-    gives a version that composes each distinct pair once.
+    middle morphism v across: (v . j, h) ~ (j, h . v).  Only non-identity
+    morphisms slide, as an identity joins each pair with itself.  The pairs
+    at each boundary (a, e) are enumerated in naming order (middle object,
+    left fiber position, right fiber position).  A union-find over
+    positions keeps the smaller root, so each root is the least member of
+    its class; classes are named after it, once per root, and listed in
+    that order.  ``memo_compose()`` gives a version that composes each
+    distinct pair once.
     """
     if j.target != h.source:
         raise ValueError("profunctors not composable")
     ac, bc, ec = j.source, j.target, h.target
     jleft, jright, hleft, hright = j.left, j.right, h.left, h.right
-    slides = [(v, bc.src[v], bc.tgt[v]) for v in bc.morphisms]
+    slides = [(v, bc.src[v], bc.tgt[v]) for v in bc.morphisms
+              if not bc.is_identity(v)]
     # act once per (v, e, y) here and per (a, v, x) below, not once per pair
     pulled = {(v, e): [(y, hleft[(v, b2, e, y)]) for y in h.fiber(b2, e)]
               for v, b1, b2 in slides for e in ec.objects}
@@ -364,7 +373,7 @@ def compose_prof(j, h):
             i = parent[i]
         return i
 
-    classes, named, fibers = {}, {}, {}
+    classes, named, ids, fibers = {}, {}, {}, {}
     for a in ac.objects:
         pushed = [(v, b1, b2, [(x, jright[(a, b1, x, v)])
                                for x in j.fiber(a, b1)])
@@ -385,23 +394,30 @@ def compose_prof(j, h):
             groups = {}       # root -> members; roots come first, in order
             for i in range(len(pairs)):
                 groups.setdefault(find(i), []).append(i)
-            classes[(a, e)] = {pairs[i]: pairs[r]
-                               for r, members in groups.items() for i in members}
-            named[(a, e)] = {pair_id(*pairs[r]): pairs[r] for r in groups}
-            if groups:
-                fibers[(a, e)] = tuple(named[(a, e)])
+            cls, cls_ids, names = {}, {}, {}
+            for r, members in groups.items():
+                least = pairs[r]
+                cid = pair_id(*least)
+                names[cid] = least
+                for i in members:
+                    cls[pairs[i]] = least
+                    cls_ids[pairs[i]] = cid
+            classes[(a, e)], named[(a, e)], ids[(a, e)] = cls, names, cls_ids
+            if names:
+                fibers[(a, e)] = tuple(names)
     # u : a2 -> a acts on the class of (x, y) as the class of (x . u, y),
     # and w : e -> e2 as the class of (x, w . y)
     left, right = {}, {}
     for (a, e), elems in fibers.items():
-        into_a = [(u, classes[(ac.src[u], e)]) for u in ac.into(a)]
-        out_e = [(w, classes[(a, ec.tgt[w])]) for w in ec.out_of(e)]
+        into_a = [(u, ids[(ac.src[u], e)]) for u in ac.into(a)]
+        out_e = [(w, ids[(a, ec.tgt[w])]) for w in ec.out_of(e)]
+        names = named[(a, e)]
         for cid in elems:
-            b, x, y = named[(a, e)][cid]
-            for u, cls in into_a:
-                left[(u, a, e, cid)] = pair_id(*cls[(b, jleft[(u, a, b, x)], y)])
-            for w, cls in out_e:
-                right[(a, e, cid, w)] = pair_id(*cls[(b, x, hright[(b, e, y, w)])])
+            b, x, y = names[cid]
+            for u, cls_ids in into_a:
+                left[(u, a, e, cid)] = cls_ids[(b, jleft[(u, a, b, x)], y)]
+            for w, cls_ids in out_e:
+                right[(a, e, cid, w)] = cls_ids[(b, x, hright[(b, e, y, w)])]
     composite = Profunctor(f"({j.name}*{h.name})", ac, ec, fibers, left, right)
     return composite, CoendWitness(j, h, composite, classes, named)
 
@@ -462,7 +478,7 @@ class NaturalityPlan:
 
 def naturality_plan(j):
     """The NaturalityPlan of cells out of J."""
-    elems = tuple(j.elements())
+    elems = j.elements()
     pos = {e: n for n, e in enumerate(elems)}
     left = [[] for _ in elems]
     right = [[] for _ in elems]

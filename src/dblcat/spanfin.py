@@ -361,24 +361,12 @@ def internal_tabulate(j):
     return InternalTabulation(j, cat, pl, pr, cell)
 
 
-def whisker_projection(p, xi, unit):
-    """Post-compose a transformation into a unit profunctor with an
-    internal functor out of that category; ``unit`` is
-    ``unit_internal_prof(p.target)``, which callers build once."""
-    src = xi.hsrc
-    return InternalTransformation(
-        f"({p.name}.{xi.name})", src, unit,
-        compose_functors(p, xi.vsrc), compose_functors(p, xi.vtgt),
-        {x: p.mor[xi.map[x]] for x in src.het})
-
-
-def paste_onto_cell(cell, f):
-    """Pre-compose a transformation out of unit(T) with a functor into T."""
-    x = f.source
-    return InternalTransformation(
-        f"({cell.name}.{f.name})", unit_internal_prof(x), cell.htgt,
-        compose_functors(cell.vsrc, f), compose_functors(cell.vtgt, f),
-        {a: cell.map[f.mor[a]] for a in x.morphisms})
+def filed(items, key):
+    """``items`` grouped under ``key(item)``, each group in item order."""
+    groups = {}
+    for item in items:
+        groups.setdefault(key(item), []).append(item)
+    return groups
 
 
 def factor_through_tabulation(t, phi_a, phi_b, phi):
@@ -408,17 +396,20 @@ def verify_internal_tabulation(t, probes=None):
     ut = unit_internal_prof(t.category)
     checked = {"one_dimensional": 0, "two_dimensional": 0, "opcartesian": 0}
 
+    # each candidate is filed once under what the checks compare, maps
+    # keyed as frozensets of their items, so that a configuration counts
+    # its hits with one lookup
     factored = {}
     for x in probes:
         ux = unit_internal_prof(x)
-        into_t = all_internal_functors(x, t.category)
+        into_t = filed(all_internal_functors(x, t.category), lambda f: (
+            compose_functors(t.proj_left, f), compose_functors(t.proj_right, f),
+            frozenset((h, t.cell.map[w]) for h, w in f.mor.items())))
         for phi_a in all_internal_functors(x, a):
             for phi_b in all_internal_functors(x, b):
                 for phi in all_internal_transformations(ux, j, phi_a, phi_b):
-                    hits = [f for f in into_t
-                            if compose_functors(t.proj_left, f) == phi_a
-                            and compose_functors(t.proj_right, f) == phi_b
-                            and paste_onto_cell(t.cell, f).map == phi.map]
+                    hits = into_t.get(
+                        (phi_a, phi_b, frozenset(phi.map.items())), [])
                     if len(hits) != 1:
                         return False, {"stage": "one-dimensional",
                                        "probe": x.name, "count": len(hits)}
@@ -446,19 +437,23 @@ def verify_internal_tabulation(t, probes=None):
                     if all(j.l[(xi_a.map[h], psi0[x.tgt[h]])] ==
                            j.r[(phi0[x.src[h]], xi_b.map[h])]
                            for h in x.morphisms)]
-                lifts = (all_internal_transformations(ux, ut, fac1, fac2)
-                         if squares else [])
+                lifts = filed(
+                    all_internal_transformations(ux, ut, fac1, fac2)
+                    if squares else [],
+                    lambda xi: tuple(
+                        frozenset((h, p.mor[w]) for h, w in xi.map.items())
+                        for p in (t.proj_left, t.proj_right)))
                 for xi_a, xi_b in squares:
-                    hits = [xi for xi in lifts
-                            if whisker_projection(t.proj_left, xi, ua).map == xi_a.map
-                            and whisker_projection(t.proj_right, xi, ub).map == xi_b.map]
+                    hits = lifts.get((frozenset(xi_a.map.items()),
+                                      frozenset(xi_b.map.items())), [])
                     if len(hits) != 1:
                         return False, {"stage": "two-dimensional",
                                        "probe": x.name, "count": len(hits)}
                     checked["two_dimensional"] += 1
 
     # opcartesianness of the defining transformation: cells out of unit(T)
-    # over factored boundaries correspond to cells out of J
+    # over factored boundaries correspond to cells out of J, each cell
+    # filed under the map it induces out of unit(T)
     for c in probes:
         k = unit_internal_prof(c)
         for f in all_internal_functors(a, c):
@@ -466,11 +461,12 @@ def verify_internal_tabulation(t, probes=None):
                 fa = compose_functors(f, t.proj_left)
                 gb = compose_functors(g, t.proj_right)
                 chis = all_internal_transformations(ut, k, fa, gb)
-                cells = all_internal_transformations(j, k, f, g) if chis else []
+                cells = filed(
+                    all_internal_transformations(j, k, f, g) if chis else [],
+                    lambda cp: frozenset((w, cp.map[y])
+                                         for w, y in t.cell.map.items()))
                 for chi in chis:
-                    hits = [cp for cp in cells
-                            if all(cp.map[t.cell.map[w]] == chi.map[w]
-                                   for w in t.category.morphisms)]
+                    hits = cells.get(frozenset(chi.map.items()), [])
                     if len(hits) != 1:
                         return False, {"stage": "opcartesian",
                                        "probe": c.name, "count": len(hits)}

@@ -155,6 +155,90 @@ def internal_transformations_oracle(j, k, f, g):
     return out
 
 
+def verify_internal_tabulation_oracle(t, probes):
+    """verify_internal_tabulation as it was before it filed its
+    candidates: every configuration scans every functor into T, every lift
+    and every cell out of J, and composes and whiskers afresh for each."""
+    j, a, b = t.j, t.j.source, t.j.target
+    unit = spanfin.unit_internal_prof
+    ua, ub, ut = unit(a), unit(b), unit(t.category)
+    checked = {"one_dimensional": 0, "two_dimensional": 0, "opcartesian": 0}
+
+    def whiskered(p, xi):
+        return {x: p.mor[xi.map[x]] for x in xi.hsrc.het}
+
+    factored = {}
+    for x in probes:
+        ux = unit(x)
+        for phi_a in spanfin.all_internal_functors(x, a):
+            for phi_b in spanfin.all_internal_functors(x, b):
+                for phi in spanfin.all_internal_transformations(
+                        ux, j, phi_a, phi_b):
+                    hits = [f for f in spanfin.all_internal_functors(
+                                x, t.category)
+                            if compose_functors(t.proj_left, f) == phi_a
+                            and compose_functors(t.proj_right, f) == phi_b
+                            and {m: t.cell.map[f.mor[m]]
+                                 for m in x.morphisms} == phi.map]
+                    if len(hits) != 1:
+                        return False, {"stage": "one-dimensional",
+                                       "probe": x.name, "count": len(hits)}
+                    explicit = spanfin.factor_through_tabulation(
+                        t, phi_a, phi_b, phi)
+                    if (explicit.obj, explicit.mor) != \
+                            (hits[0].obj, hits[0].mor):
+                        return False, {"stage": "one-dimensional",
+                                       "probe": x.name,
+                                       "reason": "explicit section differs"}
+                    factored.setdefault(id(x), []).append(
+                        (phi_a, phi_b, phi, hits[0]))
+                    checked["one_dimensional"] += 1
+    for x in probes:
+        ux = unit(x)
+        for phi_a, phi_b, phi, fac1 in factored.get(id(x), []):
+            phi0 = spanfin.transf_object_part(phi)
+            for psi_a, psi_b, psi, fac2 in factored[id(x)]:
+                psi0 = spanfin.transf_object_part(psi)
+                for xi_a in spanfin.all_internal_transformations(
+                        ux, ua, phi_a, psi_a):
+                    for xi_b in spanfin.all_internal_transformations(
+                            ux, ub, phi_b, psi_b):
+                        if any(j.l[(xi_a.map[h], psi0[x.tgt[h]])] !=
+                               j.r[(phi0[x.src[h]], xi_b.map[h])]
+                               for h in x.morphisms):
+                            continue
+                        hits = [xi for xi in spanfin.all_internal_transformations(
+                                    ux, ut, fac1, fac2)
+                                if whiskered(t.proj_left, xi) == xi_a.map
+                                and whiskered(t.proj_right, xi) == xi_b.map]
+                        if len(hits) != 1:
+                            return False, {"stage": "two-dimensional",
+                                           "probe": x.name,
+                                           "count": len(hits)}
+                        checked["two_dimensional"] += 1
+    for c in probes:
+        k = unit(c)
+        for f in spanfin.all_internal_functors(a, c):
+            for g in spanfin.all_internal_functors(b, c):
+                fa = compose_functors(f, t.proj_left)
+                gb = compose_functors(g, t.proj_right)
+                for chi in spanfin.all_internal_transformations(ut, k, fa, gb):
+                    hits = [cp for cp in spanfin.all_internal_transformations(
+                                j, k, f, g)
+                            if all(cp.map[t.cell.map[w]] == chi.map[w]
+                                   for w in t.category.morphisms)]
+                    if len(hits) != 1:
+                        return False, {"stage": "opcartesian",
+                                       "probe": c.name, "count": len(hits)}
+                    if any(hits[0].map[x] != chi.map[t.category.identities[x]]
+                           for x in j.het):
+                        return False, {"stage": "opcartesian",
+                                       "probe": c.name,
+                                       "reason": "object-part formula differs"}
+                    checked["opcartesian"] += 1
+    return True, checked
+
+
 def all_functors_oracle(a, m):
     """all_functors by validating every object map and, for each, every
     choice of arrow images in itertools.product order."""
@@ -202,7 +286,7 @@ def functor_count_oracle(a, m):
 def cells_between_oracle(j, k, f, g):
     """cells_between by validating every choice of components in
     itertools.product order."""
-    elems = list(j.elements())
+    elems = j.elements()
     choices = [k.fiber(f.obj[a], g.obj[b]) for a, b, _ in elems]
     out = []
     for pick in itertools.product(*choices):
@@ -369,6 +453,15 @@ def chain(n, rng=None):
         f"Ord{n}", tuple(objects), dict(arrows),
         {(f"a{j}_{k}", f"a{i}_{j}"): f"a{i}_{k}"
          for i in range(n) for j in range(i + 1, n) for k in range(j + 1, n)})
+
+
+def elements_oracle(p):
+    """Profunctor.elements as it was before it kept its tuple: a generator
+    over every object pair."""
+    for a in p.source.objects:
+        for b in p.target.objects:
+            for j in p.fiber(a, b):
+                yield a, b, j
 
 
 def compose_prof_oracle(j, h):

@@ -122,6 +122,26 @@ def test_laws(capsys):
         assert suite["configurations"] > 0
 
 
+def test_reused_parser_leaks_nothing_between_calls(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    code, out, _ = run(capsys, "tabulate", FIXTURE, "HomTwo", "--format",
+                       "json", "--quiet", "--probe-max-objects", "1")
+    assert code == 0
+    assert json.loads(out)["report"] == {"one_dimensional": 3,
+                                         "two_dimensional": 6}
+    code, out, _ = run(capsys, "tabulate", FIXTURE, "HomTwo")
+    assert code == 0
+    # text, not quiet, over the default probes of up to two objects
+    assert out.startswith("tabulate: ok\n")
+    assert "  report: {'one_dimensional': 15, 'two_dimensional': 46}" in out
+    code, out, _ = run(capsys, "--format", "json", "--quiet", "exact",
+                       FIXTURE, "collapse", "--mode", "ordinary")
+    assert code == 0 and json.loads(out)["mode"] == "ordinary"
+    code, out, _ = run(capsys, "exact", FIXTURE, "collapse")
+    assert code == 0 and out.startswith("exact: ok\n")
+    assert "  mode: pointwise" in out
+
+
 def test_missing_file_is_usage_error(capsys):
     code, _, err = run(capsys, "check", "/no/such/file.dcat")
     assert code == 2

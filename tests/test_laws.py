@@ -111,3 +111,30 @@ def test_each_suite_builds_each_unit_once(monkeypatch):
     # interchange 2, unitors and triangle 4, pentagon 1, companion
     # identities 4; building one per configuration made 1,189
     assert counts == [11, 11]
+
+
+def test_interchange_searches_and_composes_each_distinct_pair_once(
+        monkeypatch):
+    calls = {"all_natural_transformations": [], "vcompose": [],
+             "hcompose": []}
+    for name, seen in calls.items():
+        real = getattr(laws, name)
+
+        def counting(x, y, *rest, _real=real, _seen=seen):
+            _seen.append((x, y))
+            return _real(x, y, *rest)
+
+        monkeypatch.setattr(laws, name, counting)
+    ok, report = laws.run_all()
+    assert ok
+    assert {k: r["configurations"] for k, r in report.items()} == {
+        "interchange": 120, "unitors_triangle": 33, "pentagon": 8,
+        "companion_conjoint": 11}
+    for seen in calls.values():
+        seen.clear()
+    assert laws.check_interchange() == (True, 120)
+    counts = {name: (len(seen), len(set(seen))) for name, seen in calls.items()}
+    # 780 searches over 22 pairs and 720 composites over 151 pairs before
+    # the memos
+    assert counts == {"all_natural_transformations": (22, 22),
+                      "vcompose": (120, 120), "hcompose": (31, 31)}

@@ -249,6 +249,40 @@ def test_compose_prof_matches_slow_twin():
             helpers.composite_tables(*helpers.compose_prof_oracle(j, h))
 
 
+def test_compose_prof_matches_slow_twin_over_a_discrete_middle():
+    # every middle morphism is an identity, so every slide is skipped and
+    # each pair is a class of its own
+    middle = zoo.discrete(2)
+    fs = all_functors(middle, zoo.composable_pair())
+    pairs = [(conjoint(f), companion(g)) for f in fs for g in fs]
+    pairs.append((unit_prof(middle), unit_prof(middle)))
+    largest = 0
+    for j, h in pairs:
+        composite, witness = compose_prof(j, h)
+        assert helpers.composite_tables(composite, witness) == \
+            helpers.composite_tables(*helpers.compose_prof_oracle(j, h))
+        for cls in witness.classes.values():
+            assert all(rep == pair for pair, rep in cls.items())
+        largest = max([largest] + [len(f) for f in composite.fibers.values()])
+    assert largest == 2
+    assert len(pairs) == 82
+
+
+def test_elements_match_the_old_generator_and_are_built_once():
+    profs = helpers.profunctor_corpus()
+    profs += [unit_prof(helpers.chain(n, random.Random(seed)))
+              for n in range(6) for seed in (0, 1)]
+    for p in profs:
+        assert p.elements() == tuple(helpers.elements_oracle(p))
+        assert p.elements() is p.elements()
+    p = unit_prof(zoo.walking_arrow())
+    before = repr(p)
+    p.elements()
+    assert "_elements" not in [fl.name for fl in dataclasses.fields(Profunctor)]
+    assert repr(p) == before and p == unit_prof(zoo.walking_arrow())
+    assert dataclasses.replace(p, fibers={}).elements() == ()
+
+
 def test_memo_compose_shares_equal_inputs_and_keeps_names():
     two = zoo.walking_arrow()
     compose = memo_compose()

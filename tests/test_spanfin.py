@@ -192,3 +192,82 @@ def test_verify_internal_tabulation_of_chains(n, one_dimensional):
     assert checked["one_dimensional"] == one_dimensional
     assert checked["two_dimensional"] > 0
     assert checked["opcartesian"] > 0
+
+
+def test_verify_internal_tabulation_matches_slow_twin():
+    probes = spanfin.default_internal_probes()
+    for p in helpers.profunctor_corpus()[:8]:
+        t = spanfin.internal_tabulate(spanfin.prof_bridge(p))
+        ok, checked = spanfin.verify_internal_tabulation(t, probes)
+        assert ok
+        assert (ok, checked) == \
+            helpers.verify_internal_tabulation_oracle(t, probes)
+
+
+def tampered(t, stage):
+    """Whether a search result of ``verify_internal_tabulation(t)`` belongs
+    to ``stage``: functors into T, lifts into unit(T), cells out of J."""
+    if stage == "one-dimensional":
+        return lambda a, b: b is t.category
+    if stage == "two-dimensional":
+        return lambda j, k, f, g: k.source == t.category and \
+            j.source != t.category
+    return lambda j, k, f, g: j is t.j
+
+
+@pytest.mark.parametrize("stage", ["one-dimensional", "two-dimensional",
+                                   "opcartesian"])
+@pytest.mark.parametrize("change, count", [(lambda out: out + out, 2),
+                                           (lambda out: [], 0)])
+def test_verify_internal_tabulation_counts_hits_like_its_slow_twin(
+        monkeypatch, stage, change, count):
+    # double or drop the candidates of one stage, so that its hits are no
+    # longer unique; the filed lookups must count them as the scans do
+    t = spanfin.internal_tabulate(
+        spanfin.prof_bridge(unit_prof(zoo.walking_arrow())))
+    name = ("all_internal_functors" if stage == "one-dimensional"
+            else "all_internal_transformations")
+    real, hit = getattr(spanfin, name), tampered(t, stage)
+
+    def changed(*args):
+        out = real(*args)
+        return change(out) if out and hit(*args) else out
+
+    monkeypatch.setattr(spanfin, name, changed)
+    probes = spanfin.default_internal_probes()
+    ok, report = spanfin.verify_internal_tabulation(t, probes)
+    assert not ok and report["stage"] == stage and report["count"] == count
+    assert (ok, report) == helpers.verify_internal_tabulation_oracle(t, probes)
+
+
+def test_opcartesian_stage_files_each_cell_under_its_whole_induced_map(
+        monkeypatch):
+    # beside each list of cells out of J, a copy of its first cell that
+    # differs at one element only, which is not the image of the first
+    # arrow of T: it induces another map out of unit(T), so it must hit no
+    # chi
+    t = spanfin.internal_tabulate(
+        spanfin.prof_bridge(unit_prof(zoo.walking_arrow())))
+    first_image = t.cell.map[t.category.morphisms[0]]
+    last = next(x for x in reversed(t.j.het) if x != first_image)
+    real = spanfin.all_internal_transformations
+    near = []
+
+    def with_a_near_copy(j, k, f, g):
+        out = real(j, k, f, g)
+        if j is not t.j or not out:
+            return out
+        first = out[0]
+        others = [y for y in k.het if y != first.map[last]]
+        if not others:
+            return out
+        near.append(dataclasses.replace(first,
+                                        map={**first.map, last: others[0]}))
+        return out + near[-1:]
+
+    monkeypatch.setattr(spanfin, "all_internal_transformations",
+                        with_a_near_copy)
+    probes = spanfin.default_internal_probes()
+    result = spanfin.verify_internal_tabulation(t, probes)
+    assert near and result[0], result
+    assert result == helpers.verify_internal_tabulation_oracle(t, probes)
