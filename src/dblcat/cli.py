@@ -141,8 +141,9 @@ def pick_item(ws, table_name, name):
     return table[name]
 
 
-def probe_set(max_objects):
-    return [c for c in zoo.probe_categories() if len(c.objects) <= max_objects]
+def probe_set(cats, max_objects):
+    """The categories of ``cats`` with at most ``max_objects`` objects."""
+    return [c for c in cats if len(c.objects) <= max_objects]
 
 
 def cmd_check(args):
@@ -218,7 +219,8 @@ def cmd_exact(args):
     cell = pick_item(ws, "cells", args.cell)
     bc = kan.beck_chevalley(cell)
     verdict, counterexample = kan.is_right_exact(
-        cell, mode=args.mode, probe_cats=probe_set(args.probe_max_objects))
+        cell, mode=args.mode,
+        probe_cats=probe_set(zoo.probe_categories(), args.probe_max_objects))
     out = {"ok": verdict, "beck_chevalley": bc, "mode": args.mode}
     if counterexample:
         out["counterexample"] = counterexample
@@ -244,9 +246,8 @@ def cmd_tabulate(args):
            "objects": list(t.category.objects),
            "morphism_count": len(t.category.morphisms)}
     if not args.skip_verify:
-        probes = [c for c in tab.default_probes()
-                  if len(c.objects) <= args.probe_max_objects]
-        good, report = tab.verify_tabulation(t, probes)
+        good, report = tab.verify_tabulation(t, probe_set(
+            zoo.tabulation_probes(), args.probe_max_objects))
         out["verified"] = good
         out["report"] = report
         out["opcartesian"] = tab.is_opcartesian_tabulation(t)
@@ -284,9 +285,8 @@ def cmd_internal_tabulate(args):
            "objects": list(t.category.objects),
            "morphism_count": len(t.category.morphisms)}
     if not args.skip_verify:
-        probes = [c for c in spanfin.default_internal_probes()
-                  if len(c.objects) <= args.probe_max_objects]
-        good, report = spanfin.verify_internal_tabulation(t, probes)
+        good, report = spanfin.verify_internal_tabulation(t, probe_set(
+            zoo.tabulation_probes(), args.probe_max_objects))
         out["verified"] = good
         out["report"] = report
         if not good:

@@ -11,11 +11,20 @@ endpoints (``hom``), by target (``into``) and by source (``out_of``).  Each
 index lists morphisms in the interned order, so iterating an index visits
 exactly the morphisms, and in the order, that a filtered scan of
 ``morphisms`` would.
+
+One search, ``backtrack``, backs every enumerator: ``all_functors``,
+``all_natural_transformations``, ``all_cones`` and ``find_isomorphism``
+here, ``prof.cells_between``, the families of ``prof.rhom`` and
+``spanfin.all_internal_transformations``.  The generate-then-test loops
+it replaced are oracles in ``tests/helpers.py``: ``all_functors_oracle``,
+``all_natural_transformations_oracle``, ``all_cones_oracle``,
+``limit_oracle``, ``find_isomorphism_oracle``, ``cells_between_oracle``,
+``rhom_families_oracle`` and ``internal_transformations_oracle``.
 """
 
 from __future__ import annotations
 
-import itertools
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 
@@ -182,9 +191,6 @@ class Functor:
         return hash((tuple(sorted(self.obj.items())),
                      tuple(sorted(self.mor.items()))))
 
-    def ob(self, a):
-        return self.obj[a]
-
     def __call__(self, m):
         return self.mor[m]
 
@@ -201,6 +207,8 @@ class Functor:
                 continue
             if dst.src[fm] != self.obj[cat.src[m]] or dst.tgt[fm] != self.obj[cat.tgt[m]]:
                 problems.append(f"image of {m} has wrong endpoints")
+        if problems:        # the laws below compose the images
+            return problems
         for o in cat.objects:
             if self.mor.get(cat.identity(o)) != dst.identity(self.obj[o]):
                 problems.append(f"identity of {o} not preserved")
@@ -281,41 +289,102 @@ class Cone:
         return problems
 
 
-def all_cones(diagram, apex=None):
-    """Every cone over the diagram, in deterministic order."""
+def backtrack(domains, pairs=(), triples=()):
+    """Every tuple with one value from each of ``domains`` that passes
+    every check, lazily and in lexicographic order.
+
+    A pair check ``(i, o, allowed)`` passes when ``pick[o] in
+    allowed[pick[i]]``, a triple check ``(i, k, o, table)`` when
+    ``table[pick[i], pick[k]] == pick[o]``.  Each is tested as soon as the
+    last position it reads is bound, so no assignment failing it is
+    extended: chronological backtracking on a network of binary and
+    ternary relations (Mackworth 1977, "Consistency in networks of
+    relations").
+    """
+    size = len(domains)
+    if size == 0:
+        yield ()
+        return
+    filed = {}                      # checks by the last position read
+    for check in pairs:
+        filed.setdefault(max(check[0], check[1]), ([], []))[0].append(check)
+    for check in triples:
+        filed.setdefault(max(check[0], check[1], check[2]),
+                         ([], []))[1].append(check)
+    unchecked = ((), ())
+    pick, values = [None] * size, [None] * size
+    n = 0
+    values[0] = iter(domains[0])    # the untried rest of each domain
+    while n >= 0:
+        pairs_n, triples_n = filed.get(n, unchecked)
+        for y in values[n]:
+            pick[n] = y
+            for i, o, allowed in pairs_n:
+                if pick[o] not in allowed[pick[i]]:
+                    break
+            else:
+                for i, k, o, table in triples_n:
+                    if table[pick[i], pick[k]] != pick[o]:
+                        break
+                else:
+                    break           # y passes
+        else:
+            n -= 1                  # n is exhausted: back up
+            continue
+        if n == size - 1:
+            yield tuple(pick)
+        else:
+            n += 1
+            values[n] = iter(domains[n])
+
+
+def all_cones(diagram):
+    """Every cone over the diagram: apexes in the object order of the
+    target, then legs in the lexicographic order of their hom-sets along
+    the shape's objects.  The condition d(v) . leg_i == leg_j of each
+    non-identity v : i -> j is a pair check on the two legs."""
     shape, dst = diagram.source, diagram.target
-    apexes = dst.objects if apex is None else (apex,)
+    objs = shape.objects
+    pos = {i: n for n, i in enumerate(objs)}
+    arrows = [(pos[shape.src[v]], pos[shape.tgt[v]], diagram.mor[v])
+              for v in shape.morphisms if not shape.is_identity(v)]
     cones = []
-    for m in apexes:
-        choices = [dst.hom(m, diagram.obj[i]) for i in shape.objects]
-        for legs in itertools.product(*choices):
-            cone = Cone(diagram, m, dict(zip(shape.objects, legs)))
-            if not cone.validate():
-                cones.append(cone)
+    for m in dst.objects:
+        homs = [dst.hom(m, diagram.obj[i]) for i in objs]
+        if all(homs):
+            cones += [Cone(diagram, m, dict(zip(objs, legs))) for legs in
+                      backtrack(homs, [(i, o, {leg: (dst.table[(dv, leg)],)
+                                               for leg in homs[i]})
+                                       for i, o, dv in arrows])]
     return cones
 
 
-def mediating_morphisms(terminal, cone):
-    """Morphisms apex(cone) -> apex(terminal) commuting with all legs."""
+def mediating_morphisms(terminal, cone, stop=None):
+    """Morphisms apex(cone) -> apex(terminal) commuting with all legs, in
+    hom order; with ``stop``, at most that many."""
     dst = terminal.diagram.target
     found = []
     for t in dst.hom(cone.apex, terminal.apex):
         if all(dst.compose(terminal.legs[i], t) == cone.legs[i]
                for i in terminal.diagram.source.objects):
             found.append(t)
+            if len(found) == stop:
+                break
     return found
 
 
-def limit(diagram):
-    """The terminal cone over the diagram, or raise NoLimit.
+def is_terminal(cand, cones):
+    """Whether every one of ``cones`` factors through ``cand`` by exactly
+    one mediating morphism; each count stops at its second mediator."""
+    return all(len(mediating_morphisms(cand, c, stop=2)) == 1 for c in cones)
 
-    The witness is deterministic: apexes are scanned in the object order of
-    the target, legs in lexicographic order, and the first terminal cone
-    wins.
-    """
+
+def limit(diagram):
+    """The first terminal cone over the diagram in the order of
+    ``all_cones``, or raise NoLimit."""
     cones = all_cones(diagram)
     for cand in cones:
-        if all(len(mediating_morphisms(cand, c)) == 1 for c in cones):
+        if is_terminal(cand, cones):
             return cand
     raise NoLimit(f"no limit of {diagram.name}")
 
@@ -434,56 +503,36 @@ def all_functors(a, m):
     the non-identity arrows, listed along ``a.morphisms`` with values in
     hom order.  Witness names such as ``F3`` depend on it.  ``obj`` and
     ``mor`` are keyed in that listing order, identities first in ``mor``.
-
-    A backtracking search with forward checking: objects are bound in
-    order, and an object map is dropped as soon as some arrow between two
-    bound objects has an empty hom-set in m; arrows are then bound in
-    order, each within its hom-set, and each composite g . f = h of
-    non-identity arrows is tested as soon as the last of g, f and h is
-    bound.  Composites with an identity hold by the unit laws.
+    An object map is dropped as soon as some arrow between two bound
+    objects has an empty hom-set in m.
     """
-    objs = a.objects
+    pos = {o: n for n, o in enumerate(a.objects)}
+    reach = {v: {m.tgt[u] for u in m.out_of(v)} for v in m.objects}
+    pairs = [(pos[a.src[x]], pos[a.tgt[x]], reach) for x in a.morphisms
+             if a.src[x] != a.tgt[x]]
+    return [Functor(f"F{n}", a, m, obj, mor) for n, (obj, mor) in
+            enumerate(_functor_maps(a, m, [m.objects] * len(pos), pairs))]
+
+
+def _functor_maps(a, m, domains, pairs):
+    """Lazily, in the order of ``all_functors``, the object and arrow maps
+    of the functors a -> m whose object map along ``a.objects`` passes
+    ``backtrack(domains, pairs)``.  A second search binds the arrows, each
+    within its hom-set, with a triple check per composite g . f = h of
+    non-identity arrows (the unit laws cover the rest)."""
     nonids = [x for x in a.morphisms if not a.is_identity(x)]
-    opos = {o: i for i, o in enumerate(objs)}
-    apos = {x: i for i, x in enumerate(nonids)}
-    # endpoint pairs of arrows, and composites, filed under their last-bound
-    # object or arrow
-    ends = [[] for _ in objs]
-    for x in nonids:
-        s, t = a.src[x], a.tgt[x]
-        ends[max(opos[s], opos[t])].append((s, t))
-    comps = [[] for _ in nonids]
-    for g, f in a.composable_pairs():
-        if g in apos and f in apos:
-            h = a.table[(g, f)]
-            comps[max(apos[g], apos[f], apos.get(h, -1))].append((g, f, h))
-    out = []
-    obj = {}
-
-    def bind_object(i):
-        if i == len(objs):
-            obj_map = dict(obj)
-            mor = {a.identity(o): m.identity(obj_map[o]) for o in objs}
-            homs = [m.hom(obj_map[a.src[x]], obj_map[a.tgt[x]]) for x in nonids]
-            bind_arrow(0, obj_map, mor, homs)
-            return
-        for v in m.objects:
-            obj[objs[i]] = v
-            if all(m.hom(obj[s], obj[t]) for s, t in ends[i]):
-                bind_object(i + 1)
-
-    def bind_arrow(k, obj_map, mor, homs):
-        if k == len(nonids):
-            out.append(Functor(f"F{len(out)}", a, m, obj_map, dict(mor)))
-            return
-        x = nonids[k]
-        for v in homs[k]:
-            mor[x] = v
-            if all(mor[h] == m.table[(mor[g], mor[f])] for g, f, h in comps[k]):
-                bind_arrow(k + 1, obj_map, mor, homs)
-
-    bind_object(0)
-    return out
+    arrows = [a.identity(o) for o in a.objects] + nonids
+    pos = {x: n for n, x in enumerate(arrows)}
+    comps = [(pos[g], pos[f], pos[a.table[(g, f)]], m.table)
+             for g in nonids for f in a.into(a.src[g]) if not a.is_identity(f)]
+    ends = [(a.src[x], a.tgt[x]) for x in nonids]
+    units = {v: (m.identity(v),) for v in m.objects}
+    for images in backtrack(domains, pairs):
+        obj = dict(zip(a.objects, images))
+        homs = [units[v] for v in images]
+        homs += [m.hom(obj[s], obj[t]) for s, t in ends]
+        for mors in backtrack(homs, (), comps):
+            yield obj, dict(zip(arrows, mors))
 
 
 def remembering(search):
@@ -502,72 +551,57 @@ def remembering(search):
     return remembered
 
 
+def remembering_by_name(build):
+    """``remembering(build)`` keyed by each argument's name and value, so
+    that equal arguments share a result and its names stay exact."""
+    memo = remembering(lambda names, *args: build(*args))
+    return lambda *args: memo(tuple(x.name for x in args), *args)
+
+
 def all_natural_transformations(f, g):
-    """Every natural transformation f => g between parallel functors."""
-    cat, dst = f.source, f.target
-    choices = [dst.hom(f.obj[a], g.obj[a]) for a in cat.objects]
-    out = []
-    for comps in itertools.product(*choices):
-        cand = NatTransf(f, g, dict(zip(cat.objects, comps)))
-        if not cand.validate():
-            out.append(cand)
-    return out
+    """Every natural transformation f => g between parallel functors, in
+    the lexicographic order of the components listed along the source's
+    objects, each in hom order.  The square g(x) . c_a == c_b . f(x) of
+    each non-identity x : a -> b is a pair check on the components at a
+    and b."""
+    cat, table = f.source, f.target.table
+    pos = {a: n for n, a in enumerate(cat.objects)}
+    homs = [f.target.hom(f.obj[a], g.obj[a]) for a in cat.objects]
+    squares = [(pos[cat.src[x]], pos[cat.tgt[x]], f.mor[x], g.mor[x])
+               for x in cat.morphisms if not cat.is_identity(x)]
+    squares = [(i, o, {c: [c2 for c2 in homs[o]
+                           if table[(c2, fx)] == table[(gx, c)]]
+                       for c in homs[i]}) for i, o, fx, gx in squares]
+    return [NatTransf(f, g, dict(zip(cat.objects, comps)))
+            for comps in backtrack(homs, squares)]
 
 
 def find_isomorphism(a, b):
-    """A pair of mutually inverse functors a <-> b, or None.
-
-    Backtracking search over object bijections refined by hom-set counts,
-    then arrow bijections checked for functoriality.
-    """
+    """A pair of mutually inverse functors a <-> b, or None: the first
+    functor in the order of ``all_functors`` that is bijective with a
+    functorial inverse.  Its object map is bound as a bijection that keeps
+    the number of arrows each way between every two objects."""
     if len(a.objects) != len(b.objects) or len(a.morphisms) != len(b.morphisms):
         return None
 
-    def profile(cat, o):
-        outs = sorted(len(cat.hom(o, x)) for x in cat.objects)
-        ins = sorted(len(cat.hom(x, o)) for x in cat.objects)
-        return (tuple(outs), tuple(ins))
+    def arrows(cat, x, y):
+        return len(cat.hom(x, y)), len(cat.hom(y, x))
 
-    prof_b = {o: profile(b, o) for o in b.objects}
-
-    def try_objects(k, obj_map, used):
-        if k == len(a.objects):
-            return try_arrows(obj_map)
-        o = a.objects[k]
-        pa = profile(a, o)
-        for o2 in b.objects:
-            if o2 in used or prof_b[o2] != pa:
-                continue
-            if any(len(a.hom(a.objects[i], o)) != len(b.hom(obj_map[a.objects[i]], o2))
-                   or len(a.hom(o, a.objects[i])) != len(b.hom(o2, obj_map[a.objects[i]]))
-                   for i in range(k)):
-                continue
-            obj_map[o] = o2
-            used.add(o2)
-            res = try_objects(k + 1, obj_map, used)
-            if res:
-                return res
-            del obj_map[o]
-            used.discard(o2)
-        return None
-
-    def try_arrows(obj_map):
-        nonids = [x for x in a.morphisms if not a.is_identity(x)]
-        choices = [b.hom(obj_map[a.src[x]], obj_map[a.tgt[x]]) for x in nonids]
-        used_targets = [tuple(x for x in c if not b.is_identity(x)) for c in choices]
-        for mors in itertools.product(*used_targets):
-            if len(set(mors)) != len(mors):
-                continue
-            mor_map = {a.identity(o): b.identity(obj_map[o]) for o in a.objects}
-            mor_map.update(dict(zip(nonids, mors)))
-            fwd = Functor("iso", a, b, dict(obj_map), mor_map)
-            if fwd.validate():
-                continue
-            inv_obj = {v: k for k, v in obj_map.items()}
-            inv_mor = {v: k for k, v in mor_map.items()}
-            bwd = Functor("iso_inv", b, a, inv_obj, inv_mor)
-            if not bwd.validate():
-                return fwd, bwd
-        return None
-
-    return try_objects(0, {}, set())
+    # per count of arrows each way, each v of b to the w != v at that count
+    related = {}
+    for v in b.objects:
+        for w in b.objects:
+            if w != v:
+                related.setdefault(arrows(b, v, w), defaultdict(set))[v].add(w)
+    objs = a.objects
+    doms = [[w for w in b.objects if len(b.hom(w, w)) == len(a.hom(o, o))]
+            for o in objs]
+    pairs = [(i, k, related.get(arrows(a, objs[i], o), defaultdict(set)))
+             for k, o in enumerate(objs) for i in range(k)]
+    for obj, mor in _functor_maps(a, b, doms, pairs):
+        if len(set(mor.values())) == len(mor):
+            inverse = Functor("iso_inv", b, a, {v: k for k, v in obj.items()},
+                              {v: k for k, v in mor.items()})
+            if not inverse.validate():
+                return Functor("iso", a, b, obj, mor), inverse
+    return None

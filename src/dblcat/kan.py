@@ -8,14 +8,15 @@ properties are decided exactly on the given finite data; the pointwise
 check runs two independent procedures and refuses to answer if they ever
 disagree.
 
-The quantifiers range over ``all_functors`` and ``cells_between``, whose
-orders fix the witness names (``F3``, ``c0``) that ``is_right_exact``
-reports; both are forward-checked searches that test each functoriality or
-naturality equation as soon as its last variable is bound.  A ``RanProblem``
-holds what one decision needs about (J, d) and computes each piece once:
-``is_ran`` and ``is_pointwise_ran`` validate their candidate and consult a
-fresh problem, and ``is_right_exact`` shares one problem per (J, d) among
-all its candidates.
+The quantifiers (``all_functors``, ``cells_between``,
+``all_natural_transformations``), the limits over categories of elements
+(``all_cones``) and the right hom d^* <| J (``rhom``) all run on the one
+search ``fincat.backtrack``, in the orders that fix the witness names
+(``F3``, ``c0``) of ``is_right_exact`` and the apex of ``limit``.  A
+``RanProblem`` holds what one decision needs about (J, d) and computes
+each piece once: ``is_ran`` and ``is_pointwise_ran`` validate their
+candidate and consult a fresh problem, and ``is_right_exact`` shares one
+problem per (J, d) among all its candidates.
 """
 
 from __future__ import annotations

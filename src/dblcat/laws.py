@@ -7,6 +7,8 @@ one ``memo_compose()`` and builds every cell through it: it composes each
 distinct pair once, and both sides of a law share their composites.  Each
 suite also makes one ``remembering(unit_prof)``, so it builds the unit
 profunctor of each category once and its memo hits match by identity.
+Each functor list, companion and conjoint is built once per suite too,
+through ``remembering_by_name`` or read off a bending cell.
 The interchange suite goes further: for each triple of categories it
 searches the transformations between each pair of functors once, and it
 evaluates each distinct vertical or horizontal composite of cells once.
@@ -18,7 +20,7 @@ from __future__ import annotations
 import itertools
 
 from .fincat import (all_functors, all_natural_transformations,
-                     identity_functor, remembering)
+                     identity_functor, remembering, remembering_by_name)
 from .prof import (companion, companion_cells, conjoint, conjoint_cells,
                    associator, hcompose, identity_cell, left_unitor,
                    right_unitor, invert_horizontal_cell, memo_compose,
@@ -27,9 +29,10 @@ from .prof import (companion, companion_cells, conjoint, conjoint_cells,
 from . import zoo
 
 
-def interchange_configs(units):
+def interchange_configs(units, functors):
     """Square grids of four stacked cells built from natural
-    transformations between corpus functors; ``units(C)`` gives 1_C."""
+    transformations between corpus functors; ``units(C)`` gives 1_C and
+    ``functors(A, C)`` the functors A -> C."""
     triples = [
         (zoo.walking_arrow(), zoo.composable_pair(), zoo.walking_arrow()),
         (zoo.parallel_pair(), zoo.walking_arrow(), zoo.composable_pair()),
@@ -38,7 +41,7 @@ def interchange_configs(units):
     ]
     for a_cat, c_cat, e_cat in triples:
         ua, uc, ue = units(a_cat), units(c_cat), units(e_cat)
-        fs, gs = all_functors(a_cat, c_cat), all_functors(c_cat, e_cat)
+        fs, gs = functors(a_cat, c_cat), functors(c_cat, e_cat)
         top = transformation_cells(fs, ua, uc)
         bottom = transformation_cells(gs, uc, ue)
         for f, f1, f2 in itertools.product(range(len(fs)), repeat=3):
@@ -69,7 +72,8 @@ def check_interchange(max_configs=120):
     vert = remembering(lambda bot, top: vcompose(bot, top))
     horiz = remembering(lambda left, right: hcompose(left, right, compose))
     count = 0
-    for phi, chi, psi, xi in interchange_configs(remembering(unit_prof)):
+    for phi, chi, psi, xi in interchange_configs(
+            remembering(unit_prof), remembering_by_name(all_functors)):
         lhs = horiz(vert(psi, phi), vert(xi, chi))
         rhs = vert(horiz(psi, xi), horiz(phi, chi))
         if lhs != rhs:
@@ -84,14 +88,17 @@ def check_unitors_and_triangle(max_configs=40):
     """Unitors are invertible and satisfy the triangle coherence."""
     compose = memo_compose()
     units = remembering(unit_prof)
+    functors = remembering_by_name(all_functors)
+    companions = remembering_by_name(companion)
+    conjoints = remembering_by_name(conjoint)
     one = zoo.terminal_category()
     two = zoo.walking_arrow()
     three = zoo.composable_pair()
     pp = zoo.parallel_pair()
     profs = [units(two), units(pp)]
-    profs += [companion(f) for f in all_functors(two, three)[:4]]
-    profs += [conjoint(f) for f in all_functors(one, three)]
-    profs += [companion(f) for f in all_functors(pp, two)[:4]]
+    profs += [companions(f) for f in functors(two, three)[:4]]
+    profs += [conjoints(f) for f in functors(one, three)]
+    profs += [companions(f) for f in functors(pp, two)[:4]]
     count = 0
     for p in profs:
         lu = left_unitor(p, units(p.source), compose)
@@ -104,12 +111,12 @@ def check_unitors_and_triangle(max_configs=40):
     # triangle: for composable pairs (J, H), the two ways of cancelling the
     # middle unit agree
     pairs = []
-    for f in all_functors(two, three)[:4]:
-        for g in all_functors(one, three):
-            pairs.append((companion(f), conjoint(g)))
-    for f in all_functors(pp, two)[:3]:
-        for g in all_functors(two, three)[:3]:
-            pairs.append((companion(f), companion(g)))
+    for f in functors(two, three)[:4]:
+        for g in functors(one, three):
+            pairs.append((companions(f), conjoints(g)))
+    for f in functors(pp, two)[:3]:
+        for g in functors(two, three)[:3]:
+            pairs.append((companions(f), companions(g)))
     for j, h in pairs:
         mid = j.target
         lhs = vcompose(hcompose(identity_cell(j),
@@ -128,16 +135,19 @@ def check_unitors_and_triangle(max_configs=40):
 def check_pentagon(max_configs=8):
     compose = memo_compose()
     units = remembering(unit_prof)
+    functors = remembering_by_name(all_functors)
+    companions = remembering_by_name(companion)
+    conjoints = remembering_by_name(conjoint)
     one = zoo.terminal_category()
     two = zoo.walking_arrow()
     three = zoo.composable_pair()
     pp = zoo.parallel_pair()
     chains = []
-    for f in all_functors(two, three)[:2]:
-        for g in all_functors(one, three)[:2]:
-            for h in all_functors(one, pp)[:2]:
-                chains.append((units(two), companion(f),
-                               conjoint(g), companion(h)))
+    for f in functors(two, three)[:2]:
+        for g in functors(one, three)[:2]:
+            for h in functors(one, pp)[:2]:
+                chains.append((units(two), companions(f),
+                               conjoints(g), companions(h)))
     count = 0
     for j, h, k, l in chains:
         kl, _ = compose(k, l)
@@ -173,14 +183,14 @@ def check_companion_identities(max_configs=30):
         eps, eta = companion_cells(f, ua, uc)
         if vcompose(eps, eta) != unit_cell(f, ua, uc):
             return False, count
-        fs = companion(f)
+        fs = eps.hsrc       # the companion f_*
         if vcompose(right_unitor(fs, uc, compose), hcompose(eta, eps, compose)) \
                 != left_unitor(fs, ua, compose):
             return False, count
         ceps, ceta = conjoint_cells(f, ua, uc)
         if vcompose(ceps, ceta) != unit_cell(f, ua, uc):
             return False, count
-        cs = conjoint(f)
+        cs = ceps.hsrc      # the conjoint f^*
         if vcompose(left_unitor(cs, uc, compose), hcompose(ceps, ceta, compose)) \
                 != right_unitor(cs, ua, compose):
             return False, count

@@ -21,6 +21,11 @@ composite always yields the same tables.  ``hcompose``, the unitors and
 ``associator`` take a ``compose=`` argument; passing them one
 ``memo_compose()`` lets a computation compose each distinct pair once.
 
+Cells (``cells_between``) and right-hom families (``rhom``) come from
+``fincat.backtrack``, the one search behind every enumerator; the loops
+it replaced are ``cells_between_oracle`` and ``rhom_families_oracle`` in
+``tests/helpers.py``.
+
 Cells that live between unit profunctors (``unit_cell``,
 ``nat_transf_as_cell``, the unitors and the bending cells) take those units
 as arguments, so that a computation builds each ``unit_prof`` once, for
@@ -29,11 +34,10 @@ instance through one ``fincat.remembering(unit_prof)``.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
-from .fincat import (FinCategory, Functor, compose_functors, identity_functor,
-                     remembering)
+from .fincat import (FinCategory, Functor, backtrack, compose_functors,
+                     identity_functor, remembering_by_name)
 
 
 @dataclass(frozen=True, eq=True)
@@ -425,13 +429,12 @@ def compose_prof(j, h):
 def memo_compose():
     """A ``compose_prof`` that remembers its results while it is alive.
 
-    Keys are ``(j.name, h.name, j, h)``: equal profunctors built separately
+    A ``fincat.remembering_by_name``: equal profunctors built separately
     share one composite, and the composite's name stays exact.  Every hit
     returns the same objects, which callers must not mutate.  Make one per
     computation and pass it as ``compose=``; nothing outlives it.
     """
-    memo = remembering(lambda j_name, h_name, j, h: compose_prof(j, h))
-    return lambda j, h: memo(j.name, h.name, j, h)
+    return remembering_by_name(compose_prof)
 
 
 def hcompose(left, right, compose=compose_prof):
@@ -455,19 +458,18 @@ def hcompose(left, right, compose=compose_prof):
 
 @dataclass(frozen=True, eq=False)
 class NaturalityPlan:
-    """The order in which ``cells_between`` binds the components of a cell
-    out of J, and when it tests each naturality square.
+    """The naturality squares that ``cells_between`` checks on a cell out
+    of J.
 
     ``elems`` lists J's elements in ``j.elements()`` order.  A left square
     (i, u, a, b, i2) says that a cell over (f, g) sends ``elems[i2]``,
     which is elems[i] . u, to c . f(u), where c is its component at
     ``elems[i]`` in J(a, b); a right square (i, v, a, b, i2) says the same
-    of v . elems[i] and g(v) . c.  ``left[n]`` and ``right[n]`` hold the
-    squares whose later position max(i, i2) is n.  Squares of identities
-    hold for every choice, as identities act trivially, and are left out;
-    the two-sided squares follow from the rest, as both actions commute.  A
-    plan depends on J alone, so a caller that searches several boundaries
-    out of one J builds it once.
+    of v . elems[i] and g(v) . c.  Squares of identities hold for every
+    choice, as identities act trivially, and are left out; the two-sided
+    squares follow from the rest, as both actions commute.  A plan depends
+    on J alone, so a caller that searches several boundaries out of one J
+    builds it once.
     """
 
     j: Profunctor
@@ -480,20 +482,14 @@ def naturality_plan(j):
     """The NaturalityPlan of cells out of J."""
     elems = j.elements()
     pos = {e: n for n, e in enumerate(elems)}
-    left = [[] for _ in elems]
-    right = [[] for _ in elems]
     ac, bc = j.source, j.target
-    for i, (a, b, x) in enumerate(elems):
-        for u in ac.into(a):
-            if not ac.is_identity(u):
-                i2 = pos[(ac.src[u], b, j.left[(u, a, b, x)])]
-                left[max(i, i2)].append((i, u, a, b, i2))
-        for v in bc.out_of(b):
-            if not bc.is_identity(v):
-                i2 = pos[(a, bc.tgt[v], j.right[(a, b, x, v)])]
-                right[max(i, i2)].append((i, v, a, b, i2))
-    return NaturalityPlan(j, elems, tuple(map(tuple, left)),
-                          tuple(map(tuple, right)))
+    left = tuple((i, u, a, b, pos[(ac.src[u], b, j.left[(u, a, b, x)])])
+                 for i, (a, b, x) in enumerate(elems)
+                 for u in ac.into(a) if not ac.is_identity(u))
+    right = tuple((i, v, a, b, pos[(a, bc.tgt[v], j.right[(a, b, x, v)])])
+                  for i, (a, b, x) in enumerate(elems)
+                  for v in bc.out_of(b) if not bc.is_identity(v))
+    return NaturalityPlan(j, elems, left, right)
 
 
 def cells_between(j, k, f, g, plan=None):
@@ -502,10 +498,9 @@ def cells_between(j, k, f, g, plan=None):
     The order is lexicographic in the components listed along
     ``j.elements()``, each ranging over its fiber of K in fiber order;
     witness names such as ``c2`` depend on it, and ``comp`` is keyed in
-    that listing order.  A backtracking search with forward checking:
-    components are bound in order and each naturality square is tested as
-    soon as both of its components are bound.  ``plan`` is
-    ``naturality_plan(j)``, built here when not given.
+    that listing order.  A ``fincat.backtrack`` search in which each
+    square of ``plan``, ``naturality_plan(j)`` unless given, says that
+    the component at i2 is the one at i moved by f(u) or g(v).
     """
     if plan is None:
         plan = naturality_plan(j)
@@ -515,42 +510,17 @@ def cells_between(j, k, f, g, plan=None):
     if (f.source, g.source, f.target, g.target) != \
             (j.source, j.target, k.source, k.target):
         return []
-    elems = plan.elems
-    kleft, kright = k.left, k.right
-    # (fiber, left checks, right checks) per position, made on the first
-    # visit: most searches are cut off long before their last position
-    levels = [None] * len(elems)
-
-    def level(n):
-        a, b, _ = elems[n]
-        fo, go = f.obj, g.obj
-        # the component at i2 must be kleft[(fu, fa, gb, comp[i])], or
-        # kright[(fa, gb, comp[i], gv)]
-        lchecks = [(i, f.mor[u], fo[ai], go[bi], i2)
-                   for i, u, ai, bi, i2 in plan.left[n]]
-        rchecks = [(i, fo[ai], go[bi], g.mor[v], i2)
-                   for i, v, ai, bi, i2 in plan.right[n]]
-        levels[n] = (k.fiber(f.obj[a], g.obj[b]), lchecks, rchecks)
-        return levels[n]
-
-    out = []
-    pick = [None] * len(elems)
-
-    def extend(n):
-        if n == len(elems):
-            out.append(Cell(f"c{len(out)}", j, k, f, g, dict(zip(elems, pick))))
-            return
-        fiber, lchecks, rchecks = levels[n] or level(n)
-        for y in fiber:
-            pick[n] = y
-            if (not lchecks or all(pick[i2] == kleft[(fu, fa, gb, pick[i])]
-                                   for i, fu, fa, gb, i2 in lchecks)) and \
-                    (not rchecks or all(pick[i2] == kright[(fa, gb, pick[i], gv)]
-                                        for i, fa, gb, gv, i2 in rchecks)):
-                extend(n + 1)
-
-    extend(0)
-    return out
+    fo, go, fm, gm = f.obj, g.obj, f.mor, g.mor
+    fibers = [k.fiber(fo[a], go[b]) for a, b, _ in plan.elems]
+    if not all(fibers):
+        return []
+    kl, kr = k.left, k.right
+    squares = [(i, i2, {y: (kl[(fm[u], fo[a], go[b], y)],)
+                        for y in fibers[i]}) for i, u, a, b, i2 in plan.left]
+    squares += [(i, i2, {y: (kr[(fo[a], go[b], y, gm[v])],)
+                         for y in fibers[i]}) for i, v, a, b, i2 in plan.right]
+    return [Cell(f"c{n}", j, k, f, g, dict(zip(plan.elems, comps)))
+            for n, comps in enumerate(backtrack(fibers, squares))]
 
 
 # ---------------------------------------------------------------------------
@@ -812,39 +782,37 @@ def rhom(k, h):
     """The right hom K <| H : A -/-> B of K : A -/-> E and H : B -/-> E.
 
     An element over (a, b) is a family of maps H(b, e) -> K(a, e), natural
-    in e.  u : a2 -> a acts by post-composing each map with K's left action
-    of u, and v : b -> b2 by pre-composing it with H's left action of v.
+    in e, found by ``fincat.backtrack`` with one position per x in H(b, e)
+    and listed by ``family_id``.  u : a2 -> a acts by post-composing each
+    map with K's left action of u, and v : b -> b2 by pre-composing it
+    with H's left action of v.
     """
     if k.target != h.target:
         raise ValueError("right hom needs a common target")
     ac, bc, ec = k.source, h.source, k.target
-
-    def natural(a, b, fam):
-        for e in ec.objects:
-            for w in ec.out_of(e):
-                e2 = ec.tgt[w]
-                for x in h.fiber(b, e):
-                    moved = h.act_right(b, e, x, w)
-                    if fam[e2][moved] != k.act_right(a, e, fam[e][x], w):
-                        return False
-        return True
-
+    # per b, a position per x in H(b, e), and the squares (n, o, e, w):
+    # position o holds position n moved by w : e -> e2
+    shapes = {}
+    for b in bc.objects:
+        slots = [(e, x) for e in ec.objects for x in h.fiber(b, e)]
+        pos = {slot: n for n, slot in enumerate(slots)}
+        shapes[b] = slots, [(n, pos[(ec.tgt[w], h.right[(b, e, x, w)])], e, w)
+                            for n, (e, x) in enumerate(slots)
+                            for w in ec.out_of(e) if not ec.is_identity(w)]
     families = {}
     fibers = {}
     for a in ac.objects:
         for b in bc.objects:
-            per_e = []
-            for e in ec.objects:
-                dom = h.fiber(b, e)
-                cod = k.fiber(a, e)
-                maps = [dict(zip(dom, pick))
-                        for pick in itertools.product(cod, repeat=len(dom))]
-                per_e.append(maps)
+            slots, squares = shapes[b]
+            domains = [k.fiber(a, e) for e, _ in slots]
+            moved = [(n, o, {y: (k.right[(a, e, y, w)],) for y in domains[n]})
+                     for n, o, e, w in squares]
             found = {}
-            for combo in itertools.product(*per_e):
-                fam = dict(zip(ec.objects, combo))
-                if natural(a, b, fam):
-                    found[family_id(ec.objects, fam)] = fam
+            for pick in backtrack(domains, moved):
+                fam = {e: {} for e in ec.objects}
+                for (e, x), y in zip(slots, pick):
+                    fam[e][x] = y
+                found[family_id(ec.objects, fam)] = fam
             if found:
                 fibers[(a, b)] = tuple(sorted(found))
                 families[(a, b)] = {fid: found[fid] for fid in sorted(found)}

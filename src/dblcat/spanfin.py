@@ -16,8 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .fincat import FinCategory, Functor, all_functors, compose_functors
+from .fincat import (FinCategory, Functor, all_functors, backtrack,
+                     compose_functors)
 from .prof import UnionFind
+from . import zoo
 
 
 # ---------------------------------------------------------------------------
@@ -250,40 +252,27 @@ def all_internal_transformations(j, k, f, g):
     """Every transformation J -> K over (f, g), named t0, t1, ... in the
     lexicographic order of their images listed along j.het.
 
-    A backtracking search with forward checking: the elements of j.het are
-    bound in order, each to an element of its fiber of k.het in k.het
-    order, and each naturality equation is tested as soon as both of its
-    elements are bound."""
+    A ``fincat.backtrack`` search: the elements of j.het are bound in
+    order, each to an element of its fiber of k.het in k.het order.  Each
+    entry of J's action tables gives an equation, t(v) == f(u) . t(x) for
+    a left action and t(v) == t(x) . g(w) for a right one, read off K's
+    tables as a pair check from x to v."""
     pos = {x: i for i, x in enumerate(j.het)}
     by_ends = {}
     for y in k.het:
         by_ends.setdefault((k.d0[y], k.d1[y]), []).append(y)
-    fibers = [by_ends.get((f.obj[j.d0[x]], g.obj[j.d1[x]]), [])
+    fibers = [by_ends.get((f.obj[j.d0[x]], g.obj[j.d1[x]]), ())
               for x in j.het]
-    # t(v) == u . t(x) for left actions, t(v) == t(x) . w for right ones,
-    # filed under the later of x and v
-    lefts = [[] for _ in j.het]
-    rights = [[] for _ in j.het]
-    for (u, x), v in j.l.items():
-        lefts[max(pos[x], pos[v])].append((v, f.mor[u], x))
-    for (x, w), v in j.r.items():
-        rights[max(pos[x], pos[v])].append((v, x, g.mor[w]))
-    out = []
-    t = {}
-
-    def extend(i):
-        if i == len(j.het):
-            out.append(InternalTransformation(f"t{len(out)}", j, k, f, g,
-                                              dict(t)))
-            return
-        for y in fibers[i]:
-            t[j.het[i]] = y
-            if all(t[v] == k.l[(fu, t[x])] for v, fu, x in lefts[i]) and \
-                    all(t[v] == k.r[(t[x], gw)] for v, x, gw in rights[i]):
-                extend(i + 1)
-
-    extend(0)
-    return out
+    # the equations of identity arrows hold by the unit laws: left out
+    equations = [(pos[x], pos[v], {y: (k.l[(f.mor[u], y)],)
+                                   for y in fibers[pos[x]]})
+                 for (u, x), v in j.l.items() if not j.source.is_identity(u)]
+    equations += [(pos[x], pos[v], {y: (k.r[(y, g.mor[w])],)
+                                    for y in fibers[pos[x]]})
+                  for (x, w), v in j.r.items() if not j.target.is_identity(w)]
+    return [InternalTransformation(f"t{n}", j, k, f, g,
+                                   dict(zip(j.het, images)))
+            for n, images in enumerate(backtrack(fibers, equations))]
 
 
 # ---------------------------------------------------------------------------
@@ -380,16 +369,11 @@ def factor_through_tabulation(t, phi_a, phi_b, phi):
                    {o: phi0[o] for o in x.objects}, mor)
 
 
-def default_internal_probes():
-    from . import zoo
-    return [zoo.terminal_category(), zoo.walking_arrow(), zoo.parallel_pair()]
-
-
 def verify_internal_tabulation(t, probes=None):
     """Replay both universal properties and opcartesianness of the
     defining transformation over a probe set."""
     if probes is None:
-        probes = default_internal_probes()
+        probes = zoo.tabulation_probes()
     j = t.j
     a, b = j.source, j.target
     ua, ub = unit_internal_prof(a), unit_internal_prof(b)

@@ -9,11 +9,11 @@ defining cell sends (u, v) to that common diagonal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .fincat import (Cone, Functor, all_cones, all_functors,
                      category_of_elements, comma_category, compose_functors,
-                     mediating_morphisms, remembering)
+                     is_terminal, remembering)
 from .prof import (Cell, Profunctor, cartesian_cell, cells_between,
                    is_opcartesian, naturality_plan, restrict, unit_cell,
                    unit_prof, vcompose)
@@ -49,10 +49,6 @@ def tabulate(j):
     return Tabulation(j, cat, proj_left, proj_right, cell)
 
 
-def default_probes():
-    return [zoo.terminal_category(), zoo.walking_arrow(), zoo.parallel_pair()]
-
-
 def _factorizations(t, candidates, phi_a, phi_b, phi, ux, ut):
     """The candidates F : X -> <J> projecting to (phi_a, phi_b) and
     recovering phi by whiskering the defining cell; ``ux`` and ``ut`` are
@@ -70,7 +66,7 @@ def verify_tabulation(t, probes=None):
     and each ``all_functors`` and ``cells_between`` search runs once per
     distinct tuple of arguments."""
     if probes is None:
-        probes = default_probes()
+        probes = zoo.tabulation_probes()
     j = t.j
     ac, bc = j.source, j.target
     functors = remembering(all_functors)
@@ -195,7 +191,6 @@ def ran_via_tabulation(cand):
         cone = Cone(diagram, r.obj[x], legs)
         if cone.validate():
             return False
-        cones = all_cones(diagram)
-        if any(len(mediating_morphisms(cone, c)) != 1 for c in cones):
+        if not is_terminal(cone, all_cones(diagram)):
             return False
     return True

@@ -3,9 +3,7 @@ test corpora and the CLI probe sets."""
 
 from __future__ import annotations
 
-import itertools
-
-from .fincat import FinCategory, Functor, make_category, all_functors
+from .fincat import Functor, make_category, all_functors
 
 
 def empty_category():
@@ -73,9 +71,13 @@ def bang(cat, name=None):
 
 
 def probe_categories():
-    """Default probe set: the terminal category, the walking arrow, the
-    discrete category on two objects and the parallel pair."""
+    """Default probe set of ``kan.is_right_exact``."""
     return [terminal_category(), walking_arrow(), discrete(2), parallel_pair()]
+
+
+def tabulation_probes():
+    """Default probe set of both tabulation verifiers."""
+    return [terminal_category(), walking_arrow(), parallel_pair()]
 
 
 def corpus_categories():

@@ -4,9 +4,9 @@ import itertools
 import os
 import random
 
-from dblcat.fincat import (CommaCategory, Functor, all_functors,
-                           all_natural_transformations, compose_functors,
-                           identity_functor, make_category)
+from dblcat.fincat import (CommaCategory, Cone, Functor, NatTransf, NoLimit,
+                           all_functors, compose_functors, identity_functor,
+                           make_category)
 from dblcat.prof import (Cell, CoendWitness, Profunctor, UnionFind,
                          cells_between, companion, compose_prof, conjoint,
                          family_id, pair_id, restrict, rhom, unit_prof,
@@ -297,6 +297,151 @@ def cells_between_oracle(j, k, f, g):
     return out
 
 
+def all_natural_transformations_oracle(f, g):
+    """all_natural_transformations by validating every choice of
+    components in itertools.product order."""
+    cat, dst = f.source, f.target
+    choices = [dst.hom(f.obj[a], g.obj[a]) for a in cat.objects]
+    out = []
+    for comps in itertools.product(*choices):
+        cand = NatTransf(f, g, dict(zip(cat.objects, comps)))
+        if not cand.validate():
+            out.append(cand)
+    return out
+
+
+def all_cones_oracle(diagram):
+    """all_cones by validating every choice of legs in itertools.product
+    order, apex by apex."""
+    shape, dst = diagram.source, diagram.target
+    cones = []
+    for m in dst.objects:
+        choices = [dst.hom(m, diagram.obj[i]) for i in shape.objects]
+        for legs in itertools.product(*choices):
+            cone = Cone(diagram, m, dict(zip(shape.objects, legs)))
+            if not cone.validate():
+                cones.append(cone)
+    return cones
+
+
+def mediator_count(terminal, cone):
+    """How many morphisms apex(cone) -> apex(terminal) commute with every
+    leg, counted over the whole hom-set."""
+    dst = terminal.diagram.target
+    return sum(1 for t in dst.hom(cone.apex, terminal.apex)
+               if all(dst.compose(terminal.legs[i], t) == cone.legs[i]
+                      for i in terminal.diagram.source.objects))
+
+
+def limit_oracle(diagram):
+    """limit as the first cone of all_cones_oracle that every cone factors
+    through exactly once, each count taken over the whole hom-set."""
+    cones = all_cones_oracle(diagram)
+    for cand in cones:
+        if all(mediator_count(cand, c) == 1 for c in cones):
+            return cand
+    raise NoLimit(f"no limit of {diagram.name}")
+
+
+def cone_tables(cones):
+    """Apex and legs of each cone as lists of items."""
+    return [(c.apex, list(c.legs.items())) for c in cones]
+
+
+def rhom_families_oracle(k, h):
+    """The fibers and families of ``rhom(k, h)`` by testing every tuple of
+    maps H(b, e) -> K(a, e), one per e, in itertools.product order."""
+    ac, bc, ec = k.source, h.source, k.target
+
+    def natural(a, b, fam):
+        return all(fam[ec.tgt[w]][h.act_right(b, e, x, w)] ==
+                   k.act_right(a, e, fam[e][x], w)
+                   for e in ec.objects for w in ec.out_of(e)
+                   for x in h.fiber(b, e))
+
+    fibers, families = {}, {}
+    for a in ac.objects:
+        for b in bc.objects:
+            per_e = []
+            for e in ec.objects:
+                dom, cod = h.fiber(b, e), k.fiber(a, e)
+                per_e.append([dict(zip(dom, pick)) for pick in
+                              itertools.product(cod, repeat=len(dom))])
+            found = {}
+            for combo in itertools.product(*per_e):
+                fam = dict(zip(ec.objects, combo))
+                if natural(a, b, fam):
+                    found[family_id(ec.objects, fam)] = fam
+            if found:
+                fibers[(a, b)] = tuple(sorted(found))
+                families[(a, b)] = {fid: found[fid] for fid in sorted(found)}
+    return fibers, families
+
+
+def find_isomorphism_oracle(a, b):
+    """find_isomorphism as it was before its search was shared: object
+    bijections by recursion, refined by hom-set counts, then every tuple of
+    non-identity arrow images in itertools.product order, tested for
+    injectivity and functoriality both ways."""
+    if len(a.objects) != len(b.objects) or len(a.morphisms) != len(b.morphisms):
+        return None
+
+    def profile(cat, o):
+        outs = sorted(len(cat.hom(o, x)) for x in cat.objects)
+        ins = sorted(len(cat.hom(x, o)) for x in cat.objects)
+        return (tuple(outs), tuple(ins))
+
+    prof_b = {o: profile(b, o) for o in b.objects}
+    nonids = [x for x in a.morphisms if not a.is_identity(x)]
+
+    def try_objects(k, obj_map, used):
+        if k == len(a.objects):
+            return try_arrows(obj_map)
+        o = a.objects[k]
+        for o2 in b.objects:
+            if o2 in used or prof_b[o2] != profile(a, o):
+                continue
+            if any(len(a.hom(p, o)) != len(b.hom(obj_map[p], o2)) or
+                   len(a.hom(o, p)) != len(b.hom(o2, obj_map[p]))
+                   for p in a.objects[:k]):
+                continue
+            res = try_objects(k + 1, {**obj_map, o: o2}, used | {o2})
+            if res:
+                return res
+        return None
+
+    def try_arrows(obj_map):
+        choices = [[y for y in b.hom(obj_map[a.src[x]], obj_map[a.tgt[x]])
+                    if not b.is_identity(y)] for x in nonids]
+        for mors in itertools.product(*choices):
+            if len(set(mors)) != len(mors):
+                continue
+            mor_map = {a.identity(o): b.identity(obj_map[o]) for o in a.objects}
+            mor_map.update(zip(nonids, mors))
+            fwd = Functor("iso", a, b, dict(obj_map), mor_map)
+            if fwd.validate():
+                continue
+            bwd = Functor("iso_inv", b, a, {v: k for k, v in obj_map.items()},
+                          {v: k for k, v in mor_map.items()})
+            if not bwd.validate():
+                return fwd, bwd
+        return None
+
+    return try_objects(0, {}, frozenset())
+
+
+def g_pq(p, q):
+    """The category G_pq: objects 0, 1 and 2, p arrows f<i> : 0 -> 1, q
+    arrows g<j> : 1 -> 2 and their p·q composites g<j>f<i> : 0 -> 2, all
+    distinct.  Unlike [n], it has hom-sets with more than one arrow."""
+    arrows = {f"f{i}": ("0", "1") for i in range(p)}
+    arrows.update({f"g{j}": ("1", "2") for j in range(q)})
+    arrows.update({f"g{j}f{i}": ("0", "2") for i in range(p) for j in range(q)})
+    return make_category(f"G{p}{q}", ("0", "1", "2"), arrows,
+                         {(f"g{j}", f"f{i}"): f"g{j}f{i}"
+                          for i in range(p) for j in range(q)})
+
+
 def functor_tables(fs):
     """Name, object map and arrow map of each functor as lists of items,
     so that comparing two lists compares insertion order as well."""
@@ -315,7 +460,7 @@ def is_ran_oracle(cand):
     ac, mc = j.source, d.target
     um = unit_prof(mc)
     for s in all_functors_oracle(ac, mc):
-        alphas = all_natural_transformations(s, r)
+        alphas = all_natural_transformations_oracle(s, r)
         for phi in cells_between_oracle(j, um, s, d):
             hits = 0
             for alpha in alphas:

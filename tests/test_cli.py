@@ -3,9 +3,13 @@ import os
 
 import pytest
 
-from dblcat import cli
+import helpers
+from dblcat import cli, dsl
+from dblcat.fincat import identity_functor
+from dblcat.prof import unit_prof
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "arrows.dcat")
+G32 = os.path.join(os.path.dirname(__file__), "fixtures", "g32.dcat")
 
 
 def run(capsys, *argv):
@@ -52,6 +56,24 @@ def test_compose(capsys):
     assert any(len(members) == 2
                for cls in payload["classes"].values()
                for members in cls.values())
+
+
+def test_g32_fixture_is_the_serialized_workspace():
+    g = helpers.g_pq(3, 2)
+    ws = dsl.Workspace(categories={"G32": g},
+                       functors={"Id": identity_functor(g)},
+                       profunctors={"Hom": unit_prof(g)})
+    with open(G32, encoding="utf-8") as fh:
+        assert fh.read() == dsl.serialize(ws)
+
+
+def test_ran_of_identity_along_hom_of_g32(capsys):
+    code, payload = run_json(capsys, "ran", G32, "Hom", "Id")
+    assert code == 0
+    assert payload["is_extension"] is True and payload["is_pointwise"] is True
+    assert payload["on_objects"] == {o: o for o in ("0", "1", "2")}
+    assert all(k == v for k, v in payload["on_morphisms"].items())
+    assert len(payload["on_morphisms"]) == 14
 
 
 def test_ran(capsys):

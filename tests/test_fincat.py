@@ -80,11 +80,34 @@ def test_functor_search_matches_slow_twin():
     assert found == 1111
 
 
+def test_functor_search_matches_slow_twin_on_g_pq():
+    # hom-sets of several arrows, into and out of G_pq
+    gs = [helpers.g_pq(p, q) for p, q in ((1, 2), (2, 1), (2, 2))]
+    found = 0
+    for a, m in itertools.chain(itertools.product(zoo.corpus_categories(), gs),
+                                itertools.product(gs, gs + [helpers.chain(3)])):
+        got = helpers.functor_tables(all_functors(a, m))
+        assert got == helpers.functor_tables(helpers.all_functors_oracle(a, m))
+        found += len(got)
+    assert found == 489
+
+
 def test_functor_enumeration_is_deterministic():
     two, three = zoo.walking_arrow(), zoo.composable_pair()
     first = [(f.obj, f.mor) for f in all_functors(two, three)]
     second = [(f.obj, f.mor) for f in all_functors(two, three)]
     assert first == second
+
+
+def test_functor_validation_reports_ill_typed_images():
+    # b is sent to an arrow out of the wrong object, so the images of the
+    # composable pair (b, a) do not compose; that is a problem to report,
+    # not an exception
+    three, two = zoo.composable_pair(), zoo.walking_arrow()
+    f = Functor("F", three, two, {"0": "0", "1": "1", "2": "1"},
+                {"1_0": "1_0", "1_1": "1_1", "1_2": "1_1",
+                 "a": "a", "b": "a", "ba": "a"})
+    assert f.validate() == ["image of b has wrong endpoints"]
 
 
 def test_compose_functors():
@@ -207,3 +230,80 @@ def test_find_isomorphism():
     assert compose_functors(bwd, fwd) == identity_functor(two)
     assert find_isomorphism(two, zoo.parallel_pair()) is None
     assert find_isomorphism(two, zoo.discrete(2)) is None
+
+
+def search_categories():
+    """The corpus, shuffled ordinals and G_pq: hom-sets of one, none and
+    several arrows, listed in orders that differ from building order."""
+    return (zoo.corpus_categories() +
+            [helpers.chain(n, random.Random(seed)) for seed in (3, 4)
+             for n in range(4)] +
+            [helpers.g_pq(p, q) for p, q in ((1, 2), (2, 1), (2, 2))])
+
+
+def test_natural_transformation_search_matches_slow_twin():
+    # components and order, between every pair of parallel functors from
+    # corpus shapes into the search categories
+    shapes = [zoo.walking_arrow(), zoo.parallel_pair(), zoo.iso_pair(),
+              zoo.span_shape()]
+    found = 0
+    for a in shapes:
+        for m in search_categories():
+            fs = all_functors(a, m)[:12]
+            for f, g in itertools.product(fs, repeat=2):
+                got = all_natural_transformations(f, g)
+                want = helpers.all_natural_transformations_oracle(f, g)
+                assert [list(t.components.items()) for t in got] == \
+                    [list(t.components.items()) for t in want]
+                found += len(got)
+    assert found == 956
+
+
+def test_cone_and_limit_searches_match_slow_twins():
+    # every cone in order, and the same limit apex and legs (or none), for
+    # every diagram of a small shape into the search categories
+    shapes = [zoo.empty_category(), zoo.terminal_category(),
+              zoo.walking_arrow(), zoo.parallel_pair(), zoo.span_shape(),
+              zoo.cospan_shape(), zoo.discrete(2)]
+    cones = limits = 0
+    for shape in shapes:
+        for m in search_categories():
+            for d in all_functors(shape, m)[:20]:
+                got = all_cones(d)
+                assert helpers.cone_tables(got) == \
+                    helpers.cone_tables(helpers.all_cones_oracle(d))
+                cones += len(got)
+                try:
+                    want = helpers.cone_tables([helpers.limit_oracle(d)])
+                except NoLimit:
+                    with pytest.raises(NoLimit):
+                        limit(d)
+                    continue
+                assert helpers.cone_tables([limit(d)]) == want
+                limits += 1
+    assert (cones, limits) == (830, 481)
+
+
+def test_find_isomorphism_matches_slow_twin():
+    # the same pair of functors, or None, between relabelled and shuffled
+    # copies of the search categories and between unrelated ones
+    cats = search_categories()
+    relabelled = [make_category(
+        f"R{c.name}", tuple(reversed(c.objects)),
+        {f"r{x}": (c.src[x], c.tgt[x]) for x in reversed(c.morphisms)
+         if not c.is_identity(x)},
+        {(f"r{g}", f"r{f}"): (f"r{h}" if not c.is_identity(h)
+                              else f"1_{c.src[h]}")
+         for (g, f), h in c.table.items()
+         if not c.is_identity(g) and not c.is_identity(f)}) for c in cats]
+    found = 0
+    for a, b in itertools.product(cats, cats + relabelled):
+        got = find_isomorphism(a, b)
+        want = helpers.find_isomorphism_oracle(a, b)
+        if want is None:
+            assert got is None
+            continue
+        assert [helpers.functor_tables([f]) for f in got] == \
+            [helpers.functor_tables([f]) for f in want]
+        found += 1
+    assert found == 74

@@ -403,3 +403,29 @@ def test_deciders_build_each_unit_profunctor_once(monkeypatch):
         assert decide(cand)
         # one unit serves both the validation and the decision
         assert units == [two]
+
+
+def test_limits_over_elements_of_g_pq_match_slow_twin():
+    # the limit procedure along 1_G_pq, where each elements category has
+    # hom-sets of several arrows: the same cone at every object as the
+    # generate-then-test limit
+    for p, q in ((1, 1), (1, 2), (2, 1), (2, 2)):
+        g = helpers.g_pq(p, q)
+        problem = kan.RanProblem(unit_prof(g), identity_functor(g))
+        for a in g.objects:
+            _, diagram, term = problem.limit_at(a)
+            want = helpers.limit_oracle(diagram)
+            assert (term.apex, list(term.legs.items())) == \
+                (want.apex, list(want.legs.items()))
+
+
+def test_ran_of_identity_along_hom_of_g32():
+    # the extension of the identity along the hom profunctor of G32 is the
+    # identity; its limit at object 0 is over ten elements with three and
+    # six parallel arrows, 1,259,712 tuples of legs for a product of hom-sets
+    g = helpers.g_pq(3, 2)
+    ident = identity_functor(g)
+    cand = kan.pointwise_ran(unit_prof(g), ident)
+    assert (cand.r.obj, cand.r.mor) == (ident.obj, ident.mor)
+    assert kan.is_ran(cand)
+    assert kan.is_pointwise_ran(cand)

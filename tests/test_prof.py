@@ -474,3 +474,25 @@ def test_restriction_of_unit_is_hom_of_images():
     f = identity_functor(three)
     r = restrict(k, f, f)
     assert r.fibers == k.fibers
+
+
+def test_rhom_families_match_slow_twin():
+    # fibers and families, including their order, against the product of
+    # every map per e; G_pq adds hom-sets of several arrows
+    cases = [(k, h) for _, h, k in helpers.adjunction_setups()]
+    corpus = helpers.profunctor_corpus()
+    cases += [(k, h) for k, h in itertools.product(corpus, repeat=2)
+              if k.target == h.target][:40]
+    for g in [helpers.chain(n, random.Random(n)) for n in (2, 3, 4)] + \
+            [helpers.g_pq(p, q) for p, q in ((1, 1), (1, 2), (2, 1), (2, 2))]:
+        cases += [(unit_prof(g), unit_prof(g)),
+                  (conjoint(identity_functor(g)), unit_prof(g))]
+    families = 0
+    for k, h in cases:
+        rh, wit = rhom(k, h)
+        fibers, fams = helpers.rhom_families_oracle(k, h)
+        assert list(rh.fibers.items()) == list(fibers.items())
+        assert [(key, list(v.items())) for key, v in wit.families.items()] == \
+            [(key, list(v.items())) for key, v in fams.items()]
+        families += sum(len(v) for v in fibers.values())
+    assert families == 249

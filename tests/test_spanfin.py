@@ -124,7 +124,7 @@ def test_verify_internal_tabulation_takes_plain_categories_as_probes():
     assert checked["one_dimensional"] == 3 + 6
     assert checked["two_dimensional"] > 0
     assert checked["opcartesian"] > 0
-    assert spanfin.default_internal_probes() == [
+    assert zoo.tabulation_probes() == [
         zoo.terminal_category(), zoo.walking_arrow(), zoo.parallel_pair()]
 
 
@@ -195,7 +195,7 @@ def test_verify_internal_tabulation_of_chains(n, one_dimensional):
 
 
 def test_verify_internal_tabulation_matches_slow_twin():
-    probes = spanfin.default_internal_probes()
+    probes = zoo.tabulation_probes()
     for p in helpers.profunctor_corpus()[:8]:
         t = spanfin.internal_tabulate(spanfin.prof_bridge(p))
         ok, checked = spanfin.verify_internal_tabulation(t, probes)
@@ -234,7 +234,7 @@ def test_verify_internal_tabulation_counts_hits_like_its_slow_twin(
         return change(out) if out and hit(*args) else out
 
     monkeypatch.setattr(spanfin, name, changed)
-    probes = spanfin.default_internal_probes()
+    probes = zoo.tabulation_probes()
     ok, report = spanfin.verify_internal_tabulation(t, probes)
     assert not ok and report["stage"] == stage and report["count"] == count
     assert (ok, report) == helpers.verify_internal_tabulation_oracle(t, probes)
@@ -267,7 +267,7 @@ def test_opcartesian_stage_files_each_cell_under_its_whole_induced_map(
 
     monkeypatch.setattr(spanfin, "all_internal_transformations",
                         with_a_near_copy)
-    probes = spanfin.default_internal_probes()
+    probes = zoo.tabulation_probes()
     result = spanfin.verify_internal_tabulation(t, probes)
     assert near and result[0], result
     assert result == helpers.verify_internal_tabulation_oracle(t, probes)
