@@ -122,8 +122,8 @@ def load_workspace(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, UnicodeDecodeError) as exc:   # unreadable, or not UTF-8
+        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         raise SystemExit(2)
     try:
         return dsl.parse(text)

@@ -20,6 +20,11 @@ it replaced are oracles in ``tests/helpers.py``: ``all_functors_oracle``,
 ``all_natural_transformations_oracle``, ``all_cones_oracle``,
 ``limit_oracle``, ``find_isomorphism_oracle``, ``cells_between_oracle``,
 ``rhom_families_oracle`` and ``internal_transformations_oracle``.
+
+Functors, natural transformations and cones hash their images listed
+along the source (``source.objects``, then ``source.morphisms``), which
+equal values list alike, so nothing is sorted; a functor keeps its hash.
+Memos (``remembering``) and groupings (``filed``) key by these objects.
 """
 
 from __future__ import annotations
@@ -188,8 +193,12 @@ class Functor:
     mor: dict
 
     def __hash__(self):
-        return hash((tuple(sorted(self.obj.items())),
-                     tuple(sorted(self.mor.items()))))
+        # computed once, kept in the instance __dict__ rather than a field
+        if "_hash" not in self.__dict__:
+            src = self.source
+            self.__dict__["_hash"] = hash((*map(self.obj.get, src.objects),
+                                           *map(self.mor.get, src.morphisms)))
+        return self.__dict__["_hash"]
 
     def __call__(self, m):
         return self.mor[m]
@@ -242,7 +251,7 @@ class NatTransf:
     components: dict
 
     def __hash__(self):
-        return hash(tuple(sorted(self.components.items())))
+        return hash(tuple(map(self.components.get, self.source.source.objects)))
 
     def __call__(self, a):
         return self.components[a]
@@ -272,7 +281,8 @@ class Cone:
     legs: dict
 
     def __hash__(self):
-        return hash((self.apex, tuple(sorted(self.legs.items()))))
+        return hash((self.apex,
+                     *map(self.legs.get, self.diagram.source.objects)))
 
     def validate(self):
         problems = []
@@ -549,6 +559,14 @@ def remembering(search):
             return found
 
     return remembered
+
+
+def filed(items, key):
+    """``items`` grouped under ``key(item)``, each group in item order."""
+    groups = {}
+    for item in items:
+        groups.setdefault(key(item), []).append(item)
+    return groups
 
 
 def remembering_by_name(build):

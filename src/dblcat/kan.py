@@ -16,7 +16,8 @@ search ``fincat.backtrack``, in the orders that fix the witness names
 ``RanProblem`` holds what one decision needs about (J, d) and computes
 each piece once: ``is_ran`` and ``is_pointwise_ran`` validate their
 candidate and consult a fresh problem, and ``is_right_exact`` shares one
-problem per (J, d) among all its candidates.
+problem per (J, d) among all its candidates, which are the competitor
+cells that the problem keeps per functor, names included.
 """
 
 from __future__ import annotations
@@ -127,15 +128,14 @@ class RanProblem:
     that every candidate (r, eps) is judged against.
 
     Each piece is computed on first use and then kept: the functors
-    A -> M; for each of them, s, the competitor cells J -> 1_M over (s, d)
-    as component tuples along ``plan.elems``; Nat(s, r) for each candidate
-    side r met; the right hom of d^* and J; and the limit over the category
-    of elements at each object of A.  The functors come from ``search``,
-    ``all_functors`` unless a caller shares a ``remembering`` one among
-    its problems, and the unit 1_M from ``units``, likewise ``unit_prof``
-    unless shared.  A problem lives for one decision and is shared by the
-    candidates of that decision, never across calls.  Candidates reach it
-    already validated.
+    A -> M; for each of them, s, the competitor cells J -> 1_M over (s, d);
+    Nat(s, r) for each candidate side r met; the right hom of d^* and J;
+    and the limit over the category of elements at each object of A.  The
+    functors come from ``search``, ``all_functors`` unless a caller shares
+    a ``remembering`` one among its problems, and the unit 1_M from
+    ``units``, likewise ``unit_prof`` unless shared.  A problem lives for
+    one decision and is shared by the candidates of that decision, never
+    across calls.  Candidates reach it already validated.
     """
 
     def __init__(self, j, d, search=None, units=None):
@@ -143,8 +143,9 @@ class RanProblem:
         self.mc = d.target
         self._search = search or all_functors
         self._units = units or unit_prof
-        self._competitors = {}
-        self._nat = {}
+        self.competitors = remembering(lambda s: cells_between(
+            j, self.um, s, d, self.plan))
+        self.nat = remembering(all_natural_transformations)
         self._limits = {}
 
     @cached_property
@@ -158,22 +159,6 @@ class RanProblem:
     @cached_property
     def functors(self):
         return self._search(self.j.source, self.mc)
-
-    def competitors(self, i):
-        """The cells J -> 1_M over (s, d) for s = functors[i], as
-        component tuples in cells_between order."""
-        if i not in self._competitors:
-            cells = cells_between(self.j, self.um, self.functors[i], self.d,
-                                  self.plan)
-            self._competitors[i] = [tuple(c.comp.values()) for c in cells]
-        return self._competitors[i]
-
-    def nat(self, i, r):
-        """Nat(s, r) for s = functors[i]."""
-        per_s = self._nat.setdefault(r, {})
-        if i not in per_s:
-            per_s[i] = all_natural_transformations(self.functors[i], r)
-        return per_s[i]
 
     @cached_property
     def rhom(self):
@@ -199,16 +184,16 @@ class RanProblem:
         and each competitor must be hit once."""
         mc = self.mc
         eps_at = [(eps.comp[e], e[0]) for e in self.plan.elems]
-        for i in range(len(self.functors)):
-            cells = self.competitors(i)
+        for s in self.functors:
+            cells = self.competitors(s)
             if not cells:
                 continue
-            hits = {}
-            for alpha in self.nat(i, r):
+            hits = {}       # keyed as Cell.key lists the components
+            for alpha in self.nat(s, r):
                 c = alpha.components
                 img = tuple(mc.compose(x, c[a]) for x, a in eps_at)
                 hits[img] = hits.get(img, 0) + 1
-            if any(hits.get(cell) != 1 for cell in cells):
+            if any(hits.get(cell.key) != 1 for cell in cells):
                 return False
         return True
 
@@ -415,11 +400,9 @@ def is_right_exact(cell, mode="pointwise", probe_cats=None):
             top = problems.setdefault((k, d), RanProblem(k, d, search, units))
             dg = compose_functors(d, g)
             sub = problems.setdefault((j, dg), RanProblem(j, dg, search, units))
-            for i, r in enumerate(top.functors):
+            for r in top.functors:
                 rf = compose_functors(r, f)
-                for n, comps in enumerate(top.competitors(i)):
-                    eps = Cell(f"c{n}", k, top.um, r, d,
-                               dict(zip(top.plan.elems, comps)))
+                for eps in top.competitors(r):
                     if check(top, r, eps) and \
                             not check(sub, rf, vcompose(eps, cell)):
                         return False, {"target": mc.name, "d": d.name,

@@ -10,8 +10,9 @@ profunctor of each category once and its memo hits match by identity.
 Each functor list, companion and conjoint is built once per suite too,
 through ``remembering_by_name`` or read off a bending cell.
 The interchange suite goes further: for each triple of categories it
-searches the transformations between each pair of functors once, and it
-evaluates each distinct vertical or horizontal composite of cells once.
+searches the transformations between each pair of functors once, keyed by
+the pair, and it evaluates each distinct vertical or horizontal composite
+of cells once, keyed by the cells.
 No memo outlives the suite call that made it.
 """
 
@@ -42,25 +43,24 @@ def interchange_configs(units, functors):
     for a_cat, c_cat, e_cat in triples:
         ua, uc, ue = units(a_cat), units(c_cat), units(e_cat)
         fs, gs = functors(a_cat, c_cat), functors(c_cat, e_cat)
-        top = transformation_cells(fs, ua, uc)
-        bottom = transformation_cells(gs, uc, ue)
-        for f, f1, f2 in itertools.product(range(len(fs)), repeat=3):
+        top = transformation_cells(ua, uc)
+        bottom = transformation_cells(uc, ue)
+        for f, f1, f2 in itertools.product(fs, repeat=3):
             alphas, betas = top(f, f1), top(f1, f2)
             if not alphas or not betas:
                 continue
-            for g, g1, g2 in itertools.product(range(len(gs)), repeat=3):
+            for g, g1, g2 in itertools.product(gs, repeat=3):
                 yield from itertools.product(alphas, betas, bottom(g, g1),
                                              bottom(g1, g2))
 
 
-def transformation_cells(functors, ua, ub):
-    """For positions (i, k) into ``functors``, the cells of the first two
-    transformations ``functors[i] => functors[k]``.  Each pair is searched,
-    and its cells built, on first use only; positions keep the lookups
-    cheaper than hashing functors."""
-    return remembering(lambda i, k: [
-        nat_transf_as_cell(alpha, ua, ub) for alpha in
-        all_natural_transformations(functors[i], functors[k])[:2]])
+def transformation_cells(ua, ub):
+    """For functors s, r : A -> B, the cells of the first two
+    transformations s => r; ``ua`` and ``ub`` are 1_A and 1_B.  Each pair
+    is searched, and its cells built, on first use only."""
+    return remembering(lambda s, r: [
+        nat_transf_as_cell(alpha, ua, ub)
+        for alpha in all_natural_transformations(s, r)[:2]])
 
 
 def check_interchange(max_configs=120):

@@ -30,11 +30,15 @@ Cells that live between unit profunctors (``unit_cell``,
 ``nat_transf_as_cell``, the unitors and the bending cells) take those units
 as arguments, so that a computation builds each ``unit_prof`` once, for
 instance through one ``fincat.remembering(unit_prof)``.
+
+A profunctor hashes its boundary and ``elements()``, and a cell its
+``key``: its components listed along ``hsrc.elements()``, kept once built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .fincat import (FinCategory, Functor, backtrack, compose_functors,
                      identity_functor, remembering_by_name)
@@ -60,8 +64,8 @@ class Profunctor:
     def __hash__(self):
         # computed once, kept in the instance __dict__ rather than a field
         if "_hash" not in self.__dict__:
-            fibers = tuple(sorted((k, tuple(v)) for k, v in self.fibers.items()))
-            object.__setattr__(self, "_hash", hash((self.source, self.target, fibers)))
+            object.__setattr__(self, "_hash", hash(
+                (self.source, self.target, self.elements())))
         return self.__dict__["_hash"]
 
     def fiber(self, a, b):
@@ -209,9 +213,13 @@ class Cell:
     vtgt: Functor
     comp: dict
 
+    @cached_property
+    def key(self):
+        """The components along ``hsrc.elements()``, as equal cells list them."""
+        return tuple(map(self.comp.get, self.hsrc.elements()))
+
     def __hash__(self):
-        return hash((self.hsrc, self.htgt,
-                     tuple(sorted(self.comp.items()))))
+        return hash(self.key)
 
     def __call__(self, a, b, j):
         return self.comp[(a, b, j)]

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .fincat import (FinCategory, Functor, all_functors, backtrack,
-                     compose_functors)
+                     compose_functors, filed)
 from .prof import UnionFind
 from . import zoo
 
@@ -224,7 +224,7 @@ class InternalTransformation:
     map: dict
 
     def __hash__(self):
-        return hash((self.hsrc, self.htgt, tuple(sorted(self.map.items()))))
+        return hash(tuple(map(self.map.get, self.hsrc.het)))
 
 
 def validate_internal_transformation(t):
@@ -350,14 +350,6 @@ def internal_tabulate(j):
     return InternalTabulation(j, cat, pl, pr, cell)
 
 
-def filed(items, key):
-    """``items`` grouped under ``key(item)``, each group in item order."""
-    groups = {}
-    for item in items:
-        groups.setdefault(key(item), []).append(item)
-    return groups
-
-
 def factor_through_tabulation(t, phi_a, phi_b, phi):
     """The explicit section: objects go to the object part of phi, arrows
     to the square assembled from the two whiskers."""
@@ -383,9 +375,10 @@ def verify_internal_tabulation(t, probes=None):
     # each candidate is filed once under what the checks compare, maps
     # keyed as frozensets of their items, so that a configuration counts
     # its hits with one lookup
-    factored = {}
+    factored = []       # per probe, its configurations and factorizations
     for x in probes:
         ux = unit_internal_prof(x)
+        factored.append([])
         into_t = filed(all_internal_functors(x, t.category), lambda f: (
             compose_functors(t.proj_left, f), compose_functors(t.proj_right, f),
             frozenset((h, t.cell.map[w]) for h, w in f.mor.items())))
@@ -403,16 +396,14 @@ def verify_internal_tabulation(t, probes=None):
                         return False, {"stage": "one-dimensional",
                                        "probe": x.name,
                                        "reason": "explicit section differs"}
-                    factored[(id(x), phi_a, phi_b, phi)] = hits[0]
+                    factored[-1].append((phi_a, phi_b, phi, hits[0]))
                     checked["one_dimensional"] += 1
 
-    for x in probes:
+    for x, configs in zip(probes, factored):
         ux = unit_internal_prof(x)
-        pairs = [(k[1], k[2], k[3], v) for k, v in factored.items()
-                 if k[0] == id(x)]
-        for (phi_a, phi_b, phi, fac1) in pairs:
+        for (phi_a, phi_b, phi, fac1) in configs:
             phi0 = transf_object_part(phi)
-            for (psi_a, psi_b, psi, fac2) in pairs:
+            for (psi_a, psi_b, psi, fac2) in configs:
                 psi0 = transf_object_part(psi)
                 squares = [
                     (xi_a, xi_b)

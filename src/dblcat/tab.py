@@ -5,6 +5,10 @@ The tabulation of J : A -/-> B is the category of triples (a, x, b) with
 x in J(a, b); a morphism (u, v) between triples is a pair of boundary
 morphisms whose two ways of moving the element across agree.  Its
 defining cell sends (u, v) to that common diagonal.
+
+``verify_tabulation`` files each functor X -> <J> and each lift once
+(``fincat.filed``), so that a configuration counts its factorizations with
+one lookup; ``verify_tabulation_oracle`` in ``tests/helpers.py`` scans.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from dataclasses import dataclass
 
 from .fincat import (Cone, Functor, all_cones, all_functors,
                      category_of_elements, comma_category, compose_functors,
-                     is_terminal, remembering)
+                     filed, is_terminal, remembering)
 from .prof import (Cell, Profunctor, cartesian_cell, cells_between,
                    is_opcartesian, naturality_plan, restrict, unit_cell,
                    unit_prof, vcompose)
@@ -49,22 +53,15 @@ def tabulate(j):
     return Tabulation(j, cat, proj_left, proj_right, cell)
 
 
-def _factorizations(t, candidates, phi_a, phi_b, phi, ux, ut):
-    """The candidates F : X -> <J> projecting to (phi_a, phi_b) and
-    recovering phi by whiskering the defining cell; ``ux`` and ``ut`` are
-    1_X and 1_<J>."""
-    return [f for f in candidates
-            if compose_functors(t.proj_left, f) == phi_a
-            and compose_functors(t.proj_right, f) == phi_b
-            and vcompose(t.cell, unit_cell(f, ux, ut)) == phi]
-
-
 def verify_tabulation(t, probes=None):
     """Check both universal properties over a probe set of small
     categories; returns (ok, report) where the report counts the checked
-    configurations.  Within one call each unit profunctor is built once,
-    and each ``all_functors`` and ``cells_between`` search runs once per
-    distinct tuple of arguments."""
+    configurations.  Each functor F : X -> <J> is filed once, under the
+    defining cell whiskered by F, whose sides are F's two projections;
+    each lift 1_X -> 1_<J> once, under its whiskers by both projections.
+    Within one call each unit profunctor is built once, and each
+    ``all_functors`` and ``cells_between`` search runs once per distinct
+    tuple of arguments."""
     if probes is None:
         probes = zoo.tabulation_probes()
     j = t.j
@@ -75,51 +72,49 @@ def verify_tabulation(t, probes=None):
     plans = remembering(naturality_plan)
     ut = units(t.category)
     checked_1d = 0
-    factored = {}
+    factored = []       # per probe, its configurations and factorizations
     for x_cat in probes:
         ux = units(x_cat)
+        into_t = filed(functors(x_cat, t.category),
+                       lambda f: vcompose(t.cell, unit_cell(f, ux, ut)))
+        factored.append([])
         for phi_a in functors(x_cat, ac):
             for phi_b in functors(x_cat, bc):
                 for phi in cells(ux, j, phi_a, phi_b, plans(ux)):
-                    found = _factorizations(t, functors(x_cat, t.category),
-                                            phi_a, phi_b, phi, ux, ut)
+                    found = into_t.get(phi, ())
                     if len(found) != 1:
                         return False, {"stage": "one-dimensional",
                                        "probe": x_cat.name,
                                        "count": len(found)}
-                    factored[(id(x_cat), phi_a, phi_b, phi)] = found[0]
+                    factored[-1].append((phi_a, phi_b, phi, found[0]))
                     checked_1d += 1
 
     checked_2d = 0
     ua, ub = units(ac), units(bc)
     whisker_left = unit_cell(t.proj_left, ut, ua)
     whisker_right = unit_cell(t.proj_right, ut, ub)
-
-    @remembering
-    def whiskered(ux, fac1, fac2):
-        """Both projections of each cell 1_X -> 1_<J> over (fac1, fac2)."""
-        return [(vcompose(whisker_left, xi), vcompose(whisker_right, xi))
-                for xi in cells(ux, ut, fac1, fac2, plans(ux))]
-
-    for x_cat in probes:
+    for x_cat, configs in zip(probes, factored):
         ux = units(x_cat)
         plan = plans(ux)
-        pairs = [(k[1], k[2], k[3], v) for k, v in factored.items()
-                 if k[0] == id(x_cat)]
-        for (phi_a, phi_b, phi, fac1) in pairs:
-            for (psi_a, psi_b, psi, fac2) in pairs:
-                for xi_a in cells(ux, ua, phi_a, psi_a, plan):
-                    for xi_b in cells(ux, ub, phi_b, psi_b, plan):
-                        if not _two_dim_compatible(j, x_cat, phi_a, phi_b, phi,
-                                                   psi_a, psi_b, psi,
-                                                   xi_a, xi_b):
-                            continue
-                        hits = whiskered(ux, fac1, fac2).count((xi_a, xi_b))
-                        if hits != 1:
-                            return False, {"stage": "two-dimensional",
-                                           "probe": x_cat.name,
-                                           "count": hits}
-                        checked_2d += 1
+        for (phi_a, phi_b, phi, fac1) in configs:
+            for (psi_a, psi_b, psi, fac2) in configs:
+                squares = [
+                    (xi_a, xi_b)
+                    for xi_a in cells(ux, ua, phi_a, psi_a, plan)
+                    for xi_b in cells(ux, ub, phi_b, psi_b, plan)
+                    if _two_dim_compatible(j, x_cat, phi_a, phi_b, phi,
+                                           psi_a, psi_b, psi, xi_a, xi_b)]
+                lifts = filed(cells(ux, ut, fac1, fac2, plan)
+                              if squares else (),
+                              lambda xi: (vcompose(whisker_left, xi),
+                                          vcompose(whisker_right, xi)))
+                for square in squares:
+                    hits = len(lifts.get(square, ()))
+                    if hits != 1:
+                        return False, {"stage": "two-dimensional",
+                                       "probe": x_cat.name,
+                                       "count": hits}
+                    checked_2d += 1
     return True, {"one_dimensional": checked_1d, "two_dimensional": checked_2d}
 
 

@@ -1,17 +1,18 @@
 """Shared fixtures and independent check constructions for the test suite."""
 
+import dataclasses
 import itertools
 import os
 import random
 
 from dblcat.fincat import (CommaCategory, Cone, Functor, NatTransf, NoLimit,
                            all_functors, compose_functors, identity_functor,
-                           make_category)
+                           make_category, remembering)
 from dblcat.prof import (Cell, CoendWitness, Profunctor, UnionFind,
                          cells_between, companion, compose_prof, conjoint,
-                         family_id, pair_id, restrict, rhom, unit_prof,
-                         validate_cell, vcompose)
-from dblcat import dsl, kan, spanfin, zoo
+                         family_id, naturality_plan, pair_id, restrict, rhom,
+                         unit_cell, unit_prof, validate_cell, vcompose)
+from dblcat import dsl, kan, spanfin, tab, zoo
 from dblcat.tab import Tabulation
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "arrows.dcat")
@@ -237,6 +238,93 @@ def verify_internal_tabulation_oracle(t, probes):
                                        "reason": "object-part formula differs"}
                     checked["opcartesian"] += 1
     return True, checked
+
+
+def verify_tabulation_oracle(t, probes):
+    """tab.verify_tabulation as it was before it filed its candidates:
+    every configuration scans every functor into <J>, composing and
+    whiskering each afresh, and counts its lifts in a list of whiskered
+    pairs.  It searches through ``tab.all_functors`` and
+    ``tab.cells_between``, so a test that replaces either reaches both."""
+    j = t.j
+    ac, bc = j.source, j.target
+    functors = remembering(lambda a, m: tab.all_functors(a, m))
+    cells = remembering(lambda *args: tab.cells_between(*args))
+    units = remembering(unit_prof)
+    plans = remembering(naturality_plan)
+    ut = units(t.category)
+
+    def factorizations(candidates, phi_a, phi_b, phi, ux):
+        return [f for f in candidates
+                if compose_functors(t.proj_left, f) == phi_a
+                and compose_functors(t.proj_right, f) == phi_b
+                and vcompose(t.cell, unit_cell(f, ux, ut)) == phi]
+
+    checked_1d = 0
+    factored = {}
+    for x_cat in probes:
+        ux = units(x_cat)
+        for phi_a in functors(x_cat, ac):
+            for phi_b in functors(x_cat, bc):
+                for phi in cells(ux, j, phi_a, phi_b, plans(ux)):
+                    found = factorizations(functors(x_cat, t.category),
+                                           phi_a, phi_b, phi, ux)
+                    if len(found) != 1:
+                        return False, {"stage": "one-dimensional",
+                                       "probe": x_cat.name,
+                                       "count": len(found)}
+                    factored[(id(x_cat), phi_a, phi_b, phi)] = found[0]
+                    checked_1d += 1
+
+    checked_2d = 0
+    ua, ub = units(ac), units(bc)
+    whisker_left = unit_cell(t.proj_left, ut, ua)
+    whisker_right = unit_cell(t.proj_right, ut, ub)
+
+    @remembering
+    def whiskered(ux, fac1, fac2):
+        return [(vcompose(whisker_left, xi), vcompose(whisker_right, xi))
+                for xi in cells(ux, ut, fac1, fac2, plans(ux))]
+
+    for x_cat in probes:
+        ux = units(x_cat)
+        plan = plans(ux)
+        pairs = [(k[1], k[2], k[3], v) for k, v in factored.items()
+                 if k[0] == id(x_cat)]
+        for (phi_a, phi_b, phi, fac1) in pairs:
+            for (psi_a, psi_b, psi, fac2) in pairs:
+                for xi_a in cells(ux, ua, phi_a, psi_a, plan):
+                    for xi_b in cells(ux, ub, phi_b, psi_b, plan):
+                        if not tab._two_dim_compatible(
+                                j, x_cat, phi_a, phi_b, phi, psi_a, psi_b,
+                                psi, xi_a, xi_b):
+                            continue
+                        hits = whiskered(ux, fac1, fac2).count((xi_a, xi_b))
+                        if hits != 1:
+                            return False, {"stage": "two-dimensional",
+                                           "probe": x_cat.name,
+                                           "count": hits}
+                        checked_2d += 1
+    return True, {"one_dimensional": checked_1d, "two_dimensional": checked_2d}
+
+
+def reversed_copy(x, *fields):
+    """``x`` with each named dict field rebuilt in reversed insertion
+    order: equal to ``x``, but listing its items the other way round."""
+    return dataclasses.replace(x, **{f: dict(reversed(getattr(x, f).items()))
+                                     for f in fields})
+
+
+def hash_disagreements(objects):
+    """The pairs of ``objects`` that compare equal but hash apart, and the
+    number of pairs, at two distinct positions, that compare equal."""
+    bad, equal = [], 0
+    for x, y in itertools.combinations(objects, 2):
+        if x == y:
+            equal += 1
+            if hash(x) != hash(y):
+                bad.append((x, y))
+    return bad, equal
 
 
 def all_functors_oracle(a, m):

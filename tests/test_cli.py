@@ -170,6 +170,14 @@ def test_missing_file_is_usage_error(capsys):
     assert "error" in err
 
 
+def test_file_that_is_not_utf8_is_usage_error(capsys, tmp_path):
+    bad = tmp_path / "bad.dcat"
+    bad.write_bytes(b"\xff\xfe\x00")
+    code, _, err = run(capsys, "check", str(bad))
+    assert code == 2
+    assert f"error: cannot read {bad}" in err
+
+
 def test_unknown_item_is_usage_error(capsys):
     code, _, err = run(capsys, "compose", FIXTURE, "HomTwo", "Nope")
     assert code == 2

@@ -307,3 +307,23 @@ def test_find_isomorphism_matches_slow_twin():
             [helpers.functor_tables([f]) for f in want]
         found += 1
     assert found == 74
+
+
+def test_hash_agrees_with_equality_for_functors_transformations_cones():
+    # each object beside a copy listing its tables in reversed insertion
+    # order: a key read off dict.values() would hash the two apart
+    functors = zoo.corpus_functors()
+    nats = [alpha for f in functors for g in functors
+            if (f.source, f.target) == (g.source, g.target)
+            for alpha in all_natural_transformations(f, g)]
+    cones = [c for d in zoo.corpus_functors(limit_per_pair=3)
+             for c in all_cones(d)]
+    for objects, fields in ((functors, ("obj", "mor")),
+                            (nats, ("components",)), (cones, ("legs",))):
+        copies = [helpers.reversed_copy(x, *fields) for x in objects]
+        assert all(c == x and hash(c) == hash(x)
+                   for x, c in zip(objects, copies))
+        bad, equal = helpers.hash_disagreements(objects + copies)
+        assert not bad
+        assert equal >= len(objects)
+    assert (len(nats), len(cones)) == (391, 116)

@@ -496,3 +496,28 @@ def test_rhom_families_match_slow_twin():
             [(key, list(v.items())) for key, v in fams.items()]
         families += sum(len(v) for v in fibers.values())
     assert families == 249
+
+
+def test_hash_agrees_with_equality_for_profunctors_and_cells():
+    # as for functors: each beside a copy with its tables reversed
+    profs = helpers.profunctor_corpus()
+    copies = [helpers.reversed_copy(p, "fibers", "left", "right")
+              for p in profs]
+    assert all(c == p and hash(c) == hash(p) for p, c in zip(profs, copies))
+    bad, equal = helpers.hash_disagreements(profs + copies)
+    assert not bad and equal > len(profs)
+    # cells between distinct pairs (J, K) differ, so pairs of cells are
+    # compared per (J, K)
+    distinct = [p for n, p in enumerate(profs) if p not in profs[:n]]
+    total = 0
+    for j, k in itertools.product(distinct, repeat=2):
+        cells = [c for f in all_functors(j.source, k.source)[:4]
+                 for g in all_functors(j.target, k.target)[:4]
+                 for c in cells_between(j, k, f, g)]
+        copies = [helpers.reversed_copy(c, "comp") for c in cells]
+        assert all(c == x and hash(c) == hash(x)
+                   for x, c in zip(cells, copies))
+        bad, equal = helpers.hash_disagreements(cells + copies)
+        assert not bad and equal >= len(cells)
+        total += len(cells)
+    assert (len(distinct), total) == (17, 1812)

@@ -271,3 +271,20 @@ def test_opcartesian_stage_files_each_cell_under_its_whole_induced_map(
     result = spanfin.verify_internal_tabulation(t, probes)
     assert near and result[0], result
     assert result == helpers.verify_internal_tabulation_oracle(t, probes)
+
+
+def test_hash_agrees_with_equality_for_internal_transformations():
+    # as for cells, pairs are compared per (J, K) of a distinct corpus
+    corpus = helpers.internal_profunctor_corpus()[::2]
+    corpus = [p for n, p in enumerate(corpus) if p not in corpus[:n]]
+    total = 0
+    for j, k in itertools.product(corpus, repeat=2):
+        ts = [t for f in all_functors(j.source, k.source)[:2]
+              for g in all_functors(j.target, k.target)[:2]
+              for t in spanfin.all_internal_transformations(j, k, f, g)]
+        copies = [helpers.reversed_copy(t, "map") for t in ts]
+        assert all(c == t and hash(c) == hash(t) for t, c in zip(ts, copies))
+        bad, equal = helpers.hash_disagreements(ts + copies)
+        assert not bad and equal >= len(ts)
+        total += len(ts)
+    assert (len(corpus), total) == (11, 245)

@@ -1,3 +1,5 @@
+import pytest
+
 import helpers
 from dblcat import kan, tab, zoo
 from dblcat.fincat import (all_functors, comma_category, find_isomorphism,
@@ -201,3 +203,38 @@ def test_verify_tabulation_runs_each_cell_search_once(monkeypatch):
         counts.append((len(searches), len(units)))
     # the units of the three probes, of [2] and of <J>
     assert counts == [(68, 5), (68, 5)]
+
+
+def test_verify_tabulation_matches_slow_twin():
+    probes = zoo.tabulation_probes()
+    for j in helpers.tabulation_corpus():
+        t = tab.tabulate(j)
+        ok, report = tab.verify_tabulation(t, probes)
+        assert ok, (j.name, report)
+        assert (ok, report) == helpers.verify_tabulation_oracle(t, probes)
+
+
+@pytest.mark.parametrize("stage", ["one-dimensional", "two-dimensional"])
+@pytest.mark.parametrize("change, count", [(lambda out: out + out, 2),
+                                           (lambda out: [], 0)])
+def test_verify_tabulation_counts_hits_like_its_slow_twin(
+        monkeypatch, stage, change, count):
+    # double or drop the functors X -> <J> or the lifts 1_X -> 1_<J>, so
+    # that factorizations are no longer unique; the filed lookups must
+    # count them as the scans do
+    t = tab.tabulate(unit_prof(zoo.walking_arrow()))
+    if stage == "one-dimensional":
+        name, hit = "all_functors", lambda a, m: m is t.category
+    else:
+        name, hit = "cells_between", lambda j, k, *_: k.source is t.category
+    real = getattr(tab, name)
+
+    def changed(*args):
+        out = real(*args)
+        return change(out) if out and hit(*args) else out
+
+    monkeypatch.setattr(tab, name, changed)
+    probes = zoo.tabulation_probes()
+    ok, report = tab.verify_tabulation(t, probes)
+    assert not ok and report["stage"] == stage and report["count"] == count
+    assert (ok, report) == helpers.verify_tabulation_oracle(t, probes)
