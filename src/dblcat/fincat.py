@@ -24,13 +24,21 @@ it replaced are oracles in ``tests/helpers.py``: ``all_functors_oracle``,
 Functors, natural transformations and cones hash their images listed
 along the source (``source.objects``, then ``source.morphisms``), which
 equal values list alike, so nothing is sorted; a functor keeps its hash.
-Memos (``remembering``) and groupings (``filed``) key by these objects.
+Memos and groupings (``filed``) key by these objects.
+
+One memo per decision: ``decision`` marks an entry point that decides a
+property, and ``construction`` a function that one decision builds once
+per distinct arguments, such as ``all_functors`` here and the units,
+composites and cell searches of ``prof``.  The memo is dropped when the
+outermost decision returns or raises.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import wraps
+from operator import attrgetter
 
 
 class NoLimit(Exception):
@@ -194,11 +202,14 @@ class Functor:
 
     def __hash__(self):
         # computed once, kept in the instance __dict__ rather than a field
-        if "_hash" not in self.__dict__:
+        try:
+            return self._hash
+        except AttributeError:
             src = self.source
-            self.__dict__["_hash"] = hash((*map(self.obj.get, src.objects),
-                                           *map(self.mor.get, src.morphisms)))
-        return self.__dict__["_hash"]
+            object.__setattr__(self, "_hash", hash((
+                *map(self.obj.get, src.objects),
+                *map(self.mor.get, src.morphisms))))
+            return self._hash
 
     def __call__(self, m):
         return self.mor[m]
@@ -505,6 +516,54 @@ def is_connected(cat):
     return len(seen) == len(cat.objects)
 
 
+# the constructions of the running decision, if any: one memo per process,
+# as dblcat runs one decision at a time
+_memo = None
+_name = attrgetter("name")
+
+
+def decision(decide):
+    """Mark ``decide`` as a decision: while it runs, each construction is
+    built once per distinct arguments.  A decision called inside another
+    shares the outer one's memo, which is dropped when the outermost
+    decision returns or raises, so nothing outlives a decision."""
+    @wraps(decide)
+    def decided(*args, **kwargs):
+        global _memo
+        if _memo is not None:
+            return decide(*args, **kwargs)
+        _memo = {}
+        try:
+            return decide(*args, **kwargs)
+        finally:
+            _memo = None
+
+    return decided
+
+
+def construction(build):
+    """Mark ``build`` as a construction: within a decision, it is built
+    once per distinct arguments, keyed by each argument's name and value,
+    so that equal arguments share a result and its names stay exact.  A
+    hit returns the same object, which callers must not mutate.  Outside
+    any decision it is a plain call.  Each build calls ``__wrapped__``, so
+    a test can count builds by replacing it."""
+    @wraps(build)
+    def built(*args):
+        memo = _memo
+        if memo is None:
+            return built.__wrapped__(*args)
+        key = (built, *map(_name, args), *args)
+        try:
+            return memo[key]
+        except KeyError:
+            found = memo[key] = built.__wrapped__(*args)
+            return found
+
+    return built
+
+
+@construction
 def all_functors(a, m):
     """Every functor a -> m, named F0, F1, ... in a fixed order.
 
@@ -547,8 +606,7 @@ def _functor_maps(a, m, domains, pairs):
 
 def remembering(search):
     """``search`` with each result kept, per argument tuple, for as long as
-    the returned function lives.  Make one per computation and share it
-    within that computation; nothing outlives it."""
+    the returned function lives."""
     memo = {}
 
     def remembered(*args):
@@ -569,13 +627,7 @@ def filed(items, key):
     return groups
 
 
-def remembering_by_name(build):
-    """``remembering(build)`` keyed by each argument's name and value, so
-    that equal arguments share a result and its names stay exact."""
-    memo = remembering(lambda names, *args: build(*args))
-    return lambda *args: memo(tuple(x.name for x in args), *args)
-
-
+@construction
 def all_natural_transformations(f, g):
     """Every natural transformation f => g between parallel functors, in
     the lexicographic order of the components listed along the source's
@@ -617,9 +669,22 @@ def find_isomorphism(a, b):
     pairs = [(i, k, related.get(arrows(a, objs[i], o), defaultdict(set)))
              for k, o in enumerate(objs) for i in range(k)]
     for obj, mor in _functor_maps(a, b, doms, pairs):
-        if len(set(mor.values())) == len(mor):
-            inverse = Functor("iso_inv", b, a, {v: k for k, v in obj.items()},
-                              {v: k for k, v in mor.items()})
-            if not inverse.validate():
-                return Functor("iso", a, b, obj, mor), inverse
+        iso = Functor("iso", a, b, obj, mor)
+        inverse = functor_inverse(iso)
+        if inverse is not None:
+            return iso, inverse
     return None
+
+
+def functor_inverse(f):
+    """The inverse of f if f is an isomorphism of categories, else None:
+    the inverted tables, when f is bijective and they make a functor."""
+    if len(set(f.obj.values())) != len(f.target.objects) or \
+            len(set(f.mor.values())) != len(f.target.morphisms) or \
+            len(f.source.objects) != len(f.target.objects) or \
+            len(f.source.morphisms) != len(f.target.morphisms):
+        return None
+    inv = Functor(f"{f.name}~", f.target, f.source,
+                  {v: k for k, v in f.obj.items()},
+                  {v: k for k, v in f.mor.items()})
+    return None if inv.validate() else inv

@@ -12,27 +12,31 @@ The quantifiers (``all_functors``, ``cells_between``,
 ``all_natural_transformations``), the limits over categories of elements
 (``all_cones``) and the right hom d^* <| J (``rhom``) all run on the one
 search ``fincat.backtrack``, in the orders that fix the witness names
-(``F3``, ``c0``) of ``is_right_exact`` and the apex of ``limit``.  A
-``RanProblem`` holds what one decision needs about (J, d) and computes
-each piece once: ``is_ran`` and ``is_pointwise_ran`` validate their
-candidate and consult a fresh problem, and ``is_right_exact`` shares one
-problem per (J, d) among all its candidates, which are the competitor
-cells that the problem keeps per functor, names included.
+(``F3``, ``c0``) of ``is_right_exact`` and the apex of ``limit``.
+
+``pointwise_ran``, ``is_ran``, ``is_pointwise_ran`` and ``is_right_exact``
+are decisions (``fincat.decision``): within one call, each search, unit
+profunctor and ``RanProblem`` is built once per distinct arguments, and
+none is kept after it.  A ``RanProblem`` holds what a decision needs about
+(J, d): ``is_ran`` and ``is_pointwise_ran`` validate their candidate and
+consult its problem, and ``is_right_exact`` judges each of its candidates,
+the competitor cells of the problem of (K, d), against the problems of
+(K, d) and (J, d . g).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .fincat import (Cone, Functor, NoLimit, all_functors,
                      all_natural_transformations, category_of_elements,
-                     comma_category, compose_functors, identity_functor,
-                     is_connected, limit, mediating_morphisms, remembering)
+                     comma_category, compose_functors, construction, decision,
+                     identity_functor, is_connected, limit,
+                     mediating_morphisms)
 from .prof import (Cell, Profunctor, bijects_onto, cartesian_cell,
                    cells_between, componentwise_bijective, compose_prof,
-                   conjoint, family_id, lower_star, naturality_plan, rhom,
-                   unit_prof, validate_cell, vcompose)
+                   conjoint, family_id, lower_star, rhom, unit_prof,
+                   validate_cell, vcompose)
 from . import zoo
 
 _ONE = zoo.terminal_category()      # never mutated; built once, not per call
@@ -58,15 +62,13 @@ class RanCandidate:
     def __hash__(self):
         return hash((self.j, self.r, self.eps))
 
-    def validate(self, um=None):
-        """The problems of eps as a cell J -> 1_M over (r, d); ``um`` is
-        ``unit_prof(M)``, built here unless the caller has it."""
+    def validate(self):
+        """The problems of eps as a cell J -> 1_M over (r, d)."""
         problems = validate_cell(self.eps)
         if self.eps.vsrc != self.r or self.eps.vtgt != self.d:
             problems.append("cell boundary does not match (r, d)")
-        if um is None:
-            um = unit_prof(self.d.target)
-        if self.eps.hsrc != self.j or self.eps.htgt != um:
+        if self.eps.hsrc != self.j or \
+                self.eps.htgt != unit_prof(self.d.target):
             problems.append("cell is not J -> 1_M")
         return problems
 
@@ -94,6 +96,7 @@ def _unique_mediator(lim, cone, where):
     return med[0]
 
 
+@decision
 def pointwise_ran(j, d):
     """Compute the pointwise right extension of d along J objectwise as a
     limit over the category of elements; raises NoLimit naming the object
@@ -123,47 +126,24 @@ def pointwise_ran(j, d):
     return RanCandidate(j, d, r, eps)
 
 
+@construction
 class RanProblem:
     """The right extension of d : B -> M along J : A -/-> B, as the data
-    that every candidate (r, eps) is judged against.
+    that every candidate (r, eps) is judged against: for each functor
+    s : A -> M, the competitor cells J -> 1_M over (s, d) and Nat(s, r);
+    the right hom d^* <| J; and the limit over the category of elements at
+    each object of A, kept with the problem once computed.
 
-    Each piece is computed on first use and then kept: the functors
-    A -> M; for each of them, s, the competitor cells J -> 1_M over (s, d);
-    Nat(s, r) for each candidate side r met; the right hom of d^* and J;
-    and the limit over the category of elements at each object of A.  The
-    functors come from ``search``, ``all_functors`` unless a caller shares
-    a ``remembering`` one among its problems, and the unit 1_M from
-    ``units``, likewise ``unit_prof`` unless shared.  A problem lives for
-    one decision and is shared by the candidates of that decision, never
-    across calls.  Candidates reach it already validated.
+    A ``fincat.construction``, as are the searches it runs: one decision
+    has one problem per (J, d), shared by the candidates it judges.
+    Candidates reach it already validated.
     """
 
-    def __init__(self, j, d, search=None, units=None):
+    def __init__(self, j, d):
         self.j, self.d = j, d
         self.mc = d.target
-        self._search = search or all_functors
-        self._units = units or unit_prof
-        self.competitors = remembering(lambda s: cells_between(
-            j, self.um, s, d, self.plan))
-        self.nat = remembering(all_natural_transformations)
+        self.um = unit_prof(self.mc)
         self._limits = {}
-
-    @cached_property
-    def plan(self):
-        return naturality_plan(self.j)
-
-    @cached_property
-    def um(self):
-        return self._units(self.mc)
-
-    @cached_property
-    def functors(self):
-        return self._search(self.j.source, self.mc)
-
-    @cached_property
-    def rhom(self):
-        """The right hom d^* <| J : M -/-> A with its witness."""
-        return rhom(conjoint(self.d), self.j)
 
     def limit_at(self, a):
         """(oid, diagram, terminal cone) of d over the category of elements
@@ -183,13 +163,13 @@ class RanProblem:
         alpha in Nat(s, r): the images eps . alpha are hashed and counted,
         and each competitor must be hit once."""
         mc = self.mc
-        eps_at = [(eps.comp[e], e[0]) for e in self.plan.elems]
-        for s in self.functors:
-            cells = self.competitors(s)
+        eps_at = [(eps.comp[e], e[0]) for e in self.j.elements()]
+        for s in all_functors(self.j.source, mc):
+            cells = cells_between(self.j, self.um, s, self.d)
             if not cells:
                 continue
             hits = {}       # keyed as Cell.key lists the components
-            for alpha in self.nat(s, r):
+            for alpha in all_natural_transformations(s, r):
                 c = alpha.components
                 img = tuple(mc.compose(x, c[a]) for x, a in eps_at)
                 hits[img] = hits.get(img, 0) + 1
@@ -211,15 +191,15 @@ class RanProblem:
 
 def _checked(cand):
     """The problem of a candidate from outside, after validating the
-    candidate against the problem's unit."""
-    problem = RanProblem(cand.j, cand.d)
-    problems = cand.validate(problem.um)
+    candidate."""
+    problems = cand.validate()
     if problems:
         raise ValueError(f"{cand.eps.name} is not a candidate cell J -> 1_M "
                          f"over (r, d): {problems[0]}")
-    return problem
+    return RanProblem(cand.j, cand.d)
 
 
+@decision
 def is_ran(cand):
     """Exact decision of the right-extension property: every cell
     J -> 1_M over (s, d) must factor through eps by exactly one natural
@@ -232,7 +212,7 @@ def _pointwise_by_hom_bijection(problem, r, eps):
     to natural families J(a, b) -> M(m, d b)."""
     j, mc = problem.j, problem.mc
     bobjs = j.target.objects
-    rh, _ = problem.rhom
+    rh, _ = rhom(conjoint(problem.d), j)     # d^* <| J : M -/-> A
 
     def family(a, p):
         return family_id(bobjs, {b: {x: mc.compose(eps.comp[(a, b, x)], p)
@@ -268,6 +248,7 @@ def _pointwise_by_limits(problem, r, eps):
     return True
 
 
+@decision
 def is_pointwise_ran(cand):
     """Pointwise right-extension property, decided by two independent
     procedures which must agree.  Raises ValueError on a malformed
@@ -362,6 +343,7 @@ def comma_square_cell(f, k):
     return Cell(f"comma_{f.name}_{k.name}", top, bot, f, q, comp), comma
 
 
+@decision
 def is_right_exact(cell, mode="pointwise", probe_cats=None):
     """Decide right exactness of a square cell phi : J -> K over (f, g)
     over a probe set of target categories: whenever eps exhibits a
@@ -374,10 +356,8 @@ def is_right_exact(cell, mode="pointwise", probe_cats=None):
     category, the walking arrow, the discrete category on two objects and
     the parallel pair.  Candidates come in the order probe, d, r, eps of
     all_functors and cells_between, and the first failure is the returned
-    witness.  Within the call, the RanProblem of each (K, d) and (J, d . g)
-    is built once and shared by every candidate; equal problems are one,
-    each ``all_functors`` search runs once per distinct pair of categories
-    and each probe category's unit profunctor is built once.
+    witness.  A decision: the RanProblem of each (K, d) and (J, d . g) is
+    built once and shared by every candidate.
     """
     if mode not in ("pointwise", "ordinary"):
         raise ValueError(f"unknown mode {mode!r}: expected 'pointwise' or "
@@ -386,9 +366,6 @@ def is_right_exact(cell, mode="pointwise", probe_cats=None):
         probe_cats = zoo.probe_categories()
     f, g = cell.vsrc, cell.vtgt
     j, k = cell.hsrc, cell.htgt
-    problems = {}      # (profunctor, d) -> RanProblem, for this call only
-    search = remembering(all_functors)     # shared by those problems
-    units = remembering(unit_prof)         # likewise
 
     def check(prob, r, eps):
         if mode == "pointwise":
@@ -396,13 +373,19 @@ def is_right_exact(cell, mode="pointwise", probe_cats=None):
         return prob.is_ran(r, eps)
 
     for mc in probe_cats:
-        for d in search(g.target, mc):
-            top = problems.setdefault((k, d), RanProblem(k, d, search, units))
+        ds, rs = all_functors(g.target, mc), all_functors(k.source, mc)
+        # d . g and r . f are replaced by the equal functor listed here, if
+        # any, as the memo tells functors apart by name: equal problems and
+        # searches are then built once
+        same = {h: h for h in (*ds, *rs)}
+        for d in ds:
+            top = RanProblem(k, d)
             dg = compose_functors(d, g)
-            sub = problems.setdefault((j, dg), RanProblem(j, dg, search, units))
-            for r in top.functors:
+            sub = RanProblem(j, same.get(dg, dg))
+            for r in rs:
                 rf = compose_functors(r, f)
-                for eps in top.competitors(r):
+                rf = same.get(rf, rf)
+                for eps in cells_between(k, top.um, r, d):
                     if check(top, r, eps) and \
                             not check(sub, rf, vcompose(eps, cell)):
                         return False, {"target": mc.name, "d": d.name,

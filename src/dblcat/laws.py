@@ -2,38 +2,33 @@
 and associator coherence, and the companion/conjoint bending identities.
 
 Configurations are drawn deterministically from the stock corpus, so a
-run with the same caps always checks the same cases.  Each suite makes
-one ``memo_compose()`` and builds every cell through it: it composes each
-distinct pair once, and both sides of a law share their composites.  Each
-suite also makes one ``remembering(unit_prof)``, so it builds the unit
-profunctor of each category once and its memo hits match by identity.
-Each functor list, companion and conjoint is built once per suite too,
-through ``remembering_by_name`` or read off a bending cell.
-The interchange suite goes further: for each triple of categories it
-searches the transformations between each pair of functors once, keyed by
-the pair, and it evaluates each distinct vertical or horizontal composite
-of cells once, keyed by the cells.
-No memo outlives the suite call that made it.
+run with the same caps always checks the same cases.  Each suite is a
+decision (``fincat.decision``): it builds each unit profunctor, composite,
+companion, conjoint and functor list once, so both sides of a law share
+their composites.  The interchange suite also builds the cells of the
+transformations between each pair of functors once
+(``transformation_cells``, a construction), and it evaluates each
+distinct vertical or horizontal composite of cells once, keyed by the
+cells.  Nothing outlives the suite call.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .fincat import (all_functors, all_natural_transformations,
-                     identity_functor, remembering, remembering_by_name)
-from .prof import (companion, companion_cells, conjoint, conjoint_cells,
-                   associator, hcompose, identity_cell, left_unitor,
-                   right_unitor, invert_horizontal_cell, memo_compose,
-                   nat_transf_as_cell, unit_cell, unit_prof, vcompose,
-                   componentwise_bijective)
+from .fincat import (all_functors, all_natural_transformations, construction,
+                     decision, identity_functor, remembering)
+from .prof import (associator, companion, companion_cells,
+                   componentwise_bijective, compose_prof, conjoint,
+                   conjoint_cells, hcompose, identity_cell,
+                   invert_horizontal_cell, left_unitor, nat_transf_as_cell,
+                   right_unitor, unit_cell, unit_prof, vcompose)
 from . import zoo
 
 
-def interchange_configs(units, functors):
+def interchange_configs():
     """Square grids of four stacked cells built from natural
-    transformations between corpus functors; ``units(C)`` gives 1_C and
-    ``functors(A, C)`` the functors A -> C."""
+    transformations between corpus functors."""
     triples = [
         (zoo.walking_arrow(), zoo.composable_pair(), zoo.walking_arrow()),
         (zoo.parallel_pair(), zoo.walking_arrow(), zoo.composable_pair()),
@@ -41,39 +36,36 @@ def interchange_configs(units, functors):
         (zoo.composable_pair(), zoo.walking_arrow(), zoo.parallel_pair()),
     ]
     for a_cat, c_cat, e_cat in triples:
-        ua, uc, ue = units(a_cat), units(c_cat), units(e_cat)
-        fs, gs = functors(a_cat, c_cat), functors(c_cat, e_cat)
-        top = transformation_cells(ua, uc)
-        bottom = transformation_cells(uc, ue)
+        fs, gs = all_functors(a_cat, c_cat), all_functors(c_cat, e_cat)
         for f, f1, f2 in itertools.product(fs, repeat=3):
-            alphas, betas = top(f, f1), top(f1, f2)
+            alphas = transformation_cells(f, f1)
+            betas = transformation_cells(f1, f2)
             if not alphas or not betas:
                 continue
             for g, g1, g2 in itertools.product(gs, repeat=3):
-                yield from itertools.product(alphas, betas, bottom(g, g1),
-                                             bottom(g1, g2))
+                yield from itertools.product(
+                    alphas, betas, transformation_cells(g, g1),
+                    transformation_cells(g1, g2))
 
 
-def transformation_cells(ua, ub):
+@construction
+def transformation_cells(s, r):
     """For functors s, r : A -> B, the cells of the first two
-    transformations s => r; ``ua`` and ``ub`` are 1_A and 1_B.  Each pair
-    is searched, and its cells built, on first use only."""
-    return remembering(lambda s, r: [
-        nat_transf_as_cell(alpha, ua, ub)
-        for alpha in all_natural_transformations(s, r)[:2]])
+    transformations s => r."""
+    return [nat_transf_as_cell(alpha)
+            for alpha in all_natural_transformations(s, r)[:2]]
 
 
+@decision
 def check_interchange(max_configs=120):
     """Interchange: composing a grid of four cells vertically first or
     horizontally first gives the same cell.  Each distinct pair of cells
     is composed once, through memos made here; they call ``vcompose`` and
     ``hcompose`` by name, so a test can replace either."""
-    compose = memo_compose()
     vert = remembering(lambda bot, top: vcompose(bot, top))
-    horiz = remembering(lambda left, right: hcompose(left, right, compose))
+    horiz = remembering(lambda left, right: hcompose(left, right))
     count = 0
-    for phi, chi, psi, xi in interchange_configs(
-            remembering(unit_prof), remembering_by_name(all_functors)):
+    for phi, chi, psi, xi in interchange_configs():
         lhs = horiz(vert(psi, phi), vert(xi, chi))
         rhs = vert(horiz(psi, xi), horiz(phi, chi))
         if lhs != rhs:
@@ -84,25 +76,21 @@ def check_interchange(max_configs=120):
     return True, count
 
 
+@decision
 def check_unitors_and_triangle(max_configs=40):
     """Unitors are invertible and satisfy the triangle coherence."""
-    compose = memo_compose()
-    units = remembering(unit_prof)
-    functors = remembering_by_name(all_functors)
-    companions = remembering_by_name(companion)
-    conjoints = remembering_by_name(conjoint)
     one = zoo.terminal_category()
     two = zoo.walking_arrow()
     three = zoo.composable_pair()
     pp = zoo.parallel_pair()
-    profs = [units(two), units(pp)]
-    profs += [companions(f) for f in functors(two, three)[:4]]
-    profs += [conjoints(f) for f in functors(one, three)]
-    profs += [companions(f) for f in functors(pp, two)[:4]]
+    profs = [unit_prof(two), unit_prof(pp)]
+    profs += [companion(f) for f in all_functors(two, three)[:4]]
+    profs += [conjoint(f) for f in all_functors(one, three)]
+    profs += [companion(f) for f in all_functors(pp, two)[:4]]
     count = 0
     for p in profs:
-        lu = left_unitor(p, units(p.source), compose)
-        ru = right_unitor(p, units(p.target), compose)
+        lu = left_unitor(p)
+        ru = right_unitor(p)
         if not componentwise_bijective(lu) or not componentwise_bijective(ru):
             return False, count
         invert_horizontal_cell(lu)
@@ -111,19 +99,17 @@ def check_unitors_and_triangle(max_configs=40):
     # triangle: for composable pairs (J, H), the two ways of cancelling the
     # middle unit agree
     pairs = []
-    for f in functors(two, three)[:4]:
-        for g in functors(one, three):
-            pairs.append((companions(f), conjoints(g)))
-    for f in functors(pp, two)[:3]:
-        for g in functors(two, three)[:3]:
-            pairs.append((companions(f), companions(g)))
+    for f in all_functors(two, three)[:4]:
+        for g in all_functors(one, three):
+            pairs.append((companion(f), conjoint(g)))
+    for f in all_functors(pp, two)[:3]:
+        for g in all_functors(two, three)[:3]:
+            pairs.append((companion(f), companion(g)))
     for j, h in pairs:
-        mid = j.target
-        lhs = vcompose(hcompose(identity_cell(j),
-                                left_unitor(h, units(mid), compose), compose),
-                       associator(j, units(mid), h, compose))
-        rhs = hcompose(right_unitor(j, units(mid), compose), identity_cell(h),
-                       compose)
+        mid = unit_prof(j.target)
+        lhs = vcompose(hcompose(identity_cell(j), left_unitor(h)),
+                       associator(j, mid, h))
+        rhs = hcompose(right_unitor(j), identity_cell(h))
         if lhs != rhs:
             return False, count
         count += 1
@@ -132,34 +118,28 @@ def check_unitors_and_triangle(max_configs=40):
     return True, count
 
 
+@decision
 def check_pentagon(max_configs=8):
-    compose = memo_compose()
-    units = remembering(unit_prof)
-    functors = remembering_by_name(all_functors)
-    companions = remembering_by_name(companion)
-    conjoints = remembering_by_name(conjoint)
     one = zoo.terminal_category()
     two = zoo.walking_arrow()
     three = zoo.composable_pair()
     pp = zoo.parallel_pair()
     chains = []
-    for f in functors(two, three)[:2]:
-        for g in functors(one, three)[:2]:
-            for h in functors(one, pp)[:2]:
-                chains.append((units(two), companions(f),
-                               conjoints(g), companions(h)))
+    for f in all_functors(two, three)[:2]:
+        for g in all_functors(one, three)[:2]:
+            for h in all_functors(one, pp)[:2]:
+                chains.append((unit_prof(two), companion(f), conjoint(g),
+                               companion(h)))
     count = 0
     for j, h, k, l in chains:
-        kl, _ = compose(k, l)
-        jh, _ = compose(j, h)
-        hk, _ = compose(h, k)
-        lhs = vcompose(associator(j, h, kl, compose),
-                       associator(jh, k, l, compose))
-        rhs = vcompose(hcompose(identity_cell(j), associator(h, k, l, compose),
-                                compose),
-                       vcompose(associator(j, hk, l, compose),
-                                hcompose(associator(j, h, k, compose),
-                                         identity_cell(l), compose)))
+        kl, _ = compose_prof(k, l)
+        jh, _ = compose_prof(j, h)
+        hk, _ = compose_prof(h, k)
+        lhs = vcompose(associator(j, h, kl), associator(jh, k, l))
+        rhs = vcompose(hcompose(identity_cell(j), associator(h, k, l)),
+                       vcompose(associator(j, hk, l),
+                                hcompose(associator(j, h, k),
+                                         identity_cell(l))))
         if lhs != rhs:
             return False, count
         count += 1
@@ -168,9 +148,8 @@ def check_pentagon(max_configs=8):
     return True, count
 
 
+@decision
 def check_companion_identities(max_configs=30):
-    compose = memo_compose()
-    units = remembering(unit_prof)
     one = zoo.terminal_category()
     two = zoo.walking_arrow()
     three = zoo.composable_pair()
@@ -179,20 +158,17 @@ def check_companion_identities(max_configs=30):
                 all_functors(pp, two)[:5] + [identity_functor(three)])
     count = 0
     for f in functors:
-        ua, uc = units(f.source), units(f.target)
-        eps, eta = companion_cells(f, ua, uc)
-        if vcompose(eps, eta) != unit_cell(f, ua, uc):
+        eps, eta = companion_cells(f)
+        if vcompose(eps, eta) != unit_cell(f):
             return False, count
         fs = eps.hsrc       # the companion f_*
-        if vcompose(right_unitor(fs, uc, compose), hcompose(eta, eps, compose)) \
-                != left_unitor(fs, ua, compose):
+        if vcompose(right_unitor(fs), hcompose(eta, eps)) != left_unitor(fs):
             return False, count
-        ceps, ceta = conjoint_cells(f, ua, uc)
-        if vcompose(ceps, ceta) != unit_cell(f, ua, uc):
+        ceps, ceta = conjoint_cells(f)
+        if vcompose(ceps, ceta) != unit_cell(f):
             return False, count
         cs = ceps.hsrc      # the conjoint f^*
-        if vcompose(left_unitor(cs, uc, compose), hcompose(ceps, ceta, compose)) \
-                != right_unitor(cs, ua, compose):
+        if vcompose(left_unitor(cs), hcompose(ceps, ceta)) != right_unitor(cs):
             return False, count
         count += 1
         if count >= max_configs:

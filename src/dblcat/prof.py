@@ -17,19 +17,20 @@ under sliding non-identity middle morphisms across the pair (an identity
 slide joins a pair with itself).  Pairs are enumerated in
 naming order (middle object, left fiber position, right fiber position) and
 each class is named after its least member in that order, so recomputing a
-composite always yields the same tables.  ``hcompose``, the unitors and
-``associator`` take a ``compose=`` argument; passing them one
-``memo_compose()`` lets a computation compose each distinct pair once.
+composite always yields the same tables.
 
 Cells (``cells_between``) and right-hom families (``rhom``) come from
 ``fincat.backtrack``, the one search behind every enumerator; the loops
 it replaced are ``cells_between_oracle`` and ``rhom_families_oracle`` in
 ``tests/helpers.py``.
 
-Cells that live between unit profunctors (``unit_cell``,
-``nat_transf_as_cell``, the unitors and the bending cells) take those units
-as arguments, so that a computation builds each ``unit_prof`` once, for
-instance through one ``fincat.remembering(unit_prof)``.
+``unit_prof``, ``companion``, ``conjoint``, ``compose_prof``,
+``naturality_plan``, ``cells_between`` and ``rhom`` are constructions
+(``fincat.construction``): one decision builds each once per distinct
+arguments.  So the cells that live between unit profunctors or composites
+(``unit_cell``, ``nat_transf_as_cell``, ``hcompose``, the unitors,
+``associator`` and the bending cells) build those from their arguments,
+and within a decision they share them.
 
 A profunctor hashes its boundary and ``elements()``, and a cell its
 ``key``: its components listed along ``hsrc.elements()``, kept once built.
@@ -41,7 +42,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .fincat import (FinCategory, Functor, backtrack, compose_functors,
-                     identity_functor, remembering_by_name)
+                     construction, functor_inverse, identity_functor)
 
 
 @dataclass(frozen=True, eq=True)
@@ -63,10 +64,12 @@ class Profunctor:
 
     def __hash__(self):
         # computed once, kept in the instance __dict__ rather than a field
-        if "_hash" not in self.__dict__:
+        try:
+            return self._hash
+        except AttributeError:
             object.__setattr__(self, "_hash", hash(
                 (self.source, self.target, self.elements())))
-        return self.__dict__["_hash"]
+            return self._hash
 
     def fiber(self, a, b):
         return self.fibers.get((a, b), ())
@@ -142,6 +145,7 @@ def validate_profunctor(p):
     return problems
 
 
+@construction
 def unit_prof(cat):
     """The unit (hom) profunctor of a category."""
     fibers = {(a, b): hom for a in cat.objects for b in cat.objects
@@ -163,6 +167,7 @@ def empty_prof(source, target):
                       {}, {}, {})
 
 
+@construction
 def companion(f):
     """f_* : A -/-> C for f : A -> C, with f_*(a, c) = C(f a, c)."""
     ac, cc = f.source, f.target
@@ -178,6 +183,7 @@ def companion(f):
     return Profunctor(f"{f.name}_*", ac, cc, fibers, left, right)
 
 
+@construction
 def conjoint(f):
     """f^* : C -/-> A for f : A -> C, with f^*(c, a) = C(c, f a)."""
     ac, cc = f.source, f.target
@@ -274,10 +280,10 @@ def identity_cell(p):
                 {(a, b, j): j for a, b, j in p.elements()})
 
 
-def unit_cell(f, ua, uc):
-    """The vertical cell 1_A -> 1_C over a functor f : A -> C; ``ua`` and
-    ``uc`` are ``unit_prof(A)`` and ``unit_prof(C)``."""
-    return Cell(f"1_{f.name}", ua, uc, f, f,
+def unit_cell(f):
+    """The vertical cell 1_A -> 1_C over a functor f : A -> C."""
+    ua = unit_prof(f.source)
+    return Cell(f"1_{f.name}", ua, unit_prof(f.target), f, f,
                 {(a, b, m): f.mor[m] for a, b, m in ua.elements()})
 
 
@@ -294,16 +300,16 @@ def vcompose(bot, top):
     return Cell(f"({bot.name}.{top.name})", top.hsrc, bot.htgt, f, g, comp)
 
 
-def nat_transf_as_cell(alpha, ua, um):
-    """A natural transformation s => r as a vertical cell 1_A -> 1_M;
-    ``ua`` and ``um`` are ``unit_prof(A)`` and ``unit_prof(M)``."""
+def nat_transf_as_cell(alpha):
+    """A natural transformation s => r as a vertical cell 1_A -> 1_M."""
     s, r = alpha.source, alpha.target
     m = s.target
+    ua = unit_prof(s.source)
     comp = {}
     for a, b, x in ua.elements():
         # the square of alpha on x : a -> b, read as s a -> r b
         comp[(a, b, x)] = m.compose(r.mor[x], alpha.components[a])
-    return Cell("nt", ua, um, s, r, comp)
+    return Cell("nt", ua, unit_prof(m), s, r, comp)
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +362,7 @@ class CoendWitness:
         return pair_id(*self.rep(a, e, b, j, h))
 
 
+@construction
 def compose_prof(j, h):
     """The composite J * H with its coend witness.
 
@@ -366,8 +373,7 @@ def compose_prof(j, h):
     left fiber position, right fiber position).  A union-find over
     positions keeps the smaller root, so each root is the least member of
     its class; classes are named after it, once per root, and listed in
-    that order.  ``memo_compose()`` gives a version that composes each
-    distinct pair once.
+    that order.
     """
     if j.target != h.source:
         raise ValueError("profunctors not composable")
@@ -434,25 +440,13 @@ def compose_prof(j, h):
     return composite, CoendWitness(j, h, composite, classes, named)
 
 
-def memo_compose():
-    """A ``compose_prof`` that remembers its results while it is alive.
-
-    A ``fincat.remembering_by_name``: equal profunctors built separately
-    share one composite, and the composite's name stays exact.  Every hit
-    returns the same objects, which callers must not mutate.  Make one per
-    computation and pass it as ``compose=``; nothing outlives it.
-    """
-    return remembering_by_name(compose_prof)
-
-
-def hcompose(left, right, compose=compose_prof):
+def hcompose(left, right):
     """Horizontal composite of cells: left : J -> K over (f, g) beside
-    right : H -> L over (g, h) gives J*H -> K*L over (f, h).  ``compose``
-    builds J*H and K*L; pass a ``memo_compose()`` to share them."""
+    right : H -> L over (g, h) gives J*H -> K*L over (f, h)."""
     if left.vtgt != right.vsrc:
         raise ValueError("cells do not share their middle boundary")
-    _, src_witness = compose(left.hsrc, right.hsrc)
-    _, tgt_witness = compose(left.htgt, right.htgt)
+    _, src_witness = compose_prof(left.hsrc, right.hsrc)
+    _, tgt_witness = compose_prof(left.htgt, right.htgt)
     f, g, h = left.vsrc, left.vtgt, right.vtgt
     jh, kl = src_witness.composite, tgt_witness.composite
     comp = {}
@@ -476,16 +470,16 @@ class NaturalityPlan:
     of v . elems[i] and g(v) . c.  Squares of identities hold for every
     choice, as identities act trivially, and are left out; the two-sided
     squares follow from the rest, as both actions commute.  A plan depends
-    on J alone, so a caller that searches several boundaries out of one J
-    builds it once.
+    on J alone, so a decision that searches several boundaries out of one
+    J builds it once.
     """
 
-    j: Profunctor
     elems: tuple
     left: tuple
     right: tuple
 
 
+@construction
 def naturality_plan(j):
     """The NaturalityPlan of cells out of J."""
     elems = j.elements()
@@ -497,29 +491,28 @@ def naturality_plan(j):
     right = tuple((i, v, a, b, pos[(a, bc.tgt[v], j.right[(a, b, x, v)])])
                   for i, (a, b, x) in enumerate(elems)
                   for v in bc.out_of(b) if not bc.is_identity(v))
-    return NaturalityPlan(j, elems, left, right)
+    return NaturalityPlan(elems, left, right)
 
 
-def cells_between(j, k, f, g, plan=None):
+@construction
+def cells_between(j, k, f, g):
     """Every cell J -> K with vertical boundary (f, g), named c0, c1, ...
 
     The order is lexicographic in the components listed along
     ``j.elements()``, each ranging over its fiber of K in fiber order;
     witness names such as ``c2`` depend on it, and ``comp`` is keyed in
     that listing order.  A ``fincat.backtrack`` search in which each
-    square of ``plan``, ``naturality_plan(j)`` unless given, says that
-    the component at i2 is the one at i moved by f(u) or g(v).
+    square of ``naturality_plan(j)`` says that the component at i2 is the
+    one at i moved by f(u) or g(v).
     """
-    if plan is None:
-        plan = naturality_plan(j)
-    elif plan.j is not j and plan.j != j:
-        raise ValueError("naturality plan was built for another profunctor")
+    plan = naturality_plan(j)
     # a tuple compares its items by identity first, then by equality
     if (f.source, g.source, f.target, g.target) != \
             (j.source, j.target, k.source, k.target):
         return []
     fo, go, fm, gm = f.obj, g.obj, f.mor, g.mor
-    fibers = [k.fiber(fo[a], go[b]) for a, b, _ in plan.elems]
+    fiber = k.fibers.get
+    fibers = [fiber((fo[a], go[b]), ()) for a, b, _ in plan.elems]
     if not all(fibers):
         return []
     kl, kr = k.left, k.right
@@ -562,19 +555,6 @@ def invert_horizontal_cell(c):
                 comp)
 
 
-def functor_inverse(f):
-    """Inverse functor if f is an isomorphism of categories, else None."""
-    if len(set(f.obj.values())) != len(f.target.objects) or \
-            len(set(f.mor.values())) != len(f.target.morphisms) or \
-            len(f.source.objects) != len(f.target.objects) or \
-            len(f.source.morphisms) != len(f.target.morphisms):
-        return None
-    inv = Functor(f"{f.name}~", f.target, f.source,
-                  {v: k for k, v in f.obj.items()},
-                  {v: k for k, v in f.mor.items()})
-    return inv if not inv.validate() else None
-
-
 def is_invertible_cell(c):
     """Invertible for vertical composition: both vertical boundaries are
     category isomorphisms and the components biject."""
@@ -582,9 +562,9 @@ def is_invertible_cell(c):
         functor_inverse(c.vtgt) is not None and componentwise_bijective(c)
 
 
-def left_unitor(p, unit, compose=compose_prof):
-    """The invertible horizontal cell 1_A * P -> P; ``unit`` is 1_A."""
-    _, witness = compose(unit, p)
+def left_unitor(p):
+    """The invertible horizontal cell 1_A * P -> P."""
+    _, witness = compose_prof(unit_prof(p.source), p)
     up = witness.composite
     comp = {}
     for a, b, cid in up.elements():
@@ -594,9 +574,9 @@ def left_unitor(p, unit, compose=compose_prof):
                 identity_functor(p.source), identity_functor(p.target), comp)
 
 
-def right_unitor(p, unit, compose=compose_prof):
-    """The invertible horizontal cell P * 1_B -> P; ``unit`` is 1_B."""
-    _, witness = compose(p, unit)
+def right_unitor(p):
+    """The invertible horizontal cell P * 1_B -> P."""
+    _, witness = compose_prof(p, unit_prof(p.target))
     pu = witness.composite
     comp = {}
     for a, b, cid in pu.elements():
@@ -606,12 +586,12 @@ def right_unitor(p, unit, compose=compose_prof):
                 identity_functor(p.source), identity_functor(p.target), comp)
 
 
-def associator(j, h, k, compose=compose_prof):
+def associator(j, h, k):
     """The invertible horizontal cell (J*H)*K -> J*(H*K)."""
-    jh, wjh = compose(j, h)
-    jh_k, w_left = compose(jh, k)
-    hk, whk = compose(h, k)
-    j_hk, w_right = compose(j, hk)
+    jh, wjh = compose_prof(j, h)
+    jh_k, w_left = compose_prof(jh, k)
+    hk, whk = compose_prof(h, k)
+    j_hk, w_right = compose_prof(j, hk)
     comp = {}
     for a, z, cid in jh_k.elements():
         e, xy, y2 = w_left.least(a, z, cid)        # xy in (J*H)(a, e), y2 in K(e, z)
@@ -700,11 +680,10 @@ def is_opcartesian(c):
 # companion/conjoint bending cells and star factorizations
 
 
-def companion_cells(f, ua, uc):
+def companion_cells(f):
     """The pair (eps, eta) bending the companion: eps : f_* -> 1_C over
-    (f, id) and eta : 1_A -> f_* over (id, f); ``ua`` and ``uc`` are
-    1_A and 1_C."""
-    fs = companion(f)
+    (f, id) and eta : 1_A -> f_* over (id, f)."""
+    fs, ua, uc = companion(f), unit_prof(f.source), unit_prof(f.target)
     eps = Cell(f"eps_{f.name}*", fs, uc, f, identity_functor(f.target),
                {(a, c, x): x for a, c, x in fs.elements()})
     eta = Cell(f"eta_{f.name}*", ua, fs, identity_functor(f.source), f,
@@ -712,11 +691,10 @@ def companion_cells(f, ua, uc):
     return eps, eta
 
 
-def conjoint_cells(f, ua, uc):
+def conjoint_cells(f):
     """The pair (eps, eta) bending the conjoint: eps : f^* -> 1_C over
-    (id, f) and eta : 1_A -> f^* over (f, id); ``ua`` and ``uc`` are
-    1_A and 1_C."""
-    fs = conjoint(f)
+    (id, f) and eta : 1_A -> f^* over (f, id)."""
+    fs, ua, uc = conjoint(f), unit_prof(f.source), unit_prof(f.target)
     eps = Cell(f"eps_{f.name}^", fs, uc, identity_functor(f.target), f,
                {(c, a, x): x for c, a, x in fs.elements()})
     eta = Cell(f"eta_{f.name}^", ua, fs, f, identity_functor(f.source),
@@ -786,6 +764,7 @@ class RhomWitness:
         return self.families[(a, b)][elem]
 
 
+@construction
 def rhom(k, h):
     """The right hom K <| H : A -/-> B of K : A -/-> E and H : B -/-> E.
 

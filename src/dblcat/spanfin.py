@@ -382,8 +382,9 @@ def verify_internal_tabulation(t, probes=None):
         into_t = filed(all_internal_functors(x, t.category), lambda f: (
             compose_functors(t.proj_left, f), compose_functors(t.proj_right, f),
             frozenset((h, t.cell.map[w]) for h, w in f.mor.items())))
+        into_b = all_internal_functors(x, b)
         for phi_a in all_internal_functors(x, a):
-            for phi_b in all_internal_functors(x, b):
+            for phi_b in into_b:
                 for phi in all_internal_transformations(ux, j, phi_a, phi_b):
                     hits = into_t.get(
                         (phi_a, phi_b, frozenset(phi.map.items())), [])
@@ -396,15 +397,14 @@ def verify_internal_tabulation(t, probes=None):
                         return False, {"stage": "one-dimensional",
                                        "probe": x.name,
                                        "reason": "explicit section differs"}
-                    factored[-1].append((phi_a, phi_b, phi, hits[0]))
+                    factored[-1].append((phi_a, phi_b, phi, hits[0],
+                                         transf_object_part(phi)))
                     checked["one_dimensional"] += 1
 
     for x, configs in zip(probes, factored):
         ux = unit_internal_prof(x)
-        for (phi_a, phi_b, phi, fac1) in configs:
-            phi0 = transf_object_part(phi)
-            for (psi_a, psi_b, psi, fac2) in configs:
-                psi0 = transf_object_part(psi)
+        for (phi_a, phi_b, phi, fac1, phi0) in configs:
+            for (psi_a, psi_b, psi, fac2, psi0) in configs:
                 squares = [
                     (xi_a, xi_b)
                     for xi_a in all_internal_transformations(ux, ua, phi_a, psi_a)
@@ -431,8 +431,9 @@ def verify_internal_tabulation(t, probes=None):
     # filed under the map it induces out of unit(T)
     for c in probes:
         k = unit_internal_prof(c)
+        from_b = all_internal_functors(b, c)
         for f in all_internal_functors(a, c):
-            for g in all_internal_functors(b, c):
+            for g in from_b:
                 fa = compose_functors(f, t.proj_left)
                 gb = compose_functors(g, t.proj_right)
                 chis = all_internal_transformations(ut, k, fa, gb)

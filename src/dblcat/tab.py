@@ -6,9 +6,11 @@ x in J(a, b); a morphism (u, v) between triples is a pair of boundary
 morphisms whose two ways of moving the element across agree.  Its
 defining cell sends (u, v) to that common diagonal.
 
-``verify_tabulation`` files each functor X -> <J> and each lift once
-(``fincat.filed``), so that a configuration counts its factorizations with
-one lookup; ``verify_tabulation_oracle`` in ``tests/helpers.py`` scans.
+``verify_tabulation`` is a decision (``fincat.decision``), so it builds
+each unit profunctor and search once.  It files each functor X -> <J> and
+each lift once (``fincat.filed``), so that a configuration counts its
+factorizations with one lookup; ``verify_tabulation_oracle`` in
+``tests/helpers.py`` scans.
 """
 
 from __future__ import annotations
@@ -17,10 +19,9 @@ from dataclasses import dataclass
 
 from .fincat import (Cone, Functor, all_cones, all_functors,
                      category_of_elements, comma_category, compose_functors,
-                     filed, is_terminal, remembering)
+                     decision, filed, is_terminal)
 from .prof import (Cell, Profunctor, cartesian_cell, cells_between,
-                   is_opcartesian, naturality_plan, restrict, unit_cell,
-                   unit_prof, vcompose)
+                   is_opcartesian, restrict, unit_cell, unit_prof, vcompose)
 from . import zoo
 
 
@@ -53,34 +54,29 @@ def tabulate(j):
     return Tabulation(j, cat, proj_left, proj_right, cell)
 
 
+@decision
 def verify_tabulation(t, probes=None):
     """Check both universal properties over a probe set of small
     categories; returns (ok, report) where the report counts the checked
     configurations.  Each functor F : X -> <J> is filed once, under the
     defining cell whiskered by F, whose sides are F's two projections;
-    each lift 1_X -> 1_<J> once, under its whiskers by both projections.
-    Within one call each unit profunctor is built once, and each
-    ``all_functors`` and ``cells_between`` search runs once per distinct
-    tuple of arguments."""
+    each lift xi : 1_X -> 1_<J> once, under the images of its components
+    by both projections, as every lift over (F1, F2) has the same sides."""
     if probes is None:
         probes = zoo.tabulation_probes()
     j = t.j
     ac, bc = j.source, j.target
-    functors = remembering(all_functors)
-    cells = remembering(cells_between)
-    units = remembering(unit_prof)
-    plans = remembering(naturality_plan)
-    ut = units(t.category)
+    ut = unit_prof(t.category)
     checked_1d = 0
     factored = []       # per probe, its configurations and factorizations
     for x_cat in probes:
-        ux = units(x_cat)
-        into_t = filed(functors(x_cat, t.category),
-                       lambda f: vcompose(t.cell, unit_cell(f, ux, ut)))
+        ux = unit_prof(x_cat)
+        into_t = filed(all_functors(x_cat, t.category),
+                       lambda f: vcompose(t.cell, unit_cell(f)))
         factored.append([])
-        for phi_a in functors(x_cat, ac):
-            for phi_b in functors(x_cat, bc):
-                for phi in cells(ux, j, phi_a, phi_b, plans(ux)):
+        for phi_a in all_functors(x_cat, ac):
+            for phi_b in all_functors(x_cat, bc):
+                for phi in cells_between(ux, j, phi_a, phi_b):
                     found = into_t.get(phi, ())
                     if len(found) != 1:
                         return False, {"stage": "one-dimensional",
@@ -90,26 +86,24 @@ def verify_tabulation(t, probes=None):
                     checked_1d += 1
 
     checked_2d = 0
-    ua, ub = units(ac), units(bc)
-    whisker_left = unit_cell(t.proj_left, ut, ua)
-    whisker_right = unit_cell(t.proj_right, ut, ub)
+    ua, ub = unit_prof(ac), unit_prof(bc)
+    pl, pr = t.proj_left.mor.get, t.proj_right.mor.get
     for x_cat, configs in zip(probes, factored):
-        ux = units(x_cat)
-        plan = plans(ux)
+        ux = unit_prof(x_cat)
         for (phi_a, phi_b, phi, fac1) in configs:
             for (psi_a, psi_b, psi, fac2) in configs:
                 squares = [
                     (xi_a, xi_b)
-                    for xi_a in cells(ux, ua, phi_a, psi_a, plan)
-                    for xi_b in cells(ux, ub, phi_b, psi_b, plan)
+                    for xi_a in cells_between(ux, ua, phi_a, psi_a)
+                    for xi_b in cells_between(ux, ub, phi_b, psi_b)
                     if _two_dim_compatible(j, x_cat, phi_a, phi_b, phi,
                                            psi_a, psi_b, psi, xi_a, xi_b)]
-                lifts = filed(cells(ux, ut, fac1, fac2, plan)
+                lifts = filed(cells_between(ux, ut, fac1, fac2)
                               if squares else (),
-                              lambda xi: (vcompose(whisker_left, xi),
-                                          vcompose(whisker_right, xi)))
-                for square in squares:
-                    hits = len(lifts.get(square, ()))
+                              lambda xi: (tuple(map(pl, xi.key)),
+                                          tuple(map(pr, xi.key))))
+                for xi_a, xi_b in squares:
+                    hits = len(lifts.get((xi_a.key, xi_b.key), ()))
                     if hits != 1:
                         return False, {"stage": "two-dimensional",
                                        "probe": x_cat.name,

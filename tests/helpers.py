@@ -10,12 +10,25 @@ from dblcat.fincat import (CommaCategory, Cone, Functor, NatTransf, NoLimit,
                            make_category, remembering)
 from dblcat.prof import (Cell, CoendWitness, Profunctor, UnionFind,
                          cells_between, companion, compose_prof, conjoint,
-                         family_id, naturality_plan, pair_id, restrict, rhom,
+                         family_id, pair_id, restrict, rhom,
                          unit_cell, unit_prof, validate_cell, vcompose)
 from dblcat import dsl, kan, spanfin, tab, zoo
 from dblcat.tab import Tabulation
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "arrows.dcat")
+
+
+def count_builds(monkeypatch, construction):
+    """The argument tuples of every build of ``construction`` from now on,
+    in a list that grows as it builds: memo hits are not builds."""
+    built, build = [], construction.__wrapped__
+
+    def counted(*args):
+        built.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(construction, "__wrapped__", counted)
+    return built
 
 
 def profunctor_corpus(unit=unit_prof, comp=companion, conj=conjoint):
@@ -251,14 +264,13 @@ def verify_tabulation_oracle(t, probes):
     functors = remembering(lambda a, m: tab.all_functors(a, m))
     cells = remembering(lambda *args: tab.cells_between(*args))
     units = remembering(unit_prof)
-    plans = remembering(naturality_plan)
     ut = units(t.category)
 
     def factorizations(candidates, phi_a, phi_b, phi, ux):
         return [f for f in candidates
                 if compose_functors(t.proj_left, f) == phi_a
                 and compose_functors(t.proj_right, f) == phi_b
-                and vcompose(t.cell, unit_cell(f, ux, ut)) == phi]
+                and vcompose(t.cell, unit_cell(f)) == phi]
 
     checked_1d = 0
     factored = {}
@@ -266,7 +278,7 @@ def verify_tabulation_oracle(t, probes):
         ux = units(x_cat)
         for phi_a in functors(x_cat, ac):
             for phi_b in functors(x_cat, bc):
-                for phi in cells(ux, j, phi_a, phi_b, plans(ux)):
+                for phi in cells(ux, j, phi_a, phi_b):
                     found = factorizations(functors(x_cat, t.category),
                                            phi_a, phi_b, phi, ux)
                     if len(found) != 1:
@@ -278,23 +290,22 @@ def verify_tabulation_oracle(t, probes):
 
     checked_2d = 0
     ua, ub = units(ac), units(bc)
-    whisker_left = unit_cell(t.proj_left, ut, ua)
-    whisker_right = unit_cell(t.proj_right, ut, ub)
+    whisker_left = unit_cell(t.proj_left)
+    whisker_right = unit_cell(t.proj_right)
 
     @remembering
     def whiskered(ux, fac1, fac2):
         return [(vcompose(whisker_left, xi), vcompose(whisker_right, xi))
-                for xi in cells(ux, ut, fac1, fac2, plans(ux))]
+                for xi in cells(ux, ut, fac1, fac2)]
 
     for x_cat in probes:
         ux = units(x_cat)
-        plan = plans(ux)
         pairs = [(k[1], k[2], k[3], v) for k, v in factored.items()
                  if k[0] == id(x_cat)]
         for (phi_a, phi_b, phi, fac1) in pairs:
             for (psi_a, psi_b, psi, fac2) in pairs:
-                for xi_a in cells(ux, ua, phi_a, psi_a, plan):
-                    for xi_b in cells(ux, ub, phi_b, psi_b, plan):
+                for xi_a in cells(ux, ua, phi_a, psi_a):
+                    for xi_b in cells(ux, ub, phi_b, psi_b):
                         if not tab._two_dim_compatible(
                                 j, x_cat, phi_a, phi_b, phi, psi_a, psi_b,
                                 psi, xi_a, xi_b):
@@ -509,7 +520,7 @@ def find_isomorphism_oracle(a, b):
             fwd = Functor("iso", a, b, dict(obj_map), mor_map)
             if fwd.validate():
                 continue
-            bwd = Functor("iso_inv", b, a, {v: k for k, v in obj_map.items()},
+            bwd = Functor("iso~", b, a, {v: k for k, v in obj_map.items()},
                           {v: k for k, v in mor_map.items()})
             if not bwd.validate():
                 return fwd, bwd

@@ -225,3 +225,20 @@ def test_invariant_violation_exits_3(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert "limit universal property violated" in err
+
+
+@pytest.mark.parametrize("argv, verified_keys", [
+    (("ran", FIXTURE, "HomTwo", "Collapse"), {"is_extension", "is_pointwise"}),
+    (("tabulate", FIXTURE, "HomTwo"), {"verified", "report", "opcartesian"}),
+    (("internal-tabulate", FIXTURE, "HomTwo"), {"verified", "report"}),
+])
+def test_skip_verify_leaves_out_exactly_the_verification(capsys, argv,
+                                                         verified_keys):
+    code, skipped = run_json(capsys, *argv, "--skip-verify")
+    assert code == 0
+    code, full = run_json(capsys, *argv)
+    assert code == 0
+    assert set(full) == set(skipped) | verified_keys
+    assert not set(skipped) & verified_keys
+    assert {k: full[k] for k in skipped} == skipped
+    assert all(full[k] for k in verified_keys)

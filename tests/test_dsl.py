@@ -41,8 +41,7 @@ def test_programmatic_round_trip():
     ws.functors = {"F": f}
     ws.profunctors = {"HomTwo": unit_prof(two), "HomThree": unit_prof(three),
                       "Fstar": companion(f), "HomPair": unit_prof(zoo.parallel_pair())}
-    ws.cells = {"uf": unit_cell(f, ws.profunctors["HomTwo"],
-                                ws.profunctors["HomThree"])}
+    ws.cells = {"uf": unit_cell(f)}
     text = dsl.serialize(ws)
     again = dsl.parse(text)
     assert again == ws

@@ -173,14 +173,7 @@ def test_is_right_exact_matches_slow_twin():
 
 
 def test_right_exactness_runs_each_competitor_search_once(monkeypatch):
-    searches = []
-    real = kan.cells_between
-
-    def counted(j, k, f, g, plan=None):
-        searches.append((j, k, f, g))
-        return real(j, k, f, g, plan)
-
-    monkeypatch.setattr(kan, "cells_between", counted)
+    searches = helpers.count_builds(monkeypatch, cells_between)
     cell = identity_cell(unit_prof(helpers.chain(3)))
     for mode in ("ordinary", "pointwise"):
         counts = []
@@ -360,14 +353,7 @@ def test_elements_category_matches_old_builder_up_to_ids():
 
 
 def test_right_exactness_runs_each_functor_search_once(monkeypatch):
-    searches = []
-    real = kan.all_functors
-
-    def counted(a, m):
-        searches.append((a, m))
-        return real(a, m)
-
-    monkeypatch.setattr(kan, "all_functors", counted)
+    searches = helpers.count_builds(monkeypatch, all_functors)
     cell = identity_cell(unit_prof(helpers.chain(3)))
     for mode in ("ordinary", "pointwise"):
         counts = []
@@ -381,14 +367,7 @@ def test_right_exactness_runs_each_functor_search_once(monkeypatch):
 
 
 def test_deciders_build_each_unit_profunctor_once(monkeypatch):
-    units = []
-    real = kan.unit_prof
-
-    def counted(cat):
-        units.append(cat)
-        return real(cat)
-
-    monkeypatch.setattr(kan, "unit_prof", counted)
+    units = helpers.count_builds(monkeypatch, unit_prof)
     cell = identity_cell(unit_prof(helpers.chain(3)))
     probes = zoo.probe_categories()
     for mode in ("ordinary", "pointwise"):
@@ -402,7 +381,7 @@ def test_deciders_build_each_unit_profunctor_once(monkeypatch):
         units.clear()
         assert decide(cand)
         # one unit serves both the validation and the decision
-        assert units == [two]
+        assert units == [(two,)]
 
 
 def test_limits_over_elements_of_g_pq_match_slow_twin():

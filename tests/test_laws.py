@@ -2,6 +2,7 @@ import dataclasses
 
 import pytest
 
+import helpers
 from dblcat import laws, prof
 
 
@@ -34,19 +35,12 @@ def test_run_all_report_shape():
 
 
 def test_each_run_composes_afresh(monkeypatch):
-    calls = []
-    real = prof.compose_prof
-
-    def counting(j, h):
-        calls.append((j.name, h.name))
-        return real(j, h)
-
-    monkeypatch.setattr(prof, "compose_prof", counting)
+    built = helpers.count_builds(monkeypatch, prof.compose_prof)
     assert laws.run_all()[0]
-    first = len(calls)
+    first = len(built)
     assert laws.run_all()[0]
-    assert len(calls) - first == first
-    # one call per distinct pair and suite; 1,258 calls without the memo
+    assert len(built) - first == first
+    # one build per distinct pair and suite; 1,258 without the memo
     assert first == 205
 
 
@@ -95,14 +89,7 @@ def test_suites_fail_when_a_cell_is_broken(monkeypatch, name, check,
 
 
 def test_each_suite_builds_each_unit_once(monkeypatch):
-    built = []
-    real = laws.unit_prof
-
-    def counting(cat):
-        built.append(cat)
-        return real(cat)
-
-    monkeypatch.setattr(laws, "unit_prof", counting)
+    built = helpers.count_builds(monkeypatch, prof.unit_prof)
     counts = []
     for _ in range(2):
         built.clear()
@@ -115,9 +102,10 @@ def test_each_suite_builds_each_unit_once(monkeypatch):
 
 def test_interchange_searches_and_composes_each_distinct_pair_once(
         monkeypatch):
-    calls = {"all_natural_transformations": [], "vcompose": [],
-             "hcompose": []}
-    for name, seen in calls.items():
+    calls = {"all_natural_transformations": helpers.count_builds(
+        monkeypatch, laws.all_natural_transformations)}
+    for name, seen in (("vcompose", []), ("hcompose", [])):
+        calls[name] = seen
         real = getattr(laws, name)
 
         def counting(x, y, *rest, _real=real, _seen=seen):

@@ -5,16 +5,15 @@ import random
 import pytest
 
 import helpers
-from dblcat.fincat import (FinCategory, all_functors, identity_functor,
-                           make_category)
+from dblcat.fincat import (FinCategory, all_functors, decision,
+                           identity_functor, make_category)
 from dblcat.prof import (Cell, cells_between, companion,
                          companion_cells, compose_prof, conjoint,
                          conjoint_cells, componentwise_bijective, empty_prof,
                          hcompose, identity_cell, invert_horizontal_cell,
                          is_cartesian, is_invertible_cell, is_opcartesian,
-                         left_unitor, lower_star, memo_compose,
-                         naturality_plan,
-                         nat_transf_as_cell, Profunctor,
+                         left_unitor, lower_star, nat_transf_as_cell,
+                         Profunctor,
                          opcartesian_cell, cartesian_cell, restrict, rhom,
                          right_unitor, unit_cell, unit_prof, upper_star,
                          validate_cell, validate_profunctor, vcompose)
@@ -112,16 +111,15 @@ def test_composites_validate_and_match_oracle():
 
 def test_cell_search_matches_slow_twin():
     # every boundary between corpus profunctors and the units of the probe
-    # categories; one naturality plan per J, as callers share it
+    # categories
     corpus = helpers.profunctor_corpus()
     targets = corpus + [unit_prof(c) for c in zoo.probe_categories()]
     boundaries = cells = 0
     for j in corpus:
-        plan = naturality_plan(j)
         for k in targets:
             for f in all_functors(j.source, k.source):
                 for g in all_functors(j.target, k.target):
-                    got = helpers.cell_tables(cells_between(j, k, f, g, plan))
+                    got = helpers.cell_tables(cells_between(j, k, f, g))
                     assert got == helpers.cell_tables(
                         helpers.cells_between_oracle(j, k, f, g))
                     boundaries += 1
@@ -147,11 +145,10 @@ def test_cell_search_matches_slow_twin_on_reversed_listings():
                 profs += [companion(zoo.pick(c, o)), conjoint(zoo.pick(c, o))]
     boundaries = cells = 0
     for j in profs:
-        plan = naturality_plan(j)
         for k in profs:
             for f in all_functors(j.source, k.source):
                 for g in all_functors(j.target, k.target):
-                    got = helpers.cell_tables(cells_between(j, k, f, g, plan))
+                    got = helpers.cell_tables(cells_between(j, k, f, g))
                     assert got == helpers.cell_tables(
                         helpers.cells_between_oracle(j, k, f, g))
                     boundaries += 1
@@ -159,14 +156,10 @@ def test_cell_search_matches_slow_twin_on_reversed_listings():
     assert (boundaries, cells) == (7648, 5400)
 
 
-def test_cell_search_checks_its_plan_and_boundary():
+def test_cell_search_checks_its_boundary():
     two, three = zoo.walking_arrow(), zoo.composable_pair()
     j, k = unit_prof(two), unit_prof(three)
     f = all_functors(two, three)[1]      # 0 -> 0, 1 -> 1
-    assert cells_between(j, k, f, f, naturality_plan(unit_prof(two))) == \
-        cells_between(j, k, f, f)
-    with pytest.raises(ValueError, match="another profunctor"):
-        cells_between(j, k, f, f, naturality_plan(k))
     # a side that does not start at J's target admits no cell
     wrong = identity_functor(three)
     assert cells_between(j, k, f, wrong) == [] == \
@@ -283,18 +276,24 @@ def test_elements_match_the_old_generator_and_are_built_once():
     assert dataclasses.replace(p, fibers={}).elements() == ()
 
 
-def test_memo_compose_shares_equal_inputs_and_keeps_names():
+def test_constructions_share_equal_inputs_and_keep_names():
     two = zoo.walking_arrow()
-    compose = memo_compose()
-    first = compose(unit_prof(two), unit_prof(two))
-    assert compose(unit_prof(two), unit_prof(two)) is first
-    renamed = dataclasses.replace(unit_prof(two), name="Hom")
-    assert renamed == unit_prof(two)
-    other = compose(renamed, unit_prof(two))
+
+    @decision
+    def compose_twice():
+        first = compose_prof(unit_prof(two), unit_prof(two))
+        assert compose_prof(unit_prof(two), unit_prof(two)) is first
+        renamed = dataclasses.replace(unit_prof(two), name="Hom")
+        assert renamed == unit_prof(two)
+        return first, compose_prof(renamed, unit_prof(two))
+
+    first, other = compose_twice()
     assert other is not first
     assert (first[0].name, other[0].name) == ("(1_Two*1_Two)", "(Hom*1_Two)")
     assert other[0] == first[0]
-    assert memo_compose()(unit_prof(two), unit_prof(two)) is not first
+    # nothing outlives a decision, and outside one each call builds
+    assert compose_twice()[0] is not first
+    assert unit_prof(two) is not unit_prof(two)
 
 
 def test_profunctor_hash_is_computed_once_and_stays_out_of_the_fields():
@@ -322,8 +321,7 @@ def test_witness_class_lookup():
 
 def test_unitors_are_inverses():
     for p in helpers.profunctor_corpus():
-        for unitor in (left_unitor(p, unit_prof(p.source)),
-                       right_unitor(p, unit_prof(p.target))):
+        for unitor in (left_unitor(p), right_unitor(p)):
             assert validate_cell(unitor) == []
             inv = invert_horizontal_cell(unitor)
             assert vcompose(unitor, inv) == identity_cell(p)
@@ -332,9 +330,8 @@ def test_unitors_are_inverses():
 
 def test_cell_vertical_identity_laws():
     two, three = zoo.walking_arrow(), zoo.composable_pair()
-    ua, uc = unit_prof(two), unit_prof(three)
     for f in all_functors(two, three):
-        c = unit_cell(f, ua, uc)
+        c = unit_cell(f)
         assert vcompose(c, identity_cell(c.hsrc)) == c
         assert vcompose(identity_cell(c.htgt), c) == c
 
@@ -346,7 +343,7 @@ def test_nat_transf_cells_compose():
     for s in fs:
         for r in fs:
             for alpha in all_natural_transformations(s, r):
-                c = nat_transf_as_cell(alpha, unit_prof(two), unit_prof(two))
+                c = nat_transf_as_cell(alpha)
                 assert validate_cell(c) == []
 
 
@@ -359,13 +356,12 @@ def test_hcompose_of_identities_is_identity_up_to_unitor():
 
 def test_companion_conjoint_zigzags():
     two, three = zoo.walking_arrow(), zoo.composable_pair()
-    ua, uc = unit_prof(two), unit_prof(three)
     for f in all_functors(two, three):
-        eps, eta = companion_cells(f, ua, uc)
+        eps, eta = companion_cells(f)
         assert validate_cell(eps) == [] and validate_cell(eta) == []
-        assert vcompose(eps, eta) == unit_cell(f, ua, uc)
-        ceps, ceta = conjoint_cells(f, ua, uc)
-        assert vcompose(ceps, ceta) == unit_cell(f, ua, uc)
+        assert vcompose(eps, eta) == unit_cell(f)
+        ceps, ceta = conjoint_cells(f)
+        assert vcompose(ceps, ceta) == unit_cell(f)
 
 
 def test_restriction_is_triple_composite():
@@ -409,7 +405,7 @@ def test_companion_is_opcartesian_extension_of_unit():
     # bending the unit into the companion is the canonical opcartesian cell
     two, three = zoo.walking_arrow(), zoo.composable_pair()
     for f in all_functors(two, three):
-        _, eta = companion_cells(f, unit_prof(two), unit_prof(three))
+        _, eta = companion_cells(f)
         assert is_opcartesian(eta)
 
 
@@ -429,9 +425,9 @@ def test_invertible_cells():
     two = zoo.walking_arrow()
     p = unit_prof(two)
     assert is_invertible_cell(identity_cell(p))
-    assert is_invertible_cell(left_unitor(p, p))
+    assert is_invertible_cell(left_unitor(p))
     f = zoo.pick(two, "0")
-    eps, _ = companion_cells(f, unit_prof(f.source), p)
+    eps, _ = companion_cells(f)
     assert not is_invertible_cell(eps)
 
 

@@ -157,14 +157,7 @@ def test_tabulation_matches_old_builder():
 
 
 def test_verify_tabulation_runs_each_functor_search_once(monkeypatch):
-    searches = []
-    real = tab.all_functors
-
-    def counted(a, m):
-        searches.append((a, m))
-        return real(a, m)
-
-    monkeypatch.setattr(tab, "all_functors", counted)
+    searches = helpers.count_builds(monkeypatch, all_functors)
     t = tab.tabulate(unit_prof(helpers.chain(2)))
     counts = []
     for _ in range(2):
@@ -178,20 +171,9 @@ def test_verify_tabulation_runs_each_functor_search_once(monkeypatch):
 
 
 def test_verify_tabulation_runs_each_cell_search_once(monkeypatch):
-    searches, units = [], []
-    real_cells, real_unit = tab.cells_between, tab.unit_prof
-
-    def counted_cells(*args):
-        searches.append(args[:4])
-        return real_cells(*args)
-
-    def counted_unit(cat):
-        units.append(cat)
-        return real_unit(cat)
-
-    monkeypatch.setattr(tab, "cells_between", counted_cells)
-    monkeypatch.setattr(tab, "unit_prof", counted_unit)
     t = tab.tabulate(unit_prof(helpers.chain(2)))
+    searches = helpers.count_builds(monkeypatch, tab.cells_between)
+    units = helpers.count_builds(monkeypatch, unit_prof)
     counts = []
     for _ in range(2):
         searches.clear()
