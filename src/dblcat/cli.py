@@ -1,7 +1,9 @@
 """Command line interface.
 
-Exit codes: 0 on success, 1 when a requested property fails to hold,
-2 on usage or parse errors, 3 when an internal invariant is violated.
+Each command returns a payload whose ``ok`` is its verdict, and ``main``
+prints it and takes the exit code from it: 0 when ``ok`` holds, 1 when a
+requested property fails to hold.  2 is a usage or parse error and 3 a
+violated internal invariant.
 """
 
 from __future__ import annotations
@@ -12,17 +14,9 @@ import json
 import sys
 
 from . import dsl, kan, laws, spanfin, tab, zoo
-from .fincat import NoLimit, comma_category, find_isomorphism, validate_category
-from .prof import compose_prof, validate_cell, validate_profunctor
+from .fincat import NoLimit, comma_category, find_isomorphism
+from .prof import compose_prof
 from .kan import InvariantViolation
-
-
-class Verdict(Exception):
-    """A requested property does not hold; carries the report."""
-
-    def __init__(self, report):
-        super().__init__(str(report))
-        self.report = report
 
 
 def probe_bound(text):
@@ -147,29 +141,11 @@ def probe_set(cats, max_objects):
 
 
 def cmd_check(args):
+    # dsl.parse validates every block and rejects a workspace with an
+    # invalid one, so a workspace that loads is valid
     ws = load_workspace(args.file)
-    report = {"categories": {}, "functors": {}, "profunctors": {}, "cells": {}}
-    ok = True
-    for name, cat in ws.categories.items():
-        problems = validate_category(cat)
-        report["categories"][name] = problems
-        ok = ok and not problems
-    for name, fun in ws.functors.items():
-        problems = fun.validate()
-        report["functors"][name] = problems
-        ok = ok and not problems
-    for name, prof in ws.profunctors.items():
-        problems = validate_profunctor(prof)
-        report["profunctors"][name] = problems
-        ok = ok and not problems
-    for name, cell in ws.cells.items():
-        problems = validate_cell(cell)
-        report["cells"][name] = problems
-        ok = ok and not problems
-    if not ok:
-        raise Verdict(report)
-    counts = {k: len(v) for k, v in report.items()}
-    return {"ok": True, "checked": counts}
+    return {"ok": True,
+            "checked": {table: len(items) for table, items in vars(ws).items()}}
 
 
 def cmd_compose(args):
@@ -202,15 +178,14 @@ def cmd_ran(args):
     try:
         cand = kan.pointwise_ran(j, d)
     except NoLimit as exc:
-        raise Verdict({"ok": False, "reason": str(exc)})
+        return {"ok": False, "reason": str(exc)}
     out = {"ok": True,
            "on_objects": dict(cand.r.obj),
            "on_morphisms": dict(cand.r.mor)}
     if not args.skip_verify:
         out["is_extension"] = kan.is_ran(cand)
         out["is_pointwise"] = kan.is_pointwise_ran(cand)
-        if not (out["is_extension"] and out["is_pointwise"]):
-            raise Verdict(out)
+        out["ok"] = out["is_extension"] and out["is_pointwise"]
     return out
 
 
@@ -224,18 +199,13 @@ def cmd_exact(args):
     out = {"ok": verdict, "beck_chevalley": bc, "mode": args.mode}
     if counterexample:
         out["counterexample"] = counterexample
-    if not verdict:
-        raise Verdict(out)
     return out
 
 
 def cmd_initial(args):
     ws = load_workspace(args.file)
     fun = pick_item(ws, "functors", args.functor)
-    verdict = kan.is_initial_functor(fun)
-    if not verdict:
-        raise Verdict({"ok": False, "functor": args.functor})
-    return {"ok": True, "functor": args.functor}
+    return {"ok": kan.is_initial_functor(fun), "functor": args.functor}
 
 
 def cmd_tabulate(args):
@@ -251,9 +221,7 @@ def cmd_tabulate(args):
         out["verified"] = good
         out["report"] = report
         out["opcartesian"] = tab.is_opcartesian_tabulation(t)
-        if not (good and out["opcartesian"]):
-            out["ok"] = False
-            raise Verdict(out)
+        out["ok"] = good and out["opcartesian"]
     return out
 
 
@@ -267,13 +235,10 @@ def cmd_comma(args):
     co = tab.comma_object(f, g)
     cc = comma_category(f, g)
     iso = find_isomorphism(co.category, cc.category)
-    out = {"ok": iso is not None,
-           "objects": list(co.category.objects),
-           "morphism_count": len(co.category.morphisms),
-           "matches_comma_category": iso is not None}
-    if iso is None:
-        raise Verdict(out)
-    return out
+    return {"ok": iso is not None,
+            "objects": list(co.category.objects),
+            "morphism_count": len(co.category.morphisms),
+            "matches_comma_category": iso is not None}
 
 
 def cmd_internal_tabulate(args):
@@ -289,18 +254,13 @@ def cmd_internal_tabulate(args):
             zoo.tabulation_probes(), args.probe_max_objects))
         out["verified"] = good
         out["report"] = report
-        if not good:
-            out["ok"] = False
-            raise Verdict(out)
+        out["ok"] = good
     return out
 
 
 def cmd_laws(args):
     ok, report = laws.run_all()
-    out = {"ok": ok, "suites": report}
-    if not ok:
-        raise Verdict(out)
-    return out
+    return {"ok": ok, "suites": report}
 
 
 HANDLERS = {
@@ -321,7 +281,7 @@ def emit(args, payload):
         print(json.dumps(payload, indent=None if args.quiet else 2,
                          sort_keys=True))
         return
-    verdict = "ok" if payload.get("ok") else "FAIL"
+    verdict = "ok" if payload["ok"] else "FAIL"
     print(f"{args.command}: {verdict}")
     if args.quiet:
         return
@@ -335,16 +295,11 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         payload = HANDLERS[args.command](args)
-    except Verdict as exc:
-        emit(args, dict(exc.report))
-        return 1
-    except SystemExit:
-        raise
     except InvariantViolation as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
         return 3
     emit(args, payload)
-    return 0
+    return 0 if payload["ok"] else 1
 
 
 if __name__ == "__main__":

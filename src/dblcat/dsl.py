@@ -24,7 +24,8 @@ Identity morphisms are implicit and written ``1_x``.  An ``act`` line
 ``act v . j . u = j2`` post-composes with v in the target and
 pre-composes with u in the source; the parser completes the stated
 actions to a total table and rejects underdetermined or inconsistent
-blocks.
+blocks.  A composite, image or action may be stated again only with the
+same result, and a cell maps only elements of its top profunctor.
 """
 
 from __future__ import annotations
@@ -156,6 +157,16 @@ class Parser:
             else:
                 self.error(f"unknown block keyword {tok[1]!r}")
 
+    def reject_restatements(self, stated):
+        """Reject the first of ``stated``, (what, result token) pairs in
+        text order, that states ``what`` again with another result.  Each
+        block runs this after its other checks, whose diagnostics thus
+        come first; an identical restatement is accepted."""
+        results = {}
+        for what, tok in stated:
+            if results.setdefault(what, tok[1]) != tok[1]:
+                self.error(f"{what} stated twice with different results", tok)
+
     def lookup(self, table, name_tok, what):
         if name_tok[1] not in table:
             self.error(f"unknown {what} {name_tok[1]!r}", name_tok)
@@ -224,6 +235,8 @@ class Parser:
         if problems:
             self.error(f"category {name[1]!r} is not a category: {problems[0]}",
                        name)
+        self.reject_restatements((f"composite {g[1]}.{f[1]}", h)
+                                 for g, f, h in pending)
         ws.categories[name[1]] = cat
 
     # -- functor -------------------------------------------------------
@@ -239,6 +252,7 @@ class Parser:
         tgt = self.lookup(ws.categories, self.expect_name("a category"), "category")
         self.expect_sym("{")
         obj_map, mor_map = {}, {}
+        stated = []
         while True:
             tok = self.peek()
             if tok[1] == "}":
@@ -255,6 +269,7 @@ class Parser:
                 if b[1] not in tgt.objects:
                     self.error(f"unknown object {b[1]!r}", b)
                 obj_map[a[1]] = b[1]
+                stated.append((f"image of object {a[1]}", b))
             elif kw[1] == "arr":
                 f = self.expect_name("an arrow")
                 self.expect_sym("=>")
@@ -265,6 +280,7 @@ class Parser:
                 if g[1] not in tgt.morphisms:
                     self.error(f"unknown arrow {g[1]!r}", g)
                 mor_map[f[1]] = g[1]
+                stated.append((f"image of arrow {f[1]}", g))
             else:
                 self.error(f"expected 'obj' or 'arr', found {kw[1]!r}", kw)
         missing = [o for o in src.objects if o not in obj_map]
@@ -280,6 +296,7 @@ class Parser:
         if problems:
             self.error(f"functor {name[1]!r} is not a functor: {problems[0]}",
                        name)
+        self.reject_restatements(stated)
         ws.functors[name[1]] = fun
 
     # -- profunctor ----------------------------------------------------
@@ -428,7 +445,7 @@ class Parser:
         self.expect_keyword("right")
         g = self.lookup(ws.functors, self.expect_name("a functor"), "functor")
         self.expect_sym("{")
-        raw = {}
+        maps = []
         while True:
             tok = self.peek()
             if tok[1] == "}":
@@ -439,10 +456,12 @@ class Parser:
             self.expect_sym("=>")
             k = self.expect_name("an element")
             self.expect_sym(";")
-            raw[j[1]] = (k[1], j)
+            maps.append((j, k))
         if f.source != top.source or g.source != top.target or \
                 f.target != bot.source or g.target != bot.target:
             self.error(f"cell {name[1]!r} has mismatched boundaries", name)
+        # the checks before reject_restatements read the last map of each j
+        raw = {j[1]: (k[1], j) for j, k in maps}
         comp = {}
         for a, b, j in top.elements():
             if j not in raw:
@@ -455,6 +474,12 @@ class Parser:
         problems = validate_cell(cell)
         if problems:
             self.error(f"cell {name[1]!r} is not natural: {problems[0]}", name)
+        known = {j for _, _, j in top.elements()}
+        for j, _ in maps:
+            if j[1] not in known:
+                self.error(f"unknown element {j[1]!r}", j)
+        self.reject_restatements((f"image of element {j[1]}", k)
+                                 for j, k in maps)
         ws.cells[name[1]] = cell
 
 

@@ -408,7 +408,7 @@ def is_initial_functor(g):
     one = bang_b.target
     comp = {("*", b, one.identity("*")): one.identity("*") for b in bc.objects}
     cell = Cell(f"collapse_{g.name}", top, bot, identity_functor(one), g, comp)
-    by_mate = componentwise_bijective(lower_star(cell))
+    by_mate = beck_chevalley(cell)
 
     if by_commas != by_mate:
         raise OracleDisagreement(

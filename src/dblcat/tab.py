@@ -21,7 +21,7 @@ from .fincat import (Cone, Functor, all_cones, all_functors,
                      category_of_elements, comma_category, compose_functors,
                      decision, filed, is_terminal)
 from .prof import (Cell, Profunctor, cartesian_cell, cells_between,
-                   is_opcartesian, restrict, unit_cell, unit_prof, vcompose)
+                   is_opcartesian, unit_cell, unit_prof, vcompose)
 from . import zoo
 
 
@@ -151,10 +151,9 @@ def comma_object(f, g):
     the restricted hom profunctor pasted onto its cartesian cell."""
     if f.target != g.target:
         raise ValueError("comma object needs a common target")
-    uc = unit_prof(f.target)
-    j = restrict(uc, f, g)
-    t = tabulate(j)
-    cell = vcompose(cartesian_cell(uc, f, g), t.cell)
+    cart = cartesian_cell(unit_prof(f.target), f, g)
+    t = tabulate(cart.hsrc)
+    cell = vcompose(cart, t.cell)
     return CommaObject(t.category, t.proj_left, t.proj_right, cell)
 
 

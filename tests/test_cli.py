@@ -10,6 +10,17 @@ from dblcat.prof import unit_prof
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "arrows.dcat")
 G32 = os.path.join(os.path.dirname(__file__), "fixtures", "g32.dcat")
+FAILING = os.path.join(os.path.dirname(__file__), "fixtures", "failing.dcat")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def readme_commands():
+    """The arguments of each ``dcat`` line of the README, with the
+    workspace paths taken from the repository root."""
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        lines = [line.split()[1:] for line in fh if line.startswith("dcat ")]
+    return [[os.path.join(ROOT, w) if w.endswith(".dcat") else w for w in argv]
+            for argv in lines]
 
 
 def run(capsys, *argv):
@@ -242,3 +253,51 @@ def test_skip_verify_leaves_out_exactly_the_verification(capsys, argv,
     assert not set(skipped) & verified_keys
     assert {k: full[k] for k in skipped} == skipped
     assert all(full[k] for k in verified_keys)
+
+
+def test_readme_lists_every_subcommand():
+    assert {argv[0] for argv in readme_commands()} == set(cli.HANDLERS)
+
+
+def short_id(argv):
+    return "-".join(os.path.basename(w) for w in argv)
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=short_id)
+def test_exit_code_follows_ok_on_readme_commands(capsys, argv):
+    code, payload = run_json(capsys, *argv)
+    assert code == (0 if payload["ok"] else 1)
+
+
+def _never(*args, **kwargs):
+    return False, {}
+
+
+@pytest.mark.parametrize("argv, patch", [
+    pytest.param(("exact", FAILING, "fromEmpty"), None,
+                 id="exact-out-of-an-empty-profunctor"),
+    pytest.param(("exact", FAILING, "fromEmpty", "--mode", "ordinary"), None,
+                 id="exact-ordinary-out-of-an-empty-profunctor"),
+    pytest.param(("ran", FAILING, "Empty", "ToP"), None, id="ran-without-a-limit"),
+    pytest.param(("initial", FAILING, "PickY"), None, id="initial"),
+    pytest.param(("ran", FIXTURE, "HomTwo", "Collapse"),
+                 (cli.kan, "is_ran", lambda cand: False),
+                 id="ran-failing-verification"),
+    pytest.param(("tabulate", FIXTURE, "HomTwo"),
+                 (cli.tab, "verify_tabulation", _never),
+                 id="tabulate-failing-verification"),
+    pytest.param(("internal-tabulate", FIXTURE, "HomTwo"),
+                 (cli.spanfin, "verify_internal_tabulation", _never),
+                 id="internal-tabulate-failing-verification"),
+    pytest.param(("comma", FIXTURE, "Emb", "Emb"),
+                 (cli, "find_isomorphism", lambda a, b: None),
+                 id="comma-without-an-isomorphism"),
+    pytest.param(("laws",), (cli.laws, "run_all", _never), id="laws-failing"),
+])
+def test_failed_verdict_exits_1_with_ok_false(capsys, monkeypatch, argv,
+                                              patch):
+    if patch:
+        monkeypatch.setattr(*patch)
+    code, payload = run_json(capsys, *argv)
+    assert payload["ok"] is False
+    assert code == 1

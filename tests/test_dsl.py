@@ -177,6 +177,72 @@ def test_cell_image_outside_fiber():
     assert "not in the expected fiber" in str(e)
 
 
+RESTATED_COMPOSITE = (
+    "category C { objects: x, y, z;\n"
+    "  arrow f: x -> y; arrow g: y -> z; arrow h: x -> z; arrow k: x -> z;\n"
+    "  compose g . f = h;\n"
+    "  compose g . f = k;\n}")
+
+PARALLEL = ("category P { objects: 0, 1; arrow a: 0 -> 1; arrow b: 0 -> 1; }\n")
+
+RESTATED_OBJECT = (
+    "category Two { objects: 0, 1; }\n"
+    "functor F : Two -> Two {\n  obj 0 => 0;\n  obj 0 => 1;\n  obj 1 => 1;\n}")
+
+RESTATED_ARROW = (
+    PARALLEL + "functor F : P -> P {\n  obj 0 => 0; obj 1 => 1;\n"
+    "  arr a => a;\n  arr a => b;\n  arr b => b;\n}")
+
+DISCRETE_CELL = (
+    "category One { objects: s; }\n"
+    "functor Id : One -> One { obj s => s; }\n"
+    "profunctor J : One -/-> One { elt j : s -/-> s; elt k : s -/-> s; }\n"
+    "cell c : J => J left Id right Id {\n  map j => j;\n  map k => k;\n")
+
+
+def test_composite_stated_twice_differently():
+    # accepted before with the last composite, here k
+    e = err(RESTATED_COMPOSITE)
+    assert "composite g.f stated twice with different results" in str(e)
+    assert (e.line, e.col) == (4, 19)
+
+
+def test_object_image_stated_twice_differently():
+    e = err(RESTATED_OBJECT)
+    assert "image of object 0 stated twice with different results" in str(e)
+    assert (e.line, e.col) == (4, 12)
+
+
+def test_arrow_image_stated_twice_differently():
+    e = err(RESTATED_ARROW)
+    assert "image of arrow a stated twice with different results" in str(e)
+    assert (e.line, e.col) == (5, 12)
+
+
+def test_cell_image_stated_twice_differently():
+    e = err(DISCRETE_CELL + "  map j => k;\n}")
+    assert "image of element j stated twice with different results" in str(e)
+    assert (e.line, e.col) == (7, 12)
+
+
+def test_cell_map_of_unknown_element():
+    # accepted before, the map ignored
+    e = err(DISCRETE_CELL + "  map nosuch => k;\n}")
+    assert "unknown element 'nosuch'" in str(e)
+    assert (e.line, e.col) == (7, 7)
+
+
+def test_identical_restatements_are_accepted():
+    texts = [RESTATED_COMPOSITE.replace("= k;", "= h;"),
+             RESTATED_OBJECT.replace("0 => 1;", "0 => 0;"),
+             RESTATED_ARROW.replace("a => b;", "a => a;"),
+             DISCRETE_CELL + "  map j => j;\n}"]
+    for text in texts:
+        once = "\n".join(dict.fromkeys(text.split("\n")))   # drop repeats
+        assert once != text
+        assert dsl.parse(text) == dsl.parse(once)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.text(max_size=120))
 def test_parser_is_total_on_garbage(text):

@@ -1,7 +1,7 @@
 import pytest
 
 import helpers
-from dblcat import kan, tab, zoo
+from dblcat import kan, prof, tab, zoo
 from dblcat.fincat import (all_functors, comma_category, find_isomorphism,
                            identity_functor, validate_category)
 from dblcat.prof import companion, unit_prof, validate_cell, validate_profunctor
@@ -95,6 +95,21 @@ def test_comma_object_cell_boundaries():
     co = tab.comma_object(f, identity_functor(two))
     assert co.cell.vsrc.obj == {o: f.obj[co.proj_left.obj[o]]
                                 for o in co.category.objects}
+
+
+def test_comma_object_restricts_the_hom_profunctor_once(monkeypatch):
+    calls, restrict = [], prof.restrict
+
+    def counted(*args):
+        calls.append(args)
+        return restrict(*args)
+
+    for module in (prof, tab):      # each module that holds it by name
+        if hasattr(module, "restrict"):
+            monkeypatch.setattr(module, "restrict", counted)
+    two = zoo.walking_arrow()
+    tab.comma_object(zoo.pick(two, "0"), identity_functor(two))
+    assert len(calls) == 1
 
 
 def test_ran_via_tabulation_agrees_with_pointwise():
