@@ -15,8 +15,12 @@ exactly the morphisms, and in the order, that a filtered scan of
 One search, ``backtrack``, backs every enumerator: ``all_functors``,
 ``all_natural_transformations``, ``all_cones`` and ``find_isomorphism``
 here, ``prof.cells_between``, the families of ``prof.rhom`` and
-``spanfin.all_internal_transformations``.  The generate-then-test loops
-it replaced are oracles in ``tests/helpers.py``: ``all_functors_oracle``,
+``spanfin.all_internal_transformations``.  It files its checks by the
+last position each reads (``file_checks``), then searches (``search``);
+``all_functors`` and ``find_isomorphism`` file the composite checks of
+their arrow phase once per enumeration and search them once per object
+map.  The generate-then-test loops it replaced are oracles in
+``tests/helpers.py``: ``all_functors_oracle``,
 ``all_natural_transformations_oracle``, ``all_cones_oracle``,
 ``limit_oracle``, ``find_isomorphism_oracle``, ``cells_between_oracle``,
 ``rhom_families_oracle`` and ``internal_transformations_oracle``.
@@ -312,7 +316,8 @@ class Cone:
 
 def backtrack(domains, pairs=(), triples=()):
     """Every tuple with one value from each of ``domains`` that passes
-    every check, lazily and in lexicographic order.
+    every check, lazily and in lexicographic order: ``search`` on the
+    checks as ``file_checks`` files them.
 
     A pair check ``(i, o, allowed)`` passes when ``pick[o] in
     allowed[pick[i]]``, a triple check ``(i, k, o, table)`` when
@@ -322,16 +327,29 @@ def backtrack(domains, pairs=(), triples=()):
     ternary relations (Mackworth 1977, "Consistency in networks of
     relations").
     """
-    size = len(domains)
-    if size == 0:
-        yield ()
-        return
-    filed = {}                      # checks by the last position read
+    return search(domains, file_checks(pairs, triples))
+
+
+def file_checks(pairs=(), triples=()):
+    """The checks of a search, filed by the last position each reads: a
+    dict from position to its pair and triple checks.  A caller that runs
+    one network of checks over many domains files it once."""
+    filed = {}
     for check in pairs:
         filed.setdefault(max(check[0], check[1]), ([], []))[0].append(check)
     for check in triples:
         filed.setdefault(max(check[0], check[1], check[2]),
                          ([], []))[1].append(check)
+    return filed
+
+
+def search(domains, filed):
+    """``backtrack`` on checks filed by ``file_checks``, which must read no
+    position beyond ``domains``."""
+    size = len(domains)
+    if size == 0:
+        yield ()
+        return
     unchecked = ((), ())
     pick, values = [None] * size, [None] * size
     n = 0
@@ -588,19 +606,22 @@ def _functor_maps(a, m, domains, pairs):
     of the functors a -> m whose object map along ``a.objects`` passes
     ``backtrack(domains, pairs)``.  A second search binds the arrows, each
     within its hom-set, with a triple check per composite g . f = h of
-    non-identity arrows (the unit laws cover the rest)."""
+    non-identity arrows (the unit laws cover the rest).  Those checks are
+    the same for every object map, so they are filed once per
+    enumeration."""
     nonids = [x for x in a.morphisms if not a.is_identity(x)]
     arrows = [a.identity(o) for o in a.objects] + nonids
     pos = {x: n for n, x in enumerate(arrows)}
-    comps = [(pos[g], pos[f], pos[a.table[(g, f)]], m.table)
-             for g in nonids for f in a.into(a.src[g]) if not a.is_identity(f)]
+    comps = file_checks(triples=[
+        (pos[g], pos[f], pos[a.table[(g, f)]], m.table)
+        for g in nonids for f in a.into(a.src[g]) if not a.is_identity(f)])
     ends = [(a.src[x], a.tgt[x]) for x in nonids]
     units = {v: (m.identity(v),) for v in m.objects}
     for images in backtrack(domains, pairs):
         obj = dict(zip(a.objects, images))
         homs = [units[v] for v in images]
         homs += [m.hom(obj[s], obj[t]) for s, t in ends]
-        for mors in backtrack(homs, (), comps):
+        for mors in search(homs, comps):
             yield obj, dict(zip(arrows, mors))
 
 

@@ -18,15 +18,18 @@ search ``fincat.backtrack``, in the orders that fix the witness names
 are decisions (``fincat.decision``): within one call, each search, unit
 profunctor and ``RanProblem`` is built once per distinct arguments, and
 none is kept after it.  A ``RanProblem`` holds what a decision needs about
-(J, d): ``is_ran`` and ``is_pointwise_ran`` validate their candidate and
-consult its problem, and ``is_right_exact`` judges each of its candidates,
-the competitor cells of the problem of (K, d), against the problems of
-(K, d) and (J, d . g).
+(J, d), each part built once, when first asked for: its competitors (every
+functor s : A -> M with its cells J -> 1_M over (s, d), if it has any),
+its right hom d^* <| J and its limits.  ``is_ran`` and
+``is_pointwise_ran`` validate their candidate and consult its problem, and
+``is_right_exact`` judges each of its candidates, the competitors of the
+problem of (K, d), against the problems of (K, d) and (J, d . g).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .fincat import (Cone, Functor, NoLimit, all_functors,
                      all_natural_transformations, category_of_elements,
@@ -129,10 +132,10 @@ def pointwise_ran(j, d):
 @construction
 class RanProblem:
     """The right extension of d : B -> M along J : A -/-> B, as the data
-    that every candidate (r, eps) is judged against: for each functor
-    s : A -> M, the competitor cells J -> 1_M over (s, d) and Nat(s, r);
-    the right hom d^* <| J; and the limit over the category of elements at
-    each object of A, kept with the problem once computed.
+    that every candidate (r, eps) is judged against: its competitors, the
+    right hom d^* <| J and the limit over the category of elements at each
+    object of A, each built once, when first asked for, and kept with the
+    problem.
 
     A ``fincat.construction``, as are the searches it runs: one decision
     has one problem per (J, d), shared by the candidates it judges.
@@ -144,6 +147,30 @@ class RanProblem:
         self.mc = d.target
         self.um = unit_prof(self.mc)
         self._limits = {}
+
+    @cached_property
+    def competitors(self):
+        """The pairs (s, ``cells_between(J, 1_M, s, d)``) with at least one
+        cell, s in the order of ``all_functors(A, M)``.  An s that sends
+        the ends of some nonempty J(a, b) to an empty M(s a, d b) has no
+        cell, so it is passed over without a search."""
+        j, d, um = self.j, self.d, self.um
+        inhabited = {(a, d.obj[b]) for (a, b), fiber in j.fibers.items()
+                     if fiber}
+        homs = um.fibers      # the nonempty hom-sets of M
+        found = []
+        for s in all_functors(j.source, self.mc):
+            sobj = s.obj
+            if all((sobj[a], db) in homs for a, db in inhabited):
+                cells = cells_between(j, um, s, d)
+                if cells:
+                    found.append((s, cells))
+        return found
+
+    @cached_property
+    def right_hom(self):
+        """The right hom d^* <| J : M -/-> A."""
+        return rhom(conjoint(self.d), self.j)[0]
 
     def limit_at(self, a):
         """(oid, diagram, terminal cone) of d over the category of elements
@@ -164,10 +191,7 @@ class RanProblem:
         and each competitor must be hit once."""
         mc = self.mc
         eps_at = [(eps.comp[e], e[0]) for e in self.j.elements()]
-        for s in all_functors(self.j.source, mc):
-            cells = cells_between(self.j, self.um, s, self.d)
-            if not cells:
-                continue
+        for s, cells in self.competitors:
             hits = {}       # keyed as Cell.key lists the components
             for alpha in all_natural_transformations(s, r):
                 c = alpha.components
@@ -212,7 +236,7 @@ def _pointwise_by_hom_bijection(problem, r, eps):
     to natural families J(a, b) -> M(m, d b)."""
     j, mc = problem.j, problem.mc
     bobjs = j.target.objects
-    rh, _ = rhom(conjoint(problem.d), j)     # d^* <| J : M -/-> A
+    rh = problem.right_hom
 
     def family(a, p):
         return family_id(bobjs, {b: {x: mc.compose(eps.comp[(a, b, x)], p)
@@ -355,9 +379,10 @@ def is_right_exact(cell, mode="pointwise", probe_cats=None):
     to the probe set; the default is zoo.probe_categories(): the terminal
     category, the walking arrow, the discrete category on two objects and
     the parallel pair.  Candidates come in the order probe, d, r, eps of
-    all_functors and cells_between, and the first failure is the returned
-    witness.  A decision: the RanProblem of each (K, d) and (J, d . g) is
-    built once and shared by every candidate.
+    all_functors and cells_between: the competitors of the problem of
+    (K, d), for each d.  The first failure is the returned witness.  A
+    decision: the RanProblem of each (K, d) and (J, d . g) is built once
+    and shared by every candidate.
     """
     if mode not in ("pointwise", "ordinary"):
         raise ValueError(f"unknown mode {mode!r}: expected 'pointwise' or "
@@ -382,10 +407,10 @@ def is_right_exact(cell, mode="pointwise", probe_cats=None):
             top = RanProblem(k, d)
             dg = compose_functors(d, g)
             sub = RanProblem(j, same.get(dg, dg))
-            for r in rs:
+            for r, cells in top.competitors:
                 rf = compose_functors(r, f)
                 rf = same.get(rf, rf)
-                for eps in cells_between(k, top.um, r, d):
+                for eps in cells:
                     if check(top, r, eps) and \
                             not check(sub, rf, vcompose(eps, cell)):
                         return False, {"target": mc.name, "d": d.name,

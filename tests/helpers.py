@@ -340,16 +340,28 @@ def hash_disagreements(objects):
 
 def all_functors_oracle(a, m):
     """all_functors by validating every object map and, for each, every
-    choice of arrow images in itertools.product order."""
+    choice of arrow images in itertools.product order.  A choice that
+    breaks a composite of two non-identity arrows, read from m's table, is
+    passed over before it is built; that is one of the laws ``validate``
+    checks, so the list is the same, but a product of millions of choices
+    (G23 -> G23) takes seconds instead of minutes."""
     nonids = [x for x in a.morphisms if not a.is_identity(x)]
+    arrows = [a.identity(o) for o in a.objects] + nonids
+    pos = {x: n for n, x in enumerate(arrows)}
+    composites = [(pos[g], pos[f], pos[a.table[(g, f)]]) for g in nonids
+                  for f in nonids if a.tgt[f] == a.src[g]]
     out = []
     for objs in itertools.product(m.objects, repeat=len(a.objects)):
         obj_map = dict(zip(a.objects, objs))
+        units = tuple(m.identity(v) for v in objs)
         choices = [m.hom(obj_map[a.src[x]], obj_map[a.tgt[x]]) for x in nonids]
         for mors in itertools.product(*choices):
-            mor_map = {a.identity(o): m.identity(obj_map[o]) for o in a.objects}
-            mor_map.update(dict(zip(nonids, mors)))
-            cand = Functor(f"F{len(out)}", a, m, obj_map, mor_map)
+            images = units + mors
+            if any(m.table[(images[g], images[f])] != images[h]
+                   for g, f, h in composites):
+                continue
+            cand = Functor(f"F{len(out)}", a, m, obj_map,
+                           dict(zip(arrows, images)))
             if not cand.validate():
                 out.append(cand)
     return out
@@ -527,6 +539,28 @@ def find_isomorphism_oracle(a, b):
         return None
 
     return try_objects(0, {}, frozenset())
+
+
+def z2():
+    """The group Z/2 as a category: one object and s . s = 1."""
+    return make_category("Z2", ("*",), {"s": ("*", "*")},
+                         {("s", "s"): "1_*"})
+
+
+def idempotent_monoid():
+    """The monoid {1, e} with e . e = e, as a one-object category."""
+    return make_category("Idem", ("*",), {"e": ("*", "*")},
+                         {("e", "e"): "e"})
+
+
+def competitors_oracle(problem):
+    """``problem.competitors`` over the slow enumerators: every functor
+    s : A -> M with the cells J -> 1_M over (s, d), if it has any."""
+    j, d = problem.j, problem.d
+    um = unit_prof(d.target)
+    found = [(s, cells_between_oracle(j, um, s, d))
+             for s in all_functors_oracle(j.source, d.target)]
+    return [(s, cells) for s, cells in found if cells]
 
 
 def g_pq(p, q):

@@ -3,12 +3,13 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import helpers
 from dblcat.fincat import (Cone, Functor, all_cones, all_functors,
-                           all_natural_transformations, comma_category,
-                           compose_functors, find_isomorphism,
-                           identity_functor,
+                           all_natural_transformations, backtrack,
+                           comma_category, compose_functors, file_checks,
+                           find_isomorphism, identity_functor, search,
                            is_connected, limit, make_category,
                            mediating_morphisms, validate_category, NoLimit)
 from dblcat import zoo
@@ -69,15 +70,18 @@ def test_functor_enumeration_matches_oracle():
 
 
 def test_functor_search_matches_slow_twin():
-    # names, order and dict insertion order, over listings shuffled two ways
+    # names, order and dict insertion order, over listings shuffled two ways;
+    # Z/2 and {1, e} as targets, where a composite of two non-identity
+    # arrows (v . u = 1 in Iso) may land on an identity or on either arrow
     cats = zoo.corpus_categories() + [helpers.chain(n, random.Random(seed))
                                       for seed in (1, 2) for n in range(5)]
+    targets = cats + [helpers.z2(), helpers.idempotent_monoid()]
     found = 0
-    for a, m in itertools.product(cats, repeat=2):
+    for a, m in itertools.product(cats, targets):
         got = helpers.functor_tables(all_functors(a, m))
         assert got == helpers.functor_tables(helpers.all_functors_oracle(a, m))
         found += len(got)
-    assert found == 1111
+    assert found == 1202
 
 
 def test_functor_search_matches_slow_twin_on_g_pq():
@@ -90,6 +94,52 @@ def test_functor_search_matches_slow_twin_on_g_pq():
         assert got == helpers.functor_tables(helpers.all_functors_oracle(a, m))
         found += len(got)
     assert found == 489
+
+
+VALUES = range(3)      # every domain below draws from these
+
+
+@st.composite
+def check_networks(draw):
+    """Some positions, random pair and triple checks over them, and two
+    lists of domains, one value list per position, each in its own order
+    and possibly empty."""
+    size = draw(st.integers(0, 4))
+    domain = st.lists(st.sampled_from(VALUES), max_size=3, unique=True)
+    domains = [[draw(domain) for _ in range(size)] for _ in range(2)]
+    if not size:
+        return domains, [], []
+    at = st.integers(0, size - 1)
+    pairs = draw(st.lists(st.tuples(
+        at, at, st.fixed_dictionaries({v: st.frozensets(st.sampled_from(
+            VALUES)) for v in VALUES})), max_size=4))
+    triples = draw(st.lists(st.tuples(
+        at, at, at, st.fixed_dictionaries({(v, w): st.sampled_from(VALUES)
+                                           for v in VALUES for w in VALUES})),
+        max_size=4))
+    return domains, pairs, triples
+
+
+def filtered_product(domains, pairs, triples):
+    """Every tuple of itertools.product that passes every check."""
+    return [pick for pick in itertools.product(*domains)
+            if all(pick[o] in allowed[pick[i]] for i, o, allowed in pairs)
+            and all(table[pick[i], pick[k]] == pick[o]
+                    for i, k, o, table in triples)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(check_networks())
+def test_backtrack_filters_the_product_in_order(network):
+    domains, pairs, triples = network
+    for doms in domains:
+        assert list(backtrack(doms, pairs, triples)) == \
+            filtered_product(doms, pairs, triples)
+    # checks filed once serve every search over domains of the same length
+    filed = file_checks(pairs, triples)
+    for doms in domains:
+        assert list(search(doms, filed)) == \
+            filtered_product(doms, pairs, triples)
 
 
 def test_functor_enumeration_is_deterministic():

@@ -8,7 +8,8 @@ from dblcat import kan, zoo
 from dblcat.fincat import (Functor, all_functors, compose_functors,
                            identity_functor, validate_category, NoLimit)
 from dblcat.prof import (Cell, cells_between, companion, conjoint,
-                         empty_prof, identity_cell, unit_prof, validate_cell)
+                         empty_prof, identity_cell, rhom, unit_prof,
+                         validate_cell)
 
 
 def test_elements_category_shapes():
@@ -182,8 +183,51 @@ def test_right_exactness_runs_each_competitor_search_once(monkeypatch):
             assert kan.is_right_exact(cell, mode) == (True, None)
             assert len(set(searches)) == len(searches)
             counts.append(len(searches))
-        # nothing is kept from one call to the next
-        assert counts == [57, 57]
+        # nothing is kept from one call to the next; a functor r that sends
+        # some nonempty K(a, b) to an empty M(r a, d b) is passed over
+        # without a search, as it has no cell
+        assert counts == [36, 36]
+
+
+def test_right_exactness_builds_one_right_hom_per_problem(monkeypatch):
+    problems = helpers.count_builds(monkeypatch, kan.RanProblem)
+    requests = []
+
+    def counted(*args):
+        requests.append(args)
+        return rhom(*args)
+
+    monkeypatch.setattr(kan, "rhom", counted)
+    cell = identity_cell(unit_prof(helpers.chain(3)))
+    assert kan.is_right_exact(cell) == (True, None)
+    # each problem asks for its right hom once, for all its candidates
+    assert len(problems) == len(requests) == len(set(requests)) == 13
+
+
+def competitor_tables(competitors):
+    return [(s.name, helpers.cell_tables(cells)) for s, cells in competitors]
+
+
+def test_competitors_match_slow_twin(monkeypatch):
+    # corpus profunctors into the probe categories and into G22, whose
+    # hom-sets hold several arrows, and the hom profunctor of G22
+    g = helpers.g_pq(2, 2)
+    corpus = helpers.profunctor_corpus()
+    setups = [(j, mc) for mc in zoo.probe_categories() for j in corpus]
+    setups += [(j, g) for j in corpus[:2] + corpus[3:9]]
+    setups += [(unit_prof(g), mc) for mc in (zoo.walking_arrow(),
+                                             helpers.chain(3))]
+    searched = helpers.count_builds(monkeypatch, cells_between)
+    skipped = 0
+    for j, mc in setups:
+        for d in all_functors(j.target, mc):
+            problem = kan.RanProblem(j, d)
+            searched.clear()
+            got = competitor_tables(problem.competitors)
+            assert got == competitor_tables(helpers.competitors_oracle(problem))
+            # a functor passed over without a search has no cell
+            skipped += len(all_functors(j.source, mc)) - len(searched)
+    assert skipped > 0
 
 
 def test_is_right_exact_rejects_unknown_mode():
