@@ -1,7 +1,10 @@
 """Command line interface.
 
-Each command returns a payload whose ``ok`` is its verdict, and ``main``
-prints it and takes the exit code from it: 0 when ``ok`` holds, 1 when a
+Each subcommand is one entry of ``COMMANDS``: its handler, help line and
+arguments.  ``build_parser`` registers every entry, and ``main`` calls the
+handler that the chosen subcommand's parser sets as a default.  Each
+handler returns a payload whose ``ok`` is its verdict, and ``main`` prints
+it and takes the exit code from it: 0 when ``ok`` holds, 1 when a
 requested property fails to hold.  2 is a usage or parse error and 3 a
 violated internal invariant.
 """
@@ -40,76 +43,6 @@ def _common_options(suppress):
                         help="bound on probe category size, at least 1 "
                              "(default 2)")
     return parent
-
-
-@functools.cache
-def build_parser():
-    """The ``dcat`` argument parser, built once per process and shared by
-    every ``main`` call.  This saves work only where one process calls
-    ``main`` many times (the tests, and the benchmark's in-process ``dcat``
-    calls); a shell ``dcat`` call builds it once either way.  Parsing
-    leaves it as it was: each call gets a fresh namespace, and no option
-    has a mutable default."""
-    # the subcommand parsers get their own copies of the shared options with
-    # suppressed defaults, so values given before the subcommand survive
-    common = _common_options(suppress=True)
-    p = argparse.ArgumentParser(
-        prog="dcat",
-        parents=[_common_options(suppress=False)],
-        description="Workbench for double-categorical structure over "
-                    "finite categories.")
-    sub = p.add_subparsers(dest="command", required=True)
-
-    c = sub.add_parser("check", parents=[common],
-                       help="validate every block of a workspace")
-    c.add_argument("file")
-
-    c = sub.add_parser("compose", parents=[common],
-                       help="compose two profunctors")
-    c.add_argument("file")
-    c.add_argument("left")
-    c.add_argument("right")
-
-    c = sub.add_parser("ran", parents=[common],
-                       help="right extension of a functor along a profunctor")
-    c.add_argument("file")
-    c.add_argument("profunctor")
-    c.add_argument("diagram", help="functor out of the profunctor's target")
-    c.add_argument("--skip-verify", action="store_true")
-
-    c = sub.add_parser("exact", parents=[common],
-                       help="right exactness of a cell")
-    c.add_argument("file")
-    c.add_argument("cell")
-    c.add_argument("--mode", choices=["pointwise", "ordinary"],
-                   default="pointwise")
-
-    c = sub.add_parser("initial", parents=[common],
-                       help="initiality of a functor")
-    c.add_argument("file")
-    c.add_argument("functor")
-
-    c = sub.add_parser("tabulate", parents=[common],
-                       help="tabulate a profunctor")
-    c.add_argument("file")
-    c.add_argument("profunctor")
-    c.add_argument("--skip-verify", action="store_true")
-
-    c = sub.add_parser("comma", parents=[common],
-                       help="comma object of two functors")
-    c.add_argument("file")
-    c.add_argument("left")
-    c.add_argument("right")
-
-    c = sub.add_parser("internal-tabulate", parents=[common],
-                       help="span-level tabulation of a profunctor")
-    c.add_argument("file")
-    c.add_argument("profunctor")
-    c.add_argument("--skip-verify", action="store_true")
-
-    sub.add_parser("laws", parents=[common],
-                   help="run the double-category law suites")
-    return p
 
 
 def load_workspace(path):
@@ -263,17 +196,53 @@ def cmd_laws(args):
     return {"ok": ok, "suites": report}
 
 
-HANDLERS = {
-    "check": cmd_check,
-    "compose": cmd_compose,
-    "ran": cmd_ran,
-    "exact": cmd_exact,
-    "initial": cmd_initial,
-    "tabulate": cmd_tabulate,
-    "comma": cmd_comma,
-    "internal-tabulate": cmd_internal_tabulate,
-    "laws": cmd_laws,
+# each subcommand: its handler, its help line and its arguments, whose
+# options, where they have any, are in ARGUMENTS
+COMMANDS = {
+    "check": (cmd_check, "validate every block of a workspace", "file"),
+    "compose": (cmd_compose, "compose two profunctors", "file left right"),
+    "ran": (cmd_ran, "right extension of a functor along a profunctor",
+            "file profunctor diagram --skip-verify"),
+    "exact": (cmd_exact, "right exactness of a cell", "file cell --mode"),
+    "initial": (cmd_initial, "initiality of a functor", "file functor"),
+    "tabulate": (cmd_tabulate, "tabulate a profunctor",
+                 "file profunctor --skip-verify"),
+    "comma": (cmd_comma, "comma object of two functors", "file left right"),
+    "internal-tabulate": (cmd_internal_tabulate,
+                          "span-level tabulation of a profunctor",
+                          "file profunctor --skip-verify"),
+    "laws": (cmd_laws, "run the double-category law suites", ""),
 }
+ARGUMENTS = {
+    "diagram": {"help": "functor out of the profunctor's target"},
+    "--skip-verify": {"action": "store_true"},
+    "--mode": {"choices": ["pointwise", "ordinary"], "default": "pointwise"},
+}
+
+
+@functools.cache
+def build_parser():
+    """The ``dcat`` argument parser, built once per process from
+    ``COMMANDS`` and shared by every ``main`` call.  This saves work only
+    where one process calls ``main`` many times (the tests, and the
+    benchmark's in-process ``dcat`` calls); a shell ``dcat`` call builds it
+    once either way.  Parsing leaves it as it was: each call gets a fresh
+    namespace, and no option has a mutable default."""
+    # the subcommand parsers get their own copies of the shared options with
+    # suppressed defaults, so values given before the subcommand survive
+    common = _common_options(suppress=True)
+    p = argparse.ArgumentParser(
+        prog="dcat",
+        parents=[_common_options(suppress=False)],
+        description="Workbench for double-categorical structure over "
+                    "finite categories.")
+    sub = p.add_subparsers(dest="command", required=True)
+    for command, (handler, help_line, arguments) in COMMANDS.items():
+        c = sub.add_parser(command, parents=[common], help=help_line)
+        for argument in arguments.split():
+            c.add_argument(argument, **ARGUMENTS.get(argument, {}))
+        c.set_defaults(handler=handler)
+    return p
 
 
 def emit(args, payload):
@@ -294,7 +263,7 @@ def emit(args, payload):
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        payload = HANDLERS[args.command](args)
+        payload = args.handler(args)
     except InvariantViolation as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
         return 3

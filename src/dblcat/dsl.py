@@ -26,6 +26,14 @@ pre-composes with u in the source; the parser completes the stated
 actions to a total table and rejects underdetermined or inconsistent
 blocks.  A composite, image or action may be stated again only with the
 same result, and a cell maps only elements of its top profunctor.
+
+The grammar is stated once in ``Parser``: ``block`` reads a block's
+keyword and new name, ``statements`` its statements up to the closing
+``}``, and ``read`` each sequence of symbols and names.  Where an input
+holds several faults, the first reported is fixed: a block header's names
+are looked up as each is read, an arrow's name and endpoints before its
+``;``, obj, arr and elt lines after it, act lines and maps once the
+block closes.
 """
 
 from __future__ import annotations
@@ -59,6 +67,7 @@ SYMBOLS = ["-/->", "->", "=>", "{", "}", ":", ";", ",", "=", "."]
 _SYMBOLS_AT = {c: sorted((s for s in SYMBOLS if s[0] == c), key=len,
                          reverse=True)
                for c in {s[0] for s in SYMBOLS}}
+_SYMBOL_SET = frozenset(SYMBOLS)
 
 
 def tokenize(text):
@@ -101,6 +110,10 @@ def tokenize(text):
 
 
 class Parser:
+    """A recursive-descent parser over the token list.  Every block is read
+    by ``block``, ``statements`` and ``read``, so each diagnostic of the
+    grammar is stated once."""
+
     def __init__(self, text):
         self.tokens = tokenize(text)
         self.pos = 0
@@ -118,44 +131,72 @@ class Parser:
         tok = tok or self.peek()
         raise DslError(message, tok[2], tok[3])
 
-    def expect_sym(self, sym):
-        tok = self.next()
-        if tok[0] != "sym" or tok[1] != sym:
-            self.error(f"expected {sym!r}, found {tok[1]!r}", tok)
-        return tok
-
-    def expect_name(self, what="a name"):
-        tok = self.next()
-        if tok[0] != "name":
-            self.error(f"expected {what}, found {tok[1] or 'end of input'!r}", tok)
-        return tok
-
-    def expect_keyword(self, word):
-        tok = self.expect_name(f"keyword {word!r}")
-        if tok[1] != word:
-            self.error(f"expected keyword {word!r}, found {tok[1]!r}", tok)
-        return tok
-
-    # -- workspace -----------------------------------------------------
-
-    def parse_workspace(self):
-        ws = Workspace()
-        while True:
-            tok = self.peek()
-            if tok[0] == "eof":
-                return ws
-            if tok[0] != "name":
-                self.error(f"expected a block keyword, found {tok[1]!r}")
-            if tok[1] == "category":
-                self.parse_category(ws)
-            elif tok[1] == "functor":
-                self.parse_functor(ws)
-            elif tok[1] == "profunctor":
-                self.parse_profunctor(ws)
-            elif tok[1] == "cell":
-                self.parse_cell(ws)
+    def read(self, *parts):
+        """Read one token per part: a part in SYMBOLS is expected as
+        written, any other part describes the name expected there.  Returns
+        the name tokens read."""
+        names = []
+        for part in parts:
+            tok = self.next()
+            if part in _SYMBOL_SET:
+                if tok[1] != part:
+                    self.error(f"expected {part!r}, found {tok[1]!r}", tok)
+            elif tok[0] != "name":
+                self.error(f"expected {part}, found "
+                           f"{tok[1] or 'end of input'!r}", tok)
             else:
-                self.error(f"unknown block keyword {tok[1]!r}")
+                names.append(tok)
+        return names
+
+    def keyword(self, *words):
+        """Read one of ``words``: a single keyword, or the keywords that
+        may start a statement of a block, where a '}' may come instead."""
+        tok = self.next()
+        if tok[1] not in words:
+            if len(words) == 1:
+                expected = wanted = f"keyword {words[0]!r}"
+            else:
+                wanted = " or ".join(map(repr, words))
+                expected = ", ".join(map(repr, words)) + " or '}'"
+            self.error(f"expected {wanted if tok[0] == 'name' else expected}, "
+                       f"found {tok[1] or 'end of input'!r}", tok)
+        return tok[1]
+
+    def statements(self, *words):
+        """Yield the keyword of each statement of a block, one of
+        ``words``, up to and past the block's closing '}'."""
+        while self.peek()[1] != "}":
+            yield self.keyword(*words)
+        self.next()
+
+    def block(self, table, what):
+        """Read a block's keyword and its name, which must be new to
+        ``table``, the workspace's ``what``s."""
+        self.next()
+        name, = self.read(f"a {what} name")
+        if name[1] in table:
+            self.error(f"{what} {name[1]!r} defined twice", name)
+        return name
+
+    def known(self, tok, names, what):
+        """``tok``'s name, which must be among ``names``."""
+        if tok[1] not in names:
+            self.error(f"unknown {what} {tok[1]!r}", tok)
+        return tok[1]
+
+    def item(self, table, what):
+        """Read the name of a ``what`` of ``table`` and return the item."""
+        tok, = self.read(f"a {what}")
+        return table[self.known(tok, table, what)]
+
+    def boundary(self, ws, arrow):
+        """Read ': C arrow D {' and return the categories C and D."""
+        self.read(":")
+        src = self.item(ws.categories, "category")
+        self.read(arrow)
+        tgt = self.item(ws.categories, "category")
+        self.read("{")
+        return src, tgt
 
     def reject_restatements(self, stated):
         """Reject the first of ``stated``, (what, result token) pairs in
@@ -167,69 +208,54 @@ class Parser:
             if results.setdefault(what, tok[1]) != tok[1]:
                 self.error(f"{what} stated twice with different results", tok)
 
-    def lookup(self, table, name_tok, what):
-        if name_tok[1] not in table:
-            self.error(f"unknown {what} {name_tok[1]!r}", name_tok)
-        return table[name_tok[1]]
+    # -- workspace -----------------------------------------------------
+
+    def parse_workspace(self):
+        ws = Workspace()
+        blocks = {"category": self.parse_category,
+                  "functor": self.parse_functor,
+                  "profunctor": self.parse_profunctor,
+                  "cell": self.parse_cell}
+        while self.peek()[0] != "eof":
+            tok = self.peek()
+            if tok[0] != "name":
+                self.error(f"expected a block keyword, found {tok[1]!r}")
+            if tok[1] not in blocks:
+                self.error(f"unknown block keyword {tok[1]!r}")
+            blocks[tok[1]](ws)
+        return ws
 
     # -- category ------------------------------------------------------
 
     def parse_category(self, ws):
-        self.expect_keyword("category")
-        name = self.expect_name("a category name")
-        if name[1] in ws.categories:
-            self.error(f"category {name[1]!r} defined twice", name)
-        self.expect_sym("{")
-        self.expect_keyword("objects")
-        self.expect_sym(":")
-        objects = []
-        while True:
-            objects.append(self.expect_name("an object name")[1])
-            tok = self.next()
-            if tok[1] == ";":
-                break
+        name = self.block(ws.categories, "category")
+        self.read("{")
+        self.keyword("objects")
+        self.read(":")
+        objects = [self.read("an object name")[0][1]]
+        while (tok := self.next())[1] != ";":
             if tok[1] != ",":
                 self.error("expected ',' or ';' in object list", tok)
+            objects.append(self.read("an object name")[0][1])
         if len(set(objects)) != len(objects):
             self.error("duplicate object name", name)
-        arrows = {}
-        composites = {}
-        pending = []
-        while True:
-            tok = self.peek()
-            if tok[1] == "}":
-                self.next()
-                break
-            kw = self.expect_name("'arrow', 'compose' or '}'")
-            if kw[1] == "arrow":
-                f = self.expect_name("an arrow name")
+        arrows, pending = {}, []
+        for kw in self.statements("arrow", "compose"):
+            if kw == "arrow":
+                f, = self.read("an arrow name")
                 if f[1] in arrows or f[1] in (f"1_{o}" for o in objects):
                     self.error(f"arrow {f[1]!r} defined twice", f)
-                self.expect_sym(":")
-                a = self.expect_name("an object")
-                self.expect_sym("->")
-                b = self.expect_name("an object")
-                for o in (a, b):
-                    if o[1] not in objects:
-                        self.error(f"unknown object {o[1]!r}", o)
-                arrows[f[1]] = (a[1], b[1])
-                self.expect_sym(";")
-            elif kw[1] == "compose":
-                g = self.expect_name("an arrow")
-                self.expect_sym(".")
-                f = self.expect_name("an arrow")
-                self.expect_sym("=")
-                h = self.expect_name("an arrow")
-                self.expect_sym(";")
-                pending.append((g, f, h))
+                a, b = self.read(":", "an object", "->", "an object")
+                arrows[f[1]] = (self.known(a, objects, "object"),
+                                self.known(b, objects, "object"))
+                self.read(";")
             else:
-                self.error(f"expected 'arrow' or 'compose', found {kw[1]!r}", kw)
-        known = set(arrows) | {f"1_{o}" for o in objects}
-        for g, f, h in pending:
-            for tok in (g, f, h):
-                if tok[1] not in known:
-                    self.error(f"unknown arrow {tok[1]!r}", tok)
-            composites[(g[1], f[1])] = h[1]
+                pending.append(self.read("an arrow", ".", "an arrow", "=",
+                                         "an arrow", ";"))
+        names = set(arrows) | {f"1_{o}" for o in objects}
+        composites = {(self.known(g, names, "arrow"),
+                       self.known(f, names, "arrow")):
+                      self.known(h, names, "arrow") for g, f, h in pending}
         cat = make_category(name[1], objects, arrows, composites)
         problems = validate_category(cat)
         if problems:
@@ -242,47 +268,18 @@ class Parser:
     # -- functor -------------------------------------------------------
 
     def parse_functor(self, ws):
-        self.expect_keyword("functor")
-        name = self.expect_name("a functor name")
-        if name[1] in ws.functors:
-            self.error(f"functor {name[1]!r} defined twice", name)
-        self.expect_sym(":")
-        src = self.lookup(ws.categories, self.expect_name("a category"), "category")
-        self.expect_sym("->")
-        tgt = self.lookup(ws.categories, self.expect_name("a category"), "category")
-        self.expect_sym("{")
+        name = self.block(ws.functors, "functor")
+        src, tgt = self.boundary(ws, "->")
         obj_map, mor_map = {}, {}
         stated = []
-        while True:
-            tok = self.peek()
-            if tok[1] == "}":
-                self.next()
-                break
-            kw = self.expect_name("'obj', 'arr' or '}'")
-            if kw[1] == "obj":
-                a = self.expect_name("an object")
-                self.expect_sym("=>")
-                b = self.expect_name("an object")
-                self.expect_sym(";")
-                if a[1] not in src.objects:
-                    self.error(f"unknown object {a[1]!r}", a)
-                if b[1] not in tgt.objects:
-                    self.error(f"unknown object {b[1]!r}", b)
-                obj_map[a[1]] = b[1]
-                stated.append((f"image of object {a[1]}", b))
-            elif kw[1] == "arr":
-                f = self.expect_name("an arrow")
-                self.expect_sym("=>")
-                g = self.expect_name("an arrow")
-                self.expect_sym(";")
-                if f[1] not in src.morphisms:
-                    self.error(f"unknown arrow {f[1]!r}", f)
-                if g[1] not in tgt.morphisms:
-                    self.error(f"unknown arrow {g[1]!r}", g)
-                mor_map[f[1]] = g[1]
-                stated.append((f"image of arrow {f[1]}", g))
-            else:
-                self.error(f"expected 'obj' or 'arr', found {kw[1]!r}", kw)
+        kinds = {"obj": ("object", obj_map, src.objects, tgt.objects),
+                 "arr": ("arrow", mor_map, src.morphisms, tgt.morphisms)}
+        for kw in self.statements(*kinds):
+            what, image, ins, outs = kinds[kw]
+            a, b = self.read(f"an {what}", "=>", f"an {what}", ";")
+            x = self.known(a, ins, what)
+            image[x] = self.known(b, outs, what)
+            stated.append((f"image of {what} {x}", b))
         missing = [o for o in src.objects if o not in obj_map]
         if missing:
             self.error(f"functor {name[1]!r} misses object {missing[0]!r}", name)
@@ -302,60 +299,30 @@ class Parser:
     # -- profunctor ----------------------------------------------------
 
     def parse_profunctor(self, ws):
-        self.expect_keyword("profunctor")
-        name = self.expect_name("a profunctor name")
-        if name[1] in ws.profunctors:
-            self.error(f"profunctor {name[1]!r} defined twice", name)
-        self.expect_sym(":")
-        src = self.lookup(ws.categories, self.expect_name("a category"), "category")
-        self.expect_sym("-/->")
-        tgt = self.lookup(ws.categories, self.expect_name("a category"), "category")
-        self.expect_sym("{")
+        name = self.block(ws.profunctors, "profunctor")
+        src, tgt = self.boundary(ws, "-/->")
         fibers = {}
         home = {}
         stated = []
-        while True:
-            tok = self.peek()
-            if tok[1] == "}":
-                self.next()
-                break
-            kw = self.expect_name("'elt', 'act' or '}'")
-            if kw[1] == "elt":
-                j = self.expect_name("an element name")
-                self.expect_sym(":")
-                a = self.expect_name("an object")
-                self.expect_sym("-/->")
-                b = self.expect_name("an object")
-                self.expect_sym(";")
-                if a[1] not in src.objects:
-                    self.error(f"unknown object {a[1]!r}", a)
-                if b[1] not in tgt.objects:
-                    self.error(f"unknown object {b[1]!r}", b)
+        for kw in self.statements("elt", "act"):
+            if kw == "elt":
+                j, a, b = self.read("an element name", ":", "an object",
+                                    "-/->", "an object", ";")
+                fiber = (self.known(a, src.objects, "object"),
+                         self.known(b, tgt.objects, "object"))
                 if j[1] in home:
                     self.error(f"element {j[1]!r} defined twice", j)
-                fibers.setdefault((a[1], b[1]), []).append(j[1])
-                home[j[1]] = (a[1], b[1])
-            elif kw[1] == "act":
-                v = self.expect_name("an arrow")
-                self.expect_sym(".")
-                j = self.expect_name("an element")
-                self.expect_sym(".")
-                u = self.expect_name("an arrow")
-                self.expect_sym("=")
-                j2 = self.expect_name("an element")
-                self.expect_sym(";")
-                stated.append((v, j, u, j2))
+                fibers.setdefault(fiber, []).append(j[1])
+                home[j[1]] = fiber
             else:
-                self.error(f"expected 'elt' or 'act', found {kw[1]!r}", kw)
+                stated.append(self.read("an arrow", ".", "an element", ".",
+                                        "an arrow", "=", "an element", ";"))
         entries = {}
         for v, j, u, j2 in stated:
             for tok in (j, j2):
-                if tok[1] not in home:
-                    self.error(f"unknown element {tok[1]!r}", tok)
-            if u[1] not in src.morphisms:
-                self.error(f"unknown arrow {u[1]!r}", u)
-            if v[1] not in tgt.morphisms:
-                self.error(f"unknown arrow {v[1]!r}", v)
+                self.known(tok, home, "element")
+            self.known(u, src.morphisms, "arrow")
+            self.known(v, tgt.morphisms, "arrow")
             a, b = home[j[1]]
             if src.tgt[u[1]] != a or tgt.src[v[1]] != b:
                 self.error(f"action {v[1]}.{j[1]}.{u[1]} is ill-typed", j)
@@ -430,33 +397,18 @@ class Parser:
     # -- cell ----------------------------------------------------------
 
     def parse_cell(self, ws):
-        self.expect_keyword("cell")
-        name = self.expect_name("a cell name")
-        if name[1] in ws.cells:
-            self.error(f"cell {name[1]!r} defined twice", name)
-        self.expect_sym(":")
-        top = self.lookup(ws.profunctors, self.expect_name("a profunctor"),
-                          "profunctor")
-        self.expect_sym("=>")
-        bot = self.lookup(ws.profunctors, self.expect_name("a profunctor"),
-                          "profunctor")
-        self.expect_keyword("left")
-        f = self.lookup(ws.functors, self.expect_name("a functor"), "functor")
-        self.expect_keyword("right")
-        g = self.lookup(ws.functors, self.expect_name("a functor"), "functor")
-        self.expect_sym("{")
-        maps = []
-        while True:
-            tok = self.peek()
-            if tok[1] == "}":
-                self.next()
-                break
-            self.expect_keyword("map")
-            j = self.expect_name("an element")
-            self.expect_sym("=>")
-            k = self.expect_name("an element")
-            self.expect_sym(";")
-            maps.append((j, k))
+        name = self.block(ws.cells, "cell")
+        self.read(":")
+        top = self.item(ws.profunctors, "profunctor")
+        self.read("=>")
+        bot = self.item(ws.profunctors, "profunctor")
+        self.keyword("left")
+        f = self.item(ws.functors, "functor")
+        self.keyword("right")
+        g = self.item(ws.functors, "functor")
+        self.read("{")
+        maps = [self.read("an element", "=>", "an element", ";")
+                for _ in self.statements("map")]
         if f.source != top.source or g.source != top.target or \
                 f.target != bot.source or g.target != bot.target:
             self.error(f"cell {name[1]!r} has mismatched boundaries", name)
@@ -474,13 +426,13 @@ class Parser:
         problems = validate_cell(cell)
         if problems:
             self.error(f"cell {name[1]!r} is not natural: {problems[0]}", name)
-        known = {j for _, _, j in top.elements()}
+        elements = {j for _, _, j in top.elements()}
         for j, _ in maps:
-            if j[1] not in known:
-                self.error(f"unknown element {j[1]!r}", j)
+            self.known(j, elements, "element")
         self.reject_restatements((f"image of element {j[1]}", k)
                                  for j, k in maps)
         ws.cells[name[1]] = cell
+
 
 
 def parse(text):

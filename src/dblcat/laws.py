@@ -35,17 +35,23 @@ def interchange_configs():
         (zoo.terminal_category(), zoo.iso_pair(), zoo.walking_arrow()),
         (zoo.composable_pair(), zoo.walking_arrow(), zoo.parallel_pair()),
     ]
-    for a_cat, c_cat, e_cat in triples:
-        fs, gs = all_functors(a_cat, c_cat), all_functors(c_cat, e_cat)
-        for f, f1, f2 in itertools.product(fs, repeat=3):
-            alphas = transformation_cells(f, f1)
-            betas = transformation_cells(f1, f2)
-            if not alphas or not betas:
-                continue
-            for g, g1, g2 in itertools.product(gs, repeat=3):
-                yield from itertools.product(
-                    alphas, betas, transformation_cells(g, g1),
-                    transformation_cells(g1, g2))
+    for triple in triples:
+        yield from interchange_grids(*triple)
+
+
+def interchange_grids(a_cat, c_cat, e_cat):
+    """The grids over functors A -> C -> E: transformations between
+    functors A -> C stacked on transformations between functors C -> E."""
+    fs, gs = all_functors(a_cat, c_cat), all_functors(c_cat, e_cat)
+    for f, f1, f2 in itertools.product(fs, repeat=3):
+        alphas = transformation_cells(f, f1)
+        betas = transformation_cells(f1, f2)
+        if not alphas or not betas:
+            continue
+        for g, g1, g2 in itertools.product(gs, repeat=3):
+            yield from itertools.product(
+                alphas, betas, transformation_cells(g, g1),
+                transformation_cells(g1, g2))
 
 
 @construction

@@ -55,17 +55,15 @@ def cospan_shape():
                          {"l": ("0", "2"), "r": ("1", "2")})
 
 
-def pick(cat, obj, name=None):
+def pick(cat, obj):
     """The functor One -> cat selecting the given object."""
-    one = terminal_category()
-    return Functor(name or f"pick_{obj}", one, cat,
+    return Functor(f"pick_{obj}", terminal_category(), cat,
                    {"*": obj}, {"1_*": cat.identity(obj)})
 
 
-def bang(cat, name=None):
+def bang(cat):
     """The unique functor cat -> One."""
-    one = terminal_category()
-    return Functor(name or f"!_{cat.name}", cat, one,
+    return Functor(f"!_{cat.name}", cat, terminal_category(),
                    {o: "*" for o in cat.objects},
                    {m: "1_*" for m in cat.morphisms})
 

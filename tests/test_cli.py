@@ -256,7 +256,7 @@ def test_skip_verify_leaves_out_exactly_the_verification(capsys, argv,
 
 
 def test_readme_lists_every_subcommand():
-    assert {argv[0] for argv in readme_commands()} == set(cli.HANDLERS)
+    assert {argv[0] for argv in readme_commands()} == set(cli.COMMANDS)
 
 
 def short_id(argv):

@@ -243,6 +243,252 @@ def test_identical_restatements_are_accepted():
         assert dsl.parse(text) == dsl.parse(once)
 
 
+# A prelude for the error sites below: Two, its identity functor Id and its
+# hom profunctor H, then the head of a cell c : H => H and its full maps
+TWO = "category Two { objects: 0, 1; arrow a: 0 -> 1; }\n"
+ID = "functor Id : Two -> Two { obj 0 => 0; obj 1 => 1; arr a => a; }\n"
+HOM = ("profunctor H : Two -/-> Two { elt h0 : 0 -/-> 0; elt ha : 0 -/-> 1;"
+       " elt h1 : 1 -/-> 1; act a . h0 . 1_0 = ha; act 1_1 . h1 . a = ha; }\n")
+ONE = "category One { objects: s; }\n"
+CELLS = TWO + ID + HOM
+CELL = CELLS + "cell c : H => H left Id right Id {"
+MAPS = " map h0 => h0; map ha => ha; map h1 => h1;"
+P0 = TWO + "profunctor P : Two -/-> Two { elt p : 0 -/-> 0; "
+
+# One input per error site of the parser, with its full diagnostic.  Where
+# an input holds several faults, the one reported is pinned too: an arrow's
+# name is checked before its ':' and its endpoints before its ';'; obj, arr
+# and elt lines are checked after their ';'; act lines only once the block
+# closes; the names of a block header as soon as each is read.  No input
+# reaches "profunctor ... is inconsistent": the closed action table already
+# has every property validate_profunctor checks.
+ERROR_SITES = [
+    ("category C {\n  objects: x$;\n}",
+     "2:13: unexpected character '$'"),
+    ("}",
+     "1:1: expected a block keyword, found '}'"),
+    ("widget W {}",
+     "1:1: unknown block keyword 'widget'"),
+    ("category {",
+     "1:10: expected a category name, found '{'"),
+    ("category C { objects: x; }\ncategory C",
+     "2:10: category 'C' defined twice"),
+    ("category C objects",
+     "1:12: expected '{', found 'objects'"),
+    ("category C { arrow",
+     "1:14: expected keyword 'objects', found 'arrow'"),
+    ("category C { : x; }",
+     "1:14: expected keyword 'objects', found ':'"),
+    ("category C { objects: ; }",
+     "1:23: expected an object name, found ';'"),
+    ("category C { objects: x y; }",
+     "1:25: expected ',' or ';' in object list"),
+    ("category C { objects: x, x; }",
+     '1:10: duplicate object name'),
+    ("category C { objects: x; ; }",
+     "1:26: expected 'arrow', 'compose' or '}', found ';'"),
+    ("category C { objects: x;",
+     "1:25: expected 'arrow', 'compose' or '}', found 'end of input'"),
+    ("category C { objects: x; obj",
+     "1:26: expected 'arrow' or 'compose', found 'obj'"),
+    ("category C { objects: x; arrow ; }",
+     "1:32: expected an arrow name, found ';'"),
+    ("category C { objects: x; arrow f: x -> x; arrow f",
+     "1:49: arrow 'f' defined twice"),
+    ("category C { objects: x; arrow 1_x",
+     "1:32: arrow '1_x' defined twice"),
+    ("category C { objects: x; arrow f x",
+     "1:34: expected ':', found 'x'"),
+    ("category C { objects: x; arrow f: y -> x; }",
+     "1:35: unknown object 'y'"),
+    ("category C { objects: x; arrow f: x -> y",
+     "1:40: unknown object 'y'"),
+    ("category C { objects: x; arrow f: x => x; }",
+     "1:37: expected '->', found '=>'"),
+    ("category C { objects: x; arrow f: x -> x",
+     "1:41: expected ';', found ''"),
+    ("category C { objects: x; arrow f: x -> x; compose f f = f; }",
+     "1:53: expected '.', found 'f'"),
+    ("category C { objects: x; arrow f: x -> x; compose f . g = f; }",
+     "1:55: unknown arrow 'g'"),
+    ("category C { objects: x; arrow f: x -> x; compose f . f = ; }",
+     "1:59: expected an arrow, found ';'"),
+    ("category C { objects: x, y, z; arrow f: x -> y; arrow g: y -> z; }",
+     "1:10: category 'C' is not a category: composite g . f missing"),
+    ("category C { objects: x, y, z;\n  arrow f: x -> y; arrow g: y -> z; "
+     "arrow h: x -> z; arrow k: x -> z;\n"
+     "  compose g . f = h;\n  compose g . f = k;\n}",
+     '4:19: composite g.f stated twice with different results'),
+    (TWO + "functor {",
+     "2:9: expected a functor name, found '{'"),
+    (TWO + ID + "functor Id",
+     "3:9: functor 'Id' defined twice"),
+    (TWO + "functor F Two",
+     "2:11: expected ':', found 'Two'"),
+    (TWO + "functor F : ;",
+     "2:13: expected a category, found ';'"),
+    (TWO + "functor F : X",
+     "2:13: unknown category 'X'"),
+    (TWO + "functor F : Two -> X",
+     "2:20: unknown category 'X'"),
+    (TWO + "functor F : Two => Two",
+     "2:17: expected '->', found '=>'"),
+    (TWO + "functor F : Two -> Two obj",
+     "2:24: expected '{', found 'obj'"),
+    (TWO + "functor F : Two -> Two { ; }",
+     "2:26: expected 'obj', 'arr' or '}', found ';'"),
+    (TWO + "functor F : Two -> Two {",
+     "2:25: expected 'obj', 'arr' or '}', found 'end of input'"),
+    (TWO + "functor F : Two -> Two { elt",
+     "2:26: expected 'obj' or 'arr', found 'elt'"),
+    (TWO + "functor F : Two -> Two { obj 0 -> 0; }",
+     "2:32: expected '=>', found '->'"),
+    (TWO + "functor F : Two -> Two { obj z => 0 }",
+     "2:37: expected ';', found '}'"),
+    (TWO + "functor F : Two -> Two { obj z => 0; }",
+     "2:30: unknown object 'z'"),
+    (TWO + "functor F : Two -> Two { obj 0 => z; }",
+     "2:35: unknown object 'z'"),
+    (TWO + "functor F : Two -> Two { arr b => a; }",
+     "2:30: unknown arrow 'b'"),
+    (TWO + "functor F : Two -> Two { arr a => b; }",
+     "2:35: unknown arrow 'b'"),
+    (TWO + "functor F : Two -> Two { arr a => ; }",
+     "2:35: expected an arrow, found ';'"),
+    (TWO + "functor F : Two -> Two { obj 0 => 0; }",
+     "2:9: functor 'F' misses object '1'"),
+    (TWO + "functor F : Two -> Two { obj 0 => 0; obj 1 => 0; }",
+     "2:9: functor 'F' misses arrow 'a'"),
+    (TWO + "functor F : Two -> Two { obj 0 => 1; obj 1 => 0; arr a => a; }",
+     "2:9: functor 'F' is not a functor: image of a has wrong endpoints"),
+    ("category D { objects: 0, 1; }\n"
+     "functor F : D -> D {\n obj 0 => 0;\n obj 0 => 1;\n obj 1 => 1; }",
+     '4:11: image of object 0 stated twice with different results'),
+    ("category P { objects: 0, 1; arrow a: 0 -> 1; arrow b: 0 -> 1; }\n"
+     "functor F : P -> P {\n obj 0 => 0; obj 1 => 1;\n"
+     " arr a => a;\n arr a => b; arr b => b; }",
+     '5:11: image of arrow a stated twice with different results'),
+    (TWO + "profunctor {",
+     "2:12: expected a profunctor name, found '{'"),
+    (TWO + HOM + "profunctor H",
+     "3:12: profunctor 'H' defined twice"),
+    (TWO + "profunctor P : X",
+     "2:16: unknown category 'X'"),
+    (TWO + "profunctor P : Two -> Two",
+     "2:20: expected '-/->', found '->'"),
+    (TWO + "profunctor P : Two -/-> X",
+     "2:25: unknown category 'X'"),
+    (TWO + "profunctor P : Two -/-> Two { ; }",
+     "2:31: expected 'elt', 'act' or '}', found ';'"),
+    (TWO + "profunctor P : Two -/-> Two { obj",
+     "2:31: expected 'elt' or 'act', found 'obj'"),
+    (TWO + "profunctor P : Two -/-> Two { elt p 0 }",
+     "2:37: expected ':', found '0'"),
+    (TWO + "profunctor P : Two -/-> Two { elt p : z -/-> 0; }",
+     "2:39: unknown object 'z'"),
+    (TWO + "profunctor P : Two -/-> Two { elt p : 0 -/-> z; }",
+     "2:46: unknown object 'z'"),
+    (TWO + "profunctor P : Two -/-> Two { elt p : 0 -/-> z }",
+     "2:48: expected ';', found '}'"),
+    (P0 + "elt p : 1 -/-> 1; }",
+     "2:53: element 'p' defined twice"),
+    (P0 + "act a . p 1_0 = p; }",
+     "2:59: expected '.', found '1_0'"),
+    (P0 + "act a . q . 1_0 = p;",
+     "2:69: expected 'elt', 'act' or '}', found 'end of input'"),
+    (P0 + "act a . q . 1_0 = p; }",
+     "2:57: unknown element 'q'"),
+    (P0 + "act a . p . 1_0 = q; }",
+     "2:67: unknown element 'q'"),
+    (P0 + "act 1_0 . p . b = p; }",
+     "2:63: unknown arrow 'b'"),
+    (P0 + "act b . p . 1_0 = p; }",
+     "2:53: unknown arrow 'b'"),
+    (P0 + "act 1_1 . p . 1_0 = p; }",
+     '2:59: action 1_1.p.1_0 is ill-typed'),
+    (P0 + "act a . p . 1_0 = p; }",
+     '2:67: result of a.p.1_0 lives in the wrong fiber'),
+    (P0 + ("elt q : 0 -/-> 1;"
+     " elt r : 0 -/-> 1;\n act a . p . 1_0 = q;\n act a . p . 1_0 = r; }"),
+     '4:20: action a.p.1_0 stated twice with different results'),
+    (P0 + ("elt q : 0 -/-> 0;"
+     " act 1_0 . p . 1_0 = q; }"),
+     "2:12: profunctor 'P' states an identity action moving 'p'"),
+    (ONE + ("category Three { objects: 0, 1, 2; arrow a: 0 -> 1;"
+     " arrow b: 1 -> 2; arrow ba: 0 -> 2; compose b . a = ba; }\n"
+     "profunctor J : One -/-> Three { elt j : s -/-> 0; elt j1 : s -/-> 1;"
+     " elt j2 : s -/-> 2; elt j3 : s -/-> 2;\n act a . j . 1_s = j1;"
+     " act b . j1 . 1_s = j2; act ba . j . 1_s = j3; }"),
+     "3:12: profunctor 'J' actions are inconsistent at ('1_s', 'j', 'ba')"),
+    (P0 + "elt q : 0 -/-> 1; }",
+     "2:12: profunctor 'P' does not determine the action a.p.1_0"),
+    (CELLS + "cell {",
+     "4:6: expected a cell name, found '{'"),
+    (CELL + MAPS + " }\ncell c",
+     "5:6: cell 'c' defined twice"),
+    (CELLS + "cell c H",
+     "4:8: expected ':', found 'H'"),
+    (CELLS + "cell c : X",
+     "4:10: unknown profunctor 'X'"),
+    (CELLS + "cell c : H -> H",
+     "4:12: expected '=>', found '->'"),
+    (CELLS + "cell c : H => X",
+     "4:15: unknown profunctor 'X'"),
+    (CELLS + "cell c : H => H right",
+     "4:17: expected keyword 'left', found 'right'"),
+    (CELLS + "cell c : H => H {",
+     "4:17: expected keyword 'left', found '{'"),
+    (CELLS + "cell c : H => H left X",
+     "4:22: unknown functor 'X'"),
+    (CELLS + "cell c : H => H left Id left",
+     "4:25: expected keyword 'right', found 'left'"),
+    (CELLS + "cell c : H => H left Id right X",
+     "4:31: unknown functor 'X'"),
+    (CELLS + "cell c : H => H left Id right Id map",
+     "4:34: expected '{', found 'map'"),
+    (CELL + " obj",
+     "4:36: expected keyword 'map', found 'obj'"),
+    (CELL + " ; }",
+     "4:36: expected keyword 'map', found ';'"),
+    (CELL,
+     "4:35: expected keyword 'map', found 'end of input'"),
+    (CELL + " map h0 -> h0; }",
+     "4:43: expected '=>', found '->'"),
+    (CELL + " map h0 => ; }",
+     "4:46: expected an element, found ';'"),
+    (CELLS + ONE + "functor P : One -> Two { obj s => 0; }\n"
+     "cell c : H => H left P right Id { }",
+     "6:6: cell 'c' has mismatched boundaries"),
+    (CELL + " map h0 => h0; map ha => ha; }",
+     "4:6: cell 'c' misses element 'h1'"),
+    (CELL + " map h0 => ha; map ha => ha; map h1 => h1; }",
+     "4:40: image 'ha' is not in the expected fiber"),
+    (TWO + ID + "profunctor D : Two -/-> Two { elt p : 0 -/-> 0;"
+     " elt q : 0 -/-> 0; elt r : 1 -/-> 1; elt t : 0 -/-> 1;"
+     " elt t2 : 0 -/-> 1; act a . p . 1_0 = t; act a . q . 1_0 = t2; act 1_1 . r . a = t; }\n"
+     "cell c : D => D left Id right Id { map p => q; map q => p; map r => r;"
+     " map t => t; map t2 => t2; }",
+     "4:6: cell 'c' is not natural: naturality fails at (1_0, p, a)"),
+    (CELL + "\n" + MAPS + "\n map zz => h0; }",
+     "6:6: unknown element 'zz'"),
+    (CELL + "\n" + MAPS + "\n map h0 => h0; map ha => h0; }",
+     "6:20: image 'h0' is not in the expected fiber"),
+    ("category One { objects: s; }\nfunctor Id : One -> One { obj s => s; }\n"
+     "profunctor J : One -/-> One { elt j : s -/-> s; elt k : s -/-> s; }\n"
+     "cell c : J => J left Id right Id {\n"
+     " map j => j;\n map k => k;\n map j => k;\n}",
+     '7:11: image of element j stated twice with different results'),
+
+]
+
+
+def test_every_error_site_reports_its_message_and_position():
+    for text, message in ERROR_SITES:
+        e = err(text)
+        line, col, _ = message.split(":", 2)
+        assert (str(e), e.line, e.col) == (message, int(line), int(col)), text
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.text(max_size=120))
 def test_parser_is_total_on_garbage(text):
@@ -327,6 +573,27 @@ def test_action_closure_matches_all_pairs_oracle(monkeypatch):
     for message in ("inconsistent at", "does not determine",
                     "identity action moving"):
         assert any(message in e for e in errors), message
+
+
+def test_left_actions_derived_through_both_sides():
+    # j.a and k.a are stated nowhere on their own: closing u.j.a = y with
+    # v.y = x gives j.a = v.u.j.a = x, and closing v.k = j with u.j.a = y
+    # gives k.a = u.v.k.a = y.  A closure of each side on its own would
+    # leave both undetermined and reject the block.
+    text = (
+        "category Two { objects: 0, 1; arrow a: 0 -> 1; }\n"
+        "category Iso { objects: 0, 1; arrow u: 0 -> 1; arrow v: 1 -> 0;\n"
+        "  compose v . u = 1_0; compose u . v = 1_1; }\n"
+        "profunctor J : Two -/-> Iso {\n"
+        "  elt x : 0 -/-> 0; elt y : 0 -/-> 1;\n"
+        "  elt j : 1 -/-> 0; elt k : 1 -/-> 1;\n"
+        "  act u . x . 1_0 = y; act v . y . 1_0 = x;\n"
+        "  act u . j . 1_1 = k; act v . k . 1_1 = j;\n"
+        "  act u . j . a = y;\n}\n")
+    assert not any(line.startswith("  act 1_") for line in text.split("\n"))
+    j = dsl.parse(text).profunctors["J"]
+    assert j.act_left("a", "1", "0", "j") == "x"
+    assert j.act_left("a", "1", "1", "k") == "y"
 
 
 

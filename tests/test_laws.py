@@ -3,7 +3,7 @@ import dataclasses
 import pytest
 
 import helpers
-from dblcat import laws, prof
+from dblcat import laws, prof, zoo
 
 
 def test_interchange():
@@ -47,9 +47,9 @@ def test_each_run_composes_afresh(monkeypatch):
 def moved(cell, within_fiber):
     """``cell`` with its first movable component moved to another element
     of its fiber, or, if not ``within_fiber``, to another element of the
-    bottom profunctor.  The interchange suite needs the latter: its cells
-    land in composites of hom profunctors whose fibers all have one
-    element."""
+    bottom profunctor.  The interchange suite's default configurations
+    need the latter: their cells land in composites of hom profunctors
+    whose fibers all have one element."""
     f, g = cell.vsrc, cell.vtgt
     everywhere = [x for _, _, x in cell.htgt.elements()]
     for (a, b, x), img in cell.comp.items():
@@ -61,10 +61,24 @@ def moved(cell, within_fiber):
     return cell
 
 
+def check_interchange_over_pair():
+    """``laws.check_interchange`` on the grids over Three -> Two -> Pair,
+    whose horizontal composites land in composites of 1_Pair: its fiber
+    over (0, 1) holds s and t."""
+    configs = laws.interchange_configs
+    laws.interchange_configs = lambda: laws.interchange_grids(
+        zoo.composable_pair(), zoo.walking_arrow(), zoo.parallel_pair())
+    try:
+        return laws.check_interchange()
+    finally:
+        laws.interchange_configs = configs
+
+
 @pytest.mark.parametrize("name, check, within_fiber", [
     ("associator", laws.check_pentagon, True),
     ("left_unitor", laws.check_unitors_and_triangle, True),
     ("hcompose", laws.check_interchange, False),
+    ("hcompose", check_interchange_over_pair, True),
 ])
 def test_suites_fail_when_a_cell_is_broken(monkeypatch, name, check,
                                            within_fiber):
@@ -86,6 +100,21 @@ def test_suites_fail_when_a_cell_is_broken(monkeypatch, name, check,
     (a, b, x), = [k for k in cell.comp if cell.comp[k] != out.comp[k]]
     fib = cell.htgt.fiber(cell.vsrc.obj[a], cell.vtgt.obj[b])
     assert (out.comp[(a, b, x)] in fib) == within_fiber
+
+
+def test_interchange_over_pair_meets_two_element_fibers(monkeypatch):
+    real = laws.hcompose
+    sizes = []
+
+    def measuring(left, right):
+        cell = real(left, right)
+        sizes.extend(len(cell.htgt.fiber(cell.vsrc.obj[a], cell.vtgt.obj[b]))
+                     for a, b, _ in cell.comp)
+        return cell
+
+    monkeypatch.setattr(laws, "hcompose", measuring)
+    assert check_interchange_over_pair() == (True, 120)
+    assert max(sizes) == 2
 
 
 def test_each_suite_builds_each_unit_once(monkeypatch):
