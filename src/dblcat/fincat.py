@@ -438,46 +438,52 @@ def category_of_elements(name, ac, bc, triples, act_right, act_left):
     target triple, then u and v in hom order; the objects reachable from
     each endpoint are read once from ``out_of``, and the targets that both
     endpoints reach are listed once per pair of them.  Identities
-    are implicit; composites are componentwise.  Returns the category, its
-    projections ``pl_<name>`` to A and ``pr_<name>`` to B, and the triple
-    of each object id.
+    are implicit; composites are componentwise.  Each arrow is indexed
+    under (source id, target id, u, v), and each identity under (s, s,
+    1_a, 1_b), so that a composite is one lookup of its components; the
+    table is filled along each arrow m2 and the arrows into its source,
+    in ``composable_pairs`` order.  Returns the category, its projections
+    ``pl_<name>`` to A and ``pr_<name>`` to B, and the triple of each
+    object id.
     """
     ids = {t: f"({t[0]},{t[1]},{t[2]})" for t in triples}
     from_a = {a: {ac.tgt[u] for u in ac.out_of(a)} for a in ac.objects}
     from_b = {b: {bc.tgt[v] for v in bc.out_of(b)} for b in bc.objects}
     reach = {}      # (a1, b1) -> the triples both endpoints reach
-    arrows, pair = {}, {}
+    arrows, pair, index = {}, {}, {}
+    into = {i: [] for i in ids.values()}    # (arrow, source, u, v), in order
     for t1 in triples:
         a1, x1, b1 = t1
         if (a1, b1) not in reach:
             ra, rb = from_a[a1], from_b[b1]
             reach[(a1, b1)] = [t for t in triples
                                if t[0] in ra and t[2] in rb]
+        s = ids[t1]
         for t2 in reach[(a1, b1)]:
             a2, x2, b2 = t2
+            t = ids[t2]
             for u in ac.hom(a1, a2):
                 for v in bc.hom(b1, b2):
                     if act_right(a1, b1, x1, v) != act_left(u, a2, b2, x2):
                         continue
                     if t1 == t2 and ac.is_identity(u) and bc.is_identity(v):
                         continue
-                    m = f"[{u},{v}]:{ids[t1]}->{ids[t2]}"
-                    arrows[m] = (ids[t1], ids[t2])
+                    m = f"[{u},{v}]:{s}->{t}"
+                    arrows[m] = (s, t)
                     pair[m] = (u, v)
+                    index[(s, t, u, v)] = m
+                    into[t].append((m, s, u, v))
     cat = make_category(name, ids.values(), arrows)   # composites below
-    composites = {}
-    for m2, m1 in cat.composable_pairs():
-        if m2 not in pair or m1 not in pair:
-            continue  # composites with identities are implicit
-        # composable by construction, so the tables are read unchecked
-        u = ac.table[(pair[m2][0], pair[m1][0])]
-        v = bc.table[(pair[m2][1], pair[m1][1])]
-        s, t = cat.src[m1], cat.tgt[m2]
-        if s == t and ac.is_identity(u) and bc.is_identity(v):
-            composites[(m2, m1)] = cat.identity(s)
-        else:
-            composites[(m2, m1)] = f"[{u},{v}]:{s}->{t}"
-    cat.table.update(composites)   # safe: no index reads the table
+    for (a, _, b), s in ids.items():
+        index[(s, s, ac.identities[a], bc.identities[b])] = cat.identities[s]
+    # composable by construction, so the tables are read unchecked; a
+    # composite missing from the index raises KeyError
+    table, atable, btable = cat.table, ac.table, bc.table
+    for m2, (s2, t2) in arrows.items():
+        u2, v2 = pair[m2]
+        for m1, s1, u1, v1 in into[s2]:
+            table[(m2, m1)] = index[(s1, t2, atable[(u2, u1)],
+                                     btable[(v2, v1)])]
     pl_obj = {ids[t]: t[0] for t in triples}
     pr_obj = {ids[t]: t[2] for t in triples}
     pl_mor = {cat.identity(o): ac.identity(pl_obj[o]) for o in cat.objects}

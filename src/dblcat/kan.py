@@ -20,7 +20,9 @@ profunctor and ``RanProblem`` is built once per distinct arguments, and
 none is kept after it.  A ``RanProblem`` holds what a decision needs about
 (J, d), each part built once, when first asked for: its competitors (every
 functor s : A -> M with its cells J -> 1_M over (s, d), if it has any),
-its right hom d^* <| J and its limits.  ``is_ran`` and
+its right hom d^* <| J and its limits.  The limits are taken over J's
+categories of elements, which depend on J alone: ``elements_categories``
+builds them once per decision for the problems of every d.  ``is_ran`` and
 ``is_pointwise_ran`` validate their candidate and consult its problem, and
 ``is_right_exact`` judges each of its candidates, the competitors of the
 problem of (K, d), against the problems of (K, d) and (J, d . g).
@@ -87,6 +89,13 @@ def elements_category(j, a):
         f"el({j.name},{a})", _ONE, j.target, triples,
         lambda _, b, x, v: j.act_right(a, b, x, v), lambda u, _, b, x: x)
     return cat, proj, {(b, x): o for o, (_, x, b) in triple.items()}
+
+
+@construction
+def elements_categories(j):
+    """``elements_category(j, a)`` for each object a of J's source: one
+    decision builds them once per J, whichever d its problems extend."""
+    return {a: elements_category(j, a) for a in j.source.objects}
 
 
 def _unique_mediator(lim, cone, where):
@@ -172,11 +181,16 @@ class RanProblem:
         """The right hom d^* <| J : M -/-> A."""
         return rhom(conjoint(self.d), self.j)[0]
 
+    @cached_property
+    def categories_of_elements(self):
+        """``elements_categories(J)``, which the problems of one J share."""
+        return elements_categories(self.j)
+
     def limit_at(self, a):
         """(oid, diagram, terminal cone) of d over the category of elements
         of J(a, -); the terminal cone is None where M has no limit."""
         if a not in self._limits:
-            cat, proj, oid = elements_category(self.j, a)
+            _, proj, oid = self.categories_of_elements[a]
             diagram = compose_functors(self.d, proj)
             try:
                 term = limit(diagram)

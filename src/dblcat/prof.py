@@ -9,6 +9,11 @@ for v : b -> b' the right action gives v . j in J(a, b').  The two commute,
 (v . j) . u = v . (j . u), so the two-sided ``act(u, j, v)`` is one lookup
 on each side.  All data is tabulated, one entry per element and acting
 morphism; every universal property below is decided by finite enumeration.
+The representable profunctors ``unit_prof``, ``companion`` and
+``conjoint`` build their fibers at once and each action table when it is
+first read, from their category's composition table: a tabulation reads
+only the elements of the unit profunctor of its category, never its
+actions.
 ``elements()`` lists every (a, b, j) as one tuple, built on its first call
 and kept with the profunctor.
 
@@ -30,7 +35,8 @@ it replaced are ``cells_between_oracle`` and ``rhom_families_oracle`` in
 arguments.  So the cells that live between unit profunctors or composites
 (``unit_cell``, ``nat_transf_as_cell``, ``hcompose``, the unitors,
 ``associator`` and the bending cells) build those from their arguments,
-and within a decision they share them.
+and within a decision they share them, so the tables of a shared unit are
+built once, by whichever reader comes first.
 
 A profunctor hashes its boundary and ``elements()``, and a cell its
 ``key``: its components listed along ``hsrc.elements()``, kept once built.
@@ -45,6 +51,24 @@ from .fincat import (FinCategory, Functor, backtrack, compose_functors,
                      construction, functor_inverse, identity_functor)
 
 
+class OnFirstRead:
+    """An action table of ``Profunctor`` as a non-data descriptor.  A read
+    finds the table in the instance ``__dict__`` first, where a profunctor
+    built with its tables keeps them, and reaches ``__get__`` only when it
+    is missing: on the first read of a representable profunctor's table,
+    which is then built and kept there.  Read on the class it raises
+    AttributeError, so that the dataclass field has no default."""
+
+    def __set_name__(self, owner, side):
+        self.side = side
+
+    def __get__(self, p, owner=None):
+        if p is None:
+            raise AttributeError(self.side)
+        table = p.__dict__[self.side] = _representable_action(p, self.side)
+        return table
+
+
 @dataclass(frozen=True, eq=True)
 class Profunctor:
     """J : source -/-> target as its fibers and its two one-sided actions.
@@ -53,14 +77,21 @@ class Profunctor:
     ``right[(a, b, j, v)]`` is v . j in J(a, b') for v : b -> b'; both hold
     an entry for every element and every morphism acting on it, identities
     included.  Equality compares the fibers and both tables.
+
+    A representable profunctor (``unit_prof``, ``companion``,
+    ``conjoint``) is built with its fibers only, and builds each table
+    from its category's composition table the first time it is read
+    (``OnFirstRead``).  The table is then kept in the instance
+    ``__dict__``, as a profunctor built with its tables keeps them, so
+    every later read is a plain attribute read.
     """
 
     name: str = field(compare=False)
     source: FinCategory
     target: FinCategory
     fibers: dict          # (a, b) -> tuple of element ids
-    left: dict            # (u, a, b, j) -> element id, u : a' -> a
-    right: dict           # (a, b, j, v) -> element id, v : b -> b'
+    left: dict = OnFirstRead()      # (u, a, b, j) -> element id, u : a' -> a
+    right: dict = OnFirstRead()     # (a, b, j, v) -> element id, v : b -> b'
 
     def __hash__(self):
         # computed once, kept in the instance __dict__ rather than a field
@@ -145,21 +176,53 @@ def validate_profunctor(p):
     return problems
 
 
+def _representable(name, cat, f=None, g=None):
+    """The profunctor C(f a, g b) : A -/-> B of f : A -> C and g : B -> C,
+    where None stands for the identity of C = ``cat``.  Its fibers are
+    hom-sets of C, listed along A's objects, then B's; its actions are
+    j . u = j . f(u) and v . j = g(v) . j, each tabulated on its first
+    read by ``_representable_action``."""
+    ac = cat if f is None else f.source
+    bc = cat if g is None else g.source
+    fo = None if f is None else f.obj
+    go = None if g is None else g.obj
+    hom = cat.hom
+    p = object.__new__(Profunctor)      # without tables: see OnFirstRead
+    p.__dict__.update(name=name, source=ac, target=bc, _represents=(cat, f, g),
+                      fibers={(a, b): fiber for a in ac.objects
+                              for b in bc.objects
+                              if (fiber := hom(a if fo is None else fo[a],
+                                               b if go is None else go[b]))})
+    return p
+
+
+def _representable_action(p, side):
+    """The ``side`` ("left" or "right") action table of the representable
+    profunctor p, listed by fiber, element, then acting morphism."""
+    cat, f, g = p._represents
+    table = cat.table     # every pair below is composable by construction
+    acts = {}
+    if side == "left":
+        into, fm = p.source.into, None if f is None else f.mor
+        for (a, b), elems in p.fibers.items():
+            acting = into(a)
+            for j in elems:
+                for u in acting:
+                    acts[(u, a, b, j)] = table[(j, u if fm is None else fm[u])]
+    else:
+        out_of, gm = p.target.out_of, None if g is None else g.mor
+        for (a, b), elems in p.fibers.items():
+            acting = out_of(b)
+            for j in elems:
+                for v in acting:
+                    acts[(a, b, j, v)] = table[(v if gm is None else gm[v], j)]
+    return acts
+
+
 @construction
 def unit_prof(cat):
-    """The unit (hom) profunctor of a category."""
-    fibers = {(a, b): hom for a in cat.objects for b in cat.objects
-              if (hom := cat.hom(a, b))}
-    table = cat.table     # every pair below is composable by construction
-    left, right = {}, {}
-    for (a, b), elems in fibers.items():
-        into_a, out_b = cat.into(a), cat.out_of(b)
-        for j in elems:
-            for u in into_a:
-                left[(u, a, b, j)] = table[(j, u)]
-            for v in out_b:
-                right[(a, b, j, v)] = table[(v, j)]
-    return Profunctor(f"1_{cat.name}", cat, cat, fibers, left, right)
+    """The unit (hom) profunctor of a category, C(a, b)."""
+    return _representable(f"1_{cat.name}", cat)
 
 
 def empty_prof(source, target):
@@ -170,33 +233,13 @@ def empty_prof(source, target):
 @construction
 def companion(f):
     """f_* : A -/-> C for f : A -> C, with f_*(a, c) = C(f a, c)."""
-    ac, cc = f.source, f.target
-    fibers = {(a, c): hom for a in ac.objects for c in cc.objects
-              if (hom := cc.hom(f.obj[a], c))}
-    left, right = {}, {}
-    for (a, c), elems in fibers.items():
-        for j in elems:
-            for u in ac.into(a):
-                left[(u, a, c, j)] = cc.compose(j, f.mor[u])
-            for v in cc.out_of(c):
-                right[(a, c, j, v)] = cc.compose(v, j)
-    return Profunctor(f"{f.name}_*", ac, cc, fibers, left, right)
+    return _representable(f"{f.name}_*", f.target, f=f)
 
 
 @construction
 def conjoint(f):
     """f^* : C -/-> A for f : A -> C, with f^*(c, a) = C(c, f a)."""
-    ac, cc = f.source, f.target
-    fibers = {(c, a): hom for c in cc.objects for a in ac.objects
-              if (hom := cc.hom(c, f.obj[a]))}
-    left, right = {}, {}
-    for (c, a), elems in fibers.items():
-        for j in elems:
-            for u in cc.into(c):
-                left[(u, c, a, j)] = cc.compose(j, u)
-            for v in ac.out_of(a):
-                right[(c, a, j, v)] = cc.compose(f.mor[v], j)
-    return Profunctor(f"{f.name}^*", cc, ac, fibers, left, right)
+    return _representable(f"{f.name}^*", f.target, g=f)
 
 
 # ---------------------------------------------------------------------------

@@ -114,6 +114,62 @@ def conjoint_oracle(f):
     return fibers, action
 
 
+# ---------------------------------------------------------------------------
+# representable profunctors with eager tables: unit_prof, companion and
+# conjoint as they were before they built each table on its first read
+
+
+def unit_prof_eager(cat):
+    fibers = {(a, b): hom for a in cat.objects for b in cat.objects
+              if (hom := cat.hom(a, b))}
+    table = cat.table     # every pair below is composable by construction
+    left, right = {}, {}
+    for (a, b), elems in fibers.items():
+        into_a, out_b = cat.into(a), cat.out_of(b)
+        for j in elems:
+            for u in into_a:
+                left[(u, a, b, j)] = table[(j, u)]
+            for v in out_b:
+                right[(a, b, j, v)] = table[(v, j)]
+    return Profunctor(f"1_{cat.name}", cat, cat, fibers, left, right)
+
+
+def companion_eager(f):
+    ac, cc = f.source, f.target
+    fibers = {(a, c): hom for a in ac.objects for c in cc.objects
+              if (hom := cc.hom(f.obj[a], c))}
+    left, right = {}, {}
+    for (a, c), elems in fibers.items():
+        for j in elems:
+            for u in ac.into(a):
+                left[(u, a, c, j)] = cc.compose(j, f.mor[u])
+            for v in cc.out_of(c):
+                right[(a, c, j, v)] = cc.compose(v, j)
+    return Profunctor(f"{f.name}_*", ac, cc, fibers, left, right)
+
+
+def conjoint_eager(f):
+    ac, cc = f.source, f.target
+    fibers = {(c, a): hom for c in cc.objects for a in ac.objects
+              if (hom := cc.hom(c, f.obj[a]))}
+    left, right = {}, {}
+    for (c, a), elems in fibers.items():
+        for j in elems:
+            for u in cc.into(c):
+                left[(u, c, a, j)] = cc.compose(j, u)
+            for v in ac.out_of(a):
+                right[(c, a, j, v)] = cc.compose(f.mor[v], j)
+    return Profunctor(f"{f.name}^*", cc, ac, fibers, left, right)
+
+
+def profunctor_tables(p):
+    """A profunctor's name, boundary, fibers and both action tables, the
+    dicts as lists of items, so that comparing two of them compares order
+    as well."""
+    return (p.name, p.source, p.target, list(p.fibers.items()),
+            list(p.left.items()), list(p.right.items()))
+
+
 def restrict_oracle(k, f, g):
     ac, bc = f.source, g.source
     fibers = {(a, b): k.fiber(f.obj[a], g.obj[b]) for a in ac.objects
@@ -1052,7 +1108,7 @@ def tabulate_oracle(j):
             pr_mor[m] = v
     proj_left = Functor(f"pl<{j.name}>", cat, ac, pl_obj, pl_mor)
     proj_right = Functor(f"pr<{j.name}>", cat, bc, pr_obj, pr_mor)
-    ut = unit_prof(cat)
+    ut = unit_prof_eager(cat)
     by_oid = {oid[t]: t for t in triples}
     comp = {}
     for o1, o2, m in ut.elements():

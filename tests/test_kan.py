@@ -204,6 +204,24 @@ def test_right_exactness_builds_one_right_hom_per_problem(monkeypatch):
     assert len(problems) == len(requests) == len(set(requests)) == 13
 
 
+def test_right_exactness_builds_each_category_of_elements_once(monkeypatch):
+    builds, build = [], kan.elements_category
+
+    def counted(j, a):
+        builds.append((j, a))
+        return build(j, a)
+
+    monkeypatch.setattr(kan, "elements_category", counted)
+    cell = identity_cell(unit_prof(helpers.chain(3)))
+    for mode in ("pointwise", "ordinary"):
+        builds.clear()
+        assert kan.is_right_exact(cell, mode=mode) == (True, None)
+        # one per object of [3], shared by the problems of every d; the
+        # ordinary test takes no limit
+        assert len(builds) == len(set(builds)) == \
+            (3 if mode == "pointwise" else 0)
+
+
 def competitor_tables(competitors):
     return [(s.name, helpers.cell_tables(cells)) for s, cells in competitors]
 

@@ -17,7 +17,7 @@ from dblcat.prof import (Cell, cells_between, companion,
                          opcartesian_cell, cartesian_cell, restrict, rhom,
                          right_unitor, unit_cell, unit_prof, upper_star,
                          validate_cell, validate_profunctor, vcompose)
-from dblcat import zoo
+from dblcat import dsl, zoo
 
 
 def test_corpus_profunctors_are_valid():
@@ -306,6 +306,62 @@ def test_profunctor_hash_is_computed_once_and_stays_out_of_the_fields():
         ["name", "source", "target", "fibers", "left", "right"]
     assert {p, q} == {p} and {p: 1}[q] == 1
     assert p != unit_prof(zoo.walking_arrow())
+
+
+def representable_twins():
+    """Pairs (representable profunctor, its eager twin), none of them read
+    yet: the profunctor corpus, then the units of Iso, Z/2, the idempotent
+    monoid and G22, whose tables hold composites of non-identity arrows
+    that are identities or that repeat."""
+    lazy = helpers.profunctor_corpus()
+    eager = helpers.profunctor_corpus(helpers.unit_prof_eager,
+                                      helpers.companion_eager,
+                                      helpers.conjoint_eager)
+    cats = [zoo.iso_pair(), helpers.z2(), helpers.idempotent_monoid(),
+            helpers.g_pq(2, 2)]
+    lazy += [unit_prof(c) for c in cats]
+    eager += [helpers.unit_prof_eager(c) for c in cats]
+    return list(zip(lazy, eager))
+
+
+def test_representables_build_the_tables_of_their_eager_twins():
+    pairs = representable_twins()
+    assert len(pairs) == 22
+    for p, q in pairs:
+        assert "left" not in vars(p) and "right" not in vars(p), p.name
+        assert p.left is p.left          # built once, then kept
+        assert "right" not in vars(p), p.name
+        assert helpers.profunctor_tables(p) == \
+            helpers.profunctor_tables(q), p.name
+        assert validate_profunctor(p) == [], p.name
+
+
+@pytest.mark.parametrize("unread_on_left", [True, False])
+def test_representables_equal_their_eager_twins_before_a_read(unread_on_left):
+    for p, q in representable_twins():
+        assert (p == q if unread_on_left else q == p), p.name
+        assert hash(p) == hash(q), p.name
+    # equality reads the built tables: an eager twin with one entry of one
+    # side changed differs from the unread representable
+    for side in ("left", "right"):
+        for p, q in representable_twins():
+            table = getattr(q, side)
+            broken = dataclasses.replace(
+                q, **{side: {**table, next(iter(table)): "moved"}})
+            assert (p != broken if unread_on_left else broken != p), p.name
+
+
+def test_workspace_round_trip_holds_with_an_unread_unit():
+    cats = {c.name: c for c in (zoo.iso_pair(), helpers.g_pq(2, 2))}
+
+    def workspace():
+        return dsl.Workspace(categories=dict(cats), profunctors={
+            f"Hom{name}": unit_prof(c) for name, c in cats.items()})
+
+    ws = workspace()
+    parsed = dsl.parse(dsl.serialize(ws))
+    assert parsed == ws
+    assert workspace() == parsed and parsed == workspace()
 
 
 def test_witness_class_lookup():

@@ -50,21 +50,42 @@ def non_identity_composites(cat):
             if not cat.is_identity(k[0]) and not cat.is_identity(k[1])]
 
 
+def isomorphism_categories():
+    """Categories with non-identity arrows whose composites are identities
+    (Iso, Z/2) or repeat (the idempotent monoid, G22's hom-sets)."""
+    return [zoo.iso_pair(), helpers.z2(), helpers.idempotent_monoid(),
+            helpers.g_pq(2, 2)]
+
+
+def identity_composites(cat):
+    """The composites of two non-identity arrows that are identities."""
+    return sum(cat.is_identity(h) for (g, f), h in
+               non_identity_composites(cat))
+
+
 def test_tabulation_indexes_and_composites_match_scans():
     corpus = helpers.profunctor_corpus() + [unit_prof(helpers.chain(n))
                                             for n in range(1, 5)]
+    corpus += [unit_prof(c) for c in isomorphism_categories()]
+    on_identities = {}
     for j in corpus:
         t = tab.tabulate(j)
         assert helpers.indexes_agree_with_scans(t.category), j.name
         assert non_identity_composites(t.category) == \
             helpers.pair_composites_oracle(t.category, t.proj_left,
                                            t.proj_right), j.name
+        on_identities[j.name] = identity_composites(t.category)
+    assert {name: n for name, n in on_identities.items() if n} == \
+        {"1_Iso": 12, "1_Z2": 6}
 
 
 def test_comma_category_composites_match_all_pairs_oracle():
     cats = [zoo.walking_arrow(), zoo.composable_pair(), helpers.chain(4)]
-    for f in zoo.corpus_functors(cats, limit_per_pair=3):
-        for g in zoo.corpus_functors(cats, limit_per_pair=3):
+    functors = zoo.corpus_functors(cats, limit_per_pair=3)
+    functors += zoo.corpus_functors(isomorphism_categories(), limit_per_pair=3)
+    on_identities = 0
+    for f in functors:
+        for g in functors:
             if f.target != g.target:
                 continue
             cc = comma_category(f, g)
@@ -72,6 +93,18 @@ def test_comma_category_composites_match_all_pairs_oracle():
             assert non_identity_composites(cc.category) == \
                 helpers.pair_composites_oracle(cc.category, cc.proj_left,
                                                cc.proj_right)
+            on_identities += identity_composites(cc.category)
+    assert on_identities == 1577
+
+
+def test_tabulation_leaves_the_tables_of_its_unit_unbuilt():
+    t = tab.tabulate(unit_prof(helpers.chain(7)))
+    unit = t.cell.hsrc
+    assert len(unit.elements()) == len(t.category.morphisms) == 336
+    assert "left" not in vars(unit) and "right" not in vars(unit)
+    assert helpers.profunctor_tables(unit) == \
+        helpers.profunctor_tables(helpers.unit_prof_eager(t.category))
+    assert vars(unit)["left"] is unit.left
 
 
 def test_comma_object_matches_comma_category():
