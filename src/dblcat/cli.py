@@ -93,10 +93,10 @@ def cmd_compose(args):
               for a in comp.source.objects for b in comp.target.objects
               if comp.fiber(a, b)}
     classes = {}
-    for (a, e), cls in wit.classes.items():
-        for pair, rep in sorted(cls.items()):
+    for (a, e), ids in wit.ids.items():
+        for pair, cid in sorted(ids.items()):
             classes.setdefault(f"({a},{e})", {}).setdefault(
-                "|".join(rep), []).append("|".join(pair))
+                "|".join(wit.least(a, e, cid)), []).append("|".join(pair))
     return {"ok": True, "fibers": fibers, "classes": classes}
 
 

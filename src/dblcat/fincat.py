@@ -516,10 +516,12 @@ def comma_category(f, g):
     ccat, dcat, ecat = f.source, g.source, f.target
     triples = [(c, u, d) for c in ccat.objects for d in dcat.objects
                for u in ecat.hom(f.obj[c], g.obj[d])]
+    # every pair composed below is composable by construction, so the
+    # table is read unchecked
     cat, pl, pr, triple = category_of_elements(
         f"{f.name}/{g.name}", ccat, dcat, triples,
-        lambda c, d, u, q: ecat.compose(g.mor[q], u),
-        lambda p, c, d, u: ecat.compose(u, f.mor[p]))
+        lambda c, d, u, q: ecat.table[(g.mor[q], u)],
+        lambda p, c, d, u: ecat.table[(u, f.mor[p])])
     return CommaCategory(cat, pl, pr, {o: t[1] for o, t in triple.items()})
 
 
@@ -629,21 +631,6 @@ def _functor_maps(a, m, domains, pairs):
         homs += [m.hom(obj[s], obj[t]) for s, t in ends]
         for mors in search(homs, comps):
             yield obj, dict(zip(arrows, mors))
-
-
-def remembering(search):
-    """``search`` with each result kept, per argument tuple, for as long as
-    the returned function lives."""
-    memo = {}
-
-    def remembered(*args):
-        try:
-            return memo[args]       # one lookup: keys may be slow to compare
-        except KeyError:
-            found = memo[args] = search(*args)
-            return found
-
-    return remembered
 
 
 def filed(items, key):

@@ -1,29 +1,47 @@
 """Enumerative suites for the double-category laws: interchange, unitor
 and associator coherence, and the companion/conjoint bending identities.
 
-Configurations are drawn deterministically from the stock corpus, so a
-run with the same caps always checks the same cases.  Each suite is a
-decision (``fincat.decision``): it builds each unit profunctor, composite,
-companion, conjoint and functor list once, so both sides of a law share
-their composites.  The interchange suite also builds the cells of the
-transformations between each pair of functors once
-(``transformation_cells``, a construction), and it evaluates each
-distinct vertical or horizontal composite of cells once, keyed by the
-cells.  Nothing outlives the suite call.
+Each suite is a list of configurations, drawn deterministically from the
+stock corpus, and one law; ``holds`` tries the law on each configuration
+in order and stops at the first failure, so every run checks the same
+cases and reports how many held.  Every suite runs all its configurations
+except interchange, which runs the first ``INTERCHANGE_GRIDS`` of its
+1,892 grids.  Each suite is a decision (``fincat.decision``): it builds
+each unit profunctor, composite, companion, conjoint and functor list
+once, so both sides of a law share their composites.  The interchange
+suite also builds the cells of the transformations between each pair of
+functors once (``transformation_cells``, a construction), and it
+evaluates each distinct vertical or horizontal composite of cells once,
+through a ``functools.cache`` made per call.  Nothing outlives the suite
+call.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import cache
 
 from .fincat import (all_functors, all_natural_transformations, construction,
-                     decision, identity_functor, remembering)
+                     decision, identity_functor)
 from .prof import (associator, companion, companion_cells,
                    componentwise_bijective, compose_prof, conjoint,
                    conjoint_cells, hcompose, identity_cell,
                    invert_horizontal_cell, left_unitor, nat_transf_as_cell,
                    right_unitor, unit_cell, unit_prof, vcompose)
 from . import zoo
+
+INTERCHANGE_GRIDS = 120
+
+
+def holds(configs, law):
+    """Whether ``law`` holds on every configuration of ``configs``, tried
+    in order, and the number it held on before the first failure."""
+    count = 0
+    for config in configs:
+        if not law(*config):
+            return False, count
+        count += 1
+    return True, count
 
 
 def interchange_configs():
@@ -63,28 +81,26 @@ def transformation_cells(s, r):
 
 
 @decision
-def check_interchange(max_configs=120):
+def check_interchange():
     """Interchange: composing a grid of four cells vertically first or
     horizontally first gives the same cell.  Each distinct pair of cells
-    is composed once, through memos made here; they call ``vcompose`` and
-    ``hcompose`` by name, so a test can replace either."""
-    vert = remembering(lambda bot, top: vcompose(bot, top))
-    horiz = remembering(lambda left, right: hcompose(left, right))
-    count = 0
-    for phi, chi, psi, xi in interchange_configs():
-        lhs = horiz(vert(psi, phi), vert(xi, chi))
-        rhs = vert(horiz(psi, xi), horiz(phi, chi))
-        if lhs != rhs:
-            return False, count
-        count += 1
-        if count >= max_configs:
-            break
-    return True, count
+    is composed once, through caches made here; they call ``vcompose``
+    and ``hcompose`` by name, so a test can replace either."""
+    vert = cache(lambda bot, top: vcompose(bot, top))
+    horiz = cache(lambda left, right: hcompose(left, right))
+
+    def interchange(phi, chi, psi, xi):
+        return (horiz(vert(psi, phi), vert(xi, chi)) ==
+                vert(horiz(psi, xi), horiz(phi, chi)))
+
+    return holds(itertools.islice(interchange_configs(), INTERCHANGE_GRIDS),
+                 interchange)
 
 
 @decision
-def check_unitors_and_triangle(max_configs=40):
-    """Unitors are invertible and satisfy the triangle coherence."""
+def check_unitors_and_triangle():
+    """Unitors are invertible and satisfy the triangle coherence, counted
+    as one suite."""
     one = zoo.terminal_category()
     two = zoo.walking_arrow()
     three = zoo.composable_pair()
@@ -93,17 +109,18 @@ def check_unitors_and_triangle(max_configs=40):
     profs += [companion(f) for f in all_functors(two, three)[:4]]
     profs += [conjoint(f) for f in all_functors(one, three)]
     profs += [companion(f) for f in all_functors(pp, two)[:4]]
-    count = 0
-    for p in profs:
-        lu = left_unitor(p)
-        ru = right_unitor(p)
+
+    def invertible(p):
+        lu, ru = left_unitor(p), right_unitor(p)
         if not componentwise_bijective(lu) or not componentwise_bijective(ru):
-            return False, count
+            return False
         invert_horizontal_cell(lu)
         invert_horizontal_cell(ru)
-        count += 1
-    # triangle: for composable pairs (J, H), the two ways of cancelling the
-    # middle unit agree
+        return True
+
+    ok, count = holds(zip(profs), invertible)
+    if not ok:
+        return False, count
     pairs = []
     for f in all_functors(two, three)[:4]:
         for g in all_functors(one, three):
@@ -111,21 +128,19 @@ def check_unitors_and_triangle(max_configs=40):
     for f in all_functors(pp, two)[:3]:
         for g in all_functors(two, three)[:3]:
             pairs.append((companion(f), companion(g)))
-    for j, h in pairs:
-        mid = unit_prof(j.target)
-        lhs = vcompose(hcompose(identity_cell(j), left_unitor(h)),
-                       associator(j, mid, h))
-        rhs = hcompose(right_unitor(j), identity_cell(h))
-        if lhs != rhs:
-            return False, count
-        count += 1
-        if count >= max_configs:
-            break
-    return True, count
+
+    def triangle(j, h):
+        # the two ways of cancelling the middle unit of J * 1 * H agree
+        return (vcompose(hcompose(identity_cell(j), left_unitor(h)),
+                         associator(j, unit_prof(j.target), h)) ==
+                hcompose(right_unitor(j), identity_cell(h)))
+
+    ok, more = holds(pairs, triangle)
+    return ok, count + more
 
 
 @decision
-def check_pentagon(max_configs=8):
+def check_pentagon():
     one = zoo.terminal_category()
     two = zoo.walking_arrow()
     three = zoo.composable_pair()
@@ -136,61 +151,53 @@ def check_pentagon(max_configs=8):
             for h in all_functors(one, pp)[:2]:
                 chains.append((unit_prof(two), companion(f), conjoint(g),
                                companion(h)))
-    count = 0
-    for j, h, k, l in chains:
+
+    def pentagon(j, h, k, l):
         kl, _ = compose_prof(k, l)
         jh, _ = compose_prof(j, h)
         hk, _ = compose_prof(h, k)
-        lhs = vcompose(associator(j, h, kl), associator(jh, k, l))
-        rhs = vcompose(hcompose(identity_cell(j), associator(h, k, l)),
-                       vcompose(associator(j, hk, l),
-                                hcompose(associator(j, h, k),
-                                         identity_cell(l))))
-        if lhs != rhs:
-            return False, count
-        count += 1
-        if count >= max_configs:
-            break
-    return True, count
+        return (vcompose(associator(j, h, kl), associator(jh, k, l)) ==
+                vcompose(hcompose(identity_cell(j), associator(h, k, l)),
+                         vcompose(associator(j, hk, l),
+                                  hcompose(associator(j, h, k),
+                                           identity_cell(l)))))
+
+    return holds(chains, pentagon)
 
 
 @decision
-def check_companion_identities(max_configs=30):
+def check_companion_identities():
     one = zoo.terminal_category()
     two = zoo.walking_arrow()
     three = zoo.composable_pair()
     pp = zoo.parallel_pair()
     functors = (all_functors(two, three)[:5] + all_functors(one, two) +
                 all_functors(pp, two)[:5] + [identity_functor(three)])
-    count = 0
-    for f in functors:
+
+    def bending(f):
         eps, eta = companion_cells(f)
         if vcompose(eps, eta) != unit_cell(f):
-            return False, count
+            return False
         fs = eps.hsrc       # the companion f_*
         if vcompose(right_unitor(fs), hcompose(eta, eps)) != left_unitor(fs):
-            return False, count
+            return False
         ceps, ceta = conjoint_cells(f)
         if vcompose(ceps, ceta) != unit_cell(f):
-            return False, count
+            return False
         cs = ceps.hsrc      # the conjoint f^*
-        if vcompose(left_unitor(cs), hcompose(ceps, ceta)) != right_unitor(cs):
-            return False, count
-        count += 1
-        if count >= max_configs:
-            break
-    return True, count
+        return (vcompose(left_unitor(cs), hcompose(ceps, ceta)) ==
+                right_unitor(cs))
+
+    return holds(zip(functors), bending)
 
 
-def run_all(max_interchange=120):
+def run_all():
     """Run every law suite; returns (ok, report)."""
     report = {}
-    ok = True
-    for key, fn in [("interchange", lambda: check_interchange(max_interchange)),
-                    ("unitors_triangle", check_unitors_and_triangle),
-                    ("pentagon", check_pentagon),
-                    ("companion_conjoint", check_companion_identities)]:
-        good, count = fn()
+    for key, check in [("interchange", check_interchange),
+                       ("unitors_triangle", check_unitors_and_triangle),
+                       ("pentagon", check_pentagon),
+                       ("companion_conjoint", check_companion_identities)]:
+        good, count = check()
         report[key] = {"ok": good, "configurations": count}
-        ok = ok and good
-    return ok, report
+    return all(r["ok"] for r in report.values()), report

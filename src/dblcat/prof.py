@@ -359,50 +359,30 @@ def nat_transf_as_cell(alpha):
 # composition of profunctors: explicit coend quotient
 
 
-class UnionFind:
-    def __init__(self):
-        self.parent = {}
-
-    def add(self, x):
-        self.parent.setdefault(x, x)
-
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[rx] = ry
-
-
 def pair_id(b, j, h):
     return f"{b}|{j}|{h}"
 
 
 @dataclass(frozen=True, eq=True)
 class CoendWitness:
-    """Quotient data of a composite: for every boundary pair (a, e), the map
-    from raw pairs (b, j, h) to the least member of their class, and the
-    inverse of the naming ``pair_id`` on those least members."""
+    """Quotient data of a composite: for every boundary pair (a, e), the id
+    of the class of each raw pair (b, j, h), as ``compose_prof`` named it,
+    and the least pair of each class under its id, which ``pair_id``
+    names."""
 
     left: Profunctor
     right: Profunctor
     composite: Profunctor
-    classes: dict          # (a, e) -> {(b, j, h): (b0, j0, h0)}
+    ids: dict              # (a, e) -> {(b, j, h): class id}
     named: dict = field(compare=False, repr=False)  # (a, e) -> {id: (b0, j0, h0)}
 
     def least(self, a, e, cls_id):
         """The least pair (b, j, h) of the class named cls_id at (a, e)."""
         return self.named[(a, e)][cls_id]
 
-    def rep(self, a, e, b, j, h):
-        return self.classes[(a, e)][(b, j, h)]
-
     def class_id(self, a, e, b, j, h):
-        return pair_id(*self.rep(a, e, b, j, h))
+        """The id of the class of (b, j, h) at (a, e)."""
+        return self.ids[(a, e)][(b, j, h)]
 
 
 @construction
@@ -434,7 +414,7 @@ def compose_prof(j, h):
             i = parent[i]
         return i
 
-    classes, named, ids, fibers = {}, {}, {}, {}
+    named, ids, fibers = {}, {}, {}
     for a in ac.objects:
         pushed = [(v, b1, b2, [(x, jright[(a, b1, x, v)])
                                for x in j.fiber(a, b1)])
@@ -455,15 +435,13 @@ def compose_prof(j, h):
             groups = {}       # root -> members; roots come first, in order
             for i in range(len(pairs)):
                 groups.setdefault(find(i), []).append(i)
-            cls, cls_ids, names = {}, {}, {}
+            cls_ids, names = {}, {}
             for r, members in groups.items():
-                least = pairs[r]
-                cid = pair_id(*least)
-                names[cid] = least
+                cid = pair_id(*pairs[r])
+                names[cid] = pairs[r]
                 for i in members:
-                    cls[pairs[i]] = least
                     cls_ids[pairs[i]] = cid
-            classes[(a, e)], named[(a, e)], ids[(a, e)] = cls, names, cls_ids
+            named[(a, e)], ids[(a, e)] = names, cls_ids
             if names:
                 fibers[(a, e)] = tuple(names)
     # u : a2 -> a acts on the class of (x, y) as the class of (x . u, y),
@@ -480,7 +458,7 @@ def compose_prof(j, h):
             for w, cls_ids in out_e:
                 right[(a, e, cid, w)] = cls_ids[(b, x, hright[(b, e, y, w)])]
     composite = Profunctor(f"({j.name}*{h.name})", ac, ec, fibers, left, right)
-    return composite, CoendWitness(j, h, composite, classes, named)
+    return composite, CoendWitness(j, h, composite, ids, named)
 
 
 def hcompose(left, right):

@@ -9,7 +9,8 @@ are equivariant maps of apexes.  Everything is tabulated, so pullbacks and
 coequalizers of the underlying sets are computed explicitly and every
 universal property is replayed by enumeration.  Profunctors, composites
 and tabulations are built here from those pullbacks and coequalizers, not
-by ``prof`` and ``tab``, so the two procedures check each other.
+by ``prof`` and ``tab``, so the two procedures check each other; this
+module imports nothing from ``prof``, down to its union-find.
 """
 
 from __future__ import annotations
@@ -18,12 +19,30 @@ from dataclasses import dataclass, field
 
 from .fincat import (FinCategory, Functor, all_functors, backtrack,
                      compose_functors, filed)
-from .prof import UnionFind
 from . import zoo
 
 
 # ---------------------------------------------------------------------------
 # finite-set plumbing
+
+
+class UnionFind:
+    def __init__(self):
+        self.parent = {}
+
+    def add(self, x):
+        self.parent.setdefault(x, x)
+
+    def find(self, x):
+        while self.parent[x] != x:
+            self.parent[x] = self.parent[self.parent[x]]
+            x = self.parent[x]
+        return x
+
+    def union(self, x, y):
+        rx, ry = self.find(x), self.find(y)
+        if rx != ry:
+            self.parent[rx] = ry
 
 
 def pullback(xs, f, ys, g):

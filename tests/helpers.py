@@ -4,14 +4,15 @@ import dataclasses
 import itertools
 import os
 import random
+from functools import cache
 
 from dblcat.fincat import (CommaCategory, Cone, Functor, NatTransf, NoLimit,
                            all_functors, compose_functors, identity_functor,
-                           make_category, remembering)
-from dblcat.prof import (Cell, CoendWitness, Profunctor, UnionFind,
-                         cells_between, companion, compose_prof, conjoint,
-                         family_id, pair_id, restrict, rhom,
-                         unit_cell, unit_prof, validate_cell, vcompose)
+                           make_category)
+from dblcat.prof import (Cell, CoendWitness, Profunctor, cells_between,
+                         companion, compose_prof, conjoint, family_id,
+                         pair_id, restrict, rhom, unit_cell, unit_prof,
+                         validate_cell, vcompose)
 from dblcat import dsl, kan, spanfin, tab, zoo
 from dblcat.tab import Tabulation
 
@@ -317,9 +318,9 @@ def verify_tabulation_oracle(t, probes):
     ``tab.cells_between``, so a test that replaces either reaches both."""
     j = t.j
     ac, bc = j.source, j.target
-    functors = remembering(lambda a, m: tab.all_functors(a, m))
-    cells = remembering(lambda *args: tab.cells_between(*args))
-    units = remembering(unit_prof)
+    functors = cache(lambda a, m: tab.all_functors(a, m))
+    cells = cache(lambda *args: tab.cells_between(*args))
+    units = cache(unit_prof)
     ut = units(t.category)
 
     def factorizations(candidates, phi_a, phi_b, phi, ux):
@@ -349,7 +350,7 @@ def verify_tabulation_oracle(t, probes):
     whisker_left = unit_cell(t.proj_left)
     whisker_right = unit_cell(t.proj_right)
 
-    @remembering
+    @cache
     def whiskered(ux, fac1, fac2):
         return [(vcompose(whisker_left, xi), vcompose(whisker_right, xi))
                 for xi in cells(ux, ut, fac1, fac2)]
@@ -814,12 +815,12 @@ def compose_prof_oracle(j, h):
                     h.fiber(b, e).index(y))
         return k
 
-    classes = {}
+    ids = {}
     named = {}
     fibers = {}
     for a in ac.objects:
         for e in ec.objects:
-            uf = UnionFind()
+            uf = spanfin.UnionFind()
             pairs = [(b, x, y) for b in bc.objects
                      for x in j.fiber(a, b) for y in h.fiber(b, e)]
             for p in pairs:
@@ -841,18 +842,18 @@ def compose_prof_oracle(j, h):
                 least = min(members, key=kf)
                 for p in members:
                     cls[p] = least
-            classes[(a, e)] = cls
+            ids[(a, e)] = {p: pair_id(*least) for p, least in cls.items()}
             fiber = sorted({least for least in cls.values()}, key=kf)
             named[(a, e)] = {pair_id(*p): p for p in fiber}
             if fiber:
                 fibers[(a, e)] = tuple(named[(a, e)])
-    action = compose_action_oracle(j, h, fibers, classes, named)
+    action = compose_action_oracle(j, h, fibers, ids, named)
     composite = Profunctor(f"({j.name}*{h.name})", ac, ec, fibers,
                            *sides_of(ac, ec, fibers, action))
-    return composite, CoendWitness(j, h, composite, classes, named)
+    return composite, CoendWitness(j, h, composite, ids, named)
 
 
-def compose_action_oracle(j, h, fibers, classes, named):
+def compose_action_oracle(j, h, fibers, ids, named):
     """The two-sided action of J * H as compose_prof built it before its
     one-sided tables: one entry per class, u and w, the class of
     (x . u, w . y)."""
@@ -867,18 +868,17 @@ def compose_action_oracle(j, h, fibers, classes, named):
                 for w in ec.out_of(e):
                     e2 = ec.tgt[w]
                     yw = h.act_right(b, e, y, w)
-                    rep = classes[(a2, e2)][(b, xu, yw)]
-                    action[(u, a, e, cid, w)] = pair_id(*rep)
+                    action[(u, a, e, cid, w)] = ids[(a2, e2)][(b, xu, yw)]
     return action
 
 
 def composite_tables(composite, witness):
-    """Name, fibers, left and right actions, classes and named of a
+    """Name, fibers, left and right actions, class ids and named of a
     composite as nested lists of items, so that comparing two of them
     compares insertion order as well as values."""
     return (composite.name, list(composite.fibers.items()),
             list(composite.left.items()), list(composite.right.items()),
-            [(k, list(v.items())) for k, v in witness.classes.items()],
+            [(k, list(v.items())) for k, v in witness.ids.items()],
             [(k, list(v.items())) for k, v in witness.named.items()])
 
 

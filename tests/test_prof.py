@@ -104,8 +104,8 @@ def test_composites_validate_and_match_oracle():
             for e in h.target.objects:
                 blocks = helpers.coend_classes_oracle(j, h, a, e)
                 ours = {}
-                for pair, rep in wit.classes[(a, e)].items():
-                    ours.setdefault(rep, set()).add(pair)
+                for pair, cid in wit.ids[(a, e)].items():
+                    ours.setdefault(wit.least(a, e, cid), set()).add(pair)
                 assert {frozenset(v) for v in ours.values()} == blocks
 
 
@@ -213,7 +213,7 @@ def test_composite_action_matches_two_sided_builder():
     for j, h in pairs:
         comp, wit = compose_prof(j, h)
         assert helpers.two_sided(comp) == helpers.compose_action_oracle(
-            j, h, comp.fibers, wit.classes, wit.named)
+            j, h, comp.fibers, wit.ids, wit.named)
 
 
 def test_rhom_action_matches_two_sided_builder():
@@ -254,8 +254,9 @@ def test_compose_prof_matches_slow_twin_over_a_discrete_middle():
         composite, witness = compose_prof(j, h)
         assert helpers.composite_tables(composite, witness) == \
             helpers.composite_tables(*helpers.compose_prof_oracle(j, h))
-        for cls in witness.classes.values():
-            assert all(rep == pair for pair, rep in cls.items())
+        for (a, e), ids in witness.ids.items():
+            assert all(witness.least(a, e, cid) == pair
+                       for pair, cid in ids.items())
         largest = max([largest] + [len(f) for f in composite.fibers.values()])
     assert largest == 2
     assert len(pairs) == 82
@@ -369,10 +370,10 @@ def test_witness_class_lookup():
     p = unit_prof(two)
     comp, wit = compose_prof(p, p)
     # (1_0, a) and (a, 1_1) slide to the same class over (0, 1)
-    assert wit.class_id("0", "1", "0", "1_0", "a") == \
-        wit.class_id("0", "1", "1", "a", "1_1")
-    rep = wit.rep("0", "1", "0", "1_0", "a")
-    assert sum(r == rep for r in wit.classes[("0", "1")].values()) == 2
+    cid = wit.class_id("0", "1", "0", "1_0", "a")
+    assert cid == wit.class_id("0", "1", "1", "a", "1_1")
+    assert wit.least("0", "1", cid) == ("0", "1_0", "a")
+    assert sum(c == cid for c in wit.ids[("0", "1")].values()) == 2
 
 
 def test_unitors_are_inverses():
