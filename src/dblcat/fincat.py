@@ -18,9 +18,11 @@ here, ``prof.cells_between``, the families of ``prof.rhom`` and
 ``spanfin.all_internal_transformations``.  It files its checks by the
 last position each reads (``file_checks``), then searches (``search``);
 ``all_functors`` and ``find_isomorphism`` file the composite checks of
-their arrow phase once per enumeration and search them once per object
-map.  The generate-then-test loops it replaced are oracles in
-``tests/helpers.py``: ``all_functors_oracle``,
+their arrow phase (``FunctorNetwork``) once per enumeration and search
+them once per object map, and ``kan.RanProblem.competitors`` extends the
+same network with the components of a cell.  The generate-then-test
+loops it replaced are oracles in ``tests/helpers.py``:
+``all_functors_oracle``,
 ``all_natural_transformations_oracle``, ``all_cones_oracle``,
 ``limit_oracle``, ``find_isomorphism_oracle``, ``cells_between_oracle``,
 ``rhom_families_oracle`` and ``internal_transformations_oracle``.
@@ -601,36 +603,61 @@ def all_functors(a, m):
     An object map is dropped as soon as some arrow between two bound
     objects has an empty hom-set in m.
     """
-    pos = {o: n for n, o in enumerate(a.objects)}
-    reach = {v: {m.tgt[u] for u in m.out_of(v)} for v in m.objects}
-    pairs = [(pos[a.src[x]], pos[a.tgt[x]], reach) for x in a.morphisms
-             if a.src[x] != a.tgt[x]]
+    net = FunctorNetwork(a, m)
     return [Functor(f"F{n}", a, m, obj, mor) for n, (obj, mor) in
-            enumerate(_functor_maps(a, m, [m.objects] * len(pos), pairs))]
+            enumerate(_functor_maps(a, net, [m.objects] * len(a.objects),
+                                    net.reach))]
 
 
-def _functor_maps(a, m, domains, pairs):
+class FunctorNetwork:
+    """The checks of a search for the functors a -> m, in two phases.
+
+    The object phase binds the images of ``a.objects``; ``reach`` holds a
+    pair check per arrow between two distinct objects, which says that
+    the target's image is reachable from the source's.  The arrow phase
+    binds the images of ``arrows``, the identities along ``a.objects``
+    and then the other arrows along ``a.morphisms``, each within its
+    hom-set (``homs``), with a triple check per composite g . f = h of
+    non-identity arrows in ``composites`` (the unit laws cover the rest);
+    ``at`` is each arrow's position.  Both phases depend on a and m alone,
+    so a search that enumerates functors, or binds more positions after
+    their arrows, files them once for every object map.
+    """
+
+    def __init__(self, a, m):
+        pos = {o: n for n, o in enumerate(a.objects)}
+        reach = {v: {m.tgt[u] for u in m.out_of(v)} for v in m.objects}
+        self.reach = [(pos[a.src[x]], pos[a.tgt[x]], reach)
+                      for x in a.morphisms if a.src[x] != a.tgt[x]]
+        nonids = [x for x in a.morphisms if not a.is_identity(x)]
+        self.arrows = tuple(a.identity(o) for o in a.objects) + tuple(nonids)
+        at = self.at = {x: n for n, x in enumerate(self.arrows)}
+        self.composites = [
+            (at[g], at[f], at[a.table[(g, f)]], m.table)
+            for g in nonids for f in a.into(a.src[g]) if not a.is_identity(f)]
+        self._ends = [(pos[a.src[x]], pos[a.tgt[x]]) for x in nonids]
+        self._units = {v: (m.identity(v),) for v in m.objects}
+        self._hom = m.hom
+
+    def homs(self, images):
+        """The domains of the arrow phase for the object images listed
+        along ``a.objects``."""
+        units, hom = self._units, self._hom
+        return [units[v] for v in images] + \
+            [hom(images[s], images[t]) for s, t in self._ends]
+
+
+def _functor_maps(a, net, domains, pairs):
     """Lazily, in the order of ``all_functors``, the object and arrow maps
     of the functors a -> m whose object map along ``a.objects`` passes
-    ``backtrack(domains, pairs)``.  A second search binds the arrows, each
-    within its hom-set, with a triple check per composite g . f = h of
-    non-identity arrows (the unit laws cover the rest).  Those checks are
-    the same for every object map, so they are filed once per
-    enumeration."""
-    nonids = [x for x in a.morphisms if not a.is_identity(x)]
-    arrows = [a.identity(o) for o in a.objects] + nonids
-    pos = {x: n for n, x in enumerate(arrows)}
-    comps = file_checks(triples=[
-        (pos[g], pos[f], pos[a.table[(g, f)]], m.table)
-        for g in nonids for f in a.into(a.src[g]) if not a.is_identity(f)])
-    ends = [(a.src[x], a.tgt[x]) for x in nonids]
-    units = {v: (m.identity(v),) for v in m.objects}
+    ``backtrack(domains, pairs)``, their arrows bound by a second search
+    on ``net``, a ``FunctorNetwork(a, m)``, whose composite checks are
+    filed once per enumeration."""
+    comps = file_checks(triples=net.composites)
     for images in backtrack(domains, pairs):
         obj = dict(zip(a.objects, images))
-        homs = [units[v] for v in images]
-        homs += [m.hom(obj[s], obj[t]) for s, t in ends]
-        for mors in search(homs, comps):
-            yield obj, dict(zip(arrows, mors))
+        for mors in search(net.homs(images), comps):
+            yield obj, dict(zip(net.arrows, mors))
 
 
 def filed(items, key):
@@ -682,7 +709,7 @@ def find_isomorphism(a, b):
             for o in objs]
     pairs = [(i, k, related.get(arrows(a, objs[i], o), defaultdict(set)))
              for k, o in enumerate(objs) for i in range(k)]
-    for obj, mor in _functor_maps(a, b, doms, pairs):
+    for obj, mor in _functor_maps(a, FunctorNetwork(a, b), doms, pairs):
         iso = Functor("iso", a, b, obj, mor)
         inverse = functor_inverse(iso)
         if inverse is not None:

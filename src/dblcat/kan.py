@@ -8,11 +8,16 @@ properties are decided exactly on the given finite data; the pointwise
 check runs two independent procedures and refuses to answer if they ever
 disagree.
 
-The quantifiers (``all_functors``, ``cells_between``,
-``all_natural_transformations``), the limits over categories of elements
-(``all_cones``) and the right hom d^* <| J (``rhom``) all run on the one
-search ``fincat.backtrack``, in the orders that fix the witness names
-(``F3``, ``c0``) of ``is_right_exact`` and the apex of ``limit``.
+The quantifiers, the limits over categories of elements (``all_cones``)
+and the right hom d^* <| J (``rhom``) all run on the one search of
+``fincat``, in the orders that fix the witness names (``F3``, ``c0``) of
+``is_right_exact`` and the apex of ``limit``.  The competitors of a
+problem, each functor s : A -> M with its cells J -> 1_M over (s, d), come
+from one search per problem, which binds s and then each cell's components
+(``RanProblem.competitors``): the order of ``all_functors`` and
+``cells_between``, with the checks that do not depend on d filed once per
+(J, M) in a ``CompetitorNetwork``.  ``is_ran`` then searches
+``all_natural_transformations`` once per competitor.
 
 ``pointwise_ran``, ``is_ran``, ``is_pointwise_ran`` and ``is_right_exact``
 are decisions (``fincat.decision``): within one call, each search, unit
@@ -25,7 +30,11 @@ categories of elements, which depend on J alone: ``elements_categories``
 builds them once per decision for the problems of every d.  ``is_ran`` and
 ``is_pointwise_ran`` validate their candidate and consult its problem, and
 ``is_right_exact`` judges each of its candidates, the competitors of the
-problem of (K, d), against the problems of (K, d) and (J, d . g).
+problem of (K, d), against the problems of (K, d) and (J, d . g).  A
+competitor is named ``s``, as its place in ``all_functors`` is not known;
+``is_right_exact`` renames each r, and each r . f, after its place in the
+list of all functors, so that the memo holds no search twice under two
+names and witnesses name ``F<n>``.
 """
 
 from __future__ import annotations
@@ -33,14 +42,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .fincat import (Cone, Functor, NoLimit, all_functors,
+from .fincat import (Cone, Functor, FunctorNetwork, NoLimit, all_functors,
                      all_natural_transformations, category_of_elements,
                      comma_category, compose_functors, construction, decision,
-                     identity_functor, is_connected, limit,
-                     mediating_morphisms)
+                     file_checks, identity_functor, is_connected, limit,
+                     mediating_morphisms, search)
 from .prof import (Cell, Profunctor, bijects_onto, cartesian_cell,
-                   cells_between, componentwise_bijective, compose_prof,
-                   conjoint, family_id, lower_star, rhom, unit_prof,
+                   componentwise_bijective, compose_prof, conjoint,
+                   family_id, lower_star, naturality_plan, rhom, unit_prof,
                    validate_cell, vcompose)
 from . import zoo
 
@@ -139,6 +148,38 @@ def pointwise_ran(j, d):
 
 
 @construction
+class CompetitorNetwork:
+    """What the competitor searches of the problems out of J into M share,
+    whatever d they extend: a ``FunctorNetwork(A, M)`` for s, followed by
+    one position per element of J, listed along ``naturality_plan(J).elems``
+    and bound to a component in M(s a, d b) (``ends`` holds the position
+    of a and the object b).  ``triples`` holds the composite checks of s
+    and a triple check per left square, which says that the component at
+    i2, elems[i] . u, is the one at i composed with s(u), read at u's
+    position.  ``right`` lists each right square (i, v, i2) by its
+    positions; its pair check, ``after[d(v)]``, allows for each arrow y
+    into d b only d(v) . y, so each problem files it.  ``inhabited``
+    lists, per object a of A, the b with a nonempty J(a, b), and
+    ``objects`` holds the checks of the object phase, filed."""
+
+    def __init__(self, j, mc):
+        functors = self.functors = FunctorNetwork(j.source, mc)
+        plan = naturality_plan(j)
+        n, at = len(functors.arrows), functors.at
+        pos = {a: i for i, a in enumerate(j.source.objects)}
+        self.elems = plan.elems
+        self.ends = [(pos[a], b) for a, b, _ in plan.elems]
+        self.triples = functors.composites + [
+            (n + i, at[u], n + i2, mc.table) for i, u, _, _, i2 in plan.left]
+        self.right = [(n + i, v, n + i2) for i, v, _, _, i2 in plan.right]
+        self.inhabited = [[b for b in j.target.objects if j.fiber(a, b)]
+                          for a in j.source.objects]
+        self.objects = file_checks(functors.reach)
+        self.after = {w: {y: (mc.table[(w, y)],) for y in mc.into(mc.src[w])}
+                      for w in mc.morphisms}
+
+
+@construction
 class RanProblem:
     """The right extension of d : B -> M along J : A -/-> B, as the data
     that every candidate (r, eps) is judged against: its competitors, the
@@ -159,21 +200,39 @@ class RanProblem:
 
     @cached_property
     def competitors(self):
-        """The pairs (s, ``cells_between(J, 1_M, s, d)``) with at least one
-        cell, s in the order of ``all_functors(A, M)``.  An s that sends
-        the ends of some nonempty J(a, b) to an empty M(s a, d b) has no
-        cell, so it is passed over without a search."""
-        j, d, um = self.j, self.d, self.um
-        inhabited = {(a, d.obj[b]) for (a, b), fiber in j.fibers.items()
-                     if fiber}
-        homs = um.fibers      # the nonempty hom-sets of M
+        """The pairs (s, its cells J -> 1_M over (s, d)) with at least one
+        cell: s in the order of ``all_functors(A, M)`` and its cells in
+        the order of ``cells_between``, named ``c0``, ``c1``, ... but each s
+        named ``s``, as its ``F<n>`` name is not known here.
+
+        One search per object map binds s's arrows, then the cell's
+        components along ``naturality_plan(J).elems``, on the checks of
+        ``CompetitorNetwork(J, M)`` and a pair check per right square,
+        filed once per problem.  An object a with a nonempty J(a, b) may
+        only go to an s a with a nonempty M(s a, d b), so an s with no
+        cell is never bound."""
+        j, d, mc, um = self.j, self.d, self.mc, self.um
+        ac, net = j.source, CompetitorNetwork(j, mc)
+        arrows, n = net.functors.arrows, len(net.functors.arrows)
+        dobj, dmor, homs, hom = d.obj, d.mor, um.fibers, mc.hom
+        domains = [[v for v in mc.objects
+                    if all((v, dobj[b]) in homs for b in inhabited)]
+                   for inhabited in net.inhabited]
+        filed = file_checks([(i, i2, net.after[dmor[v]])
+                             for i, v, i2 in net.right], net.triples)
         found = []
-        for s in all_functors(j.source, self.mc):
-            sobj = s.obj
-            if all((sobj[a], db) in homs for a, db in inhabited):
-                cells = cells_between(j, um, s, d)
-                if cells:
+        for images in search(domains, net.objects):
+            obj = dict(zip(ac.objects, images))
+            cells = None
+            for picks in search(net.functors.homs(images) +
+                                [hom(images[p], dobj[b]) for p, b in net.ends],
+                                filed):
+                if cells is None or picks[:n] != mors:
+                    mors, cells = picks[:n], []
+                    s = Functor("s", ac, mc, obj, dict(zip(arrows, mors)))
                     found.append((s, cells))
+                cells.append(Cell(f"c{len(cells)}", j, um, s, d,
+                                  dict(zip(net.elems, picks[n:]))))
         return found
 
     @cached_property
@@ -413,15 +472,17 @@ def is_right_exact(cell, mode="pointwise", probe_cats=None):
 
     for mc in probe_cats:
         ds, rs = all_functors(g.target, mc), all_functors(k.source, mc)
-        # d . g and r . f are replaced by the equal functor listed here, if
-        # any, as the memo tells functors apart by name: equal problems and
-        # searches are then built once
+        # each competitor r (named s), d . g and r . f are replaced by the
+        # equal functor listed here, if any, as the memo tells functors
+        # apart by name: equal problems and searches are then built once,
+        # and the witness names r by its place in rs
         same = {h: h for h in (*ds, *rs)}
         for d in ds:
             top = RanProblem(k, d)
             dg = compose_functors(d, g)
             sub = RanProblem(j, same.get(dg, dg))
             for r, cells in top.competitors:
+                r = same[r]
                 rf = compose_functors(r, f)
                 rf = same.get(rf, rf)
                 for eps in cells:

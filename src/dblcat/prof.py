@@ -629,7 +629,16 @@ def associator(j, h, k):
 
 def restrict(k, f, g):
     """The restriction K(f, g) : A -/-> B of K : C -/-> D along f : A -> C
-    and g : B -> D, with fibers K(f a, g b)."""
+    and g : B -> D, with fibers K(f a, g b).  The restriction of a
+    representable E(p c, q d) is the representable E(p f a, q g b), built
+    by ``_representable`` with its tables unread; any other K has its
+    tables copied entry by entry."""
+    name = f"{k.name}({f.name},{g.name})"
+    if "_represents" in k.__dict__:
+        cat, kf, kg = k._represents
+        return _representable(name, cat,
+                              f if kf is None else compose_functors(kf, f),
+                              g if kg is None else compose_functors(kg, g))
     ac, bc = f.source, g.source
     fibers = {(a, b): fib for a in ac.objects for b in bc.objects
               if (fib := k.fiber(f.obj[a], g.obj[b]))}
@@ -641,8 +650,7 @@ def restrict(k, f, g):
                 left[(u, a, b, x)] = k.left[(f.mor[u], fa, gb, x)]
             for v in bc.out_of(b):
                 right[(a, b, x, v)] = k.right[(fa, gb, x, g.mor[v])]
-    return Profunctor(f"{k.name}({f.name},{g.name})", ac, bc, fibers,
-                      left, right)
+    return Profunctor(name, ac, bc, fibers, left, right)
 
 
 def cartesian_cell(k, f, g):

@@ -163,6 +163,25 @@ def conjoint_eager(f):
     return Profunctor(f"{f.name}^*", cc, ac, fibers, left, right)
 
 
+def restrict_eager(k, f, g):
+    """``prof.restrict`` for every K as it was before representables were
+    restricted to representables: both tables copied from K's entry by
+    entry, by fiber, element, then acting morphism."""
+    ac, bc = f.source, g.source
+    fibers = {(a, b): fib for a in ac.objects for b in bc.objects
+              if (fib := k.fiber(f.obj[a], g.obj[b]))}
+    left, right = {}, {}
+    for (a, b), elems in fibers.items():
+        fa, gb = f.obj[a], g.obj[b]
+        for x in elems:
+            for u in ac.into(a):
+                left[(u, a, b, x)] = k.left[(f.mor[u], fa, gb, x)]
+            for v in bc.out_of(b):
+                right[(a, b, x, v)] = k.right[(fa, gb, x, g.mor[v])]
+    return Profunctor(f"{k.name}({f.name},{g.name})", ac, bc, fibers,
+                      left, right)
+
+
 def profunctor_tables(p):
     """A profunctor's name, boundary, fibers and both action tables, the
     dicts as lists of items, so that comparing two of them compares order

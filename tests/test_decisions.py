@@ -14,7 +14,7 @@ CONSTRUCTIONS = (
     fincat.all_functors, fincat.all_natural_transformations,
     prof.unit_prof, prof.companion, prof.conjoint, prof.compose_prof,
     prof.naturality_plan, prof.cells_between, prof.rhom,
-    kan.RanProblem, laws.transformation_cells,
+    kan.RanProblem, kan.CompetitorNetwork, laws.transformation_cells,
 )
 
 

@@ -1,12 +1,14 @@
 import dataclasses
+import functools
 import itertools
 
 import pytest
 
 import helpers
-from dblcat import kan, zoo
-from dblcat.fincat import (Functor, all_functors, compose_functors,
-                           identity_functor, validate_category, NoLimit)
+from dblcat import fincat, kan, zoo
+from dblcat.fincat import (Functor, all_functors, all_natural_transformations,
+                           compose_functors, identity_functor,
+                           validate_category, NoLimit)
 from dblcat.prof import (Cell, cells_between, companion, conjoint,
                          empty_prof, identity_cell, rhom, unit_prof,
                          validate_cell)
@@ -123,6 +125,27 @@ def test_deciders_match_slow_twin_and_known_answers():
     assert [kan.is_pointwise_ran(c) for c in empties] == want
 
 
+def test_is_ran_matches_slow_twin_into_z2_and_g_pq():
+    # every candidate along a corpus profunctor into Z/2, the idempotent
+    # monoid and G12, whose hom-set 0 -> 2 holds two arrows, and the
+    # extension of the identity along the hom profunctor of G_pq
+    verdicts = []
+    for mc in (helpers.z2(), helpers.idempotent_monoid(), helpers.g_pq(1, 2)):
+        um = unit_prof(mc)
+        for j in helpers.profunctor_corpus():
+            for d in all_functors(j.target, mc):
+                for s in all_functors(j.source, mc):
+                    for eps in cells_between(j, um, s, d):
+                        cand = kan.RanCandidate(j, d, s, eps)
+                        verdicts.append(kan.is_ran(cand))
+                        assert verdicts[-1] == helpers.is_ran_oracle(cand)
+    assert (len(verdicts), sum(verdicts)) == (1454, 437)
+    for p, q in ((1, 1), (1, 2), (2, 1)):
+        g = helpers.g_pq(p, q)
+        cand = kan.pointwise_ran(unit_prof(g), identity_functor(g))
+        assert kan.is_ran(cand) and helpers.is_ran_oracle(cand)
+
+
 def test_deciders_reject_malformed_candidates():
     pp = zoo.parallel_pair()
     good = kan.pointwise_ran(unit_prof(pp), identity_functor(pp))
@@ -173,20 +196,62 @@ def test_is_right_exact_matches_slow_twin():
     assert failures == 84
 
 
+def counted_competitors(monkeypatch):
+    """(J, d, number of competitors) of each problem whose competitors are
+    asked for from now on, in a list that grows as they are."""
+    cls = kan.RanProblem.__wrapped__
+    find, asked = cls.competitors.func, []
+
+    def counted(problem):
+        found = find(problem)
+        asked.append((problem.j, problem.d, len(found)))
+        return found
+
+    prop = functools.cached_property(counted)
+    prop.__set_name__(cls, "competitors")
+    monkeypatch.setattr(cls, "competitors", prop)
+    return asked
+
+
 def test_right_exactness_runs_each_competitor_search_once(monkeypatch):
-    searches = helpers.count_builds(monkeypatch, cells_between)
+    asked = counted_competitors(monkeypatch)
+    networks = helpers.count_builds(monkeypatch, kan.CompetitorNetwork)
+    filings, file_checks = [], kan.file_checks
+
+    def counted(*args):
+        filings.append(args)
+        return file_checks(*args)
+
+    monkeypatch.setattr(kan, "file_checks", counted)
     cell = identity_cell(unit_prof(helpers.chain(3)))
     for mode in ("ordinary", "pointwise"):
         counts = []
         for _ in range(2):
-            searches.clear()
+            for built in (asked, networks, filings):
+                built.clear()
             assert kan.is_right_exact(cell, mode) == (True, None)
-            assert len(set(searches)) == len(searches)
-            counts.append(len(searches))
+            problems = [(j, d) for j, d, _ in asked]
+            assert len(set(problems)) == len(problems)
+            # one network per probe category, and one filing of the checks
+            # of each problem's search, whatever the number of its s
+            assert len(filings) == len(problems) + len(networks)
+            counts.append((len(problems), len(networks),
+                           sum(n for _, _, n in asked)))
         # nothing is kept from one call to the next; a functor r that sends
-        # some nonempty K(a, b) to an empty M(r a, d b) is passed over
-        # without a search, as it has no cell
-        assert counts == [36, 36]
+        # some nonempty K(a, b) to an empty M(r a, d b) is never bound, as
+        # it has no cell; of the 36 functors that pass that skip, 30 have
+        # a cell
+        assert counts == [(13, 4, 30), (13, 4, 30)]
+
+
+def test_right_exactness_searches_each_pair_of_functors_once(monkeypatch):
+    # a competitor s is named s, and each r and r . f by its place in the
+    # list of all functors, so the memo never holds one transformation
+    # search under two names: 67 builds, not 37, if r kept the name s
+    searches = helpers.count_builds(monkeypatch, all_natural_transformations)
+    cell = identity_cell(unit_prof(helpers.chain(3)))
+    assert kan.is_right_exact(cell, "ordinary") == (True, None)
+    assert len(searches) == len(set(searches)) == 37
 
 
 def test_right_exactness_builds_one_right_hom_per_problem(monkeypatch):
@@ -222,30 +287,58 @@ def test_right_exactness_builds_each_category_of_elements_once(monkeypatch):
             (3 if mode == "pointwise" else 0)
 
 
-def competitor_tables(competitors):
-    return [(s.name, helpers.cell_tables(cells)) for s, cells in competitors]
+def competitor_tables(competitors, functors):
+    """The tables of each competitor, each s under its name in
+    ``functors``, the list of ``all_functors`` that it is in."""
+    named = {f: f.name for f in functors}
+    return [(named[s], *helpers.functor_tables([s])[0][1:],
+             helpers.cell_tables(cells)) for s, cells in competitors]
+
+
+def is_poset(cat):
+    return all(len(cat.hom(a, b)) <= 1 for a in cat.objects
+               for b in cat.objects)
 
 
 def test_competitors_match_slow_twin(monkeypatch):
     # corpus profunctors into the probe categories and into G22, whose
-    # hom-sets hold several arrows, and the hom profunctor of G22
-    g = helpers.g_pq(2, 2)
+    # hom-sets hold several arrows, the hom profunctor of G22, the hom
+    # profunctors of [3] and [4], and Z/2 and the idempotent monoid, which
+    # share an underlying graph, into each other
+    g, z2, idem = helpers.g_pq(2, 2), helpers.z2(), helpers.idempotent_monoid()
     corpus = helpers.profunctor_corpus()
     setups = [(j, mc) for mc in zoo.probe_categories() for j in corpus]
     setups += [(j, g) for j in corpus[:2] + corpus[3:9]]
     setups += [(unit_prof(g), mc) for mc in (zoo.walking_arrow(),
                                              helpers.chain(3))]
-    searched = helpers.count_builds(monkeypatch, cells_between)
-    skipped = 0
+    setups += [(unit_prof(c), c) for c in (helpers.chain(3), helpers.chain(4))]
+    setups += [(unit_prof(a), b) for a in (z2, idem) for b in (z2, idem)]
+    sizes = []      # the number of positions of each search, in order
+    monkeypatch.setattr(kan, "search", lambda domains, filed: (
+        sizes.append(len(domains)), fincat.search(domains, filed))[1])
+    pruned = 0
     for j, mc in setups:
+        functors = all_functors(j.source, mc)
+        object_maps = {tuple(s.obj.values()) for s in functors}
         for d in all_functors(j.target, mc):
             problem = kan.RanProblem(j, d)
-            searched.clear()
-            got = competitor_tables(problem.competitors)
-            assert got == competitor_tables(helpers.competitors_oracle(problem))
-            # a functor passed over without a search has no cell
-            skipped += len(all_functors(j.source, mc)) - len(searched)
-    assert skipped > 0
+            sizes.clear()
+            got = problem.competitors
+            assert competitor_tables(got, functors) == competitor_tables(
+                helpers.competitors_oracle(problem), functors)
+            # one search binds the object maps, then one per object map
+            # that passes the skip binds arrows and components
+            assert sizes[0] == len(j.source.objects) < min(sizes[1:],
+                                                           default=99)
+            searched = len(sizes) - 1
+            assert searched >= len({tuple(s.obj.values()) for s, _ in got})
+            if is_poset(mc):
+                # into a poset every square commutes, so each object map
+                # searched has exactly one competitor
+                assert searched == len(got)
+            pruned += len(object_maps) - searched
+    # some object maps send a nonempty J(a, b) to an empty M(s a, d b)
+    assert pruned > 0
 
 
 def test_is_right_exact_rejects_unknown_mode():

@@ -16,6 +16,22 @@ def test_unitors_and_triangle():
     assert ok and count == 33
 
 
+def test_each_unitor_is_checked_once(monkeypatch):
+    checked, real = [], prof.componentwise_bijective
+
+    def counting(cell):
+        checked.append(cell.name)
+        return real(cell)
+
+    # wherever the suite looks it up, in laws or through prof
+    for module in (laws, prof):
+        monkeypatch.setattr(module, "componentwise_bijective", counting)
+    assert laws.check_unitors_and_triangle() == (True, 33)
+    # both unitors of each of the 12 profunctors, and nothing else
+    assert len(checked) == 24
+    assert all(name.startswith(("lu_", "ru_")) for name in checked)
+
+
 def test_pentagon():
     ok, count = laws.check_pentagon()
     assert ok and count == 8

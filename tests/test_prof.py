@@ -352,6 +352,33 @@ def test_representables_equal_their_eager_twins_before_a_read(unread_on_left):
             assert (p != broken if unread_on_left else broken != p), p.name
 
 
+def test_restrictions_of_representables_are_representables_left_unread():
+    one, two = zoo.terminal_category(), zoo.walking_arrow()
+    count = 0
+    for k, q in representable_twins():
+        for x in (one, two):
+            for f in all_functors(x, k.source)[:3]:
+                for g in all_functors(two, k.target)[:3]:
+                    r = restrict(k, f, g)
+                    # neither the restriction nor K has read a table
+                    for p in (r, k):
+                        assert "left" not in vars(p), p.name
+                        assert "right" not in vars(p), p.name
+                    want = helpers.restrict_eager(q, f, g)
+                    assert r == want and hash(r) == hash(want)
+                    assert helpers.profunctor_tables(r) == \
+                        helpers.profunctor_tables(want)
+                    # a restriction of the restriction stays representable
+                    ids = identity_functor(x), identity_functor(two)
+                    again = restrict(r, *ids)
+                    assert "left" not in vars(again)
+                    assert helpers.profunctor_tables(again) == \
+                        helpers.profunctor_tables(helpers.restrict_eager(
+                            want, *ids))
+                    count += 1
+    assert count == 291
+
+
 def test_workspace_round_trip_holds_with_an_unread_unit():
     cats = {c.name: c for c in (zoo.iso_pair(), helpers.g_pq(2, 2))}
 
