@@ -281,6 +281,8 @@ class NatTransf:
             c = self.components.get(a)
             if c is None or dst.src.get(c) != f.obj[a] or dst.tgt.get(c) != g.obj[a]:
                 problems.append(f"component at {a} ill-typed")
+        if problems:        # the squares below compose the components
+            return problems
         for m in cat.morphisms:
             a, b = cat.src[m], cat.tgt[m]
             if dst.compose(self.components[b], f.mor[m]) != \
@@ -309,6 +311,8 @@ class Cone:
             leg = self.legs.get(i)
             if leg is None or dst.src.get(leg) != self.apex or dst.tgt.get(leg) != d.obj[i]:
                 problems.append(f"leg at {i} ill-typed")
+        if problems:        # the cone conditions compose the legs
+            return problems
         for v in shape.morphisms:
             i, j = shape.src[v], shape.tgt[v]
             if dst.compose(d.mor[v], self.legs[i]) != self.legs[j]:

@@ -7,10 +7,12 @@ objects <- morphisms -> objects given by ``src`` and ``tgt``, with unit
 ``Functor``.  Profunctors are two-sided action spans and transformations
 are equivariant maps of apexes.  Everything is tabulated, so pullbacks and
 coequalizers of the underlying sets are computed explicitly and every
-universal property is replayed by enumeration.  Profunctors, composites
-and tabulations are built here from those pullbacks and coequalizers, not
-by ``prof`` and ``tab``, so the two procedures check each other; this
-module imports nothing from ``prof``, down to its union-find.
+universal property is replayed by enumeration.  A composite is the
+coequalizer of the slides on a pullback, and the arrows of a tabulation
+are the pullback of the two action spans; ``pullback`` is a join over the
+fibers of its second map.  Nothing here is built by ``prof`` or ``tab``,
+so the two procedures check each other; this module imports nothing from
+``prof``, down to its union-find.
 """
 
 from __future__ import annotations
@@ -47,39 +49,31 @@ class UnionFind:
 
 def pullback(xs, f, ys, g):
     """The pullback of f : X -> Z and g : Y -> Z: pairs with a common
-    image, with the two projections.  Element order follows (X, Y)."""
+    image, with the two projections.  A join: each x meets the ys filed
+    over f(x), so element order follows (X, Y)."""
+    over = filed(ys, g.get)
     apex = []
     p1, p2 = {}, {}
     for x in xs:
-        for y in ys:
-            if f[x] != g[y]:
-                continue
+        for y in over.get(f[x], ()):
             e = f"({x},{y})"
             apex.append(e)
-            p1[e] = x
-            p2[e] = y
+            p1[e], p2[e] = x, y
     return tuple(apex), p1, p2
 
 
 def coequalizer(xs, p, q, ys):
     """The coequalizer of p, q : X -> Y: the quotient of Y identifying
-    p(x) with q(x), with representatives least in the Y order."""
+    p(x) with q(x).  Blocks are filed in Y order, so the first member of
+    each block, its representative, is its least."""
     uf = UnionFind()
     for y in ys:
         uf.add(y)
     for x in xs:
         uf.union(p[x], q[x])
-    order = {y: i for i, y in enumerate(ys)}
-    members = {}
-    for y in ys:
-        members.setdefault(uf.find(y), []).append(y)
-    proj = {}
-    for block in members.values():
-        rep = min(block, key=order.get)
-        for y in block:
-            proj[y] = rep
-    reps = tuple(sorted(set(proj.values()), key=order.get))
-    return reps, proj
+    blocks = filed(ys, uf.find).values()
+    proj = {y: block[0] for block in blocks for y in block}
+    return tuple(block[0] for block in blocks), proj
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +101,9 @@ def all_internal_functors(a, b):
 class InternalProfunctor:
     """A two-sided action span between internal categories: heteromorphism
     set het with endpoint maps d0 (into source objects) and d1 (into target
-    objects), left action l[(a, j)] and right action r[(j, b)]."""
+    objects), left action l[(a, j)] and right action r[(j, b)].  ``fiber``
+    reads het filed by endpoints: derived data, as a ``FinCategory``'s
+    indexes are."""
 
     name: str = field(compare=False)
     source: FinCategory
@@ -117,58 +113,58 @@ class InternalProfunctor:
     d1: dict
     l: dict
     r: dict
+    _fibers: dict = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        # .get: validate_internal_profunctor reports missing endpoints
+        object.__setattr__(self, "_fibers", filed(
+            self.het, lambda y: (self.d0.get(y), self.d1.get(y))))
 
     def __hash__(self):
         return hash((self.het, self.source, self.target))
 
+    def fiber(self, a, b):
+        """The heteromorphisms from a to b, in het order."""
+        return self._fibers.get((a, b), ())
+
 
 def validate_internal_profunctor(p):
-    problems = []
+    """The problems of ``p``, checked in stages: endpoints, then the typing
+    of both actions, then the unit, associativity and commutation laws,
+    which read the actions and so run only on a well-typed ``p``."""
     a, b = p.source, p.target
-    for j in p.het:
-        if p.d0.get(j) not in a.objects or p.d1.get(j) not in b.objects:
-            problems.append(f"endpoints of {j} missing")
-    for x in a.morphisms:
-        for j in p.het:
-            defined = (x, j) in p.l
-            composable = a.tgt[x] == p.d0[j]
-            if composable != defined:
-                problems.append(f"left action wrong on ({x}, {j})")
-            elif defined:
-                j2 = p.l[(x, j)]
-                if p.d0.get(j2) != a.src[x] or p.d1.get(j2) != p.d1[j]:
-                    problems.append(f"left action ill-typed on ({x}, {j})")
-    for j in p.het:
-        for y in b.morphisms:
-            defined = (j, y) in p.r
-            composable = p.d1[j] == b.src[y]
-            if composable != defined:
-                problems.append(f"right action wrong on ({j}, {y})")
-            elif defined:
-                j2 = p.r[(j, y)]
-                if p.d0.get(j2) != p.d0[j] or p.d1.get(j2) != b.tgt[y]:
-                    problems.append(f"right action ill-typed on ({j}, {y})")
-    for j in p.het:
-        if p.l.get((a.identities[p.d0[j]], j)) != j or \
-                p.r.get((j, b.identities[p.d1[j]])) != j:
+    ends = {j: (p.d0.get(j), p.d1.get(j)) for j in p.het}
+    problems = [f"endpoints of {j} missing" for j, (s, t) in ends.items()
+                if s not in a.objects or t not in b.objects]
+    if problems:
+        return problems
+    # each action is defined on the composable pairs only, into the fiber
+    # of the moved element
+    lefts = {(x, j): (a.src[x], t) for j, (s, t) in ends.items()
+             for x in a.into(s)}
+    rights = {(j, y): (s, b.tgt[y]) for j, (s, t) in ends.items()
+              for y in b.out_of(t)}
+    for side, action, typed in (("left", p.l, lefts), ("right", p.r, rights)):
+        for k in dict.fromkeys([*typed, *action]):
+            if k not in typed or k not in action:
+                problems.append(f"{side} action wrong on ({k[0]}, {k[1]})")
+            elif ends.get(action[k]) != typed[k]:
+                problems.append(f"{side} action ill-typed on ({k[0]}, {k[1]})")
+    if problems:
+        return problems
+    for j, (s, t) in ends.items():
+        if p.l[(a.identities[s], j)] != j or p.r[(j, b.identities[t])] != j:
             problems.append(f"unit actions fail at {j}")
-    for x1 in a.morphisms:
-        for x2 in a.out_of(a.tgt[x1]):
-            for j in p.het:
-                if a.tgt[x2] != p.d0[j]:
-                    continue
+        for x2 in a.into(s):
+            for x1 in a.into(a.src[x2]):
                 if p.l[(x1, p.l[(x2, j)])] != p.l[(a.table[(x2, x1)], j)]:
                     problems.append(f"left action not associative on ({x1}, {x2}, {j})")
-    for j in p.het:
-        for y1 in b.out_of(p.d1[j]):
+        for y1 in b.out_of(t):
             for y2 in b.out_of(b.tgt[y1]):
                 if p.r[(p.r[(j, y1)], y2)] != p.r[(j, b.table[(y2, y1)])]:
                     problems.append(f"right action not associative on ({j}, {y1}, {y2})")
-    for x in a.morphisms:
-        for j in p.het:
-            if a.tgt[x] != p.d0[j]:
-                continue
-            for y in b.out_of(p.d1[j]):
+        for x in a.into(s):
+            for y in b.out_of(t):
                 if p.r[(p.l[(x, j)], y)] != p.l[(x, p.r[(j, y)])]:
                     problems.append(f"actions do not commute on ({x}, {j}, {y})")
     return problems
@@ -215,8 +211,9 @@ def internal_prof_compose(j, h):
     b = j.target
     pairs, p1, p2 = pullback(j.het, j.d1, h.het, h.d0)
     # each (x, y, z) identifies the pair (x . y, z) with (x, y . z)
+    h_over = filed(h.het, h.d0.get)
     slides = [(x, y, z) for x in j.het for y in b.out_of(j.d1[x])
-              for z in h.het if b.tgt[y] == h.d0[z]]
+              for z in h_over.get(b.tgt[y], ())]
     het, proj = coequalizer(
         slides, {s: f"({j.r[s[:2]]},{s[2]})" for s in slides},
         {s: f"({s[0]},{h.l[s[1:]]})" for s in slides}, pairs)
@@ -242,8 +239,14 @@ class InternalTransformation:
     vtgt: Functor
     map: dict
 
+    @property
+    def key(self):
+        """The images along ``hsrc.het``, as equal transformations list
+        them."""
+        return tuple(map(self.map.get, self.hsrc.het))
+
     def __hash__(self):
-        return hash(tuple(map(self.map.get, self.hsrc.het)))
+        return hash(self.key)
 
 
 def validate_internal_transformation(t):
@@ -253,8 +256,7 @@ def validate_internal_transformation(t):
         tx = t.map.get(x)
         if tx not in k.het:
             problems.append(f"{x} not mapped into the target")
-            continue
-        if k.d0[tx] != f.obj[j.d0[x]] or k.d1[tx] != g.obj[j.d1[x]]:
+        elif k.d0[tx] != f.obj[j.d0[x]] or k.d1[tx] != g.obj[j.d1[x]]:
             problems.append(f"image of {x} ill-typed")
     if problems:
         return problems
@@ -277,11 +279,7 @@ def all_internal_transformations(j, k, f, g):
     a left action and t(v) == t(x) . g(w) for a right one, read off K's
     tables as a pair check from x to v."""
     pos = {x: i for i, x in enumerate(j.het)}
-    by_ends = {}
-    for y in k.het:
-        by_ends.setdefault((k.d0[y], k.d1[y]), []).append(y)
-    fibers = [by_ends.get((f.obj[j.d0[x]], g.obj[j.d1[x]]), ())
-              for x in j.het]
+    fibers = [k.fiber(f.obj[j.d0[x]], g.obj[j.d1[x]]) for x in j.het]
     # the equations of identity arrows hold by the unit laws: left out
     equations = [(pos[x], pos[v], {y: (k.l[(f.mor[u], y)],)
                                    for y in fibers[pos[x]]})
@@ -335,21 +333,18 @@ def internal_tabulate(j):
     spans: objects are the heteromorphisms, arrows the pullback of the two
     action maps, structure induced on representatives."""
     a, b = j.source, j.target
-    # right-action span J x_B0 B -> J and left-action span A x_A0 J -> J
-    racts = [(x, y) for x in j.het for y in b.out_of(j.d1[x])]
-    lacts = [(u, x) for u in a.morphisms for x in j.het if a.tgt[u] == j.d0[x]]
-    arrs = []
-    parts = {}
-    for (x1, y) in racts:
-        for (u, x2) in lacts:
-            if j.r[(x1, y)] != j.l[(u, x2)]:
-                continue
-            w = f"(({x1},{y}),({u},{x2}))"
-            arrs.append(w)
-            parts[w] = (x1, y, u, x2)
+    # the right-action span J x_B0 B -> J and the left-action span
+    # A x_A0 J -> J, keyed by their names
+    racts = {f"({x},{y})": (x, y) for x in j.het for y in b.out_of(j.d1[x])}
+    over = filed(j.het, j.d0.get)
+    lacts = {f"({u},{x})": (u, x) for u in a.morphisms
+             for x in over.get(a.tgt[u], ())}
+    arrs, p1, p2 = pullback(racts, {e: j.r[k] for e, k in racts.items()},
+                            lacts, {e: j.l[k] for e, k in lacts.items()})
+    parts = {w: racts[p1[w]] + lacts[p2[w]] for w in arrs}
     e = {x: f"(({x},{b.identities[j.d1[x]]}),({a.identities[j.d0[x]]},{x}))"
          for x in j.het}
-    cat = FinCategory(f"<{j.name}>", tuple(j.het), tuple(arrs),
+    cat = FinCategory(f"<{j.name}>", tuple(j.het), arrs,
                       {w: parts[w][0] for w in arrs},
                       {w: parts[w][3] for w in arrs}, e, {})
     # composites go in after construction: no index reads the table
@@ -363,9 +358,7 @@ def internal_tabulate(j):
     pr = Functor(f"pr<{j.name}>", cat, b, {x: j.d1[x] for x in j.het},
                  {w: parts[w][1] for w in arrs})
     cell = InternalTransformation(f"pi<{j.name}>", unit_internal_prof(cat), j,
-                                  pl, pr,
-                                  {w: j.r[(parts[w][0], parts[w][1])]
-                                   for w in arrs})
+                                  pl, pr, {w: j.r[racts[p1[w]]] for w in arrs})
     return InternalTabulation(j, cat, pl, pr, cell)
 
 
@@ -389,24 +382,25 @@ def verify_internal_tabulation(t, probes=None):
     a, b = j.source, j.target
     ua, ub = unit_internal_prof(a), unit_internal_prof(b)
     ut = unit_internal_prof(t.category)
+    pl, pr, pi = t.proj_left.mor.get, t.proj_right.mor.get, t.cell.map.get
     checked = {"one_dimensional": 0, "two_dimensional": 0, "opcartesian": 0}
 
     # each candidate is filed once under what the checks compare, maps
-    # keyed as frozensets of their items, so that a configuration counts
-    # its hits with one lookup
+    # listed along the source's het as ``InternalTransformation.key`` lists
+    # them (``tab`` files cells under ``Cell.key``), so that a
+    # configuration counts its hits with one lookup
     factored = []       # per probe, its configurations and factorizations
     for x in probes:
         ux = unit_internal_prof(x)
         factored.append([])
         into_t = filed(all_internal_functors(x, t.category), lambda f: (
             compose_functors(t.proj_left, f), compose_functors(t.proj_right, f),
-            frozenset((h, t.cell.map[w]) for h, w in f.mor.items())))
+            tuple(pi(f.mor[h]) for h in x.morphisms)))
         into_b = all_internal_functors(x, b)
         for phi_a in all_internal_functors(x, a):
             for phi_b in into_b:
                 for phi in all_internal_transformations(ux, j, phi_a, phi_b):
-                    hits = into_t.get(
-                        (phi_a, phi_b, frozenset(phi.map.items())), [])
+                    hits = into_t.get((phi_a, phi_b, phi.key), [])
                     if len(hits) != 1:
                         return False, {"stage": "one-dimensional",
                                        "probe": x.name, "count": len(hits)}
@@ -416,30 +410,32 @@ def verify_internal_tabulation(t, probes=None):
                         return False, {"stage": "one-dimensional",
                                        "probe": x.name,
                                        "reason": "explicit section differs"}
-                    factored[-1].append((phi_a, phi_b, phi, hits[0],
-                                         transf_object_part(phi)))
+                    phi0 = transf_object_part(phi)
+                    factored[-1].append((
+                        phi_a, phi_b, phi, hits[0],
+                        [phi0[x.src[h]] for h in x.morphisms],
+                        [phi0[x.tgt[h]] for h in x.morphisms]))
                     checked["one_dimensional"] += 1
 
     for x, configs in zip(probes, factored):
         ux = unit_internal_prof(x)
-        for (phi_a, phi_b, phi, fac1, phi0) in configs:
-            for (psi_a, psi_b, psi, fac2, psi0) in configs:
-                squares = [
-                    (xi_a, xi_b)
-                    for xi_a in all_internal_transformations(ux, ua, phi_a, psi_a)
-                    for xi_b in all_internal_transformations(ux, ub, phi_b, psi_b)
-                    if all(j.l[(xi_a.map[h], psi0[x.tgt[h]])] ==
-                           j.r[(phi0[x.src[h]], xi_b.map[h])]
-                           for h in x.morphisms)]
+        for (phi_a, phi_b, phi, fac1, phi_at_src, _) in configs:
+            for (psi_a, psi_b, psi, fac2, _, psi_at_tgt) in configs:
+                # the squares, a join: xi_b filed under phi(src h) . xi_b(h)
+                # for h in X, each xi_a meeting those under xi_a(h) . psi(tgt h)
+                xi_as = all_internal_transformations(ux, ua, phi_a, psi_a)
+                xi_bs = filed(
+                    all_internal_transformations(ux, ub, phi_b, psi_b)
+                    if xi_as else [],
+                    lambda xi_b: tuple(map(j.r.get, zip(phi_at_src, xi_b.key))))
+                squares = [(xi_a, xi_b) for xi_a in xi_as for xi_b in xi_bs.get(
+                    tuple(map(j.l.get, zip(xi_a.key, psi_at_tgt))), ())]
                 lifts = filed(
                     all_internal_transformations(ux, ut, fac1, fac2)
                     if squares else [],
-                    lambda xi: tuple(
-                        frozenset((h, p.mor[w]) for h, w in xi.map.items())
-                        for p in (t.proj_left, t.proj_right)))
+                    lambda xi: (tuple(map(pl, xi.key)), tuple(map(pr, xi.key))))
                 for xi_a, xi_b in squares:
-                    hits = lifts.get((frozenset(xi_a.map.items()),
-                                      frozenset(xi_b.map.items())), [])
+                    hits = lifts.get((xi_a.key, xi_b.key), [])
                     if len(hits) != 1:
                         return False, {"stage": "two-dimensional",
                                        "probe": x.name, "count": len(hits)}
@@ -458,10 +454,9 @@ def verify_internal_tabulation(t, probes=None):
                 chis = all_internal_transformations(ut, k, fa, gb)
                 cells = filed(
                     all_internal_transformations(j, k, f, g) if chis else [],
-                    lambda cp: frozenset((w, cp.map[y])
-                                         for w, y in t.cell.map.items()))
+                    lambda cp: tuple(map(cp.map.get, t.cell.key)))
                 for chi in chis:
-                    hits = cells.get(frozenset(chi.map.items()), [])
+                    hits = cells.get(chi.key, [])
                     if len(hits) != 1:
                         return False, {"stage": "opcartesian",
                                        "probe": c.name, "count": len(hits)}

@@ -6,9 +6,9 @@ import os
 import random
 from functools import cache
 
-from dblcat.fincat import (CommaCategory, Cone, Functor, NatTransf, NoLimit,
-                           all_functors, compose_functors, identity_functor,
-                           make_category)
+from dblcat.fincat import (CommaCategory, Cone, FinCategory, Functor,
+                           NatTransf, NoLimit, all_functors, compose_functors,
+                           identity_functor, make_category)
 from dblcat.prof import (Cell, CoendWitness, Profunctor, cells_between,
                          companion, compose_prof, conjoint, family_id,
                          pair_id, restrict, rhom, unit_cell, unit_prof,
@@ -231,6 +231,62 @@ def internal_profunctor_corpus():
     every corpus category."""
     return ([spanfin.prof_bridge(p) for p in profunctor_corpus()] +
             [spanfin.unit_internal_prof(c) for c in zoo.corpus_categories()])
+
+
+def pullback_oracle(xs, f, ys, g):
+    """spanfin.pullback as it was before it filed the ys: every pair of
+    X x Y, kept when the images agree."""
+    apex, p1, p2 = [], {}, {}
+    for x, y in itertools.product(xs, ys):
+        if f[x] == g[y]:
+            e = f"({x},{y})"
+            apex.append(e)
+            p1[e], p2[e] = x, y
+    return tuple(apex), p1, p2
+
+
+def internal_tabulate_oracle(j):
+    """spanfin.internal_tabulate as it was before it took its arrows from
+    the pullback: the whole product of the right-action pairs (x, y) with
+    the left-action pairs (u, x2), kept when x . y == u . x2, and every
+    composable pair of arrows composed by scanning all pairs."""
+    a, b = j.source, j.target
+    racts = [(x, y) for x in j.het for y in b.morphisms if b.src[y] == j.d1[x]]
+    lacts = [(u, x) for u in a.morphisms for x in j.het if a.tgt[u] == j.d0[x]]
+    parts = {f"(({x1},{y}),({u},{x2}))": (x1, y, u, x2)
+             for (x1, y), (u, x2) in itertools.product(racts, lacts)
+             if j.r[(x1, y)] == j.l[(u, x2)]}
+    arrs = tuple(parts)
+    e = {x: f"(({x},{b.identities[j.d1[x]]}),({a.identities[j.d0[x]]},{x}))"
+         for x in j.het}
+    table = {}
+    for w2, w1 in itertools.product(arrs, repeat=2):
+        if parts[w1][3] == parts[w2][0]:
+            x1, y1, u1, _ = parts[w1]
+            _, y2, u2, x2 = parts[w2]
+            table[(w2, w1)] = \
+                f"(({x1},{b.table[(y2, y1)]}),({a.table[(u2, u1)]},{x2}))"
+    cat = FinCategory(f"<{j.name}>", tuple(j.het), arrs,
+                      {w: parts[w][0] for w in arrs},
+                      {w: parts[w][3] for w in arrs}, e, {})
+    cat.table.update(table)
+    pl = Functor(f"pl<{j.name}>", cat, a, {x: j.d0[x] for x in j.het},
+                 {w: parts[w][2] for w in arrs})
+    pr = Functor(f"pr<{j.name}>", cat, b, {x: j.d1[x] for x in j.het},
+                 {w: parts[w][1] for w in arrs})
+    cell = spanfin.InternalTransformation(
+        f"pi<{j.name}>", spanfin.unit_internal_prof(cat), j, pl, pr,
+        {w: j.r[parts[w][:2]] for w in arrs})
+    return spanfin.InternalTabulation(j, cat, pl, pr, cell)
+
+
+def internal_tabulation_tables(t):
+    """An internal tabulation's category, projections and defining
+    transformation as lists of items, so that comparing two compares
+    order as well."""
+    return (category_tables(t.category), projection_tables(t.proj_left),
+            projection_tables(t.proj_right), t.cell.name,
+            list(t.cell.map.items()))
 
 
 def internal_transformations_oracle(j, k, f, g):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import helpers
-from dblcat.fincat import (Cone, Functor, all_cones, all_functors,
+from dblcat.fincat import (Cone, Functor, NatTransf, all_cones, all_functors,
                            all_natural_transformations, backtrack,
                            comma_category, compose_functors, file_checks,
                            find_isomorphism, identity_functor, search,
@@ -158,6 +158,19 @@ def test_functor_validation_reports_ill_typed_images():
                 {"1_0": "1_0", "1_1": "1_1", "1_2": "1_1",
                  "a": "a", "b": "a", "ba": "a"})
     assert f.validate() == ["image of b has wrong endpoints"]
+
+
+def test_natural_transformation_validation_reports_missing_components():
+    # no component at 1, so the naturality square of a cannot be composed;
+    # that is a problem to report, not an exception
+    ident = identity_functor(zoo.walking_arrow())
+    assert NatTransf(ident, ident, {"0": "1_0"}).validate() == \
+        ["component at 1 ill-typed"]
+
+
+def test_cone_validation_reports_missing_legs():
+    ident = identity_functor(zoo.walking_arrow())
+    assert Cone(ident, "0", {"0": "1_0"}).validate() == ["leg at 1 ill-typed"]
 
 
 def test_compose_functors():

@@ -41,6 +41,25 @@ def test_validation_catches_broken_multiplication():
     assert "composite a . 1_0 = 1_0 ill-typed" in validate_category(broken)
 
 
+def test_validation_reports_missing_endpoints():
+    # with no endpoints the actions cannot be typed; each element missing
+    # its endpoints is a problem to report, not an exception
+    unit = spanfin.unit_internal_prof(zoo.walking_arrow())
+    assert spanfin.validate_internal_profunctor(
+        dataclasses.replace(unit, d0={})) == [
+            "endpoints of 1_0 missing", "endpoints of 1_1 missing",
+            "endpoints of a missing"]
+
+
+def test_validation_reports_missing_left_action():
+    # a . 1_0 left out: the unit and associativity laws that read it are
+    # not checked
+    unit = spanfin.unit_internal_prof(zoo.walking_arrow())
+    l = {k: v for k, v in unit.l.items() if k != ("1_0", "a")}
+    assert spanfin.validate_internal_profunctor(
+        dataclasses.replace(unit, l=l)) == ["left action wrong on (1_0, a)"]
+
+
 def test_internal_functor_enumeration_matches_ordinary():
     two, three = zoo.walking_arrow(), zoo.composable_pair()
     fs = spanfin.all_internal_functors(two, three)
@@ -94,12 +113,55 @@ def test_internal_tabulation_of_walking_arrow_hom():
 
 
 def test_internal_tabulation_matches_ordinary_tabulation():
-    two = zoo.walking_arrow()
-    for p in [unit_prof(two), companion(zoo.pick(two, "0"))]:
+    # the two twins of each corpus profunctor: isomorphic tabulations, and
+    # the same verdict from each verifier over the same configurations
+    corpus = helpers.profunctor_corpus()
+    assert len(corpus) == 18
+    for p in corpus:
         t_int = spanfin.internal_tabulate(spanfin.prof_bridge(p))
         t_ord = tab.tabulate(p)
-        iso = find_isomorphism(t_int.category, t_ord.category)
-        assert iso is not None
+        assert find_isomorphism(t_int.category, t_ord.category) is not None
+        ok_int, checked_int = spanfin.verify_internal_tabulation(t_int)
+        ok_ord, checked_ord = tab.verify_tabulation(t_ord)
+        assert ok_int and ok_ord, p.name
+        assert checked_int["one_dimensional"] == \
+            checked_ord["one_dimensional"] > 0, p.name
+        assert checked_int["two_dimensional"] == \
+            checked_ord["two_dimensional"] > 0, p.name
+
+
+def tabulation_inputs():
+    """The internal profunctor corpus, and the bridged hom profunctors of
+    [n] for n <= 5 and of G22."""
+    homs = [unit_prof(helpers.chain(n)) for n in range(6)]
+    return helpers.internal_profunctor_corpus() + [
+        spanfin.prof_bridge(p) for p in homs + [unit_prof(helpers.g_pq(2, 2))]]
+
+
+def test_internal_tabulate_matches_product_oracle():
+    # objects, arrow names in order, src and tgt, composites, projections
+    # and the defining transformation, all as lists of items
+    for j in tabulation_inputs():
+        assert helpers.internal_tabulation_tables(
+            spanfin.internal_tabulate(j)) == helpers.internal_tabulation_tables(
+                helpers.internal_tabulate_oracle(j)), j.name
+
+
+def test_pullback_matches_product_oracle():
+    # the pullback that internal_prof_compose takes, over every composable
+    # pair of the corpus, and the pullbacks of both actions of each input
+    inputs = tabulation_inputs()
+    compared = 0
+    for j, h in itertools.product(helpers.internal_profunctor_corpus(),
+                                  repeat=2):
+        if j.target == h.source:
+            args = (j.het, j.d1, h.het, h.d0)
+            assert spanfin.pullback(*args) == helpers.pullback_oracle(*args)
+            compared += 1
+    for j in inputs:
+        args = (list(j.r), j.r, list(j.l), j.l)
+        assert spanfin.pullback(*args) == helpers.pullback_oracle(*args)
+    assert compared > 100
 
 
 def test_verify_internal_tabulation():
