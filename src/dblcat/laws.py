@@ -10,10 +10,11 @@ except interchange, which runs the first ``INTERCHANGE_GRIDS`` of its
 each unit profunctor, composite, companion, conjoint and functor list
 once, so both sides of a law share their composites.  The interchange
 suite also builds the cells of the transformations between each pair of
-functors once (``transformation_cells``, a construction), and it
-evaluates each distinct vertical or horizontal composite of cells once,
-through a ``functools.cache`` made per call.  Nothing outlives the suite
-call.
+functors once (``transformation_cells``, a construction), lists the lower
+half of its grids, the cells over each triple (g, g1, g2), once per triple
+of categories (``interchange_grids``), and evaluates each distinct
+vertical or horizontal composite of cells once, through a
+``functools.cache`` made per call.  Nothing outlives the suite call.
 """
 
 from __future__ import annotations
@@ -59,17 +60,20 @@ def interchange_configs():
 
 def interchange_grids(a_cat, c_cat, e_cat):
     """The grids over functors A -> C -> E: transformations between
-    functors A -> C stacked on transformations between functors C -> E."""
+    functors A -> C stacked on transformations between functors C -> E.
+    The lower half of a grid, the cells over a triple (g, g1, g2) of
+    functors C -> E, does not depend on the upper half, so it is listed
+    once per triple of categories."""
     fs, gs = all_functors(a_cat, c_cat), all_functors(c_cat, e_cat)
+    lower = [(transformation_cells(g, g1), transformation_cells(g1, g2))
+             for g, g1, g2 in itertools.product(gs, repeat=3)]
     for f, f1, f2 in itertools.product(fs, repeat=3):
         alphas = transformation_cells(f, f1)
         betas = transformation_cells(f1, f2)
         if not alphas or not betas:
             continue
-        for g, g1, g2 in itertools.product(gs, repeat=3):
-            yield from itertools.product(
-                alphas, betas, transformation_cells(g, g1),
-                transformation_cells(g1, g2))
+        for gammas, deltas in lower:
+            yield from itertools.product(alphas, betas, gammas, deltas)
 
 
 @construction

@@ -9,11 +9,14 @@ for v : b -> b' the right action gives v . j in J(a, b').  The two commute,
 (v . j) . u = v . (j . u), so the two-sided ``act(u, j, v)`` is one lookup
 on each side.  All data is tabulated, one entry per element and acting
 morphism; every universal property below is decided by finite enumeration.
-The representable profunctors ``unit_prof``, ``companion`` and
-``conjoint`` build their fibers at once and each action table when it is
-first read, from their category's composition table: a tabulation reads
-only the elements of the unit profunctor of its category, never its
-actions.
+Every profunctor derived here (the representables ``unit_prof``,
+``companion`` and ``conjoint``, the composites of ``compose_prof``, the
+right homs of ``rhom`` and the restrictions of ``restrict``) builds its
+fibers, and any witness, at once, and each action table, per side, when
+it is first read (``OnFirstRead``): a tabulation reads only the elements
+of the unit profunctor of its category, the pointwise decision only the
+fibers of its right hom, and most composites of the law suites no table
+at all.  A profunctor equals itself before any table is read.
 ``elements()`` lists every (a, b, j) as one tuple, built on its first call
 and kept with the profunctor.
 
@@ -35,8 +38,8 @@ it replaced are ``cells_between_oracle`` and ``rhom_families_oracle`` in
 arguments.  So the cells that live between unit profunctors or composites
 (``unit_cell``, ``nat_transf_as_cell``, ``hcompose``, the unitors,
 ``associator`` and the bending cells) build those from their arguments,
-and within a decision they share them, so the tables of a shared unit are
-built once, by whichever reader comes first.
+and within a decision they share them, so the tables of a shared unit or
+composite are built once, by whichever reader comes first.
 
 A profunctor hashes its boundary and ``elements()``, and a cell its
 ``key``: its components listed along ``hsrc.elements()``, kept once built.
@@ -45,7 +48,7 @@ A profunctor hashes its boundary and ``elements()``, and a cell its
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 from .fincat import (FinCategory, Functor, backtrack, compose_functors,
                      construction, functor_inverse, identity_functor)
@@ -55,9 +58,10 @@ class OnFirstRead:
     """An action table of ``Profunctor`` as a non-data descriptor.  A read
     finds the table in the instance ``__dict__`` first, where a profunctor
     built with its tables keeps them, and reaches ``__get__`` only when it
-    is missing: on the first read of a representable profunctor's table,
-    which is then built and kept there.  Read on the class it raises
-    AttributeError, so that the dataclass field has no default."""
+    is missing: on the first read of a derived profunctor's table (see
+    ``_derived``), which its ``_tables`` hook then builds and keeps there.
+    Read on the class it raises AttributeError, so that the dataclass
+    field has no default."""
 
     def __set_name__(self, owner, side):
         self.side = side
@@ -65,7 +69,7 @@ class OnFirstRead:
     def __get__(self, p, owner=None):
         if p is None:
             raise AttributeError(self.side)
-        table = p.__dict__[self.side] = _representable_action(p, self.side)
+        table = p.__dict__[self.side] = p._tables(self.side)
         return table
 
 
@@ -76,14 +80,17 @@ class Profunctor:
     ``left[(u, a, b, j)]`` is j . u in J(a', b) for u : a' -> a, and
     ``right[(a, b, j, v)]`` is v . j in J(a, b') for v : b -> b'; both hold
     an entry for every element and every morphism acting on it, identities
-    included.  Equality compares the fibers and both tables.
+    included.
 
-    A representable profunctor (``unit_prof``, ``companion``,
-    ``conjoint``) is built with its fibers only, and builds each table
-    from its category's composition table the first time it is read
-    (``OnFirstRead``).  The table is then kept in the instance
-    ``__dict__``, as a profunctor built with its tables keeps them, so
-    every later read is a plain attribute read.
+    Equality compares the boundary, the fibers and both tables, in that
+    order, but a profunctor equals itself before any table is read, so
+    that comparing a shared composite with itself builds nothing.
+
+    A derived profunctor (the representables, composites, right homs and
+    restrictions) is built with its fibers only, and builds each table the
+    first time it is read (``OnFirstRead``).  The table is then kept in
+    the instance ``__dict__``, as a profunctor built with its tables keeps
+    them, so every later read is a plain attribute read.
     """
 
     name: str = field(compare=False)
@@ -92,6 +99,15 @@ class Profunctor:
     fibers: dict          # (a, b) -> tuple of element ids
     left: dict = OnFirstRead()      # (u, a, b, j) -> element id, u : a' -> a
     right: dict = OnFirstRead()     # (a, b, j, v) -> element id, v : b -> b'
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.source == other.source and self.target == other.target
+                and self.fibers == other.fibers and self.left == other.left
+                and self.right == other.right)
 
     def __hash__(self):
         # computed once, kept in the instance __dict__ rather than a field
@@ -124,6 +140,17 @@ class Profunctor:
                 (a, b, j) for a in self.source.objects
                 for b in self.target.objects for j in fiber((a, b), ())))
         return self.__dict__["_elements"]
+
+
+def _derived(name, source, target, fibers, tables, **kept):
+    """A Profunctor built with its fibers and without its tables:
+    ``tables(side)``, kept as its ``_tables`` hook, builds the "left" or the
+    "right" table on its first read (``OnFirstRead``).  ``kept`` goes into
+    the instance ``__dict__`` as well."""
+    p = object.__new__(Profunctor)
+    p.__dict__.update(name=name, source=source, target=target, fibers=fibers,
+                      _tables=tables, **kept)
+    return p
 
 
 def validate_profunctor(p):
@@ -187,31 +214,30 @@ def _representable(name, cat, f=None, g=None):
     fo = None if f is None else f.obj
     go = None if g is None else g.obj
     hom = cat.hom
-    p = object.__new__(Profunctor)      # without tables: see OnFirstRead
-    p.__dict__.update(name=name, source=ac, target=bc, _represents=(cat, f, g),
-                      fibers={(a, b): fiber for a in ac.objects
-                              for b in bc.objects
-                              if (fiber := hom(a if fo is None else fo[a],
-                                               b if go is None else go[b]))})
-    return p
+    fibers = {(a, b): fiber for a in ac.objects for b in bc.objects
+              if (fiber := hom(a if fo is None else fo[a],
+                               b if go is None else go[b]))}
+    return _derived(name, ac, bc, fibers,
+                    partial(_representable_action, ac, bc, fibers, cat, f, g),
+                    _represents=(cat, f, g))
 
 
-def _representable_action(p, side):
+def _representable_action(ac, bc, fibers, cat, f, g, side):
     """The ``side`` ("left" or "right") action table of the representable
-    profunctor p, listed by fiber, element, then acting morphism."""
-    cat, f, g = p._represents
+    C(f a, g b) : A -/-> B, listed by fiber, element, then acting
+    morphism."""
     table = cat.table     # every pair below is composable by construction
     acts = {}
     if side == "left":
-        into, fm = p.source.into, None if f is None else f.mor
-        for (a, b), elems in p.fibers.items():
+        into, fm = ac.into, None if f is None else f.mor
+        for (a, b), elems in fibers.items():
             acting = into(a)
             for j in elems:
                 for u in acting:
                     acts[(u, a, b, j)] = table[(j, u if fm is None else fm[u])]
     else:
-        out_of, gm = p.target.out_of, None if g is None else g.mor
-        for (a, b), elems in p.fibers.items():
+        out_of, gm = bc.out_of, None if g is None else g.mor
+        for (a, b), elems in fibers.items():
             acting = out_of(b)
             for j in elems:
                 for v in acting:
@@ -396,17 +422,28 @@ def compose_prof(j, h):
     left fiber position, right fiber position).  A union-find over
     positions keeps the smaller root, so each root is the least member of
     its class; classes are named after it, once per root, and listed in
-    that order.
+    that order.  The quotient walks only inhabited boundaries: per e the
+    middle objects b with H(b, e) and the slides v : b1 -> b2 with
+    H(b2, e) nonempty, per a those of them with J(a, b) and J(a, b1)
+    nonempty.  An empty boundary gets empty ``ids`` and ``named`` entries.
+
+    The fibers and the witness are built at once; each action table is
+    built on its first read (``_composite_action``), from J's left action
+    or H's right action.  The quotient reads J's right and H's left action.
     """
     if j.target != h.source:
         raise ValueError("profunctors not composable")
     ac, bc, ec = j.source, j.target, h.target
-    jleft, jright, hleft, hright = j.left, j.right, h.left, h.right
+    jfiber, hfiber = j.fibers.get, h.fibers.get
+    jright, hleft = j.right, h.left
     slides = [(v, bc.src[v], bc.tgt[v]) for v in bc.morphisms
               if not bc.is_identity(v)]
-    # act once per (v, e, y) here and per (a, v, x) below, not once per pair
-    pulled = {(v, e): [(y, hleft[(v, b2, e, y)]) for y in h.fiber(b2, e)]
-              for v, b1, b2 in slides for e in ec.objects}
+    # per e, the middle objects that H(-, e) inhabits, and the slides
+    # v : b1 -> b2 with H(b2, e) inhabited, each y acted on once here
+    over = [(e, [(b, ys) for b in bc.objects if (ys := hfiber((b, e)))],
+             [(v, b1, b2, [(y, hleft[(v, b2, e, y)]) for y in ys])
+              for v, b1, b2 in slides if (ys := hfiber((b2, e)))])
+            for e in ec.objects]
 
     def find(i):
         while parent[i] != i:
@@ -416,17 +453,20 @@ def compose_prof(j, h):
 
     named, ids, fibers = {}, {}, {}
     for a in ac.objects:
-        pushed = [(v, b1, b2, [(x, jright[(a, b1, x, v)])
-                               for x in j.fiber(a, b1)])
-                  for v, b1, b2 in slides]
-        for e in ec.objects:
-            pairs = [(b, x, y) for b in bc.objects
-                     for x in j.fiber(a, b) for y in h.fiber(b, e)]
+        xs_at = {b: xs for b in bc.objects if (xs := jfiber((a, b)))}
+        # each x acted on once per slide out of an inhabited J(a, b1)
+        pushed = {v: [(x, jright[(a, b1, x, v)]) for x in xs_at[b1]]
+                  for v, b1, _ in slides if b1 in xs_at}
+        for e, mids, pulls in over:
+            pairs = [(b, x, y) for b, ys in mids if b in xs_at
+                     for x in xs_at[b] for y in ys]
+            if not pairs:
+                named[(a, e)], ids[(a, e)] = {}, {}
+                continue
             pos = {p: i for i, p in enumerate(pairs)}
             parent = list(range(len(pairs)))
-            for v, b1, b2, xs in pushed:
-                ys = pulled[(v, e)]
-                for x, xv in xs:
+            for v, b1, b2, ys in pulls:
+                for x, xv in pushed.get(v, ()):
                     for y, vy in ys:
                         r1, r2 = find(pos[(b2, xv, y)]), find(pos[(b1, x, vy)])
                         if r1 < r2:
@@ -442,23 +482,36 @@ def compose_prof(j, h):
                 for i in members:
                     cls_ids[pairs[i]] = cid
             named[(a, e)], ids[(a, e)] = names, cls_ids
-            if names:
-                fibers[(a, e)] = tuple(names)
-    # u : a2 -> a acts on the class of (x, y) as the class of (x . u, y),
-    # and w : e -> e2 as the class of (x, w . y)
-    left, right = {}, {}
-    for (a, e), elems in fibers.items():
-        into_a = [(u, ids[(ac.src[u], e)]) for u in ac.into(a)]
-        out_e = [(w, ids[(a, ec.tgt[w])]) for w in ec.out_of(e)]
-        names = named[(a, e)]
-        for cid in elems:
-            b, x, y = names[cid]
-            for u, cls_ids in into_a:
-                left[(u, a, e, cid)] = cls_ids[(b, jleft[(u, a, b, x)], y)]
-            for w, cls_ids in out_e:
-                right[(a, e, cid, w)] = cls_ids[(b, x, hright[(b, e, y, w)])]
-    composite = Profunctor(f"({j.name}*{h.name})", ac, ec, fibers, left, right)
+            fibers[(a, e)] = tuple(names)
+    composite = _derived(f"({j.name}*{h.name})", ac, ec, fibers,
+                         partial(_composite_action, j, h, fibers, ids, named))
     return composite, CoendWitness(j, h, composite, ids, named)
+
+
+def _composite_action(j, h, fibers, ids, named, side):
+    """The ``side`` action table of J * H, listed by fiber, class, then
+    acting morphism: u : a2 -> a acts on the class of (x, y) as the class
+    of (x . u, y), and w : e -> e2 as the class of (x, w . y)."""
+    acts = {}
+    if side == "left":
+        ac, jleft = j.source, j.left
+        for (a, e), elems in fibers.items():
+            into_a = [(u, ids[(ac.src[u], e)]) for u in ac.into(a)]
+            names = named[(a, e)]
+            for cid in elems:
+                b, x, y = names[cid]
+                for u, cls_ids in into_a:
+                    acts[(u, a, e, cid)] = cls_ids[(b, jleft[(u, a, b, x)], y)]
+    else:
+        ec, hright = h.target, h.right
+        for (a, e), elems in fibers.items():
+            out_e = [(w, ids[(a, ec.tgt[w])]) for w in ec.out_of(e)]
+            names = named[(a, e)]
+            for cid in elems:
+                b, x, y = names[cid]
+                for w, cls_ids in out_e:
+                    acts[(a, e, cid, w)] = cls_ids[(b, x, hright[(b, e, y, w)])]
+    return acts
 
 
 def hcompose(left, right):
@@ -631,26 +684,40 @@ def restrict(k, f, g):
     """The restriction K(f, g) : A -/-> B of K : C -/-> D along f : A -> C
     and g : B -> D, with fibers K(f a, g b).  The restriction of a
     representable E(p c, q d) is the representable E(p f a, q g b), built
-    by ``_representable`` with its tables unread; any other K has its
-    tables copied entry by entry."""
+    by ``_representable``; any other K has its fibers read at once and
+    each table, on its first read, copied entry by entry from K's table of
+    the same side (``_restricted_action``)."""
     name = f"{k.name}({f.name},{g.name})"
     if "_represents" in k.__dict__:
         cat, kf, kg = k._represents
         return _representable(name, cat,
                               f if kf is None else compose_functors(kf, f),
                               g if kg is None else compose_functors(kg, g))
-    ac, bc = f.source, g.source
-    fibers = {(a, b): fib for a in ac.objects for b in bc.objects
+    fibers = {(a, b): fib for a in f.source.objects for b in g.source.objects
               if (fib := k.fiber(f.obj[a], g.obj[b]))}
-    left, right = {}, {}
-    for (a, b), elems in fibers.items():
-        fa, gb = f.obj[a], g.obj[b]
-        for x in elems:
-            for u in ac.into(a):
-                left[(u, a, b, x)] = k.left[(f.mor[u], fa, gb, x)]
-            for v in bc.out_of(b):
-                right[(a, b, x, v)] = k.right[(fa, gb, x, g.mor[v])]
-    return Profunctor(name, ac, bc, fibers, left, right)
+    return _derived(name, f.source, g.source, fibers,
+                    partial(_restricted_action, k, f, g, fibers))
+
+
+def _restricted_action(k, f, g, fibers, side):
+    """The ``side`` action table of K(f, g), listed by fiber, element, then
+    acting morphism: u acts as f(u) and v as g(v) act in K."""
+    acts = {}
+    if side == "left":
+        into, fm, kleft = f.source.into, f.mor, k.left
+        for (a, b), elems in fibers.items():
+            fa, gb = f.obj[a], g.obj[b]
+            for x in elems:
+                for u in into(a):
+                    acts[(u, a, b, x)] = kleft[(fm[u], fa, gb, x)]
+    else:
+        out_of, gm, kright = g.source.out_of, g.mor, k.right
+        for (a, b), elems in fibers.items():
+            fa, gb = f.obj[a], g.obj[b]
+            for x in elems:
+                for v in out_of(b):
+                    acts[(a, b, x, v)] = kright[(fa, gb, x, gm[v])]
+    return acts
 
 
 def cartesian_cell(k, f, g):
@@ -799,9 +866,9 @@ def rhom(k, h):
 
     An element over (a, b) is a family of maps H(b, e) -> K(a, e), natural
     in e, found by ``fincat.backtrack`` with one position per x in H(b, e)
-    and listed by ``family_id``.  u : a2 -> a acts by post-composing each
-    map with K's left action of u, and v : b -> b2 by pre-composing it
-    with H's left action of v.
+    and listed by ``family_id``.  The fibers and the families are built at
+    once, from H's and K's right actions; each action table is built on
+    its first read (``_rhom_action``).
     """
     if k.target != h.target:
         raise ValueError("right hom needs a common target")
@@ -832,23 +899,37 @@ def rhom(k, h):
             if found:
                 fibers[(a, b)] = tuple(sorted(found))
                 families[(a, b)] = {fid: found[fid] for fid in sorted(found)}
-
-    # identities act trivially on K and H, hence on their families
-    left, right = {}, {}
-    for (a, b), elems in fibers.items():
-        for fid in elems:
-            fam = families[(a, b)][fid]
-            for u in ac.into(a):
-                left[(u, a, b, fid)] = fid if ac.is_identity(u) else \
-                    family_id(ec.objects, {
-                        e: {x: k.left[(u, a, e, y)] for x, y in fam[e].items()}
-                        for e in ec.objects})
-            for v in bc.out_of(b):
-                b2 = bc.tgt[v]
-                right[(a, b, fid, v)] = fid if bc.is_identity(v) else \
-                    family_id(ec.objects, {
-                        e: {x: fam[e][h.left[(v, b2, e, x)]]
-                            for x in h.fiber(b2, e)}
-                        for e in ec.objects})
-    p = Profunctor(f"({k.name}<|{h.name})", ac, bc, fibers, left, right)
+    p = _derived(f"({k.name}<|{h.name})", ac, bc, fibers,
+                 partial(_rhom_action, k, h, families))
     return p, RhomWitness(p, families)
+
+
+def _rhom_action(k, h, families, side):
+    """The ``side`` action table of K <| H, listed by fiber, family, then
+    acting morphism: u : a2 -> a acts by post-composing each map of the
+    family with K's left action of u, and v : b -> b2 by pre-composing it
+    with H's left action of v.  Identities act trivially on K and H, hence
+    on their families."""
+    ac, bc, ec = k.source, h.source, k.target
+    acts = {}
+    if side == "left":
+        kleft = k.left
+        for (a, b), fams in families.items():
+            for fid, fam in fams.items():
+                for u in ac.into(a):
+                    acts[(u, a, b, fid)] = fid if ac.is_identity(u) else \
+                        family_id(ec.objects, {
+                            e: {x: kleft[(u, a, e, y)] for x, y in fam[e].items()}
+                            for e in ec.objects})
+    else:
+        hleft = h.left
+        for (a, b), fams in families.items():
+            for fid, fam in fams.items():
+                for v in bc.out_of(b):
+                    b2 = bc.tgt[v]
+                    acts[(a, b, fid, v)] = fid if bc.is_identity(v) else \
+                        family_id(ec.objects, {
+                            e: {x: fam[e][hleft[(v, b2, e, x)]]
+                                for x in h.fiber(b2, e)}
+                            for e in ec.objects})
+    return acts

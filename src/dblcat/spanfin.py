@@ -419,13 +419,22 @@ def verify_internal_tabulation(t, probes=None):
 
     for x, configs in zip(probes, factored):
         ux = unit_internal_prof(x)
+        # configurations share their boundary functors, so each search of
+        # xi_a (xi_b) runs once per pair of them, kept here by that pair
+        xi_as_over, xi_bs_over = {}, {}
+
+        def transformations(over, k, f, g):
+            if (f, g) not in over:
+                over[(f, g)] = all_internal_transformations(ux, k, f, g)
+            return over[(f, g)]
+
         for (phi_a, phi_b, phi, fac1, phi_at_src, _) in configs:
             for (psi_a, psi_b, psi, fac2, _, psi_at_tgt) in configs:
                 # the squares, a join: xi_b filed under phi(src h) . xi_b(h)
                 # for h in X, each xi_a meeting those under xi_a(h) . psi(tgt h)
-                xi_as = all_internal_transformations(ux, ua, phi_a, psi_a)
+                xi_as = transformations(xi_as_over, ua, phi_a, psi_a)
                 xi_bs = filed(
-                    all_internal_transformations(ux, ub, phi_b, psi_b)
+                    transformations(xi_bs_over, ub, phi_b, psi_b)
                     if xi_as else [],
                     lambda xi_b: tuple(map(j.r.get, zip(phi_at_src, xi_b.key))))
                 squares = [(xi_a, xi_b) for xi_a in xi_as for xi_b in xi_bs.get(

@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 import helpers
-from dblcat import fincat, kan, zoo
+from dblcat import dsl, fincat, kan, prof, zoo
 from dblcat.fincat import (Functor, all_functors, all_natural_transformations,
                            compose_functors, identity_functor,
                            validate_category, NoLimit)
@@ -563,3 +563,21 @@ def test_ran_of_identity_along_hom_of_g32():
     assert (cand.r.obj, cand.r.mor) == (ident.obj, ident.mor)
     assert kan.is_ran(cand)
     assert kan.is_pointwise_ran(cand)
+
+
+def test_pointwise_decision_reads_only_the_fibers_of_its_right_hom(
+        monkeypatch):
+    with open(helpers.FIXTURE, encoding="utf-8") as fh:
+        ws = dsl.parse(fh.read())
+    cand = kan.pointwise_ran(ws.profunctors["HomTwo"], ws.functors["Collapse"])
+    built, build = [], prof.rhom.__wrapped__
+
+    def keeping(k, h):
+        built.append(build(k, h)[0])
+        return built[-1], None
+
+    monkeypatch.setattr(prof.rhom, "__wrapped__", keeping)
+    assert kan.is_pointwise_ran(cand) is True
+    (rh,) = built
+    assert rh.fibers
+    assert "left" not in vars(rh) and "right" not in vars(rh)

@@ -60,6 +60,24 @@ def test_each_run_composes_afresh(monkeypatch):
     assert first == 205
 
 
+def test_a_run_reads_the_tables_of_few_composites(monkeypatch):
+    built, build = [], prof.compose_prof.__wrapped__
+
+    def keeping(j, h):
+        out = build(j, h)
+        built.append(out[0])
+        return out
+
+    monkeypatch.setattr(prof.compose_prof, "__wrapped__", keeping)
+    assert laws.run_all()[0]
+    read = [p for p in built if "left" in vars(p) or "right" in vars(p)]
+    # each table is built on its first read, and most composites are only
+    # named in witnesses or compared with themselves
+    assert (len(built), len(read)) == (205, 47)
+    assert (sum("left" in vars(p) for p in read),
+            sum("right" in vars(p) for p in read)) == (30, 21)
+
+
 def moved(cell, within_fiber):
     """``cell`` with its first movable component moved to another element
     of its fiber, or, if not ``within_fiber``, to another element of the

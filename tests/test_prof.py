@@ -216,15 +216,36 @@ def test_composite_action_matches_two_sided_builder():
             j, h, comp.fibers, wit.ids, wit.named)
 
 
+SIDES = ("left", "right")
+
+
+def read_one_side(p, side):
+    """Read ``side`` of the unread profunctor p: it is built and kept, and
+    the other side stays unbuilt."""
+    assert "left" not in vars(p) and "right" not in vars(p), p.name
+    assert getattr(p, side) is getattr(p, side), p.name
+    assert other_side(side) not in vars(p), p.name
+
+
+def other_side(side):
+    return "right" if side == "left" else "left"
+
+
 def test_rhom_action_matches_two_sided_builder():
     setups = [(k, h) for _, h, k in helpers.adjunction_setups()]
     corpus = helpers.profunctor_corpus()
     setups += [(k, h) for k, h in itertools.product(corpus[:8], repeat=2)
                if k.target == h.target]
-    for k, h in setups:
+    for n, (k, h) in enumerate(setups):
         rh, wit = rhom(k, h)
+        # each table is built on its first read, either side first
+        read_one_side(rh, SIDES[n % 2])
         assert validate_profunctor(rh) == []
-        assert helpers.two_sided(rh) == helpers.rhom_action_oracle(k, h, wit)
+        action = helpers.rhom_action_oracle(k, h, wit)
+        assert helpers.two_sided(rh) == action
+        left, right = helpers.sides_of(rh.source, rh.target, rh.fibers, action)
+        assert list(rh.left.items()) == list(left.items()), rh.name
+        assert list(rh.right.items()) == list(right.items()), rh.name
 
 
 def test_compose_prof_matches_slow_twin():
@@ -237,8 +258,11 @@ def test_compose_prof_matches_slow_twin():
             u = unit_prof(helpers.chain(n, random.Random(seed)))
             pairs.append((u, u))
     assert len(pairs) == 154
-    for j, h in pairs:
-        assert helpers.composite_tables(*compose_prof(j, h)) == \
+    for n, (j, h) in enumerate(pairs):
+        composite, witness = compose_prof(j, h)
+        # each table is built on its first read, either side first
+        read_one_side(composite, SIDES[n % 2])
+        assert helpers.composite_tables(composite, witness) == \
             helpers.composite_tables(*helpers.compose_prof_oracle(j, h))
 
 
@@ -309,6 +333,31 @@ def test_profunctor_hash_is_computed_once_and_stays_out_of_the_fields():
     assert p != unit_prof(zoo.walking_arrow())
 
 
+def test_profunctor_equals_itself_before_a_read_and_others_by_their_tables():
+    two = zoo.walking_arrow()
+    ids = identity_functor(two), identity_functor(two)
+    # outside a decision each unit_prof(two) is a fresh build
+    derived = [unit_prof(two), compose_prof(unit_prof(two), unit_prof(two))[0],
+               rhom(unit_prof(two), unit_prof(two))[0],
+               restrict(compose_prof(unit_prof(two), unit_prof(two))[0], *ids)]
+    for p in derived:
+        assert p == p and not p != p
+        assert hash(p) == hash((p.source, p.target, p.elements()))
+        assert "left" not in vars(p) and "right" not in vars(p), p.name
+    # distinct profunctors compare their tables: equal under another name,
+    # unequal with one entry of one side changed, and the hash, which
+    # reads no table, stays
+    renamed = dataclasses.replace(unit_prof(two), name="Hom")
+    assert renamed == unit_prof(two) and unit_prof(two) == renamed
+    for side in ("left", "right"):
+        table = getattr(renamed, side)
+        broken = dataclasses.replace(
+            renamed, **{side: {**table, next(iter(table)): "moved"}})
+        assert broken != renamed and renamed != broken
+        assert not broken == unit_prof(two), side
+        assert hash(broken) == hash(renamed)
+
+
 def representable_twins():
     """Pairs (representable profunctor, its eager twin), none of them read
     yet: the profunctor corpus, then the units of Iso, Z/2, the idempotent
@@ -377,6 +426,37 @@ def test_restrictions_of_representables_are_representables_left_unread():
                             want, *ids))
                     count += 1
     assert count == 291
+
+
+@pytest.mark.parametrize("first", ["left", "right"])
+def test_restrictions_of_derived_profunctors_read_the_side_they_build(first):
+    one, two = zoo.terminal_category(), zoo.walking_arrow()
+    # each restriction gets a fresh K, so that K's other side is unread
+    builds = [lambda j=j, h=h: compose_prof(j, h)[0]
+              for j, h in helpers.composable_pairs()[::4]]
+    builds += [lambda k=k, h=h: rhom(k, h)[0]
+               for _, h, k in helpers.adjunction_setups()]
+    count = 0
+    for build in builds:
+        k = build()
+        ac, bc = k.source, k.target
+        for x in (one, two):
+            for f in all_functors(x, ac)[:3]:
+                for g in all_functors(two, bc)[:3]:
+                    k = build()
+                    r = restrict(k, f, g)
+                    assert "_represents" not in vars(r)
+                    assert "left" not in vars(k) and "right" not in vars(k)
+                    read_one_side(r, first)
+                    # K has built the same side only
+                    assert first in vars(k), k.name
+                    assert other_side(first) not in vars(k), k.name
+                    want = helpers.restrict_eager(k, f, g)
+                    assert r == want and hash(r) == hash(want)
+                    assert helpers.profunctor_tables(r) == \
+                        helpers.profunctor_tables(want)
+                    count += 1
+    assert count == 124
 
 
 def test_workspace_round_trip_holds_with_an_unread_unit():

@@ -266,6 +266,31 @@ def test_verify_internal_tabulation_matches_slow_twin():
             helpers.verify_internal_tabulation_oracle(t, probes)
 
 
+@pytest.mark.parametrize("probes, searches, distinct", [
+    ([zoo.terminal_category(), zoo.walking_arrow()], 82, 69),
+    (zoo.tabulation_probes(), 154, 132),
+])
+def test_verify_internal_tabulation_searches_each_functor_pair_once(
+        monkeypatch, probes, searches, distinct):
+    # the searches of xi_a and xi_b are kept by functor pair within the
+    # verifier; searched once per pair of configurations they were 133 and
+    # 248.  The repeats left are searches of xi_a and xi_b alike, where the
+    # unit profunctors of A and B are equal
+    real, calls = spanfin.all_internal_transformations, []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(spanfin, "all_internal_transformations", counting)
+    t = spanfin.internal_tabulate(
+        spanfin.prof_bridge(unit_prof(helpers.chain(2))))
+    ok, checked = spanfin.verify_internal_tabulation(t, probes)
+    assert (len(calls), len(set(calls))) == (searches, distinct)
+    assert ok
+    assert (ok, checked) == helpers.verify_internal_tabulation_oracle(t, probes)
+
+
 def tampered(t, stage):
     """Whether a search result of ``verify_internal_tabulation(t)`` belongs
     to ``stage``: functors into T, lifts into unit(T), cells out of J."""
