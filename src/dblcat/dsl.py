@@ -356,13 +356,16 @@ class Parser:
         acting_on = {}
         for key in table:
             acting_on.setdefault(key[1], []).append(key)
+        # the entries are type-checked, so every pair below is composable
+        # and the composition tables are read unchecked
+        stable, ttable = src.table, tgt.table
         changed = True
         while changed:
             changed = False
             for (u1, j, v1), j2 in list(table.items()):
                 for u2, _, v2 in list(acting_on[j2]):
                     j3 = table[(u2, j2, v2)]
-                    key = (src.compose(u1, u2), j, tgt.compose(v2, v1))
+                    key = (stable[(u1, u2)], j, ttable[(v2, v1)])
                     if table.get(key) != j3:
                         if key in table:
                             self.error(

@@ -12,6 +12,12 @@ index lists morphisms in the interned order, so iterating an index visits
 exactly the morphisms, and in the order, that a filtered scan of
 ``morphisms`` would.
 
+One mechanism builds a table on its first read (``OnFirstRead``, on an
+instance made by ``deferred``): ``FinCategory.table`` here and the action
+tables of ``prof`` and ``spanfin``.  ``category_of_elements`` defers its
+composition table, so a tabulation or comma category read for its objects
+and arrows never builds it.
+
 One search, ``backtrack``, backs every enumerator: ``all_functors``,
 ``all_natural_transformations``, ``all_cones`` and ``find_isomorphism``
 here, ``prof.cells_between``, the families of ``prof.rhom`` and
@@ -43,7 +49,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import wraps
+from functools import partial, wraps
 from operator import attrgetter
 
 
@@ -51,13 +57,60 @@ class NoLimit(Exception):
     """The target category lacks the limit of the given diagram."""
 
 
+class OnFirstRead:
+    """A table attribute of a dataclass as a non-data descriptor.  A read
+    finds the table in the instance ``__dict__`` first, where an instance
+    built with its tables keeps them, and reaches ``__get__`` only when it
+    is missing: on the first read of a table of an instance made by
+    ``deferred``, whose ``_tables`` hook then builds it, given the
+    attribute's name, and keeps it there.  Once every such table of the
+    instance is built, the hook is dropped with the data it holds.  Read
+    on the class it raises AttributeError, so that the dataclass field has
+    no default."""
+
+    def __set_name__(self, owner, attr):
+        self.attr = attr
+        owner._first_read = (*getattr(owner, "_first_read", ()), attr)
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError(self.attr)
+        kept = obj.__dict__
+        table = kept[self.attr] = obj._tables(self.attr)
+        if all(attr in kept for attr in obj._first_read):
+            del kept["_tables"]
+        return table
+
+
+def deferred(cls, tables, **fields):
+    """An instance of the dataclass ``cls`` built with ``fields`` and
+    without its ``OnFirstRead`` tables: ``tables(attr)``, kept as its
+    ``_tables`` hook, builds the table ``attr`` on its first read.  Its
+    ``__post_init__``, if any, runs as the dataclass ``__init__`` would
+    run it."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields, _tables=tables)
+    if hasattr(cls, "__post_init__"):
+        obj.__post_init__()
+    return obj
+
+
 @dataclass(frozen=True, eq=True)
 class FinCategory:
-    """A finite category with a stored total composition table.
+    """A finite category with a total composition table.
 
     ``src``/``tgt`` assign endpoints to morphisms, ``identities`` maps each
     object to its identity morphism and ``table[(g, f)]`` is the composite
     ``g . f`` (``f`` first), defined exactly when ``tgt[f] == src[g]``.
+    A category made by ``deferred`` (``category_of_elements``) builds its
+    table on its first read (``OnFirstRead``) and keeps it in the instance
+    ``__dict__``, where a category built with its table keeps it.  Every
+    read still takes CPython's unspecialised attribute path, so a loop
+    holds the table in a local.
+
+    Equality compares objects, morphisms, ``src``, ``tgt``, identities and
+    the table, in that order, but a category equals itself before its
+    table is read.  The hash is ``(objects, morphisms)``.
 
     ``hom(a, b)``, ``into(b)`` and ``out_of(a)`` read indexes built once by
     ``__post_init__`` from ``src`` and ``tgt``, which must not change
@@ -72,7 +125,7 @@ class FinCategory:
     src: dict
     tgt: dict
     identities: dict
-    table: dict
+    table: dict = OnFirstRead()
     _hom: dict = field(init=False, compare=False, repr=False)
     _into: dict = field(init=False, compare=False, repr=False)
     _out_of: dict = field(init=False, compare=False, repr=False)
@@ -88,6 +141,17 @@ class FinCategory:
         for attr, index in (("_hom", hom), ("_into", into), ("_out_of", out_of)):
             object.__setattr__(self, attr,
                                {k: tuple(v) for k, v in index.items()})
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.objects == other.objects
+                and self.morphisms == other.morphisms
+                and self.src == other.src and self.tgt == other.tgt
+                and self.identities == other.identities
+                and self.table == other.table)
 
     def __hash__(self):
         return hash((self.objects, self.morphisms))
@@ -126,6 +190,7 @@ def validate_category(cat):
     """Exhaustively check the category axioms; returns a list of violations
     (empty for a valid category)."""
     problems = []
+    table = cat.table
     for o in cat.objects:
         i = cat.identities.get(o)
         if i is None:
@@ -137,14 +202,14 @@ def validate_category(cat):
             problems.append(f"morphism {m} has endpoints outside the category")
     for g in cat.morphisms:
         for f in cat.morphisms:
-            defined = (g, f) in cat.table
+            defined = (g, f) in table
             composable = cat.tgt.get(f) == cat.src.get(g)
             if composable and not defined:
                 problems.append(f"composite {g} . {f} missing")
             elif defined and not composable:
                 problems.append(f"composite {g} . {f} defined but not composable")
             elif defined:
-                h = cat.table[(g, f)]
+                h = table[(g, f)]
                 if h not in cat.morphisms:
                     problems.append(f"composite {g} . {f} = {h} unknown")
                 elif cat.src[h] != cat.src[f] or cat.tgt[h] != cat.tgt[g]:
@@ -152,18 +217,18 @@ def validate_category(cat):
     for f in cat.morphisms:
         if cat.src.get(f) in cat.identities:
             i = cat.identities[cat.src[f]]
-            if cat.table.get((f, i)) != f:
+            if table.get((f, i)) != f:
                 problems.append(f"right unit law fails for {f}")
         if cat.tgt.get(f) in cat.identities:
             i = cat.identities[cat.tgt[f]]
-            if cat.table.get((i, f)) != f:
+            if table.get((i, f)) != f:
                 problems.append(f"left unit law fails for {f}")
     for h in cat.morphisms:
         for g in cat.into(cat.src.get(h)):
             for f in cat.into(cat.src.get(g)):
                 try:
-                    left = cat.table[(cat.table[(h, g)], f)]
-                    right = cat.table[(h, cat.table[(g, f)])]
+                    left = table[(table[(h, g)], f)]
+                    right = table[(h, table[(g, f)])]
                 except KeyError:
                     continue
                 if left != right:
@@ -178,6 +243,17 @@ def make_category(name, objects, arrows, composites=None):
     ``composites`` maps pairs ``(g, f)`` to their composite id (identity
     composites are filled in automatically).
     """
+    objects, morphisms, src, tgt, identities = _presented(objects, arrows)
+    table = _unit_entries(identities, arrows)
+    if composites:
+        table.update(composites)
+    return FinCategory(name, objects, morphisms, src, tgt, identities, table)
+
+
+def _presented(objects, arrows):
+    """The objects, morphisms (identities ``1_<o>`` first, then
+    ``arrows``), ``src``, ``tgt`` and identities of the category with these
+    objects and non-identity ``arrows``."""
     objects = tuple(objects)
     identities = {o: f"1_{o}" for o in objects}
     src = {}
@@ -189,13 +265,17 @@ def make_category(name, objects, arrows, composites=None):
         src[m] = a
         tgt[m] = b
     morphisms = tuple(identities[o] for o in objects) + tuple(arrows)
-    table = {}
-    for m in morphisms:
-        table[(m, identities[src[m]])] = m
-        table[(identities[tgt[m]], m)] = m
-    if composites:
-        table.update(composites)
-    return FinCategory(name, objects, morphisms, src, tgt, identities, table)
+    return objects, morphisms, src, tgt, identities
+
+
+def _unit_entries(identities, arrows):
+    """The entries of a composition table that an identity takes part in:
+    i . i for each identity i, then m . 1 and 1 . m for each arrow m."""
+    table = {(i, i): i for i in identities.values()}
+    for m, (a, b) in arrows.items():
+        table[(m, identities[a])] = m
+        table[(identities[b], m)] = m
+    return table
 
 
 @dataclass(frozen=True, eq=True)
@@ -446,9 +526,12 @@ def category_of_elements(name, ac, bc, triples, act_right, act_left):
     endpoints reach are listed once per pair of them.  Identities
     are implicit; composites are componentwise.  Each arrow is indexed
     under (source id, target id, u, v), and each identity under (s, s,
-    1_a, 1_b), so that a composite is one lookup of its components; the
-    table is filled along each arrow m2 and the arrows into its source,
-    in ``composable_pairs`` order.  Returns the category, its projections
+    1_a, 1_b), so that a composite is one lookup of its components.
+
+    The category is built with its objects, arrows and indexes, and
+    without its composition table, which ``_elements_table`` builds on its
+    first read (``OnFirstRead``), in the order ``make_category`` and
+    ``composable_pairs`` give.  Returns the category, its projections
     ``pl_<name>`` to A and ``pr_<name>`` to B, and the triple of each
     object id.
     """
@@ -479,26 +562,39 @@ def category_of_elements(name, ac, bc, triples, act_right, act_left):
                     pair[m] = (u, v)
                     index[(s, t, u, v)] = m
                     into[t].append((m, s, u, v))
-    cat = make_category(name, ids.values(), arrows)   # composites below
+    objects, morphisms, src, tgt, identities = _presented(ids.values(), arrows)
     for (a, _, b), s in ids.items():
-        index[(s, s, ac.identities[a], bc.identities[b])] = cat.identities[s]
-    # composable by construction, so the tables are read unchecked; a
-    # composite missing from the index raises KeyError
-    table, atable, btable = cat.table, ac.table, bc.table
-    for m2, (s2, t2) in arrows.items():
-        u2, v2 = pair[m2]
-        for m1, s1, u1, v1 in into[s2]:
-            table[(m2, m1)] = index[(s1, t2, atable[(u2, u1)],
-                                     btable[(v2, v1)])]
+        index[(s, s, ac.identities[a], bc.identities[b])] = identities[s]
+    cat = deferred(FinCategory, partial(_elements_table, ac, bc, identities,
+                                        arrows, pair, index, into),
+                   name=name, objects=objects, morphisms=morphisms, src=src,
+                   tgt=tgt, identities=identities)
     pl_obj = {ids[t]: t[0] for t in triples}
     pr_obj = {ids[t]: t[2] for t in triples}
-    pl_mor = {cat.identity(o): ac.identity(pl_obj[o]) for o in cat.objects}
-    pr_mor = {cat.identity(o): bc.identity(pr_obj[o]) for o in cat.objects}
+    pl_mor = {identities[o]: ac.identities[pl_obj[o]] for o in objects}
+    pr_mor = {identities[o]: bc.identities[pr_obj[o]] for o in objects}
     for m, (u, v) in pair.items():
         pl_mor[m], pr_mor[m] = u, v
     return (cat, Functor(f"pl_{name}", cat, ac, pl_obj, pl_mor),
             Functor(f"pr_{name}", cat, bc, pr_obj, pr_mor),
             {i: t for t, i in ids.items()})
+
+
+def _elements_table(ac, bc, identities, arrows, pair, index, into, attr):
+    """The composition table of a ``category_of_elements``: the unit
+    entries, then each arrow m2 after each arrow into its source, in
+    ``composable_pairs`` order, as the lookup of its components in
+    ``index``."""
+    table = _unit_entries(identities, arrows)
+    # composable by construction, so the tables are read unchecked; a
+    # composite missing from the index raises KeyError
+    atable, btable = ac.table, bc.table
+    for m2, (s2, t2) in arrows.items():
+        u2, v2 = pair[m2]
+        for m1, s1, u1, v1 in into[s2]:
+            table[(m2, m1)] = index[(s1, t2, atable[(u2, u1)],
+                                     btable[(v2, v1)])]
+    return table
 
 
 @dataclass(frozen=True, eq=True)

@@ -13,10 +13,12 @@ Every profunctor derived here (the representables ``unit_prof``,
 ``companion`` and ``conjoint``, the composites of ``compose_prof``, the
 right homs of ``rhom`` and the restrictions of ``restrict``) builds its
 fibers, and any witness, at once, and each action table, per side, when
-it is first read (``OnFirstRead``): a tabulation reads only the elements
-of the unit profunctor of its category, the pointwise decision only the
-fibers of its right hom, and most composites of the law suites no table
-at all.  A profunctor equals itself before any table is read.
+it is first read: it is made by ``fincat.deferred``, and ``left`` and
+``right`` are ``fincat.OnFirstRead`` attributes, as a category's table
+is.  A tabulation reads only the elements of the unit profunctor of its
+category, the pointwise decision only the fibers of its right hom, and
+most composites of the law suites no table at all.  A profunctor equals
+itself before any table is read.
 ``elements()`` lists every (a, b, j) as one tuple, built on its first call
 and kept with the profunctor.
 
@@ -50,27 +52,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 
-from .fincat import (FinCategory, Functor, backtrack, compose_functors,
-                     construction, functor_inverse, identity_functor)
-
-
-class OnFirstRead:
-    """An action table of ``Profunctor`` as a non-data descriptor.  A read
-    finds the table in the instance ``__dict__`` first, where a profunctor
-    built with its tables keeps them, and reaches ``__get__`` only when it
-    is missing: on the first read of a derived profunctor's table (see
-    ``_derived``), which its ``_tables`` hook then builds and keeps there.
-    Read on the class it raises AttributeError, so that the dataclass
-    field has no default."""
-
-    def __set_name__(self, owner, side):
-        self.side = side
-
-    def __get__(self, p, owner=None):
-        if p is None:
-            raise AttributeError(self.side)
-        table = p.__dict__[self.side] = p._tables(self.side)
-        return table
+from .fincat import (FinCategory, Functor, OnFirstRead, backtrack,
+                     compose_functors, construction, deferred,
+                     functor_inverse, identity_functor)
 
 
 @dataclass(frozen=True, eq=True)
@@ -87,8 +71,10 @@ class Profunctor:
     that comparing a shared composite with itself builds nothing.
 
     A derived profunctor (the representables, composites, right homs and
-    restrictions) is built with its fibers only, and builds each table the
-    first time it is read (``OnFirstRead``).  The table is then kept in
+    restrictions) is built by ``fincat.deferred`` with its fibers only,
+    and builds each table the first time it is read
+    (``fincat.OnFirstRead``), by its ``_tables`` hook given the side,
+    "left" or "right".  The table is then kept in
     the instance ``__dict__``, as a profunctor built with its tables keeps
     them, so every later read is a plain attribute read.
     """
@@ -140,17 +126,6 @@ class Profunctor:
                 (a, b, j) for a in self.source.objects
                 for b in self.target.objects for j in fiber((a, b), ())))
         return self.__dict__["_elements"]
-
-
-def _derived(name, source, target, fibers, tables, **kept):
-    """A Profunctor built with its fibers and without its tables:
-    ``tables(side)``, kept as its ``_tables`` hook, builds the "left" or the
-    "right" table on its first read (``OnFirstRead``).  ``kept`` goes into
-    the instance ``__dict__`` as well."""
-    p = object.__new__(Profunctor)
-    p.__dict__.update(name=name, source=source, target=target, fibers=fibers,
-                      _tables=tables, **kept)
-    return p
 
 
 def validate_profunctor(p):
@@ -217,8 +192,9 @@ def _representable(name, cat, f=None, g=None):
     fibers = {(a, b): fiber for a in ac.objects for b in bc.objects
               if (fiber := hom(a if fo is None else fo[a],
                                b if go is None else go[b]))}
-    return _derived(name, ac, bc, fibers,
+    return deferred(Profunctor,
                     partial(_representable_action, ac, bc, fibers, cat, f, g),
+                    name=name, source=ac, target=bc, fibers=fibers,
                     _represents=(cat, f, g))
 
 
@@ -483,8 +459,9 @@ def compose_prof(j, h):
                     cls_ids[pairs[i]] = cid
             named[(a, e)], ids[(a, e)] = names, cls_ids
             fibers[(a, e)] = tuple(names)
-    composite = _derived(f"({j.name}*{h.name})", ac, ec, fibers,
-                         partial(_composite_action, j, h, fibers, ids, named))
+    composite = deferred(
+        Profunctor, partial(_composite_action, j, h, fibers, ids, named),
+        name=f"({j.name}*{h.name})", source=ac, target=ec, fibers=fibers)
     return composite, CoendWitness(j, h, composite, ids, named)
 
 
@@ -695,8 +672,8 @@ def restrict(k, f, g):
                               g if kg is None else compose_functors(kg, g))
     fibers = {(a, b): fib for a in f.source.objects for b in g.source.objects
               if (fib := k.fiber(f.obj[a], g.obj[b]))}
-    return _derived(name, f.source, g.source, fibers,
-                    partial(_restricted_action, k, f, g, fibers))
+    return deferred(Profunctor, partial(_restricted_action, k, f, g, fibers),
+                    name=name, source=f.source, target=g.source, fibers=fibers)
 
 
 def _restricted_action(k, f, g, fibers, side):
@@ -899,8 +876,9 @@ def rhom(k, h):
             if found:
                 fibers[(a, b)] = tuple(sorted(found))
                 families[(a, b)] = {fid: found[fid] for fid in sorted(found)}
-    p = _derived(f"({k.name}<|{h.name})", ac, bc, fibers,
-                 partial(_rhom_action, k, h, families))
+    p = deferred(Profunctor, partial(_rhom_action, k, h, families),
+                 name=f"({k.name}<|{h.name})", source=ac, target=bc,
+                 fibers=fibers)
     return p, RhomWitness(p, families)
 
 

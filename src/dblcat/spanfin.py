@@ -12,15 +12,20 @@ coequalizer of the slides on a pullback, and the arrows of a tabulation
 are the pullback of the two action spans; ``pullback`` is a join over the
 fibers of its second map.  Nothing here is built by ``prof`` or ``tab``,
 so the two procedures check each other; this module imports nothing from
-``prof``, down to its union-find.
+``prof``, down to its union-find.  A unit (``unit_internal_prof``) builds
+each action on its first read (``fincat.OnFirstRead``), so the defining
+transformation of a tabulation leaves the unit of its category unbuilt;
+``verify_internal_tabulation`` builds its own, as a verifier does not
+trust the object it checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
-from .fincat import (FinCategory, Functor, all_functors, backtrack,
-                     compose_functors, filed)
+from .fincat import (FinCategory, Functor, OnFirstRead, all_functors,
+                     backtrack, compose_functors, deferred, filed)
 from . import zoo
 
 
@@ -103,7 +108,11 @@ class InternalProfunctor:
     set het with endpoint maps d0 (into source objects) and d1 (into target
     objects), left action l[(a, j)] and right action r[(j, b)].  ``fiber``
     reads het filed by endpoints: derived data, as a ``FinCategory``'s
-    indexes are."""
+    indexes are.
+
+    Equality compares the boundary, het, d0, d1 and both actions, in that
+    order, but an internal profunctor equals itself before any action is
+    read: a unit builds each on its first read."""
 
     name: str = field(compare=False)
     source: FinCategory
@@ -111,14 +120,24 @@ class InternalProfunctor:
     het: tuple
     d0: dict
     d1: dict
-    l: dict
-    r: dict
+    l: dict = OnFirstRead()
+    r: dict = OnFirstRead()
     _fibers: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         # .get: validate_internal_profunctor reports missing endpoints
         object.__setattr__(self, "_fibers", filed(
             self.het, lambda y: (self.d0.get(y), self.d1.get(y))))
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.source == other.source and self.target == other.target
+                and self.het == other.het and self.d0 == other.d0
+                and self.d1 == other.d1 and self.l == other.l
+                and self.r == other.r)
 
     def __hash__(self):
         return hash((self.het, self.source, self.target))
@@ -171,13 +190,23 @@ def validate_internal_profunctor(p):
 
 
 def unit_internal_prof(c):
-    """A category acting on its own arrows from both sides."""
-    l = {(x, j): c.table[(j, x)] for x in c.morphisms
-         for j in c.out_of(c.tgt[x])}
-    r = {(j, y): c.table[(y, j)] for j in c.morphisms
-         for y in c.out_of(c.tgt[j])}
-    return InternalProfunctor(f"1_{c.name}", c, c, c.morphisms,
-                              dict(c.src), dict(c.tgt), l, r)
+    """A category acting on its own arrows from both sides, each action
+    built on its first read (``_unit_action``)."""
+    return deferred(InternalProfunctor, partial(_unit_action, c),
+                    name=f"1_{c.name}", source=c, target=c, het=c.morphisms,
+                    d0=dict(c.src), d1=dict(c.tgt))
+
+
+def _unit_action(c, side):
+    """The ``side`` ("l" or "r") action of the unit of ``c``:
+    ``l[(x, j)] = j . x``, listed by x, then j out of x's target, and
+    ``r[(j, y)] = y . j``, listed by j, then y out of j's target."""
+    table, out_of, tgt = c.table, c.out_of, c.tgt
+    if side == "l":
+        return {(x, j): table[(j, x)] for x in c.morphisms
+                for j in out_of(tgt[x])}
+    return {(j, y): table[(y, j)] for j in c.morphisms
+            for y in out_of(tgt[j])}
 
 
 def prof_bridge(p):
@@ -348,11 +377,12 @@ def internal_tabulate(j):
                       {w: parts[w][0] for w in arrs},
                       {w: parts[w][3] for w in arrs}, e, {})
     # composites go in after construction: no index reads the table
+    table, atable, btable = cat.table, a.table, b.table
     for w2, w1 in cat.composable_pairs():
         x1, y1, u1, _ = parts[w1]
         _, y2, u2, x2 = parts[w2]
-        cat.table[(w2, w1)] = \
-            f"(({x1},{b.table[(y2, y1)]}),({a.table[(u2, u1)]},{x2}))"
+        table[(w2, w1)] = \
+            f"(({x1},{btable[(y2, y1)]}),({atable[(u2, u1)]},{x2}))"
     pl = Functor(f"pl<{j.name}>", cat, a, {x: j.d0[x] for x in j.het},
                  {w: parts[w][2] for w in arrs})
     pr = Functor(f"pr<{j.name}>", cat, b, {x: j.d1[x] for x in j.het},
@@ -380,7 +410,8 @@ def verify_internal_tabulation(t, probes=None):
         probes = zoo.tabulation_probes()
     j = t.j
     a, b = j.source, j.target
-    ua, ub = unit_internal_prof(a), unit_internal_prof(b)
+    ua = unit_internal_prof(a)
+    ub = ua if b is a else unit_internal_prof(b)
     ut = unit_internal_prof(t.category)
     pl, pr, pi = t.proj_left.mor.get, t.proj_right.mor.get, t.cell.map.get
     checked = {"one_dimensional": 0, "two_dimensional": 0, "opcartesian": 0}
@@ -420,8 +451,10 @@ def verify_internal_tabulation(t, probes=None):
     for x, configs in zip(probes, factored):
         ux = unit_internal_prof(x)
         # configurations share their boundary functors, so each search of
-        # xi_a (xi_b) runs once per pair of them, kept here by that pair
-        xi_as_over, xi_bs_over = {}, {}
+        # xi_a (xi_b) runs once per pair of them, kept here by that pair;
+        # when A is B, one unit and one dict serve both
+        xi_as_over = {}
+        xi_bs_over = xi_as_over if ub is ua else {}
 
         def transformations(over, k, f, g):
             if (f, g) not in over:

@@ -1213,6 +1213,32 @@ def category_tables(cat):
             list(cat.table.items()))
 
 
+def table_keys(cat):
+    """The keys of a composition table in the order ``make_category``
+    fills them: the unit entries along ``morphisms``, then the other
+    composable pairs in ``composable_pairs`` order."""
+    keys = {}
+    for m in cat.morphisms:
+        keys[(m, cat.identity(cat.src[m]))] = None
+        keys[(cat.identity(cat.tgt[m]), m)] = None
+    for gf in cat.composable_pairs():
+        keys.setdefault(gf)
+    return list(keys)
+
+
+def elements_table_oracle(cat, proj, oid, j, a):
+    """The composition table of ``elements_category_oracle(j, a)`` renamed
+    to the ids of ``kan.elements_category(j, a)``, which returned ``cat``,
+    ``proj`` and ``oid``: an arrow is fixed by its endpoints and its
+    projection."""
+    cat0, proj0, oid0 = elements_category_oracle(j, a)
+    ren = {oid0[k]: oid[k] for k in oid0}
+    by_key = {(cat.src[m], cat.tgt[m], proj.mor[m]): m for m in cat.morphisms}
+    mren = {m: by_key[(ren[cat0.src[m]], ren[cat0.tgt[m]], proj0.mor[m])]
+            for m in cat0.morphisms}
+    return {(mren[g], mren[f]): mren[h] for (g, f), h in cat0.table.items()}
+
+
 def projection_tables(p):
     """A functor's target and maps as lists of items."""
     return p.target, list(p.obj.items()), list(p.mor.items())

@@ -2,8 +2,9 @@ import pytest
 
 import helpers
 from dblcat import kan, prof, tab, zoo
-from dblcat.fincat import (all_functors, comma_category, find_isomorphism,
-                           identity_functor, validate_category)
+from dblcat.fincat import (FinCategory, all_functors, comma_category,
+                           find_isomorphism, identity_functor,
+                           validate_category)
 from dblcat.prof import companion, unit_prof, validate_cell, validate_profunctor
 
 
@@ -105,6 +106,65 @@ def test_tabulation_leaves_the_tables_of_its_unit_unbuilt():
     assert helpers.profunctor_tables(unit) == \
         helpers.profunctor_tables(helpers.unit_prof_eager(t.category))
     assert vars(unit)["left"] is unit.left
+
+
+def assert_table_built_on_first_read(build, first_read):
+    """Two categories from ``build()`` keep no table through construction,
+    counting and self-comparison; ``first_read`` holds of the first, and
+    the second equals an eager copy of the first, and not the copy one
+    entry short."""
+    first, fresh = build(), build()
+    for cat in (first, fresh):
+        assert "table" not in vars(cat)
+        assert len(cat.objects) <= len(cat.morphisms)
+        assert cat == cat and hash(cat) == hash((cat.objects, cat.morphisms))
+        assert "table" not in vars(cat)
+    assert first_read(first), first.name
+    assert "_tables" not in vars(first)     # nor the data it built from
+    eager = FinCategory(first.name, first.objects, first.morphisms, first.src,
+                        first.tgt, first.identities, dict(first.table))
+    assert fresh == eager and hash(fresh) == hash(eager)
+    assert "table" in vars(fresh)
+    if eager.table:
+        short = dict(eager.table)
+        short.popitem()
+        assert fresh != FinCategory(first.name, first.objects,
+                                    first.morphisms, first.src, first.tgt,
+                                    first.identities, short)
+
+
+def test_categories_of_elements_build_their_tables_on_first_read():
+    # a tabulation, comma object, comma category or category of elements
+    # read for its objects and arrows composes none of them
+    one, two, three = (zoo.terminal_category(), zoo.walking_arrow(),
+                       zoo.composable_pair())
+    profs = helpers.profunctor_corpus() + \
+        [unit_prof(helpers.chain(n)) for n in range(6)]
+    for j in profs:
+        assert_table_built_on_first_read(
+            lambda: tab.tabulate(j).category,
+            lambda cat: helpers.category_tables(cat) == helpers.category_tables(
+                helpers.tabulate_oracle(j).category))
+        for a in j.source.objects:
+            assert_table_built_on_first_read(
+                lambda: kan.elements_category(j, a)[0],
+                lambda cat: list(cat.table) == helpers.table_keys(cat) and
+                cat.table == helpers.elements_table_oracle(
+                    *kan.elements_category(j, a), j, a))
+    functors = all_functors(two, three) + all_functors(one, three)
+    pairs = [(f, g) for f in functors for g in functors] + \
+        [(identity_functor(j.source),) * 2 for j in profs]
+    for f, g in pairs:
+        assert_table_built_on_first_read(
+            lambda: comma_category(f, g).category,
+            lambda cat: helpers.category_tables(cat) == helpers.category_tables(
+                helpers.comma_category_oracle(f, g).category))
+        assert_table_built_on_first_read(
+            lambda: tab.comma_object(f, g).category,
+            lambda cat: helpers.category_tables(cat) == helpers.category_tables(
+                helpers.tabulate_oracle(prof.cartesian_cell(
+                    unit_prof(f.target), f, g).hsrc).category))
+    assert len(pairs) == 81 + len(profs)
 
 
 def test_comma_object_matches_comma_category():
