@@ -34,11 +34,19 @@ holds several faults, the first reported is fixed: a block header's names
 are looked up as each is read, an arrow's name and endpoints before its
 ``;``, obj, arr and elt lines after it, act lines and maps once the
 block closes.
+
+Tokens are read in two scans by compiled patterns: one match of
+``_LEXABLE`` finds the first unexpected character, if any, and one
+findall of ``_LEXEME`` reads the token texts.  The parser keeps only the
+texts; a diagnostic finds its token's line and column by scanning the
+text again up to that token (``_offsets``).
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .fincat import Functor, make_category, validate_category
 from .prof import Cell, Profunctor, validate_cell
@@ -63,89 +71,110 @@ class Workspace:
 # tokenizer
 
 SYMBOLS = ["-/->", "->", "=>", "{", "}", ":", ";", ",", "=", "."]
-# the symbols by first character, longest first; none starts like a name
-_SYMBOLS_AT = {c: sorted((s for s in SYMBOLS if s[0] == c), key=len,
-                         reverse=True)
-               for c in {s[0] for s in SYMBOLS}}
 _SYMBOL_SET = frozenset(SYMBOLS)
+# the texts that are not names: the symbols and the end of input's ""
+_NOT_NAMES = _SYMBOL_SET | {""}
+
+# The lexical grammar.  Between tokens come spaces, tabs, carriage
+# returns, newlines and comments from '#' to the end of the line.  A token
+# is a name, a run of alphanumeric characters (str.isalnum, as \w tests),
+# '_' and "'", or a symbol, tried in SYMBOLS order, which puts each symbol
+# before its prefixes.  A comment ends only at a newline or the text's
+# end, so no backtrack into one finds a token inside it ("x # y"), and a
+# match reads the text as the grammar does.
+_SKIP = r"[ \t\r\n]*(?:#[^\n]*(?![^\n])[ \t\r\n]*)*"
+_TOKEN = r"[\w']+|" + "|".join(map(re.escape, SYMBOLS))
+# one token and what precedes it
+_LEXEME = re.compile(f"{_SKIP}({_TOKEN})")
+# the longest run of lexemes, as group 1, and what follows it up to the
+# first unexpected character, if any
+_LEXABLE = re.compile(f"((?:{_SKIP}(?:{_TOKEN}))*){_SKIP}")
+
+
+def _scan(text):
+    """The token texts of ``text``, then "" for the end of input: one
+    match finds the first unexpected character, if any, and one findall
+    reads the texts up to the end of the last token."""
+    lexable = _LEXABLE.match(text)
+    end = lexable.end()
+    if end < len(text):
+        raise DslError(f"unexpected character {text[end]!r}",
+                       *_line_col(text, end))
+    texts = _LEXEME.findall(text, 0, lexable.end(1))
+    texts.append("")
+    return texts
+
+
+def _offsets(text):
+    """The offset of each token of ``text``, which scans, then that of the
+    end of input: the start of the comment that ends the text, if one
+    does, else the text's end.  Only a diagnostic needs these."""
+    for lexeme in _LEXEME.finditer(text, 0, _LEXABLE.match(text).end(1)):
+        yield lexeme.start(1)
+    comment = text.find("#", text.rfind("\n") + 1)
+    yield len(text) if comment < 0 else comment
+
+
+def _line_col(text, offset):
+    """The line and column, both from 1, of ``offset`` in ``text``."""
+    return (text.count("\n", 0, offset) + 1,
+            offset - text.rfind("\n", 0, offset))
 
 
 def tokenize(text):
-    tokens = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c.isalnum() or c in "_'":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] in "_'"):
-                j += 1
-            tokens.append(("name", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        for sym in _SYMBOLS_AT.get(c, ()):
-            if text.startswith(sym, i):
-                tokens.append(("sym", sym, line, col))
-                i += len(sym)
-                col += len(sym)
-                break
-        else:
-            raise DslError(f"unexpected character {c!r}", line, col)
-    tokens.append(("eof", "", line, col))
-    return tokens
+    """The tokens of ``text`` as (kind, text, line, col), kind "name",
+    "sym" or "eof", the end of input last.  The parser reads only the
+    texts (``_scan``) and finds a position (``_offsets``) when a
+    diagnostic needs it."""
+    return [("eof" if not t else "sym" if t in _SYMBOL_SET else "name", t,
+             *_line_col(text, offset))
+            for t, offset in zip(_scan(text), _offsets(text))]
 
 
 class Parser:
-    """A recursive-descent parser over the token list.  Every block is read
-    by ``block``, ``statements`` and ``read``, so each diagnostic of the
-    grammar is stated once."""
+    """A recursive-descent parser over the token texts.  A token is read as
+    a pair (its index, its text), and its line and column are found from
+    the index only for a diagnostic.  Every block is read by ``block``,
+    ``statements`` and ``read``, so each diagnostic of the grammar is
+    stated once."""
 
     def __init__(self, text):
-        self.tokens = tokenize(text)
+        self.text = text
+        self.texts = _scan(text)
         self.pos = 0
 
     def peek(self):
-        return self.tokens[self.pos]
+        return self.pos, self.texts[self.pos]
 
     def next(self):
-        tok = self.tokens[self.pos]
-        if tok[0] != "eof":
-            self.pos += 1
-        return tok
+        k = self.pos
+        text = self.texts[k]
+        if text:
+            self.pos = k + 1
+        return k, text
 
     def error(self, message, tok=None):
-        tok = tok or self.peek()
-        raise DslError(message, tok[2], tok[3])
+        k = (tok or self.peek())[0]
+        raise DslError(message, *_line_col(
+            self.text, next(islice(_offsets(self.text), k, None))))
 
     def read(self, *parts):
         """Read one token per part: a part in SYMBOLS is expected as
         written, any other part describes the name expected there.  Returns
         the name tokens read."""
         names = []
-        for part in parts:
-            tok = self.next()
+        for k, part in enumerate(parts, self.pos):
+            tok = k, self.texts[k]
             if part in _SYMBOL_SET:
                 if tok[1] != part:
                     self.error(f"expected {part!r}, found {tok[1]!r}", tok)
-            elif tok[0] != "name":
+            elif tok[1] in _NOT_NAMES:
                 self.error(f"expected {part}, found "
                            f"{tok[1] or 'end of input'!r}", tok)
             else:
                 names.append(tok)
+        # a token read is a symbol or a name, never the end of input
+        self.pos += len(parts)
         return names
 
     def keyword(self, *words):
@@ -158,14 +187,16 @@ class Parser:
             else:
                 wanted = " or ".join(map(repr, words))
                 expected = ", ".join(map(repr, words)) + " or '}'"
-            self.error(f"expected {wanted if tok[0] == 'name' else expected}, "
-                       f"found {tok[1] or 'end of input'!r}", tok)
+            if tok[1] in _NOT_NAMES:
+                wanted = expected
+            self.error(f"expected {wanted}, found "
+                       f"{tok[1] or 'end of input'!r}", tok)
         return tok[1]
 
     def statements(self, *words):
         """Yield the keyword of each statement of a block, one of
         ``words``, up to and past the block's closing '}'."""
-        while self.peek()[1] != "}":
+        while self.texts[self.pos] != "}":
             yield self.keyword(*words)
         self.next()
 
@@ -216,9 +247,9 @@ class Parser:
                   "functor": self.parse_functor,
                   "profunctor": self.parse_profunctor,
                   "cell": self.parse_cell}
-        while self.peek()[0] != "eof":
+        while self.peek()[1]:
             tok = self.peek()
-            if tok[0] != "name":
+            if tok[1] in _SYMBOL_SET:
                 self.error(f"expected a block keyword, found {tok[1]!r}")
             if tok[1] not in blocks:
                 self.error(f"unknown block keyword {tok[1]!r}")
@@ -345,7 +376,12 @@ class Parser:
     def _complete_action(self, src, tgt, fibers, home, entries, name):
         """Close the stated actions under identities and composition, as a
         table keyed (u, j, v).  A sweep pairs each entry with the entries
-        acting on its result, in table order."""
+        acting on its result, in table order, and sweeps again while it adds
+        entries.  It skips the pairs an earlier sweep checked: a table value
+        never changes (a change raises), so checking a pair again could
+        neither add an entry nor raise.  Each pair is thus checked once, and
+        the first diagnostic is that of sweeps over all pairs
+        (``helpers.complete_action_oracle``)."""
         table = dict(entries)
         for j, (a, b) in home.items():
             key = (src.identity(a), j, tgt.identity(b))
@@ -359,11 +395,15 @@ class Parser:
         # the entries are type-checked, so every pair below is composable
         # and the composition tables are read unchecked
         stable, ttable = src.table, tgt.table
-        changed = True
-        while changed:
-            changed = False
-            for (u1, j, v1), j2 in list(table.items()):
-                for u2, _, v2 in list(acting_on[j2]):
+        # checked[i]: how many entries acting on the result of the i-th
+        # entry have been paired with it
+        checked = []
+        while len(checked) < len(table):
+            checked += [0] * (len(table) - len(checked))
+            for i, ((u1, j, v1), j2) in enumerate(list(table.items())):
+                on = acting_on[j2]
+                start, checked[i] = checked[i], len(on)
+                for u2, _, v2 in on[start:]:
                     j3 = table[(u2, j2, v2)]
                     key = (stable[(u1, u2)], j, ttable[(v2, v1)])
                     if table.get(key) != j3:
@@ -373,7 +413,6 @@ class Parser:
                                 f"inconsistent at {key}", name)
                         table[key] = j3
                         acting_on[j].append(key)
-                        changed = True
         return table
 
     def _read_sides(self, src, tgt, home, table, name):

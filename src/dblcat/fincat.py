@@ -187,8 +187,15 @@ class FinCategory:
 
 
 def validate_category(cat):
-    """Exhaustively check the category axioms; returns a list of violations
-    (empty for a valid category)."""
+    """Check the category axioms; returns a list of violations (empty for a
+    valid category).  The violations come in the order of a check of every
+    pair of morphisms (``helpers.validate_category_oracle``): identities,
+    endpoints, then the composites g . f, g and then f in the interned
+    order, then unit laws and associativity.  The composites checked are
+    those of the composable pairs, read from the ``into`` index, and those
+    the table defines: a row g whose table defines a pair that is not
+    composable is checked against every f.  No other pair can be at
+    fault."""
     problems = []
     table = cat.table
     for o in cat.objects:
@@ -200,17 +207,20 @@ def validate_category(cat):
     for m in cat.morphisms:
         if cat.src.get(m) not in cat.objects or cat.tgt.get(m) not in cat.objects:
             problems.append(f"morphism {m} has endpoints outside the category")
+    src, tgt, known = cat.src, cat.tgt, set(cat.morphisms)
+    stray = {g for g, f in table if tgt.get(f) != src.get(g)}
     for g in cat.morphisms:
-        for f in cat.morphisms:
+        a = src.get(g)
+        for f in cat.morphisms if g in stray else cat.into(a):
             defined = (g, f) in table
-            composable = cat.tgt.get(f) == cat.src.get(g)
+            composable = tgt.get(f) == a
             if composable and not defined:
                 problems.append(f"composite {g} . {f} missing")
             elif defined and not composable:
                 problems.append(f"composite {g} . {f} defined but not composable")
             elif defined:
                 h = table[(g, f)]
-                if h not in cat.morphisms:
+                if h not in known:
                     problems.append(f"composite {g} . {f} = {h} unknown")
                 elif cat.src[h] != cat.src[f] or cat.tgt[h] != cat.tgt[g]:
                     problems.append(f"composite {g} . {f} = {h} ill-typed")

@@ -1,13 +1,11 @@
-"""Small stock categories, functors and profunctor builders used by the
-test corpora and the CLI probe sets."""
+"""Small stock categories and functors: the CLI's probe sets and the
+categories they and the test corpora are built from."""
 
 from __future__ import annotations
 
-from .fincat import Functor, make_category, all_functors
-
-
-def empty_category():
-    return make_category("Zero", (), {})
+# all_functors is no longer called here, but bench/test_bench.py checks
+# that the tracer rebinds zoo's copy of it
+from .fincat import Functor, all_functors, make_category  # noqa: F401
 
 
 def terminal_category():
@@ -43,18 +41,6 @@ def iso_pair():
         {("v", "u"): "1_0", ("u", "v"): "1_1"})
 
 
-def span_shape():
-    """Three objects with arrows 1 <- 0 -> 2 (a limit-shaped index)."""
-    return make_category("Span", ("0", "1", "2"),
-                         {"l": ("0", "1"), "r": ("0", "2")})
-
-
-def cospan_shape():
-    """Three objects with arrows 0 -> 2 <- 1 (pullback-shaped index)."""
-    return make_category("Cospan", ("0", "1", "2"),
-                         {"l": ("0", "2"), "r": ("1", "2")})
-
-
 def pick(cat, obj):
     """The functor One -> cat selecting the given object."""
     return Functor(f"pick_{obj}", terminal_category(), cat,
@@ -76,23 +62,3 @@ def probe_categories():
 def tabulation_probes():
     """Default probe set of both tabulation verifiers."""
     return [terminal_category(), walking_arrow(), parallel_pair()]
-
-
-def corpus_categories():
-    """The categories the enumerative test corpora range over."""
-    return [terminal_category(), walking_arrow(), parallel_pair(),
-            composable_pair(), discrete(2), iso_pair()]
-
-
-def corpus_functors(cats=None, limit_per_pair=None):
-    """All functors between corpus categories, optionally truncated
-    per (source, target) pair."""
-    cats = cats or corpus_categories()
-    out = []
-    for a in cats:
-        for m in cats:
-            fs = all_functors(a, m)
-            if limit_per_pair is not None:
-                fs = fs[:limit_per_pair]
-            out.extend(fs)
-    return out

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import os
 import random
+import unittest.mock
 from functools import cache
 
 from dblcat.fincat import (CommaCategory, Cone, FinCategory, Functor,
@@ -17,6 +18,42 @@ from dblcat import dsl, kan, spanfin, tab, zoo
 from dblcat.tab import Tabulation
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "arrows.dcat")
+
+
+def empty_category():
+    return make_category("Zero", (), {})
+
+
+def span_shape():
+    """Three objects with arrows 1 <- 0 -> 2 (a limit-shaped index)."""
+    return make_category("Span", ("0", "1", "2"),
+                         {"l": ("0", "1"), "r": ("0", "2")})
+
+
+def cospan_shape():
+    """Three objects with arrows 0 -> 2 <- 1 (pullback-shaped index)."""
+    return make_category("Cospan", ("0", "1", "2"),
+                         {"l": ("0", "2"), "r": ("1", "2")})
+
+
+def corpus_categories():
+    """The categories the enumerative test corpora range over."""
+    return [zoo.terminal_category(), zoo.walking_arrow(), zoo.parallel_pair(),
+            zoo.composable_pair(), zoo.discrete(2), zoo.iso_pair()]
+
+
+def corpus_functors(cats=None, limit_per_pair=None):
+    """All functors between corpus categories, optionally truncated
+    per (source, target) pair."""
+    cats = cats or corpus_categories()
+    out = []
+    for a in cats:
+        for m in cats:
+            fs = all_functors(a, m)
+            if limit_per_pair is not None:
+                fs = fs[:limit_per_pair]
+            out.extend(fs)
+    return out
 
 
 def count_builds(monkeypatch, construction):
@@ -230,7 +267,7 @@ def internal_profunctor_corpus():
     """The bridged profunctor corpus plus the unit internal profunctor of
     every corpus category."""
     return ([spanfin.prof_bridge(p) for p in profunctor_corpus()] +
-            [spanfin.unit_internal_prof(c) for c in zoo.corpus_categories()])
+            [spanfin.unit_internal_prof(c) for c in corpus_categories()])
 
 
 def pullback_oracle(xs, f, ys, g):
@@ -1316,6 +1353,71 @@ def fuzz_inputs(count):
                     seed_doc[pos:]
             else:
                 yield seed_doc[:pos] + rng.choice(vocab) + seed_doc[pos:]
+
+
+def validate_category_oracle(cat):
+    """fincat.validate_category as it was before it read the composable
+    pairs from the index: every pair of morphisms is checked."""
+    problems = []
+    table = cat.table
+    for o in cat.objects:
+        i = cat.identities.get(o)
+        if i is None:
+            problems.append(f"object {o} has no identity")
+        elif cat.src.get(i) != o or cat.tgt.get(i) != o:
+            problems.append(f"identity of {o} is not an endomorphism")
+    for m in cat.morphisms:
+        if cat.src.get(m) not in cat.objects or cat.tgt.get(m) not in cat.objects:
+            problems.append(f"morphism {m} has endpoints outside the category")
+    for g in cat.morphisms:
+        for f in cat.morphisms:
+            defined = (g, f) in table
+            composable = cat.tgt.get(f) == cat.src.get(g)
+            if composable and not defined:
+                problems.append(f"composite {g} . {f} missing")
+            elif defined and not composable:
+                problems.append(f"composite {g} . {f} defined but not composable")
+            elif defined:
+                h = table[(g, f)]
+                if h not in cat.morphisms:
+                    problems.append(f"composite {g} . {f} = {h} unknown")
+                elif cat.src[h] != cat.src[f] or cat.tgt[h] != cat.tgt[g]:
+                    problems.append(f"composite {g} . {f} = {h} ill-typed")
+    for f in cat.morphisms:
+        if cat.src.get(f) in cat.identities:
+            i = cat.identities[cat.src[f]]
+            if table.get((f, i)) != f:
+                problems.append(f"right unit law fails for {f}")
+        if cat.tgt.get(f) in cat.identities:
+            i = cat.identities[cat.tgt[f]]
+            if table.get((i, f)) != f:
+                problems.append(f"left unit law fails for {f}")
+    for h in cat.morphisms:
+        for g in cat.into(cat.src.get(h)):
+            for f in cat.into(cat.src.get(g)):
+                try:
+                    left = table[(table[(h, g)], f)]
+                    right = table[(h, table[(g, f)])]
+                except KeyError:
+                    continue
+                if left != right:
+                    problems.append(f"associativity fails on ({h}, {g}, {f})")
+    return problems
+
+
+def closed_actions(text, complete):
+    """The closed action table of each profunctor of ``text``, in text
+    order, as ``complete``, a function with the signature of
+    dsl.Parser._complete_action, closes it."""
+    tables = []
+
+    def recorded(parser, *args):
+        tables.append(complete(parser, *args))
+        return tables[-1]
+
+    with unittest.mock.patch.object(dsl.Parser, "_complete_action", recorded):
+        dsl.parse(text)
+    return tables
 
 
 def complete_action_oracle(parser, src, tgt, fibers, home, entries, name):

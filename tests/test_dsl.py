@@ -1,3 +1,5 @@
+import collections
+import dataclasses
 import os
 import random
 
@@ -6,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import helpers
 from dblcat import dsl, zoo
-from dblcat.fincat import all_functors
+from dblcat.fincat import all_functors, validate_category
 from dblcat.prof import companion, unit_cell, unit_prof, validate_profunctor
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "arrows.dcat")
@@ -582,6 +584,85 @@ def test_action_closure_matches_all_pairs_oracle(monkeypatch):
         assert any(message in e for e in errors), message
 
 
+def test_action_closure_checks_each_pair_once(monkeypatch):
+    # the closure reads one composite of src per pair it checks; for the
+    # hom of [7] it checks each pair (entry, entry acting on its result)
+    # of the closed table once, 924 pairs, where sweeps that check every
+    # such pair again in each sweep check 1,582
+    reads = 0
+
+    class Counting(dict):
+        def __getitem__(self, key):
+            nonlocal reads
+            reads += 1
+            return super().__getitem__(key)
+
+    complete = dsl.Parser._complete_action
+
+    def counted(parser, src, tgt, *rest):
+        return complete(parser, dataclasses.replace(
+            src, table=Counting(src.table)), tgt, *rest)
+
+    monkeypatch.setattr(dsl.Parser, "_complete_action", counted)
+    ord7 = helpers.chain(7)
+    hom = unit_prof(ord7)
+    ws = dsl.Workspace(categories={"Ord7": ord7}, profunctors={"Hom7": hom})
+    assert dsl.parse(dsl.serialize(ws)) == ws
+    closed = {(u, j, v): hom.act(u, a, b, j, v) for a, b, j in hom.elements()
+              for u in ord7.into(a) for v in ord7.out_of(b)}
+    acting_on = collections.Counter(j for _, j, _ in closed)
+    assert reads == sum(acting_on[j2] for j2 in closed.values()) == 924
+
+
+def category_inputs():
+    """Categories serialized alone: the corpus, [1] to [4], G_22, Z/2 and
+    the idempotent monoid, each with every compose line dropped or given
+    every other arrow as result, and with five compose lines of random
+    arrows added."""
+    rng = random.Random(11)
+    texts = []
+    for cat in (helpers.corpus_categories() +
+                [helpers.chain(n) for n in range(1, 5)] +
+                [helpers.g_pq(2, 2), helpers.z2(), helpers.idempotent_monoid()]):
+        lines = dsl.serialize(dsl.Workspace(categories={"C": cat})).split("\n")
+        texts.append("\n".join(lines))
+        for k, line in enumerate(lines):
+            if line.lstrip().startswith("compose "):
+                texts.append("\n".join(lines[:k] + lines[k + 1:]))
+                head = line.split(" = ")[0]
+                texts += ["\n".join(lines[:k] + [f"{head} = {h};"] +
+                                    lines[k + 1:]) for h in cat.morphisms]
+        for _ in range(5):
+            g, f, h = (rng.choice(cat.morphisms) for _ in range(3))
+            texts.append("\n".join(lines[:-2] + [f"  compose {g} . {f} = {h};"] +
+                                   lines[-2:]))
+    return texts
+
+
+def test_category_validation_matches_all_pairs_oracle(monkeypatch):
+    # every category the parser builds, valid or not
+    compared = []
+
+    def both(cat):
+        problems = validate_category(cat)
+        compared.append((problems, helpers.validate_category_oracle(cat)))
+        return problems
+
+    monkeypatch.setattr(dsl, "validate_category", both)
+    texts = ([fixture_text()] + [text for text, _ in ERROR_SITES] +
+             category_inputs() + list(helpers.fuzz_inputs(5_000)))
+    for text in texts:
+        try:
+            dsl.parse(text)
+        except dsl.DslError:
+            pass
+    assert all(new == old for new, old in compared)
+    problems = [p for new, _ in compared for p in new]
+    for fault in ("missing", "not composable", "ill-typed", "unit law",
+                  "associativity"):
+        assert any(fault in p for p in problems), fault
+
+
 def test_left_actions_derived_through_both_sides():
     # j.a and k.a are stated nowhere on their own: closing u.j.a = y with
     # v.y = x gives j.a = v.u.j.a = x, and closing v.k = j with u.j.a = y
@@ -612,8 +693,21 @@ def token_outcome(tokenize, text):
         return str(e), e.line, e.col
 
 
+# inputs that reach each branch of the tokenizer's grammar
+TOKENIZER_EDGES = [
+    "category C { objects: x; } # a comment and no final newline",
+    "x\n# one comment\n  # and another\n\t",
+    "category\tC\r\n{ objects:\tx;\r\n}\r\n",
+    "category R\u00e9 { objects: x\u00b2, \u00e9_', _1; }",
+    "-", "/", ">", "a - b", "x / y", "x > y",
+    "profunctor J : C -/- D { }", "-/-", "-/", "--> =>> ->-/->",
+    "", "#", "#\n", "x#y\nz",
+]
+
+
 def test_tokenizer_matches_symbol_first_oracle():
-    texts = [fixture_text()] + list(helpers.fuzz_inputs(5_000))
+    texts = ([fixture_text()] + TOKENIZER_EDGES +
+             list(helpers.fuzz_inputs(5_000)))
     for text in texts:
         assert token_outcome(dsl.tokenize, text) == \
             token_outcome(helpers.tokenize_oracle, text), repr(text)

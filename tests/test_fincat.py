@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import itertools
 import random
 
@@ -12,39 +13,99 @@ from dblcat.fincat import (Cone, Functor, NatTransf, all_cones, all_functors,
                            find_isomorphism, identity_functor, search,
                            is_connected, limit, make_category,
                            mediating_morphisms, validate_category, NoLimit)
-from dblcat import zoo
+from dblcat import tab, zoo
+
+
+def stock_categories():
+    return helpers.corpus_categories() + [helpers.empty_category(),
+                                          helpers.span_shape(),
+                                          helpers.cospan_shape()]
 
 
 def test_stock_categories_are_valid():
-    for cat in zoo.corpus_categories() + [zoo.empty_category(),
-                                          zoo.span_shape(),
-                                          zoo.cospan_shape()]:
+    for cat in stock_categories():
         assert validate_category(cat) == []
 
 
+def missing_composite():
+    return make_category("B", ("0", "1", "2"),
+                         {"a": ("0", "1"), "b": ("1", "2")})
+
+
+def wrong_units():
+    cat = zoo.walking_arrow()
+    bad_table = dict(cat.table)
+    bad_table[("a", "1_0")] = "1_1"
+    return cat.__class__(cat.name, cat.objects, cat.morphisms, cat.src,
+                         cat.tgt, cat.identities, bad_table)
+
+
+def broken_associativity():
+    # two generators with an endo that squares inconsistently
+    return make_category(
+        "E", ("0",), {"s": ("0", "0"), "t": ("0", "0")},
+        {("s", "s"): "t", ("s", "t"): "s", ("t", "s"): "t", ("t", "t"): "t"})
+
+
 def test_validation_catches_missing_composite():
-    broken = make_category("B", ("0", "1", "2"),
-                           {"a": ("0", "1"), "b": ("1", "2")})
-    problems = validate_category(broken)
+    problems = validate_category(missing_composite())
     assert any("composite b . a missing" in p for p in problems)
 
 
 def test_validation_catches_wrong_units():
-    cat = zoo.walking_arrow()
-    bad_table = dict(cat.table)
-    bad_table[("a", "1_0")] = "1_1"
-    broken = cat.__class__(cat.name, cat.objects, cat.morphisms, cat.src,
-                           cat.tgt, cat.identities, bad_table)
-    problems = validate_category(broken)
+    problems = validate_category(wrong_units())
     assert problems
 
 
 def test_validation_catches_broken_associativity():
-    # two generators with an endo that squares inconsistently
-    cat = make_category(
-        "E", ("0",), {"s": ("0", "0"), "t": ("0", "0")},
-        {("s", "s"): "t", ("s", "t"): "s", ("t", "s"): "t", ("t", "t"): "t"})
-    assert any("associativity" in p for p in validate_category(cat))
+    assert any("associativity" in p
+               for p in validate_category(broken_associativity()))
+
+
+def broken_categories():
+    """The three broken categories above, and changes of the walking arrow
+    and of Three: a table entry for a pair that is not composable, for a
+    pair of unknown morphisms, or with an unknown or ill-typed composite;
+    an arrow without endpoints, a listed twice, an object without identity,
+    an identity that is not an endomorphism."""
+    two, three = zoo.walking_arrow(), zoo.composable_pair()
+
+    def with_table(cat, **entries):
+        table = dict(cat.table)
+        for gf, h in entries.items():
+            table[tuple(gf.split("_after_"))] = h
+        return dataclasses.replace(cat, table=table)
+
+    return [
+        missing_composite(), wrong_units(), broken_associativity(),
+        with_table(two, a_after_a="a"),
+        with_table(two, a_after_1_1="a", q_after_a="a"),
+        with_table(three, b_after_a="zz"),
+        with_table(three, b_after_a="a"),
+        with_table(three, ba_after_ba="ba", a_after_b="1_0"),
+        dataclasses.replace(two, morphisms=two.morphisms + ("x",)),
+        dataclasses.replace(two, morphisms=two.morphisms + ("a",)),
+        dataclasses.replace(two, identities={"0": "1_0"}),
+        dataclasses.replace(two, identities={"0": "1_0", "1": "a"}),
+    ]
+
+
+def test_validation_matches_all_pairs_oracle():
+    cats = (stock_categories() + broken_categories() +
+            [helpers.chain(n, random.Random(n)) for n in range(7)] +
+            [helpers.g_pq(p, q) for p, q in ((1, 2), (2, 2))] +
+            [helpers.z2(), helpers.idempotent_monoid()] +
+            [tab.tabulate(p).category for p in helpers.profunctor_corpus()])
+    problems = []
+    for cat in cats:
+        got = validate_category(cat)
+        assert got == helpers.validate_category_oracle(cat), cat.name
+        problems += got
+    # the broken categories reach every kind of fault
+    for fault in ("has no identity", "is not an endomorphism",
+                  "endpoints outside", "missing", "not composable",
+                  "unknown", "ill-typed", "unit law", "associativity"):
+        assert any(fault in p for p in problems), fault
 
 
 # frozen by the independent backtracking count
@@ -60,7 +121,7 @@ FUNCTOR_COUNTS = {
 
 
 def test_functor_enumeration_matches_oracle():
-    cats = {c.name: c for c in zoo.corpus_categories()}
+    cats = {c.name: c for c in helpers.corpus_categories()}
     for (a, m), expected in FUNCTOR_COUNTS.items():
         fs = all_functors(cats[a], cats[m])
         assert len(fs) == expected
@@ -73,7 +134,7 @@ def test_functor_search_matches_slow_twin():
     # names, order and dict insertion order, over listings shuffled two ways;
     # Z/2 and {1, e} as targets, where a composite of two non-identity
     # arrows (v . u = 1 in Iso) may land on an identity or on either arrow
-    cats = zoo.corpus_categories() + [helpers.chain(n, random.Random(seed))
+    cats = helpers.corpus_categories() + [helpers.chain(n, random.Random(seed))
                                       for seed in (1, 2) for n in range(5)]
     targets = cats + [helpers.z2(), helpers.idempotent_monoid()]
     found = 0
@@ -88,7 +149,7 @@ def test_functor_search_matches_slow_twin_on_g_pq():
     # hom-sets of several arrows, into and out of G_pq
     gs = [helpers.g_pq(p, q) for p, q in ((1, 2), (2, 1), (2, 2))]
     found = 0
-    for a, m in itertools.chain(itertools.product(zoo.corpus_categories(), gs),
+    for a, m in itertools.chain(itertools.product(helpers.corpus_categories(), gs),
                                 itertools.product(gs, gs + [helpers.chain(3)])):
         got = helpers.functor_tables(all_functors(a, m))
         assert got == helpers.functor_tables(helpers.all_functors_oracle(a, m))
@@ -193,7 +254,7 @@ def test_natural_transformations_walking_arrow():
 
 def test_limit_of_cospan_is_pullback():
     # in the poset 0 -> 1 -> 2 the limit of the cospan 0 -> 2 <- 1 is 0
-    shape = zoo.cospan_shape()
+    shape = helpers.cospan_shape()
     three = zoo.composable_pair()
     d = Functor("D", shape, three,
                 {"0": "0", "1": "1", "2": "2"},
@@ -215,7 +276,7 @@ def test_limit_failure_raises():
 
 def test_limit_terminal_object():
     # the limit of the empty diagram picks the terminal object
-    empty = zoo.empty_category()
+    empty = helpers.empty_category()
     three = zoo.composable_pair()
     d = Functor("E", empty, three, {}, {})
     cone = limit(d)
@@ -223,7 +284,7 @@ def test_limit_terminal_object():
 
 
 def test_mediating_morphisms_unique_into_limit():
-    shape = zoo.cospan_shape()
+    shape = helpers.cospan_shape()
     three = zoo.composable_pair()
     d = Functor("D", shape, three,
                 {"0": "0", "1": "1", "2": "2"},
@@ -259,7 +320,7 @@ def test_comma_category_canonical_square_commutes():
 
 
 def test_indexes_match_scans():
-    for cat in zoo.corpus_categories() + [helpers.chain(n) for n in range(6)]:
+    for cat in helpers.corpus_categories() + [helpers.chain(n) for n in range(6)]:
         assert helpers.indexes_agree_with_scans(cat), cat.name
         assert cat.hom("nowhere", "nowhere") == ()
         assert cat.into("nowhere") == cat.out_of("nowhere") == ()
@@ -280,7 +341,7 @@ def test_connectivity():
     assert is_connected(zoo.walking_arrow())
     assert is_connected(zoo.parallel_pair())
     assert not is_connected(zoo.discrete(2))
-    assert not is_connected(zoo.empty_category())
+    assert not is_connected(helpers.empty_category())
 
 
 def test_find_isomorphism():
@@ -298,7 +359,7 @@ def test_find_isomorphism():
 def search_categories():
     """The corpus, shuffled ordinals and G_pq: hom-sets of one, none and
     several arrows, listed in orders that differ from building order."""
-    return (zoo.corpus_categories() +
+    return (helpers.corpus_categories() +
             [helpers.chain(n, random.Random(seed)) for seed in (3, 4)
              for n in range(4)] +
             [helpers.g_pq(p, q) for p, q in ((1, 2), (2, 1), (2, 2))])
@@ -308,7 +369,7 @@ def test_natural_transformation_search_matches_slow_twin():
     # components and order, between every pair of parallel functors from
     # corpus shapes into the search categories
     shapes = [zoo.walking_arrow(), zoo.parallel_pair(), zoo.iso_pair(),
-              zoo.span_shape()]
+              helpers.span_shape()]
     found = 0
     for a in shapes:
         for m in search_categories():
@@ -325,9 +386,9 @@ def test_natural_transformation_search_matches_slow_twin():
 def test_cone_and_limit_searches_match_slow_twins():
     # every cone in order, and the same limit apex and legs (or none), for
     # every diagram of a small shape into the search categories
-    shapes = [zoo.empty_category(), zoo.terminal_category(),
-              zoo.walking_arrow(), zoo.parallel_pair(), zoo.span_shape(),
-              zoo.cospan_shape(), zoo.discrete(2)]
+    shapes = [helpers.empty_category(), zoo.terminal_category(),
+              zoo.walking_arrow(), zoo.parallel_pair(), helpers.span_shape(),
+              helpers.cospan_shape(), zoo.discrete(2)]
     cones = limits = 0
     for shape in shapes:
         for m in search_categories():
@@ -375,11 +436,11 @@ def test_find_isomorphism_matches_slow_twin():
 def test_hash_agrees_with_equality_for_functors_transformations_cones():
     # each object beside a copy listing its tables in reversed insertion
     # order: a key read off dict.values() would hash the two apart
-    functors = zoo.corpus_functors()
+    functors = helpers.corpus_functors()
     nats = [alpha for f in functors for g in functors
             if (f.source, f.target) == (g.source, g.target)
             for alpha in all_natural_transformations(f, g)]
-    cones = [c for d in zoo.corpus_functors(limit_per_pair=3)
+    cones = [c for d in helpers.corpus_functors(limit_per_pair=3)
              for c in all_cones(d)]
     for objects, fields in ((functors, ("obj", "mor")),
                             (nats, ("components",)), (cones, ("legs",))):

@@ -25,7 +25,7 @@ def test_pullback_and_coequalizer():
 def test_fincat_round_trip():
     # a finite category is its own internal category; its unit internal
     # profunctor acts on its morphisms by composition
-    for cat in zoo.corpus_categories():
+    for cat in helpers.corpus_categories():
         internal = spanfin.from_fincat(cat)
         assert internal is cat
         assert validate_category(internal) == []
@@ -45,7 +45,7 @@ def test_internal_units_build_their_actions_on_first_read():
     t = spanfin.internal_tabulate(
         spanfin.prof_bridge(unit_prof(helpers.chain(3))))
     assert not {"l", "r"} & set(vars(t.cell.hsrc))
-    for c in zoo.corpus_categories() + [t.category]:
+    for c in helpers.corpus_categories() + [t.category]:
         unit, fresh = spanfin.unit_internal_prof(c), \
             spanfin.unit_internal_prof(c)
         assert unit == unit and hash(unit) == hash(fresh)

@@ -82,8 +82,8 @@ def test_tabulation_indexes_and_composites_match_scans():
 
 def test_comma_category_composites_match_all_pairs_oracle():
     cats = [zoo.walking_arrow(), zoo.composable_pair(), helpers.chain(4)]
-    functors = zoo.corpus_functors(cats, limit_per_pair=3)
-    functors += zoo.corpus_functors(isomorphism_categories(), limit_per_pair=3)
+    functors = helpers.corpus_functors(cats, limit_per_pair=3)
+    functors += helpers.corpus_functors(isomorphism_categories(), limit_per_pair=3)
     on_identities = 0
     for f in functors:
         for g in functors:
@@ -230,7 +230,7 @@ def test_ran_via_tabulation_rejects_non_extensions():
 
 
 def test_comma_category_matches_old_builder():
-    functors = zoo.corpus_functors()
+    functors = helpers.corpus_functors()
     pairs = 0
     for f in functors:
         for g in functors:
