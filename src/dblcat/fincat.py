@@ -14,9 +14,10 @@ exactly the morphisms, and in the order, that a filtered scan of
 
 One mechanism builds a table on its first read (``OnFirstRead``, on an
 instance made by ``deferred``): ``FinCategory.table`` here and the action
-tables of ``prof`` and ``spanfin``.  ``category_of_elements`` defers its
-composition table, so a tabulation or comma category read for its objects
-and arrows never builds it.
+tables of ``prof`` and ``spanfin``, and one rule, ``equal_before_read``,
+compares them.  ``category_of_elements`` defers its composition table, so
+a tabulation or comma category read for its objects and arrows never
+builds it.
 
 One search, ``backtrack``, backs every enumerator: ``all_functors``,
 ``all_natural_transformations``, ``all_cones`` and ``find_isomorphism``
@@ -48,8 +49,8 @@ outermost decision returns or raises.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
-from functools import partial, wraps
+from dataclasses import dataclass, field, fields
+from functools import cache, partial, wraps
 from operator import attrgetter
 
 
@@ -66,7 +67,7 @@ class OnFirstRead:
     attribute's name, and keeps it there.  Once every such table of the
     instance is built, the hook is dropped with the data it holds.  Read
     on the class it raises AttributeError, so that the dataclass field has
-    no default."""
+    no default.  Its class's ``__eq__`` is ``equal_before_read``."""
 
     def __set_name__(self, owner, attr):
         self.attr = attr
@@ -80,6 +81,23 @@ class OnFirstRead:
         if all(attr in kept for attr in obj._first_read):
             del kept["_tables"]
         return table
+
+
+def equal_before_read(self, other):
+    """The ``__eq__`` of a dataclass with ``OnFirstRead`` tables: ``self is
+    other`` before any table is read, then the compared fields in
+    declaration order, up to the first that differs."""
+    if self is other:
+        return True
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    for name in _compared(self.__class__):
+        if not getattr(self, name) == getattr(other, name):
+            return False
+    return True
+
+
+_compared = cache(lambda cls: tuple(f.name for f in fields(cls) if f.compare))
 
 
 def deferred(cls, tables, **fields):
@@ -108,9 +126,9 @@ class FinCategory:
     read still takes CPython's unspecialised attribute path, so a loop
     holds the table in a local.
 
-    Equality compares objects, morphisms, ``src``, ``tgt``, identities and
-    the table, in that order, but a category equals itself before its
-    table is read.  The hash is ``(objects, morphisms)``.
+    Equality (``equal_before_read``) compares objects, morphisms, ``src``,
+    ``tgt``, identities and the table.  The hash is ``(objects,
+    morphisms)``.
 
     ``hom(a, b)``, ``into(b)`` and ``out_of(a)`` read indexes built once by
     ``__post_init__`` from ``src`` and ``tgt``, which must not change
@@ -142,16 +160,7 @@ class FinCategory:
             object.__setattr__(self, attr,
                                {k: tuple(v) for k, v in index.items()})
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.objects == other.objects
-                and self.morphisms == other.morphisms
-                and self.src == other.src and self.tgt == other.tgt
-                and self.identities == other.identities
-                and self.table == other.table)
+    __eq__ = equal_before_read
 
     def __hash__(self):
         return hash((self.objects, self.morphisms))
@@ -297,14 +306,14 @@ class Functor:
     mor: dict
 
     def __hash__(self):
-        # computed once, kept in the instance __dict__ rather than a field
+        # by hand: cached_property reads __dict__, after which CPython 3.11
+        # keeps the functor's attributes in a dict and reads them slower
         try:
             return self._hash
         except AttributeError:
-            src = self.source
             object.__setattr__(self, "_hash", hash((
-                *map(self.obj.get, src.objects),
-                *map(self.mor.get, src.morphisms))))
+                *map(self.obj.get, self.source.objects),
+                *map(self.mor.get, self.source.morphisms))))
             return self._hash
 
     def __call__(self, m):

@@ -15,12 +15,12 @@ right homs of ``rhom`` and the restrictions of ``restrict``) builds its
 fibers, and any witness, at once, and each action table, per side, when
 it is first read: it is made by ``fincat.deferred``, and ``left`` and
 ``right`` are ``fincat.OnFirstRead`` attributes, as a category's table
-is.  A tabulation reads only the elements of the unit profunctor of its
-category, the pointwise decision only the fibers of its right hom, and
-most composites of the law suites no table at all.  A profunctor equals
-itself before any table is read.
-``elements()`` lists every (a, b, j) as one tuple, built on its first call
-and kept with the profunctor.
+is; one builder, ``_action``, lists every such table, and each kind
+gives only how an element moves.  A tabulation reads only the elements of
+the unit profunctor of its category, the pointwise decision only the
+fibers of its right hom, and most composites of the law suites no table at
+all.  A profunctor equals itself unread (``fincat.equal_before_read``),
+and keeps ``elements()``, every (a, b, j) in one tuple, once built.
 
 Elements of a composite J * H are equivalence classes of pairs (j, h)
 under sliding non-identity middle morphisms across the pair (an identity
@@ -54,7 +54,7 @@ from functools import cached_property, partial
 
 from .fincat import (FinCategory, Functor, OnFirstRead, backtrack,
                      compose_functors, construction, deferred,
-                     functor_inverse, identity_functor)
+                     equal_before_read, functor_inverse, identity_functor)
 
 
 @dataclass(frozen=True, eq=True)
@@ -66,17 +66,16 @@ class Profunctor:
     an entry for every element and every morphism acting on it, identities
     included.
 
-    Equality compares the boundary, the fibers and both tables, in that
-    order, but a profunctor equals itself before any table is read, so
-    that comparing a shared composite with itself builds nothing.
+    Equality (``fincat.equal_before_read``) compares the boundary, the
+    fibers and both tables.
 
     A derived profunctor (the representables, composites, right homs and
     restrictions) is built by ``fincat.deferred`` with its fibers only,
     and builds each table the first time it is read
-    (``fincat.OnFirstRead``), by its ``_tables`` hook given the side,
-    "left" or "right".  The table is then kept in
-    the instance ``__dict__``, as a profunctor built with its tables keeps
-    them, so every later read is a plain attribute read.
+    (``fincat.OnFirstRead``), by ``_action`` given the side, "left" or
+    "right".  The table is then kept in the instance ``__dict__``, as a
+    profunctor built with its tables keeps them, so every later read is a
+    plain attribute read.
     """
 
     name: str = field(compare=False)
@@ -86,23 +85,14 @@ class Profunctor:
     left: dict = OnFirstRead()      # (u, a, b, j) -> element id, u : a' -> a
     right: dict = OnFirstRead()     # (a, b, j, v) -> element id, v : b -> b'
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.source == other.source and self.target == other.target
-                and self.fibers == other.fibers and self.left == other.left
-                and self.right == other.right)
+    __eq__ = equal_before_read
+
+    @cached_property
+    def _hash(self):
+        return hash((self.source, self.target, self.elements()))
 
     def __hash__(self):
-        # computed once, kept in the instance __dict__ rather than a field
-        try:
-            return self._hash
-        except AttributeError:
-            object.__setattr__(self, "_hash", hash(
-                (self.source, self.target, self.elements())))
-            return self._hash
+        return self._hash
 
     def fiber(self, a, b):
         return self.fibers.get((a, b), ())
@@ -117,15 +107,15 @@ class Profunctor:
     def act_right(self, a, b, j, v):
         return self.right[(a, b, j, v)]
 
+    @cached_property
+    def _elements(self):
+        fiber = self.fibers.get
+        return tuple((a, b, j) for a in self.source.objects
+                     for b in self.target.objects for j in fiber((a, b), ()))
+
     def elements(self):
-        """All (a, b, j) triples in deterministic order, as a tuple built on
-        the first call and kept in the instance __dict__ like the hash."""
-        if "_elements" not in self.__dict__:
-            fiber = self.fibers.get
-            object.__setattr__(self, "_elements", tuple(
-                (a, b, j) for a in self.source.objects
-                for b in self.target.objects for j in fiber((a, b), ())))
-        return self.__dict__["_elements"]
+        """All (a, b, j) triples in deterministic order, built once."""
+        return self._elements
 
 
 def validate_profunctor(p):
@@ -178,12 +168,29 @@ def validate_profunctor(p):
     return problems
 
 
+def _action(ac, bc, fibers, moves, side):
+    """The ``side`` ("left" or "right") action table of a derived
+    profunctor A -/-> B, the one code that lists one: by fiber, element,
+    then acting morphism, keyed (u, a, b, j) on the left and (a, b, j, v)
+    on the right.  ``moves(side)`` reads the tables that move elements
+    once per build, even for a table with no entry, and returns
+    ``move(a, b, j, m)``, j in the fiber (a, b) moved by m."""
+    move, left = moves(side), side == "left"
+    acting = ac.into if left else bc.out_of
+    acts = {}
+    for (a, b), elems in fibers.items():
+        ms = acting(a if left else b)
+        for j in elems:
+            for m in ms:
+                acts[(m, a, b, j) if left else (a, b, j, m)] = move(a, b, j, m)
+    return acts
+
+
 def _representable(name, cat, f=None, g=None):
     """The profunctor C(f a, g b) : A -/-> B of f : A -> C and g : B -> C,
     where None stands for the identity of C = ``cat``.  Its fibers are
     hom-sets of C, listed along A's objects, then B's; its actions are
-    j . u = j . f(u) and v . j = g(v) . j, each tabulated on its first
-    read by ``_representable_action``."""
+    j . u = j . f(u) and v . j = g(v) . j."""
     ac = cat if f is None else f.source
     bc = cat if g is None else g.source
     fo = None if f is None else f.obj
@@ -192,33 +199,18 @@ def _representable(name, cat, f=None, g=None):
     fibers = {(a, b): fiber for a in ac.objects for b in bc.objects
               if (fiber := hom(a if fo is None else fo[a],
                                b if go is None else go[b]))}
-    return deferred(Profunctor,
-                    partial(_representable_action, ac, bc, fibers, cat, f, g),
+
+    def moves(side):
+        table = cat.table     # every pair is composable by construction
+        if side == "left":
+            fm = None if f is None else f.mor
+            return lambda a, b, j, u: table[(j, u if fm is None else fm[u])]
+        gm = None if g is None else g.mor
+        return lambda a, b, j, v: table[(v if gm is None else gm[v], j)]
+
+    return deferred(Profunctor, partial(_action, ac, bc, fibers, moves),
                     name=name, source=ac, target=bc, fibers=fibers,
                     _represents=(cat, f, g))
-
-
-def _representable_action(ac, bc, fibers, cat, f, g, side):
-    """The ``side`` ("left" or "right") action table of the representable
-    C(f a, g b) : A -/-> B, listed by fiber, element, then acting
-    morphism."""
-    table = cat.table     # every pair below is composable by construction
-    acts = {}
-    if side == "left":
-        into, fm = ac.into, None if f is None else f.mor
-        for (a, b), elems in fibers.items():
-            acting = into(a)
-            for j in elems:
-                for u in acting:
-                    acts[(u, a, b, j)] = table[(j, u if fm is None else fm[u])]
-    else:
-        out_of, gm = bc.out_of, None if g is None else g.mor
-        for (a, b), elems in fibers.items():
-            acting = out_of(b)
-            for j in elems:
-                for v in acting:
-                    acts[(a, b, j, v)] = table[(v if gm is None else gm[v], j)]
-    return acts
 
 
 @construction
@@ -403,9 +395,11 @@ def compose_prof(j, h):
     H(b2, e) nonempty, per a those of them with J(a, b) and J(a, b1)
     nonempty.  An empty boundary gets empty ``ids`` and ``named`` entries.
 
-    The fibers and the witness are built at once; each action table is
-    built on its first read (``_composite_action``), from J's left action
-    or H's right action.  The quotient reads J's right and H's left action.
+    The fibers and the witness are built at once; each action table on
+    its first read, from J's left action or H's right action: u : a2 -> a
+    acts on the class of (x, y) as the class of (x . u, y), and w : e -> e2
+    as the class of (x, w . y).  The quotient reads J's right and H's left
+    action.
     """
     if j.target != h.source:
         raise ValueError("profunctors not composable")
@@ -459,36 +453,26 @@ def compose_prof(j, h):
                     cls_ids[pairs[i]] = cid
             named[(a, e)], ids[(a, e)] = names, cls_ids
             fibers[(a, e)] = tuple(names)
+
+    def moves(side):
+        if side == "left":
+            asrc, jleft = ac.src, j.left
+
+            def move(a, e, cid, u):
+                b, x, y = named[(a, e)][cid]
+                return ids[(asrc[u], e)][(b, jleft[(u, a, b, x)], y)]
+        else:
+            etgt, hright = ec.tgt, h.right
+
+            def move(a, e, cid, w):
+                b, x, y = named[(a, e)][cid]
+                return ids[(a, etgt[w])][(b, x, hright[(b, e, y, w)])]
+        return move
+
     composite = deferred(
-        Profunctor, partial(_composite_action, j, h, fibers, ids, named),
+        Profunctor, partial(_action, ac, ec, fibers, moves),
         name=f"({j.name}*{h.name})", source=ac, target=ec, fibers=fibers)
     return composite, CoendWitness(j, h, composite, ids, named)
-
-
-def _composite_action(j, h, fibers, ids, named, side):
-    """The ``side`` action table of J * H, listed by fiber, class, then
-    acting morphism: u : a2 -> a acts on the class of (x, y) as the class
-    of (x . u, y), and w : e -> e2 as the class of (x, w . y)."""
-    acts = {}
-    if side == "left":
-        ac, jleft = j.source, j.left
-        for (a, e), elems in fibers.items():
-            into_a = [(u, ids[(ac.src[u], e)]) for u in ac.into(a)]
-            names = named[(a, e)]
-            for cid in elems:
-                b, x, y = names[cid]
-                for u, cls_ids in into_a:
-                    acts[(u, a, e, cid)] = cls_ids[(b, jleft[(u, a, b, x)], y)]
-    else:
-        ec, hright = h.target, h.right
-        for (a, e), elems in fibers.items():
-            out_e = [(w, ids[(a, ec.tgt[w])]) for w in ec.out_of(e)]
-            names = named[(a, e)]
-            for cid in elems:
-                b, x, y = names[cid]
-                for w, cls_ids in out_e:
-                    acts[(a, e, cid, w)] = cls_ids[(b, x, hright[(b, e, y, w)])]
-    return acts
 
 
 def hcompose(left, right):
@@ -662,39 +646,27 @@ def restrict(k, f, g):
     and g : B -> D, with fibers K(f a, g b).  The restriction of a
     representable E(p c, q d) is the representable E(p f a, q g b), built
     by ``_representable``; any other K has its fibers read at once and
-    each table, on its first read, copied entry by entry from K's table of
-    the same side (``_restricted_action``)."""
+    each table, on its first read, read off K's table of the same side: u
+    acts as f(u) and v as g(v) act in K."""
     name = f"{k.name}({f.name},{g.name})"
     if "_represents" in k.__dict__:
         cat, kf, kg = k._represents
         return _representable(name, cat,
                               f if kf is None else compose_functors(kf, f),
                               g if kg is None else compose_functors(kg, g))
-    fibers = {(a, b): fib for a in f.source.objects for b in g.source.objects
-              if (fib := k.fiber(f.obj[a], g.obj[b]))}
-    return deferred(Profunctor, partial(_restricted_action, k, f, g, fibers),
-                    name=name, source=f.source, target=g.source, fibers=fibers)
+    ac, bc, fo, go = f.source, g.source, f.obj, g.obj
+    fibers = {(a, b): fib for a in ac.objects for b in bc.objects
+              if (fib := k.fiber(fo[a], go[b]))}
 
+    def moves(side):
+        if side == "left":
+            kleft, fm = k.left, f.mor
+            return lambda a, b, x, u: kleft[(fm[u], fo[a], go[b], x)]
+        kright, gm = k.right, g.mor
+        return lambda a, b, x, v: kright[(fo[a], go[b], x, gm[v])]
 
-def _restricted_action(k, f, g, fibers, side):
-    """The ``side`` action table of K(f, g), listed by fiber, element, then
-    acting morphism: u acts as f(u) and v as g(v) act in K."""
-    acts = {}
-    if side == "left":
-        into, fm, kleft = f.source.into, f.mor, k.left
-        for (a, b), elems in fibers.items():
-            fa, gb = f.obj[a], g.obj[b]
-            for x in elems:
-                for u in into(a):
-                    acts[(u, a, b, x)] = kleft[(fm[u], fa, gb, x)]
-    else:
-        out_of, gm, kright = g.source.out_of, g.mor, k.right
-        for (a, b), elems in fibers.items():
-            fa, gb = f.obj[a], g.obj[b]
-            for x in elems:
-                for v in out_of(b):
-                    acts[(a, b, x, v)] = kright[(fa, gb, x, gm[v])]
-    return acts
+    return deferred(Profunctor, partial(_action, ac, bc, fibers, moves),
+                    name=name, source=ac, target=bc, fibers=fibers)
 
 
 def cartesian_cell(k, f, g):
@@ -844,8 +816,10 @@ def rhom(k, h):
     An element over (a, b) is a family of maps H(b, e) -> K(a, e), natural
     in e, found by ``fincat.backtrack`` with one position per x in H(b, e)
     and listed by ``family_id``.  The fibers and the families are built at
-    once, from H's and K's right actions; each action table is built on
-    its first read (``_rhom_action``).
+    once, from H's and K's right actions; each action table on its first
+    read: u : a2 -> a acts by post-composing each map of a family with K's
+    left action of u, and v : b -> b2 by pre-composing it with H's left
+    action of v.  Identities act trivially on K and H, hence on families.
     """
     if k.target != h.target:
         raise ValueError("right hom needs a common target")
@@ -874,40 +848,33 @@ def rhom(k, h):
                     fam[e][x] = y
                 found[family_id(ec.objects, fam)] = fam
             if found:
-                fibers[(a, b)] = tuple(sorted(found))
-                families[(a, b)] = {fid: found[fid] for fid in sorted(found)}
-    p = deferred(Profunctor, partial(_rhom_action, k, h, families),
+                fibers[(a, b)] = fids = tuple(sorted(found))
+                families[(a, b)] = {fid: found[fid] for fid in fids}
+
+    def moves(side):
+        if side == "left":
+            kleft = k.left
+
+            def move(a, b, fid, u):
+                if ac.is_identity(u):
+                    return fid
+                fam = families[(a, b)][fid]
+                return family_id(ec.objects, {
+                    e: {x: kleft[(u, a, e, y)] for x, y in fam[e].items()}
+                    for e in ec.objects})
+        else:
+            hleft = h.left
+
+            def move(a, b, fid, v):
+                if bc.is_identity(v):
+                    return fid
+                fam, b2 = families[(a, b)][fid], bc.tgt[v]
+                return family_id(ec.objects, {
+                    e: {x: fam[e][hleft[(v, b2, e, x)]] for x in h.fiber(b2, e)}
+                    for e in ec.objects})
+        return move
+
+    p = deferred(Profunctor, partial(_action, ac, bc, fibers, moves),
                  name=f"({k.name}<|{h.name})", source=ac, target=bc,
                  fibers=fibers)
     return p, RhomWitness(p, families)
-
-
-def _rhom_action(k, h, families, side):
-    """The ``side`` action table of K <| H, listed by fiber, family, then
-    acting morphism: u : a2 -> a acts by post-composing each map of the
-    family with K's left action of u, and v : b -> b2 by pre-composing it
-    with H's left action of v.  Identities act trivially on K and H, hence
-    on their families."""
-    ac, bc, ec = k.source, h.source, k.target
-    acts = {}
-    if side == "left":
-        kleft = k.left
-        for (a, b), fams in families.items():
-            for fid, fam in fams.items():
-                for u in ac.into(a):
-                    acts[(u, a, b, fid)] = fid if ac.is_identity(u) else \
-                        family_id(ec.objects, {
-                            e: {x: kleft[(u, a, e, y)] for x, y in fam[e].items()}
-                            for e in ec.objects})
-    else:
-        hleft = h.left
-        for (a, b), fams in families.items():
-            for fid, fam in fams.items():
-                for v in bc.out_of(b):
-                    b2 = bc.tgt[v]
-                    acts[(a, b, fid, v)] = fid if bc.is_identity(v) else \
-                        family_id(ec.objects, {
-                            e: {x: fam[e][hleft[(v, b2, e, x)]]
-                                for x in h.fiber(b2, e)}
-                            for e in ec.objects})
-    return acts

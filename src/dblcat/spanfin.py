@@ -22,10 +22,11 @@ trust the object it checks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 
 from .fincat import (FinCategory, Functor, OnFirstRead, all_functors,
-                     backtrack, compose_functors, deferred, filed)
+                     backtrack, compose_functors, deferred, equal_before_read,
+                     filed)
 from . import zoo
 
 
@@ -108,11 +109,8 @@ class InternalProfunctor:
     set het with endpoint maps d0 (into source objects) and d1 (into target
     objects), left action l[(a, j)] and right action r[(j, b)].  ``fiber``
     reads het filed by endpoints: derived data, as a ``FinCategory``'s
-    indexes are.
-
-    Equality compares the boundary, het, d0, d1 and both actions, in that
-    order, but an internal profunctor equals itself before any action is
-    read: a unit builds each on its first read."""
+    indexes are.  A unit builds each action on its first read, and
+    equality is ``fincat.equal_before_read``."""
 
     name: str = field(compare=False)
     source: FinCategory
@@ -129,15 +127,7 @@ class InternalProfunctor:
         object.__setattr__(self, "_fibers", filed(
             self.het, lambda y: (self.d0.get(y), self.d1.get(y))))
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.source == other.source and self.target == other.target
-                and self.het == other.het and self.d0 == other.d0
-                and self.d1 == other.d1 and self.l == other.l
-                and self.r == other.r)
+    __eq__ = equal_before_read
 
     def __hash__(self):
         return hash((self.het, self.source, self.target))
@@ -268,7 +258,7 @@ class InternalTransformation:
     vtgt: Functor
     map: dict
 
-    @property
+    @cached_property
     def key(self):
         """The images along ``hsrc.het``, as equal transformations list
         them."""

@@ -9,8 +9,9 @@ defining cell sends (u, v) to that common diagonal.
 ``verify_tabulation`` is a decision (``fincat.decision``), so it builds
 each unit profunctor and search once.  It files each functor X -> <J> and
 each lift once (``fincat.filed``), so that a configuration counts its
-factorizations with one lookup; ``verify_tabulation_oracle`` in
-``tests/helpers.py`` scans.
+factorizations with one lookup, and finds the squares of its
+two-dimensional stage by a join, as ``spanfin`` does;
+``verify_tabulation_oracle`` in ``tests/helpers.py`` scans.
 """
 
 from __future__ import annotations
@@ -61,7 +62,10 @@ def verify_tabulation(t, probes=None):
     configurations.  Each functor F : X -> <J> is filed once, under the
     defining cell whiskered by F, whose sides are F's two projections;
     each lift xi : 1_X -> 1_<J> once, under the images of its components
-    by both projections, as every lift over (F1, F2) has the same sides."""
+    by both projections, as every lift over (F1, F2) has the same sides.
+    The squares from phi to psi are a join: each xi_b is filed under phi(x)
+    moved by xi_b(h), and each xi_a looks up psi(y) moved by xi_a(h), for
+    the arrows h : x -> y of X."""
     if probes is None:
         probes = zoo.tabulation_probes()
     j = t.j
@@ -82,22 +86,35 @@ def verify_tabulation(t, probes=None):
                         return False, {"stage": "one-dimensional",
                                        "probe": x_cat.name,
                                        "count": len(found)}
-                    factored[-1].append((phi_a, phi_b, phi, found[0]))
+                    # phi at the source and the target of each arrow of X
+                    at = {x: (phi_a.obj[x], phi_b.obj[x],
+                              phi.comp[(x, x, x_cat.identity(x))])
+                          for x in x_cat.objects}
+                    factored[-1].append((
+                        phi_a, phi_b, found[0],
+                        [at[x] for x, _, _ in ux.elements()],
+                        [at[y] for _, y, _ in ux.elements()]))
                     checked_1d += 1
 
     checked_2d = 0
     ua, ub = unit_prof(ac), unit_prof(bc)
     pl, pr = t.proj_left.mor.get, t.proj_right.mor.get
+    jleft, jright = j.left, j.right
     for x_cat, configs in zip(probes, factored):
         ux = unit_prof(x_cat)
-        for (phi_a, phi_b, phi, fac1) in configs:
-            for (psi_a, psi_b, psi, fac2) in configs:
-                squares = [
-                    (xi_a, xi_b)
-                    for xi_a in cells_between(ux, ua, phi_a, psi_a)
-                    for xi_b in cells_between(ux, ub, phi_b, psi_b)
-                    if _two_dim_compatible(j, x_cat, phi_a, phi_b, phi,
-                                           psi_a, psi_b, psi, xi_a, xi_b)]
+        for (phi_a, phi_b, fac1, phi_at_src, _) in configs:
+            for (psi_a, psi_b, fac2, _, psi_at_tgt) in configs:
+                xi_as = cells_between(ux, ua, phi_a, psi_a)
+                if not xi_as:
+                    continue
+                xi_bs = filed(cells_between(ux, ub, phi_b, psi_b),
+                              lambda xi_b: tuple([
+                                  jright[(*at, m)]
+                                  for at, m in zip(phi_at_src, xi_b.key)]))
+                squares = [(xi_a, xi_b) for xi_a in xi_as
+                           for xi_b in xi_bs.get(tuple([
+                               jleft[(m, *at)]
+                               for m, at in zip(xi_a.key, psi_at_tgt)]), ())]
                 lifts = filed(cells_between(ux, ut, fac1, fac2)
                               if squares else (),
                               lambda xi: (tuple(map(pl, xi.key)),
@@ -110,24 +127,6 @@ def verify_tabulation(t, probes=None):
                                        "count": hits}
                     checked_2d += 1
     return True, {"one_dimensional": checked_1d, "two_dimensional": checked_2d}
-
-
-def _two_dim_compatible(j, x_cat, phi_a, phi_b, phi, psi_a, psi_b, psi,
-                        xi_a, xi_b):
-    """The square compatibility: moving an element of the probe across
-    xi_a then psi agrees with phi then xi_b."""
-    for x in x_cat.objects:
-        for y in x_cat.objects:
-            for h in x_cat.hom(x, y):
-                lhs = j.act_left(xi_a.comp[(x, y, h)],
-                                 psi_a.obj[y], psi_b.obj[y],
-                                 psi.comp[(y, y, x_cat.identity(y))])
-                rhs = j.act_right(phi_a.obj[x], phi_b.obj[x],
-                                  phi.comp[(x, x, x_cat.identity(x))],
-                                  xi_b.comp[(x, y, h)])
-                if lhs != rhs:
-                    return False
-    return True
 
 
 def is_opcartesian_tabulation(t):

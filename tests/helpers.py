@@ -475,7 +475,7 @@ def verify_tabulation_oracle(t, probes):
             for (psi_a, psi_b, psi, fac2) in pairs:
                 for xi_a in cells(ux, ua, phi_a, psi_a):
                     for xi_b in cells(ux, ub, phi_b, psi_b):
-                        if not tab._two_dim_compatible(
+                        if not two_dim_compatible(
                                 j, x_cat, phi_a, phi_b, phi, psi_a, psi_b,
                                 psi, xi_a, xi_b):
                             continue
@@ -486,6 +486,25 @@ def verify_tabulation_oracle(t, probes):
                                            "count": hits}
                         checked_2d += 1
     return True, {"one_dimensional": checked_1d, "two_dimensional": checked_2d}
+
+
+def two_dim_compatible(j, x_cat, phi_a, phi_b, phi, psi_a, psi_b, psi,
+                       xi_a, xi_b):
+    """The square compatibility that ``tab.verify_tabulation`` finds by a
+    join, checked square by square: moving an element of the probe across
+    xi_a then psi agrees with phi then xi_b."""
+    for x in x_cat.objects:
+        for y in x_cat.objects:
+            for h in x_cat.hom(x, y):
+                lhs = j.act_left(xi_a.comp[(x, y, h)],
+                                 psi_a.obj[y], psi_b.obj[y],
+                                 psi.comp[(y, y, x_cat.identity(y))])
+                rhs = j.act_right(phi_a.obj[x], phi_b.obj[x],
+                                  phi.comp[(x, x, x_cat.identity(x))],
+                                  xi_b.comp[(x, y, h)])
+                if lhs != rhs:
+                    return False
+    return True
 
 
 def reversed_copy(x, *fields):

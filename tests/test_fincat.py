@@ -1,15 +1,19 @@
 import copy
 import dataclasses
+import importlib
 import itertools
+import pkgutil
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import helpers
+import dblcat
 from dblcat.fincat import (Cone, Functor, NatTransf, all_cones, all_functors,
                            all_natural_transformations, backtrack,
-                           comma_category, compose_functors, file_checks,
+                           comma_category, compose_functors,
+                           equal_before_read, file_checks,
                            find_isomorphism, identity_functor, search,
                            is_connected, limit, make_category,
                            mediating_morphisms, validate_category, NoLimit)
@@ -335,6 +339,19 @@ def test_indexes_take_no_part_in_equality():
     assert bare == cat
     assert hash(bare) == hash(cat)
     assert repr(bare) == repr(cat)
+
+
+def test_classes_with_first_read_tables_share_one_equality():
+    # every dblcat class with an OnFirstRead table compares by the one rule
+    found = {}
+    for info in pkgutil.iter_modules(dblcat.__path__):
+        module = importlib.import_module(f"dblcat.{info.name}")
+        for cls in vars(module).values():
+            if isinstance(cls, type) and cls.__module__ == module.__name__ \
+                    and hasattr(cls, "_first_read"):
+                found[cls.__name__] = cls.__eq__
+    assert set(found) == {"FinCategory", "Profunctor", "InternalProfunctor"}
+    assert all(eq is equal_before_read for eq in found.values())
 
 
 def test_connectivity():

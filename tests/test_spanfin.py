@@ -61,6 +61,12 @@ def test_internal_units_build_their_actions_on_first_read():
         eager = spanfin.InternalProfunctor(unit.name, c, c, c.morphisms,
                                            dict(c.src), dict(c.tgt), l, r)
         assert fresh == eager and unit == eager
+        # an unread unit reads its actions to tell them from changed ones
+        for side, table in (("l", l), ("r", r)):
+            broken = dataclasses.replace(
+                eager, **{side: {**table, next(iter(table)): "moved"}})
+            unread = spanfin.unit_internal_prof(c)
+            assert unread != broken and broken != unread, (c.name, side)
 
 
 def test_validation_reports_missing_endpoints():
