@@ -51,6 +51,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field, fields
 from functools import cache, partial, wraps
+from itertools import combinations
 from operator import attrgetter
 
 
@@ -766,13 +767,14 @@ class FunctorNetwork:
             [hom(images[s], images[t]) for s, t in self._ends]
 
 
-def _functor_maps(a, net, domains, pairs):
+def _functor_maps(a, net, domains, pairs, arrow_pairs=()):
     """Lazily, in the order of ``all_functors``, the object and arrow maps
     of the functors a -> m whose object map along ``a.objects`` passes
     ``backtrack(domains, pairs)``, their arrows bound by a second search
-    on ``net``, a ``FunctorNetwork(a, m)``, whose composite checks are
-    filed once per enumeration."""
-    comps = file_checks(triples=net.composites)
+    on ``net``, a ``FunctorNetwork(a, m)``, whose composite checks and the
+    pair checks ``arrow_pairs`` on its positions are filed once per
+    enumeration."""
+    comps = file_checks(arrow_pairs, net.composites)
     for images in backtrack(domains, pairs):
         obj = dict(zip(a.objects, images))
         for mors in search(net.homs(images), comps):
@@ -810,7 +812,9 @@ def find_isomorphism(a, b):
     """A pair of mutually inverse functors a <-> b, or None: the first
     functor in the order of ``all_functors`` that is bijective with a
     functorial inverse.  Its object map is bound as a bijection that keeps
-    the number of arrows each way between every two objects."""
+    the number of arrows each way between every two objects, and every two
+    distinct parallel arrows take distinct images, so each hom-set maps
+    bijectively: every functor found is an isomorphism."""
     if len(a.objects) != len(b.objects) or len(a.morphisms) != len(b.morphisms):
         return None
 
@@ -828,7 +832,11 @@ def find_isomorphism(a, b):
             for o in objs]
     pairs = [(i, k, related.get(arrows(a, objs[i], o), defaultdict(set)))
              for k, o in enumerate(objs) for i in range(k)]
-    for obj, mor in _functor_maps(a, FunctorNetwork(a, b), doms, pairs):
+    net = FunctorNetwork(a, b)
+    others = {y: set(b.hom(b.src[y], b.tgt[y])) - {y} for y in b.morphisms}
+    distinct = [(net.at[x], net.at[y], others) for p in objs for q in objs
+                for x, y in combinations(a.hom(p, q), 2)]
+    for obj, mor in _functor_maps(a, net, doms, pairs, distinct):
         iso = Functor("iso", a, b, obj, mor)
         inverse = functor_inverse(iso)
         if inverse is not None:

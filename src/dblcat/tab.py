@@ -7,11 +7,13 @@ morphisms whose two ways of moving the element across agree.  Its
 defining cell sends (u, v) to that common diagonal.
 
 ``verify_tabulation`` is a decision (``fincat.decision``), so it builds
-each unit profunctor and search once.  It files each functor X -> <J> and
-each lift once (``fincat.filed``), so that a configuration counts its
-factorizations with one lookup, and finds the squares of its
-two-dimensional stage by a join, as ``spanfin`` does;
-``verify_tabulation_oracle`` in ``tests/helpers.py`` scans.
+each search once.  Its vertical 2-cells are natural transformations, so
+the only profunctors it builds are its probes' units.  It files each
+functor X -> <J> and each lift once (``fincat.filed``), so that a
+configuration counts its factorizations with one lookup, and finds the
+squares of its two-dimensional stage by a join, as ``spanfin`` does;
+``verify_tabulation_oracle`` in ``tests/helpers.py`` scans, and takes its
+2-cells as cells between units.
 """
 
 from __future__ import annotations
@@ -19,10 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fincat import (Cone, Functor, all_cones, all_functors,
-                     category_of_elements, comma_category, compose_functors,
-                     decision, filed, is_terminal)
+                     all_natural_transformations, category_of_elements,
+                     comma_category, compose_functors, decision, filed,
+                     is_terminal)
 from .prof import (Cell, Profunctor, cartesian_cell, cells_between,
-                   is_opcartesian, unit_cell, unit_prof, vcompose)
+                   is_opcartesian, unit_prof, vcompose)
 from . import zoo
 
 
@@ -59,68 +62,65 @@ def tabulate(j):
 def verify_tabulation(t, probes=None):
     """Check both universal properties over a probe set of small
     categories; returns (ok, report) where the report counts the checked
-    configurations.  Each functor F : X -> <J> is filed once, under the
-    defining cell whiskered by F, whose sides are F's two projections;
-    each lift xi : 1_X -> 1_<J> once, under the images of its components
-    by both projections, as every lift over (F1, F2) has the same sides.
-    The squares from phi to psi are a join: each xi_b is filed under phi(x)
-    moved by xi_b(h), and each xi_a looks up psi(y) moved by xi_a(h), for
-    the arrows h : x -> y of X."""
+    configurations.  Each functor F : X -> <J> is filed once, under its two
+    projections and the defining cell's components along F, listed as
+    ``unit_prof(X).elements()`` lists them; each lift xi : F1 => F2, a
+    natural transformation, once, under its components' two projections.
+    The squares from phi to psi are a join over the objects x of X: each
+    xi_b is filed under phi(x) moved right by xi_b(x), and each xi_a looks
+    up psi(x) moved left by xi_a(x).  A cell out of 1_X is fixed by its
+    components at identities, so this is the square at every arrow."""
     if probes is None:
         probes = zoo.tabulation_probes()
     j = t.j
     ac, bc = j.source, j.target
-    ut = unit_prof(t.category)
     checked_1d = 0
     factored = []       # per probe, its configurations and factorizations
     for x_cat in probes:
         ux = unit_prof(x_cat)
-        into_t = filed(all_functors(x_cat, t.category),
-                       lambda f: vcompose(t.cell, unit_cell(f)))
+        into_t = filed(all_functors(x_cat, t.category), lambda f: (
+            compose_functors(t.proj_left, f), compose_functors(t.proj_right, f),
+            tuple([t.cell.comp[(f.obj[x], f.obj[y], f.mor[m])]
+                   for x, y, m in ux.elements()])))
         factored.append([])
         for phi_a in all_functors(x_cat, ac):
             for phi_b in all_functors(x_cat, bc):
                 for phi in cells_between(ux, j, phi_a, phi_b):
-                    found = into_t.get(phi, ())
+                    found = into_t.get((phi_a, phi_b, phi.key), ())
                     if len(found) != 1:
                         return False, {"stage": "one-dimensional",
                                        "probe": x_cat.name,
                                        "count": len(found)}
-                    # phi at the source and the target of each arrow of X
-                    at = {x: (phi_a.obj[x], phi_b.obj[x],
-                              phi.comp[(x, x, x_cat.identity(x))])
-                          for x in x_cat.objects}
-                    factored[-1].append((
-                        phi_a, phi_b, found[0],
-                        [at[x] for x, _, _ in ux.elements()],
-                        [at[y] for _, y, _ in ux.elements()]))
+                    # phi at each object of X
+                    factored[-1].append((phi_a, phi_b, found[0], {
+                        x: (phi_a.obj[x], phi_b.obj[x],
+                            phi.comp[(x, x, x_cat.identity(x))])
+                        for x in x_cat.objects}))
                     checked_1d += 1
 
     checked_2d = 0
-    ua, ub = unit_prof(ac), unit_prof(bc)
     pl, pr = t.proj_left.mor.get, t.proj_right.mor.get
     jleft, jright = j.left, j.right
     for x_cat, configs in zip(probes, factored):
-        ux = unit_prof(x_cat)
-        for (phi_a, phi_b, fac1, phi_at_src, _) in configs:
-            for (psi_a, psi_b, fac2, _, psi_at_tgt) in configs:
-                xi_as = cells_between(ux, ua, phi_a, psi_a)
+        objs = x_cat.objects
+        for (phi_a, phi_b, fac1, phi_at) in configs:
+            for (psi_a, psi_b, fac2, psi_at) in configs:
+                xi_as = all_natural_transformations(phi_a, psi_a)
                 if not xi_as:
                     continue
-                xi_bs = filed(cells_between(ux, ub, phi_b, psi_b),
+                xi_bs = filed(all_natural_transformations(phi_b, psi_b),
                               lambda xi_b: tuple([
-                                  jright[(*at, m)]
-                                  for at, m in zip(phi_at_src, xi_b.key)]))
+                                  jright[(*phi_at[x], xi_b(x))] for x in objs]))
                 squares = [(xi_a, xi_b) for xi_a in xi_as
                            for xi_b in xi_bs.get(tuple([
-                               jleft[(m, *at)]
-                               for m, at in zip(xi_a.key, psi_at_tgt)]), ())]
-                lifts = filed(cells_between(ux, ut, fac1, fac2)
+                               jleft[(xi_a(x), *psi_at[x])] for x in objs]), ())]
+                lifts = filed(all_natural_transformations(fac1, fac2)
                               if squares else (),
-                              lambda xi: (tuple(map(pl, xi.key)),
-                                          tuple(map(pr, xi.key))))
+                              lambda xi: (tuple([pl(xi(x)) for x in objs]),
+                                          tuple([pr(xi(x)) for x in objs])))
                 for xi_a, xi_b in squares:
-                    hits = len(lifts.get((xi_a.key, xi_b.key), ()))
+                    hits = len(lifts.get((tuple(map(xi_a, objs)),
+                                          tuple(map(xi_b, objs))), ()))
                     if hits != 1:
                         return False, {"stage": "two-dimensional",
                                        "probe": x_cat.name,

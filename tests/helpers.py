@@ -426,8 +426,13 @@ def verify_tabulation_oracle(t, probes):
     """tab.verify_tabulation as it was before it filed its candidates:
     every configuration scans every functor into <J>, composing and
     whiskering each afresh, and counts its lifts in a list of whiskered
-    pairs.  It searches through ``tab.all_functors`` and
-    ``tab.cells_between``, so a test that replaces either reaches both."""
+    pairs.  Its vertical 2-cells are cells between unit profunctors, where
+    the verifier's are natural transformations, so the two share no
+    two-dimensional search.  It searches through ``tab.all_functors`` and
+    ``tab.cells_between``: a test that replaces ``tab.all_functors``
+    reaches both, and one that changes the lifts replaces
+    ``tab.cells_between`` here and ``tab.all_natural_transformations``
+    there."""
     j = t.j
     ac, bc = j.source, j.target
     functors = cache(lambda a, m: tab.all_functors(a, m))
@@ -491,8 +496,9 @@ def verify_tabulation_oracle(t, probes):
 def two_dim_compatible(j, x_cat, phi_a, phi_b, phi, psi_a, psi_b, psi,
                        xi_a, xi_b):
     """The square compatibility that ``tab.verify_tabulation`` finds by a
-    join, checked square by square: moving an element of the probe across
-    xi_a then psi agrees with phi then xi_b."""
+    join over the probe's objects, checked square by square at every
+    arrow of the probe: moving an element of the probe across xi_a then
+    psi agrees with phi then xi_b."""
     for x in x_cat.objects:
         for y in x_cat.objects:
             for h in x_cat.hom(x, y):

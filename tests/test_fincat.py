@@ -17,7 +17,7 @@ from dblcat.fincat import (Cone, Functor, NatTransf, all_cones, all_functors,
                            find_isomorphism, identity_functor, search,
                            is_connected, limit, make_category,
                            mediating_morphisms, validate_category, NoLimit)
-from dblcat import tab, zoo
+from dblcat import fincat, tab, zoo
 
 
 def stock_categories():
@@ -448,6 +448,30 @@ def test_find_isomorphism_matches_slow_twin():
             [helpers.functor_tables([f]) for f in want]
         found += 1
     assert found == 74
+
+
+def test_find_isomorphism_tests_only_bijections(monkeypatch):
+    # the search keeps each hom-set injective, so the first functor it
+    # yields is inverted: one test per pair.  Without that, the parallel
+    # pair's first functor sends both arrows to one, and the search on the
+    # comma object and comma category of the identity of G32 (14 objects,
+    # 77 arrows, hom-sets of up to six arrows) runs for minutes
+    calls, inverse = [], fincat.functor_inverse
+
+    def counted(f):
+        calls.append(f)
+        assert len(calls) == 1, "a second candidate tested"
+        return inverse(f)
+
+    monkeypatch.setattr(fincat, "functor_inverse", counted)
+    ident = identity_functor(helpers.g_pq(3, 2))
+    co, cc = tab.comma_object(ident, ident), comma_category(ident, ident)
+    assert (len(co.category.objects), len(co.category.morphisms)) == (14, 77)
+    pp, g22 = zoo.parallel_pair(), helpers.g_pq(2, 2)
+    for a, b in [(pp, pp), (g22, g22), (co.category, cc.category)]:
+        calls.clear()
+        assert find_isomorphism(a, b) is not None
+        assert len(calls) == 1
 
 
 def test_hash_agrees_with_equality_for_functors_transformations_cones():

@@ -2,7 +2,8 @@ import pytest
 
 import helpers
 from dblcat import kan, prof, tab, zoo
-from dblcat.fincat import (FinCategory, all_functors, comma_category,
+from dblcat.fincat import (FinCategory, all_functors,
+                           all_natural_transformations, comma_category,
                            find_isomorphism, identity_functor,
                            validate_category)
 from dblcat.prof import companion, unit_prof, validate_cell, validate_profunctor
@@ -282,17 +283,63 @@ def test_verify_tabulation_runs_each_cell_search_once(monkeypatch):
     t = tab.tabulate(unit_prof(helpers.chain(2)))
     searches = helpers.count_builds(monkeypatch, tab.cells_between)
     units = helpers.count_builds(monkeypatch, unit_prof)
+    transformations = helpers.count_builds(monkeypatch,
+                                           tab.all_natural_transformations)
+    probes = zoo.tabulation_probes()
     counts = []
     for _ in range(2):
-        searches.clear()
-        units.clear()
-        assert tab.verify_tabulation(t) == \
+        for built in (searches, units, transformations):
+            built.clear()
+        assert tab.verify_tabulation(t, probes) == \
             (True, {"one_dimensional": 15, "two_dimensional": 46})
-        assert len(set(searches)) == len(searches)
-        assert len(set(units)) == len(units)
-        counts.append((len(searches), len(units)))
-    # the units of the three probes, of [2] and of <J>
-    assert counts == [(68, 5), (68, 5)]
+        for built in (searches, units, transformations):
+            assert len(set(built)) == len(built)
+        # every cell goes out of a probe's unit into J, and the squares
+        # and lifts are natural transformations, so no other unit is built
+        assert all(k is t.j for _, k, _, _ in searches)
+        assert units == [(x,) for x in probes]
+        counts.append((len(searches), len(units), len(transformations)))
+    assert counts == [(22, 3, 68), (22, 3, 68)]
+
+
+def test_verify_tabulation_compares_no_two_profunctors(monkeypatch):
+    # J is built outside the decision, equal to the unit of its source;
+    # the verifier builds no unit of [4] or of <J>, so no memo hit compares
+    # two profunctors, and the defining cell's unit stays unread
+    compared, equal = [], prof.Profunctor.__eq__
+
+    def counted(self, other):
+        if self is not other:
+            compared.append((self.name, other.name))
+        return equal(self, other)
+
+    monkeypatch.setattr(prof.Profunctor, "__eq__", counted)
+    t = tab.tabulate(unit_prof(helpers.chain(4)))
+    assert tab.verify_tabulation(t) == \
+        (True, {"one_dimensional": 110, "two_dimensional": 1824})
+    assert compared == []
+    assert "left" not in vars(t.cell.hsrc) and "right" not in vars(t.cell.hsrc)
+
+
+def test_natural_transformations_list_as_cells_between_units():
+    # the verifier's squares and lifts, and so its failure witness, keep
+    # the order of the cell searches between units that they replaced
+    cats = [zoo.terminal_category(), zoo.walking_arrow(), zoo.parallel_pair(),
+            zoo.discrete(2), zoo.iso_pair(), zoo.composable_pair(),
+            helpers.z2()]
+    pairs = 0
+    for x in cats:
+        for a in cats + [helpers.idempotent_monoid(), helpers.chain(3)]:
+            functors = all_functors(x, a)
+            for f in functors:
+                for g in functors:
+                    cells = prof.cells_between(unit_prof(x), unit_prof(a), f, g)
+                    assert [tuple(map(xi, x.objects)) for xi in
+                            all_natural_transformations(f, g)] == \
+                        [tuple(c.comp[(o, o, x.identity(o))]
+                               for o in x.objects) for c in cells]
+                    pairs += 1
+    assert pairs == 1007
 
 
 def test_verify_tabulation_matches_slow_twin():
@@ -304,26 +351,43 @@ def test_verify_tabulation_matches_slow_twin():
         assert (ok, report) == helpers.verify_tabulation_oracle(t, probes)
 
 
+def test_verify_tabulation_matches_slow_twin_over_iso_and_three():
+    # probes with an isomorphism and with a composite, where the oracle's
+    # cells between units and the verifier's transformations meet larger
+    # hom-sets than over the default probes
+    probes = [zoo.iso_pair(), zoo.composable_pair()]
+    checked = 0
+    for j in helpers.profunctor_corpus():
+        t = tab.tabulate(j)
+        ok, report = tab.verify_tabulation(t, probes)
+        assert ok, (j.name, report)
+        assert (ok, report) == helpers.verify_tabulation_oracle(t, probes)
+        checked += report["two_dimensional"]
+    assert checked == 2856
+
+
 @pytest.mark.parametrize("stage", ["one-dimensional", "two-dimensional"])
 @pytest.mark.parametrize("change, count", [(lambda out: out + out, 2),
                                            (lambda out: [], 0)])
 def test_verify_tabulation_counts_hits_like_its_slow_twin(
         monkeypatch, stage, change, count):
-    # double or drop the functors X -> <J> or the lifts 1_X -> 1_<J>, so
-    # that factorizations are no longer unique; the filed lookups must
-    # count them as the scans do
+    # double or drop the functors X -> <J>, or the lifts, so that
+    # factorizations are no longer unique; the filed lookups must count
+    # them as the scans do.  The verifier searches the lifts as natural
+    # transformations between functors into <J>, its slow twin as cells
+    # between the units of X and <J>: both are changed alike
     t = tab.tabulate(unit_prof(zoo.walking_arrow()))
     if stage == "one-dimensional":
-        name, hit = "all_functors", lambda a, m: m is t.category
+        hits = {"all_functors": lambda a, m: m is t.category}
     else:
-        name, hit = "cells_between", lambda j, k, *_: k.source is t.category
-    real = getattr(tab, name)
+        hits = {"all_natural_transformations": lambda f, g: f.target is t.category,
+                "cells_between": lambda j, k, *_: k.source is t.category}
+    for name, hit in hits.items():
+        def changed(*args, real=getattr(tab, name), hit=hit):
+            out = real(*args)
+            return change(out) if out and hit(*args) else out
 
-    def changed(*args):
-        out = real(*args)
-        return change(out) if out and hit(*args) else out
-
-    monkeypatch.setattr(tab, name, changed)
+        monkeypatch.setattr(tab, name, changed)
     probes = zoo.tabulation_probes()
     ok, report = tab.verify_tabulation(t, probes)
     assert not ok and report["stage"] == stage and report["count"] == count
