@@ -34,6 +34,9 @@ loops it replaced are oracles in ``tests/helpers.py``:
 ``limit_oracle``, ``find_isomorphism_oracle``, ``cells_between_oracle``,
 ``rhom_families_oracle`` and ``internal_transformations_oracle``.
 
+``lift_counts`` is the two-dimensional stage of both tabulation
+verifiers, in functors and natural transformations only.
+
 Functors, natural transformations and cones hash their images listed
 along the source (``source.objects``, then ``source.morphisms``), which
 equal values list alike, so nothing is sorted; a functor keeps its hash.
@@ -41,9 +44,9 @@ Memos and groupings (``filed``) key by these objects.
 
 One memo per decision: ``decision`` marks an entry point that decides a
 property, and ``construction`` a function that one decision builds once
-per distinct arguments, such as ``all_functors`` here and the units,
-composites and cell searches of ``prof``.  The memo is dropped when the
-outermost decision returns or raises.
+per distinct arguments, such as ``all_functors`` here, the units,
+composites and cell searches of ``prof``, and the units of ``spanfin``.
+The memo is dropped when the outermost decision returns or raises.
 """
 
 from __future__ import annotations
@@ -806,6 +809,40 @@ def all_natural_transformations(f, g):
                        for c in homs[i]}) for i, o, fx, gx in squares]
     return [NatTransf(f, g, dict(zip(cat.objects, comps)))
             for comps in backtrack(homs, squares)]
+
+
+def lift_counts(configs, left, right, proj_left, proj_right):
+    """The two-dimensional stage of a tabulation over a probe X: for each
+    ordered pair (phi, psi) of ``configs`` (phi_a, phi_b, fac, at), the
+    number of lifts of each square from phi to psi, in order.  ``at[x]``
+    keys phi's element at each object x of X in J's actions:
+    ``left[(u, *at[x])]`` and ``right[(*at[x], v)]``.  The 2-cells are
+    natural transformations.  The squares (xi_a, xi_b) are a join over the
+    objects of X: each xi_b is filed under phi(x) moved right by xi_b(x)
+    and looked up by psi(x) moved left by xi_a(x); by psi's naturality and
+    the action laws, the square at an object gives those at its arrows.  A
+    lift xi : fac1 => fac2 is filed under its components' projections, so
+    a square counts its lifts with one lookup."""
+    pl, pr = proj_left.mor.get, proj_right.mor.get
+    for phi_a, phi_b, fac1, phi_at in configs:
+        objs = fac1.source.objects
+        for psi_a, psi_b, fac2, psi_at in configs:
+            xi_as = all_natural_transformations(phi_a, psi_a)
+            if not xi_as:
+                continue
+            xi_bs = filed(all_natural_transformations(phi_b, psi_b),
+                          lambda xi_b: tuple([
+                              right[(*phi_at[x], xi_b(x))] for x in objs]))
+            squares = [(xi_a, xi_b) for xi_a in xi_as
+                       for xi_b in xi_bs.get(tuple([
+                           left[(xi_a(x), *psi_at[x])] for x in objs]), ())]
+            lifts = filed(all_natural_transformations(fac1, fac2)
+                          if squares else (),
+                          lambda xi: (tuple([pl(xi(x)) for x in objs]),
+                                      tuple([pr(xi(x)) for x in objs])))
+            for xi_a, xi_b in squares:
+                yield len(lifts.get((tuple(map(xi_a, objs)),
+                                     tuple(map(xi_b, objs))), ()))
 
 
 def find_isomorphism(a, b):

@@ -12,11 +12,14 @@ coequalizer of the slides on a pullback, and the arrows of a tabulation
 are the pullback of the two action spans; ``pullback`` is a join over the
 fibers of its second map.  Nothing here is built by ``prof`` or ``tab``,
 so the two procedures check each other; this module imports nothing from
-``prof``, down to its union-find.  A unit (``unit_internal_prof``) builds
-each action on its first read (``fincat.OnFirstRead``), so the defining
-transformation of a tabulation leaves the unit of its category unbuilt;
-``verify_internal_tabulation`` builds its own, as a verifier does not
-trust the object it checks.
+``prof``, down to its union-find.  A unit (``unit_internal_prof``, a
+``fincat.construction``) builds each action on its first read
+(``fincat.OnFirstRead``), so the defining transformation of a tabulation
+leaves the unit of its category unbuilt.  ``verify_internal_tabulation``
+takes its 2-cells between functors as natural transformations, so it
+builds the units of its probes only, and shares its two-dimensional stage,
+``fincat.lift_counts``, with ``tab.verify_tabulation``; its independent
+twin is ``verify_internal_tabulation_oracle`` in ``tests/helpers.py``.
 """
 
 from __future__ import annotations
@@ -25,8 +28,9 @@ from dataclasses import dataclass, field
 from functools import cached_property, partial
 
 from .fincat import (FinCategory, Functor, OnFirstRead, all_functors,
-                     backtrack, compose_functors, deferred, equal_before_read,
-                     filed)
+                     all_natural_transformations, backtrack, compose_functors,
+                     construction, decision, deferred, equal_before_read,
+                     filed, lift_counts)
 from . import zoo
 
 
@@ -179,6 +183,7 @@ def validate_internal_profunctor(p):
     return problems
 
 
+@construction
 def unit_internal_prof(c):
     """A category acting on its own arrows from both sides, each action
     built on its first read (``_unit_action``)."""
@@ -393,23 +398,22 @@ def factor_through_tabulation(t, phi_a, phi_b, phi):
                    {o: phi0[o] for o in x.objects}, mor)
 
 
+@decision
 def verify_internal_tabulation(t, probes=None):
     """Replay both universal properties and opcartesianness of the
-    defining transformation over a probe set."""
+    defining transformation over a probe set.  A decision, so each search
+    is built once; its two-dimensional stage is ``fincat.lift_counts`` on
+    J's actions, keyed by each configuration's element at each object."""
     if probes is None:
         probes = zoo.tabulation_probes()
     j = t.j
     a, b = j.source, j.target
-    ua = unit_internal_prof(a)
-    ub = ua if b is a else unit_internal_prof(b)
-    ut = unit_internal_prof(t.category)
-    pl, pr, pi = t.proj_left.mor.get, t.proj_right.mor.get, t.cell.map.get
+    pi = t.cell.map.get
     checked = {"one_dimensional": 0, "two_dimensional": 0, "opcartesian": 0}
 
-    # each candidate is filed once under what the checks compare, maps
-    # listed along the source's het as ``InternalTransformation.key`` lists
-    # them (``tab`` files cells under ``Cell.key``), so that a
-    # configuration counts its hits with one lookup
+    # each functor into T is filed once under what the checks compare, maps
+    # listed along X's arrows as ``InternalTransformation.key`` lists them,
+    # so that a configuration counts its hits with one lookup
     factored = []       # per probe, its configurations and factorizations
     for x in probes:
         ux = unit_internal_prof(x)
@@ -431,70 +435,42 @@ def verify_internal_tabulation(t, probes=None):
                         return False, {"stage": "one-dimensional",
                                        "probe": x.name,
                                        "reason": "explicit section differs"}
-                    phi0 = transf_object_part(phi)
-                    factored[-1].append((
-                        phi_a, phi_b, phi, hits[0],
-                        [phi0[x.src[h]] for h in x.morphisms],
-                        [phi0[x.tgt[h]] for h in x.morphisms]))
+                    factored[-1].append((phi_a, phi_b, hits[0], {
+                        o: (e,) for o, e in transf_object_part(phi).items()}))
                     checked["one_dimensional"] += 1
 
     for x, configs in zip(probes, factored):
-        ux = unit_internal_prof(x)
-        # configurations share their boundary functors, so each search of
-        # xi_a (xi_b) runs once per pair of them, kept here by that pair;
-        # when A is B, one unit and one dict serve both
-        xi_as_over = {}
-        xi_bs_over = xi_as_over if ub is ua else {}
+        for hits in lift_counts(configs, j.l, j.r, t.proj_left,
+                                t.proj_right):
+            if hits != 1:
+                return False, {"stage": "two-dimensional",
+                               "probe": x.name, "count": hits}
+            checked["two_dimensional"] += 1
 
-        def transformations(over, k, f, g):
-            if (f, g) not in over:
-                over[(f, g)] = all_internal_transformations(ux, k, f, g)
-            return over[(f, g)]
-
-        for (phi_a, phi_b, phi, fac1, phi_at_src, _) in configs:
-            for (psi_a, psi_b, psi, fac2, _, psi_at_tgt) in configs:
-                # the squares, a join: xi_b filed under phi(src h) . xi_b(h)
-                # for h in X, each xi_a meeting those under xi_a(h) . psi(tgt h)
-                xi_as = transformations(xi_as_over, ua, phi_a, psi_a)
-                xi_bs = filed(
-                    transformations(xi_bs_over, ub, phi_b, psi_b)
-                    if xi_as else [],
-                    lambda xi_b: tuple(map(j.r.get, zip(phi_at_src, xi_b.key))))
-                squares = [(xi_a, xi_b) for xi_a in xi_as for xi_b in xi_bs.get(
-                    tuple(map(j.l.get, zip(xi_a.key, psi_at_tgt))), ())]
-                lifts = filed(
-                    all_internal_transformations(ux, ut, fac1, fac2)
-                    if squares else [],
-                    lambda xi: (tuple(map(pl, xi.key)), tuple(map(pr, xi.key))))
-                for xi_a, xi_b in squares:
-                    hits = lifts.get((xi_a.key, xi_b.key), [])
-                    if len(hits) != 1:
-                        return False, {"stage": "two-dimensional",
-                                       "probe": x.name, "count": len(hits)}
-                    checked["two_dimensional"] += 1
-
-    # opcartesianness of the defining transformation: cells out of unit(T)
-    # over factored boundaries correspond to cells out of J, each cell
-    # filed under the map it induces out of unit(T)
+    # opcartesianness of the defining transformation: a cell out of unit(T)
+    # over (f . pl, g . pr) is a natural transformation chi : f . pl =>
+    # g . pr, sending w to g.pr(w) . chi(src w), and exactly one cell out
+    # of J, filed under the map it induces, must induce it
+    tsrc, arrows = t.category.src, t.category.morphisms
     for c in probes:
-        k = unit_internal_prof(c)
+        k, ctable = unit_internal_prof(c), c.table
         from_b = all_internal_functors(b, c)
         for f in all_internal_functors(a, c):
             for g in from_b:
                 fa = compose_functors(f, t.proj_left)
                 gb = compose_functors(g, t.proj_right)
-                chis = all_internal_transformations(ut, k, fa, gb)
+                chis = all_natural_transformations(fa, gb)
                 cells = filed(
                     all_internal_transformations(j, k, f, g) if chis else [],
                     lambda cp: tuple(map(cp.map.get, t.cell.key)))
                 for chi in chis:
-                    hits = cells.get(chi.key, [])
+                    hits = cells.get(tuple([ctable[(gb.mor[w], chi(tsrc[w]))]
+                                            for w in arrows]), [])
                     if len(hits) != 1:
                         return False, {"stage": "opcartesian",
                                        "probe": c.name, "count": len(hits)}
                     # the factorization is the object part of chi
-                    if any(hits[0].map[x] != chi.map[t.category.identities[x]]
-                           for x in j.het):
+                    if any(hits[0].map[x] != chi(x) for x in j.het):
                         return False, {"stage": "opcartesian",
                                        "probe": c.name,
                                        "reason": "object-part formula differs"}

@@ -7,13 +7,13 @@ morphisms whose two ways of moving the element across agree.  Its
 defining cell sends (u, v) to that common diagonal.
 
 ``verify_tabulation`` is a decision (``fincat.decision``), so it builds
-each search once.  Its vertical 2-cells are natural transformations, so
-the only profunctors it builds are its probes' units.  It files each
-functor X -> <J> and each lift once (``fincat.filed``), so that a
-configuration counts its factorizations with one lookup, and finds the
-squares of its two-dimensional stage by a join, as ``spanfin`` does;
-``verify_tabulation_oracle`` in ``tests/helpers.py`` scans, and takes its
-2-cells as cells between units.
+each search once.  It files each functor X -> <J> once
+(``fincat.filed``), so that a configuration counts its factorizations
+with one lookup.  Its two-dimensional stage is ``fincat.lift_counts``,
+which ``spanfin.verify_internal_tabulation`` shares: its vertical 2-cells
+are natural transformations, so the only profunctors the verifier builds
+are its probes' units.  ``verify_tabulation_oracle`` in
+``tests/helpers.py`` scans, and takes its 2-cells as cells between units.
 """
 
 from __future__ import annotations
@@ -21,9 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fincat import (Cone, Functor, all_cones, all_functors,
-                     all_natural_transformations, category_of_elements,
-                     comma_category, compose_functors, decision, filed,
-                     is_terminal)
+                     category_of_elements, comma_category, compose_functors,
+                     decision, filed, is_terminal, lift_counts)
 from .prof import (Cell, Profunctor, cartesian_cell, cells_between,
                    is_opcartesian, unit_prof, vcompose)
 from . import zoo
@@ -64,12 +63,10 @@ def verify_tabulation(t, probes=None):
     categories; returns (ok, report) where the report counts the checked
     configurations.  Each functor F : X -> <J> is filed once, under its two
     projections and the defining cell's components along F, listed as
-    ``unit_prof(X).elements()`` lists them; each lift xi : F1 => F2, a
-    natural transformation, once, under its components' two projections.
-    The squares from phi to psi are a join over the objects x of X: each
-    xi_b is filed under phi(x) moved right by xi_b(x), and each xi_a looks
-    up psi(x) moved left by xi_a(x).  A cell out of 1_X is fixed by its
-    components at identities, so this is the square at every arrow."""
+    ``unit_prof(X).elements()`` lists them.  The two-dimensional stage is
+    ``fincat.lift_counts`` on J's actions, keyed by each configuration's
+    triple (a, b, x) at each object of X: a cell out of 1_X is fixed by
+    its components at identities."""
     if probes is None:
         probes = zoo.tabulation_probes()
     j = t.j
@@ -99,33 +96,13 @@ def verify_tabulation(t, probes=None):
                     checked_1d += 1
 
     checked_2d = 0
-    pl, pr = t.proj_left.mor.get, t.proj_right.mor.get
-    jleft, jright = j.left, j.right
     for x_cat, configs in zip(probes, factored):
-        objs = x_cat.objects
-        for (phi_a, phi_b, fac1, phi_at) in configs:
-            for (psi_a, psi_b, fac2, psi_at) in configs:
-                xi_as = all_natural_transformations(phi_a, psi_a)
-                if not xi_as:
-                    continue
-                xi_bs = filed(all_natural_transformations(phi_b, psi_b),
-                              lambda xi_b: tuple([
-                                  jright[(*phi_at[x], xi_b(x))] for x in objs]))
-                squares = [(xi_a, xi_b) for xi_a in xi_as
-                           for xi_b in xi_bs.get(tuple([
-                               jleft[(xi_a(x), *psi_at[x])] for x in objs]), ())]
-                lifts = filed(all_natural_transformations(fac1, fac2)
-                              if squares else (),
-                              lambda xi: (tuple([pl(xi(x)) for x in objs]),
-                                          tuple([pr(xi(x)) for x in objs])))
-                for xi_a, xi_b in squares:
-                    hits = len(lifts.get((tuple(map(xi_a, objs)),
-                                          tuple(map(xi_b, objs))), ()))
-                    if hits != 1:
-                        return False, {"stage": "two-dimensional",
-                                       "probe": x_cat.name,
-                                       "count": hits}
-                    checked_2d += 1
+        for hits in lift_counts(configs, j.left, j.right, t.proj_left,
+                                t.proj_right):
+            if hits != 1:
+                return False, {"stage": "two-dimensional",
+                               "probe": x_cat.name, "count": hits}
+            checked_2d += 1
     return True, {"one_dimensional": checked_1d, "two_dimensional": checked_2d}
 
 

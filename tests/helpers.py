@@ -69,6 +69,18 @@ def count_builds(monkeypatch, construction):
     return built
 
 
+def change_results(monkeypatch, hits, change):
+    """Replace each search ``hits`` names by ``(module, name)`` with one
+    that returns ``change(out)`` in place of a nonempty result ``out``
+    whose arguments pass the named predicate."""
+    for (module, name), hit in hits.items():
+        def changed(*args, real=getattr(module, name), hit=hit):
+            out = real(*args)
+            return change(out) if out and hit(*args) else out
+
+        monkeypatch.setattr(module, name, changed)
+
+
 def profunctor_corpus(unit=unit_prof, comp=companion, conj=conjoint):
     """Small named profunctors with varied shapes.  Given other builders
     of units, companions and conjoints (such as the two-sided oracles

@@ -4,7 +4,7 @@ import itertools
 import pytest
 
 import helpers
-from dblcat import spanfin, tab, zoo
+from dblcat import fincat, spanfin, tab, zoo
 from dblcat.fincat import (all_functors, find_isomorphism, identity_functor,
                            validate_category)
 from dblcat.prof import (cells_between, companion, compose_prof, unit_prof)
@@ -294,16 +294,37 @@ def test_verify_internal_tabulation_matches_slow_twin():
             helpers.verify_internal_tabulation_oracle(t, probes)
 
 
-@pytest.mark.parametrize("probes, searches, distinct", [
-    ([zoo.terminal_category(), zoo.walking_arrow()], 69, 69),
-    (zoo.tabulation_probes(), 132, 132),
+def test_verify_internal_tabulation_matches_slow_twin_over_iso_and_three():
+    # probes with an isomorphism and with a composite, where the oracle's
+    # internal transformations between units and the verifier's natural
+    # transformations meet larger hom-sets than over the default probes
+    probes = [zoo.iso_pair(), zoo.composable_pair()]
+    checked = {"one_dimensional": 0, "two_dimensional": 0, "opcartesian": 0}
+    for p in helpers.profunctor_corpus():
+        t = spanfin.internal_tabulate(spanfin.prof_bridge(p))
+        ok, report = spanfin.verify_internal_tabulation(t, probes)
+        assert ok, (p.name, report)
+        assert (ok, report) == \
+            helpers.verify_internal_tabulation_oracle(t, probes)
+        for stage in checked:
+            checked[stage] += report[stage]
+    assert checked == {"one_dimensional": 349, "two_dimensional": 2856,
+                       "opcartesian": 902}
+
+
+@pytest.mark.parametrize("probes, internal, natural", [
+    ([zoo.terminal_category(), zoo.walking_arrow()], 20, 49),
+    (zoo.tabulation_probes(), 38, 94),
 ])
 def test_verify_internal_tabulation_searches_each_functor_pair_once(
-        monkeypatch, probes, searches, distinct):
-    # the searches of xi_a and xi_b are kept by functor pair within the
-    # verifier; searched once per pair of configurations they were 133 and
-    # 248.  Here A is B, so xi_a and xi_b share one unit and one dict: kept
-    # apart, they repeated 13 and 22 searches
+        monkeypatch, probes, internal, natural):
+    # the verifier is a decision, so each search of natural transformations
+    # is built once per functor pair, and the xi_a and xi_b of a pair of
+    # configurations share it when A is B, as here.  When it searched its
+    # 2-cells as internal transformations, kept in a memo of its own, it
+    # ran 69 and 132 searches of them.  Every internal transformation left
+    # goes out of a probe's unit into J or out of J into a probe's unit, so
+    # the units of A, B and <J> stay unbuilt
     real, calls = spanfin.all_internal_transformations, []
 
     def counting(*args):
@@ -313,21 +334,17 @@ def test_verify_internal_tabulation_searches_each_functor_pair_once(
     monkeypatch.setattr(spanfin, "all_internal_transformations", counting)
     t = spanfin.internal_tabulate(
         spanfin.prof_bridge(unit_prof(helpers.chain(2))))
+    builds = helpers.count_builds(monkeypatch,
+                                  fincat.all_natural_transformations)
+    units = helpers.count_builds(monkeypatch, spanfin.unit_internal_prof)
     ok, checked = spanfin.verify_internal_tabulation(t, probes)
-    assert (len(calls), len(set(calls))) == (searches, distinct)
+    assert (len(calls), len(set(calls))) == (internal, internal)
+    assert all(t.j in (j, k) for j, k, _, _ in calls)
+    assert (len(builds), len(set(builds))) == (natural, natural)
+    assert units == [(x,) for x in probes]
+    assert "l" not in vars(t.cell.hsrc) and "r" not in vars(t.cell.hsrc)
     assert ok
     assert (ok, checked) == helpers.verify_internal_tabulation_oracle(t, probes)
-
-
-def tampered(t, stage):
-    """Whether a search result of ``verify_internal_tabulation(t)`` belongs
-    to ``stage``: functors into T, lifts into unit(T), cells out of J."""
-    if stage == "one-dimensional":
-        return lambda a, b: b is t.category
-    if stage == "two-dimensional":
-        return lambda j, k, f, g: k.source == t.category and \
-            j.source != t.category
-    return lambda j, k, f, g: j is t.j
 
 
 @pytest.mark.parametrize("stage", ["one-dimensional", "two-dimensional",
@@ -337,18 +354,23 @@ def tampered(t, stage):
 def test_verify_internal_tabulation_counts_hits_like_its_slow_twin(
         monkeypatch, stage, change, count):
     # double or drop the candidates of one stage, so that its hits are no
-    # longer unique; the filed lookups must count them as the scans do
+    # longer unique; the filed lookups must count them as the scans do.
+    # The verifier searches the lifts as natural transformations between
+    # functors into T, its slow twin as internal transformations into the
+    # unit of T: both are changed alike
     t = spanfin.internal_tabulate(
         spanfin.prof_bridge(unit_prof(zoo.walking_arrow())))
-    name = ("all_internal_functors" if stage == "one-dimensional"
-            else "all_internal_transformations")
-    real, hit = getattr(spanfin, name), tampered(t, stage)
-
-    def changed(*args):
-        out = real(*args)
-        return change(out) if out and hit(*args) else out
-
-    monkeypatch.setattr(spanfin, name, changed)
+    if stage == "one-dimensional":
+        hits = {(spanfin, "all_internal_functors"): lambda a, b: b is t.category}
+    elif stage == "two-dimensional":
+        hits = {(fincat, "all_natural_transformations"):
+                lambda f, g: f.target is t.category,
+                (spanfin, "all_internal_transformations"):
+                lambda j, k, f, g: k.source is t.category}
+    else:
+        hits = {(spanfin, "all_internal_transformations"):
+                lambda j, k, f, g: j is t.j}
+    helpers.change_results(monkeypatch, hits, change)
     probes = zoo.tabulation_probes()
     ok, report = spanfin.verify_internal_tabulation(t, probes)
     assert not ok and report["stage"] == stage and report["count"] == count

@@ -1,7 +1,7 @@
 import pytest
 
 import helpers
-from dblcat import kan, prof, tab, zoo
+from dblcat import fincat, kan, prof, tab, zoo
 from dblcat.fincat import (FinCategory, all_functors,
                            all_natural_transformations, comma_category,
                            find_isomorphism, identity_functor,
@@ -283,8 +283,8 @@ def test_verify_tabulation_runs_each_cell_search_once(monkeypatch):
     t = tab.tabulate(unit_prof(helpers.chain(2)))
     searches = helpers.count_builds(monkeypatch, tab.cells_between)
     units = helpers.count_builds(monkeypatch, unit_prof)
-    transformations = helpers.count_builds(monkeypatch,
-                                           tab.all_natural_transformations)
+    transformations = helpers.count_builds(
+        monkeypatch, fincat.all_natural_transformations)
     probes = zoo.tabulation_probes()
     counts = []
     for _ in range(2):
@@ -378,16 +378,12 @@ def test_verify_tabulation_counts_hits_like_its_slow_twin(
     # between the units of X and <J>: both are changed alike
     t = tab.tabulate(unit_prof(zoo.walking_arrow()))
     if stage == "one-dimensional":
-        hits = {"all_functors": lambda a, m: m is t.category}
+        hits = {(tab, "all_functors"): lambda a, m: m is t.category}
     else:
-        hits = {"all_natural_transformations": lambda f, g: f.target is t.category,
-                "cells_between": lambda j, k, *_: k.source is t.category}
-    for name, hit in hits.items():
-        def changed(*args, real=getattr(tab, name), hit=hit):
-            out = real(*args)
-            return change(out) if out and hit(*args) else out
-
-        monkeypatch.setattr(tab, name, changed)
+        hits = {(fincat, "all_natural_transformations"):
+                lambda f, g: f.target is t.category,
+                (tab, "cells_between"): lambda j, k, *_: k.source is t.category}
+    helpers.change_results(monkeypatch, hits, change)
     probes = zoo.tabulation_probes()
     ok, report = tab.verify_tabulation(t, probes)
     assert not ok and report["stage"] == stage and report["count"] == count
