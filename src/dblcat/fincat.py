@@ -44,7 +44,8 @@ Memos and groupings (``filed``) key by these objects.
 
 One memo per decision: ``decision`` marks an entry point that decides a
 property, and ``construction`` a function that one decision builds once
-per distinct arguments, such as ``all_functors`` here, the units,
+per distinct arguments, such as ``identity_functor``, ``compose_functors``,
+``all_functors`` and ``all_natural_transformations`` here, the units,
 composites and cell searches of ``prof``, and the units of ``spanfin``.
 The memo is dropped when the outermost decision returns or raises.
 """
@@ -115,6 +116,53 @@ def deferred(cls, tables, **fields):
     if hasattr(cls, "__post_init__"):
         obj.__post_init__()
     return obj
+
+
+# the constructions of the running decision, if any: one memo per process,
+# as dblcat runs one decision at a time
+_memo = None
+_name = attrgetter("name")
+
+
+def decision(decide):
+    """Mark ``decide`` as a decision: while it runs, each construction is
+    built once per distinct arguments.  A decision called inside another
+    shares the outer one's memo, which is dropped when the outermost
+    decision returns or raises, so nothing outlives a decision."""
+    @wraps(decide)
+    def decided(*args, **kwargs):
+        global _memo
+        if _memo is not None:
+            return decide(*args, **kwargs)
+        _memo = {}
+        try:
+            return decide(*args, **kwargs)
+        finally:
+            _memo = None
+
+    return decided
+
+
+def construction(build):
+    """Mark ``build`` as a construction: within a decision, it is built
+    once per distinct arguments, keyed by each argument's name and value,
+    so that equal arguments share a result and its names stay exact.  A
+    hit returns the same object, which callers must not mutate.  Outside
+    any decision it is a plain call.  Each build calls ``__wrapped__``, so
+    a test can count builds by replacing it."""
+    @wraps(build)
+    def built(*args):
+        memo = _memo
+        if memo is None:
+            return built.__wrapped__(*args)
+        key = (built, *map(_name, args), *args)
+        try:
+            return memo[key]
+        except KeyError:
+            found = memo[key] = built.__wrapped__(*args)
+            return found
+
+    return built
 
 
 @dataclass(frozen=True, eq=True)
@@ -308,17 +356,18 @@ class Functor:
     target: FinCategory
     obj: dict
     mor: dict
+    _hash = None        # not a field: the hash, once computed
 
     def __hash__(self):
         # by hand: cached_property reads __dict__, after which CPython 3.11
-        # keeps the functor's attributes in a dict and reads them slower
-        try:
-            return self._hash
-        except AttributeError:
+        # keeps the functor's attributes in a dict and reads them slower;
+        # the class default spares the first hash an AttributeError, so a
+        # construction's memo misses a new functor cheaply
+        if self._hash is None:
             object.__setattr__(self, "_hash", hash((
                 *map(self.obj.get, self.source.objects),
                 *map(self.mor.get, self.source.morphisms))))
-            return self._hash
+        return self._hash
 
     def __call__(self, m):
         return self.mor[m]
@@ -347,12 +396,14 @@ class Functor:
         return problems
 
 
+@construction
 def identity_functor(cat):
     return Functor(f"Id_{cat.name}", cat, cat,
                    {o: o for o in cat.objects},
                    {m: m for m in cat.morphisms})
 
 
+@construction
 def compose_functors(g, f):
     """Composite functor ``g . f`` (``f`` applied first)."""
     if f.target != g.source:
@@ -665,53 +716,6 @@ def is_connected(cat):
                 seen.add(b)
                 frontier.append(b)
     return len(seen) == len(cat.objects)
-
-
-# the constructions of the running decision, if any: one memo per process,
-# as dblcat runs one decision at a time
-_memo = None
-_name = attrgetter("name")
-
-
-def decision(decide):
-    """Mark ``decide`` as a decision: while it runs, each construction is
-    built once per distinct arguments.  A decision called inside another
-    shares the outer one's memo, which is dropped when the outermost
-    decision returns or raises, so nothing outlives a decision."""
-    @wraps(decide)
-    def decided(*args, **kwargs):
-        global _memo
-        if _memo is not None:
-            return decide(*args, **kwargs)
-        _memo = {}
-        try:
-            return decide(*args, **kwargs)
-        finally:
-            _memo = None
-
-    return decided
-
-
-def construction(build):
-    """Mark ``build`` as a construction: within a decision, it is built
-    once per distinct arguments, keyed by each argument's name and value,
-    so that equal arguments share a result and its names stay exact.  A
-    hit returns the same object, which callers must not mutate.  Outside
-    any decision it is a plain call.  Each build calls ``__wrapped__``, so
-    a test can count builds by replacing it."""
-    @wraps(build)
-    def built(*args):
-        memo = _memo
-        if memo is None:
-            return built.__wrapped__(*args)
-        key = (built, *map(_name, args), *args)
-        try:
-            return memo[key]
-        except KeyError:
-            found = memo[key] = built.__wrapped__(*args)
-            return found
-
-    return built
 
 
 @construction

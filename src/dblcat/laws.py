@@ -8,7 +8,9 @@ cases and reports how many held.  Every suite runs all its configurations
 except interchange, which runs the first ``INTERCHANGE_GRIDS`` of its
 1,892 grids.  Each suite is a decision (``fincat.decision``): it builds
 each unit profunctor, composite, companion, conjoint and functor list
-once, so both sides of a law share their composites.  The interchange
+once, so both sides of a law share their composites, and each identity
+and composite functor once, such as the boundaries that ``vcompose``
+composes, mostly identities.  The interchange
 suite also builds the cells of the transformations between each pair of
 functors once (``transformation_cells``, a construction), lists the lower
 half of its grids, the cells over each triple (g, g1, g2), once per triple

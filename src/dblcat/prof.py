@@ -27,7 +27,11 @@ under sliding non-identity middle morphisms across the pair (an identity
 slide joins a pair with itself).  Pairs are enumerated in
 naming order (middle object, left fiber position, right fiber position) and
 each class is named after its least member in that order, so recomputing a
-composite always yields the same tables.
+composite always yields the same tables.  When J is a unit or a companion,
+or H a unit or a conjoint, the co-Yoneda lemma names the class of a pair
+by one element, read off the other side's action table (H's left, or J's
+right) and no other; every other composite is quotiented by a union-find
+over the slides (``compose_prof``).
 
 Cells (``cells_between``) and right-hom families (``rhom``) come from
 ``fincat.backtrack``, the one search behind every enumerator; the loops
@@ -379,35 +383,57 @@ class CoendWitness:
         return self.ids[(a, e)][(b, j, h)]
 
 
+def coyoneda_side(j, h):
+    """The side of J * H that is a representable with an identity at the
+    middle, by which ``compose_prof`` names its classes: "left" when J is
+    C(f a, b), a unit or a companion, "right" when H is C(b, g e), a unit
+    or a conjoint, None otherwise."""
+    jrep, hrep = vars(j).get("_represents"), vars(h).get("_represents")
+    if jrep is not None and jrep[2] is None:
+        return "left"
+    if hrep is not None and hrep[1] is None:
+        return "right"
+    return None
+
+
 @construction
 def compose_prof(j, h):
     """The composite J * H with its coend witness.
 
-    Pairs (j, h) sharing a middle object are identified under sliding a
-    middle morphism v across: (v . j, h) ~ (j, h . v).  Only non-identity
-    morphisms slide, as an identity joins each pair with itself.  The pairs
-    at each boundary (a, e) are enumerated in naming order (middle object,
-    left fiber position, right fiber position).  A union-find over
-    positions keeps the smaller root, so each root is the least member of
-    its class; classes are named after it, once per root, and listed in
-    that order.  The quotient walks only inhabited boundaries: per e the
+    Pairs (x, y) sharing a middle object are identified under sliding a
+    middle morphism v across: (v . x, y) ~ (x, y . v).  The pairs at each
+    boundary (a, e) are listed in naming order (middle object, left fiber
+    position, right fiber position) and grouped into classes; each class
+    is named after its first member, and the classes are listed in that
+    order.  An empty boundary gets empty ``ids`` and ``named`` entries.
+
+    By the co-Yoneda lemma, f_* * H = H(f -, -) and J * g^* = J(-, g -).
+    So when ``coyoneda_side`` finds a side, the class of (b, x, y) is the
+    element y . x: of H(f a, e), read off H's left action alone, when J
+    is C(f a, b); of J(a, g e), read off J's right action alone, when H is
+    C(b, g e).  Any other composite, a restriction C(f a, g b) included,
+    is quotiented by a union-find over positions that keeps the smaller
+    root, the least member of its class.  It slides only non-identity
+    morphisms, as an identity joins each pair with itself, and reads J's
+    right and H's left action, over inhabited boundaries only: per e the
     middle objects b with H(b, e) and the slides v : b1 -> b2 with
     H(b2, e) nonempty, per a those of them with J(a, b) and J(a, b1)
-    nonempty.  An empty boundary gets empty ``ids`` and ``named`` entries.
+    nonempty.
 
     The fibers and the witness are built at once; each action table on
     its first read, from J's left action or H's right action: u : a2 -> a
     acts on the class of (x, y) as the class of (x . u, y), and w : e -> e2
-    as the class of (x, w . y).  The quotient reads J's right and H's left
-    action.
+    as the class of (x, w . y).
     """
     if j.target != h.source:
         raise ValueError("profunctors not composable")
     ac, bc, ec = j.source, j.target, h.target
     jfiber, hfiber = j.fibers.get, h.fibers.get
-    jright, hleft = j.right, h.left
-    slides = [(v, bc.src[v], bc.tgt[v]) for v in bc.morphisms
-              if not bc.is_identity(v)]
+    coyoneda = coyoneda_side(j, h)
+    jright = None if coyoneda == "left" else j.right
+    hleft = None if coyoneda == "right" else h.left
+    slides = [] if coyoneda else [(v, bc.src[v], bc.tgt[v])
+                                  for v in bc.morphisms if not bc.is_identity(v)]
     # per e, the middle objects that H(-, e) inhabits, and the slides
     # v : b1 -> b2 with H(b2, e) inhabited, each y acted on once here
     over = [(e, [(b, ys) for b in bc.objects if (ys := hfiber((b, e)))],
@@ -433,24 +459,30 @@ def compose_prof(j, h):
             if not pairs:
                 named[(a, e)], ids[(a, e)] = {}, {}
                 continue
-            pos = {p: i for i, p in enumerate(pairs)}
-            parent = list(range(len(pairs)))
-            for v, b1, b2, ys in pulls:
-                for x, xv in pushed.get(v, ()):
-                    for y, vy in ys:
-                        r1, r2 = find(pos[(b2, xv, y)]), find(pos[(b1, x, vy)])
-                        if r1 < r2:
-                            r1, r2 = r2, r1
-                        parent[r1] = r2       # the smaller root survives
-            groups = {}       # root -> members; roots come first, in order
-            for i in range(len(pairs)):
-                groups.setdefault(find(i), []).append(i)
+            if coyoneda == "left":
+                classes = [hleft[(x, b, e, y)] for b, x, y in pairs]
+            elif coyoneda == "right":
+                classes = [jright[(a, b, x, y)] for b, x, y in pairs]
+            else:
+                pos = {p: i for i, p in enumerate(pairs)}
+                parent = list(range(len(pairs)))
+                for v, b1, b2, ys in pulls:
+                    for x, xv in pushed.get(v, ()):
+                        for y, vy in ys:
+                            r1, r2 = find(pos[(b2, xv, y)]), find(pos[(b1, x, vy)])
+                            if r1 < r2:
+                                r1, r2 = r2, r1
+                            parent[r1] = r2       # the smaller root survives
+                classes = [find(i) for i in range(len(pairs))]
+            groups = {}       # class -> members, by first member
+            for cls, pair in zip(classes, pairs):
+                groups.setdefault(cls, []).append(pair)
             cls_ids, names = {}, {}
-            for r, members in groups.items():
-                cid = pair_id(*pairs[r])
-                names[cid] = pairs[r]
-                for i in members:
-                    cls_ids[pairs[i]] = cid
+            for members in groups.values():
+                cid = pair_id(*members[0])
+                names[cid] = members[0]
+                for pair in members:
+                    cls_ids[pair] = cid
             named[(a, e)], ids[(a, e)] = names, cls_ids
             fibers[(a, e)] = tuple(names)
 

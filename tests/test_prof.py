@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 import random
@@ -17,7 +18,7 @@ from dblcat.prof import (Cell, cells_between, companion,
                          opcartesian_cell, cartesian_cell, restrict, rhom,
                          right_unitor, unit_cell, unit_prof, upper_star,
                          validate_cell, validate_profunctor, vcompose)
-from dblcat import dsl, zoo
+from dblcat import dsl, prof, zoo
 
 
 def test_corpus_profunctors_are_valid():
@@ -248,7 +249,7 @@ def test_rhom_action_matches_two_sided_builder():
         assert list(rh.right.items()) == list(right.items()), rh.name
 
 
-def test_compose_prof_matches_slow_twin():
+def test_compose_prof_matches_slow_twin(monkeypatch):
     corpus = helpers.profunctor_corpus()
     pairs = helpers.composable_pairs()
     pairs += [(j, h) for j, h in itertools.product(corpus, repeat=2)
@@ -258,10 +259,44 @@ def test_compose_prof_matches_slow_twin():
             u = unit_prof(helpers.chain(n, random.Random(seed)))
             pairs.append((u, u))
     assert len(pairs) == 154
+    # a fiber of two or more elements on each path: pp(c, 1) has two
+    # elements at c = 0, and pp(s a, s b) three classes of pairs at (0, 1)
+    one, two, pp = (zoo.terminal_category(), zoo.walking_arrow(),
+                    zoo.parallel_pair())
+    at_1 = conjoint(zoo.pick(pp, "1"))
+    s = next(f for f in all_functors(two, pp) if f.mor["a"] == "s")
+    pairs += [(at_1, unit_prof(one)), (at_1, conjoint(zoo.bang(two))),
+              (restrict(unit_prof(pp), s, s), restrict(unit_prof(pp), s, s))]
+    sides, side_of = [], prof.coyoneda_side
+    monkeypatch.setattr(prof, "coyoneda_side",
+                        lambda j, h: sides.append(side_of(j, h)) or sides[-1])
+    largest = {}
     for n, (j, h) in enumerate(pairs):
         composite, witness = compose_prof(j, h)
         # each table is built on its first read, either side first
         read_one_side(composite, SIDES[n % 2])
+        assert helpers.composite_tables(composite, witness) == \
+            helpers.composite_tables(*helpers.compose_prof_oracle(j, h))
+        largest[sides[n]] = max([largest.get(sides[n], 0),
+                                 *map(len, composite.fibers.values())])
+    assert collections.Counter(sides[:154]) == \
+        {"left": 124, None: 18, "right": 12}
+    assert sides[154:] == ["right", "right", None]
+    assert largest == {"left": 2, "right": 2, None: 3}
+
+
+def test_coyoneda_composites_leave_the_representable_side_unread():
+    pp, two, three = (zoo.parallel_pair(), zoo.walking_arrow(),
+                      zoo.composable_pair())
+    f, g = all_functors(pp, two)[1], all_functors(two, three)[2]
+    # a companion on the left keeps its right action unbuilt, through the
+    # composite's tables too, and a conjoint on the right its left action
+    fs, fc = companion(f), conjoint(f)
+    for j, h, rep, unread in [(fs, companion(g), fs, "right"),
+                              (conjoint(g), fc, fc, "left")]:
+        composite, witness = compose_prof(j, h)
+        composite.left, composite.right
+        assert unread not in vars(rep), rep.name
         assert helpers.composite_tables(composite, witness) == \
             helpers.composite_tables(*helpers.compose_prof_oracle(j, h))
 
