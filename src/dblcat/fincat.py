@@ -12,12 +12,20 @@ index lists morphisms in the interned order, so iterating an index visits
 exactly the morphisms, and in the order, that a filtered scan of
 ``morphisms`` would.
 
-One mechanism builds a table on its first read (``OnFirstRead``, on an
-instance made by ``deferred``): ``FinCategory.table`` here and the action
-tables of ``prof`` and ``spanfin``, and one rule, ``equal_before_read``,
-compares them.  ``category_of_elements`` defers its composition table, so
-a tabulation or comma category read for its objects and arrows never
-builds it.
+One mechanism builds a table on its first read: ``deferred`` makes an
+instance of a subclass (``_unread``) that holds an ``OnFirstRead`` for each
+table its class names in ``first_read``: ``FinCategory.table`` here, the
+action tables of ``prof`` and ``spanfin``, and the components of a
+``prof.Cell``.  An instance built with its tables is of the class itself,
+which holds no descriptor, so it keeps CPython's specialised attribute
+read.  One rule, ``equal_before_read``, compares them, an unread instance
+with one built with its tables included.  ``category_of_elements`` defers
+its composition table, and ``tab.tabulate`` and ``tab.comma_object``
+their defining cells, so ``dcat comma`` and ``dcat tabulate
+--skip-verify``, which read a tabulation or comma object for its objects
+and arrows, build neither.  A value derived from an instance, such as a
+profunctor's hash and elements or a cell's key, is computed on its first
+read by ``derived``.
 
 One search, ``backtrack``, backs every enumerator: ``all_functors``,
 ``all_natural_transformations``, ``all_cones`` and ``find_isomorphism``
@@ -64,54 +72,97 @@ class NoLimit(Exception):
 
 
 class OnFirstRead:
-    """A table attribute of a dataclass as a non-data descriptor.  A read
-    finds the table in the instance ``__dict__`` first, where an instance
-    built with its tables keeps them, and reaches ``__get__`` only when it
-    is missing: on the first read of a table of an instance made by
-    ``deferred``, whose ``_tables`` hook then builds it, given the
-    attribute's name, and keeps it there.  Once every such table of the
-    instance is built, the hook is dropped with the data it holds.  Read
-    on the class it raises AttributeError, so that the dataclass field has
-    no default.  Its class's ``__eq__`` is ``equal_before_read``."""
+    """A table attribute of an instance made by ``deferred``, as a non-data
+    descriptor of the subclass that ``deferred`` instantiates (``_unread``).
+    A read finds the table in the instance ``__dict__`` first, and reaches
+    ``__get__`` only when it is missing: on the table's first read, when
+    the instance's ``_tables`` hook builds it, given the attribute's name,
+    and keeps it there.  Once every table that the class names in
+    ``first_read`` is built, the hook is dropped with the data it holds.
+    The dataclass itself carries no descriptor, so an instance built with
+    its tables keeps CPython's specialised attribute read.  Its class's
+    ``__eq__`` is ``equal_before_read``."""
 
-    def __set_name__(self, owner, attr):
+    def __init__(self, attr):
         self.attr = attr
-        owner._first_read = (*getattr(owner, "_first_read", ()), attr)
 
     def __get__(self, obj, owner=None):
         if obj is None:
-            raise AttributeError(self.attr)
+            return self
         kept = obj.__dict__
         table = kept[self.attr] = obj._tables(self.attr)
-        if all(attr in kept for attr in obj._first_read):
+        if kept.keys() >= obj._first_read:
             del kept["_tables"]
         return table
 
 
+class derived:
+    """A value derived from an instance, computed on its first read and
+    kept in the instance ``__dict__``, where every later read finds it:
+    ``functools.cached_property`` without the lock that CPython 3.11's
+    takes on each first read, which costs more than most values here take
+    to compute.  dblcat runs one decision at a time, in one thread."""
+
+    def __init__(self, func):
+        self.func, self.attr, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.attr] = self.func(obj)
+        return value
+
+
 def equal_before_read(self, other):
-    """The ``__eq__`` of a dataclass with ``OnFirstRead`` tables: ``self is
-    other`` before any table is read, then the compared fields in
-    declaration order, up to the first that differs."""
+    """The ``__eq__`` of a ``first_read`` class: ``self is other`` before
+    any table is read, then the compared fields in declaration order,
+    those built with the instance before its tables, which come last and
+    are read only when the others are equal.  An instance made by
+    ``deferred`` shares its dataclass's fields, so it compares with one
+    built with its tables."""
     if self is other:
         return True
-    if other.__class__ is not self.__class__:
+    cls = self.__class__
+    if other.__class__ is not cls and getattr(
+            other, "__dataclass_fields__", None) is not cls.__dataclass_fields__:
         return NotImplemented
-    for name in _compared(self.__class__):
-        if not getattr(self, name) == getattr(other, name):
-            return False
-    return True
+    built, tables = self._compared
+    return built(self) == built(other) and tables(self) == tables(other)
 
 
-_compared = cache(lambda cls: tuple(f.name for f in fields(cls) if f.compare))
+def first_read(*tables):
+    """Mark a dataclass whose fields ``tables``, the last that its equality
+    compares, an instance made by ``deferred`` builds on their first read:
+    its ``__eq__`` is ``equal_before_read``, which reads the getters kept
+    here as ``_compared``, and its ``_tables`` is None, as an instance's is
+    once it has every table."""
+    def mark(cls):
+        names = tuple(f.name for f in fields(cls) if f.compare)
+        cls._first_read, cls._tables, cls.__eq__ = frozenset(tables), None, \
+            equal_before_read
+        cls._compared = (attrgetter(*[n for n in names if n not in tables]),
+                         attrgetter(*tables))
+        return cls
+    return mark
+
+
+@cache
+def _unread(cls):
+    """The subclass of ``cls`` whose instances ``deferred`` makes: ``cls``
+    under its own name, with an ``OnFirstRead`` descriptor per table that
+    it names in ``first_read``."""
+    return type(cls.__name__, (cls,), {
+        "__qualname__": cls.__qualname__, "__module__": cls.__module__,
+        **{attr: OnFirstRead(attr) for attr in cls._first_read}})
 
 
 def deferred(cls, tables, **fields):
-    """An instance of the dataclass ``cls`` built with ``fields`` and
-    without its ``OnFirstRead`` tables: ``tables(attr)``, kept as its
-    ``_tables`` hook, builds the table ``attr`` on its first read.  Its
-    ``__post_init__``, if any, runs as the dataclass ``__init__`` would
-    run it."""
-    obj = object.__new__(cls)
+    """An instance of the ``first_read`` dataclass ``cls``, built with
+    ``fields`` and without the tables it names: ``tables(attr)``,
+    kept as its ``_tables`` hook, builds the table ``attr`` on its first
+    read.  Its ``__post_init__``, if any, runs as the dataclass
+    ``__init__`` would run it."""
+    obj = object.__new__(_unread(cls))
     obj.__dict__.update(fields, _tables=tables)
     if hasattr(cls, "__post_init__"):
         obj.__post_init__()
@@ -165,6 +216,7 @@ def construction(build):
     return built
 
 
+@first_read("table")
 @dataclass(frozen=True, eq=True)
 class FinCategory:
     """A finite category with a total composition table.
@@ -173,10 +225,10 @@ class FinCategory:
     object to its identity morphism and ``table[(g, f)]`` is the composite
     ``g . f`` (``f`` first), defined exactly when ``tgt[f] == src[g]``.
     A category made by ``deferred`` (``category_of_elements``) builds its
-    table on its first read (``OnFirstRead``) and keeps it in the instance
-    ``__dict__``, where a category built with its table keeps it.  Every
-    read still takes CPython's unspecialised attribute path, so a loop
-    holds the table in a local.
+    table on its first read (``OnFirstRead``, on its class) and keeps it in
+    the instance ``__dict__``, where a category built with its table keeps
+    it; the latter's class holds no descriptor, so its reads stay
+    specialised.
 
     Equality (``equal_before_read``) compares objects, morphisms, ``src``,
     ``tgt``, identities and the table.  The hash is ``(objects,
@@ -195,24 +247,23 @@ class FinCategory:
     src: dict
     tgt: dict
     identities: dict
-    table: dict = OnFirstRead()
+    table: dict
     _hom: dict = field(init=False, compare=False, repr=False)
     _into: dict = field(init=False, compare=False, repr=False)
     _out_of: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         hom, into, out_of = {}, {}, {}
+        # .get: validate_category reports endpoints that are missing
+        src, tgt = self.src.get, self.tgt.get
         for m in self.morphisms:
-            # .get: validate_category reports endpoints that are missing
-            a, b = self.src.get(m), self.tgt.get(m)
+            a, b = src(m), tgt(m)
             hom.setdefault((a, b), []).append(m)
             into.setdefault(b, []).append(m)
             out_of.setdefault(a, []).append(m)
         for attr, index in (("_hom", hom), ("_into", into), ("_out_of", out_of)):
             object.__setattr__(self, attr,
                                {k: tuple(v) for k, v in index.items()})
-
-    __eq__ = equal_before_read
 
     def __hash__(self):
         return hash((self.objects, self.morphisms))
@@ -359,8 +410,9 @@ class Functor:
     _hash = None        # not a field: the hash, once computed
 
     def __hash__(self):
-        # by hand: cached_property reads __dict__, after which CPython 3.11
-        # keeps the functor's attributes in a dict and reads them slower;
+        # by hand: a ``derived`` value is kept in __dict__, after whose
+        # first read CPython 3.11 keeps the functor's attributes in a dict
+        # and reads them slower;
         # the class default spares the first hash an AttributeError, so a
         # construction's memo misses a new functor cheaply
         if self._hash is None:
@@ -595,12 +647,14 @@ def category_of_elements(name, ac, bc, triples, act_right, act_left):
     ``act_right(a1, b1, x1, v) == act_left(u, a2, b2, x2)``.
 
     Arrows are named ``[u,v]:s->t`` and listed by source triple, then
-    target triple, then u and v in hom order; the objects reachable from
-    each endpoint are read once from ``out_of``, and the targets that both
-    endpoints reach are listed once per pair of them.  Identities
-    are implicit; composites are componentwise.  Each arrow is indexed
-    under (source id, target id, u, v), and each identity under (s, s,
-    1_a, 1_b), so that a composite is one lookup of its components.
+    target triple, then u and v in hom order.  Each triple is moved once
+    per acting arrow: x . v for each v out of its B-endpoint, filed under
+    v's target and x . v, and u . x for each u into its A-endpoint, filed
+    under u's source.  The arrows from t1 to t2 are then a join: each u
+    into a2 out of a1 meets the v out of b1 that move x1 where u moves x2.
+    The targets are those whose endpoints both of t1's reach, read once
+    from ``out_of`` per pair of them.  Identities are implicit;
+    composites are componentwise.
 
     The category is built with its objects, arrows and indexes, and
     without its composition table, which ``_elements_table`` builds on its
@@ -609,62 +663,71 @@ def category_of_elements(name, ac, bc, triples, act_right, act_left):
     ``pl_<name>`` to A and ``pr_<name>`` to B, and the triple of each
     object id.
     """
-    ids = {t: f"({t[0]},{t[1]},{t[2]})" for t in triples}
+    ids = [f"({a},{x},{b})" for a, x, b in triples]
+    asrc, btgt, into_a, out_of_b = ac.src, bc.tgt, ac.into, bc.out_of
+    rights, lefts = [], []      # per triple, its moves
+    for a, x, b in triples:
+        moved = {}
+        for v in out_of_b(b):
+            moved.setdefault((btgt[v], act_right(a, b, x, v)), []).append(v)
+        rights.append(moved)
+        moved = {}
+        for u in into_a(a):
+            moved.setdefault(asrc[u], []).append((u, act_left(u, a, b, x)))
+        lefts.append(moved)
     from_a = {a: {ac.tgt[u] for u in ac.out_of(a)} for a in ac.objects}
-    from_b = {b: {bc.tgt[v] for v in bc.out_of(b)} for b in bc.objects}
-    reach = {}      # (a1, b1) -> the triples both endpoints reach
-    arrows, pair, index = {}, {}, {}
-    into = {i: [] for i in ids.values()}    # (arrow, source, u, v), in order
-    for t1 in triples:
-        a1, x1, b1 = t1
-        if (a1, b1) not in reach:
-            ra, rb = from_a[a1], from_b[b1]
-            reach[(a1, b1)] = [t for t in triples
-                               if t[0] in ra and t[2] in rb]
-        s = ids[t1]
-        for t2 in reach[(a1, b1)]:
-            a2, x2, b2 = t2
-            t = ids[t2]
-            for u in ac.hom(a1, a2):
-                for v in bc.hom(b1, b2):
-                    if act_right(a1, b1, x1, v) != act_left(u, a2, b2, x2):
-                        continue
-                    if t1 == t2 and ac.is_identity(u) and bc.is_identity(v):
-                        continue
-                    m = f"[{u},{v}]:{s}->{t}"
-                    arrows[m] = (s, t)
-                    pair[m] = (u, v)
-                    index[(s, t, u, v)] = m
-                    into[t].append((m, s, u, v))
-    objects, morphisms, src, tgt, identities = _presented(ids.values(), arrows)
-    for (a, _, b), s in ids.items():
-        index[(s, s, ac.identities[a], bc.identities[b])] = identities[s]
-    cat = deferred(FinCategory, partial(_elements_table, ac, bc, identities,
-                                        arrows, pair, index, into),
-                   name=name, objects=objects, morphisms=morphisms, src=src,
-                   tgt=tgt, identities=identities)
-    pl_obj = {ids[t]: t[0] for t in triples}
-    pr_obj = {ids[t]: t[2] for t in triples}
+    from_b = {b: {btgt[v] for v in out_of_b(b)} for b in bc.objects}
+    objects, _, src, tgt, identities = _presented(ids, {})
+    pl_obj = {o: a for o, (a, _, _) in zip(ids, triples)}
+    pr_obj = {o: b for o, (_, _, b) in zip(ids, triples)}
     pl_mor = {identities[o]: ac.identities[pl_obj[o]] for o in objects}
     pr_mor = {identities[o]: bc.identities[pr_obj[o]] for o in objects}
-    for m, (u, v) in pair.items():
-        pl_mor[m], pr_mor[m] = u, v
+    reach = {}      # (a1, b1) -> the triples both endpoints reach
+    arrows = []
+    for k1, (a1, _, b1) in enumerate(triples):
+        if (a1, b1) not in reach:
+            ra, rb = from_a[a1], from_b[b1]
+            reach[(a1, b1)] = [k for k, (a, _, b) in enumerate(triples)
+                               if a in ra and b in rb]
+        s, right = ids[k1], rights[k1]
+        unit = ac.identities[a1], bc.identities[b1]
+        for k2 in reach[(a1, b1)]:
+            t, b2 = ids[k2], triples[k2][2]
+            for u, moved in lefts[k2][a1]:
+                for v in right.get((b2, moved), ()):
+                    if k1 == k2 and (u, v) == unit:
+                        continue
+                    m = f"[{u},{v}]:{s}->{t}"
+                    arrows.append(m)
+                    src[m], tgt[m], pl_mor[m], pr_mor[m] = s, t, u, v
+    cat = deferred(FinCategory, partial(_elements_table, ac, bc, identities,
+                                        arrows, src, tgt, pl_mor, pr_mor),
+                   name=name, objects=objects,
+                   morphisms=(*identities.values(), *arrows), src=src,
+                   tgt=tgt, identities=identities)
     return (cat, Functor(f"pl_{name}", cat, ac, pl_obj, pl_mor),
             Functor(f"pr_{name}", cat, bc, pr_obj, pr_mor),
-            {i: t for t, i in ids.items()})
+            dict(zip(ids, triples)))
 
 
-def _elements_table(ac, bc, identities, arrows, pair, index, into, attr):
-    """The composition table of a ``category_of_elements``: the unit
-    entries, then each arrow m2 after each arrow into its source, in
-    ``composable_pairs`` order, as the lookup of its components in
-    ``index``."""
-    table = _unit_entries(identities, arrows)
+def _elements_table(ac, bc, identities, arrows, src, tgt, pl, pr, attr):
+    """The composition table of a ``category_of_elements`` with these
+    ``arrows``, endpoints and projections: the unit entries, then each
+    arrow m2 after each arrow into its source, in ``composable_pairs``
+    order, as the morphism whose endpoints and projections are the
+    composite's."""
+    index = {(o, o, pl[i], pr[i]): i for o, i in identities.items()}
+    into = {o: [] for o in identities}      # (arrow, source, u, v), in order
+    for m in arrows:
+        s, t, u, v = src[m], tgt[m], pl[m], pr[m]
+        index[(s, t, u, v)] = m
+        into[t].append((m, s, u, v))
+    table = _unit_entries(identities, {m: (src[m], tgt[m]) for m in arrows})
     # composable by construction, so the tables are read unchecked; a
     # composite missing from the index raises KeyError
     atable, btable = ac.table, bc.table
-    for m2, (s2, t2) in arrows.items():
-        u2, v2 = pair[m2]
+    for m2 in arrows:
+        s2, t2, u2, v2 = src[m2], tgt[m2], pl[m2], pr[m2]
         for m1, s1, u1, v1 in into[s2]:
             table[(m2, m1)] = index[(s1, t2, atable[(u2, u1)],
                                      btable[(v2, v1)])]

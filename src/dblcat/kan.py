@@ -40,13 +40,12 @@ names and witnesses name ``F<n>``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .fincat import (Cone, Functor, FunctorNetwork, NoLimit, all_functors,
                      all_natural_transformations, category_of_elements,
                      comma_category, compose_functors, construction, decision,
-                     file_checks, identity_functor, is_connected, limit,
-                     mediating_morphisms, search)
+                     derived, file_checks, identity_functor, is_connected,
+                     limit, mediating_morphisms, search)
 from .prof import (Cell, Profunctor, bijects_onto, cartesian_cell,
                    componentwise_bijective, compose_prof, conjoint,
                    family_id, lower_star, naturality_plan, rhom, unit_prof,
@@ -198,7 +197,7 @@ class RanProblem:
         self.um = unit_prof(self.mc)
         self._limits = {}
 
-    @cached_property
+    @derived
     def competitors(self):
         """The pairs (s, its cells J -> 1_M over (s, d)) with at least one
         cell: s in the order of ``all_functors(A, M)`` and its cells in
@@ -235,12 +234,12 @@ class RanProblem:
                                   dict(zip(net.elems, picks[n:]))))
         return found
 
-    @cached_property
+    @derived
     def right_hom(self):
         """The right hom d^* <| J : M -/-> A."""
         return rhom(conjoint(self.d), self.j)[0]
 
-    @cached_property
+    @derived
     def categories_of_elements(self):
         """``elements_categories(J)``, which the problems of one J share."""
         return elements_categories(self.j)

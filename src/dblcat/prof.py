@@ -22,6 +22,14 @@ fibers of its right hom, and most composites of the law suites no table at
 all.  A profunctor equals itself unread (``fincat.equal_before_read``),
 and keeps ``elements()``, every (a, b, j) in one tuple, once built.
 
+A cell's components are a first-read table too: the defining cell of
+``tab.tabulate`` and the vertical composite (``vcompose``) of a cell whose
+components are unread build theirs when they are first read, so
+``tab.comma_object``, which pastes the one onto its cartesian cell, builds
+none, and neither ``dcat comma`` nor ``dcat tabulate --skip-verify`` ever
+builds a cell.  Every other cell, and every composite of built cells, is
+built with its components.
+
 Elements of a composite J * H are equivalence classes of pairs (j, h)
 under sliding non-identity middle morphisms across the pair (an identity
 slide joins a pair with itself).  Pairs are enumerated in
@@ -54,13 +62,14 @@ A profunctor hashes its boundary and ``elements()``, and a cell its
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import partial
 
-from .fincat import (FinCategory, Functor, OnFirstRead, backtrack,
-                     compose_functors, construction, deferred,
-                     equal_before_read, functor_inverse, identity_functor)
+from .fincat import (FinCategory, Functor, backtrack,
+                     compose_functors, construction, deferred, derived,
+                     first_read, functor_inverse, identity_functor)
 
 
+@first_read("left", "right")
 @dataclass(frozen=True, eq=True)
 class Profunctor:
     """J : source -/-> target as its fibers and its two one-sided actions.
@@ -86,12 +95,10 @@ class Profunctor:
     source: FinCategory
     target: FinCategory
     fibers: dict          # (a, b) -> tuple of element ids
-    left: dict = OnFirstRead()      # (u, a, b, j) -> element id, u : a' -> a
-    right: dict = OnFirstRead()     # (a, b, j, v) -> element id, v : b -> b'
+    left: dict      # (u, a, b, j) -> element id, u : a' -> a
+    right: dict     # (a, b, j, v) -> element id, v : b -> b'
 
-    __eq__ = equal_before_read
-
-    @cached_property
+    @derived
     def _hash(self):
         return hash((self.source, self.target, self.elements()))
 
@@ -111,7 +118,7 @@ class Profunctor:
     def act_right(self, a, b, j, v):
         return self.right[(a, b, j, v)]
 
-    @cached_property
+    @derived
     def _elements(self):
         fiber = self.fibers.get
         return tuple((a, b, j) for a in self.source.objects
@@ -199,10 +206,10 @@ def _representable(name, cat, f=None, g=None):
     bc = cat if g is None else g.source
     fo = None if f is None else f.obj
     go = None if g is None else g.obj
-    hom = cat.hom
+    hom = cat._hom.get      # the index itself: one lookup per pair
     fibers = {(a, b): fiber for a in ac.objects for b in bc.objects
-              if (fiber := hom(a if fo is None else fo[a],
-                               b if go is None else go[b]))}
+              if (fiber := hom((a if fo is None else fo[a],
+                                b if go is None else go[b])))}
 
     def moves(side):
         table = cat.table     # every pair is composable by construction
@@ -244,6 +251,7 @@ def conjoint(f):
 # cells
 
 
+@first_read("comp")
 @dataclass(frozen=True, eq=True)
 class Cell:
     """A square cell between profunctors.
@@ -251,6 +259,12 @@ class Cell:
     ``hsrc : A -/-> B`` on top, ``htgt : C -/-> D`` on the bottom,
     ``vsrc : A -> C`` and ``vtgt : B -> D`` on the sides; ``comp`` maps each
     (a, b, j) with j in hsrc(a, b) to an element of htgt(vsrc a, vtgt b).
+
+    A cell made by ``fincat.deferred`` (a tabulation's defining cell, or a
+    ``vcompose`` with an unread side) builds ``comp`` on its first read,
+    so ``dcat comma`` and ``dcat tabulate --skip-verify`` never build it.
+    Equality (``fincat.equal_before_read``) compares the boundary, then the
+    components; the hash is ``key``'s.
     """
 
     name: str = field(compare=False)
@@ -260,7 +274,7 @@ class Cell:
     vtgt: Functor
     comp: dict
 
-    @cached_property
+    @derived
     def key(self):
         """The components along ``hsrc.elements()``, as equal cells list them."""
         return tuple(map(self.comp.get, self.hsrc.elements()))
@@ -329,16 +343,29 @@ def unit_cell(f):
 
 
 def vcompose(bot, top):
-    """Vertical (tile-on-tile) composite: ``top`` first, then ``bot``."""
+    """Vertical (tile-on-tile) composite: ``top`` first, then ``bot``.  Its
+    boundary functors are composed at once, and its components too when
+    both cells' are built; when either cell's are unread, it is made by
+    ``fincat.deferred`` and builds them on their first read."""
     if bot.hsrc != top.htgt:
         raise ValueError("cells not vertically composable")
+    name = f"({bot.name}.{top.name})"
     f = compose_functors(bot.vsrc, top.vsrc)
     g = compose_functors(bot.vtgt, top.vtgt)
-    comp = {}
-    for a, b, j in top.hsrc.elements():
-        mid = top.comp[(a, b, j)]
-        comp[(a, b, j)] = bot.comp[(top.vsrc.obj[a], top.vtgt.obj[b], mid)]
-    return Cell(f"({bot.name}.{top.name})", top.hsrc, bot.htgt, f, g, comp)
+    # a cell has one table, so its hook is None once its components are
+    # built, or when it was built with them
+    if bot._tables is None and top._tables is None:
+        return Cell(name, top.hsrc, bot.htgt, f, g, _vertical(bot, top))
+    return deferred(Cell, partial(_vertical, bot, top), name=name,
+                    hsrc=top.hsrc, htgt=bot.htgt, vsrc=f, vtgt=g)
+
+
+def _vertical(bot, top, attr="comp"):
+    """The components of ``vcompose(bot, top)``, along ``top.hsrc``'s
+    elements: ``bot`` at the image of ``top``'s component."""
+    fo, go, tcomp, bcomp = top.vsrc.obj, top.vtgt.obj, top.comp, bot.comp
+    return {(a, b, j): bcomp[(fo[a], go[b], tcomp[(a, b, j)])]
+            for a, b, j in top.hsrc.elements()}
 
 
 def nat_transf_as_cell(alpha):

@@ -25,12 +25,12 @@ twin is ``verify_internal_tabulation_oracle`` in ``tests/helpers.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import partial
 
-from .fincat import (FinCategory, Functor, OnFirstRead, all_functors,
+from .fincat import (FinCategory, Functor, all_functors,
                      all_natural_transformations, backtrack, compose_functors,
-                     construction, decision, deferred, equal_before_read,
-                     filed, lift_counts)
+                     construction, decision, deferred, derived, filed,
+                     first_read, lift_counts)
 from . import zoo
 
 
@@ -107,6 +107,7 @@ def all_internal_functors(a, b):
 # internal profunctors and transformations
 
 
+@first_read("l", "r")
 @dataclass(frozen=True, eq=True)
 class InternalProfunctor:
     """A two-sided action span between internal categories: heteromorphism
@@ -122,16 +123,14 @@ class InternalProfunctor:
     het: tuple
     d0: dict
     d1: dict
-    l: dict = OnFirstRead()
-    r: dict = OnFirstRead()
+    l: dict
+    r: dict
     _fibers: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         # .get: validate_internal_profunctor reports missing endpoints
         object.__setattr__(self, "_fibers", filed(
             self.het, lambda y: (self.d0.get(y), self.d1.get(y))))
-
-    __eq__ = equal_before_read
 
     def __hash__(self):
         return hash((self.het, self.source, self.target))
@@ -263,7 +262,7 @@ class InternalTransformation:
     vtgt: Functor
     map: dict
 
-    @cached_property
+    @derived
     def key(self):
         """The images along ``hsrc.het``, as equal transformations list
         them."""

@@ -4,7 +4,12 @@ characterization of pointwise right extensions.
 The tabulation of J : A -/-> B is the category of triples (a, x, b) with
 x in J(a, b); a morphism (u, v) between triples is a pair of boundary
 morphisms whose two ways of moving the element across agree.  Its
-defining cell sends (u, v) to that common diagonal.
+defining cell sends (u, v) to that common diagonal.  ``tabulate`` builds
+the category and its projections at once and the defining cell's
+components on their first read (``fincat.deferred``), and
+``comma_object`` pastes that cell unread (``prof.vcompose``), so ``dcat
+comma`` and ``dcat tabulate --skip-verify``, which read only the objects
+and arrows, never build a cell.
 
 ``verify_tabulation`` is a decision (``fincat.decision``), so it builds
 each search once.  It files each functor X -> <J> once
@@ -19,10 +24,11 @@ are its probes' units.  ``verify_tabulation_oracle`` in
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .fincat import (Cone, Functor, all_cones, all_functors,
                      category_of_elements, comma_category, compose_functors,
-                     decision, filed, is_terminal, lift_counts)
+                     decision, deferred, filed, is_terminal, lift_counts)
 from .prof import (Cell, Profunctor, cartesian_cell, cells_between,
                    is_opcartesian, unit_prof, vcompose)
 from . import zoo
@@ -44,17 +50,32 @@ def tabulate(j):
     """The tabulation of J : A -/-> B.  Objects are the triples (a, x, b)
     with x in J(a, b), named ``(a,x,b)`` and listed in ``j.elements()``
     order; arrows are listed as ``category_of_elements`` lists them.  The
-    defining cell sends an arrow (u, v) out of (a, x, b) to x . v."""
+    defining cell sends an arrow (u, v) out of (a, x, b) to x . v.  It is
+    made by ``fincat.deferred``, and builds its components on their first
+    read (``_defining_components``), so a tabulation read for its category
+    and projections, as ``dcat tabulate --skip-verify`` reads it, never
+    builds them."""
     triples = [(a, x, b) for a, b, x in j.elements()]
     cat, proj_left, proj_right, triple = category_of_elements(
         f"<{j.name}>", j.source, j.target, triples, j.act_right, j.act_left)
     ut = unit_prof(cat)
+    cell = deferred(Cell, partial(_defining_components, j, ut, proj_right,
+                                  triple),
+                    name=f"pi<{j.name}>", hsrc=ut, htgt=j, vsrc=proj_left,
+                    vtgt=proj_right)
+    return Tabulation(j, cat, proj_left, proj_right, cell)
+
+
+def _defining_components(j, ut, proj_right, triple, attr):
+    """The components of the defining cell of a tabulation of J, along the
+    elements of ``ut``, the unit of its category: an arrow (u, v) out of
+    (a, x, b) goes to x . v."""
+    pr = proj_right.mor
     comp = {}
     for o1, o2, m in ut.elements():
         a, x, b = triple[o1]
-        comp[(o1, o2, m)] = j.act_right(a, b, x, proj_right.mor[m])
-    cell = Cell(f"pi<{j.name}>", ut, j, proj_left, proj_right, comp)
-    return Tabulation(j, cat, proj_left, proj_right, cell)
+        comp[(o1, o2, m)] = j.act_right(a, b, x, pr[m])
+    return comp
 
 
 @decision
@@ -124,7 +145,10 @@ class CommaObject:
 
 def comma_object(f, g):
     """The comma object of f : A -> C and g : B -> C, as the tabulation of
-    the restricted hom profunctor pasted onto its cartesian cell."""
+    the restricted hom profunctor pasted onto its cartesian cell.  The
+    tabulation's defining cell is unread, so ``prof.vcompose`` pastes it
+    with its components unread too: ``dcat comma``, which reads the comma
+    object's category only, never builds them."""
     if f.target != g.target:
         raise ValueError("comma object needs a common target")
     cart = cartesian_cell(unit_prof(f.target), f, g)

@@ -4,7 +4,7 @@ import os
 import pytest
 
 import helpers
-from dblcat import cli, dsl
+from dblcat import cli, dsl, prof, tab
 from dblcat.fincat import identity_functor
 from dblcat.prof import unit_prof
 
@@ -301,3 +301,29 @@ def test_failed_verdict_exits_1_with_ok_false(capsys, monkeypatch, argv,
     code, payload = run_json(capsys, *argv)
     assert payload["ok"] is False
     assert code == 1
+
+
+def test_comma_and_unverified_tabulate_build_no_defining_cell(capsys,
+                                                              monkeypatch):
+    # the defining cell of a tabulation, and the comma object's pasted
+    # cell, are built only when a verification reads them
+    built = {"defining": 0, "pasted": 0}
+    defining, pasted = tab._defining_components, prof._vertical
+
+    def counted(kind, build):
+        def count(*args):
+            built[kind] += 1
+            return build(*args)
+        return count
+
+    monkeypatch.setattr(tab, "_defining_components",
+                        counted("defining", defining))
+    monkeypatch.setattr(prof, "_vertical", counted("pasted", pasted))
+    for argv in (("comma", FIXTURE, "Emb", "Emb"),
+                 ("tabulate", FIXTURE, "HomTwo", "--skip-verify")):
+        code, payload = run_json(capsys, *argv)
+        assert code == 0 and payload["ok"] is True
+    assert built == {"defining": 0, "pasted": 0}
+    code, payload = run_json(capsys, "tabulate", FIXTURE, "HomTwo")
+    assert code == 0 and payload["verified"] is True
+    assert built == {"defining": 1, "pasted": 0}

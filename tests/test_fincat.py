@@ -17,7 +17,7 @@ from dblcat.fincat import (Cone, Functor, NatTransf, all_cones, all_functors,
                            find_isomorphism, identity_functor, search,
                            is_connected, limit, make_category,
                            mediating_morphisms, validate_category, NoLimit)
-from dblcat import fincat, tab, zoo
+from dblcat import fincat, prof, spanfin, tab, zoo
 
 
 def stock_categories():
@@ -350,8 +350,29 @@ def test_classes_with_first_read_tables_share_one_equality():
             if isinstance(cls, type) and cls.__module__ == module.__name__ \
                     and hasattr(cls, "_first_read"):
                 found[cls.__name__] = cls.__eq__
-    assert set(found) == {"FinCategory", "Profunctor", "InternalProfunctor"}
+    assert set(found) == {"FinCategory", "Profunctor", "InternalProfunctor",
+                          "Cell"}
     assert all(eq is equal_before_read for eq in found.values())
+
+
+def test_only_deferred_instances_carry_first_read_descriptors():
+    # an instance built with its tables reads them as plain attributes, and
+    # one made by deferred is of a subclass under the same name
+    cat = helpers.chain(3)
+    t = tab.tabulate(prof.unit_prof(cat))
+    made = {fincat.FinCategory: (cat, t.category),
+            prof.Profunctor: (helpers.unit_prof_eager(cat), t.cell.hsrc),
+            spanfin.InternalProfunctor: (spanfin.prof_bridge(t.j),
+                                         spanfin.unit_internal_prof(cat)),
+            prof.Cell: (prof.identity_cell(t.j), t.cell)}
+    for cls, (eager, unread) in made.items():
+        assert not any(attr in vars(cls) for attr in cls._first_read)
+        assert type(eager) is cls
+        assert type(unread).__mro__[1] is cls
+        assert type(unread).__qualname__ == cls.__qualname__
+        assert all(isinstance(vars(type(unread))[attr], fincat.OnFirstRead)
+                   for attr in cls._first_read)
+        assert "_tables" in vars(unread) and eager._tables is None
 
 
 def test_connectivity():

@@ -535,6 +535,17 @@ def test_cell_vertical_identity_laws():
         assert vcompose(identity_cell(c.htgt), c) == c
 
 
+def test_vertical_composites_of_built_cells_are_built():
+    # only a composite with an unread side defers its components
+    for j in helpers.profunctor_corpus():
+        for c in (vcompose(identity_cell(j), identity_cell(j)),
+                  vcompose(unit_cell(identity_functor(j.target)),
+                           identity_cell(unit_prof(j.target)))):
+            assert type(c) is Cell
+            assert "comp" in vars(c) and "_tables" not in vars(c)
+            assert validate_cell(c) == []
+
+
 def test_nat_transf_cells_compose():
     two = zoo.walking_arrow()
     fs = all_functors(two, two)

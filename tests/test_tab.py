@@ -168,6 +168,64 @@ def test_categories_of_elements_build_their_tables_on_first_read():
     assert len(pairs) == 81 + len(profs)
 
 
+def assert_cell_built_on_first_read(cell, want):
+    """``cell`` keeps its components unbuilt while its name and boundary
+    are read and it is compared with itself; once read, they are
+    ``want``'s, item by item and in order, and the hook that built them is
+    dropped."""
+    assert "comp" not in vars(cell)
+    assert (cell.name, cell.hsrc, cell.htgt, cell.vsrc, cell.vtgt) == \
+        (want.name, want.hsrc, want.htgt, want.vsrc, want.vtgt)
+    assert cell == cell
+    assert "comp" not in vars(cell)
+    assert list(cell.comp.items()) == list(want.comp.items()), cell.name
+    assert "_tables" not in vars(cell)
+    assert cell == want and hash(cell) == hash(want)
+
+
+def comma_pairs():
+    """Pairs of functors with a common target: every pair among the
+    functors into the composable pair out of the walking arrow and the
+    terminal category, then the identity of each corpus source twice."""
+    one, two, three = (zoo.terminal_category(), zoo.walking_arrow(),
+                       zoo.composable_pair())
+    functors = all_functors(two, three) + all_functors(one, three)
+    return [(f, g) for f in functors for g in functors] + \
+        [(identity_functor(j.source),) * 2
+         for j in helpers.profunctor_corpus()]
+
+
+def test_defining_cells_are_built_on_first_read():
+    for j in helpers.tabulation_corpus():
+        assert_cell_built_on_first_read(tab.tabulate(j).cell,
+                                        helpers.tabulate_oracle(j).cell)
+    for f, g in comma_pairs():
+        cart = prof.cartesian_cell(unit_prof(f.target), f, g)
+        want = prof.vcompose(cart, helpers.tabulate_oracle(cart.hsrc).cell)
+        assert "comp" in vars(want)         # the oracle's cell is built
+        assert_cell_built_on_first_read(tab.comma_object(f, g).cell, want)
+
+
+def test_vertical_composites_with_an_unread_side_are_built_on_first_read():
+    for j in helpers.profunctor_corpus():
+        old = helpers.tabulate_oracle(j).cell
+        below, above = (prof.identity_cell(j),
+                        prof.identity_cell(old.hsrc))
+        for paste, want in (
+                (lambda t: prof.vcompose(below, t.cell),
+                 prof.vcompose(below, old)),
+                (lambda t: prof.vcompose(t.cell, above),
+                 prof.vcompose(old, above)),
+                (lambda t: prof.vcompose(below, prof.vcompose(t.cell, above)),
+                 prof.vcompose(below, prof.vcompose(old, above)))):
+            t = tab.tabulate(j)
+            pasted = paste(t)
+            assert "comp" not in vars(t.cell)     # pasting reads no side
+            assert_cell_built_on_first_read(pasted, want)
+            # a side once read counts as built
+            assert "comp" in vars(paste(t))
+
+
 def test_comma_object_matches_comma_category():
     two, three = zoo.walking_arrow(), zoo.composable_pair()
     configs = [
