@@ -121,16 +121,6 @@ def _line_col(text, offset):
             offset - text.rfind("\n", 0, offset))
 
 
-def tokenize(text):
-    """The tokens of ``text`` as (kind, text, line, col), kind "name",
-    "sym" or "eof", the end of input last.  The parser reads only the
-    texts (``_scan``) and finds a position (``_offsets``) when a
-    diagnostic needs it."""
-    return [("eof" if not t else "sym" if t in _SYMBOL_SET else "name", t,
-             *_line_col(text, offset))
-            for t, offset in zip(_scan(text), _offsets(text))]
-
-
 class Parser:
     """A recursive-descent parser over the token texts.  A token is read as
     a pair (its index, its text), and its line and column are found from

@@ -6,26 +6,28 @@ Objects and morphisms are interned string identifiers.  The order in which
 they are listed is a total order that every enumeration below respects, so
 all constructions are deterministic.
 
-Every FinCategory indexes its morphisms once, when it is built: by both
-endpoints (``hom``), by target (``into``) and by source (``out_of``).  Each
-index lists morphisms in the interned order, so iterating an index visits
-exactly the morphisms, and in the order, that a filtered scan of
-``morphisms`` would.
+Every FinCategory indexes its morphisms by both endpoints (``hom``), by
+target (``into``) and by source (``out_of``), each index on its first
+read, so a category that is only counted, such as a tabulation's, indexes
+none.  Each index lists morphisms in the interned order, so iterating an
+index visits exactly the morphisms, and in the order, that a filtered
+scan of ``morphisms`` would.
 
 One mechanism builds a table on its first read: ``deferred`` makes an
 instance of a subclass (``_unread``) that holds an ``OnFirstRead`` for each
 table its class names in ``first_read``: ``FinCategory.table`` here, the
-action tables of ``prof`` and ``spanfin``, and the components of a
-``prof.Cell``.  An instance built with its tables is of the class itself,
-which holds no descriptor, so it keeps CPython's specialised attribute
-read.  One rule, ``equal_before_read``, compares them, an unread instance
-with one built with its tables included.  ``category_of_elements`` defers
-its composition table, and ``tab.tabulate`` and ``tab.comma_object``
-their defining cells, so ``dcat comma`` and ``dcat tabulate
+action tables of ``prof`` and ``spanfin``, and the top boundary and
+components of a ``prof.Cell``.  An instance built with its tables is of
+the class itself, which holds no descriptor, so it keeps CPython's
+specialised attribute read.  One rule, ``equal_before_read``, compares
+them, an unread instance with one built with its tables included.
+``category_of_elements`` defers its composition table, and
+``tab.tabulate`` and ``tab.comma_object`` their defining cells, with the
+unit of their category, so ``dcat comma`` and ``dcat tabulate
 --skip-verify``, which read a tabulation or comma object for its objects
-and arrows, build neither.  A value derived from an instance, such as a
-profunctor's hash and elements or a cell's key, is computed on its first
-read by ``derived``.
+and arrows, build none of them.  A value derived from an instance, such
+as a profunctor's hash and elements or a cell's key, is computed on its
+first read by ``derived``.
 
 One search, ``backtrack``, backs every enumerator: ``all_functors``,
 ``all_natural_transformations``, ``all_cones`` and ``find_isomorphism``
@@ -234,9 +236,10 @@ class FinCategory:
     ``tgt``, identities and the table.  The hash is ``(objects,
     morphisms)``.
 
-    ``hom(a, b)``, ``into(b)`` and ``out_of(a)`` read indexes built once by
-    ``__post_init__`` from ``src`` and ``tgt``, which must not change
-    afterwards.  Each lists morphisms in the interned order of
+    ``hom(a, b)``, ``into(b)`` and ``out_of(a)`` read indexes that
+    ``__post_init__`` leaves unbuilt (None) and ``indexed`` builds from
+    ``src`` and ``tgt``, which must not change afterwards, on each one's
+    first read.  Each lists morphisms in the interned order of
     ``morphisms``.  The indexes are derived data: they take no part in
     equality, hashing or repr.
     """
@@ -253,17 +256,28 @@ class FinCategory:
     _out_of: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        hom, into, out_of = {}, {}, {}
-        # .get: validate_category reports endpoints that are missing
-        src, tgt = self.src.get, self.tgt.get
-        for m in self.morphisms:
-            a, b = src(m), tgt(m)
-            hom.setdefault((a, b), []).append(m)
-            into.setdefault(b, []).append(m)
-            out_of.setdefault(a, []).append(m)
-        for attr, index in (("_hom", hom), ("_into", into), ("_out_of", out_of)):
-            object.__setattr__(self, attr,
-                               {k: tuple(v) for k, v in index.items()})
+        # None until first read; ``hom``, ``into`` and ``out_of`` read the
+        # index and catch the None's AttributeError, which costs a built
+        # index's reads nothing, where a test of each read would not
+        for attr in ("_hom", "_into", "_out_of"):
+            object.__setattr__(self, attr, None)
+
+    def indexed(self, attr):
+        """The index ``attr`` ("_hom", "_into" or "_out_of"), built from
+        ``src`` and ``tgt`` on its first read and kept: each key lists its
+        morphisms in the interned order."""
+        index = getattr(self, attr)
+        if index is None:
+            ms = self.morphisms
+            # .get: validate_category reports endpoints that are missing
+            src, tgt = map(self.src.get, ms), map(self.tgt.get, ms)
+            keys = {"_hom": zip(src, tgt), "_into": tgt, "_out_of": src}[attr]
+            index = {}
+            for k, m in zip(keys, ms):
+                index.setdefault(k, []).append(m)
+            index = {k: tuple(v) for k, v in index.items()}
+            object.__setattr__(self, attr, index)
+        return index
 
     def __hash__(self):
         return hash((self.objects, self.morphisms))
@@ -282,15 +296,24 @@ class FinCategory:
 
     def hom(self, a, b):
         """Morphisms a -> b, in the interned order."""
-        return self._hom.get((a, b), ())
+        try:
+            return self._hom.get((a, b), ())
+        except AttributeError:      # None: not built yet
+            return self.indexed("_hom").get((a, b), ())
 
     def into(self, b):
         """Morphisms with target b, in the interned order."""
-        return self._into.get(b, ())
+        try:
+            return self._into.get(b, ())
+        except AttributeError:      # None: not built yet
+            return self.indexed("_into").get(b, ())
 
     def out_of(self, a):
         """Morphisms with source a, in the interned order."""
-        return self._out_of.get(a, ())
+        try:
+            return self._out_of.get(a, ())
+        except AttributeError:      # None: not built yet
+            return self.indexed("_out_of").get(a, ())
 
     def composable_pairs(self):
         """Every pair (g, f) with ``tgt[f] == src[g]``: g in the interned
@@ -656,9 +679,10 @@ def category_of_elements(name, ac, bc, triples, act_right, act_left):
     from ``out_of`` per pair of them.  Identities are implicit;
     composites are componentwise.
 
-    The category is built with its objects, arrows and indexes, and
-    without its composition table, which ``_elements_table`` builds on its
-    first read (``OnFirstRead``), in the order ``make_category`` and
+    The category is built with its objects and arrows, and without its
+    indexes, each built on its first read (``FinCategory.indexed``), or its
+    composition table, which ``_elements_table`` builds on its first read
+    (``OnFirstRead``), in the order ``make_category`` and
     ``composable_pairs`` give.  Returns the category, its projections
     ``pl_<name>`` to A and ``pr_<name>`` to B, and the triple of each
     object id.

@@ -22,13 +22,11 @@ fibers of its right hom, and most composites of the law suites no table at
 all.  A profunctor equals itself unread (``fincat.equal_before_read``),
 and keeps ``elements()``, every (a, b, j) in one tuple, once built.
 
-A cell's components are a first-read table too: the defining cell of
-``tab.tabulate`` and the vertical composite (``vcompose``) of a cell whose
-components are unread build theirs when they are first read, so
-``tab.comma_object``, which pastes the one onto its cartesian cell, builds
-none, and neither ``dcat comma`` nor ``dcat tabulate --skip-verify`` ever
-builds a cell.  Every other cell, and every composite of built cells, is
-built with its components.
+A cell's top boundary and components are first-read tables too: a
+tabulation's defining cell and a ``vcompose`` with an unread side build
+each on its first read, so neither ``dcat comma`` nor ``dcat tabulate
+--skip-verify`` builds a cell or the unit of a tabulation's category.
+Every other cell, and every composite of built cells, is built whole.
 
 Elements of a composite J * H are equivalence classes of pairs (j, h)
 under sliding non-identity middle morphisms across the pair (an identity
@@ -206,7 +204,7 @@ def _representable(name, cat, f=None, g=None):
     bc = cat if g is None else g.source
     fo = None if f is None else f.obj
     go = None if g is None else g.obj
-    hom = cat._hom.get      # the index itself: one lookup per pair
+    hom = cat.indexed("_hom").get   # the index itself: one lookup per pair
     fibers = {(a, b): fiber for a in ac.objects for b in bc.objects
               if (fiber := hom((a if fo is None else fo[a],
                                 b if go is None else go[b])))}
@@ -230,11 +228,6 @@ def unit_prof(cat):
     return _representable(f"1_{cat.name}", cat)
 
 
-def empty_prof(source, target):
-    return Profunctor(f"0_{source.name}_{target.name}", source, target,
-                      {}, {}, {})
-
-
 @construction
 def companion(f):
     """f_* : A -/-> C for f : A -> C, with f_*(a, c) = C(f a, c)."""
@@ -251,7 +244,7 @@ def conjoint(f):
 # cells
 
 
-@first_read("comp")
+@first_read("hsrc", "comp")
 @dataclass(frozen=True, eq=True)
 class Cell:
     """A square cell between profunctors.
@@ -261,10 +254,9 @@ class Cell:
     (a, b, j) with j in hsrc(a, b) to an element of htgt(vsrc a, vtgt b).
 
     A cell made by ``fincat.deferred`` (a tabulation's defining cell, or a
-    ``vcompose`` with an unread side) builds ``comp`` on its first read,
-    so ``dcat comma`` and ``dcat tabulate --skip-verify`` never build it.
-    Equality (``fincat.equal_before_read``) compares the boundary, then the
-    components; the hash is ``key``'s.
+    ``vcompose`` with an unread side) builds ``hsrc`` and ``comp``, each
+    on its first read.  Equality (``fincat.equal_before_read``) compares
+    the other sides, then ``hsrc`` and ``comp``; the hash is ``key``'s.
     """
 
     name: str = field(compare=False)
@@ -344,25 +336,27 @@ def unit_cell(f):
 
 def vcompose(bot, top):
     """Vertical (tile-on-tile) composite: ``top`` first, then ``bot``.  Its
-    boundary functors are composed at once, and its components too when
-    both cells' are built; when either cell's are unread, it is made by
-    ``fincat.deferred`` and builds them on their first read."""
+    boundary functors are composed at once, and the rest too when both
+    cells are built; else it is made by ``fincat.deferred`` and builds its
+    top boundary, ``top``'s, and components on their first read."""
     if bot.hsrc != top.htgt:
         raise ValueError("cells not vertically composable")
     name = f"({bot.name}.{top.name})"
     f = compose_functors(bot.vsrc, top.vsrc)
     g = compose_functors(bot.vtgt, top.vtgt)
-    # a cell has one table, so its hook is None once its components are
-    # built, or when it was built with them
+    # a cell's hook is None once its tables are built, or when it was
+    # built with them
     if bot._tables is None and top._tables is None:
         return Cell(name, top.hsrc, bot.htgt, f, g, _vertical(bot, top))
     return deferred(Cell, partial(_vertical, bot, top), name=name,
-                    hsrc=top.hsrc, htgt=bot.htgt, vsrc=f, vtgt=g)
+                    htgt=bot.htgt, vsrc=f, vtgt=g)
 
 
 def _vertical(bot, top, attr="comp"):
-    """The components of ``vcompose(bot, top)``, along ``top.hsrc``'s
-    elements: ``bot`` at the image of ``top``'s component."""
+    """The top boundary ("hsrc") of ``vcompose(bot, top)``, ``top``'s, or
+    its components ("comp"): ``bot`` at the image of ``top``'s."""
+    if attr == "hsrc":
+        return top.hsrc
     fo, go, tcomp, bcomp = top.vsrc.obj, top.vtgt.obj, top.comp, bot.comp
     return {(a, b, j): bcomp[(fo[a], go[b], tcomp[(a, b, j)])]
             for a, b, j in top.hsrc.elements()}

@@ -5,11 +5,12 @@ The tabulation of J : A -/-> B is the category of triples (a, x, b) with
 x in J(a, b); a morphism (u, v) between triples is a pair of boundary
 morphisms whose two ways of moving the element across agree.  Its
 defining cell sends (u, v) to that common diagonal.  ``tabulate`` builds
-the category and its projections at once and the defining cell's
-components on their first read (``fincat.deferred``), and
-``comma_object`` pastes that cell unread (``prof.vcompose``), so ``dcat
-comma`` and ``dcat tabulate --skip-verify``, which read only the objects
-and arrows, never build a cell.
+the category and its projections at once, and the defining cell's top
+boundary, the unit of the category, and its components each on its first
+read (``fincat.deferred``); ``comma_object`` pastes that cell unread
+(``prof.vcompose``), so ``dcat comma`` and ``dcat tabulate
+--skip-verify``, which read only the objects and arrows, never build a
+cell, a unit or an index of the category.
 
 ``verify_tabulation`` is a decision (``fincat.decision``), so it builds
 each search once.  It files each functor X -> <J> once
@@ -51,30 +52,35 @@ def tabulate(j):
     with x in J(a, b), named ``(a,x,b)`` and listed in ``j.elements()``
     order; arrows are listed as ``category_of_elements`` lists them.  The
     defining cell sends an arrow (u, v) out of (a, x, b) to x . v.  It is
-    made by ``fincat.deferred``, and builds its components on their first
-    read (``_defining_components``), so a tabulation read for its category
-    and projections, as ``dcat tabulate --skip-verify`` reads it, never
-    builds them."""
+    made by ``fincat.deferred``, and builds its top boundary, the unit of
+    the category, and its components, each on its first read
+    (``_defining_cell``), so a tabulation read for its category and
+    projections, as ``dcat tabulate --skip-verify`` reads it, builds
+    neither."""
     triples = [(a, x, b) for a, b, x in j.elements()]
     cat, proj_left, proj_right, triple = category_of_elements(
         f"<{j.name}>", j.source, j.target, triples, j.act_right, j.act_left)
-    ut = unit_prof(cat)
-    cell = deferred(Cell, partial(_defining_components, j, ut, proj_right,
-                                  triple),
-                    name=f"pi<{j.name}>", hsrc=ut, htgt=j, vsrc=proj_left,
+    cell = deferred(Cell, partial(_defining_cell, j, cat, proj_right, triple),
+                    name=f"pi<{j.name}>", htgt=j, vsrc=proj_left,
                     vtgt=proj_right)
     return Tabulation(j, cat, proj_left, proj_right, cell)
 
 
-def _defining_components(j, ut, proj_right, triple, attr):
-    """The components of the defining cell of a tabulation of J, along the
-    elements of ``ut``, the unit of its category: an arrow (u, v) out of
-    (a, x, b) goes to x . v."""
-    pr = proj_right.mor
+def _defining_cell(j, cat, proj_right, triple, attr):
+    """The top boundary ("hsrc") of the defining cell of a tabulation of J,
+    the unit of its category ``cat``, or its components ("comp"), listed
+    as that unit lists its elements and read from ``cat``'s hom-sets, so
+    that neither builds the other: an arrow (u, v) out of (a, x, b) goes
+    to x . v."""
+    if attr == "hsrc":
+        return unit_prof(cat)
+    pr, act, hom, objects = proj_right.mor, j.act_right, cat.hom, cat.objects
     comp = {}
-    for o1, o2, m in ut.elements():
+    for o1 in objects:
         a, x, b = triple[o1]
-        comp[(o1, o2, m)] = j.act_right(a, b, x, pr[m])
+        for o2 in objects:
+            for m in hom(o1, o2):
+                comp[(o1, o2, m)] = act(a, b, x, pr[m])
     return comp
 
 
@@ -147,8 +153,8 @@ def comma_object(f, g):
     """The comma object of f : A -> C and g : B -> C, as the tabulation of
     the restricted hom profunctor pasted onto its cartesian cell.  The
     tabulation's defining cell is unread, so ``prof.vcompose`` pastes it
-    with its components unread too: ``dcat comma``, which reads the comma
-    object's category only, never builds them."""
+    with its top boundary and components unread too: ``dcat comma``,
+    which reads the comma object's category only, never builds them."""
     if f.target != g.target:
         raise ValueError("comma object needs a common target")
     cart = cartesian_cell(unit_prof(f.target), f, g)

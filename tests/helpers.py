@@ -164,6 +164,12 @@ def conjoint_oracle(f):
     return fibers, action
 
 
+def empty_prof(source, target):
+    """The profunctor with every fiber empty."""
+    return Profunctor(f"0_{source.name}_{target.name}", source, target,
+                      {}, {}, {})
+
+
 # ---------------------------------------------------------------------------
 # representable profunctors with eager tables: unit_prof, companion and
 # conjoint as they were before they built each table on its first read
@@ -889,6 +895,11 @@ def composable_pairs_scan(cat):
             if cat.tgt[f] == cat.src[g]]
 
 
+def unindexed(cat):
+    """Whether none of cat's indexes (hom, into, out_of) is built yet."""
+    return cat._hom is None and cat._into is None and cat._out_of is None
+
+
 def indexes_agree_with_scans(cat):
     """Whether hom, into, out_of and composable_pairs of cat give what the
     scans above give, in the same order."""
@@ -1318,8 +1329,17 @@ def projection_tables(p):
     return p.target, list(p.obj.items()), list(p.mor.items())
 
 
+def tokenize(text):
+    """The tokens of ``text`` as (kind, text, line, col), kind "name",
+    "sym" or "eof", the end of input last, read from the token texts the
+    parser scans (``dsl._scan``) and their positions (``dsl._offsets``)."""
+    return [("eof" if not t else "sym" if t in dsl.SYMBOLS else "name", t,
+             *dsl._line_col(text, offset))
+            for t, offset in zip(dsl._scan(text), dsl._offsets(text))]
+
+
 def tokenize_oracle(text):
-    """dsl.tokenize as it tried every entry of ``dsl.SYMBOLS`` in list
+    """``tokenize`` as it tried every entry of ``dsl.SYMBOLS`` in list
     order at each token start, before testing for a name."""
     tokens = []
     i, line, col = 0, 1, 1

@@ -9,7 +9,7 @@ from dblcat.fincat import (all_functors, comma_category, find_isomorphism,
                            identity_functor)
 from dblcat.prof import (Cell, cells_between, companion,
                          compose_prof, componentwise_bijective, conjoint,
-                         empty_prof, rhom, unit_prof, validate_cell,
+                         rhom, unit_prof, validate_cell,
                          validate_profunctor)
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "arrows.dcat")
@@ -137,7 +137,7 @@ def test_criterion_07_exact_squares():
         ok, counterexample = kan.is_right_exact(cell, probe_cats=probes)
         assert ok and counterexample is None
     # a square that forgets every heteromorphism is not exact
-    bad = Cell("z", empty_prof(two, two), unit_prof(two),
+    bad = Cell("z", helpers.empty_prof(two, two), unit_prof(two),
                identity_functor(two), identity_functor(two), {})
     assert not kan.beck_chevalley(bad)
     ok, counterexample = kan.is_right_exact(bad, probe_cats=[two])

@@ -9,8 +9,6 @@ import dblcat
 # module.function (or module.Class.method) -> why nothing in src/dblcat
 # calls it
 UNCALLED = {
-    "dsl.tokenize": "the lexical grammar as a token list, for the tests; "
-                    "the parser reads _scan",
     "dsl.serialize": "the writer of the round trip parse(serialize(ws)) == ws; "
                      "no dcat subcommand writes .dcat text",
     "kan.check_pointwise_probes": "the paper's pointwise definition as a "
@@ -23,7 +21,6 @@ UNCALLED = {
                                  "does not report",
     "prof.validate_profunctor": "the axioms of a profunctor, for the tests; "
                                 "the parser's closed tables satisfy them",
-    "prof.empty_prof": "a builder for the tests",
     "prof.RhomWitness.family": "the family of an element, for the tests' "
                                "oracles; rhom's action reads ``families``",
     "prof.invert_horizontal_cell": "equipment structure, not in a laws suite yet",

@@ -305,25 +305,34 @@ def test_failed_verdict_exits_1_with_ok_false(capsys, monkeypatch, argv,
 
 def test_comma_and_unverified_tabulate_build_no_defining_cell(capsys,
                                                               monkeypatch):
-    # the defining cell of a tabulation, and the comma object's pasted
-    # cell, are built only when a verification reads them
-    built = {"defining": 0, "pasted": 0}
-    defining, pasted = tab._defining_components, prof._vertical
+    # the defining cell of a tabulation, its top boundary (the unit of
+    # <J>) and the comma object's pasted cell are built only when read
+    built = []
+    defining, pasted = tab._defining_cell, prof._vertical
+    representable = prof._representable
 
     def counted(kind, build):
         def count(*args):
-            built[kind] += 1
+            built.append((kind, args[-1] if kind == "defining" else None))
             return build(*args)
         return count
 
-    monkeypatch.setattr(tab, "_defining_components",
-                        counted("defining", defining))
+    def units_of_tabulations(name, *args, **kwargs):
+        if name.startswith("1_<"):
+            built.append(("unit", name))
+        return representable(name, *args, **kwargs)
+
+    monkeypatch.setattr(tab, "_defining_cell", counted("defining", defining))
     monkeypatch.setattr(prof, "_vertical", counted("pasted", pasted))
+    monkeypatch.setattr(prof, "_representable", units_of_tabulations)
     for argv in (("comma", FIXTURE, "Emb", "Emb"),
                  ("tabulate", FIXTURE, "HomTwo", "--skip-verify")):
         code, payload = run_json(capsys, *argv)
         assert code == 0 and payload["ok"] is True
-    assert built == {"defining": 0, "pasted": 0}
+    assert built == []
     code, payload = run_json(capsys, "tabulate", FIXTURE, "HomTwo")
     assert code == 0 and payload["verified"] is True
-    assert built == {"defining": 1, "pasted": 0}
+    # the verifier reads the components, and the opcartesian test the top
+    # boundary, which builds the unit of <HomTwo>
+    assert built == [("defining", "comp"), ("defining", "hsrc"),
+                     ("unit", "1_<HomTwo>")]

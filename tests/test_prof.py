@@ -10,7 +10,7 @@ from dblcat.fincat import (FinCategory, all_functors, decision,
                            identity_functor, make_category)
 from dblcat.prof import (Cell, cells_between, companion,
                          companion_cells, compose_prof, conjoint,
-                         conjoint_cells, componentwise_bijective, empty_prof,
+                         conjoint_cells, componentwise_bijective,
                          hcompose, identity_cell, invert_horizontal_cell,
                          is_cartesian, is_invertible_cell, is_opcartesian,
                          left_unitor, lower_star, nat_transf_as_cell,
@@ -593,7 +593,7 @@ def test_cartesian_cells():
             assert validate_cell(cart) == []
             assert is_cartesian(cart)
             # a cell out of the empty profunctor misses every fiber
-            empty = Cell("z", empty_prof(two, two), k, f, g, {})
+            empty = Cell("z", helpers.empty_prof(two, two), k, f, g, {})
             assert validate_cell(empty) == []
             assert not is_cartesian(empty)
 
@@ -606,7 +606,7 @@ def test_opcartesian_cells():
             assert validate_cell(op) == []
             assert is_opcartesian(op)
     f = zoo.pick(two, "0")
-    bad = Cell("z", empty_prof(zoo.terminal_category(), two),
+    bad = Cell("z", helpers.empty_prof(zoo.terminal_category(), two),
                unit_prof(two), f, identity_functor(two), {})
     assert not is_opcartesian(bad)
 

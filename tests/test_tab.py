@@ -226,6 +226,28 @@ def test_vertical_composites_with_an_unread_side_are_built_on_first_read():
             assert "comp" in vars(paste(t))
 
 
+def test_tabulations_and_commas_leave_indexes_and_units_unbuilt():
+    # a tabulation or comma read for its objects and arrows indexes no
+    # arrow of its category and builds no unit of it
+    corpus = helpers.tabulation_corpus()
+    for j in corpus:
+        t = tab.tabulate(j)
+        assert helpers.unindexed(t.category), j.name
+        assert "hsrc" not in vars(t.cell) and "comp" not in vars(t.cell)
+        assert_cell_built_on_first_read(t.cell, helpers.tabulate_oracle(j).cell)
+        assert helpers.indexes_agree_with_scans(t.category)
+    for f, g in comma_pairs() + [(identity_functor(j.source),) * 2
+                                 for j in corpus]:
+        co, cc = tab.comma_object(f, g), comma_category(f, g)
+        assert helpers.unindexed(co.category) and helpers.unindexed(cc.category)
+        assert "hsrc" not in vars(co.cell) and "comp" not in vars(co.cell)
+        cart = prof.cartesian_cell(unit_prof(f.target), f, g)
+        assert_cell_built_on_first_read(co.cell, prof.vcompose(
+            cart, helpers.tabulate_oracle(cart.hsrc).cell))
+        assert helpers.indexes_agree_with_scans(co.category)
+        assert helpers.indexes_agree_with_scans(cc.category)
+
+
 def test_comma_object_matches_comma_category():
     two, three = zoo.walking_arrow(), zoo.composable_pair()
     configs = [
