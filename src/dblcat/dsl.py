@@ -357,8 +357,8 @@ class Parser:
             entries[key] = j2[1]
         table = self._complete_action(src, tgt, fibers, home, entries, name)
         left, right = self._read_sides(src, tgt, home, table, name)
-        # the closed table has every property validate_profunctor checks,
-        # which test_dsl asserts for every profunctor it parses
+        # the closed table has every property helpers.validate_profunctor
+        # checks, which test_dsl asserts for every profunctor it parses
         ws.profunctors[name[1]] = Profunctor(
             name[1], src, tgt, {k: tuple(v) for k, v in fibers.items()},
             left, right)

@@ -37,12 +37,14 @@ composite always yields the same tables.  When J is a unit or a companion,
 or H a unit or a conjoint, the co-Yoneda lemma names the class of a pair
 by one element, read off the other side's action table (H's left, or J's
 right) and no other; every other composite is quotiented by a union-find
-over the slides (``compose_prof``).
+over the slides (``compose_prof``).  Its twins in ``tests/helpers.py``
+are ``compose_prof_oracle`` and the span-level ``internal_prof_compose``.
 
 Cells (``cells_between``) and right-hom families (``rhom``) come from
 ``fincat.backtrack``, the one search behind every enumerator; the loops
 it replaced are ``cells_between_oracle`` and ``rhom_families_oracle`` in
-``tests/helpers.py``.
+``tests/helpers.py``, next to ``validate_profunctor``, which checks the
+axioms of every profunctor the tests build.
 
 ``unit_prof``, ``companion``, ``conjoint``, ``compose_prof``,
 ``naturality_plan``, ``cells_between`` and ``rhom`` are constructions
@@ -125,56 +127,6 @@ class Profunctor:
     def elements(self):
         """All (a, b, j) triples in deterministic order, built once."""
         return self._elements
-
-
-def validate_profunctor(p):
-    """Exhaustively check the fiber/action axioms: each side is total,
-    lands in its fiber and is functorial (identities act trivially), and
-    the two sides commute."""
-    problems = []
-    ac, bc = p.source, p.target
-    left, right = p.left, p.right
-    for (a, b) in p.fibers:
-        if a not in ac.objects or b not in bc.objects:
-            problems.append(f"fiber at ({a}, {b}) outside the boundary categories")
-    for a, b, j in p.elements():
-        for u in ac.into(a):
-            out = left.get((u, a, b, j))
-            if out is None:
-                problems.append(f"left action missing on ({u}, {j})")
-            elif out not in p.fiber(ac.src[u], b):
-                problems.append(f"left action on ({u}, {j}) lands outside its fiber")
-        for v in bc.out_of(b):
-            out = right.get((a, b, j, v))
-            if out is None:
-                problems.append(f"right action missing on ({j}, {v})")
-            elif out not in p.fiber(a, bc.tgt[v]):
-                problems.append(f"right action on ({j}, {v}) lands outside its fiber")
-        if left.get((ac.identity(a), a, b, j)) != j or \
-                right.get((a, b, j, bc.identity(b))) != j:
-            problems.append(f"identity action moves {j}")
-    if problems:
-        return problems
-    for a, b, j in p.elements():
-        for u1 in ac.into(a):
-            a1, mid = ac.src[u1], left[(u1, a, b, j)]
-            for u2 in ac.into(a1):
-                if left[(u2, a1, b, mid)] != left[(ac.compose(u1, u2), a, b, j)]:
-                    problems.append(
-                        f"left action not functorial on ({u2};{u1}, {j})")
-        for v1 in bc.out_of(b):
-            b1, mid = bc.tgt[v1], right[(a, b, j, v1)]
-            for v2 in bc.out_of(b1):
-                if right[(a, b1, mid, v2)] != right[(a, b, j, bc.compose(v2, v1))]:
-                    problems.append(
-                        f"right action not functorial on ({j}, {v1};{v2})")
-        for u in ac.into(a):
-            a1, ju = ac.src[u], left[(u, a, b, j)]
-            for v in bc.out_of(b):
-                jv = right[(a, b, j, v)]
-                if right[(a1, b, ju, v)] != left[(u, a, bc.tgt[v], jv)]:
-                    problems.append(f"actions do not commute on ({u}, {j}, {v})")
-    return problems
 
 
 def _action(ac, bc, fibers, moves, side):
@@ -857,9 +809,6 @@ class RhomWitness:
 
     def __hash__(self):
         return hash(self.profunctor)
-
-    def family(self, a, b, elem):
-        return self.families[(a, b)][elem]
 
 
 @construction

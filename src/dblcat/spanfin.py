@@ -5,14 +5,16 @@ An internal category in finite sets is a ``FinCategory``: the span
 objects <- morphisms -> objects given by ``src`` and ``tgt``, with unit
 ``identities`` and multiplication ``table``; an internal functor is a
 ``Functor``.  Profunctors are two-sided action spans and transformations
-are equivariant maps of apexes.  Everything is tabulated, so pullbacks and
-coequalizers of the underlying sets are computed explicitly and every
-universal property is replayed by enumeration.  A composite is the
-coequalizer of the slides on a pullback, and the arrows of a tabulation
-are the pullback of the two action spans; ``pullback`` is a join over the
-fibers of its second map.  Nothing here is built by ``prof`` or ``tab``,
-so the two procedures check each other; this module imports nothing from
-``prof``, down to its union-find.  A unit (``unit_internal_prof``, a
+are equivariant maps of apexes.  Everything is tabulated, so pullbacks of
+the underlying sets are computed explicitly and every universal property
+is replayed by enumeration.  The arrows of a tabulation are the pullback
+of the two action spans; ``pullback`` is a join over the fibers of its
+second map.  Nothing here is built by ``prof`` or ``tab``, so the two
+procedures check each other, and this module imports nothing from
+``prof``.  No ``dcat`` command composes at span level: the span-level
+composite, a coequalizer of the slides on a pullback, lives in
+``tests/helpers.py`` with the validators of internal profunctors and
+transformations.  A unit (``unit_internal_prof``, a
 ``fincat.construction``) builds each action on its first read
 (``fincat.OnFirstRead``), so the defining transformation of a tabulation
 leaves the unit of its category unbuilt.  ``verify_internal_tabulation``
@@ -38,25 +40,6 @@ from . import zoo
 # finite-set plumbing
 
 
-class UnionFind:
-    def __init__(self):
-        self.parent = {}
-
-    def add(self, x):
-        self.parent.setdefault(x, x)
-
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[rx] = ry
-
-
 def pullback(xs, f, ys, g):
     """The pullback of f : X -> Z and g : Y -> Z: pairs with a common
     image, with the two projections.  A join: each x meets the ys filed
@@ -70,20 +53,6 @@ def pullback(xs, f, ys, g):
             apex.append(e)
             p1[e], p2[e] = x, y
     return tuple(apex), p1, p2
-
-
-def coequalizer(xs, p, q, ys):
-    """The coequalizer of p, q : X -> Y: the quotient of Y identifying
-    p(x) with q(x).  Blocks are filed in Y order, so the first member of
-    each block, its representative, is its least."""
-    uf = UnionFind()
-    for y in ys:
-        uf.add(y)
-    for x in xs:
-        uf.union(p[x], q[x])
-    blocks = filed(ys, uf.find).values()
-    proj = {y: block[0] for block in blocks for y in block}
-    return tuple(block[0] for block in blocks), proj
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +97,8 @@ class InternalProfunctor:
     _fibers: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        # .get: validate_internal_profunctor reports missing endpoints
+        # .get: an element missing an endpoint is filed under None, for
+        # validate_internal_profunctor in tests/helpers.py to report
         object.__setattr__(self, "_fibers", filed(
             self.het, lambda y: (self.d0.get(y), self.d1.get(y))))
 
@@ -138,48 +108,6 @@ class InternalProfunctor:
     def fiber(self, a, b):
         """The heteromorphisms from a to b, in het order."""
         return self._fibers.get((a, b), ())
-
-
-def validate_internal_profunctor(p):
-    """The problems of ``p``, checked in stages: endpoints, then the typing
-    of both actions, then the unit, associativity and commutation laws,
-    which read the actions and so run only on a well-typed ``p``."""
-    a, b = p.source, p.target
-    ends = {j: (p.d0.get(j), p.d1.get(j)) for j in p.het}
-    problems = [f"endpoints of {j} missing" for j, (s, t) in ends.items()
-                if s not in a.objects or t not in b.objects]
-    if problems:
-        return problems
-    # each action is defined on the composable pairs only, into the fiber
-    # of the moved element
-    lefts = {(x, j): (a.src[x], t) for j, (s, t) in ends.items()
-             for x in a.into(s)}
-    rights = {(j, y): (s, b.tgt[y]) for j, (s, t) in ends.items()
-              for y in b.out_of(t)}
-    for side, action, typed in (("left", p.l, lefts), ("right", p.r, rights)):
-        for k in dict.fromkeys([*typed, *action]):
-            if k not in typed or k not in action:
-                problems.append(f"{side} action wrong on ({k[0]}, {k[1]})")
-            elif ends.get(action[k]) != typed[k]:
-                problems.append(f"{side} action ill-typed on ({k[0]}, {k[1]})")
-    if problems:
-        return problems
-    for j, (s, t) in ends.items():
-        if p.l[(a.identities[s], j)] != j or p.r[(j, b.identities[t])] != j:
-            problems.append(f"unit actions fail at {j}")
-        for x2 in a.into(s):
-            for x1 in a.into(a.src[x2]):
-                if p.l[(x1, p.l[(x2, j)])] != p.l[(a.table[(x2, x1)], j)]:
-                    problems.append(f"left action not associative on ({x1}, {x2}, {j})")
-        for y1 in b.out_of(t):
-            for y2 in b.out_of(b.tgt[y1]):
-                if p.r[(p.r[(j, y1)], y2)] != p.r[(j, b.table[(y2, y1)])]:
-                    problems.append(f"right action not associative on ({j}, {y1}, {y2})")
-        for x in a.into(s):
-            for y in b.out_of(t):
-                if p.r[(p.l[(x, j)], y)] != p.l[(x, p.r[(j, y)])]:
-                    problems.append(f"actions do not commute on ({x}, {j}, {y})")
-    return problems
 
 
 @construction
@@ -226,30 +154,6 @@ def prof_bridge(p):
     return InternalProfunctor(f"br_{p.name}", a, b, tuple(het), d0, d1, l, r)
 
 
-def internal_prof_compose(j, h):
-    """Composite of internal profunctors by pullback-then-coequalizer:
-    composable pairs modulo sliding middle arrows across."""
-    if j.target != h.source:
-        raise ValueError("internal profunctors not composable")
-    b = j.target
-    pairs, p1, p2 = pullback(j.het, j.d1, h.het, h.d0)
-    # each (x, y, z) identifies the pair (x . y, z) with (x, y . z)
-    h_over = filed(h.het, h.d0.get)
-    slides = [(x, y, z) for x in j.het for y in b.out_of(j.d1[x])
-              for z in h_over.get(b.tgt[y], ())]
-    het, proj = coequalizer(
-        slides, {s: f"({j.r[s[:2]]},{s[2]})" for s in slides},
-        {s: f"({s[0]},{h.l[s[1:]]})" for s in slides}, pairs)
-    d0 = {e: j.d0[p1[e]] for e in het}
-    d1 = {e: h.d1[p2[e]] for e in het}
-    l = {(u, e): proj[f"({j.l[(u, p1[e])]},{p2[e]})"] for e in het
-         for u in j.source.into(d0[e])}
-    r = {(e, v): proj[f"({p1[e]},{h.r[(p2[e], v)]})"] for e in het
-         for v in h.target.out_of(d1[e])}
-    return InternalProfunctor(f"({j.name}*{h.name})", j.source, h.target,
-                              het, d0, d1, l, r), proj
-
-
 @dataclass(frozen=True, eq=True)
 class InternalTransformation:
     """An equivariant map of heteromorphism sets over a pair of internal
@@ -270,26 +174,6 @@ class InternalTransformation:
 
     def __hash__(self):
         return hash(self.key)
-
-
-def validate_internal_transformation(t):
-    problems = []
-    j, k, f, g = t.hsrc, t.htgt, t.vsrc, t.vtgt
-    for x in j.het:
-        tx = t.map.get(x)
-        if tx not in k.het:
-            problems.append(f"{x} not mapped into the target")
-        elif k.d0[tx] != f.obj[j.d0[x]] or k.d1[tx] != g.obj[j.d1[x]]:
-            problems.append(f"image of {x} ill-typed")
-    if problems:
-        return problems
-    for (u, x), v in j.l.items():
-        if t.map[v] != k.l[(f.mor[u], t.map[x])]:
-            problems.append(f"left naturality fails on ({u}, {x})")
-    for (x, w), v in j.r.items():
-        if t.map[v] != k.r[(t.map[x], g.mor[w])]:
-            problems.append(f"right naturality fails on ({x}, {w})")
-    return problems
 
 
 def all_internal_transformations(j, k, f, g):
@@ -386,11 +270,11 @@ def internal_tabulate(j):
     return InternalTabulation(j, cat, pl, pr, cell)
 
 
-def factor_through_tabulation(t, phi_a, phi_b, phi):
-    """The explicit section: objects go to the object part of phi, arrows
+def factor_through_tabulation(t, phi_a, phi_b, phi0):
+    """The explicit section of a configuration whose transformation has
+    object part phi0 (``transf_object_part``): objects go to phi0, arrows
     to the square assembled from the two whiskers."""
-    x = phi.hsrc.source
-    phi0 = transf_object_part(phi)
+    x = phi_a.source
     mor = {h: f"(({phi0[x.src[h]]},{phi_b.mor[h]}),"
               f"({phi_a.mor[h]},{phi0[x.tgt[h]]}))" for h in x.morphisms}
     return Functor("fac", x, t.category,
@@ -428,14 +312,15 @@ def verify_internal_tabulation(t, probes=None):
                     if len(hits) != 1:
                         return False, {"stage": "one-dimensional",
                                        "probe": x.name, "count": len(hits)}
-                    explicit = factor_through_tabulation(t, phi_a, phi_b, phi)
+                    phi0 = transf_object_part(phi)
+                    explicit = factor_through_tabulation(t, phi_a, phi_b, phi0)
                     if explicit.obj != hits[0].obj or \
                             explicit.mor != hits[0].mor:
                         return False, {"stage": "one-dimensional",
                                        "probe": x.name,
                                        "reason": "explicit section differs"}
                     factored[-1].append((phi_a, phi_b, hits[0], {
-                        o: (e,) for o, e in transf_object_part(phi).items()}))
+                        o: (e,) for o, e in phi0.items()}))
                     checked["one_dimensional"] += 1
 
     for x, configs in zip(probes, factored):

@@ -9,7 +9,7 @@ from functools import cache
 
 from dblcat.fincat import (CommaCategory, Cone, FinCategory, Functor,
                            NatTransf, NoLimit, all_functors, compose_functors,
-                           identity_functor, make_category)
+                           filed, identity_functor, make_category)
 from dblcat.prof import (Cell, CoendWitness, Profunctor, cells_between,
                          companion, compose_prof, conjoint, family_id,
                          pair_id, restrict, rhom, unit_cell, unit_prof,
@@ -94,6 +94,56 @@ def profunctor_corpus(unit=unit_prof, comp=companion, conj=conjoint):
     out += [comp(f) for f in all_functors(pp, two)]
     out += [conj(f) for f in all_functors(two, two)]
     return out
+
+
+def validate_profunctor(p):
+    """Exhaustively check the fiber/action axioms: each side is total,
+    lands in its fiber and is functorial (identities act trivially), and
+    the two sides commute."""
+    problems = []
+    ac, bc = p.source, p.target
+    left, right = p.left, p.right
+    for (a, b) in p.fibers:
+        if a not in ac.objects or b not in bc.objects:
+            problems.append(f"fiber at ({a}, {b}) outside the boundary categories")
+    for a, b, j in p.elements():
+        for u in ac.into(a):
+            out = left.get((u, a, b, j))
+            if out is None:
+                problems.append(f"left action missing on ({u}, {j})")
+            elif out not in p.fiber(ac.src[u], b):
+                problems.append(f"left action on ({u}, {j}) lands outside its fiber")
+        for v in bc.out_of(b):
+            out = right.get((a, b, j, v))
+            if out is None:
+                problems.append(f"right action missing on ({j}, {v})")
+            elif out not in p.fiber(a, bc.tgt[v]):
+                problems.append(f"right action on ({j}, {v}) lands outside its fiber")
+        if left.get((ac.identity(a), a, b, j)) != j or \
+                right.get((a, b, j, bc.identity(b))) != j:
+            problems.append(f"identity action moves {j}")
+    if problems:
+        return problems
+    for a, b, j in p.elements():
+        for u1 in ac.into(a):
+            a1, mid = ac.src[u1], left[(u1, a, b, j)]
+            for u2 in ac.into(a1):
+                if left[(u2, a1, b, mid)] != left[(ac.compose(u1, u2), a, b, j)]:
+                    problems.append(
+                        f"left action not functorial on ({u2};{u1}, {j})")
+        for v1 in bc.out_of(b):
+            b1, mid = bc.tgt[v1], right[(a, b, j, v1)]
+            for v2 in bc.out_of(b1):
+                if right[(a, b1, mid, v2)] != right[(a, b, j, bc.compose(v2, v1))]:
+                    problems.append(
+                        f"right action not functorial on ({j}, {v1};{v2})")
+        for u in ac.into(a):
+            a1, ju = ac.src[u], left[(u, a, b, j)]
+            for v in bc.out_of(b):
+                jv = right[(a, b, j, v)]
+                if right[(a1, b, ju, v)] != left[(u, a, bc.tgt[v], jv)]:
+                    problems.append(f"actions do not commute on ({u}, {j}, {v})")
+    return problems
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +317,7 @@ def rhom_action_oracle(k, h, witness):
     action = {}
     for (a, b), elems in p.fibers.items():
         for fid in elems:
-            fam = witness.family(a, b, fid)
+            fam = witness.families[(a, b)][fid]
             for u in ac.into(a):
                 for v in bc.out_of(b):
                     b2 = bc.tgt[v]
@@ -286,6 +336,135 @@ def internal_profunctor_corpus():
     every corpus category."""
     return ([spanfin.prof_bridge(p) for p in profunctor_corpus()] +
             [spanfin.unit_internal_prof(c) for c in corpus_categories()])
+
+
+# ---------------------------------------------------------------------------
+# the axioms of internal profunctors and transformations, and the span-level
+# composite, the twin of prof.compose_prof: it reads nothing from
+# dblcat.prof, down to its union-find (test_spanfin checks this with ast)
+
+
+def validate_internal_profunctor(p):
+    """The problems of ``p``, checked in stages: endpoints, then the typing
+    of both actions, then the unit, associativity and commutation laws,
+    which read the actions and so run only on a well-typed ``p``."""
+    a, b = p.source, p.target
+    ends = {j: (p.d0.get(j), p.d1.get(j)) for j in p.het}
+    problems = [f"endpoints of {j} missing" for j, (s, t) in ends.items()
+                if s not in a.objects or t not in b.objects]
+    if problems:
+        return problems
+    # each action is defined on the composable pairs only, into the fiber
+    # of the moved element
+    lefts = {(x, j): (a.src[x], t) for j, (s, t) in ends.items()
+             for x in a.into(s)}
+    rights = {(j, y): (s, b.tgt[y]) for j, (s, t) in ends.items()
+              for y in b.out_of(t)}
+    for side, action, typed in (("left", p.l, lefts), ("right", p.r, rights)):
+        for k in dict.fromkeys([*typed, *action]):
+            if k not in typed or k not in action:
+                problems.append(f"{side} action wrong on ({k[0]}, {k[1]})")
+            elif ends.get(action[k]) != typed[k]:
+                problems.append(f"{side} action ill-typed on ({k[0]}, {k[1]})")
+    if problems:
+        return problems
+    for j, (s, t) in ends.items():
+        if p.l[(a.identities[s], j)] != j or p.r[(j, b.identities[t])] != j:
+            problems.append(f"unit actions fail at {j}")
+        for x2 in a.into(s):
+            for x1 in a.into(a.src[x2]):
+                if p.l[(x1, p.l[(x2, j)])] != p.l[(a.table[(x2, x1)], j)]:
+                    problems.append(f"left action not associative on ({x1}, {x2}, {j})")
+        for y1 in b.out_of(t):
+            for y2 in b.out_of(b.tgt[y1]):
+                if p.r[(p.r[(j, y1)], y2)] != p.r[(j, b.table[(y2, y1)])]:
+                    problems.append(f"right action not associative on ({j}, {y1}, {y2})")
+        for x in a.into(s):
+            for y in b.out_of(t):
+                if p.r[(p.l[(x, j)], y)] != p.l[(x, p.r[(j, y)])]:
+                    problems.append(f"actions do not commute on ({x}, {j}, {y})")
+    return problems
+
+
+def validate_internal_transformation(t):
+    problems = []
+    j, k, f, g = t.hsrc, t.htgt, t.vsrc, t.vtgt
+    for x in j.het:
+        tx = t.map.get(x)
+        if tx not in k.het:
+            problems.append(f"{x} not mapped into the target")
+        elif k.d0[tx] != f.obj[j.d0[x]] or k.d1[tx] != g.obj[j.d1[x]]:
+            problems.append(f"image of {x} ill-typed")
+    if problems:
+        return problems
+    for (u, x), v in j.l.items():
+        if t.map[v] != k.l[(f.mor[u], t.map[x])]:
+            problems.append(f"left naturality fails on ({u}, {x})")
+    for (x, w), v in j.r.items():
+        if t.map[v] != k.r[(t.map[x], g.mor[w])]:
+            problems.append(f"right naturality fails on ({x}, {w})")
+    return problems
+
+
+class UnionFind:
+    def __init__(self):
+        self.parent = {}
+
+    def add(self, x):
+        self.parent.setdefault(x, x)
+
+    def find(self, x):
+        while self.parent[x] != x:
+            self.parent[x] = self.parent[self.parent[x]]
+            x = self.parent[x]
+        return x
+
+    def union(self, x, y):
+        rx, ry = self.find(x), self.find(y)
+        if rx != ry:
+            self.parent[rx] = ry
+
+
+def coequalizer(xs, p, q, ys):
+    """The coequalizer of p, q : X -> Y: the quotient of Y identifying
+    p(x) with q(x).  Blocks are filed in Y order, so the first member of
+    each block, its representative, is its least."""
+    uf = UnionFind()
+    for y in ys:
+        uf.add(y)
+    for x in xs:
+        uf.union(p[x], q[x])
+    blocks = filed(ys, uf.find).values()
+    proj = {y: block[0] for block in blocks for y in block}
+    return tuple(block[0] for block in blocks), proj
+
+
+def internal_prof_compose(j, h):
+    """Composite of internal profunctors by pullback-then-coequalizer:
+    composable pairs modulo sliding middle arrows across."""
+    if j.target != h.source:
+        raise ValueError("internal profunctors not composable")
+    b = j.target
+    pairs, p1, p2 = spanfin.pullback(j.het, j.d1, h.het, h.d0)
+    # each (x, y, z) identifies the pair (x . y, z) with (x, y . z)
+    h_over = filed(h.het, h.d0.get)
+    slides = [(x, y, z) for x in j.het for y in b.out_of(j.d1[x])
+              for z in h_over.get(b.tgt[y], ())]
+    het, proj = coequalizer(
+        slides, {s: f"({j.r[s[:2]]},{s[2]})" for s in slides},
+        {s: f"({s[0]},{h.l[s[1:]]})" for s in slides}, pairs)
+    d0 = {e: j.d0[p1[e]] for e in het}
+    d1 = {e: h.d1[p2[e]] for e in het}
+    l = {(u, e): proj[f"({j.l[(u, p1[e])]},{p2[e]})"] for e in het
+         for u in j.source.into(d0[e])}
+    r = {(e, v): proj[f"({p1[e]},{h.r[(p2[e], v)]})"] for e in het
+         for v in h.target.out_of(d1[e])}
+    return spanfin.InternalProfunctor(
+        f"({j.name}*{h.name})", j.source, h.target, het, d0, d1, l, r), proj
+
+
+# ---------------------------------------------------------------------------
+# slow twins of the span-level tabulation and its verifier
 
 
 def pullback_oracle(xs, f, ys, g):
@@ -351,7 +530,7 @@ def internal_transformations_oracle(j, k, f, g):
     for pick in itertools.product(k.het, repeat=len(j.het)):
         cand = spanfin.InternalTransformation(f"t{len(out)}", j, k, f, g,
                                               dict(zip(j.het, pick)))
-        if not spanfin.validate_internal_transformation(cand):
+        if not validate_internal_transformation(cand):
             out.append(cand)
     return out
 
@@ -385,7 +564,7 @@ def verify_internal_tabulation_oracle(t, probes):
                         return False, {"stage": "one-dimensional",
                                        "probe": x.name, "count": len(hits)}
                     explicit = spanfin.factor_through_tabulation(
-                        t, phi_a, phi_b, phi)
+                        t, phi_a, phi_b, spanfin.transf_object_part(phi))
                     if (explicit.obj, explicit.mor) != \
                             (hits[0].obj, hits[0].mor):
                         return False, {"stage": "one-dimensional",
@@ -980,7 +1159,7 @@ def compose_prof_oracle(j, h):
     fibers = {}
     for a in ac.objects:
         for e in ec.objects:
-            uf = spanfin.UnionFind()
+            uf = UnionFind()
             pairs = [(b, x, y) for b in bc.objects
                      for x in j.fiber(a, b) for y in h.fiber(b, e)]
             for p in pairs:
@@ -1094,7 +1273,7 @@ def rhom_untranspose(psi, w_jh, rh_witness, k):
     comp = {}
     for a, e, cid in jh.elements():
         b, x, y = w_jh.least(a, e, cid)
-        fam = rh_witness.family(a, b, psi.comp[(a, b, x)])
+        fam = rh_witness.families[(a, b)][psi.comp[(a, b, x)]]
         comp[(a, e, cid)] = fam[e][y]
     return Cell(f"un_{psi.name}", jh, k,
                 identity_functor(jh.source), identity_functor(jh.target), comp)

@@ -9,8 +9,9 @@ import dblcat
 # module.function (or module.Class.method) -> why nothing in src/dblcat
 # calls it
 UNCALLED = {
-    "dsl.serialize": "the writer of the round trip parse(serialize(ws)) == ws; "
-                     "no dcat subcommand writes .dcat text",
+    "dsl.serialize": "the writer of the round trip parse(serialize(ws)) == ws, "
+                     "which the benchmark's ord-build times; no dcat "
+                     "subcommand writes .dcat text",
     "kan.check_pointwise_probes": "the paper's pointwise definition as a "
                                   "report, not yet a procedure of is_pointwise_ran",
     "kan.pasting_check": "pasting onto a pointwise extension, a statement of "
@@ -19,26 +20,16 @@ UNCALLED = {
                              "statement no subcommand decides yet",
     "kan.initial_mediating_iso": "the limit comparison that dcat initial "
                                  "does not report",
-    "prof.validate_profunctor": "the axioms of a profunctor, for the tests; "
-                                "the parser's closed tables satisfy them",
-    "prof.RhomWitness.family": "the family of an element, for the tests' "
-                               "oracles; rhom's action reads ``families``",
     "prof.invert_horizontal_cell": "equipment structure, not in a laws suite yet",
     "prof.is_invertible_cell": "equipment structure, not in a laws suite yet",
     "prof.opcartesian_cell": "equipment structure, not in a laws suite yet",
     "prof.is_cartesian": "equipment structure, not in a laws suite yet",
     "prof.upper_star": "equipment structure, not in a laws suite yet",
     "spanfin.from_fincat": "called by the benchmark's workloads",
-    "spanfin.validate_internal_profunctor": "the axioms of an internal "
-                                            "profunctor, for the tests",
-    "spanfin.validate_internal_transformation": "the axioms of an internal "
-                                                "transformation, for the tests "
-                                                "and their oracles",
-    "spanfin.internal_prof_compose": "the span-level composite, compared with "
-                                     "prof.compose_prof in the tests; dcat "
-                                     "never composes at span level",
     "spanfin.transf_from_object_part": "the inverse of transf_object_part, "
-                                       "for the tests",
+                                       "a statement of the paper: acceptance "
+                                       "criterion 11 states the vertical "
+                                       "correspondence through it",
     "tab.ran_via_tabulation": "a pointwise test through the tabulation, "
                               "until a procedure after Street subsumes it",
 }

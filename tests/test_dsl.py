@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import helpers
 from dblcat import dsl, zoo
 from dblcat.fincat import all_functors, validate_category
-from dblcat.prof import companion, unit_cell, unit_prof, validate_profunctor
+from dblcat.prof import companion, unit_cell, unit_prof
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "arrows.dcat")
 
@@ -572,7 +572,7 @@ def test_action_closure_matches_all_pairs_oracle(monkeypatch):
     new = [parse_outcome(t, parsed) for t in texts]
     # the parser does not validate what it builds: every profunctor parsed
     # here must be one
-    assert [p.name for p in parsed if validate_profunctor(p)] == []
+    assert [p.name for p in parsed if helpers.validate_profunctor(p)] == []
     monkeypatch.setattr(dsl.Parser, "_complete_action",
                         helpers.complete_action_oracle)
     assert [parse_outcome(t) for t in texts] == new

@@ -17,13 +17,13 @@ from dblcat.prof import (Cell, cells_between, companion,
                          Profunctor,
                          opcartesian_cell, cartesian_cell, restrict, rhom,
                          right_unitor, unit_cell, unit_prof, upper_star,
-                         validate_cell, validate_profunctor, vcompose)
+                         validate_cell, vcompose)
 from dblcat import dsl, prof, zoo
 
 
 def test_corpus_profunctors_are_valid():
     for p in helpers.profunctor_corpus():
-        assert validate_profunctor(p) == []
+        assert helpers.validate_profunctor(p) == []
 
 
 def test_validation_catches_broken_action():
@@ -32,7 +32,7 @@ def test_validation_catches_broken_action():
     bad = dict(p.left)
     bad[("1_0", "0", "1", "a")] = "1_1"
     broken = dataclasses.replace(p, left=bad)
-    assert validate_profunctor(broken)
+    assert helpers.validate_profunctor(broken)
 
 
 def fork():
@@ -51,13 +51,13 @@ def fork():
 ])
 def test_validation_catches_a_broken_side(side, build, key):
     p = build(fork())
-    assert validate_profunctor(p) == []
+    assert helpers.validate_profunctor(p) == []
     table = getattr(p, side)
     assert table[key] == "hf"
     # hg lies in the same fiber, so only functoriality can tell
     broken = dataclasses.replace(p, **{side: {**table, key: "hg"}})
     assert any(f"{side} action not functorial" in m
-               for m in validate_profunctor(broken))
+               for m in helpers.validate_profunctor(broken))
 
 
 def sides_that_may_not_commute(left_p):
@@ -80,8 +80,8 @@ def sides_that_may_not_commute(left_p):
 
 
 def test_validation_catches_sides_that_do_not_commute():
-    assert validate_profunctor(sides_that_may_not_commute("q1")) == []
-    problems = validate_profunctor(sides_that_may_not_commute("q2"))
+    assert helpers.validate_profunctor(sides_that_may_not_commute("q1")) == []
+    problems = helpers.validate_profunctor(sides_that_may_not_commute("q2"))
     assert problems == ["actions do not commute on (a, p, a)"]
 
 
@@ -93,14 +93,14 @@ def test_composite_fibers_frozen():
     bw, _ = compose_prof(conjoint(f), companion(f))
     assert {k: len(v) for k, v in bw.fibers.items()} == \
         {("0", "0"): 1, ("0", "1"): 1}
-    assert validate_profunctor(fw) == []
-    assert validate_profunctor(bw) == []
+    assert helpers.validate_profunctor(fw) == []
+    assert helpers.validate_profunctor(bw) == []
 
 
 def test_composites_validate_and_match_oracle():
     for j, h in helpers.composable_pairs():
         comp, wit = compose_prof(j, h)
-        assert validate_profunctor(comp) == []
+        assert helpers.validate_profunctor(comp) == []
         for a in j.source.objects:
             for e in h.target.objects:
                 blocks = helpers.coend_classes_oracle(j, h, a, e)
@@ -188,7 +188,7 @@ def test_one_sided_builders_match_two_sided_ones():
     for p, (fibers, action) in pairs:
         assert list(p.fibers.items()) == list(fibers.items()), p.name
         assert helpers.two_sided(p) == action, p.name
-        assert validate_profunctor(p) == [], p.name
+        assert helpers.validate_profunctor(p) == [], p.name
 
 
 def test_restrict_matches_two_sided_builder():
@@ -241,7 +241,7 @@ def test_rhom_action_matches_two_sided_builder():
         rh, wit = rhom(k, h)
         # each table is built on its first read, either side first
         read_one_side(rh, SIDES[n % 2])
-        assert validate_profunctor(rh) == []
+        assert helpers.validate_profunctor(rh) == []
         action = helpers.rhom_action_oracle(k, h, wit)
         assert helpers.two_sided(rh) == action
         left, right = helpers.sides_of(rh.source, rh.target, rh.fibers, action)
@@ -418,7 +418,7 @@ def test_representables_build_the_tables_of_their_eager_twins():
         assert "right" not in vars(p), p.name
         assert helpers.profunctor_tables(p) == \
             helpers.profunctor_tables(q), p.name
-        assert validate_profunctor(p) == [], p.name
+        assert helpers.validate_profunctor(p) == [], p.name
 
 
 @pytest.mark.parametrize("unread_on_left", [True, False])
@@ -646,7 +646,7 @@ def test_rhom_frozen_counts():
     p0 = zoo.pick(two, "0")
     # families One -/-> One out of the conjoint into the companion
     rh, wit = rhom(companion(p0), unit_prof(two))
-    assert validate_profunctor(rh) == []
+    assert helpers.validate_profunctor(rh) == []
     # a family at (*, b) assigns to each arrow 0 -> e an arrow 0 -> e
     # naturally; precomposition forces it to be determined at b = 0
     assert {k: len(v) for k, v in rh.fibers.items()} == \

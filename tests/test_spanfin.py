@@ -1,5 +1,7 @@
+import ast
 import dataclasses
 import itertools
+from pathlib import Path
 
 import pytest
 
@@ -16,10 +18,18 @@ def test_pullback_and_coequalizer():
     apex, p1, p2 = spanfin.pullback(xs, f, ys, g)
     assert apex == ("(x1,y1)", "(x1,y2)")
     assert p1["(x1,y1)"] == "x1" and p2["(x1,y2)"] == "y2"
-    reps, proj = spanfin.coequalizer(
+    reps, proj = helpers.coequalizer(
         ("a",), {"a": "y1"}, {"a": "y2"}, ("y1", "y2", "y3"))
     assert reps == ("y1", "y3")
     assert proj == {"y1": "y1", "y2": "y1", "y3": "y3"}
+    # two slides out of one element: a union links roots, and the blocks
+    # are read off roots.  The composites of the corpus join each class
+    # along so many slides that neither mistake changes a fiber there
+    reps, proj = helpers.coequalizer(
+        ("s", "t"), {"s": "y1", "t": "y1"}, {"s": "y2", "t": "y3"},
+        ("y1", "y2", "y3"))
+    assert reps == ("y1",)
+    assert proj == {"y1": "y1", "y2": "y1", "y3": "y1"}
 
 
 def test_fincat_round_trip():
@@ -30,7 +40,7 @@ def test_fincat_round_trip():
         assert internal is cat
         assert validate_category(internal) == []
         unit = spanfin.unit_internal_prof(internal)
-        assert spanfin.validate_internal_profunctor(unit) == []
+        assert helpers.validate_internal_profunctor(unit) == []
         assert unit.het == cat.morphisms
         assert all(unit.l[(x, j)] == cat.table[(j, x)] for x, j in unit.l)
 
@@ -73,7 +83,7 @@ def test_validation_reports_missing_endpoints():
     # with no endpoints the actions cannot be typed; each element missing
     # its endpoints is a problem to report, not an exception
     unit = spanfin.unit_internal_prof(zoo.walking_arrow())
-    assert spanfin.validate_internal_profunctor(
+    assert helpers.validate_internal_profunctor(
         dataclasses.replace(unit, d0={})) == [
             "endpoints of 1_0 missing", "endpoints of 1_1 missing",
             "endpoints of a missing"]
@@ -84,7 +94,7 @@ def test_validation_reports_missing_left_action():
     # not checked
     unit = spanfin.unit_internal_prof(zoo.walking_arrow())
     l = {k: v for k, v in unit.l.items() if k != ("1_0", "a")}
-    assert spanfin.validate_internal_profunctor(
+    assert helpers.validate_internal_profunctor(
         dataclasses.replace(unit, l=l)) == ["left action wrong on (1_0, a)"]
 
 
@@ -99,21 +109,87 @@ def test_internal_functor_enumeration_matches_ordinary():
 
 def test_unit_and_bridge_profunctors_validate():
     two, three = zoo.walking_arrow(), zoo.composable_pair()
-    assert spanfin.validate_internal_profunctor(
+    assert helpers.validate_internal_profunctor(
         spanfin.unit_internal_prof(two)) == []
     for p in helpers.profunctor_corpus()[:6]:
-        assert spanfin.validate_internal_profunctor(spanfin.prof_bridge(p)) == []
+        assert helpers.validate_internal_profunctor(spanfin.prof_bridge(p)) == []
 
 
 def test_internal_composition_matches_coend_cardinalities():
-    pairs = [(j, h) for j, h in helpers.composable_pairs(20)]
-    for j, h in pairs[:10]:
+    # the span-level composite of the bridged pair has, over every (a, e),
+    # as many heteromorphisms as compose_prof has classes
+    pairs = helpers.composable_pairs(20)
+    assert len(pairs) == 20
+    for j, h in pairs:
         comp, _ = compose_prof(j, h)
         ij, ih = spanfin.prof_bridge(j), spanfin.prof_bridge(h)
-        icomp, proj = spanfin.internal_prof_compose(ij, ih)
-        assert spanfin.validate_internal_profunctor(icomp) == []
+        icomp, proj = helpers.internal_prof_compose(ij, ih)
+        assert helpers.validate_internal_profunctor(icomp) == []
         total = sum(len(v) for v in comp.fibers.values())
         assert len(icomp.het) == total
+        for a in j.source.objects:
+            for e in h.target.objects:
+                assert len(icomp.fiber(a, e)) == len(comp.fiber(a, e)), \
+                    (j.name, h.name, a, e)
+
+
+def prof_reads(tree, roots):
+    """The top-level definitions of the module ``tree`` that ``roots``
+    reach, by reading their names, and what they read of dblcat.prof: a
+    name an import from dblcat.prof binds, or an attribute of a name bound
+    to the module prof."""
+    defs = {node.name: node for node in tree.body if isinstance(
+        node, (ast.FunctionDef, ast.ClassDef))}
+    from_prof, prof_modules = set(), set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "dblcat.prof":
+            from_prof |= {a.asname or a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module == "dblcat":
+            prof_modules |= {a.asname or a.name for a in node.names
+                             if a.name == "prof"}
+        elif isinstance(node, ast.Import):
+            prof_modules |= {a.asname for a in node.names
+                             if a.name == "dblcat.prof" and a.asname}
+    reached, todo, reads = set(), list(roots), []
+    while todo:
+        name = todo.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        for node in ast.walk(defs[name]):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                if node.id in from_prof:
+                    reads.append(node.id)
+                elif node.id in defs:
+                    todo.append(node.id)
+            elif isinstance(node, ast.Attribute) and \
+                    getattr(node.value, "id", None) in prof_modules:
+                reads.append(f"{node.value.id}.{node.attr}")
+    return reached, reads
+
+
+def test_span_level_composite_shares_no_code_with_prof():
+    # the span-level composite in tests/helpers.py is the independent twin
+    # of prof.compose_prof, so it and every helper it reads (its
+    # coequalizer and union-find) read nothing from dblcat.prof
+    roots = ["internal_prof_compose", "coequalizer", "UnionFind"]
+    tree = ast.parse(Path(helpers.__file__).read_text(encoding="utf-8"))
+    reached, reads = prof_reads(tree, roots)
+    assert set(roots) <= reached and reads == []
+    # the check sees a read through an imported name, renamed or not, and
+    # through the module, in a helper that a root reads
+    leaky = ast.parse(
+        "from dblcat.prof import pair_id as pid, Profunctor\n"
+        "from dblcat import prof, spanfin\n"
+        "import dblcat.prof as dp\n\n\n"
+        "def coequalizer(xs):\n"
+        "    return pid(*xs), spanfin.pullback, dp.rhom\n\n\n"
+        "class UnionFind:\n    def add(self, x):\n"
+        "        return prof.compose_prof(x, x), Profunctor\n\n\n"
+        "def internal_prof_compose(j, h):\n"
+        "    return coequalizer(j), UnionFind()\n")
+    assert sorted(prof_reads(leaky, ["internal_prof_compose"])[1]) == \
+        ["Profunctor", "dp.rhom", "pid", "prof.compose_prof"]
 
 
 def test_transformations_match_ordinary_cells():
@@ -126,7 +202,7 @@ def test_transformations_match_ordinary_cells():
     internal = spanfin.all_internal_transformations(ij, ij, ident, ident)
     assert len(ordinary) == len(internal)
     for t in internal:
-        assert spanfin.validate_internal_transformation(t) == []
+        assert helpers.validate_internal_transformation(t) == []
 
 
 def test_internal_tabulation_of_walking_arrow_hom():
@@ -137,7 +213,7 @@ def test_internal_tabulation_of_walking_arrow_hom():
     assert validate_category(t.category) == []
     assert t.proj_left.validate() == []
     assert t.proj_right.validate() == []
-    assert spanfin.validate_internal_transformation(t.cell) == []
+    assert helpers.validate_internal_transformation(t.cell) == []
 
 
 def test_internal_tabulation_matches_ordinary_tabulation():

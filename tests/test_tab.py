@@ -6,7 +6,7 @@ from dblcat.fincat import (FinCategory, all_functors,
                            all_natural_transformations, comma_category,
                            find_isomorphism, identity_functor,
                            validate_category)
-from dblcat.prof import companion, unit_prof, validate_cell, validate_profunctor
+from dblcat.prof import companion, unit_prof, validate_cell
 
 
 def test_tabulation_of_walking_arrow_hom():
