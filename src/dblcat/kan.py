@@ -48,7 +48,7 @@ from .fincat import (Cone, Functor, FunctorNetwork, NoLimit, all_functors,
                      limit, mediating_morphisms, search)
 from .prof import (Cell, Profunctor, bijects_onto, cartesian_cell,
                    componentwise_bijective, compose_prof, conjoint,
-                   family_id, lower_star, naturality_plan, rhom, unit_prof,
+                   family_slots, lower_star, naturality_plan, rhom, unit_prof,
                    validate_cell, vcompose)
 from . import zoo
 
@@ -237,18 +237,14 @@ class RanProblem:
     @derived
     def right_hom(self):
         """The right hom d^* <| J : M -/-> A."""
-        return rhom(conjoint(self.d), self.j)[0]
-
-    @derived
-    def categories_of_elements(self):
-        """``elements_categories(J)``, which the problems of one J share."""
-        return elements_categories(self.j)
+        return rhom(conjoint(self.d), self.j)
 
     def limit_at(self, a):
         """(oid, diagram, terminal cone) of d over the category of elements
-        of J(a, -); the terminal cone is None where M has no limit."""
+        of J(a, -), one of ``elements_categories(J)``, which the problems
+        of one J share; the terminal cone is None where M has no limit."""
         if a not in self._limits:
-            _, proj, oid = self.categories_of_elements[a]
+            _, proj, oid = elements_categories(self.j)[a]
             diagram = compose_functors(self.d, proj)
             try:
                 term = limit(diagram)
@@ -304,19 +300,21 @@ def is_ran(cand):
 
 
 def _pointwise_by_hom_bijection(problem, r, eps):
-    """Pointwise test, procedure one: m -> r(a) must correspond bijectively
-    to natural families J(a, b) -> M(m, d b)."""
+    """Pointwise test, procedure one, Dubuc's condition: p : m -> r(a)
+    must correspond bijectively to natural families J(a, b) -> M(m, d b),
+    the elements of the right hom d^* <| J over (m, a).  Each p gives the
+    family eps_a . p, eps's images at a along ``family_slots(J, a)`` each
+    composed with p, as the right hom lists its elements."""
     j, mc = problem.j, problem.mc
-    bobjs = j.target.objects
-    rh = problem.right_hom
-
-    def family(a, p):
-        return family_id(bobjs, {b: {x: mc.compose(eps.comp[(a, b, x)], p)
-                                     for x in j.fiber(a, b)} for b in bobjs})
-
-    return all(bijects_onto([family(a, p) for p in mc.hom(m, r.obj[a])],
-                            rh.fiber(m, a))
-               for m in mc.objects for a in j.source.objects)
+    rh, compose = problem.right_hom, mc.compose
+    for a in j.source.objects:
+        eps_a = [eps.comp[(a, b, x)] for b, x in family_slots(j, a)]
+        for m in mc.objects:
+            if not bijects_onto([tuple(compose(y, p) for y in eps_a)
+                                 for p in mc.hom(m, r.obj[a])],
+                                rh.fiber(m, a)):
+                return False
+    return True
 
 
 def _pointwise_by_limits(problem, r, eps):

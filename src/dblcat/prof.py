@@ -44,7 +44,9 @@ Cells (``cells_between``) and right-hom families (``rhom``) come from
 ``fincat.backtrack``, the one search behind every enumerator; the loops
 it replaced are ``cells_between_oracle`` and ``rhom_families_oracle`` in
 ``tests/helpers.py``, next to ``validate_profunctor``, which checks the
-axioms of every profunctor the tests build.
+axioms of every profunctor the tests build.  An element of a right hom
+is its family itself, the tuple of its images along ``family_slots``, in
+the search's order; it has no other name.
 
 ``unit_prof``, ``companion``, ``conjoint``, ``compose_prof``,
 ``naturality_plan``, ``cells_between`` and ``rhom`` are constructions
@@ -794,21 +796,11 @@ def upper_star(c):
 # right hom
 
 
-def family_id(e_order, fam):
-    parts = []
-    for e in e_order:
-        for h, kv in fam.get(e, {}).items():
-            parts.append(f"{e}:{h}>{kv}")
-    return "{" + ";".join(parts) + "}"
-
-
-@dataclass(frozen=True, eq=True)
-class RhomWitness:
-    profunctor: Profunctor
-    families: dict         # (a, b) -> {element id: {e: {h: k}}}
-
-    def __hash__(self):
-        return hash(self.profunctor)
+def family_slots(h, b):
+    """The slots (e, x) of a family out of H(b, -): e in E's object order,
+    then x in H(b, e) order.  An element of a right hom K <| H over (a, b)
+    is the tuple of its images along them, one y in K(a, e) per (e, x)."""
+    return [(e, x) for e in h.target.objects for x in h.fiber(b, e)]
 
 
 @construction
@@ -816,67 +808,47 @@ def rhom(k, h):
     """The right hom K <| H : A -/-> B of K : A -/-> E and H : B -/-> E.
 
     An element over (a, b) is a family of maps H(b, e) -> K(a, e), natural
-    in e, found by ``fincat.backtrack`` with one position per x in H(b, e)
-    and listed by ``family_id``.  The fibers and the families are built at
-    once, from H's and K's right actions; each action table on its first
-    read: u : a2 -> a acts by post-composing each map of a family with K's
-    left action of u, and v : b -> b2 by pre-composing it with H's left
-    action of v.  Identities act trivially on K and H, hence on families.
+    in e, as the tuple of its images along ``family_slots(h, b)``; the
+    families are found by ``fincat.backtrack``, one position per slot, and
+    listed in its lexicographic order.  The fibers are built at once, from
+    H's and K's right actions; each action table on its first read: u :
+    a2 -> a acts by post-composing each image with K's left action of u,
+    and v : b -> b2 by pre-composing each map with H's left action of v.
     """
     if k.target != h.target:
         raise ValueError("right hom needs a common target")
     ac, bc, ec = k.source, h.source, k.target
-    # per b, a position per x in H(b, e), and the squares (n, o, e, w):
-    # position o holds position n moved by w : e -> e2
-    shapes = {}
-    for b in bc.objects:
-        slots = [(e, x) for e in ec.objects for x in h.fiber(b, e)]
-        pos = {slot: n for n, slot in enumerate(slots)}
-        shapes[b] = slots, [(n, pos[(ec.tgt[w], h.right[(b, e, x, w)])], e, w)
-                            for n, (e, x) in enumerate(slots)
-                            for w in ec.out_of(e) if not ec.is_identity(w)]
-    families = {}
+    slots = {b: family_slots(h, b) for b in bc.objects}
+    # per b, the squares (n, o, e, w): slot o holds slot n moved by
+    # w : e -> e2
+    squares = {}
+    for b, at in slots.items():
+        pos = {slot: n for n, slot in enumerate(at)}
+        squares[b] = [(n, pos[(ec.tgt[w], h.right[(b, e, x, w)])], e, w)
+                      for n, (e, x) in enumerate(at)
+                      for w in ec.out_of(e) if not ec.is_identity(w)]
     fibers = {}
     for a in ac.objects:
         for b in bc.objects:
-            slots, squares = shapes[b]
-            domains = [k.fiber(a, e) for e, _ in slots]
+            domains = [k.fiber(a, e) for e, _ in slots[b]]
             moved = [(n, o, {y: (k.right[(a, e, y, w)],) for y in domains[n]})
-                     for n, o, e, w in squares]
-            found = {}
-            for pick in backtrack(domains, moved):
-                fam = {e: {} for e in ec.objects}
-                for (e, x), y in zip(slots, pick):
-                    fam[e][x] = y
-                found[family_id(ec.objects, fam)] = fam
+                     for n, o, e, w in squares[b]]
+            found = tuple(backtrack(domains, moved))
             if found:
-                fibers[(a, b)] = fids = tuple(sorted(found))
-                families[(a, b)] = {fid: found[fid] for fid in fids}
+                fibers[(a, b)] = found
 
     def moves(side):
         if side == "left":
             kleft = k.left
+            return lambda a, b, fam, u: tuple(
+                kleft[(u, a, e, y)] for (e, _), y in zip(slots[b], fam))
+        hleft, btgt = h.left, bc.tgt
 
-            def move(a, b, fid, u):
-                if ac.is_identity(u):
-                    return fid
-                fam = families[(a, b)][fid]
-                return family_id(ec.objects, {
-                    e: {x: kleft[(u, a, e, y)] for x, y in fam[e].items()}
-                    for e in ec.objects})
-        else:
-            hleft = h.left
-
-            def move(a, b, fid, v):
-                if bc.is_identity(v):
-                    return fid
-                fam, b2 = families[(a, b)][fid], bc.tgt[v]
-                return family_id(ec.objects, {
-                    e: {x: fam[e][hleft[(v, b2, e, x)]] for x in h.fiber(b2, e)}
-                    for e in ec.objects})
+        def move(a, b, fam, v):
+            at, b2 = dict(zip(slots[b], fam)), btgt[v]
+            return tuple(at[(e, hleft[(v, b2, e, x)])] for e, x in slots[b2])
         return move
 
-    p = deferred(Profunctor, partial(_action, ac, bc, fibers, moves),
-                 name=f"({k.name}<|{h.name})", source=ac, target=bc,
-                 fibers=fibers)
-    return p, RhomWitness(p, families)
+    return deferred(Profunctor, partial(_action, ac, bc, fibers, moves),
+                    name=f"({k.name}<|{h.name})", source=ac, target=bc,
+                    fibers=fibers)

@@ -11,8 +11,8 @@ from dblcat.fincat import (CommaCategory, Cone, FinCategory, Functor,
                            NatTransf, NoLimit, all_functors, compose_functors,
                            filed, identity_functor, make_category)
 from dblcat.prof import (Cell, CoendWitness, Profunctor, cells_between,
-                         companion, compose_prof, conjoint, family_id,
-                         pair_id, restrict, rhom, unit_cell, unit_prof,
+                         companion, compose_prof, conjoint, family_slots,
+                         pair_id, restrict, unit_cell, unit_prof,
                          validate_cell, vcompose)
 from dblcat import dsl, kan, spanfin, tab, zoo
 from dblcat.tab import Tabulation
@@ -309,25 +309,21 @@ def restrict_oracle(k, f, g):
     return fibers, action
 
 
-def rhom_action_oracle(k, h, witness):
-    """The two-sided action of K <| H: each family whiskered by u and v
-    at once."""
-    p = witness.profunctor
-    ac, bc, ec = p.source, p.target, k.target
+def rhom_action_oracle(k, h, rh):
+    """The two-sided action of the right hom rh = K <| H: each family, the
+    tuple of its images along ``family_slots``, whiskered by u and v at
+    once."""
+    ac, bc = rh.source, rh.target
     action = {}
-    for (a, b), elems in p.fibers.items():
-        for fid in elems:
-            fam = witness.families[(a, b)][fid]
+    for (a, b), elems in rh.fibers.items():
+        for fam in elems:
+            at = dict(zip(family_slots(h, b), fam))
             for u in ac.into(a):
                 for v in bc.out_of(b):
                     b2 = bc.tgt[v]
-                    new = {}
-                    for e in ec.objects:
-                        new[e] = {}
-                        for x in h.fiber(b2, e):
-                            pulled = h.act_left(v, b2, e, x)
-                            new[e][x] = k.act_left(u, a, e, fam[e][pulled])
-                    action[(u, a, b, fid, v)] = family_id(ec.objects, new)
+                    action[(u, a, b, fam, v)] = tuple(
+                        k.act_left(u, a, e, at[(e, h.act_left(v, b2, e, x))])
+                        for e, x in family_slots(h, b2))
     return action
 
 
@@ -851,8 +847,9 @@ def cone_tables(cones):
 
 
 def rhom_families_oracle(k, h):
-    """The fibers and families of ``rhom(k, h)`` by testing every tuple of
-    maps H(b, e) -> K(a, e), one per e, in itertools.product order."""
+    """The fibers of ``rhom(k, h)`` by testing every tuple of maps
+    H(b, e) -> K(a, e), one per e, in itertools.product order; each family
+    is the images of the map at e, for e in E's object order, joined."""
     ac, bc, ec = k.source, h.source, k.target
 
     def natural(a, b, fam):
@@ -861,23 +858,21 @@ def rhom_families_oracle(k, h):
                    for e in ec.objects for w in ec.out_of(e)
                    for x in h.fiber(b, e))
 
-    fibers, families = {}, {}
+    fibers = {}
     for a in ac.objects:
         for b in bc.objects:
-            per_e = []
-            for e in ec.objects:
-                dom, cod = h.fiber(b, e), k.fiber(a, e)
-                per_e.append([dict(zip(dom, pick)) for pick in
-                              itertools.product(cod, repeat=len(dom))])
-            found = {}
+            per_e = [list(itertools.product(k.fiber(a, e),
+                                            repeat=len(h.fiber(b, e))))
+                     for e in ec.objects]
+            found = []
             for combo in itertools.product(*per_e):
-                fam = dict(zip(ec.objects, combo))
+                fam = {e: dict(zip(h.fiber(b, e), images))
+                       for e, images in zip(ec.objects, combo)}
                 if natural(a, b, fam):
-                    found[family_id(ec.objects, fam)] = fam
+                    found.append(tuple(itertools.chain(*combo)))
             if found:
-                fibers[(a, b)] = tuple(sorted(found))
-                families[(a, b)] = {fid: found[fid] for fid in sorted(found)}
-    return fibers, families
+                fibers[(a, b)] = tuple(found)
+    return fibers
 
 
 def find_isomorphism_oracle(a, b):
@@ -1253,28 +1248,26 @@ def restriction_iso_cell(k, f, g):
 
 
 def rhom_transpose(phi, w_jh, rh_prof, j):
-    """Carry a cell J * H -> K across the adjunction to J -> K <| H."""
-    h, k = w_jh.right, phi.htgt
-    ec = k.target
-    comp = {}
-    for a, b, x in j.elements():
-        fam = {}
-        for e in ec.objects:
-            fam[e] = {y: phi.comp[(a, e, w_jh.class_id(a, e, b, x, y))]
-                      for y in h.fiber(b, e)}
-        comp[(a, b, x)] = family_id(ec.objects, fam)
+    """Carry a cell J * H -> K across the adjunction to J -> K <| H: x
+    goes to the family of the images of the classes of (x, y), y in
+    H(b, e), for e in E's object order."""
+    h, ec = w_jh.right, phi.htgt.target
+    comp = {(a, b, x): tuple(phi.comp[(a, e, w_jh.class_id(a, e, b, x, y))]
+                             for e in ec.objects for y in h.fiber(b, e))
+            for a, b, x in j.elements()}
     return Cell(f"tr_{phi.name}", j, rh_prof,
                 identity_functor(j.source), identity_functor(j.target), comp)
 
 
-def rhom_untranspose(psi, w_jh, rh_witness, k):
-    """The inverse passage, J -> K <| H back to J * H -> K."""
-    jh = w_jh.composite
+def rhom_untranspose(psi, w_jh, k):
+    """The inverse passage, J -> K <| H back to J * H -> K: the class of
+    (x, y) goes to the image of y in the family of x."""
+    jh, h = w_jh.composite, w_jh.right
     comp = {}
     for a, e, cid in jh.elements():
         b, x, y = w_jh.least(a, e, cid)
-        fam = rh_witness.families[(a, b)][psi.comp[(a, b, x)]]
-        comp[(a, e, cid)] = fam[e][y]
+        fam = dict(zip(family_slots(h, b), psi.comp[(a, b, x)]))
+        comp[(a, e, cid)] = fam[(e, y)]
     return Cell(f"un_{psi.name}", jh, k,
                 identity_functor(jh.source), identity_functor(jh.target), comp)
 

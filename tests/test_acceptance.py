@@ -59,7 +59,7 @@ def test_criterion_04_right_hom_adjunction():
     # transposition with a two-sided inverse
     for j, h, k in helpers.adjunction_setups():
         jh, w_jh = compose_prof(j, h)
-        rh, wit = rhom(k, h)
+        rh = rhom(k, h)
         ida, idb = identity_functor(j.source), identity_functor(j.target)
         ide = identity_functor(k.target)
         lhs = cells_between(jh, k, ida, ide)
@@ -69,7 +69,7 @@ def test_criterion_04_right_hom_adjunction():
         for phi in lhs:
             psi = helpers.rhom_transpose(phi, w_jh, rh, j)
             assert psi in rhs
-            assert helpers.rhom_untranspose(psi, w_jh, wit, k) == phi
+            assert helpers.rhom_untranspose(psi, w_jh, k) == phi
             images.add(psi)
         assert len(images) == len(rhs)
 

@@ -573,8 +573,8 @@ def test_pointwise_decision_reads_only_the_fibers_of_its_right_hom(
     built, build = [], prof.rhom.__wrapped__
 
     def keeping(k, h):
-        built.append(build(k, h)[0])
-        return built[-1], None
+        built.append(build(k, h))
+        return built[-1]
 
     monkeypatch.setattr(prof.rhom, "__wrapped__", keeping)
     assert kan.is_pointwise_ran(cand) is True

@@ -238,11 +238,11 @@ def test_rhom_action_matches_two_sided_builder():
     setups += [(k, h) for k, h in itertools.product(corpus[:8], repeat=2)
                if k.target == h.target]
     for n, (k, h) in enumerate(setups):
-        rh, wit = rhom(k, h)
+        rh = rhom(k, h)
         # each table is built on its first read, either side first
         read_one_side(rh, SIDES[n % 2])
         assert helpers.validate_profunctor(rh) == []
-        action = helpers.rhom_action_oracle(k, h, wit)
+        action = helpers.rhom_action_oracle(k, h, rh)
         assert helpers.two_sided(rh) == action
         left, right = helpers.sides_of(rh.source, rh.target, rh.fibers, action)
         assert list(rh.left.items()) == list(left.items()), rh.name
@@ -373,7 +373,7 @@ def test_profunctor_equals_itself_before_a_read_and_others_by_their_tables():
     ids = identity_functor(two), identity_functor(two)
     # outside a decision each unit_prof(two) is a fresh build
     derived = [unit_prof(two), compose_prof(unit_prof(two), unit_prof(two))[0],
-               rhom(unit_prof(two), unit_prof(two))[0],
+               rhom(unit_prof(two), unit_prof(two)),
                restrict(compose_prof(unit_prof(two), unit_prof(two))[0], *ids)]
     for p in derived:
         assert p == p and not p != p
@@ -469,7 +469,7 @@ def test_restrictions_of_derived_profunctors_read_the_side_they_build(first):
     # each restriction gets a fresh K, so that K's other side is unread
     builds = [lambda j=j, h=h: compose_prof(j, h)[0]
               for j, h in helpers.composable_pairs()[::4]]
-    builds += [lambda k=k, h=h: rhom(k, h)[0]
+    builds += [lambda k=k, h=h: rhom(k, h)
                for _, h, k in helpers.adjunction_setups()]
     count = 0
     for build in builds:
@@ -645,20 +645,24 @@ def test_rhom_frozen_counts():
     two = zoo.walking_arrow()
     p0 = zoo.pick(two, "0")
     # families One -/-> One out of the conjoint into the companion
-    rh, wit = rhom(companion(p0), unit_prof(two))
+    k, h = companion(p0), unit_prof(two)
+    rh = rhom(k, h)
     assert helpers.validate_profunctor(rh) == []
     # a family at (*, b) assigns to each arrow 0 -> e an arrow 0 -> e
     # naturally; precomposition forces it to be determined at b = 0
     assert {k: len(v) for k, v in rh.fibers.items()} == \
         {("*", "0"): 1, ("*", "1"): 1}
-    for (a, b), fams in wit.families.items():
-        assert set(fams) == set(rh.fiber(a, b))
+    # each family has one image per slot (e, x), in K(a, e)
+    for a, b, fam in rh.elements():
+        slots = prof.family_slots(h, b)
+        assert len(fam) == len(slots)
+        assert all(y in k.fiber(a, e) for (e, _), y in zip(slots, fam))
 
 
 def test_rhom_adjunction_bijection():
     for j, h, k in helpers.adjunction_setups():
         jh, w_jh = compose_prof(j, h)
-        rh, wit = rhom(k, h)
+        rh = rhom(k, h)
         ida, idb = identity_functor(j.source), identity_functor(j.target)
         ide = identity_functor(k.target)
         lhs = cells_between(jh, k, ida, ide)
@@ -669,7 +673,7 @@ def test_rhom_adjunction_bijection():
             psi = helpers.rhom_transpose(phi, w_jh, rh, j)
             assert validate_cell(psi) == []
             assert psi in rhs
-            assert helpers.rhom_untranspose(psi, w_jh, wit, k) == phi
+            assert helpers.rhom_untranspose(psi, w_jh, k) == phi
             seen.add(psi)
         assert len(seen) == len(rhs)
 
@@ -683,8 +687,9 @@ def test_restriction_of_unit_is_hom_of_images():
 
 
 def test_rhom_families_match_slow_twin():
-    # fibers and families, including their order, against the product of
-    # every map per e; G_pq adds hom-sets of several arrows
+    # fibers, each family the tuple of its images and each fiber in search
+    # order, against the product of every map per e, which sorts nothing;
+    # G_pq adds hom-sets of several arrows
     cases = [(k, h) for _, h, k in helpers.adjunction_setups()]
     corpus = helpers.profunctor_corpus()
     cases += [(k, h) for k, h in itertools.product(corpus, repeat=2)
@@ -695,13 +700,28 @@ def test_rhom_families_match_slow_twin():
                   (conjoint(identity_functor(g)), unit_prof(g))]
     families = 0
     for k, h in cases:
-        rh, wit = rhom(k, h)
-        fibers, fams = helpers.rhom_families_oracle(k, h)
-        assert list(rh.fibers.items()) == list(fibers.items())
-        assert [(key, list(v.items())) for key, v in wit.families.items()] == \
-            [(key, list(v.items())) for key, v in fams.items()]
+        fibers = helpers.rhom_families_oracle(k, h)
+        assert list(rhom(k, h).fibers.items()) == list(fibers.items())
         families += sum(len(v) for v in fibers.values())
     assert families == 249
+
+
+def test_right_hom_of_a_unit_is_its_hom_sets():
+    # the Yoneda lemma: a natural family C(a, -) -> C(m, -) is u |-> u . p
+    # for exactly one p : m -> a
+    cats = [helpers.chain(n) for n in (2, 3, 4, 5)]
+    cats += [helpers.g_pq(p, q) for p, q in ((1, 1), (1, 2), (2, 1), (2, 2))]
+    cats += [zoo.iso_pair(), zoo.parallel_pair(), zoo.composable_pair()]
+    for c in cats:
+        one = unit_prof(c)
+        rh = rhom(one, one)
+        for m in c.objects:
+            for a in c.objects:
+                want = [tuple(c.table[(u, p)]
+                              for _, u in prof.family_slots(one, a))
+                        for p in c.hom(m, a)]
+                assert len(set(want)) == len(want), (c.name, m, a)
+                assert sorted(rh.fiber(m, a)) == sorted(want), (c.name, m, a)
 
 
 def test_hash_agrees_with_equality_for_profunctors_and_cells():
