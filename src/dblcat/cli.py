@@ -17,7 +17,7 @@ import json
 import sys
 
 from . import dsl, kan, laws, spanfin, tab, zoo
-from .fincat import NoLimit, comma_category, find_isomorphism
+from .fincat import NoLimit, comma_category, decision, find_isomorphism
 from .prof import compose_prof
 from .kan import InvariantViolation
 
@@ -100,7 +100,9 @@ def cmd_compose(args):
     return {"ok": True, "fibers": fibers, "classes": classes}
 
 
+@decision
 def cmd_ran(args):
+    # one decision: the extension and both verdicts share one RanProblem
     ws = load_workspace(args.file)
     j = pick_item(ws, "profunctors", args.profunctor)
     d = pick_item(ws, "functors", args.diagram)

@@ -16,8 +16,12 @@ problem, each functor s : A -> M with its cells J -> 1_M over (s, d), come
 from one search per problem, which binds s and then each cell's components
 (``RanProblem.competitors``): the order of ``all_functors`` and
 ``cells_between``, with the checks that do not depend on d filed once per
-(J, M) in a ``CompetitorNetwork``.  ``is_ran`` then searches
-``all_natural_transformations`` once per competitor.
+(J, M) in a ``CompetitorNetwork``.  ``RanProblem.is_ran`` then searches
+``all_natural_transformations`` once per competitor.  A pointwise cell is
+a right extension (Dubuc), so the decision ``is_ran`` first tries Dubuc's
+condition, the hom-bijection test of ``is_pointwise_ran``, and answers yes
+when it holds; otherwise the competitor search decides, and every no comes
+from that search.  Ordinary ``is_right_exact`` runs the search alone.
 
 ``pointwise_ran``, ``is_ran``, ``is_pointwise_ran`` and ``is_right_exact``
 are decisions (``fincat.decision``): within one call, each search, unit
@@ -295,7 +299,20 @@ def _checked(cand):
 def is_ran(cand):
     """Exact decision of the right-extension property: every cell
     J -> 1_M over (s, d) must factor through eps by exactly one natural
-    transformation s => r.  Raises ValueError on a malformed candidate."""
+    transformation s => r.  A pointwise cell is a right extension (Dubuc),
+    so a candidate that passes the hom-bijection test is one; the
+    competitor search decides the others, and every no comes from it.
+    Raises ValueError on a malformed candidate."""
+    problem = _checked(cand)
+    if _pointwise_by_hom_bijection(problem, cand.r, cand.eps):
+        return True
+    return problem.is_ran(cand.r, cand.eps)
+
+
+@decision
+def _is_ran_by_search(cand):
+    """is_ran by the competitor search alone, without the pointwise test:
+    the ordinary verdict wherever it is checked against a pointwise one."""
     return _checked(cand).is_ran(cand.r, cand.eps)
 
 
@@ -366,7 +383,9 @@ def default_object_probes(ac):
 
 def check_pointwise_probes(cand, probes=None):
     """For each probe f : C -> A report whether the restricted candidate is
-    a pointwise (and an ordinary) right extension."""
+    a pointwise (and an ordinary) right extension.  The ordinary verdict
+    comes from the competitor search alone, since ``is_ran`` answers a
+    pointwise candidate by the pointwise test itself."""
     if probes is None:
         probes = default_object_probes(cand.j.source)
     report = {}
@@ -374,7 +393,7 @@ def check_pointwise_probes(cand, probes=None):
         sub = restrict_candidate(cand, f)
         report[f.name] = {
             "pointwise": is_pointwise_ran(sub),
-            "ordinary": is_ran(sub),
+            "ordinary": _is_ran_by_search(sub),
         }
     return report
 
@@ -403,15 +422,16 @@ def pasting_check(gamma, cand):
     """Report the four extension verdicts in the pasting situation: gamma
     as a candidate for s along J with target r, and the pasted composite as
     a candidate for s along J * H.  When cand is pointwise, the matching
-    verdicts must agree pairwise."""
+    verdicts must agree pairwise.  The ordinary verdicts come from the
+    competitor search alone, as in ``check_pointwise_probes``."""
     if not is_pointwise_ran(cand):
         raise ValueError("pasting_check requires a pointwise base candidate")
     gamma_cand = RanCandidate(gamma.hsrc, cand.r, gamma.vsrc, gamma)
     comp_cand = composite_candidate(gamma, cand)
     return {
-        "gamma_ordinary": is_ran(gamma_cand),
+        "gamma_ordinary": _is_ran_by_search(gamma_cand),
         "gamma_pointwise": is_pointwise_ran(gamma_cand),
-        "composite_ordinary": is_ran(comp_cand),
+        "composite_ordinary": _is_ran_by_search(comp_cand),
         "composite_pointwise": is_pointwise_ran(comp_cand),
     }
 

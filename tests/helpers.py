@@ -992,6 +992,11 @@ def is_ran_oracle(cand):
     return True
 
 
+# is_ran by the competitor search alone, without the pointwise test that
+# kan.is_ran tries first: the twin of its every yes
+is_ran_by_search = kan._is_ran_by_search
+
+
 def right_exact_oracle(cell, mode, probe_cats):
     """is_right_exact as a loop over every (d, r, eps) of the slow
     enumerators, deciding each candidate afresh: ordinary candidates by

@@ -102,7 +102,10 @@ def test_deciders_match_slow_twin_and_known_answers():
     counts = [0, 0, 0]
     for cand in cands + limit_poor_candidates():
         ordinary = kan.is_ran(cand)
-        assert ordinary == helpers.is_ran_oracle(cand)
+        # kan.is_ran searches competitors only where the pointwise test
+        # fails, so the search is checked on its own as well
+        assert ordinary == helpers.is_ran_by_search(cand) == \
+            helpers.is_ran_oracle(cand)
         counts[0] += 1
         counts[1] += ordinary
         counts[2] += kan.is_pointwise_ran(cand)
@@ -121,6 +124,7 @@ def test_deciders_match_slow_twin_and_known_answers():
                 Cell("e", helpers.empty_prof(one, one), unit_prof(mc), r, d, {})))
     want = [False, True, False, False, True, True]
     assert [kan.is_ran(c) for c in empties] == want
+    assert [helpers.is_ran_by_search(c) for c in empties] == want
     assert [helpers.is_ran_oracle(c) for c in empties] == want
     assert [kan.is_pointwise_ran(c) for c in empties] == want
 
@@ -128,8 +132,10 @@ def test_deciders_match_slow_twin_and_known_answers():
 def test_is_ran_matches_slow_twin_into_z2_and_g_pq():
     # every candidate along a corpus profunctor into Z/2, the idempotent
     # monoid and G12, whose hom-set 0 -> 2 holds two arrows, and the
-    # extension of the identity along the hom profunctor of G_pq
-    verdicts = []
+    # extension of the identity along the hom profunctor of G_pq; kan.is_ran
+    # answers yes on every pointwise candidate without the search, so the
+    # search is checked on its own as well
+    ordinary, pointwise = [], []
     for mc in (helpers.z2(), helpers.idempotent_monoid(), helpers.g_pq(1, 2)):
         um = unit_prof(mc)
         for j in helpers.profunctor_corpus():
@@ -137,13 +143,16 @@ def test_is_ran_matches_slow_twin_into_z2_and_g_pq():
                 for s in all_functors(j.source, mc):
                     for eps in cells_between(j, um, s, d):
                         cand = kan.RanCandidate(j, d, s, eps)
-                        verdicts.append(kan.is_ran(cand))
-                        assert verdicts[-1] == helpers.is_ran_oracle(cand)
-    assert (len(verdicts), sum(verdicts)) == (1454, 437)
+                        ordinary.append(kan.is_ran(cand))
+                        assert ordinary[-1] == helpers.is_ran_by_search(
+                            cand) == helpers.is_ran_oracle(cand)
+                        pointwise.append(kan.is_pointwise_ran(cand))
+    assert (len(ordinary), sum(ordinary), sum(pointwise)) == (1454, 437, 413)
     for p, q in ((1, 1), (1, 2), (2, 1)):
         g = helpers.g_pq(p, q)
         cand = kan.pointwise_ran(unit_prof(g), identity_functor(g))
-        assert kan.is_ran(cand) and helpers.is_ran_oracle(cand)
+        assert kan.is_ran(cand) and helpers.is_ran_by_search(cand) and \
+            helpers.is_ran_oracle(cand)
 
 
 def test_deciders_reject_malformed_candidates():
