@@ -88,16 +88,16 @@ def cmd_compose(args):
     if left.target != right.source:
         print("error: profunctors are not composable", file=sys.stderr)
         raise SystemExit(2)
-    comp, wit = compose_prof(left, right)
-    fibers = {f"({a},{b})": list(comp.fiber(a, b))
+    comp, classes = compose_prof(left, right)
+    fibers = {f"({a},{b})": ["|".join(pair) for pair in comp.fiber(a, b)]
               for a in comp.source.objects for b in comp.target.objects
               if comp.fiber(a, b)}
-    classes = {}
-    for (a, e), ids in wit.ids.items():
-        for pair, cid in sorted(ids.items()):
-            classes.setdefault(f"({a},{e})", {}).setdefault(
-                "|".join(wit.least(a, e, cid)), []).append("|".join(pair))
-    return {"ok": True, "fibers": fibers, "classes": classes}
+    members = {}
+    for (a, e), cls in classes.items():
+        for pair, least in sorted(cls.items()):
+            members.setdefault(f"({a},{e})", {}).setdefault(
+                "|".join(least), []).append("|".join(pair))
+    return {"ok": True, "fibers": fibers, "classes": members}
 
 
 @decision

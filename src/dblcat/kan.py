@@ -243,12 +243,18 @@ class RanProblem:
         """The right hom d^* <| J : M -/-> A."""
         return rhom(conjoint(self.d), self.j)
 
+    @derived
+    def _elements(self):
+        """``elements_categories(J)``, read once per problem and shared
+        by the problems of one J within a decision."""
+        return elements_categories(self.j)
+
     def limit_at(self, a):
         """(oid, diagram, terminal cone) of d over the category of elements
-        of J(a, -), one of ``elements_categories(J)``, which the problems
-        of one J share; the terminal cone is None where M has no limit."""
+        of J(a, -), one of ``elements_categories(J)``; the terminal cone is
+        None where M has no limit.  Each is taken on its first request."""
         if a not in self._limits:
-            _, proj, oid = elements_categories(self.j)[a]
+            _, proj, oid = self._elements[a]
             diagram = compose_functors(self.d, proj)
             try:
                 term = limit(diagram)
@@ -407,12 +413,10 @@ def composite_candidate(gamma, cand):
     (r, d), yielding a candidate for s along J * H."""
     j, h = gamma.hsrc, cand.j
     mc = cand.d.target
-    jh, wit = compose_prof(j, h)
-    comp = {}
-    for a, b, cid in jh.elements():
-        mid, x, y = wit.least(a, b, cid)
-        comp[(a, b, cid)] = mc.compose(cand.eps.comp[(mid, b, y)],
-                                       gamma.comp[(a, mid, x)])
+    jh, _ = compose_prof(j, h)
+    comp = {(a, b, (mid, x, y)): mc.compose(cand.eps.comp[(mid, b, y)],
+                                            gamma.comp[(a, mid, x)])
+            for a, b, (mid, x, y) in jh.elements()}
     eps = Cell(f"({gamma.name};{cand.eps.name})", jh, unit_prof(mc),
                gamma.vsrc, cand.d, comp)
     return RanCandidate(jh, cand.d, gamma.vsrc, eps)

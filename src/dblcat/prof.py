@@ -12,14 +12,14 @@ morphism; every universal property below is decided by finite enumeration.
 Every profunctor derived here (the representables ``unit_prof``,
 ``companion`` and ``conjoint``, the composites of ``compose_prof``, the
 right homs of ``rhom`` and the restrictions of ``restrict``) builds its
-fibers, and any witness, at once, and each action table, per side, when
-it is first read: it is made by ``fincat.deferred``, and ``left`` and
-``right`` are ``fincat.OnFirstRead`` attributes, as a category's table
-is; one builder, ``_action``, lists every such table, and each kind
-gives only how an element moves.  A tabulation reads only the elements of
-the unit profunctor of its category, the pointwise decision only the
-fibers of its right hom, and most composites of the law suites no table at
-all.  A profunctor equals itself unread (``fincat.equal_before_read``),
+fibers, and a composite its classes, at once, and each action table, per
+side, when it is first read: it is made by ``fincat.deferred``, and
+``left`` and ``right`` are ``fincat.OnFirstRead`` attributes, as a
+category's table is; one builder, ``_action``, lists every such table,
+and each kind gives only how an element moves.  A tabulation reads only
+the elements of the unit profunctor of its category, the pointwise
+decision only the fibers of its right hom, and most composites of the law
+suites no table at all.  A profunctor equals itself unread (``fincat.equal_before_read``),
 and keeps ``elements()``, every (a, b, j) in one tuple, once built.
 
 A cell's top boundary and components are first-read tables too: a
@@ -30,15 +30,17 @@ Every other cell, and every composite of built cells, is built whole.
 
 Elements of a composite J * H are equivalence classes of pairs (j, h)
 under sliding non-identity middle morphisms across the pair (an identity
-slide joins a pair with itself).  Pairs are enumerated in
-naming order (middle object, left fiber position, right fiber position) and
-each class is named after its least member in that order, so recomputing a
-composite always yields the same tables.  When J is a unit or a companion,
-or H a unit or a conjoint, the co-Yoneda lemma names the class of a pair
-by one element, read off the other side's action table (H's left, or J's
+slide joins a pair with itself).  Pairs are enumerated in naming order
+(middle object, left fiber position, right fiber position), and an
+element is the least pair (b, x, y) of its class in that order, so
+recomputing a composite always yields the same tables; ``compose_prof``
+also maps each pair to its class.  When J is a unit or a companion, or H
+a unit or a conjoint, the co-Yoneda lemma tells the class of a pair by
+one element, read off the other side's action table (H's left, or J's
 right) and no other; every other composite is quotiented by a union-find
-over the slides (``compose_prof``).  Its twins in ``tests/helpers.py``
-are ``compose_prof_oracle`` and the span-level ``internal_prof_compose``.
+over the slides.  Its twins in ``tests/helpers.py`` are
+``compose_prof_oracle``, which returns the same classes, and the
+span-level ``internal_prof_compose``, which checks the fiber sizes.
 
 Cells (``cells_between``) and right-hom families (``rhom``) come from
 ``fincat.backtrack``, the one search behind every enumerator; the loops
@@ -332,32 +334,6 @@ def nat_transf_as_cell(alpha):
 # composition of profunctors: explicit coend quotient
 
 
-def pair_id(b, j, h):
-    return f"{b}|{j}|{h}"
-
-
-@dataclass(frozen=True, eq=True)
-class CoendWitness:
-    """Quotient data of a composite: for every boundary pair (a, e), the id
-    of the class of each raw pair (b, j, h), as ``compose_prof`` named it,
-    and the least pair of each class under its id, which ``pair_id``
-    names."""
-
-    left: Profunctor
-    right: Profunctor
-    composite: Profunctor
-    ids: dict              # (a, e) -> {(b, j, h): class id}
-    named: dict = field(compare=False, repr=False)  # (a, e) -> {id: (b0, j0, h0)}
-
-    def least(self, a, e, cls_id):
-        """The least pair (b, j, h) of the class named cls_id at (a, e)."""
-        return self.named[(a, e)][cls_id]
-
-    def class_id(self, a, e, b, j, h):
-        """The id of the class of (b, j, h) at (a, e)."""
-        return self.ids[(a, e)][(b, j, h)]
-
-
 def coyoneda_side(j, h):
     """The side of J * H that is a representable with an identity at the
     middle, by which ``compose_prof`` names its classes: "left" when J is
@@ -373,29 +349,30 @@ def coyoneda_side(j, h):
 
 @construction
 def compose_prof(j, h):
-    """The composite J * H with its coend witness.
+    """The composite J * H and its classes: ``classes[(a, e)]`` maps each
+    pair (b, x, y), x in J(a, b) and y in H(b, e), to its class, which is
+    its element of J * H over (a, e).
 
     Pairs (x, y) sharing a middle object are identified under sliding a
     middle morphism v across: (v . x, y) ~ (x, y . v).  The pairs at each
     boundary (a, e) are listed in naming order (middle object, left fiber
-    position, right fiber position) and grouped into classes; each class
-    is named after its first member, and the classes are listed in that
-    order.  An empty boundary gets empty ``ids`` and ``named`` entries.
+    position, right fiber position), and ``classes[(a, e)]`` lists them
+    in that order, an empty boundary included.  A class is its least pair,
+    its first in that order, and the fiber lists the classes in that order.
 
     By the co-Yoneda lemma, f_* * H = H(f -, -) and J * g^* = J(-, g -).
-    So when ``coyoneda_side`` finds a side, the class of (b, x, y) is the
-    element y . x: of H(f a, e), read off H's left action alone, when J
-    is C(f a, b); of J(a, g e), read off J's right action alone, when H is
-    C(b, g e).  Any other composite, a restriction C(f a, g b) included,
-    is quotiented by a union-find over positions that keeps the smaller
-    root, the least member of its class.  It slides only non-identity
-    morphisms, as an identity joins each pair with itself, and reads J's
-    right and H's left action, over inhabited boundaries only: per e the
-    middle objects b with H(b, e) and the slides v : b1 -> b2 with
-    H(b2, e) nonempty, per a those of them with J(a, b) and J(a, b1)
-    nonempty.
+    So when ``coyoneda_side`` finds a side, the class of (b, x, y) is told
+    by the element y . x: of H(f a, e), read off H's left action alone,
+    when J is C(f a, b); of J(a, g e), read off J's right action alone,
+    when H is C(b, g e).  Any other composite, a restriction C(f a, g b)
+    included, is quotiented by a union-find over positions.  It slides
+    only non-identity morphisms, as an identity joins each pair with
+    itself, and reads J's right and H's left action, over inhabited
+    boundaries only: per e the middle objects b with H(b, e) and the
+    slides v : b1 -> b2 with H(b2, e) nonempty, per a those of them with
+    J(a, b) and J(a, b1) nonempty.
 
-    The fibers and the witness are built at once; each action table on
+    The fibers and the classes are built at once; each action table on
     its first read, from J's left action or H's right action: u : a2 -> a
     acts on the class of (x, y) as the class of (x . u, y), and w : e -> e2
     as the class of (x, w . y).
@@ -422,7 +399,7 @@ def compose_prof(j, h):
             i = parent[i]
         return i
 
-    named, ids, fibers = {}, {}, {}
+    classes, fibers = {}, {}
     for a in ac.objects:
         xs_at = {b: xs for b in bc.objects if (xs := jfiber((a, b)))}
         # each x acted on once per slide out of an inhabited J(a, b1)
@@ -431,55 +408,44 @@ def compose_prof(j, h):
         for e, mids, pulls in over:
             pairs = [(b, x, y) for b, ys in mids if b in xs_at
                      for x in xs_at[b] for y in ys]
-            if not pairs:
-                named[(a, e)], ids[(a, e)] = {}, {}
-                continue
             if coyoneda == "left":
-                classes = [hleft[(x, b, e, y)] for b, x, y in pairs]
+                reps = [hleft[(x, b, e, y)] for b, x, y in pairs]
             elif coyoneda == "right":
-                classes = [jright[(a, b, x, y)] for b, x, y in pairs]
+                reps = [jright[(a, b, x, y)] for b, x, y in pairs]
             else:
                 pos = {p: i for i, p in enumerate(pairs)}
                 parent = list(range(len(pairs)))
                 for v, b1, b2, ys in pulls:
                     for x, xv in pushed.get(v, ()):
                         for y, vy in ys:
-                            r1, r2 = find(pos[(b2, xv, y)]), find(pos[(b1, x, vy)])
-                            if r1 < r2:
-                                r1, r2 = r2, r1
-                            parent[r1] = r2       # the smaller root survives
-                classes = [find(i) for i in range(len(pairs))]
-            groups = {}       # class -> members, by first member
-            for cls, pair in zip(classes, pairs):
-                groups.setdefault(cls, []).append(pair)
-            cls_ids, names = {}, {}
-            for members in groups.values():
-                cid = pair_id(*members[0])
-                names[cid] = members[0]
-                for pair in members:
-                    cls_ids[pair] = cid
-            named[(a, e)], ids[(a, e)] = names, cls_ids
-            fibers[(a, e)] = tuple(names)
+                            parent[find(pos[(b2, xv, y)])] = \
+                                find(pos[(b1, x, vy)])
+                reps = [find(i) for i in range(len(pairs))]
+            first = {}        # representative -> the least pair of its class
+            classes[(a, e)] = {p: first.setdefault(r, p)
+                               for r, p in zip(reps, pairs)}
+            if first:
+                fibers[(a, e)] = tuple(first.values())
 
     def moves(side):
         if side == "left":
             asrc, jleft = ac.src, j.left
 
-            def move(a, e, cid, u):
-                b, x, y = named[(a, e)][cid]
-                return ids[(asrc[u], e)][(b, jleft[(u, a, b, x)], y)]
+            def move(a, e, pair, u):
+                b, x, y = pair
+                return classes[(asrc[u], e)][(b, jleft[(u, a, b, x)], y)]
         else:
             etgt, hright = ec.tgt, h.right
 
-            def move(a, e, cid, w):
-                b, x, y = named[(a, e)][cid]
-                return ids[(a, etgt[w])][(b, x, hright[(b, e, y, w)])]
+            def move(a, e, pair, w):
+                b, x, y = pair
+                return classes[(a, etgt[w])][(b, x, hright[(b, e, y, w)])]
         return move
 
     composite = deferred(
         Profunctor, partial(_action, ac, ec, fibers, moves),
         name=f"({j.name}*{h.name})", source=ac, target=ec, fibers=fibers)
-    return composite, CoendWitness(j, h, composite, ids, named)
+    return composite, classes
 
 
 def hcompose(left, right):
@@ -487,16 +453,14 @@ def hcompose(left, right):
     right : H -> L over (g, h) gives J*H -> K*L over (f, h)."""
     if left.vtgt != right.vsrc:
         raise ValueError("cells do not share their middle boundary")
-    _, src_witness = compose_prof(left.hsrc, right.hsrc)
-    _, tgt_witness = compose_prof(left.htgt, right.htgt)
+    jh, _ = compose_prof(left.hsrc, right.hsrc)
+    kl, kl_classes = compose_prof(left.htgt, right.htgt)
     f, g, h = left.vsrc, left.vtgt, right.vtgt
-    jh, kl = src_witness.composite, tgt_witness.composite
     comp = {}
-    for a, e, cid in jh.elements():
-        b, x, y = src_witness.least(a, e, cid)
-        comp[(a, e, cid)] = tgt_witness.class_id(
-            f.obj[a], h.obj[e], g.obj[b],
-            left.comp[(a, b, x)], right.comp[(b, e, y)])
+    for a, e, pair in jh.elements():
+        b, x, y = pair
+        comp[(a, e, pair)] = kl_classes[(f.obj[a], h.obj[e])][
+            (g.obj[b], left.comp[(a, b, x)], right.comp[(b, e, y)])]
     return Cell(f"({left.name}|{right.name})", jh, kl, f, h, comp)
 
 
@@ -606,40 +570,33 @@ def is_invertible_cell(c):
 
 def left_unitor(p):
     """The invertible horizontal cell 1_A * P -> P."""
-    _, witness = compose_prof(unit_prof(p.source), p)
-    up = witness.composite
-    comp = {}
-    for a, b, cid in up.elements():
-        mid, u, x = witness.least(a, b, cid)
-        comp[(a, b, cid)] = p.act_left(u, mid, b, x)
+    up, _ = compose_prof(unit_prof(p.source), p)
+    comp = {(a, b, (mid, u, x)): p.act_left(u, mid, b, x)
+            for a, b, (mid, u, x) in up.elements()}
     return Cell(f"lu_{p.name}", up, p,
                 identity_functor(p.source), identity_functor(p.target), comp)
 
 
 def right_unitor(p):
     """The invertible horizontal cell P * 1_B -> P."""
-    _, witness = compose_prof(p, unit_prof(p.target))
-    pu = witness.composite
-    comp = {}
-    for a, b, cid in pu.elements():
-        mid, x, v = witness.least(a, b, cid)
-        comp[(a, b, cid)] = p.act_right(a, mid, x, v)
+    pu, _ = compose_prof(p, unit_prof(p.target))
+    comp = {(a, b, (mid, x, v)): p.act_right(a, mid, x, v)
+            for a, b, (mid, x, v) in pu.elements()}
     return Cell(f"ru_{p.name}", pu, p,
                 identity_functor(p.source), identity_functor(p.target), comp)
 
 
 def associator(j, h, k):
     """The invertible horizontal cell (J*H)*K -> J*(H*K)."""
-    jh, wjh = compose_prof(j, h)
-    jh_k, w_left = compose_prof(jh, k)
-    hk, whk = compose_prof(h, k)
-    j_hk, w_right = compose_prof(j, hk)
+    jh, _ = compose_prof(j, h)
+    jh_k, _ = compose_prof(jh, k)
+    hk, hk_classes = compose_prof(h, k)
+    j_hk, j_hk_classes = compose_prof(j, hk)
     comp = {}
-    for a, z, cid in jh_k.elements():
-        e, xy, y2 = w_left.least(a, z, cid)        # xy in (J*H)(a, e), y2 in K(e, z)
-        b, x, y = wjh.least(a, e, xy)              # x in J(a, b), y in H(b, e)
-        inner = whk.class_id(b, z, e, y, y2)       # class of (y, y2) in (H*K)(b, z)
-        comp[(a, z, cid)] = w_right.class_id(a, z, b, x, inner)
+    for a, z, pair in jh_k.elements():
+        e, (b, x, y), y2 = pair     # x in J(a, b), y in H(b, e), y2 in K(e, z)
+        inner = hk_classes[(b, z)][(e, y, y2)]    # (y, y2)'s class in (H*K)(b, z)
+        comp[(a, z, pair)] = j_hk_classes[(a, z)][(b, x, inner)]
     return Cell(f"assoc_{j.name}_{h.name}_{k.name}", jh_k, j_hk,
                 identity_functor(j.source), identity_functor(k.target), comp)
 
@@ -685,22 +642,22 @@ def cartesian_cell(k, f, g):
 
 def extend(j, f, g):
     """The extension f^* * (J * g_*) : C -/-> D of J : A -/-> B along
-    f : A -> C and g : B -> D, with its two coend witnesses."""
-    jg, w_inner = compose_prof(j, companion(g))
-    ext, w_outer = compose_prof(conjoint(f), jg)
-    return ext, w_inner, w_outer
+    f : A -> C and g : B -> D, with the classes of J * g_* and of the
+    extension, as ``compose_prof`` gives them."""
+    jg, inner = compose_prof(j, companion(g))
+    ext, outer = compose_prof(conjoint(f), jg)
+    return ext, inner, outer
 
 
 def opcartesian_cell(j, f, g):
     """The canonical opcartesian cell J -> f^* * (J * g_*) over (f, g)."""
-    ext, w_inner, w_outer = extend(j, f, g)
-    ac, bc = j.source, j.target
+    ext, inner, outer = extend(j, f, g)
     cc, dc = f.target, g.target
     comp = {}
     for a, b, x in j.elements():
         fa, gb = f.obj[a], g.obj[b]
-        inner = w_inner.class_id(a, gb, b, x, dc.identity(gb))
-        comp[(a, b, x)] = w_outer.class_id(fa, gb, a, cc.identity(fa), inner)
+        xg = inner[(a, gb)][(b, x, dc.identity(gb))]
+        comp[(a, b, x)] = outer[(fa, gb)][(a, cc.identity(fa), xg)]
     return Cell(f"opcart_{j.name}({f.name},{g.name})", j, ext, f, g, comp)
 
 
@@ -715,13 +672,12 @@ def is_opcartesian(c):
     the canonical extension of J onto K bijects in every fiber."""
     f, g = c.vsrc, c.vtgt
     j, k = c.hsrc, c.htgt
-    ext, w_inner, w_outer = extend(j, f, g)
+    ext, _, _ = extend(j, f, g)
     for cobj in f.target.objects:
         for dobj in g.target.objects:
             imgs = []
-            for cid in ext.fiber(cobj, dobj):
-                a, p, inner = w_outer.least(cobj, dobj, cid)   # p : c -> f a
-                b, x, q = w_inner.least(a, dobj, inner)        # q : g b -> d
+            # p : c -> f a, x in J(a, b), q : g b -> d
+            for a, p, (b, x, q) in ext.fiber(cobj, dobj):
                 imgs.append(k.act(p, f.obj[a], g.obj[b], c.comp[(a, b, x)], q))
             if not bijects_onto(imgs, k.fiber(cobj, dobj)):
                 return False
@@ -762,15 +718,15 @@ def lower_star(c):
     """
     f, g = c.vsrc, c.vtgt
     j, k = c.hsrc, c.htgt
-    jg, w_src = compose_prof(j, companion(g))
-    fk, w_tgt = compose_prof(companion(f), k)
+    jg, _ = compose_prof(j, companion(g))
+    fk, fk_classes = compose_prof(companion(f), k)
     cc = f.target
     comp = {}
-    for a, d, cid in jg.elements():
-        b, x, q = w_src.least(a, d, cid)           # x in J(a, b), q : g b -> d
+    for a, d, pair in jg.elements():
+        b, x, q = pair                             # x in J(a, b), q : g b -> d
         fa, gb = f.obj[a], g.obj[b]
         val = k.act_right(fa, gb, c.comp[(a, b, x)], q)
-        comp[(a, d, cid)] = w_tgt.class_id(a, d, fa, cc.identity(fa), val)
+        comp[(a, d, pair)] = fk_classes[(a, d)][(fa, cc.identity(fa), val)]
     return Cell(f"low_{c.name}", jg, fk,
                 identity_functor(j.source), identity_functor(g.target), comp)
 
@@ -779,15 +735,15 @@ def upper_star(c):
     """The horizontal mate f^* * J -> K * g^* of a cell J -> K over (f, g)."""
     f, g = c.vsrc, c.vtgt
     j, k = c.hsrc, c.htgt
-    fj, w_src = compose_prof(conjoint(f), j)
-    kg, w_tgt = compose_prof(k, conjoint(g))
+    fj, _ = compose_prof(conjoint(f), j)
+    kg, kg_classes = compose_prof(k, conjoint(g))
     dc = g.target
     comp = {}
-    for cobj, b, cid in fj.elements():
-        a, p, x = w_src.least(cobj, b, cid)        # p : c -> f a, x in J(a, b)
+    for cobj, b, pair in fj.elements():
+        a, p, x = pair                             # p : c -> f a, x in J(a, b)
         fa, gb = f.obj[a], g.obj[b]
         val = k.act_left(p, fa, gb, c.comp[(a, b, x)])
-        comp[(cobj, b, cid)] = w_tgt.class_id(cobj, b, gb, val, dc.identity(gb))
+        comp[(cobj, b, pair)] = kg_classes[(cobj, b)][(gb, val, dc.identity(gb))]
     return Cell(f"up_{c.name}", fj, kg,
                 identity_functor(f.target), identity_functor(j.target), comp)
 

@@ -10,10 +10,9 @@ from functools import cache
 from dblcat.fincat import (CommaCategory, Cone, FinCategory, Functor,
                            NatTransf, NoLimit, all_functors, compose_functors,
                            filed, identity_functor, make_category)
-from dblcat.prof import (Cell, CoendWitness, Profunctor, cells_between,
-                         companion, compose_prof, conjoint, family_slots,
-                         pair_id, restrict, unit_cell, unit_prof,
-                         validate_cell, vcompose)
+from dblcat.prof import (Cell, Profunctor, cells_between, companion,
+                         compose_prof, conjoint, family_slots, restrict,
+                         unit_cell, unit_prof, validate_cell, vcompose)
 from dblcat import dsl, kan, spanfin, tab, zoo
 from dblcat.tab import Tabulation
 
@@ -1142,7 +1141,9 @@ def compose_prof_oracle(j, h):
     """compose_prof as it was before its position-ordered kernel: a
     tuple-keyed union-find, each class's least member found with ``min``
     over a key of ``tuple.index`` calls, and the fiber sorted by that key.
-    Every action is read through ``act_left``/``act_right`` once per pair."""
+    Every action is read through ``act_left``/``act_right`` once per pair.
+    It returns the composite and, per boundary, each pair's least pair,
+    the pairs listed in naming order."""
     if j.target != h.source:
         raise ValueError("profunctors not composable")
     ac, bc, ec = j.source, j.target, h.target
@@ -1154,8 +1155,7 @@ def compose_prof_oracle(j, h):
                     h.fiber(b, e).index(y))
         return k
 
-    ids = {}
-    named = {}
+    classes = {}
     fibers = {}
     for a in ac.objects:
         for e in ec.objects:
@@ -1175,24 +1175,23 @@ def compose_prof_oracle(j, h):
             for p in pairs:
                 root = uf.find(p)
                 reps.setdefault(root, []).append(p)
-            cls = {}
+            least_of = {}
             kf = key(a, e)
             for members in reps.values():
                 least = min(members, key=kf)
                 for p in members:
-                    cls[p] = least
-            ids[(a, e)] = {p: pair_id(*least) for p, least in cls.items()}
-            fiber = sorted({least for least in cls.values()}, key=kf)
-            named[(a, e)] = {pair_id(*p): p for p in fiber}
+                    least_of[p] = least
+            classes[(a, e)] = {p: least_of[p] for p in pairs}
+            fiber = sorted(set(least_of.values()), key=kf)
             if fiber:
-                fibers[(a, e)] = tuple(named[(a, e)])
-    action = compose_action_oracle(j, h, fibers, ids, named)
+                fibers[(a, e)] = tuple(fiber)
+    action = compose_action_oracle(j, h, fibers, classes)
     composite = Profunctor(f"({j.name}*{h.name})", ac, ec, fibers,
                            *sides_of(ac, ec, fibers, action))
-    return composite, CoendWitness(j, h, composite, ids, named)
+    return composite, classes
 
 
-def compose_action_oracle(j, h, fibers, ids, named):
+def compose_action_oracle(j, h, fibers, classes):
     """The two-sided action of J * H as compose_prof built it before its
     one-sided tables: one entry per class, u and w, the class of
     (x . u, w . y)."""
@@ -1200,25 +1199,24 @@ def compose_action_oracle(j, h, fibers, ids, named):
     action = {}
     for (a, e), elems in fibers.items():
         for cid in elems:
-            b, x, y = named[(a, e)][cid]
+            b, x, y = cid
             for u in ac.into(a):
                 a2 = ac.src[u]
                 xu = j.act_left(u, a, b, x)
                 for w in ec.out_of(e):
                     e2 = ec.tgt[w]
                     yw = h.act_right(b, e, y, w)
-                    action[(u, a, e, cid, w)] = ids[(a2, e2)][(b, xu, yw)]
+                    action[(u, a, e, cid, w)] = classes[(a2, e2)][(b, xu, yw)]
     return action
 
 
-def composite_tables(composite, witness):
-    """Name, fibers, left and right actions, class ids and named of a
-    composite as nested lists of items, so that comparing two of them
-    compares insertion order as well as values."""
+def composite_tables(composite, classes):
+    """Name, fibers, left and right actions and classes of a composite as
+    nested lists of items, so that comparing two of them compares
+    insertion order as well as values."""
     return (composite.name, list(composite.fibers.items()),
             list(composite.left.items()), list(composite.right.items()),
-            [(k, list(v.items())) for k, v in witness.ids.items()],
-            [(k, list(v.items())) for k, v in witness.named.items()])
+            [(k, list(v.items())) for k, v in classes.items()])
 
 
 def composable_pairs(limit=40):
@@ -1240,39 +1238,39 @@ def restriction_iso_cell(k, f, g):
     three-fold composite amounts to this cell being a componentwise
     bijection.
     """
-    inner, w_inner = compose_prof(k, conjoint(g))
-    triple, w_outer = compose_prof(companion(f), inner)
+    inner, _ = compose_prof(k, conjoint(g))
+    triple, _ = compose_prof(companion(f), inner)
     r = restrict(k, f, g)
     comp = {}
-    for a, b, cid in triple.elements():
-        c, p, mid = w_outer.least(a, b, cid)
-        d, x, q = w_inner.least(c, b, mid)
-        comp[(a, b, cid)] = k.act(p, c, d, x, q)
+    for a, b, pair in triple.elements():
+        c, p, (d, x, q) = pair
+        comp[(a, b, pair)] = k.act(p, c, d, x, q)
     return Cell(f"rcomp_{k.name}", triple, r,
                 identity_functor(f.source), identity_functor(g.source), comp)
 
 
-def rhom_transpose(phi, w_jh, rh_prof, j):
+def rhom_transpose(phi, jh_classes, rh_prof, j, h):
     """Carry a cell J * H -> K across the adjunction to J -> K <| H: x
     goes to the family of the images of the classes of (x, y), y in
-    H(b, e), for e in E's object order."""
-    h, ec = w_jh.right, phi.htgt.target
-    comp = {(a, b, x): tuple(phi.comp[(a, e, w_jh.class_id(a, e, b, x, y))]
+    H(b, e), for e in E's object order; ``jh_classes`` are J * H's, as
+    ``compose_prof`` gives them."""
+    ec = phi.htgt.target
+    comp = {(a, b, x): tuple(phi.comp[(a, e, jh_classes[(a, e)][(b, x, y)])]
                              for e in ec.objects for y in h.fiber(b, e))
             for a, b, x in j.elements()}
     return Cell(f"tr_{phi.name}", j, rh_prof,
                 identity_functor(j.source), identity_functor(j.target), comp)
 
 
-def rhom_untranspose(psi, w_jh, k):
-    """The inverse passage, J -> K <| H back to J * H -> K: the class of
-    (x, y) goes to the image of y in the family of x."""
-    jh, h = w_jh.composite, w_jh.right
+def rhom_untranspose(psi, jh, h, k):
+    """The inverse passage, J -> K <| H back to the cell J * H -> K out of
+    the composite ``jh``: the class of (x, y) goes to the image of y in
+    the family of x."""
     comp = {}
-    for a, e, cid in jh.elements():
-        b, x, y = w_jh.least(a, e, cid)
+    for a, e, pair in jh.elements():
+        b, x, y = pair
         fam = dict(zip(family_slots(h, b), psi.comp[(a, b, x)]))
-        comp[(a, e, cid)] = fam[(e, y)]
+        comp[(a, e, pair)] = fam[(e, y)]
     return Cell(f"un_{psi.name}", jh, k,
                 identity_functor(jh.source), identity_functor(jh.target), comp)
 

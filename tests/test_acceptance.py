@@ -43,14 +43,14 @@ def test_criterion_02_companions_conjoints_restriction():
 def test_criterion_03_coend_quotients_match_oracle():
     # union-find composition against the naive fixed-point refinement
     for j, h in helpers.composable_pairs():
-        comp, wit = compose_prof(j, h)
+        comp, classes = compose_prof(j, h)
         assert helpers.validate_profunctor(comp) == []
         for a in j.source.objects:
             for e in h.target.objects:
                 blocks = helpers.coend_classes_oracle(j, h, a, e)
                 ours = {}
-                for pair, cid in wit.ids[(a, e)].items():
-                    ours.setdefault(wit.least(a, e, cid), set()).add(pair)
+                for pair, least in classes[(a, e)].items():
+                    ours.setdefault(least, set()).add(pair)
                 assert {frozenset(v) for v in ours.values()} == blocks
 
 
@@ -58,7 +58,7 @@ def test_criterion_04_right_hom_adjunction():
     # cells J * H -> K biject with cells J -> K <| H, by an explicit
     # transposition with a two-sided inverse
     for j, h, k in helpers.adjunction_setups():
-        jh, w_jh = compose_prof(j, h)
+        jh, jh_classes = compose_prof(j, h)
         rh = rhom(k, h)
         ida, idb = identity_functor(j.source), identity_functor(j.target)
         ide = identity_functor(k.target)
@@ -67,9 +67,9 @@ def test_criterion_04_right_hom_adjunction():
         assert len(lhs) == len(rhs)
         images = set()
         for phi in lhs:
-            psi = helpers.rhom_transpose(phi, w_jh, rh, j)
+            psi = helpers.rhom_transpose(phi, jh_classes, rh, j, h)
             assert psi in rhs
-            assert helpers.rhom_untranspose(psi, w_jh, k) == phi
+            assert helpers.rhom_untranspose(psi, jh, h, k) == phi
             images.add(psi)
         assert len(images) == len(rhs)
 

@@ -69,6 +69,22 @@ def test_compose(capsys):
                for members in cls.values())
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("path, left, right", [
+    (FIXTURE, "HomTwo", "HomTwo"), (G32, "Hom", "Hom"),
+    (FAILING, "Empty", "HomTwo")])
+def test_compose_prints_its_recorded_output(capsys, path, left, right, fmt):
+    # stdout as recorded in tests/fixtures/compose/: how the composite
+    # names its elements inside must not change what dcat compose prints
+    stem = os.path.basename(path).removesuffix(".dcat")
+    recorded = os.path.join(os.path.dirname(__file__), "fixtures", "compose",
+                            f"{stem}-{left}-{right}.{fmt}")
+    with open(recorded, encoding="utf-8") as fh:
+        want = fh.read()
+    code, out, err = run(capsys, "compose", path, left, right, "--format", fmt)
+    assert (code, out, err) == (0, want, "")
+
+
 def test_g32_fixture_is_the_serialized_workspace():
     g = helpers.g_pq(3, 2)
     ws = dsl.Workspace(categories={"G32": g},

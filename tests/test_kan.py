@@ -562,6 +562,25 @@ def test_limits_over_elements_of_g_pq_match_slow_twin():
                 (want.apex, list(want.legs.items()))
 
 
+def test_a_problem_builds_its_categories_of_elements_once(monkeypatch):
+    # outside a decision a construction is a plain call, so the problem
+    # itself keeps what it read: one build per object of G22 over the
+    # limits at all three objects
+    builds, build = [], kan.elements_category
+
+    def counted(j, a):
+        builds.append((j, a))
+        return build(j, a)
+
+    monkeypatch.setattr(kan, "elements_category", counted)
+    g = helpers.g_pq(2, 2)
+    problem = kan.RanProblem(unit_prof(g), identity_functor(g))
+    for a in g.objects:
+        problem.limit_at(a)
+    assert len(g.objects) == 3
+    assert len(builds) == len(set(builds)) == 3
+
+
 def test_ran_of_identity_along_hom_of_g32():
     # the extension of the identity along the hom profunctor of G32 is the
     # identity; its limit at object 0 is over ten elements with three and

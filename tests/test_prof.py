@@ -89,7 +89,7 @@ def test_composite_fibers_frozen():
     two = zoo.walking_arrow()
     f = zoo.pick(two, "0")
     fw, _ = compose_prof(companion(f), conjoint(f))
-    assert fw.fibers == {("*", "*"): ("0|1_0|1_0",)}
+    assert fw.fibers == {("*", "*"): (("0", "1_0", "1_0"),)}
     bw, _ = compose_prof(conjoint(f), companion(f))
     assert {k: len(v) for k, v in bw.fibers.items()} == \
         {("0", "0"): 1, ("0", "1"): 1}
@@ -99,14 +99,14 @@ def test_composite_fibers_frozen():
 
 def test_composites_validate_and_match_oracle():
     for j, h in helpers.composable_pairs():
-        comp, wit = compose_prof(j, h)
+        comp, classes = compose_prof(j, h)
         assert helpers.validate_profunctor(comp) == []
         for a in j.source.objects:
             for e in h.target.objects:
                 blocks = helpers.coend_classes_oracle(j, h, a, e)
                 ours = {}
-                for pair, cid in wit.ids[(a, e)].items():
-                    ours.setdefault(wit.least(a, e, cid), set()).add(pair)
+                for pair, least in classes[(a, e)].items():
+                    ours.setdefault(least, set()).add(pair)
                 assert {frozenset(v) for v in ours.values()} == blocks
 
 
@@ -212,9 +212,9 @@ def test_composite_action_matches_two_sided_builder():
              if j.target == h.source]
     assert len(pairs) == 185
     for j, h in pairs:
-        comp, wit = compose_prof(j, h)
+        comp, classes = compose_prof(j, h)
         assert helpers.two_sided(comp) == helpers.compose_action_oracle(
-            j, h, comp.fibers, wit.ids, wit.named)
+            j, h, comp.fibers, classes)
 
 
 SIDES = ("left", "right")
@@ -272,10 +272,10 @@ def test_compose_prof_matches_slow_twin(monkeypatch):
                         lambda j, h: sides.append(side_of(j, h)) or sides[-1])
     largest = {}
     for n, (j, h) in enumerate(pairs):
-        composite, witness = compose_prof(j, h)
+        composite, classes = compose_prof(j, h)
         # each table is built on its first read, either side first
         read_one_side(composite, SIDES[n % 2])
-        assert helpers.composite_tables(composite, witness) == \
+        assert helpers.composite_tables(composite, classes) == \
             helpers.composite_tables(*helpers.compose_prof_oracle(j, h))
         largest[sides[n]] = max([largest.get(sides[n], 0),
                                  *map(len, composite.fibers.values())])
@@ -294,10 +294,10 @@ def test_coyoneda_composites_leave_the_representable_side_unread():
     fs, fc = companion(f), conjoint(f)
     for j, h, rep, unread in [(fs, companion(g), fs, "right"),
                               (conjoint(g), fc, fc, "left")]:
-        composite, witness = compose_prof(j, h)
+        composite, classes = compose_prof(j, h)
         composite.left, composite.right
         assert unread not in vars(rep), rep.name
-        assert helpers.composite_tables(composite, witness) == \
+        assert helpers.composite_tables(composite, classes) == \
             helpers.composite_tables(*helpers.compose_prof_oracle(j, h))
 
 
@@ -310,12 +310,11 @@ def test_compose_prof_matches_slow_twin_over_a_discrete_middle():
     pairs.append((unit_prof(middle), unit_prof(middle)))
     largest = 0
     for j, h in pairs:
-        composite, witness = compose_prof(j, h)
-        assert helpers.composite_tables(composite, witness) == \
+        composite, classes = compose_prof(j, h)
+        assert helpers.composite_tables(composite, classes) == \
             helpers.composite_tables(*helpers.compose_prof_oracle(j, h))
-        for (a, e), ids in witness.ids.items():
-            assert all(witness.least(a, e, cid) == pair
-                       for pair, cid in ids.items())
+        for cls in classes.values():
+            assert all(least == pair for pair, least in cls.items())
         largest = max([largest] + [len(f) for f in composite.fibers.values()])
     assert largest == 2
     assert len(pairs) == 82
@@ -510,12 +509,13 @@ def test_workspace_round_trip_holds_with_an_unread_unit():
 def test_witness_class_lookup():
     two = zoo.walking_arrow()
     p = unit_prof(two)
-    comp, wit = compose_prof(p, p)
-    # (1_0, a) and (a, 1_1) slide to the same class over (0, 1)
-    cid = wit.class_id("0", "1", "0", "1_0", "a")
-    assert cid == wit.class_id("0", "1", "1", "a", "1_1")
-    assert wit.least("0", "1", cid) == ("0", "1_0", "a")
-    assert sum(c == cid for c in wit.ids[("0", "1")].values()) == 2
+    comp, classes = compose_prof(p, p)
+    # (1_0, a) and (a, 1_1) slide to the same class over (0, 1), which is
+    # the first of them
+    cls = classes[("0", "1")]
+    assert cls[("0", "1_0", "a")] == cls[("1", "a", "1_1")] == ("0", "1_0", "a")
+    assert list(cls.values()).count(("0", "1_0", "a")) == 2
+    assert comp.fiber("0", "1") == (("0", "1_0", "a"),)
 
 
 def test_unitors_are_inverses():
@@ -661,7 +661,7 @@ def test_rhom_frozen_counts():
 
 def test_rhom_adjunction_bijection():
     for j, h, k in helpers.adjunction_setups():
-        jh, w_jh = compose_prof(j, h)
+        jh, jh_classes = compose_prof(j, h)
         rh = rhom(k, h)
         ida, idb = identity_functor(j.source), identity_functor(j.target)
         ide = identity_functor(k.target)
@@ -670,10 +670,10 @@ def test_rhom_adjunction_bijection():
         assert len(lhs) == len(rhs)
         seen = set()
         for phi in lhs:
-            psi = helpers.rhom_transpose(phi, w_jh, rh, j)
+            psi = helpers.rhom_transpose(phi, jh_classes, rh, j, h)
             assert validate_cell(psi) == []
             assert psi in rhs
-            assert helpers.rhom_untranspose(psi, w_jh, k) == phi
+            assert helpers.rhom_untranspose(psi, jh, h, k) == phi
             seen.add(psi)
         assert len(seen) == len(rhs)
 

@@ -179,7 +179,7 @@ def test_span_level_composite_shares_no_code_with_prof():
     # the check sees a read through an imported name, renamed or not, and
     # through the module, in a helper that a root reads
     leaky = ast.parse(
-        "from dblcat.prof import pair_id as pid, Profunctor\n"
+        "from dblcat.prof import family_slots as pid, Profunctor\n"
         "from dblcat import prof, spanfin\n"
         "import dblcat.prof as dp\n\n\n"
         "def coequalizer(xs):\n"
