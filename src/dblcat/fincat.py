@@ -121,13 +121,17 @@ def equal_before_read(self, other):
     those built with the instance before its tables, which come last and
     are read only when the others are equal.  An instance made by
     ``deferred`` shares its dataclass's fields, so it compares with one
-    built with its tables."""
+    built with its tables.  Two representable profunctors that record
+    equal ``_represents``, (C, f, g), are equal unread."""
     if self is other:
         return True
     cls = self.__class__
     if other.__class__ is not cls and getattr(
             other, "__dataclass_fields__", None) is not cls.__dataclass_fields__:
         return NotImplemented
+    rep = self.__dict__.get("_represents")
+    if rep is not None and rep == other.__dict__.get("_represents"):
+        return True
     built, tables = self._compared
     return built(self) == built(other) and tables(self) == tables(other)
 

@@ -4,9 +4,11 @@ A candidate extension is a cell eps : J -> 1_M over (r, d); it is a right
 extension when every competitor cell factors through it by a unique
 natural transformation, and pointwise when in addition morphisms
 m -> r(a) correspond to natural families J(a, b) -> M(m, d b).  Both
-properties are decided exactly on the given finite data; the pointwise
-check runs two independent procedures and refuses to answer if they ever
-disagree.
+properties are decided exactly on the given finite data.  The pointwise
+property holds exactly when each restriction (a, r a, eps_a), eps_a being
+eps's components at a, is a limit cone; two independent procedures judge
+each restriction, Dubuc's hom bijection and the limit comparison, and the
+check refuses to answer at the first object where they disagree.
 
 The quantifiers, the limits over categories of elements (``all_cones``)
 and the right hom d^* <| J (``rhom``) all run on the one search of
@@ -18,10 +20,11 @@ from one search per problem, which binds s and then each cell's components
 ``cells_between``, with the checks that do not depend on d filed once per
 (J, M) in a ``CompetitorNetwork``.  ``RanProblem.is_ran`` then searches
 ``all_natural_transformations`` once per competitor.  A pointwise cell is
-a right extension (Dubuc), so the decision ``is_ran`` first tries Dubuc's
-condition, the hom-bijection test of ``is_pointwise_ran``, and answers yes
-when it holds; otherwise the competitor search decides, and every no comes
-from that search.  Ordinary ``is_right_exact`` runs the search alone.
+a right extension (Dubuc), so the decision ``is_ran`` first reads Dubuc's
+condition, the hom-bijection verdict of ``is_pointwise_ran``, at each
+object, and answers yes when every one holds; otherwise the competitor
+search decides, and every no comes from that search.  Ordinary
+``is_right_exact`` runs the search alone.
 
 ``pointwise_ran``, ``is_ran``, ``is_pointwise_ran`` and ``is_right_exact``
 are decisions (``fincat.decision``): within one call, each search, unit
@@ -29,9 +32,11 @@ profunctor and ``RanProblem`` is built once per distinct arguments, and
 none is kept after it.  A ``RanProblem`` holds what a decision needs about
 (J, d), each part built once, when first asked for: its competitors (every
 functor s : A -> M with its cells J -> 1_M over (s, d), if it has any),
-its right hom d^* <| J and its limits.  The limits are taken over J's
-categories of elements, which depend on J alone: ``elements_categories``
-builds them once per decision for the problems of every d.  ``is_ran`` and
+its right hom d^* <| J, its limits and each procedure's verdict on each
+restriction (a, r a, eps_a) it was asked about, which candidates that
+agree at a share.  The limits are taken over J's categories of elements,
+which depend on J alone: ``elements_categories`` builds them once per
+decision for the problems of every d.  ``is_ran`` and
 ``is_pointwise_ran`` validate their candidate and consult its problem, and
 ``is_right_exact`` judges each of its candidates, the competitors of the
 problem of (K, d), against the problems of (K, d) and (J, d . g).  A
@@ -186,9 +191,11 @@ class CompetitorNetwork:
 class RanProblem:
     """The right extension of d : B -> M along J : A -/-> B, as the data
     that every candidate (r, eps) is judged against: its competitors, the
-    right hom d^* <| J and the limit over the category of elements at each
-    object of A, each built once, when first asked for, and kept with the
-    problem.
+    right hom d^* <| J, the limit over the category of elements at each
+    object of A and ``family_slots(J, a)``, each built once, when first
+    asked for, and kept with the problem.  So are the verdicts of both
+    pointwise procedures, per restriction (a, r a, eps_a): a candidate
+    whose restriction at a another candidate already had reads them.
 
     A ``fincat.construction``, as are the searches it runs: one decision
     has one problem per (J, d), shared by the candidates it judges.
@@ -200,6 +207,7 @@ class RanProblem:
         self.mc = d.target
         self.um = unit_prof(self.mc)
         self._limits = {}
+        self._verdicts = {_hom_bijection_at: {}, _limit_comparison_at: {}}
 
     @derived
     def competitors(self):
@@ -249,6 +257,11 @@ class RanProblem:
         by the problems of one J within a decision."""
         return elements_categories(self.j)
 
+    @derived
+    def _slots(self):
+        """``family_slots(J, a)`` for each object a of A."""
+        return {a: family_slots(self.j, a) for a in self.j.source.objects}
+
     def limit_at(self, a):
         """(oid, diagram, terminal cone) of d over the category of elements
         of J(a, -), one of ``elements_categories(J)``; the terminal cone is
@@ -262,6 +275,24 @@ class RanProblem:
                 term = None
             self._limits[a] = (oid, diagram, term)
         return self._limits[a]
+
+    def restrictions(self, r, eps):
+        """The restriction (a, r a, eps_a) of (r, eps) at each object a of
+        A, in A's order, where eps_a lists eps's components at a along
+        ``family_slots(J, a)``.  An empty column J(a, -) gives eps_a = (),
+        so r a stays in the key."""
+        comp, robj = eps.comp, r.obj
+        for a, slots in self._slots.items():
+            yield a, robj[a], tuple([comp[(a, b, x)] for b, x in slots])
+
+    def verdict(self, test, a, ra, eps_a):
+        """``test(self, a, ra, eps_a)``, one pointwise procedure's verdict
+        on the restriction (a, ra, eps_a), computed once per problem."""
+        done, key = self._verdicts[test], (a, ra, eps_a)
+        found = done.get(key)
+        if found is None:
+            found = done[key] = test(self, a, ra, eps_a)
+        return found
 
     def is_ran(self, r, eps):
         """Every competitor over (s, d) is eps . alpha for exactly one
@@ -280,15 +311,20 @@ class RanProblem:
         return True
 
     def is_pointwise_ran(self, r, eps):
-        """Pointwise property by two independent procedures, which must
-        agree."""
-        one = _pointwise_by_hom_bijection(self, r, eps)
-        two = _pointwise_by_limits(self, r, eps)
-        if one != two:
-            raise OracleDisagreement(
-                f"pointwise procedures disagree on {eps.name}: "
-                f"hom-bijection={one}, limit-comparison={two}")
-        return one
+        """Pointwise property, one restriction at a time: at each object a,
+        in A's order, both procedures judge whether eps_a is a limit cone
+        with apex r a, and they must agree there.  The first object where
+        both say no decides no."""
+        for key in self.restrictions(r, eps):
+            one = self.verdict(_hom_bijection_at, *key)
+            two = self.verdict(_limit_comparison_at, *key)
+            if one != two:
+                raise OracleDisagreement(
+                    f"pointwise procedures disagree on {eps.name} at "
+                    f"{key[0]}: hom-bijection={one}, limit-comparison={two}")
+            if not one:
+                return False
+        return True
 
 
 def _checked(cand):
@@ -306,11 +342,13 @@ def is_ran(cand):
     """Exact decision of the right-extension property: every cell
     J -> 1_M over (s, d) must factor through eps by exactly one natural
     transformation s => r.  A pointwise cell is a right extension (Dubuc),
-    so a candidate that passes the hom-bijection test is one; the
-    competitor search decides the others, and every no comes from it.
-    Raises ValueError on a malformed candidate."""
+    so a candidate whose every restriction passes the hom-bijection test is
+    one; those verdicts are the problem's, shared with
+    ``is_pointwise_ran``.  The competitor search decides the others, and
+    every no comes from it.  Raises ValueError on a malformed candidate."""
     problem = _checked(cand)
-    if _pointwise_by_hom_bijection(problem, cand.r, cand.eps):
+    if all(problem.verdict(_hom_bijection_at, *key)
+           for key in problem.restrictions(cand.r, cand.eps)):
         return True
     return problem.is_ran(cand.r, cand.eps)
 
@@ -322,54 +360,46 @@ def _is_ran_by_search(cand):
     return _checked(cand).is_ran(cand.r, cand.eps)
 
 
-def _pointwise_by_hom_bijection(problem, r, eps):
-    """Pointwise test, procedure one, Dubuc's condition: p : m -> r(a)
-    must correspond bijectively to natural families J(a, b) -> M(m, d b),
+def _hom_bijection_at(problem, a, ra, eps_a):
+    """Pointwise test at a, procedure one, Dubuc's condition: p : m -> r a
+    must correspond bijectively to the natural families J(a, b) -> M(m, d b),
     the elements of the right hom d^* <| J over (m, a).  Each p gives the
-    family eps_a . p, eps's images at a along ``family_slots(J, a)`` each
-    composed with p, as the right hom lists its elements."""
-    j, mc = problem.j, problem.mc
-    rh, compose = problem.right_hom, mc.compose
-    for a in j.source.objects:
-        eps_a = [eps.comp[(a, b, x)] for b, x in family_slots(j, a)]
-        for m in mc.objects:
-            if not bijects_onto([tuple(compose(y, p) for y in eps_a)
-                                 for p in mc.hom(m, r.obj[a])],
-                                rh.fiber(m, a)):
-                return False
-    return True
-
-
-def _pointwise_by_limits(problem, r, eps):
-    """Pointwise test, procedure two: compare with the objectwise limit
-    computation through the mediating morphism."""
+    family eps_a . p, each image composed with p, as the right hom lists
+    its elements."""
     mc = problem.mc
-    for a in problem.j.source.objects:
-        oid, diagram, term = problem.limit_at(a)
-        if term is None:
-            return False
-        legs = {oid[(b, x)]: eps.comp[(a, b, x)]
-                for (b, x) in oid}
-        cone = Cone(diagram, r.obj[a], legs)
-        if cone.validate():
-            return False
-        med = mediating_morphisms(term, cone)
-        if len(med) != 1:
-            return False
-        t = med[0]
-        # t must be invertible in M
-        if not any(mc.compose(t, s) == mc.identity(term.apex) and
-                   mc.compose(s, t) == mc.identity(r.obj[a])
-                   for s in mc.hom(term.apex, r.obj[a])):
-            return False
-    return True
+    rh, compose = problem.right_hom, mc.compose
+    return all(bijects_onto([tuple([compose(y, p) for y in eps_a])
+                             for p in mc.hom(m, ra)], rh.fiber(m, a))
+               for m in mc.objects)
+
+
+def _limit_comparison_at(problem, a, ra, eps_a):
+    """Pointwise test at a, procedure two: eps_a is a cone with apex r a
+    over d's diagram on the category of elements of J(a, -), and its
+    mediating morphism from the limit's apex must be invertible in M."""
+    mc = problem.mc
+    oid, diagram, term = problem.limit_at(a)
+    if term is None:
+        return False
+    legs = {oid[slot]: y for slot, y in zip(problem._slots[a], eps_a)}
+    cone = Cone(diagram, ra, legs)
+    if cone.validate():
+        return False
+    med = mediating_morphisms(term, cone)
+    if len(med) != 1:
+        return False
+    t = med[0]
+    return any(mc.compose(t, s) == mc.identity(term.apex) and
+               mc.compose(s, t) == mc.identity(ra)
+               for s in mc.hom(term.apex, ra))
 
 
 @decision
 def is_pointwise_ran(cand):
-    """Pointwise right-extension property, decided by two independent
-    procedures which must agree.  Raises ValueError on a malformed
-    candidate."""
+    """Pointwise right-extension property, decided restriction by
+    restriction by two independent procedures, which must agree at each
+    object of A; a disagreement raises ``OracleDisagreement`` naming eps
+    and the object.  Raises ValueError on a malformed candidate."""
     return _checked(cand).is_pointwise_ran(cand.r, cand.eps)
 
 

@@ -19,8 +19,9 @@ category's table is; one builder, ``_action``, lists every such table,
 and each kind gives only how an element moves.  A tabulation reads only
 the elements of the unit profunctor of its category, the pointwise
 decision only the fibers of its right hom, and most composites of the law
-suites no table at all.  A profunctor equals itself unread (``fincat.equal_before_read``),
-and keeps ``elements()``, every (a, b, j) in one tuple, once built.
+suites no table at all.  A profunctor equals itself unread, and a
+representable any other of the same (C, f, g) (``fincat.equal_before_read``);
+it keeps ``elements()``, every (a, b, j) in one tuple, once built.
 
 A cell's top boundary and components are first-read tables too: a
 tabulation's defining cell and a ``vcompose`` with an unread side build
@@ -48,7 +49,10 @@ it replaced are ``cells_between_oracle`` and ``rhom_families_oracle`` in
 ``tests/helpers.py``, next to ``validate_profunctor``, which checks the
 axioms of every profunctor the tests build.  An element of a right hom
 is its family itself, the tuple of its images along ``family_slots``, in
-the search's order; it has no other name.
+the search's order; it has no other name.  Along a unit or a companion
+H = C(f -, -), the Yoneda lemma gives the families without a search, one
+per element of K(a, f b); ``rhom_families_oracle`` is the twin of both
+paths.
 
 ``unit_prof``, ``companion``, ``conjoint``, ``compose_prof``,
 ``naturality_plan``, ``cells_between`` and ``rhom`` are constructions
@@ -84,7 +88,7 @@ class Profunctor:
     included.
 
     Equality (``fincat.equal_before_read``) compares the boundary, the
-    fibers and both tables.
+    fibers and both tables, or two representables' (C, f, g).
 
     A derived profunctor (the representables, composites, right homs and
     restrictions) is built by ``fincat.deferred`` with its fibers only,
@@ -764,34 +768,54 @@ def rhom(k, h):
     """The right hom K <| H : A -/-> B of K : A -/-> E and H : B -/-> E.
 
     An element over (a, b) is a family of maps H(b, e) -> K(a, e), natural
-    in e, as the tuple of its images along ``family_slots(h, b)``; the
-    families are found by ``fincat.backtrack``, one position per slot, and
-    listed in its lexicographic order.  The fibers are built at once, from
-    H's and K's right actions; each action table on its first read: u :
-    a2 -> a acts by post-composing each image with K's left action of u,
-    and v : b -> b2 by pre-composing each map with H's left action of v.
+    in e, as the tuple of its images along ``family_slots(h, b)``, listed
+    in the lexicographic order of a ``fincat.backtrack`` search with one
+    position per slot.  When H is a unit or a companion, E(f b, e), the
+    Yoneda lemma gives the families: x |-> x . y, one per y in K(a, f b),
+    read off K's right action alone and sorted into that order by the
+    positions of their images in K's fibers.  Any other H is searched, on
+    H's and K's right actions.  The fibers are built at once; each action
+    table on its first read: u : a2 -> a acts by post-composing each image
+    with K's left action of u, and v : b -> b2 by pre-composing each map
+    with H's left action of v.
     """
     if k.target != h.target:
         raise ValueError("right hom needs a common target")
     ac, bc, ec = k.source, h.source, k.target
     slots = {b: family_slots(h, b) for b in bc.objects}
-    # per b, the squares (n, o, e, w): slot o holds slot n moved by
-    # w : e -> e2
-    squares = {}
-    for b, at in slots.items():
-        pos = {slot: n for n, slot in enumerate(at)}
-        squares[b] = [(n, pos[(ec.tgt[w], h.right[(b, e, x, w)])], e, w)
-                      for n, (e, x) in enumerate(at)
-                      for w in ec.out_of(e) if not ec.is_identity(w)]
-    fibers = {}
-    for a in ac.objects:
-        for b in bc.objects:
-            domains = [k.fiber(a, e) for e, _ in slots[b]]
-            moved = [(n, o, {y: (k.right[(a, e, y, w)],) for y in domains[n]})
-                     for n, o, e, w in squares[b]]
-            found = tuple(backtrack(domains, moved))
-            if found:
-                fibers[(a, b)] = found
+    rep, fibers = vars(h).get("_represents"), {}
+    if rep is not None and rep[2] is None:      # H(b, e) = E(f b, e)
+        fo, kright = None if rep[1] is None else rep[1].obj, k.right
+        for a in ac.objects:
+            for b, at in slots.items():
+                fb = b if fo is None else fo[b]
+                found = [tuple([kright[(a, fb, y, x)] for _, x in at])
+                         for y in k.fiber(a, fb)]
+                if len(found) > 1:      # into the search's order
+                    pos = {(e, y): n for e in ec.objects
+                           for n, y in enumerate(k.fiber(a, e))}
+                    found.sort(key=lambda fam: [
+                        pos[(e, y)] for (e, _), y in zip(at, fam)])
+                if found:
+                    fibers[(a, b)] = tuple(found)
+    else:
+        # per b, the squares (n, o, e, w): slot o holds slot n moved by
+        # w : e -> e2
+        squares = {}
+        for b, at in slots.items():
+            pos = {slot: n for n, slot in enumerate(at)}
+            squares[b] = [(n, pos[(ec.tgt[w], h.right[(b, e, x, w)])], e, w)
+                          for n, (e, x) in enumerate(at)
+                          for w in ec.out_of(e) if not ec.is_identity(w)]
+        for a in ac.objects:
+            for b in bc.objects:
+                domains = [k.fiber(a, e) for e, _ in slots[b]]
+                moved = [(n, o, {y: (k.right[(a, e, y, w)],)
+                                 for y in domains[n]})
+                         for n, o, e, w in squares[b]]
+                found = tuple(backtrack(domains, moved))
+                if found:
+                    fibers[(a, b)] = found
 
     def moves(side):
         if side == "left":

@@ -1,11 +1,13 @@
+import collections
 import dataclasses
 import functools
 import itertools
+import re
 
 import pytest
 
 import helpers
-from dblcat import dsl, fincat, kan, prof, zoo
+from dblcat import cli, dsl, fincat, kan, prof, zoo
 from dblcat.fincat import (Functor, all_functors, all_natural_transformations,
                            compose_functors, identity_functor,
                            validate_category, NoLimit)
@@ -609,3 +611,93 @@ def test_pointwise_decision_reads_only_the_fibers_of_its_right_hom(
     (rh,) = built
     assert rh.fibers
     assert "left" not in vars(rh) and "right" not in vars(rh)
+
+
+def test_pointwise_exactness_judges_each_restriction_once(monkeypatch):
+    # a candidate's restriction (a, r a, eps_a) at each object of A is
+    # judged once per problem by each procedure: the pasted sub-candidates
+    # of the identity cell repeat the restrictions of the top candidates
+    computed, asked, names = collections.Counter(), collections.Counter(), {}
+    for name in ("_hom_bijection_at", "_limit_comparison_at"):
+        def counted(problem, *key, name=name, test=getattr(kan, name)):
+            computed[name] += 1
+            return test(problem, *key)
+        names[counted] = name
+        monkeypatch.setattr(kan, name, counted)
+    cls = kan.RanProblem.__wrapped__
+    verdict = cls.verdict
+
+    def counted_verdict(problem, test, *key):
+        asked[names[test]] += 1
+        return verdict(problem, test, *key)
+
+    monkeypatch.setattr(cls, "verdict", counted_verdict)
+    cell = identity_cell(unit_prof(helpers.chain(3)))
+    assert kan.is_right_exact(cell, "pointwise") == (True, None)
+    # 44 candidates ask about 108 restrictions, 48 of them distinct
+    assert asked == {"_hom_bijection_at": 108, "_limit_comparison_at": 108}
+    assert computed == {"_hom_bijection_at": 48, "_limit_comparison_at": 48}
+
+
+def test_restrictions_along_an_empty_column_are_told_apart_by_r():
+    # J(a, -) empty gives eps_a = (), so within one problem only r a tells
+    # two restrictions at a apart: r must pick a terminal object
+    one = zoo.terminal_category()
+    empty = helpers.empty_prof(one, one)
+    got = []
+    for mc in (zoo.walking_arrow(), zoo.parallel_pair(), zoo.iso_pair()):
+        d = all_functors(one, mc)[0]
+        problem = kan.RanProblem(empty, d)
+        for r in all_functors(one, mc):
+            eps = Cell("e", empty, unit_prof(mc), r, d, {})
+            got.append(problem.is_pointwise_ran(r, eps))
+    assert got == [False, True, False, False, True, True]
+
+
+def test_pointwise_procedures_are_cross_checked_at_each_object(
+        monkeypatch, capsys):
+    # procedure two, broken at one object, must be caught there
+    limits = kan._limit_comparison_at
+
+    def broken_at(obj):
+        def test(problem, a, ra, eps_a):
+            verdict = limits(problem, a, ra, eps_a)
+            return not verdict if a == obj else verdict
+        return test
+
+    c = helpers.chain(3)
+    cand = kan.pointwise_ran(unit_prof(c), identity_functor(c))
+    monkeypatch.setattr(kan, "_limit_comparison_at", broken_at("1"))
+    with pytest.raises(kan.OracleDisagreement,
+                       match=rf"on {re.escape(cand.eps.name)} at 1: "
+                             r"hom-bijection=True, limit-comparison=False"):
+        kan.is_pointwise_ran(cand)
+    # dcat ran reports the disagreement with exit code 3
+    with open(helpers.FIXTURE, encoding="utf-8") as fh:
+        ws = dsl.parse(fh.read())
+    first = ws.profunctors["HomTwo"].source.objects[0]
+    monkeypatch.setattr(kan, "_limit_comparison_at", broken_at(first))
+    code = cli.main(["ran", helpers.FIXTURE, "HomTwo", "Collapse"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "pointwise procedures disagree" in err and f" at {first}:" in err
+
+
+def test_a_candidate_from_an_earlier_decision_reads_no_unit_table(
+        monkeypatch):
+    # validation compares eps's bottom, the unit of an earlier decision,
+    # with this decision's unit_prof(M): two units of one category are
+    # equal unread, so this decision builds no table of its unit
+    c = helpers.chain(3)
+    cand = kan.pointwise_ran(unit_prof(c), identity_functor(c))
+    units, built = [], []
+    unit, action = kan.unit_prof, prof._action
+    monkeypatch.setattr(kan, "unit_prof",
+                        lambda cat: units.append(unit(cat)) or units[-1])
+    monkeypatch.setattr(prof, "_action",
+                        lambda *args: built.append(args) or action(*args))
+    assert kan.is_ran(cand) is True
+    (u,) = {id(u): u for u in units}.values()
+    assert u is not cand.eps.htgt and u == cand.eps.htgt
+    assert "left" not in vars(u) and "right" not in vars(u)
+    assert not any(fibers is u.fibers for _, _, fibers, _, _ in built)

@@ -134,6 +134,16 @@ def reversed_listing(cat):
                        cat.tgt, cat.identities, cat.table)
 
 
+def shuffled_listing(cat, rng):
+    """``cat`` with its objects and morphisms listed in an order drawn
+    from ``rng``."""
+    objects, morphisms = list(cat.objects), list(cat.morphisms)
+    rng.shuffle(objects)
+    rng.shuffle(morphisms)
+    return FinCategory(cat.name, tuple(objects), tuple(morphisms), cat.src,
+                       cat.tgt, cat.identities, cat.table)
+
+
 def test_cell_search_matches_slow_twin_on_reversed_listings():
     # with objects listed against the arrows, a square can lead from a
     # later element to an earlier one; the search must test those too
@@ -378,6 +388,14 @@ def test_profunctor_equals_itself_before_a_read_and_others_by_their_tables():
         assert p == p and not p != p
         assert hash(p) == hash((p.source, p.target, p.elements()))
         assert "left" not in vars(p) and "right" not in vars(p), p.name
+    # two representables of equal (C, f, g) are equal unread
+    for build in (lambda: unit_prof(two),
+                  lambda: companion(zoo.pick(two, "0")),
+                  lambda: conjoint(zoo.pick(two, "1"))):
+        p, q = build(), build()
+        assert p is not q and p == q and not p != q
+        assert all(side not in vars(x) for x in (p, q)
+                   for side in ("left", "right")), p.name
     # distinct profunctors compare their tables: equal under another name,
     # unequal with one entry of one side changed, and the hash, which
     # reads no table, stays
@@ -704,6 +722,41 @@ def test_rhom_families_match_slow_twin():
         assert list(rhom(k, h).fibers.items()) == list(fibers.items())
         families += sum(len(v) for v in fibers.values())
     assert families == 249
+    # the units above take the Yoneda path; the same families again, along
+    # the restriction 1_G(id, id), which is searched; then units of G_pq
+    # with objects and arrows listed in a shuffled order, where a family's
+    # first slot need not be the identity, so the search's order is not
+    # that of K(a, f b)
+    more = []
+    for p, q in ((1, 1), (1, 2), (2, 1), (2, 2)):
+        g = helpers.g_pq(p, q)
+        ident = identity_functor(g)
+        more.append((unit_prof(g), restrict(unit_prof(g), ident, ident)))
+    for p, q, n in ((2, 1, 0), (2, 2, 0), (2, 2, 9)):
+        g = shuffled_listing(helpers.g_pq(p, q), random.Random(n))
+        more += [(unit_prof(g), unit_prof(g)),
+                 (conjoint(identity_functor(g)), unit_prof(g))]
+    families = 0
+    for k, h in more:
+        fibers = helpers.rhom_families_oracle(k, h)
+        assert list(rhom(k, h).fibers.items()) == list(fibers.items())
+        families += sum(len(v) for v in fibers.values())
+    assert families == 93
+
+
+def test_right_homs_along_units_and_companions_read_k_right_only():
+    # by the Yoneda lemma, K <| C(f -, -) holds x |-> x . y for each y in
+    # K(a, f b): its fibers read K's right action and no table of H
+    yoneda = 0
+    for _, h, k in helpers.adjunction_setups():
+        rh = rhom(k, h)
+        assert "left" not in vars(k), rh.name
+        if vars(h).get("_represents", (0, 0, 0))[2] is None:
+            assert "left" not in vars(h) and "right" not in vars(h), rh.name
+            yoneda += 1
+        assert list(rh.fibers.items()) == list(
+            helpers.rhom_families_oracle(k, h).items()), rh.name
+    assert yoneda == 3
 
 
 def test_right_hom_of_a_unit_is_its_hom_sets():
