@@ -15,6 +15,7 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import fields
 
 from . import dsl, kan, laws, spanfin, tab, zoo
 from .fincat import NoLimit, comma_category, decision, find_isomorphism
@@ -78,7 +79,7 @@ def cmd_check(args):
     # invalid one, so a workspace that loads is valid
     ws = load_workspace(args.file)
     return {"ok": True,
-            "checked": {table: len(items) for table, items in vars(ws).items()}}
+            "checked": {f.name: len(getattr(ws, f.name)) for f in fields(ws)}}
 
 
 def cmd_compose(args):
@@ -143,21 +144,28 @@ def cmd_initial(args):
     return {"ok": kan.is_initial_functor(fun), "functor": args.functor}
 
 
-def cmd_tabulate(args):
-    ws = load_workspace(args.file)
-    j = pick_item(ws, "profunctors", args.profunctor)
-    t = tab.tabulate(j)
+def tabulation_payload(args, t, verify, opcartesian=None):
+    """The payload of ``tabulate`` and ``internal-tabulate`` on ``t``:
+    unless ``--skip-verify``, with ``verify``'s verdict and report over the
+    tabulation probes, then ``opcartesian(t)`` if given."""
     out = {"ok": True,
            "objects": list(t.category.objects),
            "morphism_count": len(t.category.morphisms)}
     if not args.skip_verify:
-        good, report = tab.verify_tabulation(t, probe_set(
-            zoo.tabulation_probes(), args.probe_max_objects))
-        out["verified"] = good
-        out["report"] = report
-        out["opcartesian"] = tab.is_opcartesian_tabulation(t)
-        out["ok"] = good and out["opcartesian"]
+        good, report = verify(t, probe_set(zoo.tabulation_probes(),
+                                           args.probe_max_objects))
+        out["verified"], out["report"], out["ok"] = good, report, good
+        if opcartesian is not None:
+            out["opcartesian"] = opcartesian(t)
+            out["ok"] = good and out["opcartesian"]
     return out
+
+
+def cmd_tabulate(args):
+    ws = load_workspace(args.file)
+    j = pick_item(ws, "profunctors", args.profunctor)
+    return tabulation_payload(args, tab.tabulate(j), tab.verify_tabulation,
+                              tab.is_opcartesian_tabulation)
 
 
 def cmd_comma(args):
@@ -179,18 +187,9 @@ def cmd_comma(args):
 def cmd_internal_tabulate(args):
     ws = load_workspace(args.file)
     j = pick_item(ws, "profunctors", args.profunctor)
-    ij = spanfin.prof_bridge(j)
-    t = spanfin.internal_tabulate(ij)
-    out = {"ok": True,
-           "objects": list(t.category.objects),
-           "morphism_count": len(t.category.morphisms)}
-    if not args.skip_verify:
-        good, report = spanfin.verify_internal_tabulation(t, probe_set(
-            zoo.tabulation_probes(), args.probe_max_objects))
-        out["verified"] = good
-        out["report"] = report
-        out["ok"] = good
-    return out
+    return tabulation_payload(
+        args, spanfin.internal_tabulate(spanfin.prof_bridge(j)),
+        spanfin.verify_internal_tabulation)
 
 
 def cmd_laws(args):

@@ -6,28 +6,29 @@ Objects and morphisms are interned string identifiers.  The order in which
 they are listed is a total order that every enumeration below respects, so
 all constructions are deterministic.
 
-Every FinCategory indexes its morphisms by both endpoints (``hom``), by
-target (``into``) and by source (``out_of``), each index on its first
-read, so a category that is only counted, such as a tabulation's, indexes
-none.  Each index lists morphisms in the interned order, so iterating an
-index visits exactly the morphisms, and in the order, that a filtered
-scan of ``morphisms`` would.
+One mechanism keeps a value computed from an instance: ``derived``
+computes it on its first read and stores it on the instance, such as a
+category's indexes, a functor's or a profunctor's hash, a profunctor's
+elements or a cell's key.  Every FinCategory indexes its morphisms by both
+endpoints (``hom``), by target (``into``) and by source (``out_of``), so
+a category that is only counted, such as a tabulation's, indexes none.
+Each index lists morphisms in the interned order, so iterating an index
+visits exactly the morphisms, and in the order, that a filtered scan of
+``morphisms`` would.
 
-One mechanism builds a table on its first read: ``deferred`` makes an
-instance of a subclass (``_unread``) that holds an ``OnFirstRead`` for each
-table its class names in ``first_read``: ``FinCategory.table`` here, the
-action tables of ``prof`` and ``spanfin``, and the top boundary and
-components of a ``prof.Cell``.  An instance built with its tables is of
-the class itself, which holds no descriptor, so it keeps CPython's
-specialised attribute read.  One rule, ``equal_before_read``, compares
+A table that an instance may be built without is read the same way:
+``first_read`` puts an ``OnFirstRead`` on the class for each table it
+names, ``FinCategory.table`` here, the action tables of ``prof`` and
+``spanfin``, and the top boundary and components of a ``prof.Cell``, and
+``deferred`` makes an instance without them, which builds each on its
+first read.  An instance built with its tables is of the same class and
+never reaches the descriptor.  One rule, ``equal_before_read``, compares
 them, an unread instance with one built with its tables included.
 ``category_of_elements`` defers its composition table, and
 ``tab.tabulate`` and ``tab.comma_object`` their defining cells, with the
 unit of their category, so ``dcat comma`` and ``dcat tabulate
 --skip-verify``, which read a tabulation or comma object for its objects
-and arrows, build none of them.  A value derived from an instance, such
-as a profunctor's hash and elements or a cell's key, is computed on its
-first read by ``derived``.
+and arrows, build none of them.
 
 One search, ``backtrack``, backs every enumerator: ``all_functors``,
 ``all_natural_transformations``, ``all_cones`` and ``find_isomorphism``
@@ -49,14 +50,15 @@ verifiers, in functors and natural transformations only.
 
 Functors, natural transformations and cones hash their images listed
 along the source (``source.objects``, then ``source.morphisms``), which
-equal values list alike, so nothing is sorted; a functor keeps its hash.
+equal values list alike, so nothing is sorted; a functor keeps its hash
+(``derived``).
 Memos and groupings (``filed``) key by these objects.
 
 One memo per decision: ``decision`` marks an entry point that decides a
 property, and ``construction`` a function that one decision builds once
 per distinct arguments, such as ``identity_functor``, ``compose_functors``,
 ``all_functors`` and ``all_natural_transformations`` here, the units,
-composites and cell searches of ``prof``, and the units of ``spanfin``.
+composites and naturality plans of ``prof``, and the units of ``spanfin``.
 The memo is dropped when the outermost decision returns or raises.
 """
 
@@ -64,7 +66,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field, fields
-from functools import cache, partial, wraps
+from functools import partial, wraps
 from itertools import combinations
 from operator import attrgetter
 
@@ -74,16 +76,15 @@ class NoLimit(Exception):
 
 
 class OnFirstRead:
-    """A table attribute of an instance made by ``deferred``, as a non-data
-    descriptor of the subclass that ``deferred`` instantiates (``_unread``).
-    A read finds the table in the instance ``__dict__`` first, and reaches
-    ``__get__`` only when it is missing: on the table's first read, when
-    the instance's ``_tables`` hook builds it, given the attribute's name,
-    and keeps it there.  Once every table that the class names in
+    """A table attribute of a ``first_read`` class, as a non-data
+    descriptor that ``first_read`` puts on the class.  A read finds the
+    table in the instance ``__dict__`` first, as an instance built with
+    its tables always does, and reaches ``__get__`` only when it is
+    missing: on the first read of a table of an instance made by
+    ``deferred``, whose ``_tables`` hook builds it, given the attribute's
+    name, and keeps it there.  Once every table that the class names in
     ``first_read`` is built, the hook is dropped with the data it holds.
-    The dataclass itself carries no descriptor, so an instance built with
-    its tables keeps CPython's specialised attribute read.  Its class's
-    ``__eq__`` is ``equal_before_read``."""
+    The class's ``__eq__`` is ``equal_before_read``."""
 
     def __init__(self, attr):
         self.attr = attr
@@ -100,10 +101,14 @@ class OnFirstRead:
 
 class derived:
     """A value derived from an instance, computed on its first read and
-    kept in the instance ``__dict__``, where every later read finds it:
+    stored on the instance by ``object.__setattr__``, which a frozen
+    dataclass allows, where every later read finds it.  It is
     ``functools.cached_property`` without the lock that CPython 3.11's
     takes on each first read, which costs more than most values here take
-    to compute.  dblcat runs one decision at a time, in one thread."""
+    to compute, and without writing ``obj.__dict__``, which on CPython
+    3.11 moves an instance's attributes into a dict for good and slows
+    every later read of them.  dblcat runs one decision at a time, in one
+    thread."""
 
     def __init__(self, func):
         self.func, self.attr, self.__doc__ = func, func.__name__, func.__doc__
@@ -111,7 +116,8 @@ class derived:
     def __get__(self, obj, owner=None):
         if obj is None:
             return self
-        value = obj.__dict__[self.attr] = self.func(obj)
+        value = self.func(obj)
+        object.__setattr__(obj, self.attr, value)
         return value
 
 
@@ -120,17 +126,15 @@ def equal_before_read(self, other):
     any table is read, then the compared fields in declaration order,
     those built with the instance before its tables, which come last and
     are read only when the others are equal.  An instance made by
-    ``deferred`` shares its dataclass's fields, so it compares with one
-    built with its tables.  Two representable profunctors that record
-    equal ``_represents``, (C, f, g), are equal unread."""
+    ``deferred`` is of the same class as one built with its tables, so
+    the two compare.  Two representable profunctors that record equal
+    ``_represents``, (C, f, g), are equal unread."""
     if self is other:
         return True
-    cls = self.__class__
-    if other.__class__ is not cls and getattr(
-            other, "__dataclass_fields__", None) is not cls.__dataclass_fields__:
+    if other.__class__ is not self.__class__:
         return NotImplemented
-    rep = self.__dict__.get("_represents")
-    if rep is not None and rep == other.__dict__.get("_represents"):
+    rep = getattr(self, "_represents", None)
+    if rep is not None and rep == getattr(other, "_represents", None):
         return True
     built, tables = self._compared
     return built(self) == built(other) and tables(self) == tables(other)
@@ -139,39 +143,29 @@ def equal_before_read(self, other):
 def first_read(*tables):
     """Mark a dataclass whose fields ``tables``, the last that its equality
     compares, an instance made by ``deferred`` builds on their first read:
-    its ``__eq__`` is ``equal_before_read``, which reads the getters kept
-    here as ``_compared``, and its ``_tables`` is None, as an instance's is
-    once it has every table."""
+    the class holds an ``OnFirstRead`` per table, its ``__eq__`` is
+    ``equal_before_read``, which reads the getters kept here as
+    ``_compared``, and its ``_tables`` is None, as an instance's is once
+    it has every table."""
     def mark(cls):
         names = tuple(f.name for f in fields(cls) if f.compare)
         cls._first_read, cls._tables, cls.__eq__ = frozenset(tables), None, \
             equal_before_read
         cls._compared = (attrgetter(*[n for n in names if n not in tables]),
                          attrgetter(*tables))
+        for attr in tables:
+            setattr(cls, attr, OnFirstRead(attr))
         return cls
     return mark
 
 
-@cache
-def _unread(cls):
-    """The subclass of ``cls`` whose instances ``deferred`` makes: ``cls``
-    under its own name, with an ``OnFirstRead`` descriptor per table that
-    it names in ``first_read``."""
-    return type(cls.__name__, (cls,), {
-        "__qualname__": cls.__qualname__, "__module__": cls.__module__,
-        **{attr: OnFirstRead(attr) for attr in cls._first_read}})
-
-
 def deferred(cls, tables, **fields):
     """An instance of the ``first_read`` dataclass ``cls``, built with
-    ``fields`` and without the tables it names: ``tables(attr)``,
-    kept as its ``_tables`` hook, builds the table ``attr`` on its first
-    read.  Its ``__post_init__``, if any, runs as the dataclass
-    ``__init__`` would run it."""
-    obj = object.__new__(_unread(cls))
+    ``fields`` and without the tables it names: ``tables(attr)``, kept as
+    its ``_tables`` hook, builds the table ``attr`` on its first read
+    (``OnFirstRead``)."""
+    obj = object.__new__(cls)
     obj.__dict__.update(fields, _tables=tables)
-    if hasattr(cls, "__post_init__"):
-        obj.__post_init__()
     return obj
 
 
@@ -231,20 +225,18 @@ class FinCategory:
     object to its identity morphism and ``table[(g, f)]`` is the composite
     ``g . f`` (``f`` first), defined exactly when ``tgt[f] == src[g]``.
     A category made by ``deferred`` (``category_of_elements``) builds its
-    table on its first read (``OnFirstRead``, on its class) and keeps it in
-    the instance ``__dict__``, where a category built with its table keeps
-    it; the latter's class holds no descriptor, so its reads stay
-    specialised.
+    table on its first read (``OnFirstRead``) and keeps it in the instance
+    ``__dict__``, where a category built with its table keeps it.
 
     Equality (``equal_before_read``) compares objects, morphisms, ``src``,
     ``tgt``, identities and the table.  The hash is ``(objects,
     morphisms)``.
 
-    ``hom(a, b)``, ``into(b)`` and ``out_of(a)`` read indexes that
-    ``__post_init__`` leaves unbuilt (None) and ``indexed`` builds from
-    ``src`` and ``tgt``, which must not change afterwards, on each one's
+    ``hom(a, b)``, ``into(b)`` and ``out_of(a)`` read the indexes
+    ``_hom``, ``_into`` and ``_out_of``, each ``derived`` by ``_index``
+    from ``src`` and ``tgt``, which must not change afterwards, on its
     first read.  Each lists morphisms in the interned order of
-    ``morphisms``.  The indexes are derived data: they take no part in
+    ``morphisms``.  The indexes are not fields: they take no part in
     equality, hashing or repr.
     """
 
@@ -255,33 +247,21 @@ class FinCategory:
     tgt: dict
     identities: dict
     table: dict
-    _hom: dict = field(init=False, compare=False, repr=False)
-    _into: dict = field(init=False, compare=False, repr=False)
-    _out_of: dict = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        # None until first read; ``hom``, ``into`` and ``out_of`` read the
-        # index and catch the None's AttributeError, which costs a built
-        # index's reads nothing, where a test of each read would not
-        for attr in ("_hom", "_into", "_out_of"):
-            object.__setattr__(self, attr, None)
+    @derived
+    def _hom(self):
+        ms = self.morphisms
+        # .get, here and below: validate_category reports endpoints that
+        # are missing
+        return _index(zip(map(self.src.get, ms), map(self.tgt.get, ms)), ms)
 
-    def indexed(self, attr):
-        """The index ``attr`` ("_hom", "_into" or "_out_of"), built from
-        ``src`` and ``tgt`` on its first read and kept: each key lists its
-        morphisms in the interned order."""
-        index = getattr(self, attr)
-        if index is None:
-            ms = self.morphisms
-            # .get: validate_category reports endpoints that are missing
-            src, tgt = map(self.src.get, ms), map(self.tgt.get, ms)
-            keys = {"_hom": zip(src, tgt), "_into": tgt, "_out_of": src}[attr]
-            index = {}
-            for k, m in zip(keys, ms):
-                index.setdefault(k, []).append(m)
-            index = {k: tuple(v) for k, v in index.items()}
-            object.__setattr__(self, attr, index)
-        return index
+    @derived
+    def _into(self):
+        return _index(map(self.tgt.get, self.morphisms), self.morphisms)
+
+    @derived
+    def _out_of(self):
+        return _index(map(self.src.get, self.morphisms), self.morphisms)
 
     def __hash__(self):
         return hash((self.objects, self.morphisms))
@@ -300,29 +280,29 @@ class FinCategory:
 
     def hom(self, a, b):
         """Morphisms a -> b, in the interned order."""
-        try:
-            return self._hom.get((a, b), ())
-        except AttributeError:      # None: not built yet
-            return self.indexed("_hom").get((a, b), ())
+        return self._hom.get((a, b), ())
 
     def into(self, b):
         """Morphisms with target b, in the interned order."""
-        try:
-            return self._into.get(b, ())
-        except AttributeError:      # None: not built yet
-            return self.indexed("_into").get(b, ())
+        return self._into.get(b, ())
 
     def out_of(self, a):
         """Morphisms with source a, in the interned order."""
-        try:
-            return self._out_of.get(a, ())
-        except AttributeError:      # None: not built yet
-            return self.indexed("_out_of").get(a, ())
+        return self._out_of.get(a, ())
 
     def composable_pairs(self):
         """Every pair (g, f) with ``tgt[f] == src[g]``: g in the interned
         order, then f in the interned order."""
         return [(g, f) for g in self.morphisms for f in self.into(self.src[g])]
+
+
+def _index(keys, morphisms):
+    """The ``morphisms`` filed under their ``keys``, each key's in the
+    interned order."""
+    index = {}
+    for k, m in zip(keys, morphisms):
+        index.setdefault(k, []).append(m)
+    return {k: tuple(v) for k, v in index.items()}
 
 
 def validate_category(cat):
@@ -434,18 +414,13 @@ class Functor:
     target: FinCategory
     obj: dict
     mor: dict
-    _hash = None        # not a field: the hash, once computed
+
+    @derived
+    def _hash(self):
+        return hash((*map(self.obj.get, self.source.objects),
+                     *map(self.mor.get, self.source.morphisms)))
 
     def __hash__(self):
-        # by hand: a ``derived`` value is kept in __dict__, after whose
-        # first read CPython 3.11 keeps the functor's attributes in a dict
-        # and reads them slower;
-        # the class default spares the first hash an AttributeError, so a
-        # construction's memo misses a new functor cheaply
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash((
-                *map(self.obj.get, self.source.objects),
-                *map(self.mor.get, self.source.morphisms))))
         return self._hash
 
     def __call__(self, m):
@@ -684,7 +659,7 @@ def category_of_elements(name, ac, bc, triples, act_right, act_left):
     composites are componentwise.
 
     The category is built with its objects and arrows, and without its
-    indexes, each built on its first read (``FinCategory.indexed``), or its
+    indexes, each built on its first read (``derived``), or its
     composition table, which ``_elements_table`` builds on its first read
     (``OnFirstRead``), in the order ``make_category`` and
     ``composable_pairs`` give.  Returns the category, its projections

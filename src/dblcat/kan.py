@@ -197,8 +197,8 @@ class RanProblem:
     pointwise procedures, per restriction (a, r a, eps_a): a candidate
     whose restriction at a another candidate already had reads them.
 
-    A ``fincat.construction``, as are the searches it runs: one decision
-    has one problem per (J, d), shared by the candidates it judges.
+    A ``fincat.construction``: one decision has one problem per (J, d),
+    shared by the candidates it judges.
     Candidates reach it already validated.
     """
 

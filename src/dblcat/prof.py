@@ -54,14 +54,17 @@ H = C(f -, -), the Yoneda lemma gives the families without a search, one
 per element of K(a, f b); ``rhom_families_oracle`` is the twin of both
 paths.
 
-``unit_prof``, ``companion``, ``conjoint``, ``compose_prof``,
-``naturality_plan``, ``cells_between`` and ``rhom`` are constructions
-(``fincat.construction``): one decision builds each once per distinct
-arguments.  So the cells that live between unit profunctors or composites
-(``unit_cell``, ``nat_transf_as_cell``, ``hcompose``, the unitors,
-``associator`` and the bending cells) build those from their arguments,
-and within a decision they share them, so the tables of a shared unit or
-composite are built once, by whichever reader comes first.
+``unit_prof``, ``companion``, ``conjoint``, ``compose_prof`` and
+``naturality_plan`` are constructions (``fincat.construction``): one
+decision builds each once per distinct arguments.  So the cells that live
+between unit profunctors or composites (``unit_cell``,
+``nat_transf_as_cell``, ``hcompose``, the unitors, ``associator`` and the
+bending cells) build those from their arguments, and within a decision
+they share them, so the tables of a shared unit or composite are built
+once, by whichever reader comes first.  ``cells_between`` and ``rhom``
+are plain functions, as no caller repeats their arguments within a
+decision: ``tab.verify_tabulation`` searches once per configuration, and
+a ``kan.RanProblem`` keeps its right hom.
 
 A profunctor hashes its boundary and ``elements()``, and a cell its
 ``key``: its components listed along ``hsrc.elements()``, kept once built.
@@ -94,9 +97,8 @@ class Profunctor:
     restrictions) is built by ``fincat.deferred`` with its fibers only,
     and builds each table the first time it is read
     (``fincat.OnFirstRead``), by ``_action`` given the side, "left" or
-    "right".  The table is then kept in the instance ``__dict__``, as a
-    profunctor built with its tables keeps them, so every later read is a
-    plain attribute read.
+    "right".  The table is then kept on the instance, as a profunctor
+    built with its tables keeps them, so every later read finds it there.
     """
 
     name: str = field(compare=False)
@@ -164,7 +166,7 @@ def _representable(name, cat, f=None, g=None):
     bc = cat if g is None else g.source
     fo = None if f is None else f.obj
     go = None if g is None else g.obj
-    hom = cat.indexed("_hom").get   # the index itself: one lookup per pair
+    hom = cat._hom.get      # the index itself: one lookup per pair
     fibers = {(a, b): fiber for a in ac.objects for b in bc.objects
               if (fiber := hom((a if fo is None else fo[a],
                                 b if go is None else go[b])))}
@@ -343,7 +345,8 @@ def coyoneda_side(j, h):
     middle, by which ``compose_prof`` names its classes: "left" when J is
     C(f a, b), a unit or a companion, "right" when H is C(b, g e), a unit
     or a conjoint, None otherwise."""
-    jrep, hrep = vars(j).get("_represents"), vars(h).get("_represents")
+    jrep = getattr(j, "_represents", None)
+    hrep = getattr(h, "_represents", None)
     if jrep is not None and jrep[2] is None:
         return "left"
     if hrep is not None and hrep[1] is None:
@@ -504,7 +507,6 @@ def naturality_plan(j):
     return NaturalityPlan(elems, left, right)
 
 
-@construction
 def cells_between(j, k, f, g):
     """Every cell J -> K with vertical boundary (f, g), named c0, c1, ...
 
@@ -617,8 +619,9 @@ def restrict(k, f, g):
     each table, on its first read, read off K's table of the same side: u
     acts as f(u) and v as g(v) act in K."""
     name = f"{k.name}({f.name},{g.name})"
-    if "_represents" in k.__dict__:
-        cat, kf, kg = k._represents
+    rep = getattr(k, "_represents", None)
+    if rep is not None:
+        cat, kf, kg = rep
         return _representable(name, cat,
                               f if kf is None else compose_functors(kf, f),
                               g if kg is None else compose_functors(kg, g))
@@ -763,7 +766,6 @@ def family_slots(h, b):
     return [(e, x) for e in h.target.objects for x in h.fiber(b, e)]
 
 
-@construction
 def rhom(k, h):
     """The right hom K <| H : A -/-> B of K : A -/-> E and H : B -/-> E.
 
@@ -783,7 +785,7 @@ def rhom(k, h):
         raise ValueError("right hom needs a common target")
     ac, bc, ec = k.source, h.source, k.target
     slots = {b: family_slots(h, b) for b in bc.objects}
-    rep, fibers = vars(h).get("_represents"), {}
+    rep, fibers = getattr(h, "_represents", None), {}
     if rep is not None and rep[2] is None:      # H(b, e) = E(f b, e)
         fo, kright = None if rep[1] is None else rep[1].obj, k.right
         for a in ac.objects:

@@ -82,9 +82,9 @@ class InternalProfunctor:
     """A two-sided action span between internal categories: heteromorphism
     set het with endpoint maps d0 (into source objects) and d1 (into target
     objects), left action l[(a, j)] and right action r[(j, b)].  ``fiber``
-    reads het filed by endpoints: derived data, as a ``FinCategory``'s
-    indexes are.  A unit builds each action on its first read, and
-    equality is ``fincat.equal_before_read``."""
+    reads het filed by endpoints, ``derived`` on its first read as a
+    ``FinCategory``'s indexes are.  A unit builds each action on its first
+    read, and equality is ``fincat.equal_before_read``."""
 
     name: str = field(compare=False)
     source: FinCategory
@@ -94,13 +94,12 @@ class InternalProfunctor:
     d1: dict
     l: dict
     r: dict
-    _fibers: dict = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
+    @derived
+    def _fibers(self):
         # .get: an element missing an endpoint is filed under None, for
         # validate_internal_profunctor in tests/helpers.py to report
-        object.__setattr__(self, "_fibers", filed(
-            self.het, lambda y: (self.d0.get(y), self.d1.get(y))))
+        return filed(self.het, lambda y: (self.d0.get(y), self.d1.get(y)))
 
     def __hash__(self):
         return hash((self.het, self.source, self.target))

@@ -1075,7 +1075,7 @@ def composable_pairs_scan(cat):
 
 def unindexed(cat):
     """Whether none of cat's indexes (hom, into, out_of) is built yet."""
-    return cat._hom is None and cat._into is None and cat._out_of is None
+    return not any(attr in vars(cat) for attr in ("_hom", "_into", "_out_of"))
 
 
 def indexes_agree_with_scans(cat):

@@ -4,13 +4,14 @@ import os
 import pytest
 
 import helpers
-from dblcat import cli, dsl, prof, tab
+from dblcat import cli, dsl, kan, prof, tab
 from dblcat.fincat import identity_functor
 from dblcat.prof import unit_prof
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "arrows.dcat")
 G32 = os.path.join(os.path.dirname(__file__), "fixtures", "g32.dcat")
 FAILING = os.path.join(os.path.dirname(__file__), "fixtures", "failing.dcat")
+FOOLED = os.path.join(os.path.dirname(__file__), "fixtures", "fooled.dcat")
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -118,6 +119,21 @@ def test_exact(capsys):
     code, payload = run_json(capsys, "exact", FIXTURE, "collapse",
                              "--mode", "ordinary")
     assert code == 0
+
+
+@pytest.mark.parametrize("mode", ["pointwise", "ordinary"])
+def test_the_default_probes_are_fooled_by_a_cell_that_idem_refutes(capsys,
+                                                                   mode):
+    # c1 : 1_Z2 -> 1_Idem over (F0, F0): its mate is not invertible, the
+    # default probes call it right exact and the probe Idem refutes it
+    code, payload = run_json(capsys, "exact", FOOLED, "c1", "--mode", mode)
+    assert code == 0
+    assert payload == {"ok": True, "beck_chevalley": False, "mode": mode}
+    with open(FOOLED, encoding="utf-8") as fh:
+        ws = dsl.parse(fh.read())
+    assert kan.is_right_exact(ws.cells["c1"], mode,
+                              [ws.categories["Idem"]]) == \
+        (False, {"target": "Idem", "d": "F1", "r": "F1", "eps": "c0"})
 
 
 def test_initial_positive(capsys):

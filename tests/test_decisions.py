@@ -13,8 +13,8 @@ from dblcat.prof import conjoint, identity_cell, unit_prof
 CONSTRUCTIONS = (
     fincat.all_functors, fincat.all_natural_transformations,
     prof.unit_prof, prof.companion, prof.conjoint, prof.compose_prof,
-    prof.naturality_plan, prof.cells_between, prof.rhom,
-    kan.RanProblem, kan.CompetitorNetwork, laws.transformation_cells,
+    prof.naturality_plan, kan.RanProblem, kan.CompetitorNetwork,
+    laws.transformation_cells,
 )
 
 

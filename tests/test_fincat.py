@@ -355,9 +355,10 @@ def test_classes_with_first_read_tables_share_one_equality():
     assert all(eq is equal_before_read for eq in found.values())
 
 
-def test_only_deferred_instances_carry_first_read_descriptors():
-    # an instance built with its tables reads them as plain attributes, and
-    # one made by deferred is of a subclass under the same name
+def test_eager_and_deferred_instances_share_one_class():
+    # an instance built with its tables and one made by deferred are of the
+    # one class, which holds an OnFirstRead per table; only the deferred
+    # one holds a hook that builds them
     cat = helpers.chain(3)
     t = tab.tabulate(prof.unit_prof(cat))
     made = {fincat.FinCategory: (cat, t.category),
@@ -366,13 +367,10 @@ def test_only_deferred_instances_carry_first_read_descriptors():
                                          spanfin.unit_internal_prof(cat)),
             prof.Cell: (prof.identity_cell(t.j), t.cell)}
     for cls, (eager, unread) in made.items():
-        assert not any(attr in vars(cls) for attr in cls._first_read)
-        assert type(eager) is cls
-        assert type(unread).__mro__[1] is cls
-        assert type(unread).__qualname__ == cls.__qualname__
-        assert all(isinstance(vars(type(unread))[attr], fincat.OnFirstRead)
+        assert type(eager) is type(unread) is cls
+        assert all(isinstance(vars(cls)[attr], fincat.OnFirstRead)
                    for attr in cls._first_read)
-        assert "_tables" in vars(unread) and eager._tables is None
+        assert callable(unread._tables) and eager._tables is None
 
 
 def test_connectivity():

@@ -361,7 +361,13 @@ def test_verify_tabulation_runs_each_functor_search_once(monkeypatch):
 
 def test_verify_tabulation_runs_each_cell_search_once(monkeypatch):
     t = tab.tabulate(unit_prof(helpers.chain(2)))
-    searches = helpers.count_builds(monkeypatch, tab.cells_between)
+    searches, search = [], tab.cells_between
+
+    def counted(*args):
+        searches.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(tab, "cells_between", counted)
     units = helpers.count_builds(monkeypatch, unit_prof)
     transformations = helpers.count_builds(
         monkeypatch, fincat.all_natural_transformations)
