@@ -30,18 +30,14 @@ each on its first read, so neither ``dcat comma`` nor ``dcat tabulate
 Every other cell, and every composite of built cells, is built whole.
 
 Elements of a composite J * H are equivalence classes of pairs (j, h)
-under sliding non-identity middle morphisms across the pair (an identity
-slide joins a pair with itself).  Pairs are enumerated in naming order
-(middle object, left fiber position, right fiber position), and an
-element is the least pair (b, x, y) of its class in that order, so
-recomputing a composite always yields the same tables; ``compose_prof``
-also maps each pair to its class.  When J is a unit or a companion, or H
-a unit or a conjoint, the co-Yoneda lemma tells the class of a pair by
-one element, read off the other side's action table (H's left, or J's
-right) and no other; every other composite is quotiented by a union-find
-over the slides.  Its twins in ``tests/helpers.py`` are
-``compose_prof_oracle``, which returns the same classes, and the
-span-level ``internal_prof_compose``, which checks the fiber sizes.
+under sliding middle morphisms, each named by its least pair (b, x, y)
+in naming order.  ``compose_prof`` walks J's row J(a, -) and, from each
+b, H's row H(b, -), meeting only the pairs that exist, and names a class
+by the co-Yoneda lemma when J is a unit or a companion, or H a unit or a
+conjoint, else by a union-find over the slides; ``hcompose`` and
+``associator`` read their target's classes once per fiber.  Twins in
+``tests/helpers.py``: ``compose_prof_oracle``, ``internal_prof_compose``
+(span-level), ``hcompose_oracle``, ``associator_oracle``, ``unitor_oracle``.
 
 Cells (``cells_between``) and right-hom families (``rhom``) come from
 ``fincat.backtrack``, the one search behind every enumerator; the loops
@@ -74,6 +70,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import count
 
 from .fincat import (FinCategory, Functor, backtrack,
                      compose_functors, construction, deferred, derived,
@@ -99,6 +96,8 @@ class Profunctor:
     (``fincat.OnFirstRead``), by ``_action`` given the side, "left" or
     "right".  The table is then kept on the instance, as a profunctor
     built with its tables keeps them, so every later read finds it there.
+    The row index ``_rows``, also derived once, lists per source object a
+    its inhabited fibers (b, xs) in target order; ``elements()`` reads it.
     """
 
     name: str = field(compare=False)
@@ -129,10 +128,15 @@ class Profunctor:
         return self.right[(a, b, j, v)]
 
     @derived
+    def _rows(self):
+        fiber, bs = self.fibers.get, self.target.objects
+        return {a: [(b, xs) for b in bs if (xs := fiber((a, b)))]
+                for a in self.source.objects}
+
+    @derived
     def _elements(self):
-        fiber = self.fibers.get
-        return tuple((a, b, j) for a in self.source.objects
-                     for b in self.target.objects for j in fiber((a, b), ()))
+        return tuple((a, b, j) for a, row in self._rows.items()
+                     for b, xs in row for j in xs)
 
     def elements(self):
         """All (a, b, j) triples in deterministic order, built once."""
@@ -361,23 +365,19 @@ def compose_prof(j, h):
     its element of J * H over (a, e).
 
     Pairs (x, y) sharing a middle object are identified under sliding a
-    middle morphism v across: (v . x, y) ~ (x, y . v).  The pairs at each
-    boundary (a, e) are listed in naming order (middle object, left fiber
-    position, right fiber position), and ``classes[(a, e)]`` lists them
-    in that order, an empty boundary included.  A class is its least pair,
-    its first in that order, and the fiber lists the classes in that order.
+    middle morphism v across: (v . x, y) ~ (x, y . v).  One pass per a
+    walks J's row (``Profunctor._rows``) and, from each b, H's row, filing
+    each pair under (a, e) in naming order (middle object, left, then
+    right fiber position), kept by ``classes[(a, e)]``, an empty boundary
+    included; a class is its least pair, and the fiber lists them in order.
 
-    By the co-Yoneda lemma, f_* * H = H(f -, -) and J * g^* = J(-, g -).
-    So when ``coyoneda_side`` finds a side, the class of (b, x, y) is told
-    by the element y . x: of H(f a, e), read off H's left action alone,
-    when J is C(f a, b); of J(a, g e), read off J's right action alone,
-    when H is C(b, g e).  Any other composite, a restriction C(f a, g b)
-    included, is quotiented by a union-find over positions.  It slides
-    only non-identity morphisms, as an identity joins each pair with
-    itself, and reads J's right and H's left action, over inhabited
-    boundaries only: per e the middle objects b with H(b, e) and the
-    slides v : b1 -> b2 with H(b2, e) nonempty, per a those of them with
-    J(a, b) and J(a, b1) nonempty.
+    By the co-Yoneda lemma, f_* * H = H(f -, -) and J * g^* = J(-, g -),
+    so when ``coyoneda_side`` finds a side, (b, x, y) is named by the
+    element y . x, read off H's left action alone when J is C(f a, b), or
+    off J's right action alone when H is C(b, g e).  Any other composite,
+    a restriction C(f a, g b) included, is quotiented by a union-find that
+    slides each non-identity v : b1 -> b2 out of J's row (an identity
+    joins a pair with itself), on J's right and H's left action.
 
     The fibers and the classes are built at once; each action table on
     its first read, from J's left action or H's right action: u : a2 -> a
@@ -387,18 +387,13 @@ def compose_prof(j, h):
     if j.target != h.source:
         raise ValueError("profunctors not composable")
     ac, bc, ec = j.source, j.target, h.target
-    jfiber, hfiber = j.fibers.get, h.fibers.get
+    jrows, hrows = j._rows, h._rows
     coyoneda = coyoneda_side(j, h)
     jright = None if coyoneda == "left" else j.right
     hleft = None if coyoneda == "right" else h.left
-    slides = [] if coyoneda else [(v, bc.src[v], bc.tgt[v])
-                                  for v in bc.morphisms if not bc.is_identity(v)]
-    # per e, the middle objects that H(-, e) inhabits, and the slides
-    # v : b1 -> b2 with H(b2, e) inhabited, each y acted on once here
-    over = [(e, [(b, ys) for b in bc.objects if (ys := hfiber((b, e)))],
-             [(v, b1, b2, [(y, hleft[(v, b2, e, y)]) for y in ys])
-              for v, b1, b2 in slides if (ys := hfiber((b2, e)))])
-            for e in ec.objects]
+    slides = {} if coyoneda else {
+        b: [(v, bc.tgt[v]) for v in bc.out_of(b) if not bc.is_identity(v)]
+        for b in bc.objects}
 
     def find(i):
         while parent[i] != i:
@@ -406,33 +401,35 @@ def compose_prof(j, h):
             i = parent[i]
         return i
 
-    classes, fibers = {}, {}
+    classes, n = {(a, e): {} for a in ac.objects for e in ec.objects}, count()
     for a in ac.objects:
-        xs_at = {b: xs for b in bc.objects if (xs := jfiber((a, b)))}
-        # each x acted on once per slide out of an inhabited J(a, b1)
-        pushed = {v: [(x, jright[(a, b1, x, v)]) for x in xs_at[b1]]
-                  for v, b1, _ in slides if b1 in xs_at}
-        for e, mids, pulls in over:
-            pairs = [(b, x, y) for b, ys in mids if b in xs_at
-                     for x in xs_at[b] for y in ys]
-            if coyoneda == "left":
-                reps = [hleft[(x, b, e, y)] for b, x, y in pairs]
-            elif coyoneda == "right":
-                reps = [jright[(a, b, x, y)] for b, x, y in pairs]
-            else:
-                pos = {p: i for i, p in enumerate(pairs)}
-                parent = list(range(len(pairs)))
-                for v, b1, b2, ys in pulls:
-                    for x, xv in pushed.get(v, ()):
-                        for y, vy in ys:
-                            parent[find(pos[(b2, xv, y)])] = \
-                                find(pos[(b1, x, vy)])
-                reps = [find(i) for i in range(len(pairs))]
-            first = {}        # representative -> the least pair of its class
-            classes[(a, e)] = {p: first.setdefault(r, p)
-                               for r, p in zip(reps, pairs)}
-            if first:
-                fibers[(a, e)] = tuple(first.values())
+        for b, xs in jrows[a]:
+            for e, ys in hrows[b]:
+                got = classes[(a, e)]
+                for x in xs:
+                    for y in ys:
+                        got[(b, x, y)] = hleft[(x, b, e, y)] \
+                            if coyoneda == "left" else jright[(a, b, x, y)] \
+                            if coyoneda else next(n)
+    if not coyoneda:
+        parent = list(range(next(n)))
+        for a in ac.objects:
+            for b1, xs in jrows[a]:
+                for v, b2 in slides[b1]:
+                    for x in xs:
+                        xv = jright[(a, b1, x, v)]
+                        for e, ys in hrows[b2]:
+                            got = classes[(a, e)]
+                            for y in ys:
+                                parent[find(got[(b2, xv, y)])] = \
+                                    find(got[(b1, x, hleft[(v, b2, e, y)])])
+    fibers = {}
+    for ae, got in classes.items():
+        first = {}    # element y . x or root -> the least pair of its class
+        for p, r in got.items():
+            got[p] = first.setdefault(r if coyoneda else find(r), p)
+        if first:
+            fibers[ae] = tuple(first.values())
 
     def moves(side):
         if side == "left":
@@ -464,10 +461,11 @@ def hcompose(left, right):
     kl, kl_classes = compose_prof(left.htgt, right.htgt)
     f, g, h = left.vsrc, left.vtgt, right.vtgt
     comp = {}
-    for a, e, pair in jh.elements():
-        b, x, y = pair
-        comp[(a, e, pair)] = kl_classes[(f.obj[a], h.obj[e])][
-            (g.obj[b], left.comp[(a, b, x)], right.comp[(b, e, y)])]
+    for (a, e), pairs in jh.fibers.items():
+        into = kl_classes[(f.obj[a], h.obj[e])]
+        for b, x, y in pairs:
+            comp[(a, e, (b, x, y))] = into[
+                (g.obj[b], left.comp[(a, b, x)], right.comp[(b, e, y)])]
     return Cell(f"({left.name}|{right.name})", jh, kl, f, h, comp)
 
 
@@ -577,7 +575,7 @@ def is_invertible_cell(c):
 def left_unitor(p):
     """The invertible horizontal cell 1_A * P -> P."""
     up, _ = compose_prof(unit_prof(p.source), p)
-    comp = {(a, b, (mid, u, x)): p.act_left(u, mid, b, x)
+    comp = {(a, b, (mid, u, x)): p.left[(u, mid, b, x)]
             for a, b, (mid, u, x) in up.elements()}
     return Cell(f"lu_{p.name}", up, p,
                 identity_functor(p.source), identity_functor(p.target), comp)
@@ -586,7 +584,7 @@ def left_unitor(p):
 def right_unitor(p):
     """The invertible horizontal cell P * 1_B -> P."""
     pu, _ = compose_prof(p, unit_prof(p.target))
-    comp = {(a, b, (mid, x, v)): p.act_right(a, mid, x, v)
+    comp = {(a, b, (mid, x, v)): p.right[(a, mid, x, v)]
             for a, b, (mid, x, v) in pu.elements()}
     return Cell(f"ru_{p.name}", pu, p,
                 identity_functor(p.source), identity_functor(p.target), comp)
@@ -599,10 +597,12 @@ def associator(j, h, k):
     hk, hk_classes = compose_prof(h, k)
     j_hk, j_hk_classes = compose_prof(j, hk)
     comp = {}
-    for a, z, pair in jh_k.elements():
-        e, (b, x, y), y2 = pair     # x in J(a, b), y in H(b, e), y2 in K(e, z)
-        inner = hk_classes[(b, z)][(e, y, y2)]    # (y, y2)'s class in (H*K)(b, z)
-        comp[(a, z, pair)] = j_hk_classes[(a, z)][(b, x, inner)]
+    for (a, z), pairs in jh_k.fibers.items():
+        into = j_hk_classes[(a, z)]
+        for pair in pairs:
+            e, (b, x, y), y2 = pair     # x in J(a, b), y in H(b, e), y2 in K(e, z)
+            inner = hk_classes[(b, z)][(e, y, y2)]    # (y, y2)'s class in (H*K)(b, z)
+            comp[(a, z, pair)] = into[(b, x, inner)]
     return Cell(f"assoc_{j.name}_{h.name}_{k.name}", jh_k, j_hk,
                 identity_functor(j.source), identity_functor(k.target), comp)
 

@@ -1230,6 +1230,68 @@ def composable_pairs(limit=40):
     return pairs
 
 
+def composable_triples(limit=40):
+    """Triples (J, H, K) of the corpus, J * H and H * K composable, and
+    one of restrictions, whose composites take the union-find."""
+    corpus = profunctor_corpus()
+    triples = [(j, h, k) for j, h, k in itertools.product(corpus, repeat=3)
+               if j.target == h.source and h.target == k.source][:limit]
+    three = zoo.composable_pair()
+    r = restrict(unit_prof(three), identity_functor(three),
+                 identity_functor(three))
+    return triples + [(r, r, r), (unit_prof(three), r, unit_prof(three))]
+
+
+def hcompose_oracle(left, right):
+    """prof.hcompose as it was before it read its target's classes once
+    per fiber: one lookup of the boundary's classes per element of J*H."""
+    if left.vtgt != right.vsrc:
+        raise ValueError("cells do not share their middle boundary")
+    jh, _ = compose_prof(left.hsrc, right.hsrc)
+    kl, kl_classes = compose_prof(left.htgt, right.htgt)
+    f, g, h = left.vsrc, left.vtgt, right.vtgt
+    comp = {}
+    for a, e, pair in jh.elements():
+        b, x, y = pair
+        comp[(a, e, pair)] = kl_classes[(f.obj[a], h.obj[e])][
+            (g.obj[b], left.comp[(a, b, x)], right.comp[(b, e, y)])]
+    return Cell(f"({left.name}|{right.name})", jh, kl, f, h, comp)
+
+
+def associator_oracle(j, h, k):
+    """prof.associator as it was before it read the classes of J*(H*K)
+    once per fiber."""
+    jh, _ = compose_prof(j, h)
+    jh_k, _ = compose_prof(jh, k)
+    hk, hk_classes = compose_prof(h, k)
+    j_hk, j_hk_classes = compose_prof(j, hk)
+    comp = {}
+    for a, z, pair in jh_k.elements():
+        e, (b, x, y), y2 = pair     # x in J(a, b), y in H(b, e), y2 in K(e, z)
+        inner = hk_classes[(b, z)][(e, y, y2)]    # (y, y2)'s class in (H*K)(b, z)
+        comp[(a, z, pair)] = j_hk_classes[(a, z)][(b, x, inner)]
+    return Cell(f"assoc_{j.name}_{h.name}_{k.name}", jh_k, j_hk,
+                identity_functor(j.source), identity_functor(k.target), comp)
+
+
+def unitor_oracle(p, side):
+    """prof.left_unitor ("left") or prof.right_unitor ("right") as they
+    were before they read P's tables directly: each component through
+    ``act_left`` or ``act_right``."""
+    if side == "left":
+        up, _ = compose_prof(unit_prof(p.source), p)
+        comp = {(a, b, (mid, u, x)): p.act_left(u, mid, b, x)
+                for a, b, (mid, u, x) in up.elements()}
+        name = f"lu_{p.name}"
+    else:
+        up, _ = compose_prof(p, unit_prof(p.target))
+        comp = {(a, b, (mid, x, v)): p.act_right(a, mid, x, v)
+                for a, b, (mid, x, v) in up.elements()}
+        name = f"ru_{p.name}"
+    return Cell(name, up, p, identity_functor(p.source),
+                identity_functor(p.target), comp)
+
+
 def restriction_iso_cell(k, f, g):
     """The comparison cell f_* * (K * g^*) -> K(f, g).
 

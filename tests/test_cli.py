@@ -86,6 +86,21 @@ def test_compose_prints_its_recorded_output(capsys, path, left, right, fmt):
     assert (code, out, err) == (0, want, "")
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_laws_prints_its_recorded_output(capsys, fmt):
+    # stdout, stderr and exit code as recorded in tests/fixtures/laws/:
+    # how composites and the cells over them are built must not change
+    # what dcat laws prints
+    recorded = os.path.join(os.path.dirname(__file__), "fixtures", "laws",
+                            f"laws.{fmt}")
+    want = []
+    for part in ("code", "out", "err"):
+        with open(f"{recorded}.{part}", encoding="utf-8") as fh:
+            want.append(fh.read())
+    code, out, err = run(capsys, "laws", "--format", fmt)
+    assert (f"{code}\n", out, err) == tuple(want)
+
+
 def test_g32_fixture_is_the_serialized_workspace():
     g = helpers.g_pq(3, 2)
     ws = dsl.Workspace(categories={"G32": g},

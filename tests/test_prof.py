@@ -8,7 +8,7 @@ import pytest
 import helpers
 from dblcat.fincat import (FinCategory, all_functors, decision,
                            identity_functor, make_category)
-from dblcat.prof import (Cell, cells_between, companion,
+from dblcat.prof import (Cell, associator, cells_between, companion,
                          companion_cells, compose_prof, conjoint,
                          conjoint_cells, componentwise_bijective,
                          hcompose, identity_cell, invert_horizontal_cell,
@@ -330,6 +330,41 @@ def test_compose_prof_matches_slow_twin_over_a_discrete_middle():
     assert len(pairs) == 82
 
 
+def test_compose_prof_matches_slow_twin_over_sparse_boundaries(monkeypatch):
+    # restrictions of the unit of 0 -> 1 with empty rows, columns or
+    # fibers, composed through each co-Yoneda side and the union-find; a
+    # unit or a companion has an identity in each row and a conjoint in
+    # each column, so only the other side of a pair can be sparse
+    two = zoo.walking_arrow()
+    const0, ident, const1 = all_functors(two, two)
+    unit = unit_prof(two)
+    no_row = restrict(unit, ident, const0)       # J(a, b) = Two(a, 0)
+    no_column = restrict(unit, const1, ident)    # H(b, e) = Two(1, e)
+    empty = restrict(unit, const1, const0)       # Two(1, 0) everywhere
+    plain = restrict(unit, ident, ident)         # no unit or companion
+    assert not no_row.fiber("1", "0") and not no_row.fiber("1", "1")
+    assert not no_column.fiber("0", "0") and not no_column.fiber("1", "0")
+    assert empty.fibers == {}
+    pairs = [(no_row, unit), (no_row, plain), (unit, no_column),
+             (plain, no_column), (unit, empty), (empty, unit),
+             (empty, plain), (empty, empty)]
+    sides, side_of = [], prof.coyoneda_side
+    monkeypatch.setattr(prof, "coyoneda_side",
+                        lambda j, h: sides.append(side_of(j, h)) or sides[-1])
+    empties = 0
+    for j, h in pairs:
+        composite, classes = compose_prof(j, h)
+        assert helpers.composite_tables(composite, classes) == \
+            helpers.composite_tables(*helpers.compose_prof_oracle(j, h))
+        assert list(classes) == [(a, e) for a in j.source.objects
+                                 for e in h.target.objects]
+        assert list(composite.fibers) == [ae for ae, cls in classes.items()
+                                          if cls]
+        empties += sum(not cls for cls in classes.values())
+    assert sides == ["right", None, "left", None, "left", "right", None, None]
+    assert empties == 2 + 2 + 2 + 2 + 4 + 4 + 4 + 4
+
+
 def test_elements_match_the_old_generator_and_are_built_once():
     profs = helpers.profunctor_corpus()
     profs += [unit_prof(helpers.chain(n, random.Random(seed)))
@@ -580,6 +615,42 @@ def test_hcompose_of_identities_is_identity_up_to_unitor():
     p = unit_prof(two)
     both = hcompose(identity_cell(p), identity_cell(p))
     assert both == identity_cell(both.hsrc)
+
+
+def same_cells(got, want):
+    """Equal cells, of one name, that list their components in one order."""
+    return got == want and got.name == want.name and \
+        list(got.comp.items()) == list(want.comp.items())
+
+
+def test_cells_over_composites_match_their_slow_twins():
+    two, three = zoo.walking_arrow(), zoo.composable_pair()
+    pairs = helpers.composable_pairs()
+    cells = []
+    for j, h in pairs:
+        cells += [(identity_cell(j), identity_cell(h)),
+                  (left_unitor(j), identity_cell(h)),
+                  (identity_cell(j), right_unitor(h))]
+    # sides that are not identities, and composites by the union-find
+    cells += [(unit_cell(f), unit_cell(f)) for f in all_functors(two, three)]
+    ids = identity_functor(three), identity_functor(three)
+    plain = restrict(unit_prof(three), *ids)
+    cells += [(identity_cell(plain), identity_cell(plain)),
+              (left_unitor(plain), right_unitor(plain))]
+    for left, right in cells:
+        assert same_cells(hcompose(left, right),
+                          helpers.hcompose_oracle(left, right))
+    profs = helpers.profunctor_corpus() + [plain]
+    profs += [compose_prof(j, h)[0] for j, h in pairs]
+    for p in profs:
+        assert same_cells(left_unitor(p), helpers.unitor_oracle(p, "left"))
+        assert same_cells(right_unitor(p), helpers.unitor_oracle(p, "right"))
+    triples = helpers.composable_triples()
+    for j, h, k in triples:
+        cell = associator(j, h, k)
+        assert same_cells(cell, helpers.associator_oracle(j, h, k))
+        assert componentwise_bijective(cell)
+    assert (len(cells), len(profs), len(triples)) == (128, 59, 42)
 
 
 def test_companion_conjoint_zigzags():
