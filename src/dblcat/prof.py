@@ -377,7 +377,8 @@ def compose_prof(j, h):
     off J's right action alone when H is C(b, g e).  Any other composite,
     a restriction C(f a, g b) included, is quotiented by a union-find that
     slides each non-identity v : b1 -> b2 out of J's row (an identity
-    joins a pair with itself), on J's right and H's left action.
+    joins a pair with itself), on J's right and H's left action, which it
+    reads only when some middle object has such a v.
 
     The fibers and the classes are built at once; each action table on
     its first read, from J's left action or H's right action: u : a2 -> a
@@ -389,11 +390,12 @@ def compose_prof(j, h):
     ac, bc, ec = j.source, j.target, h.target
     jrows, hrows = j._rows, h._rows
     coyoneda = coyoneda_side(j, h)
-    jright = None if coyoneda == "left" else j.right
-    hleft = None if coyoneda == "right" else h.left
     slides = {} if coyoneda else {
         b: [(v, bc.tgt[v]) for v in bc.out_of(b) if not bc.is_identity(v)]
         for b in bc.objects}
+    sliding = any(slides.values())
+    jright = j.right if coyoneda == "right" or sliding else None
+    hleft = h.left if coyoneda == "left" or sliding else None
 
     def find(i):
         while parent[i] != i:

@@ -135,17 +135,12 @@ def prof_bridge(p):
     the disjoint union of the fibers."""
     a, b = p.source, p.target
     het = []
-    d0, d1 = {}, {}
-    locate = {}
+    d0, d1, l, r = {}, {}, {}, {}
     for x, y, j in p.elements():
         e = f"({x}|{j}|{y})"
         het.append(e)
         d0[e] = x
         d1[e] = y
-        locate[e] = (x, y, j)
-    l, r = {}, {}
-    for e in het:
-        x, y, j = locate[e]
         for u in a.into(x):
             l[(u, e)] = f"({a.src[u]}|{p.act_left(u, x, y, j)}|{y})"
         for v in b.out_of(y):

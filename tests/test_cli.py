@@ -4,6 +4,7 @@ import os
 import pytest
 
 import helpers
+import record_golden
 from dblcat import cli, dsl, kan, prof, tab
 from dblcat.fincat import identity_functor
 from dblcat.prof import unit_prof
@@ -16,12 +17,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def readme_commands():
-    """The arguments of each ``dcat`` line of the README, with the
-    workspace paths taken from the repository root."""
+    """Each ``dcat`` line of the README."""
     with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
-        lines = [line.split()[1:] for line in fh if line.startswith("dcat ")]
-    return [[os.path.join(ROOT, w) if w.endswith(".dcat") else w for w in argv]
-            for argv in lines]
+        return [line.rstrip("\n") for line in fh if line.startswith("dcat ")]
 
 
 def run(capsys, *argv):
@@ -68,37 +66,6 @@ def test_compose(capsys):
     assert any(len(members) == 2
                for cls in payload["classes"].values()
                for members in cls.values())
-
-
-@pytest.mark.parametrize("fmt", ["text", "json"])
-@pytest.mark.parametrize("path, left, right", [
-    (FIXTURE, "HomTwo", "HomTwo"), (G32, "Hom", "Hom"),
-    (FAILING, "Empty", "HomTwo")])
-def test_compose_prints_its_recorded_output(capsys, path, left, right, fmt):
-    # stdout as recorded in tests/fixtures/compose/: how the composite
-    # names its elements inside must not change what dcat compose prints
-    stem = os.path.basename(path).removesuffix(".dcat")
-    recorded = os.path.join(os.path.dirname(__file__), "fixtures", "compose",
-                            f"{stem}-{left}-{right}.{fmt}")
-    with open(recorded, encoding="utf-8") as fh:
-        want = fh.read()
-    code, out, err = run(capsys, "compose", path, left, right, "--format", fmt)
-    assert (code, out, err) == (0, want, "")
-
-
-@pytest.mark.parametrize("fmt", ["text", "json"])
-def test_laws_prints_its_recorded_output(capsys, fmt):
-    # stdout, stderr and exit code as recorded in tests/fixtures/laws/:
-    # how composites and the cells over them are built must not change
-    # what dcat laws prints
-    recorded = os.path.join(os.path.dirname(__file__), "fixtures", "laws",
-                            f"laws.{fmt}")
-    want = []
-    for part in ("code", "out", "err"):
-        with open(f"{recorded}.{part}", encoding="utf-8") as fh:
-            want.append(fh.read())
-    code, out, err = run(capsys, "laws", "--format", fmt)
-    assert (f"{code}\n", out, err) == tuple(want)
 
 
 def test_g32_fixture_is_the_serialized_workspace():
@@ -303,17 +270,35 @@ def test_skip_verify_leaves_out_exactly_the_verification(capsys, argv,
 
 
 def test_readme_lists_every_subcommand():
-    assert {argv[0] for argv in readme_commands()} == set(cli.COMMANDS)
+    assert {line.split()[1] for line in readme_commands()} == set(cli.COMMANDS)
 
 
-def short_id(argv):
-    return "-".join(os.path.basename(w) for w in argv)
+def test_golden_table_holds_the_readme_and_owns_every_record():
+    table = (record_golden.GOLDEN / record_golden.TABLE).read_text(
+        encoding="utf-8").splitlines()
+    assert set(readme_commands()) <= set(table)
+    assert not any("--format" in line.split() for line in table)
+    names = [name for name, _ in record_golden.records()]
+    assert len(set(names)) == len(names) == 2 * len(table)
+    assert sorted(os.listdir(record_golden.GOLDEN)) == sorted(
+        [record_golden.TABLE] +
+        [f"{name}.{part}" for name in names for part in record_golden.PARTS])
 
 
-@pytest.mark.parametrize("argv", readme_commands(), ids=short_id)
-def test_exit_code_follows_ok_on_readme_commands(capsys, argv):
-    code, payload = run_json(capsys, *argv)
-    assert code == (0 if payload["ok"] else 1)
+@pytest.mark.parametrize("name, argv", [
+    pytest.param(name, argv, id=name) for name, argv in record_golden.records()])
+def test_golden(monkeypatch, name, argv):
+    # stdout, stderr and exit code as recorded in tests/golden/, on a first
+    # call and on a second in the same process, whose constructions the
+    # first must not have changed
+    want = tuple((record_golden.GOLDEN / f"{name}.{part}").read_text(
+        encoding="utf-8") for part in record_golden.PARTS)
+    monkeypatch.chdir(ROOT)
+    assert record_golden.run(argv) == want
+    assert record_golden.run(argv) == want
+    if name.endswith(".json"):
+        out, _, code = want
+        assert code == ("0\n" if json.loads(out)["ok"] else "1\n")
 
 
 def _never(*args, **kwargs):

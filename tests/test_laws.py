@@ -72,10 +72,11 @@ def test_a_run_reads_the_tables_of_few_composites(monkeypatch):
     assert laws.run_all()[0]
     read = [p for p in built if "left" in vars(p) or "right" in vars(p)]
     # each table is built on its first read, and most composites are only
-    # named in witnesses or compared with themselves
-    assert (len(built), len(read)) == (205, 47)
+    # named in witnesses or compared with themselves; a composite over a
+    # middle with no non-identity arrow reads neither slide table
+    assert (len(built), len(read)) == (205, 39)
     assert (sum("left" in vars(p) for p in read),
-            sum("right" in vars(p) for p in read)) == (30, 21)
+            sum("right" in vars(p) for p in read)) == (30, 9)
 
 
 def moved(cell, within_fiber):

@@ -318,16 +318,20 @@ def test_compose_prof_matches_slow_twin_over_a_discrete_middle():
     fs = all_functors(middle, zoo.composable_pair())
     pairs = [(conjoint(f), companion(g)) for f in fs for g in fs]
     pairs.append((unit_prof(middle), unit_prof(middle)))
-    largest = 0
+    largest, unslid = 0, 0
     for j, h in pairs:
         composite, classes = compose_prof(j, h)
+        # with no slide to make, the union-find reads neither slide table
+        if prof.coyoneda_side(j, h) is None:
+            assert "right" not in vars(j) and "left" not in vars(h)
+            unslid += 1
         assert helpers.composite_tables(composite, classes) == \
             helpers.composite_tables(*helpers.compose_prof_oracle(j, h))
         for cls in classes.values():
             assert all(least == pair for pair, least in cls.items())
         largest = max([largest] + [len(f) for f in composite.fibers.values()])
     assert largest == 2
-    assert len(pairs) == 82
+    assert (len(pairs), unslid) == (82, 81)
 
 
 def test_compose_prof_matches_slow_twin_over_sparse_boundaries(monkeypatch):
